@@ -29,9 +29,11 @@ use crate::metrics::{Metrics, GRIDLOCK_WARNING_WINDOW};
 use super::lifecycle::OpenLifecycle;
 
 /// Telemetry counter keys for per-kernel launch counts, indexed like
-/// [`Stage::KERNELS`]. Registered at zero on **both** engines by
-/// [`StepCore`], so CPU and GPU telemetry always share one shape; only
-/// the GPU backend increments them.
+/// [`Stage::KERNELS`]. Registered at zero on every engine by
+/// [`StepCore`], so all backends' telemetry shares one shape. The GPU
+/// counts its kernel launches; the pooled backend counts its worker-pool
+/// launches (blocks = pool tasks, threads = pool workers per launch);
+/// the scalar backend launches nothing and reports zeros.
 pub const KERNEL_LAUNCH_KEYS: [&str; 4] = [
     "kernel.init.launches",
     "kernel.initial_calc.launches",
@@ -71,6 +73,11 @@ pub const GRIDLOCK_EVENT_THRESHOLD: f64 = 0.5;
 /// itself. Declaration order is the stable report order, not the
 /// execution order of the tail (metrics are observed before the
 /// lifecycle runs, so sinks drain arrivals that were already counted).
+///
+/// A backend may fuse consecutive kernels into one pass: it runs the
+/// pass under one stage and leaves the others empty, so their timings
+/// read (near) zero. The pooled backend runs Init + InitialCalc + Tour as
+/// one decide pass under [`Stage::InitialCalc`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
     /// Supporting initialisation (§IV.e): clear the scan matrix and the
@@ -523,6 +530,33 @@ mod tests {
         assert_eq!(tc.gauge("sim.throughput"), tg.gauge("sim.throughput"));
         assert_eq!(tc.gauge("sim.total_moves"), tg.gauge("sim.total_moves"));
         assert_eq!(tc.gauge("sim.live"), Some(40.0));
+    }
+
+    /// The pooled backend's launch telemetry pins its pass structure:
+    /// dense steps take one decide and one resolve launch, sparse steps
+    /// one decide and two resolve launches, whatever the model.
+    #[test]
+    fn pooled_launches_one_decide_and_one_resolve_pass_per_step() {
+        use crate::engine::pooled::PooledEngine;
+        for model in [ModelKind::lem(), ModelKind::aco()] {
+            for (mode, movement) in [(IterationMode::Dense, 1), (IterationMode::Sparse, 2)] {
+                let env = pedsim_grid::EnvConfig::small(24, 24, 20).with_seed(3);
+                let cfg = SimConfig::new(env, model).with_iteration_mode(mode);
+                let mut e = PooledEngine::new(cfg, 2);
+                e.run(8);
+                let t = e.telemetry();
+                let per_step = [0, 1, 0, movement];
+                for (k, launches) in per_step.into_iter().enumerate() {
+                    let label = format!("{} {mode:?} {}", model.name(), KERNEL_LAUNCH_KEYS[k]);
+                    assert_eq!(t.counter(KERNEL_LAUNCH_KEYS[k]), 8 * launches, "{label}");
+                    assert_eq!(
+                        t.counter(KERNEL_THREAD_KEYS[k]),
+                        2 * 8 * launches,
+                        "{label}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

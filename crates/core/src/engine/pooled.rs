@@ -1,63 +1,77 @@
 //! The tile-parallel pooled CPU backend (`pooled` in the backend
-//! registry).
+//! registry) — the repo's fast path.
 //!
 //! A multi-threaded host engine on the `simt` [`WorkerPool`]: the grid is
-//! partitioned into contiguous row bands ([`band_ranges`]) and the four
-//! kernel stages run band-parallel with **conflict-free claims** — every
-//! output slot is written by exactly one task, so no locks are held in
-//! any hot loop.
+//! partitioned into contiguous row bands ([`band_ranges`]) — or, in
+//! sparse mode, the live agents into count-balanced bucket groups
+//! (`RowBuckets`) — and every pass runs with **conflict-free writes**:
+//! each output slot is written by exactly one task, so no locks are held
+//! in any hot loop.
 //!
-//! ## The claim protocol (movement)
+//! ## The claim protocol: decide, then resolve
 //!
-//! The scalar reference resolves movement per cell with
-//! [`gather_winner`]: scan the 8 neighbours in slot order, collect the
-//! agents whose FUTURE is this cell, draw one with the *cell's* RNG
-//! stream. The pooled backend reaches the identical answer in three
-//! barrier-separated phases, seeded from the dormant atomic-CAS movement
-//! variant (`kernels/movement_atomic.rs`) but with the tie-break made
-//! deterministic:
+//! The scalar reference runs the paper's four kernels as four sweeps and
+//! resolves movement per cell with
+//! [`gather_winner`](crate::model::gather_winner): scan the 8
+//! neighbours in slot order, collect the agents whose FUTURE is this
+//! cell, draw one with the *cell's* RNG stream. The pooled backend
+//! reaches the identical trajectory in **two pool launches per step**:
 //!
-//! 1. **Claim** (parallel over agents): each mover ORs one bit into its
-//!    target cell's claim byte — bit `k` means "the agent standing at
-//!    `target + NEIGHBOR_OFFSETS[k]` wants in". `fetch_or` is commutative,
-//!    so the byte is schedule-independent (unlike the CAS kernel, where
-//!    the *first* claimant wins and the winner depends on thread timing).
-//! 2. **Resolve** (parallel over row bands): each cell decodes its claim
-//!    byte — the set bits, read in ascending order, are exactly the
-//!    candidate list `gather_winner` builds in slot order, and the winner
-//!    is drawn with the same `(seed, cell, salt)` stream. An occupied
-//!    cell instead decodes its agent's *target* cell to learn whether the
-//!    agent left. Each cell writes only its own `mat`/`index`/pheromone
-//!    slots.
-//! 3. **Apply** (parallel over row bands): arrival cells write their
-//!    winner's position/tour slots — each agent wins at most one cell, so
-//!    these writes are agent-unique.
+//! 1. **Decide** (init + initial calculation + tour, fused): each agent
+//!    reads its front cell, scores its neighbourhood only when the
+//!    forward-priority short-circuit does not already decide (the scan
+//!    row would go unread), draws its move from its own stream, and ORs
+//!    one bit into its target cell's claim byte — bit `k` means "the
+//!    agent standing at `target + NEIGHBOR_OFFSETS[k]` wants in".
+//!    `fetch_or` is commutative, so the byte is schedule-independent.
+//!    Neither a scan row nor a FUTURE cell is stored: the claim byte is
+//!    all a decision leaves behind, and only empty cells are claimed.
+//! 2. **Resolve** (movement, over row bands): each cell with a non-zero
+//!    claim byte decodes it — the set bits, read in ascending order, are
+//!    exactly the candidate list `gather_winner` builds in slot order, and
+//!    the winner is drawn with the same `(seed, cell, salt)` stream —
+//!    clears it for the next step, and moves its winner **in place**.
+//!    Claimed cells were empty when the step began and every winner's
+//!    source cell was occupied, so no two winners touch the same cell and
+//!    no task reads a slot another task writes. ACO pheromone is updated
+//!    in place too: each band evaporates its cells, then each winner adds
+//!    its deposit at its new cell.
+//!
+//! Sparse mode iterates agents, not cells, so it cannot resolve by target
+//! cell: its resolve takes two launches — **decode** (each claimant
+//! re-draws its target's winner and keeps its move only if it won; ACO
+//! evaporation rides along) and **apply** (winners move in place, clear
+//! their target's claim byte, and add their deposit). Evaporating and then
+//! adding the deposit is bit-equal to the scalar fused update because
+//! `max((1-ρ)τ, τ₀) + 0.0` is exact.
 //!
 //! Because every draw uses the same stream as the scalar engine and every
 //! candidate list is bit-equal, trajectories are **bit-identical to
 //! `scalar` at every thread count** — asserted by the cross-backend
-//! golden parity tests.
+//! golden parity tests. The fused decide pass is timed under
+//! [`Stage::InitialCalc`]; [`Stage::Init`] and [`Stage::Tour`] have no
+//! pass of their own on this backend.
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
-use pedsim_grid::cell::{Group, CELL_EMPTY, CELL_WALL, NEIGHBOR_OFFSETS};
-use pedsim_grid::property::NO_FUTURE;
-use pedsim_grid::scan::{ScanMatrix, TourLengths, SCAN_INVALID};
+use pedsim_grid::cell::{Group, CELL_EMPTY, CELL_WALL, MOVE_LEN, NEIGHBOR_OFFSETS};
+use pedsim_grid::distance::DistRef;
+use pedsim_grid::scan::TourLengths;
 use pedsim_grid::{DistanceData, EnvConfig, Environment, Matrix, PheromoneField};
 use philox::StreamRng;
 use simt::exec::pool::WorkerPool;
 
 use crate::metrics::{Geometry, Metrics};
-use crate::model::Arrival;
-use crate::model::{
-    aco_scan_row, aco_select, front_status, gather_winner, lem_scan_row, lem_select, ScanRow,
-};
-use crate::params::{IterationMode, ModelKind, SimConfig};
+use crate::model::{aco_scan_row, aco_select, front_status, lem_scan_row, lem_select};
+use crate::params::{AcoParams, IterationMode, ModelKind, SimConfig};
 
 use super::cpu::HostWorld;
 use super::lifecycle::OpenLifecycle;
-use super::pipeline::{Stage, StageBackend, StepCore, StepTimings};
+use super::pipeline::{
+    Stage, StageBackend, StepCore, StepTimings, KERNEL_BLOCK_KEYS, KERNEL_LAUNCH_KEYS,
+    KERNEL_THREAD_KEYS,
+};
 use super::{swap_model, Engine, ModelSwapError, KERNEL_MOVE, KERNEL_TOUR};
 use crate::world::CompiledWorld;
 
@@ -105,8 +119,9 @@ fn offset_slot(dr: i64, dc: i64) -> usize {
 /// Write-set tracker for the `audit-runtime` tile-race detector: one
 /// owner word per slot, `0` = unwritten this phase, `1` = host thread,
 /// `b + 2` = pool block `b`. A [`Scatter`] lives for exactly one phase,
-/// so "written twice while this Scatter exists" is precisely the
-/// structural-disjointness violation the SAFETY contracts rule out.
+/// so "written by two tasks while this Scatter exists" is precisely the
+/// structural-disjointness violation the SAFETY contracts rule out (a
+/// task may rewrite its own slot).
 #[cfg(feature = "audit-runtime")]
 struct WriteSet {
     owners: Vec<std::sync::atomic::AtomicU32>,
@@ -122,8 +137,8 @@ impl WriteSet {
         }
     }
 
-    /// Record a write to slot `i`, panicking if any task already wrote it
-    /// during this Scatter's phase.
+    /// Record a write to slot `i`, panicking if another task already
+    /// wrote it during this Scatter's phase.
     fn note(&self, i: usize) {
         let me = match simt::exec::pool::current_block() {
             Some(b) => b as u32 + 2,
@@ -132,7 +147,7 @@ impl WriteSet {
         // ordering: relaxed — the swap is an atomic claim; detection only
         // needs each slot's own modification order, not cross-slot order.
         let prev = self.owners[i].swap(me, Ordering::Relaxed);
-        if prev != 0 {
+        if prev != 0 && prev != me {
             panic!(
                 "tile race: slot {i} written by task {} after task {} in the same phase",
                 me.wrapping_sub(2),
@@ -196,6 +211,42 @@ impl<'a, T: Copy> Scatter<'a, T> {
         debug_assert!(i < self.len);
         unsafe { *self.ptr.add(i) }
     }
+
+    /// Rewrite every slot of `range` in place with `f` — a tight,
+    /// vectorisable loop for band-owned sweeps.
+    ///
+    /// SAFETY: as [`Scatter::write`] and [`Scatter::read`], for every slot
+    /// of `range`.
+    #[inline]
+    unsafe fn update_range(&self, range: std::ops::Range<usize>, f: impl Fn(T) -> T) {
+        debug_assert!(range.end <= self.len);
+        #[cfg(feature = "audit-runtime")]
+        for i in range.clone() {
+            self.ws.note(i);
+        }
+        // SAFETY: in bounds (asserted above) and owned by the caller's
+        // task per this function's contract.
+        let slots =
+            unsafe { std::slice::from_raw_parts_mut(self.ptr.add(range.start), range.len()) };
+        for v in slots {
+            *v = f(*v);
+        }
+    }
+}
+
+/// ACO evaporation of one band of pheromone slots: the fused update with
+/// no deposit. A deposit added afterwards completes the fused update bit
+/// for bit, because `max((1-ρ)τ, τ₀) + 0.0` is exactly `max((1-ρ)τ, τ₀)`.
+///
+/// SAFETY: as [`Scatter::update_range`].
+#[inline]
+unsafe fn evaporate(plane: &Scatter<'_, f32>, range: std::ops::Range<usize>, p: &AcoParams) {
+    // SAFETY: forwarded contract.
+    unsafe {
+        plane.update_range(range, |tau| {
+            PheromoneField::fused_update(tau, p.tau0, p.rho, 0.0)
+        })
+    };
 }
 
 /// Live agents bucketed by contiguous row bands — the sparse iteration
@@ -369,36 +420,36 @@ pub struct PooledEngine {
 
 /// The pooled engine's kernel-stage executor: the same host-side world
 /// the scalar backend loops over, plus the worker pool and the per-cell
-/// claim bytes.
+/// claim bytes. Movement updates the world in place, so there is no
+/// second grid, scan matrix or pheromone buffer.
 struct PooledBackend {
     cfg: SimConfig,
     geom: Geometry,
     env: Environment,
-    mat_next: Matrix<u8>,
-    index_next: Matrix<u32>,
-    scan: ScanMatrix,
     tour: TourLengths,
     pher: Option<PheromoneField>,
-    pher_next: Option<PheromoneField>,
     dist: Arc<DistanceData>,
     seed: u64,
     pool: WorkerPool,
     /// One claim byte per cell: bit `k` set means the agent at
-    /// `cell + NEIGHBOR_OFFSETS[k]` targets this cell.
+    /// `cell + NEIGHBOR_OFFSETS[k]` targets this cell. All zero between
+    /// steps — the movement pass clears every byte it reads.
     claims: Vec<AtomicU8>,
-    /// When set, every stage launch permutes its band issue order with a
+    /// When set, every launch permutes its band issue order with a
     /// Philox schedule keyed by `(seed, launch_counter)` — the
     /// interleaving explorer's handle into this backend. `None` (the
     /// default) dispatches bands in natural order.
     schedule_seed: Option<u64>,
-    /// Monotonic launch counter keying the per-launch permutations.
+    /// Monotonic pool-launch counter: keys the per-launch permutations
+    /// and feeds the launch telemetry.
     launches: std::cell::Cell<u64>,
     /// Traversal mode, resolved from the configuration at build time.
     mode: IterationMode,
     /// Live agents bucketed by row band (`Some` iff sparse mode).
     buckets: Option<RowBuckets>,
-    /// Sparse movement decode output, agent-keyed: the destination cell
-    /// (linear) the agent won this step, `u32::MAX` = stays put.
+    /// Sparse mode only, agent-keyed: the cell (linear) the agent claimed
+    /// this step, then — after the decode pass — the cell it won;
+    /// `u32::MAX` = stays put.
     won: Vec<u32>,
 }
 
@@ -417,6 +468,145 @@ fn dispatch(
             let perm = simt::exec::explore::permutation(seed, launch, parts);
             simt::exec::explore::run_permuted(pool, &perm, f);
         }
+    }
+}
+
+/// In-place scatters over every pheromone plane (empty for LEM).
+fn plane_scatters(pher: Option<&mut PheromoneField>) -> Vec<Scatter<'_, f32>> {
+    pher.map_or_else(Vec::new, |p| {
+        p.planes_mut()
+            .iter_mut()
+            .map(|m| Scatter::new(m.as_mut_slice()))
+            .collect()
+    })
+}
+
+/// The claimant a non-zero claim byte admits — the parallel equivalent
+/// of [`gather_winner`](crate::model::gather_winner): the set bits, in
+/// ascending order, are its slot-ordered candidate list, and the draw
+/// uses the identical cell-keyed stream (no draw for a lone claimant).
+/// Returns the neighbour slot the winner comes from.
+#[inline]
+fn admitted(bits: u8, seed: u64, cell: usize, counter_base: u64) -> usize {
+    debug_assert_ne!(bits, 0, "cell {cell} has no claimant");
+    let count = bits.count_ones();
+    let pick = if count == 1 {
+        0
+    } else {
+        StreamRng::with_offset(seed, cell as u64, counter_base).bounded_u32(count)
+    };
+    let mut bits = bits;
+    for _ in 0..pick {
+        bits &= bits - 1;
+    }
+    bits.trailing_zeros() as usize
+}
+
+/// Telemetry counter keys of the pooled backend's deterministic work
+/// counts, in this order: agents that built a scan row (the
+/// forward-priority short-circuit did not decide), agents that claimed a
+/// target cell, and claimed cells with more than one claimant (a winner
+/// draw). They are sums over agents and cells, so they do not depend on
+/// the schedule, the thread count or the traversal mode, and they tell
+/// less work apart from faster work.
+pub const WORK_KEYS: [&str; 3] = ["pooled.scored", "pooled.claimed", "pooled.contested"];
+
+/// One pass's deterministic work counts (see [`WORK_KEYS`]).
+#[derive(Debug, Default, Clone, Copy)]
+struct Work {
+    scored: u64,
+    claimed: u64,
+    contested: u64,
+}
+
+impl Work {
+    fn counts(self) -> [u64; 3] {
+        [self.scored, self.claimed, self.contested]
+    }
+}
+
+/// A launch's [`Work`] total: each task adds its local counts once.
+#[derive(Default)]
+struct WorkSum([AtomicU64; 3]);
+
+impl WorkSum {
+    fn add(&self, work: Work) {
+        for (sum, n) in self.0.iter().zip(work.counts()) {
+            // ordering: relaxed — addition commutes, and the launch
+            // barrier publishes every task's addition before `total`.
+            sum.fetch_add(n, Ordering::Relaxed);
+        }
+    }
+
+    fn total(self) -> Work {
+        let [scored, claimed, contested] = self.0.map(AtomicU64::into_inner);
+        Work {
+            scored,
+            claimed,
+            contested,
+        }
+    }
+}
+
+/// The read-only inputs of one step's decide pass, shared by both
+/// traversals.
+struct Decide<'a> {
+    mat: &'a Matrix<u8>,
+    pher: Option<&'a PheromoneField>,
+    dist: DistRef<'a>,
+    model: ModelKind,
+    seed: u64,
+    /// Counter base of the tour draws: `(step·4 + KERNEL_TOUR) << 4`.
+    counter_base: u64,
+    width: usize,
+    claims: &'a [AtomicU8],
+}
+
+impl Decide<'_> {
+    /// Decide the group-`label` agent `a` standing at `(r, c)`: pick its
+    /// next cell exactly as the scalar initial-calc + tour kernels do and
+    /// claim it, counting into `work`. Returns the claimed cell (linear),
+    /// or `None` when the agent stays put.
+    #[inline]
+    fn agent(&self, a: u32, label: u8, r: i64, c: i64, work: &mut Work) -> Option<usize> {
+        let occ = |rr: i64, cc: i64| self.mat.get_or(rr, cc, CELL_WALL);
+        let g = Group::from_label(label).expect("agent has a group label");
+        let fk = self.dist.front_k(g, r, c);
+        let front = front_status(&occ, fk, r, c);
+        let k = if self.model.forward_priority() && front == CELL_EMPTY {
+            // The selects' own short-circuit (no draw), taken before
+            // scoring so the scan row is never built.
+            fk
+        } else {
+            work.scored += 1;
+            let mut rng = StreamRng::with_offset(self.seed, u64::from(a), self.counter_base);
+            match self.model {
+                ModelKind::Lem(p) => {
+                    let row = lem_scan_row(&occ, self.dist, g, r, c, p.scan_range);
+                    lem_select(&row, front, fk, &p, &mut rng)
+                }
+                ModelKind::Aco(p) => {
+                    let tf = self.pher.expect("ACO has pheromone").of(g);
+                    let tau = |rr: i64, cc: i64| tf.get_or(rr, cc, 0.0);
+                    let row = aco_scan_row(&occ, &tau, self.dist, &p, g, r, c);
+                    aco_select(&row, front, fk, &p, &mut rng)
+                }
+            }?
+        };
+        let (dr, dc) = NEIGHBOR_OFFSETS[k];
+        let (tr, tc) = (r + dr, c + dc);
+        // The selects only pick empty cells; the in-place resolve's
+        // race-freedom rests on that, so it is enforced, not assumed.
+        if occ(tr, tc) != CELL_EMPTY {
+            return None;
+        }
+        let target = tr as usize * self.width + tc as usize;
+        // ordering: relaxed — fetch_or commutes, so only the final claim
+        // byte matters, and the launch barrier publishes it before the
+        // resolve pass reads.
+        self.claims[target].fetch_or(1 << offset_slot(-dr, -dc), Ordering::Relaxed);
+        work.claimed += 1;
+        Some(target)
     }
 }
 
@@ -446,29 +636,16 @@ impl PooledEngine {
         let geom = world.geometry();
         let core = StepCore::for_world(&cfg, &env, geom);
         let n = env.total_agents();
-        let groups = env.n_groups();
-        let (pher, pher_next) = match cfg.model {
-            ModelKind::Aco(p) => (
-                Some(PheromoneField::with_groups(
-                    env.height(),
-                    env.width(),
-                    p.tau0,
-                    groups,
-                )),
-                Some(PheromoneField::with_groups(
-                    env.height(),
-                    env.width(),
-                    p.tau0,
-                    groups,
-                )),
-            ),
-            ModelKind::Lem(_) => (None, None),
-        };
         let (h, w) = (env.height(), env.width());
+        let pher = match cfg.model {
+            ModelKind::Aco(p) => Some(PheromoneField::with_groups(h, w, p.tau0, env.n_groups())),
+            ModelKind::Lem(_) => None,
+        };
         let seed = cfg.env.seed;
         let mode = cfg.iteration.resolve(env.live_count(), h * w);
+        let sparse = mode == IterationMode::Sparse;
         let pool = WorkerPool::new(threads);
-        let buckets = (mode == IterationMode::Sparse).then(|| {
+        let buckets = sparse.then(|| {
             // Finer than the task count so count-balanced grouping has
             // room to equalise (BANDS_PER_WORKER × 4 buckets per worker).
             let hint = pool.workers() * BANDS_PER_WORKER * 4;
@@ -481,12 +658,8 @@ impl PooledEngine {
             backend: PooledBackend {
                 cfg,
                 geom,
-                mat_next: Matrix::filled(h, w, CELL_EMPTY),
-                index_next: Matrix::filled(h, w, 0u32),
-                scan: ScanMatrix::new(n),
                 tour: TourLengths::new(n),
                 pher,
-                pher_next,
                 dist,
                 seed,
                 pool,
@@ -495,7 +668,11 @@ impl PooledEngine {
                 launches: std::cell::Cell::new(0),
                 mode,
                 buckets,
-                won: vec![u32::MAX; n + 1],
+                won: if sparse {
+                    vec![u32::MAX; n + 1]
+                } else {
+                    Vec::new()
+                },
                 env,
             },
         }
@@ -506,8 +683,8 @@ impl PooledEngine {
         self.backend.pool.workers()
     }
 
-    /// Permute every stage launch's band issue order with a Philox
-    /// schedule keyed on `seed` (or restore natural order with `None`).
+    /// Permute every launch's band issue order with a Philox schedule
+    /// keyed on `seed` (or restore natural order with `None`).
     ///
     /// Trajectories are claimed to be schedule-independent; the
     /// interleaving-exploration tests drive this knob over hundreds of
@@ -516,7 +693,9 @@ impl PooledEngine {
         self.backend.schedule_seed = seed;
     }
 
-    /// Borrow the current environment state.
+    /// Borrow the current environment state. The pooled backend keeps no
+    /// FUTURE, front or scan state: those property columns stay at their
+    /// initial values.
     pub fn environment(&self) -> &Environment {
         &self.backend.env
     }
@@ -538,630 +717,215 @@ impl PooledEngine {
 }
 
 impl PooledBackend {
-    /// Bands to dispatch per stage.
+    /// Bands to dispatch per launch.
     fn parts(&self) -> usize {
         self.pool.workers() * BANDS_PER_WORKER
     }
 
-    /// Schedule key for the next launch, if permuted dispatch is on.
-    /// Call at the *top* of a phase, before taking field borrows.
+    /// Count one launch and return its schedule key, if permuted dispatch
+    /// is on. Call at the *top* of a pass, before taking field borrows.
     fn next_schedule(&self) -> Option<(u64, u64)> {
-        let seed = self.schedule_seed?;
         let launch = self.launches.get();
         self.launches.set(launch + 1);
-        Some((seed, launch))
+        self.schedule_seed.map(|seed| (seed, launch))
     }
 
-    fn stage_init(&mut self) {
-        // Supporting kernel (§IV.e): clear scan + FUTURE, band-parallel
-        // fills (each band owns a contiguous slice of each array).
-        let parts = self.parts();
-        let schedule = self.next_schedule();
-        let sv = Scatter::new(&mut self.scan.vals);
-        let si = Scatter::new(&mut self.scan.idxs);
-        let fr = Scatter::new(&mut self.env.props.future_row);
-        let fc = Scatter::new(&mut self.env.props.future_col);
-        let vb = band_ranges(sv.len, parts);
-        let fb = band_ranges(fr.len, parts);
-        dispatch(&self.pool, schedule, parts, &|b| {
-            for i in vb[b].clone() {
-                // SAFETY: band-disjoint slots.
-                unsafe {
-                    sv.write(i, 0.0);
-                    si.write(i, SCAN_INVALID);
-                }
-            }
-            for i in fb[b].clone() {
-                // SAFETY: band-disjoint slots.
-                unsafe {
-                    fr.write(i, NO_FUTURE);
-                    fc.write(i, NO_FUTURE);
-                }
-            }
-        });
-    }
-
-    fn stage_initial_calc(&mut self) {
-        // §IV.b over row bands: writes are keyed by the cell's agent, and
-        // every agent stands on exactly one cell.
-        let (h, w) = (self.geom.height, self.geom.width);
-        let parts = self.parts();
-        let schedule = self.next_schedule();
-        let mat = &self.env.mat;
-        let index = &self.env.index;
-        let dist = self.dist.dist_ref();
-        let model = self.cfg.model;
-        let pher = self.pher.as_ref();
-        let sv = Scatter::new(&mut self.scan.vals);
-        let si = Scatter::new(&mut self.scan.idxs);
-        let front = Scatter::new(&mut self.env.props.front);
-        let front_k = Scatter::new(&mut self.env.props.front_k);
-        let bands = band_ranges(h, parts);
-        dispatch(&self.pool, schedule, parts, &|b| {
-            let occ = |r: i64, c: i64| mat.get_or(r, c, CELL_WALL);
-            for r in bands[b].clone() {
-                for c in 0..w {
-                    let a = index.get(r, c);
-                    if a == 0 {
-                        continue;
-                    }
-                    let label = mat.get(r, c);
-                    let g = Group::from_label(label).expect("indexed cell has group label");
-                    let row: ScanRow = match model {
-                        ModelKind::Lem(p) => {
-                            lem_scan_row(&occ, dist, g, r as i64, c as i64, p.scan_range)
-                        }
-                        ModelKind::Aco(p) => {
-                            let tf = pher.expect("ACO has pheromone").of(g);
-                            let tau = |rr: i64, cc: i64| tf.get_or(rr, cc, 0.0);
-                            aco_scan_row(&occ, &tau, dist, &p, g, r as i64, c as i64)
-                        }
-                    };
-                    let ai = a as usize;
-                    for slot in 0..8 {
-                        // SAFETY: agent-unique slots (one agent per cell).
-                        unsafe {
-                            sv.write(ai * 8 + slot, row.vals[slot]);
-                            si.write(ai * 8 + slot, row.idxs[slot]);
-                        }
-                    }
-                    let fk = dist.front_k(g, r as i64, c as i64);
-                    // SAFETY: agent-unique slots.
-                    unsafe {
-                        front.write(ai, front_status(&occ, fk, r as i64, c as i64));
-                        front_k.write(ai, fk as u8);
-                    }
-                }
-            }
-        });
-    }
-
-    fn stage_tour(&mut self, step_no: u64) {
-        // §IV.c over agent bands: each agent writes only its own FUTURE
-        // slots, with its own RNG stream.
-        let salt = step_no * 4 + KERNEL_TOUR;
-        let n = self.geom.total_agents();
-        let parts = self.parts();
-        let schedule = self.next_schedule();
-        let seed = self.seed;
-        let model = self.cfg.model;
-        let scan = &self.scan;
-        let alive = &self.env.alive;
-        let props = &mut self.env.props;
-        let front = &props.front;
-        let front_k = &props.front_k;
-        let prow = &props.row;
-        let pcol = &props.col;
-        let fr = Scatter::new(&mut props.future_row);
-        let fc = Scatter::new(&mut props.future_col);
-        let bands = band_ranges(n, parts);
-        dispatch(&self.pool, schedule, parts, &|b| {
-            for i in bands[b].clone() {
-                let a = i + 1;
-                if !alive[a] {
-                    continue;
-                }
-                let mut rng = StreamRng::with_offset(seed, a as u64, salt << 4);
-                let row = ScanRow {
-                    vals: scan.row_vals(a).try_into().expect("8 slots"),
-                    idxs: scan.row_idxs(a).try_into().expect("8 slots"),
-                };
-                let k = match model {
-                    ModelKind::Lem(p) => {
-                        lem_select(&row, front[a], front_k[a] as usize, &p, &mut rng)
-                    }
-                    ModelKind::Aco(p) => {
-                        aco_select(&row, front[a], front_k[a] as usize, &p, &mut rng)
-                    }
-                };
-                // SAFETY: agent-unique slots.
-                unsafe {
-                    match k {
-                        Some(k) => {
-                            let (dr, dc) = NEIGHBOR_OFFSETS[k];
-                            fr.write(a, (i64::from(prow[a]) + dr) as u16);
-                            fc.write(a, (i64::from(pcol[a]) + dc) as u16);
-                        }
-                        None => {
-                            fr.write(a, NO_FUTURE);
-                            fc.write(a, NO_FUTURE);
-                        }
-                    }
-                }
-            }
-        });
-    }
-
-    /// Decode the winner at `(r, c)` from the claim bytes — the parallel
-    /// equivalent of [`gather_winner`]: the set bits of the claim byte,
-    /// in ascending order, are the slot-ordered candidate list, and the
-    /// draw uses the identical cell-keyed stream.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn claimed_winner(
-        mat: &Matrix<u8>,
-        index: &Matrix<u32>,
-        claims: &[AtomicU8],
-        seed: u64,
-        counter_base: u64,
-        w: usize,
-        r: usize,
-        c: usize,
-    ) -> Option<Arrival> {
-        if mat.get(r, c) != CELL_EMPTY {
-            return None;
-        }
-        let lin = r * w + c;
-        // ordering: relaxed — the claim phase's end-of-launch barrier
-        // (the pool's state mutex) already published every fetch_or;
-        // within the resolve phase the byte is read-only.
-        let mut bits = claims[lin].load(Ordering::Relaxed);
-        if bits == 0 {
-            return None;
-        }
-        let count = bits.count_ones();
-        let pick = if count == 1 {
-            0
-        } else {
-            let mut rng = StreamRng::with_offset(seed, lin as u64, counter_base);
-            rng.bounded_u32(count) as usize
-        };
-        for _ in 0..pick {
-            bits &= bits - 1;
-        }
-        let k = bits.trailing_zeros() as usize;
-        let (dr, dc) = NEIGHBOR_OFFSETS[k];
-        let (nr, nc) = ((r as i64 + dr) as usize, (c as i64 + dc) as usize);
-        Some(Arrival {
-            agent: index.get(nr, nc),
-            from_k: k,
-        })
-    }
-
-    fn stage_movement(&mut self, step_no: u64) {
-        // §IV.d in three barrier-separated phases (module docs).
-        let salt = step_no * 4 + KERNEL_MOVE;
-        let counter_base = salt << 4;
-        let (h, w) = (self.geom.height, self.geom.width);
-        let n = self.geom.total_agents();
-        let parts = self.parts();
-        let aco = match self.cfg.model {
-            ModelKind::Aco(p) => Some(p),
-            ModelKind::Lem(_) => None,
-        };
-
-        // Phase 1: reset + register claims (fetch_or is commutative, so
-        // the claim bytes are schedule-independent).
-        {
-            let reset_schedule = self.next_schedule();
-            let claim_schedule = self.next_schedule();
-            let claims = &self.claims;
-            let cell_bands = band_ranges(h * w, parts);
-            dispatch(&self.pool, reset_schedule, parts, &|b| {
-                for i in cell_bands[b].clone() {
-                    // ordering: relaxed — band-disjoint slots; the launch
-                    // barrier publishes the zeroes to the claim phase.
-                    claims[i].store(0, Ordering::Relaxed);
-                }
-            });
-            let props = &self.env.props;
-            let agent_bands = band_ranges(n, parts);
-            dispatch(&self.pool, claim_schedule, parts, &|b| {
-                for i in agent_bands[b].clone() {
-                    let a = i + 1;
-                    let fr = props.future_row[a];
-                    if fr == NO_FUTURE {
-                        continue;
-                    }
-                    let fc = props.future_col[a];
-                    let k = offset_slot(
-                        i64::from(props.row[a]) - i64::from(fr),
-                        i64::from(props.col[a]) - i64::from(fc),
-                    );
-                    // ordering: relaxed — fetch_or commutes, so only the
-                    // final claim byte matters, and the launch barrier
-                    // publishes it before the resolve phase reads.
-                    claims[fr as usize * w + fc as usize].fetch_or(1 << k, Ordering::Relaxed);
-                }
-            });
-        }
-
-        // Phase 2: resolve — every cell writes its own mat/index (and
-        // pheromone) slots only, so row bands cannot conflict.
-        {
-            let schedule = self.next_schedule();
-            let mat = &self.env.mat;
-            let index = &self.env.index;
-            let props = &self.env.props;
-            let tour = &self.tour;
-            let claims = &self.claims;
-            let seed = self.seed;
-            let mat_out = Scatter::new(self.mat_next.as_mut_slice());
-            let idx_out = Scatter::new(self.index_next.as_mut_slice());
-            let pin = self.pher.as_ref();
-            let pouts: Vec<Scatter<'_, f32>> = match self.pher_next.as_mut() {
-                Some(p) => p
-                    .planes_mut()
-                    .iter_mut()
-                    .map(|m| Scatter::new(m.as_mut_slice()))
-                    .collect(),
-                None => Vec::new(),
-            };
-            let bands = band_ranges(h, parts);
-            dispatch(&self.pool, schedule, parts, &|b| {
-                for r in bands[b].clone() {
-                    for c in 0..w {
-                        let lin = r * w + c;
-                        let arrival =
-                            Self::claimed_winner(mat, index, claims, seed, counter_base, w, r, c);
-                        let own = index.get(r, c);
-                        let (new_label, new_index) = if let Some(arr) = arrival {
-                            (props.id[arr.agent as usize], arr.agent)
-                        } else if own != 0 && props.future_row[own as usize] != NO_FUTURE {
-                            // Our agent wants to leave: decode its target
-                            // cell to learn whether it won there.
-                            let fr = props.future_row[own as usize] as usize;
-                            let fc = props.future_col[own as usize] as usize;
-                            let wins = Self::claimed_winner(
-                                mat,
-                                index,
-                                claims,
-                                seed,
-                                counter_base,
-                                w,
-                                fr,
-                                fc,
-                            )
-                            .is_some_and(|a| a.agent == own);
-                            if wins {
-                                (CELL_EMPTY, 0)
-                            } else {
-                                (mat.get(r, c), own)
-                            }
-                        } else {
-                            (mat.get(r, c), own)
-                        };
-                        // SAFETY: cell-unique slots within this band.
-                        unsafe {
-                            mat_out.write(lin, new_label);
-                            idx_out.write(lin, new_index);
-                        }
-
-                        if let (Some(p), Some(pin)) = (aco, pin) {
-                            let deposit: Option<(usize, f32)> = arrival.map(|arr| {
-                                let a = arr.agent as usize;
-                                let l_new = tour.get(a) + arr.step_len();
-                                let g = Group::from_label(props.id[a])
-                                    .expect("arrival has a group label");
-                                (g.index(), p.q / l_new)
-                            });
-                            for (gi, pout) in pouts.iter().enumerate() {
-                                let g = Group::new(gi);
-                                let dep = match deposit {
-                                    Some((dg, amount)) if dg == gi => amount,
-                                    _ => 0.0,
-                                };
-                                let next = PheromoneField::fused_update(
-                                    pin.of(g).get(r, c),
-                                    p.tau0,
-                                    p.rho,
-                                    dep,
-                                );
-                                // SAFETY: cell-unique slot.
-                                unsafe { pout.write(lin, next) };
-                            }
-                        }
-                    }
-                }
-            });
-        }
-
-        // Phase 3: apply — arrival cells update their winner's slots;
-        // each agent wins at most one cell, so the writes (and the
-        // read-modify-write of the tour) are agent-unique.
-        {
-            let schedule = self.next_schedule();
-            let index = &self.env.index;
-            let index_next = &self.index_next;
-            let props = &mut self.env.props;
-            let prow = Scatter::new(&mut props.row);
-            let pcol = Scatter::new(&mut props.col);
-            let ppos = Scatter::new(&mut self.env.pos);
-            let tours = Scatter::new(&mut self.tour.len);
-            let track_tour = aco.is_some();
-            let bands = band_ranges(h, parts);
-            dispatch(&self.pool, schedule, parts, &|b| {
-                for r in bands[b].clone() {
-                    for c in 0..w {
-                        let a = index_next.get(r, c);
-                        if a != 0 && index.get(r, c) != a {
-                            let ai = a as usize;
-                            // SAFETY: agent-unique slots; only this task
-                            // reads/writes index `ai` this phase.
-                            unsafe {
-                                let (or, oc) = (prow.read(ai), pcol.read(ai));
-                                let dr = (r as i64 - i64::from(or)).unsigned_abs();
-                                let dc = (c as i64 - i64::from(oc)).unsigned_abs();
-                                let step_len = if dr + dc == 2 {
-                                    std::f32::consts::SQRT_2
-                                } else {
-                                    1.0
-                                };
-                                prow.write(ai, r as u16);
-                                pcol.write(ai, c as u16);
-                                ppos.write(ai, (r * w + c) as u32);
-                                if track_tour {
-                                    tours.write(ai, tours.read(ai) + step_len);
-                                }
-                            }
-                        }
-                    }
-                }
-            });
-        }
-
-        std::mem::swap(&mut self.env.mat, &mut self.mat_next);
-        std::mem::swap(&mut self.env.index, &mut self.index_next);
-        if aco.is_some() {
-            std::mem::swap(&mut self.pher, &mut self.pher_next);
-        }
-    }
-
-    // ---- sparse (agent-centric) stage variants ----------------------
-    //
-    // Tasks iterate bucket groups of live agents (count-balanced via
-    // [`RowBuckets::task_groups`]) instead of row bands of cells. Every
-    // write is agent-keyed (each live agent sits in exactly one bucket,
-    // each bucket in exactly one task group) or lands on a globally
-    // unique cell (movement-apply: all winners' source cells were
-    // occupied and all destination cells empty at step start, so the two
-    // sets are disjoint and per-winner unique). Under `audit-runtime`
-    // the per-phase [`WriteSet`] checks exactly this — an overlapping
-    // bucket assignment double-writes an agent slot and panics.
-
-    fn stage_init_sparse(&mut self) {
-        // Only live slots are read downstream; clear their futures only.
-        let parts = self.parts();
-        let schedule = self.next_schedule();
-        let buckets = self.buckets.as_ref().expect("sparse mode has buckets");
-        let groups = buckets.task_groups(parts);
-        let fr = Scatter::new(&mut self.env.props.future_row);
-        let fc = Scatter::new(&mut self.env.props.future_col);
-        dispatch(&self.pool, schedule, parts, &|t| {
-            for bkt in groups[t].clone() {
-                for &a in buckets.members(bkt) {
-                    // SAFETY: agent-unique slots (bucket-disjoint tasks).
-                    unsafe {
-                        fr.write(a as usize, NO_FUTURE);
-                        fc.write(a as usize, NO_FUTURE);
-                    }
-                }
-            }
-        });
-    }
-
-    fn stage_initial_calc_sparse(&mut self) {
-        // One pass per live agent: scan rows and front status are
-        // agent-keyed, so bucket-disjoint tasks cannot conflict.
-        let parts = self.parts();
-        let schedule = self.next_schedule();
-        let buckets = self.buckets.as_ref().expect("sparse mode has buckets");
-        let groups = buckets.task_groups(parts);
-        let mat = &self.env.mat;
-        let dist = self.dist.dist_ref();
-        let model = self.cfg.model;
-        let pher = self.pher.as_ref();
-        let props = &mut self.env.props;
-        let prow = &props.row;
-        let pcol = &props.col;
-        let ids = &props.id;
-        let sv = Scatter::new(&mut self.scan.vals);
-        let si = Scatter::new(&mut self.scan.idxs);
-        let front = Scatter::new(&mut props.front);
-        let front_k = Scatter::new(&mut props.front_k);
-        dispatch(&self.pool, schedule, parts, &|t| {
-            let occ = |r: i64, c: i64| mat.get_or(r, c, CELL_WALL);
-            for bkt in groups[t].clone() {
-                for &a in buckets.members(bkt) {
-                    let ai = a as usize;
-                    let (r, c) = (prow[ai] as i64, pcol[ai] as i64);
-                    let g = Group::from_label(ids[ai]).expect("live slot has group label");
-                    let row: ScanRow = match model {
-                        ModelKind::Lem(p) => lem_scan_row(&occ, dist, g, r, c, p.scan_range),
-                        ModelKind::Aco(p) => {
-                            let tf = pher.expect("ACO has pheromone").of(g);
-                            let tau = |rr: i64, cc: i64| tf.get_or(rr, cc, 0.0);
-                            aco_scan_row(&occ, &tau, dist, &p, g, r, c)
-                        }
-                    };
-                    for slot in 0..8 {
-                        // SAFETY: agent-unique slots.
-                        unsafe {
-                            sv.write(ai * 8 + slot, row.vals[slot]);
-                            si.write(ai * 8 + slot, row.idxs[slot]);
-                        }
-                    }
-                    let fk = dist.front_k(g, r, c);
-                    // SAFETY: agent-unique slots.
-                    unsafe {
-                        front.write(ai, front_status(&occ, fk, r, c));
-                        front_k.write(ai, fk as u8);
-                    }
-                }
-            }
-        });
-    }
-
-    fn stage_tour_sparse(&mut self, step_no: u64) {
-        // Identical per-agent work to the dense tour, driven from the
-        // count-balanced bucket groups instead of capacity bands.
-        let salt = step_no * 4 + KERNEL_TOUR;
-        let parts = self.parts();
-        let schedule = self.next_schedule();
-        let buckets = self.buckets.as_ref().expect("sparse mode has buckets");
-        let groups = buckets.task_groups(parts);
-        let seed = self.seed;
-        let model = self.cfg.model;
-        let scan = &self.scan;
-        let props = &mut self.env.props;
-        let front = &props.front;
-        let front_k = &props.front_k;
-        let prow = &props.row;
-        let pcol = &props.col;
-        let fr = Scatter::new(&mut props.future_row);
-        let fc = Scatter::new(&mut props.future_col);
-        dispatch(&self.pool, schedule, parts, &|t| {
-            for bkt in groups[t].clone() {
-                for &a in buckets.members(bkt) {
-                    let a = a as usize;
-                    let mut rng = StreamRng::with_offset(seed, a as u64, salt << 4);
-                    let row = ScanRow {
-                        vals: scan.row_vals(a).try_into().expect("8 slots"),
-                        idxs: scan.row_idxs(a).try_into().expect("8 slots"),
-                    };
-                    let k = match model {
-                        ModelKind::Lem(p) => {
-                            lem_select(&row, front[a], front_k[a] as usize, &p, &mut rng)
-                        }
-                        ModelKind::Aco(p) => {
-                            aco_select(&row, front[a], front_k[a] as usize, &p, &mut rng)
-                        }
-                    };
-                    // SAFETY: agent-unique slots.
-                    unsafe {
-                        match k {
-                            Some(k) => {
-                                let (dr, dc) = NEIGHBOR_OFFSETS[k];
-                                fr.write(a, (i64::from(prow[a]) + dr) as u16);
-                                fc.write(a, (i64::from(pcol[a]) + dc) as u16);
-                            }
-                            None => {
-                                fr.write(a, NO_FUTURE);
-                                fc.write(a, NO_FUTURE);
-                            }
-                        }
-                    }
-                }
-            }
-        });
-    }
-
-    fn stage_movement_sparse(&mut self, step_no: u64) {
-        // Claim-free movement: each live agent recomputes the winner at
-        // its *target* cell with that cell's own stream (the identical
-        // draw the dense resolve makes there) and records whether it won;
-        // the apply phase then moves exactly the winners, in place.
-        let salt = step_no * 4 + KERNEL_MOVE;
-        let counter_base = salt << 4;
+    /// The decide pass (§IV.b–c fused, one launch): every live agent
+    /// picks and claims its next cell. Dense mode sweeps row bands of
+    /// cells; sparse mode walks the bucket groups and also records each
+    /// agent's claim in `won` for the decode pass.
+    fn decide(&mut self, step_no: u64) -> Work {
         let w = self.geom.width;
         let parts = self.parts();
-        let aco = match self.cfg.model {
-            ModelKind::Aco(p) => Some(p),
-            ModelKind::Lem(_) => None,
+        let schedule = self.next_schedule();
+        let decide = Decide {
+            mat: &self.env.mat,
+            pher: self.pher.as_ref(),
+            dist: self.dist.dist_ref(),
+            model: self.cfg.model,
+            seed: self.seed,
+            counter_base: (step_no * 4 + KERNEL_TOUR) << 4,
+            width: w,
+            claims: &self.claims,
         };
-        let groups = {
-            let buckets = self.buckets.as_ref().expect("sparse mode has buckets");
-            buckets.task_groups(parts)
-        };
-
-        // Pheromone evaporation sweep (ACO): the field itself is dense,
-        // so every plane evaporates band-parallel; the apply phase then
-        // overwrites the winners' destination slots with the fused
-        // evaporate+deposit value the dense resolve computes there.
-        if let Some(p) = aco {
-            let schedule = self.next_schedule();
-            let pin = self.pher.as_ref().expect("ACO pheromone");
-            let pouts: Vec<Scatter<'_, f32>> = self
-                .pher_next
-                .as_mut()
-                .expect("ACO pheromone")
-                .planes_mut()
-                .iter_mut()
-                .map(|m| Scatter::new(m.as_mut_slice()))
-                .collect();
-            let planes = pin.planes();
-            let cells = self.geom.height * w;
-            let cell_bands = band_ranges(cells, parts);
+        let sum = WorkSum::default();
+        let Some(buckets) = self.buckets.as_ref() else {
+            let (mat, index) = (&self.env.mat, &self.env.index);
+            let bands = band_ranges(self.geom.height, parts);
             dispatch(&self.pool, schedule, parts, &|b| {
-                for (src, pout) in planes.iter().zip(&pouts) {
-                    let src = src.as_slice();
-                    for i in cell_bands[b].clone() {
-                        // SAFETY: band-disjoint slots.
-                        unsafe {
-                            pout.write(i, PheromoneField::fused_update(src[i], p.tau0, p.rho, 0.0));
+                let mut work = Work::default();
+                for r in bands[b].clone() {
+                    for (c, &a) in index.row(r).iter().enumerate() {
+                        if a != 0 {
+                            decide.agent(a, mat.get(r, c), r as i64, c as i64, &mut work);
                         }
                     }
                 }
+                sum.add(work);
             });
-        }
+            return sum.total();
+        };
+        let groups = buckets.task_groups(parts);
+        let props = &self.env.props;
+        let won = Scatter::new(&mut self.won);
+        dispatch(&self.pool, schedule, parts, &|t| {
+            let mut work = Work::default();
+            for bkt in groups[t].clone() {
+                for &a in buckets.members(bkt) {
+                    let ai = a as usize;
+                    let (r, c) = (i64::from(props.row[ai]), i64::from(props.col[ai]));
+                    let target = decide.agent(a, props.id[ai], r, c, &mut work);
+                    // SAFETY: agent-unique slot — each live agent sits in
+                    // exactly one bucket and each bucket in exactly one
+                    // task group (the audit fixture seeds the violation
+                    // of precisely this).
+                    unsafe { won.write(ai, target.map_or(u32::MAX, |t| t as u32)) };
+                }
+            }
+            sum.add(work);
+        });
+        sum.total()
+    }
 
-        // Decode phase: agent-keyed writes into `won`.
+    /// Dense movement (§IV.d, one launch over row bands): each band
+    /// evaporates its pheromone cells (ACO), then every claimed cell
+    /// admits its winner, clears its claim byte, moves the winner in
+    /// place and adds the winner's deposit.
+    fn resolve_dense(&mut self, step_no: u64) -> Work {
+        let counter_base = (step_no * 4 + KERNEL_MOVE) << 4;
+        let (h, w) = (self.geom.height, self.geom.width);
+        let parts = self.parts();
+        let schedule = self.next_schedule();
+        let aco = self.cfg.model.aco_params();
+        let (seed, claims, ids) = (self.seed, &self.claims, &self.env.props.id);
+        let mat = Scatter::new(self.env.mat.as_mut_slice());
+        let index = Scatter::new(self.env.index.as_mut_slice());
+        let prow = Scatter::new(&mut self.env.props.row);
+        let pcol = Scatter::new(&mut self.env.props.col);
+        let ppos = Scatter::new(&mut self.env.pos);
+        let tours = Scatter::new(&mut self.tour.len);
+        let planes = plane_scatters(self.pher.as_mut());
+        let bands = band_ranges(h, parts);
+        let sum = WorkSum::default();
+        dispatch(&self.pool, schedule, parts, &|b| {
+            let mut work = Work::default();
+            let cells = bands[b].start * w..bands[b].end * w;
+            if let Some(p) = &aco {
+                for plane in &planes {
+                    // SAFETY: band-owned slots.
+                    unsafe { evaporate(plane, cells.clone(), p) };
+                }
+            }
+            let first = cells.start;
+            for (i, claim) in claims[cells].iter().enumerate() {
+                let lin = first + i;
+                // ordering: relaxed — the decide launch's end barrier
+                // published every fetch_or; in this pass only this task
+                // touches this cell's byte.
+                let bits = claim.load(Ordering::Relaxed);
+                if bits != 0 {
+                    // ordering: relaxed — as above; the next decide
+                    // launch's start barrier publishes the zero.
+                    claim.store(0, Ordering::Relaxed);
+                    work.contested += u64::from(bits.count_ones() > 1);
+                    let k = admitted(bits, seed, lin, counter_base);
+                    let (dr, dc) = NEIGHBOR_OFFSETS[k];
+                    let (r, c) = (lin / w, lin % w);
+                    let src = (r as i64 + dr) as usize * w + (c as i64 + dc) as usize;
+                    // SAFETY: claimed cells were empty at step start and
+                    // the winner's source cell was occupied, so `lin` and
+                    // `src` belong to this winner alone: no other task
+                    // reads or writes them, or the winner's agent slots,
+                    // this pass.
+                    unsafe {
+                        let a = index.read(src);
+                        let ai = a as usize;
+                        mat.write(src, CELL_EMPTY);
+                        index.write(src, 0);
+                        mat.write(lin, ids[ai]);
+                        index.write(lin, a);
+                        prow.write(ai, r as u16);
+                        pcol.write(ai, c as u16);
+                        ppos.write(ai, lin as u32);
+                        if let Some(p) = aco {
+                            let l_new = tours.read(ai) + MOVE_LEN[k];
+                            tours.write(ai, l_new);
+                            let g = Group::from_label(ids[ai]).expect("winner has group label");
+                            let plane = &planes[g.index()];
+                            plane.write(lin, plane.read(lin) + p.q / l_new);
+                        }
+                    }
+                }
+            }
+            sum.add(work);
+        });
+        sum.total()
+    }
+
+    /// Sparse movement (§IV.d, two launches over the bucket groups):
+    /// decode — each claimant re-draws its target's winner and keeps its
+    /// claim in `won` only if it won, while each task evaporates one band
+    /// of pheromone cells — then apply — winners move in place, clear
+    /// their target's claim byte and deposit.
+    fn resolve_sparse(&mut self, step_no: u64) -> Work {
+        let counter_base = (step_no * 4 + KERNEL_MOVE) << 4;
+        let w = self.geom.width;
+        let parts = self.parts();
+        let aco = self.cfg.model.aco_params();
+        let groups = self
+            .buckets
+            .as_ref()
+            .expect("sparse mode has buckets")
+            .task_groups(parts);
+
+        let sum = WorkSum::default();
         {
             let schedule = self.next_schedule();
             let buckets = self.buckets.as_ref().expect("sparse mode has buckets");
-            let mat = &self.env.mat;
-            let index = &self.env.index;
-            let props = &self.env.props;
-            let seed = self.seed;
+            let (seed, claims, props) = (self.seed, &self.claims, &self.env.props);
             let won = Scatter::new(&mut self.won);
+            let planes = plane_scatters(self.pher.as_mut());
+            let cell_bands = band_ranges(self.geom.height * w, parts);
             dispatch(&self.pool, schedule, parts, &|t| {
-                let occ = |r: i64, c: i64| mat.get_or(r, c, CELL_WALL);
-                let idx = |r: i64, c: i64| index.get_or(r, c, 0);
-                let fut = |a: u32| (props.future_row[a as usize], props.future_col[a as usize]);
+                let mut work = Work::default();
                 for bkt in groups[t].clone() {
                     for &a in buckets.members(bkt) {
                         let ai = a as usize;
-                        let fr = props.future_row[ai];
-                        let dst = if fr == NO_FUTURE {
-                            u32::MAX
+                        // SAFETY: agent-unique slot (bucket-disjoint tasks).
+                        let target = unsafe { won.read(ai) };
+                        if target == u32::MAX {
+                            continue;
+                        }
+                        let target = target as usize;
+                        // ordering: relaxed — the decide launch's end
+                        // barrier published every fetch_or; this pass
+                        // only reads the bytes.
+                        let bits = claims[target].load(Ordering::Relaxed);
+                        let own = offset_slot(
+                            i64::from(props.row[ai]) - (target / w) as i64,
+                            i64::from(props.col[ai]) - (target % w) as i64,
+                        );
+                        if admitted(bits, seed, target, counter_base) == own {
+                            // Each claimed cell has exactly one winner.
+                            work.contested += u64::from(bits.count_ones() > 1);
                         } else {
-                            let fc = props.future_col[ai];
-                            let tlin = fr as usize * w + fc as usize;
-                            let mut trng = StreamRng::with_offset(seed, tlin as u64, counter_base);
-                            match gather_winner(
-                                &occ,
-                                &idx,
-                                &fut,
-                                i64::from(fr),
-                                i64::from(fc),
-                                &mut trng,
-                            ) {
-                                Some(arr) if arr.agent == a => tlin as u32,
-                                _ => u32::MAX,
-                            }
-                        };
-                        // SAFETY: agent-unique slot — each live agent sits
-                        // in exactly one bucket and each bucket in exactly
-                        // one task group (the audit fixture seeds the
-                        // violation of precisely this).
-                        unsafe { won.write(ai, dst) };
+                            // SAFETY: agent-unique slot, as above.
+                            unsafe { won.write(ai, u32::MAX) };
+                        }
                     }
                 }
+                if let Some(p) = &aco {
+                    for plane in &planes {
+                        // SAFETY: band-disjoint slots.
+                        unsafe { evaporate(plane, cell_bands[t].clone(), p) };
+                    }
+                }
+                sum.add(work);
             });
         }
 
-        // Apply phase, in place: winners' source cells (occupied at step
-        // start) and destination cells (empty at step start) are disjoint
+        // Apply, in place: winners' source cells (occupied at step start)
+        // and destination cells (empty at step start) are disjoint
         // per-winner-unique sets, so the grid writes cannot conflict;
         // property/tour writes are agent-keyed. Cross-band movers go to
         // per-task outboxes, merged serially in task order below.
@@ -1171,23 +935,14 @@ impl PooledBackend {
         {
             let schedule = self.next_schedule();
             let buckets = self.buckets.as_ref().expect("sparse mode has buckets");
-            let won = &self.won;
-            let ids = &self.env.props.id;
+            let (claims, won, ids) = (&self.claims, &self.won, &self.env.props.id);
             let mat = Scatter::new(self.env.mat.as_mut_slice());
             let index = Scatter::new(self.env.index.as_mut_slice());
             let prow = Scatter::new(&mut self.env.props.row);
             let pcol = Scatter::new(&mut self.env.props.col);
             let ppos = Scatter::new(&mut self.env.pos);
             let tours = Scatter::new(&mut self.tour.len);
-            let pin = self.pher.as_ref();
-            let pouts: Vec<Scatter<'_, f32>> = match self.pher_next.as_mut() {
-                Some(p) => p
-                    .planes_mut()
-                    .iter_mut()
-                    .map(|m| Scatter::new(m.as_mut_slice()))
-                    .collect(),
-                None => Vec::new(),
-            };
+            let planes = plane_scatters(self.pher.as_mut());
             dispatch(&self.pool, schedule, parts, &|t| {
                 let mut moved: Vec<(u32, u16)> = Vec::new();
                 for bkt in groups[t].clone() {
@@ -1197,41 +952,42 @@ impl PooledBackend {
                         if dst == u32::MAX {
                             continue;
                         }
-                        let (nr, nc) = ((dst as usize / w) as u16, (dst as usize % w) as u16);
+                        let dst = dst as usize;
+                        // ordering: relaxed — every claimant of `dst` read
+                        // the byte in the decode launch, whose end barrier
+                        // orders those reads before this store; the next
+                        // decide launch's start barrier publishes it.
+                        claims[dst].store(0, Ordering::Relaxed);
+                        let (nr, nc) = ((dst / w) as u16, (dst % w) as u16);
                         // SAFETY: `prow`/`pcol`/`ppos`/`tours` slots are
-                        // agent-unique; `mat`/`index` writes land on this
-                        // winner's own source and destination cells, which
-                        // are globally unique across winners (see phase
-                        // comment).
+                        // agent-unique; `mat`/`index`/pheromone writes land
+                        // on this winner's own source and destination
+                        // cells, which are globally unique across winners
+                        // (see the phase comment).
                         unsafe {
                             let (or_, oc_) = (prow.read(ai), pcol.read(ai));
                             let src = or_ as usize * w + oc_ as usize;
-                            let dr = (i64::from(nr) - i64::from(or_)).unsigned_abs();
-                            let dc = (i64::from(nc) - i64::from(oc_)).unsigned_abs();
-                            let step_len = if dr + dc == 2 {
-                                std::f32::consts::SQRT_2
-                            } else {
-                                1.0
-                            };
-                            if let (Some(p), Some(pin)) = (aco, pin) {
-                                let l_new = tours.read(ai) + step_len;
-                                let g = Group::from_label(ids[ai]).expect("winner has group label");
-                                let next = PheromoneField::fused_update(
-                                    pin.of(g).as_slice()[dst as usize],
-                                    p.tau0,
-                                    p.rho,
-                                    p.q / l_new,
+                            if let Some(p) = aco {
+                                let from = offset_slot(
+                                    i64::from(or_) - i64::from(nr),
+                                    i64::from(oc_) - i64::from(nc),
                                 );
-                                pouts[g.index()].write(dst as usize, next);
+                                let l_new = tours.read(ai) + MOVE_LEN[from];
                                 tours.write(ai, l_new);
+                                let g = Group::from_label(ids[ai]).expect("winner has group label");
+                                // The decode pass left max((1-ρ)τ, τ₀) + 0
+                                // here; adding the deposit completes the
+                                // fused update bit for bit.
+                                let plane = &planes[g.index()];
+                                plane.write(dst, plane.read(dst) + p.q / l_new);
                             }
                             mat.write(src, CELL_EMPTY);
                             index.write(src, 0);
-                            mat.write(dst as usize, ids[ai]);
-                            index.write(dst as usize, a);
+                            mat.write(dst, ids[ai]);
+                            index.write(dst, a);
                             prow.write(ai, nr);
                             pcol.write(ai, nc);
-                            ppos.write(ai, dst);
+                            ppos.write(ai, dst as u32);
                         }
                         if buckets.bucket_of_row(nr as usize) != bkt {
                             moved.push((a, nr));
@@ -1246,34 +1002,44 @@ impl PooledBackend {
         }
 
         // Serial maintenance: merge the outboxes in task order (a fixed,
-        // schedule-independent order) and flip the pheromone planes.
+        // schedule-independent order).
         let buckets = self.buckets.as_mut().expect("sparse mode has buckets");
         for outbox in outboxes {
             for (a, nr) in outbox.into_inner().expect("outbox poisoned") {
                 buckets.move_to(a, nr);
             }
         }
-        if aco.is_some() {
-            std::mem::swap(&mut self.pher, &mut self.pher_next);
-        }
+        sum.total()
     }
 }
 
 impl StageBackend for PooledBackend {
-    fn run_stage(&mut self, stage: Stage, step_no: u64, _rec: &mut pedsim_obs::Recorder) {
-        // Like the scalar backend, no launch machinery to report: the
-        // kernel counters stay at the zeros the core pre-registered.
-        let sparse = self.mode == IterationMode::Sparse;
-        match stage {
-            Stage::Init if sparse => self.stage_init_sparse(),
-            Stage::Init => self.stage_init(),
-            Stage::InitialCalc if sparse => self.stage_initial_calc_sparse(),
-            Stage::InitialCalc => self.stage_initial_calc(),
-            Stage::Tour if sparse => self.stage_tour_sparse(step_no),
-            Stage::Tour => self.stage_tour(step_no),
-            Stage::Movement if sparse => self.stage_movement_sparse(step_no),
-            Stage::Movement => self.stage_movement(step_no),
+    fn run_stage(&mut self, stage: Stage, step_no: u64, rec: &mut pedsim_obs::Recorder) {
+        let before = self.launches.get();
+        let work = match stage {
+            // Fused into the decide pass, which runs under InitialCalc.
+            Stage::Init | Stage::Tour => Work::default(),
+            Stage::InitialCalc => self.decide(step_no),
+            Stage::Movement if self.buckets.is_some() => self.resolve_sparse(step_no),
+            Stage::Movement => self.resolve_dense(step_no),
             Stage::Lifecycle | Stage::Metrics => unreachable!("core-driven stage"),
+        };
+        let launches = self.launches.get() - before;
+        let k = stage.index();
+        rec.inc(KERNEL_LAUNCH_KEYS[k], launches);
+        rec.inc(KERNEL_BLOCK_KEYS[k], launches * self.parts() as u64);
+        rec.inc(KERNEL_THREAD_KEYS[k], launches * self.pool.workers() as u64);
+        for (key, n) in WORK_KEYS.into_iter().zip(work.counts()) {
+            rec.inc(key, n);
+        }
+        #[cfg(debug_assertions)]
+        if stage == Stage::Movement {
+            // ordering: relaxed — the movement launch's end barrier
+            // published every clearing store.
+            debug_assert!(
+                self.claims.iter().all(|b| b.load(Ordering::Relaxed) == 0),
+                "claim bytes left set after movement"
+            );
         }
     }
 
@@ -1359,7 +1125,7 @@ pub fn pooled_engine_small(
 mod tests {
     use super::*;
     use crate::engine::cpu::cpu_engine_small;
-    use crate::model::gather_winner;
+    use crate::model::{gather_winner, Arrival};
 
     #[test]
     fn offset_slot_inverts_neighbor_offsets() {
@@ -1383,64 +1149,65 @@ mod tests {
     }
 
     #[test]
-    fn claimed_winner_matches_gather_winner() {
-        // Drive the scalar engine a few steps, then at each state compare
-        // the claim decode against gather_winner on every cell.
+    fn admitted_claimant_matches_gather_winner() {
+        // Drive the scalar engine a few steps; at each state give every
+        // agent a random empty neighbour as its future, then compare the
+        // claim decode against gather_winner on every cell.
+        use pedsim_grid::NO_FUTURE;
         let mut e = cpu_engine_small(24, 24, 40, ModelKind::lem(), 13);
+        let mut contested = 0;
         for step in 0..12u64 {
             e.step();
             let env = e.environment();
             let (h, w) = (env.mat.height(), env.mat.width());
-            // Rebuild what the next step's tour stage would see is not
-            // available here; instead synthesise futures: every agent
-            // "wants" its current cell's northern neighbour when empty.
+            let occ = |r: i64, c: i64| env.mat.get_or(r, c, CELL_WALL);
             let mut props = env.props.clone();
-            for a in 1..props.row.len() {
-                let (r, c) = (props.row[a], props.col[a]);
-                if r > 0 && env.mat.get(r as usize - 1, c as usize) == CELL_EMPTY {
-                    props.future_row[a] = r - 1;
-                    props.future_col[a] = c;
-                } else {
-                    props.future_row[a] = NO_FUTURE;
-                    props.future_col[a] = NO_FUTURE;
-                }
-            }
-            // Claims from the synthesised futures.
             let claims: Vec<AtomicU8> = (0..h * w).map(|_| AtomicU8::new(0)).collect();
             for a in 1..props.row.len() {
-                if props.future_row[a] == NO_FUTURE {
+                let (r, c) = (i64::from(props.row[a]), i64::from(props.col[a]));
+                let free: Vec<usize> = (0..8)
+                    .filter(|&k| {
+                        let (dr, dc) = NEIGHBOR_OFFSETS[k];
+                        occ(r + dr, c + dc) == CELL_EMPTY
+                    })
+                    .collect();
+                let mut rng = StreamRng::new(step, a as u64);
+                let Some(&k) = free.get(rng.bounded_u32(free.len() as u32 + 1) as usize) else {
+                    props.future_row[a] = NO_FUTURE;
+                    props.future_col[a] = NO_FUTURE;
                     continue;
-                }
-                let (fr, fc) = (props.future_row[a] as usize, props.future_col[a] as usize);
-                let k = offset_slot(
-                    i64::from(props.row[a]) - fr as i64,
-                    i64::from(props.col[a]) - fc as i64,
-                );
-                claims[fr * w + fc].fetch_or(1 << k, Ordering::Relaxed);
+                };
+                let (dr, dc) = NEIGHBOR_OFFSETS[k];
+                let (fr, fc) = ((r + dr) as usize, (c + dc) as usize);
+                props.future_row[a] = fr as u16;
+                props.future_col[a] = fc as u16;
+                claims[fr * w + fc].fetch_or(1 << offset_slot(-dr, -dc), Ordering::Relaxed);
             }
-            let occ = |r: i64, c: i64| env.mat.get_or(r, c, CELL_WALL);
             let idx = |r: i64, c: i64| env.index.get_or(r, c, 0);
             let fut = |a: u32| (props.future_row[a as usize], props.future_col[a as usize]);
             let counter_base = (step * 4 + KERNEL_MOVE) << 4;
             for r in 0..h {
                 for c in 0..w {
-                    let mut rng =
-                        StreamRng::with_offset(env.seed, (r * w + c) as u64, counter_base);
+                    let lin = r * w + c;
+                    let mut rng = StreamRng::with_offset(env.seed, lin as u64, counter_base);
                     let reference = gather_winner(&occ, &idx, &fut, r as i64, c as i64, &mut rng);
-                    let decoded = PooledBackend::claimed_winner(
-                        &env.mat,
-                        &env.index,
-                        &claims,
-                        env.seed,
-                        counter_base,
-                        w,
-                        r,
-                        c,
-                    );
+                    let bits = claims[lin].load(Ordering::Relaxed);
+                    contested += usize::from(bits.count_ones() > 1);
+                    let decoded = (bits != 0).then(|| {
+                        let k = admitted(bits, env.seed, lin, counter_base);
+                        let (dr, dc) = NEIGHBOR_OFFSETS[k];
+                        Arrival {
+                            agent: env
+                                .index
+                                .get((r as i64 + dr) as usize, (c as i64 + dc) as usize),
+                            from_k: k,
+                        }
+                    });
                     assert_eq!(decoded, reference, "cell ({r},{c}) at step {step}");
                 }
             }
         }
+        assert!(contested > 20, "only {contested} contested cells exercised");
     }
 
     #[test]
@@ -1724,6 +1491,45 @@ mod tests {
             let owner = groups.iter().position(|g| g.contains(&b)).unwrap();
             assert_eq!(data[slot], owner as u32, "slot {slot}");
         }
+    }
+
+    /// The work counters are sums over agents and cells: identical at
+    /// every thread count, in both traversal modes and under permuted
+    /// schedules. They also show the forward-priority short-circuit
+    /// sparing most agents their scan row in free flow.
+    #[test]
+    fn work_counts_are_schedule_and_mode_independent() {
+        let steps = 30;
+        let counts = |mode: IterationMode, threads: usize, schedule: Option<u64>| {
+            let env = EnvConfig::small(32, 32, 60).with_seed(5);
+            let cfg = SimConfig::new(env, ModelKind::aco()).with_iteration_mode(mode);
+            let mut e = PooledEngine::new(cfg, threads);
+            e.set_schedule_seed(schedule);
+            e.run(steps);
+            WORK_KEYS.map(|k| e.telemetry().counter(k))
+        };
+        let reference = counts(IterationMode::Dense, 1, None);
+        for mode in [IterationMode::Dense, IterationMode::Sparse] {
+            for threads in [1, 3] {
+                for schedule in [None, Some(7)] {
+                    assert_eq!(
+                        counts(mode, threads, schedule),
+                        reference,
+                        "{mode:?} t{threads} schedule {schedule:?}"
+                    );
+                }
+            }
+        }
+        let [scored, claimed, contested] = reference;
+        let decided = steps * 120;
+        assert!(
+            scored > 0 && scored < decided / 2,
+            "scored {scored} of {decided}"
+        );
+        assert!(
+            claimed > contested && contested > 0,
+            "{claimed} claims, {contested} contested"
+        );
     }
 
     /// Permuted dispatch must not change trajectories: a handful of

@@ -92,6 +92,23 @@ impl ModelKind {
         matches!(self, ModelKind::Aco(_))
     }
 
+    /// The ACO parameters, `None` for LEM.
+    pub(crate) fn aco_params(&self) -> Option<AcoParams> {
+        match self {
+            ModelKind::Aco(p) => Some(*p),
+            ModelKind::Lem(_) => None,
+        }
+    }
+
+    /// Whether an agent whose front cell is empty steps into it without
+    /// scoring or drawing (the paper's forward-priority modification).
+    pub(crate) fn forward_priority(&self) -> bool {
+        match self {
+            ModelKind::Lem(p) => p.forward_priority,
+            ModelKind::Aco(p) => p.forward_priority,
+        }
+    }
+
     /// Short name for reports.
     pub fn name(&self) -> &'static str {
         match self {

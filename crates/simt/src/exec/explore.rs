@@ -15,8 +15,9 @@
 //! *block issue order* (the schedule dimension the pooled backend actually
 //! varies between hosts) rather than every instruction interleaving.
 //! Paired with the write-set race detector (`audit-runtime` feature) it
-//! covers the two failure modes the 3-phase claim protocol is designed
-//! against: non-commutative claim resolution and cross-tile writes.
+//! covers the two failure modes the pooled backend's claim protocol is
+//! designed against: non-commutative claim resolution and cross-tile
+//! writes.
 
 use philox::StreamRng;
 

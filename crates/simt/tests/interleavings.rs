@@ -1,9 +1,10 @@
 //! Bounded interleaving exploration of the pool's concurrency core.
 //!
 //! These tests re-run the two protocols that rest on unsafe or atomic
-//! code — the fetch_or claim board used by the movement kernel's 3-phase
-//! protocol, and the pool's launch/panic paths — under hundreds of
-//! Philox-seeded schedule permutations, asserting schedule independence.
+//! code — the fetch_or claim board used by the pooled backend's
+//! decide/resolve protocol, and the pool's launch/panic paths — under
+//! hundreds of Philox-seeded schedule permutations, asserting schedule
+//! independence.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 
