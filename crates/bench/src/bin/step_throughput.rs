@@ -6,7 +6,7 @@
 //! cargo run -p pedsim-bench --release --bin step_throughput -- \
 //!     [--paper|--smoke] [--workers N] [--journal PATH] \
 //!     [--registry PATH | --no-registry] \
-//!     [--backend NAME [--threads N]] [--ablation atomic]
+//!     [--backend NAME [--threads N]]
 //! ```
 //!
 //! Default mode writes `results/step_throughput_<scale>.{csv,json}` plus
@@ -21,57 +21,13 @@
 //! backend configuration (threads defaults to 1) — the CI thread-matrix
 //! entry point. Registry rows are appended; the engine-pair record and
 //! its coverage gate are skipped.
-//!
-//! `--ablation atomic` instead measures the rejected atomic-CAS movement
-//! kernel against the production scatter-to-gather kernel at this scale
-//! and exits. The atomic variant's claim order depends on scheduling, so
-//! its numbers are **non-deterministic** and never enter the registry.
 
 use pedsim_bench::observe::{self, Sinks};
 use pedsim_bench::report;
 use pedsim_bench::scale::{arg_value, Scale};
 use pedsim_bench::step_throughput as st;
-use pedsim_bench::{ablation, Table};
 use pedsim_obs::log_summary;
 use pedsim_runner::Batch;
-
-fn run_atomic_ablation(scale: Scale, cfg: &st::StConfig) {
-    let reps = match scale {
-        Scale::Paper => 20,
-        Scale::Default => 10,
-        Scale::Smoke => 3,
-    };
-    let agents = cfg.closed_per_side * 2;
-    log_summary!(
-        "movement ablation [{}]: gather vs atomic-CAS, {side}x{side}, {agents} agents, \
-         {reps} reps…",
-        scale.label(),
-        side = cfg.side,
-    );
-    let m = ablation::movement_variants(cfg.side, agents, reps);
-    let per_ms = |d: std::time::Duration| d.as_secs_f64() * 1e3 / reps as f64;
-    let mut t = Table::new(vec![
-        "variant".to_string(),
-        "ms_per_launch".to_string(),
-        "atomic_ops".to_string(),
-        "deterministic".to_string(),
-    ]);
-    t.push_row(vec![
-        "scatter_to_gather".to_string(),
-        format!("{:.4}", per_ms(m.gather_time)),
-        "0".to_string(),
-        "yes".to_string(),
-    ]);
-    t.push_row(vec![
-        "atomic_cas".to_string(),
-        format!("{:.4}", per_ms(m.atomic_time)),
-        (m.atomic_ops / reps as u64).to_string(),
-        "NO (schedule-dependent)".to_string(),
-    ]);
-    println!("\n## Movement ablation ({} scale)\n", scale.label());
-    print!("{}", t.markdown());
-    println!("\natomic-CAS results are non-deterministic and excluded from the results registry.");
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -84,11 +40,6 @@ fn main() {
     let sinks = Sinks::from_args(&args);
     let cfg = st::StConfig::for_scale(scale);
     let base = std::path::Path::new(".");
-
-    if arg_value(&args, "--ablation").as_deref() == Some("atomic") {
-        run_atomic_ablation(scale, &cfg);
-        return;
-    }
 
     let backend_only = arg_value(&args, "--backend");
     let threads_only: usize = arg_value(&args, "--threads")
@@ -130,7 +81,7 @@ fn main() {
     }
 
     log_summary!(
-        "scale ladder [{}]: {} rungs x {} backend configs…",
+        "scale ladder [{}]: {} rungs x {} cells…",
         scale.label(),
         rungs.len(),
         ladder_jobs.len() / rungs.len().max(1),

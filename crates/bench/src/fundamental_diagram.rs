@@ -14,10 +14,12 @@
 //! rising-then-flat curve the smoke acceptance checks.
 //!
 //! Every (rate, repeat) replica is an independent [`pedsim_runner::Job`]
-//! on a [`pedsim_runner::Batch`] pool; results aggregate per rate.
+//! on a [`pedsim_runner::Batch`] pool, stepped by single-threaded
+//! `pooled` (the fast path); results aggregate per rate.
 
 use std::time::Duration;
 
+use pedsim_core::engine::Backend;
 use pedsim_core::prelude::*;
 use pedsim_runner::{Batch, BatchReport, Job, FLUX_REPORT_WINDOW};
 use pedsim_scenario::registry;
@@ -104,7 +106,12 @@ impl FdConfig {
                     registry::open_corridor(self.side, self.side, self.capacity_for(rate), rate)
                         .with_seed(seed);
                 let cfg = SimConfig::from_scenario(&scenario, ModelKind::aco());
-                jobs.push(Job::gpu(format!("r{i:02}/{rate}"), cfg, stop.clone()));
+                jobs.push(Job::backend(
+                    format!("r{i:02}/{rate}"),
+                    cfg,
+                    Backend::pooled(1),
+                    stop.clone(),
+                ));
             }
         }
         jobs
@@ -192,9 +199,10 @@ pub fn probe_jobs(cfg: &FdConfig) -> Vec<Job> {
         .with_seed(cfg.seed);
     (0..AMORTIZATION_REPLICAS)
         .map(|k| {
-            Job::gpu(
+            Job::backend(
                 format!("cache_probe/{k}"),
                 SimConfig::from_scenario(&scenario, ModelKind::aco()),
+                Backend::pooled(1),
                 StopCondition::Steps(1),
             )
         })

@@ -296,17 +296,29 @@ pub const LADDER_BACKENDS: &[(&str, usize)] = &[
     ("simt", 1),
 ];
 
-/// The stage-traversal modes every ladder cell is measured under, in
-/// report order. Sweeping both pins the sparse-over-dense speedup as a
-/// first-class series instead of an anecdote.
+/// The stage-traversal modes every `pooled` ladder cell is measured
+/// under, in report order. Sweeping both pins the sparse-over-dense
+/// speedup that `IterationMode::Auto` trades on as a first-class series.
 pub const LADDER_MODES: &[IterationMode] = &[IterationMode::Dense, IterationMode::Sparse];
+
+/// The requested traversal modes of one backend's ladder cells:
+/// [`LADDER_MODES`] on `pooled`, the only backend with a choice, and a
+/// single unrequested run (`None`) on the one-traversal reference
+/// backends.
+pub fn ladder_modes(backend: &str) -> Vec<Option<IterationMode>> {
+    if backend == "pooled" {
+        LADDER_MODES.iter().copied().map(Some).collect()
+    } else {
+        vec![None]
+    }
+}
 
 /// Seed shared by every ladder replica.
 pub const LADDER_SEED: u64 = 9_700;
 
 /// The rungs measured at `scale`. Every scale climbs from the smoke
 /// rung; the 10⁵-agent rung needs `default`, the 10⁶-agent rung
-/// `--paper` (minutes per backend on one core). The big rungs carry a
+/// `--paper` (minutes per single-threaded backend). The big rungs carry a
 /// warmup discard and enough measured steps that one slow first step
 /// (page faults, cold caches) cannot dominate the mean — at 10/3
 /// measured steps with no warmup they used to be noise traps.
@@ -336,14 +348,23 @@ pub fn ladder_rungs(scale: Scale) -> Vec<LadderRung> {
     rungs
 }
 
-/// Canonical ladder job label:
-/// `ladder/s<side>/<backend>/t<threads>/<mode>`.
-pub fn ladder_label(side: usize, backend: &str, threads: usize, mode: IterationMode) -> String {
-    format!("ladder/s{side}/{backend}/t{threads}/{}", mode.name())
+/// Canonical ladder job label: `ladder/s<side>/<backend>/t<threads>`,
+/// plus `/<mode>` when the cell requests a traversal mode.
+pub fn ladder_label(
+    side: usize,
+    backend: &str,
+    threads: usize,
+    mode: Option<IterationMode>,
+) -> String {
+    let label = format!("ladder/s{side}/{backend}/t{threads}");
+    match mode {
+        Some(mode) => format!("{label}/{}", mode.name()),
+        None => label,
+    }
 }
 
 /// The ladder job list over explicit rungs: every rung × backend
-/// configuration × traversal mode (restricted to `only`'s backend
+/// configuration × [`ladder_modes`] (restricted to `only`'s backend
 /// configuration when given), LEM on the classic corridor with metrics
 /// off — the ladder times the kernel pipeline, not the observables. One
 /// replica per cell: the registry accumulates repeats across runs, and
@@ -357,13 +378,15 @@ pub fn ladder_jobs_for(rungs: &[LadderRung], only: Option<(&str, usize)>) -> Vec
                     continue;
                 }
             }
-            for &mode in LADDER_MODES {
+            for mode in ladder_modes(backend) {
                 let env =
                     EnvConfig::small(rung.side, rung.side, rung.per_side).with_seed(LADDER_SEED);
-                let cfg =
+                let mut cfg =
                     SimConfig::from_scenario(&registry::paper_corridor(&env), ModelKind::lem())
-                        .with_metrics(false)
-                        .with_iteration_mode(mode);
+                        .with_metrics(false);
+                if let Some(mode) = mode {
+                    cfg = cfg.with_iteration_mode(mode);
+                }
                 jobs.push(
                     Job::backend(
                         ladder_label(rung.side, backend, threads, mode),
@@ -399,7 +422,8 @@ pub struct LadderRow {
     pub backend: &'static str,
     /// Worker threads.
     pub threads: usize,
-    /// Stage-traversal mode the cell ran under (`"dense"` / `"sparse"`).
+    /// Stage-traversal mode the engine reported (`"dense"` /
+    /// `"sparse"`), not the requested one.
     pub mode: &'static str,
     /// Untimed warmup steps discarded before measurement.
     pub warmup: u64,
@@ -417,12 +441,12 @@ pub struct LadderRow {
 }
 
 /// Aggregate a finished ladder batch into per-cell rows (report order:
-/// rung-major, then [`LADDER_BACKENDS`], then [`LADDER_MODES`]).
+/// rung-major, then [`LADDER_BACKENDS`], then [`ladder_modes`]).
 pub fn aggregate_ladder(rungs: &[LadderRung], report: &BatchReport) -> Vec<LadderRow> {
     let mut out = Vec::new();
     for rung in rungs {
         for &(backend, threads) in LADDER_BACKENDS {
-            for &mode in LADDER_MODES {
+            for mode in ladder_modes(backend) {
                 let label = ladder_label(rung.side, backend, threads, mode);
                 let results: Vec<_> = report.with_label(&label).collect();
                 if results.is_empty() {
@@ -451,7 +475,7 @@ pub fn aggregate_ladder(rungs: &[LadderRung], report: &BatchReport) -> Vec<Ladde
                     occupancy: rung.occupancy(),
                     backend,
                     threads,
-                    mode: mode.name(),
+                    mode: results[0].mode,
                     warmup: rung.warmup,
                     steps,
                     steps_per_sec: if wall > 0.0 { steps as f64 / wall } else { 0.0 },
@@ -466,11 +490,10 @@ pub fn aggregate_ladder(rungs: &[LadderRung], report: &BatchReport) -> Vec<Ladde
 }
 
 /// Movement-stage speedup of the widest pooled configuration over the
-/// scalar reference, per `(side, mode)`: `(side, mode,
-/// scalar_movement_ms / pooled_movement_ms)`. Cells missing either side
-/// of the ratio are skipped. On a single-core host this honestly
-/// reports ≈1× or below — the pooled backend buys nothing without cores
-/// to spend.
+/// scalar reference, per `(side, pooled mode)`: `(side, mode,
+/// scalar_movement_ms / pooled_movement_ms)`, dividing scalar's single
+/// row by each pooled mode's. Cells missing either side of the ratio are
+/// skipped.
 pub fn ladder_speedups(rows: &[LadderRow]) -> Vec<(usize, &'static str, f64)> {
     let widest = LADDER_BACKENDS
         .iter()
@@ -478,29 +501,26 @@ pub fn ladder_speedups(rows: &[LadderRow]) -> Vec<(usize, &'static str, f64)> {
         .map(|&(_, t)| t)
         .max()
         .unwrap_or(1);
-    let cells: BTreeSet<(usize, &'static str)> = rows.iter().map(|r| (r.side, r.mode)).collect();
-    cells
-        .into_iter()
-        .filter_map(|(side, mode)| {
+    rows.iter()
+        .filter(|r| r.backend == "pooled" && r.threads == widest && r.movement_ms > 0.0)
+        .filter_map(|pooled| {
             let scalar = rows
                 .iter()
-                .find(|r| r.side == side && r.mode == mode && r.backend == "scalar")?;
-            let pooled = rows.iter().find(|r| {
-                r.side == side && r.mode == mode && r.backend == "pooled" && r.threads == widest
-            })?;
-            if pooled.movement_ms > 0.0 {
-                Some((side, mode, scalar.movement_ms / pooled.movement_ms))
-            } else {
-                None
-            }
+                .find(|r| r.side == pooled.side && r.backend == "scalar")?;
+            Some((
+                pooled.side,
+                pooled.mode,
+                scalar.movement_ms / pooled.movement_ms,
+            ))
         })
         .collect()
 }
 
 /// Total-step speedup of sparse over dense traversal, per `(side,
-/// backend, threads)` cell: `dense_total_ms / sparse_total_ms`. The
-/// tentpole series — O(live agents) stepping must beat the O(cells)
-/// sweep wherever occupancy is low, and by more as the grid grows.
+/// backend, threads)` cell measured in both modes (the `pooled` cells):
+/// `dense_total_ms / sparse_total_ms`. The series `IterationMode::Auto`
+/// trades on — O(live agents) stepping should beat the O(cells) sweep
+/// wherever occupancy is low.
 pub fn sparse_speedups(rows: &[LadderRow]) -> Vec<(usize, &'static str, usize, f64)> {
     let cells: BTreeSet<(usize, &'static str, usize)> = rows
         .iter()
@@ -812,7 +832,12 @@ mod tests {
 
     #[test]
     fn ladder_jobs_cover_every_backend_and_validate() {
-        let cells = LADDER_BACKENDS.len() * LADDER_MODES.len();
+        let cells: usize = LADDER_BACKENDS
+            .iter()
+            .map(|(b, _)| ladder_modes(b).len())
+            .sum();
+        // Both modes on the three pooled cells, one run on scalar and simt.
+        assert_eq!(cells, 3 * LADDER_MODES.len() + 2);
         let jobs = ladder_jobs(Scale::Smoke, None);
         assert_eq!(jobs.len(), cells);
         for job in &jobs {
@@ -826,11 +851,11 @@ mod tests {
         let labels: BTreeSet<&str> = jobs.iter().map(|j| j.label.as_str()).collect();
         assert_eq!(labels.len(), jobs.len());
         for &(backend, threads) in LADDER_BACKENDS {
-            for &mode in LADDER_MODES {
+            for mode in ladder_modes(backend) {
                 let label = ladder_label(96, backend, threads, mode);
                 let job = jobs.iter().find(|j| j.label == label).expect("cell");
                 assert_eq!(job.engine.backend_sel(), (backend, threads));
-                assert_eq!(job.cfg.iteration, mode);
+                assert_eq!(job.cfg.iteration, mode.unwrap_or(IterationMode::Auto));
             }
         }
         // Larger scales add rungs without dropping the smoke rung.
@@ -854,7 +879,7 @@ mod tests {
         let jobs = ladder_jobs_for(&rungs, None);
         let report = Batch::new(1).run(&jobs);
         let rows = aggregate_ladder(&rungs, &report);
-        assert_eq!(rows.len(), LADDER_BACKENDS.len() * LADDER_MODES.len());
+        assert_eq!(rows.len(), jobs.len());
         for r in &rows {
             // Warmup steps are discarded from the timed count.
             assert_eq!(r.steps, 10);
@@ -870,9 +895,16 @@ mod tests {
             );
             assert!(r.movement_ms > 0.0);
             assert_eq!(r.movement_ms, r.stage_ms[Stage::Movement.index()]);
+            // Rows carry the mode the engine reported.
+            match r.backend {
+                "scalar" => assert_eq!(r.mode, "sparse"),
+                "simt" => assert_eq!(r.mode, "dense"),
+                _ => {}
+            }
         }
-        // One movement-speedup entry per mode; sparse-over-dense per
-        // backend configuration; pooled scaling per mode × thread count.
+        // One movement-speedup entry per pooled mode; sparse-over-dense
+        // per pooled configuration; pooled scaling per mode × thread
+        // count.
         let speedups = ladder_speedups(&rows);
         assert_eq!(speedups.len(), LADDER_MODES.len());
         for (side, _, x) in &speedups {
@@ -880,7 +912,8 @@ mod tests {
             assert!(*x > 0.0);
         }
         let sparse = sparse_speedups(&rows);
-        assert_eq!(sparse.len(), LADDER_BACKENDS.len());
+        assert_eq!(sparse.len(), 3);
+        assert!(sparse.iter().all(|(_, b, _, _)| *b == "pooled"));
         assert!(sparse.iter().all(|(_, _, _, x)| *x > 0.0));
         let scaling = thread_scaling(&rows);
         assert_eq!(scaling.len(), 3 * LADDER_MODES.len());

@@ -7,8 +7,11 @@
 //! [`Batch`] with full early termination (arrival, gridlock, or the step
 //! budget — whichever first) and aggregated into a single JSON
 //! [`BatchReport`]. The deterministic serialization is byte-identical
-//! for any pool worker count and any job submission order.
+//! for any pool worker count and any job submission order. Replicas step
+//! on single-threaded `pooled`, the fast path; the paper's CPU-vs-GPU
+//! comparison stays with `fig5`/`fig6`.
 
+use pedsim_core::engine::Backend;
 use pedsim_core::prelude::*;
 use pedsim_runner::{Batch, BatchReport, Job, FLUX_REPORT_WINDOW};
 use pedsim_scenario::sweep as grids;
@@ -119,9 +122,10 @@ impl SweepProtocol {
                     point.per_side * 2,
                     model.name()
                 );
-                jobs.push(Job::gpu(
+                jobs.push(Job::backend(
                     label,
                     SimConfig::from_scenario(&point.scenario, model),
+                    Backend::pooled(1),
                     stop.clone(),
                 ));
             }

@@ -1,11 +1,13 @@
 //! The single-threaded reference engine (the paper's CPU implementation).
 //!
 //! A direct sequential port of the four-kernel pipeline: the same pure
-//! model functions the GPU kernels call, in plain nested loops, over the
-//! host-side matrices. Randomness uses the same `(seed, entity, salt)`
-//! keying as the virtual-GPU kernels, so this engine's trajectory is
-//! bit-identical to `GpuEngine`'s for the same configuration — the
+//! model functions the GPU kernels call, in plain loops over the live
+//! agent slots. Randomness uses the same `(seed, entity, salt)` keying as
+//! the virtual-GPU kernels, so this engine's trajectory is bit-identical
+//! to `GpuEngine`'s per-cell sweep for the same configuration — the
 //! strongest possible form of the paper's CPU-vs-GPU consistency check.
+//! The agent loop is this backend's only traversal:
+//! [`Engine::iteration_mode`] always reports [`IterationMode::Sparse`].
 //!
 //! Step orchestration (sequencing, counting, per-stage timing, metrics,
 //! lifecycle) lives in the shared [`StepCore`]; this file only implements
@@ -39,18 +41,13 @@ struct CpuBackend {
     cfg: SimConfig,
     geom: Geometry,
     env: Environment,
-    mat_next: Matrix<u8>,
-    index_next: Matrix<u32>,
     scan: ScanMatrix,
     tour: TourLengths,
     pher: Option<PheromoneField>,
     pher_next: Option<PheromoneField>,
     dist: std::sync::Arc<DistanceData>,
     seed: u64,
-    /// Traversal mode, resolved from the configuration at build time
-    /// (`Auto` → initial occupancy vs the threshold).
-    mode: IterationMode,
-    /// Scratch list of resolved movers for the sparse movement pass:
+    /// Scratch list of resolved movers for the movement stage:
     /// `(slot, dst_row, dst_col, step_len)`.
     winners: Vec<(u32, u16, u16, f32)>,
 }
@@ -138,23 +135,18 @@ impl CpuEngine {
             ),
             ModelKind::Lem(_) => (None, None),
         };
-        let (h, w) = (env.height(), env.width());
         let seed = cfg.env.seed;
-        let mode = cfg.iteration.resolve(env.live_count(), h * w);
         Self {
             core,
             backend: CpuBackend {
                 cfg,
                 geom,
-                mat_next: Matrix::filled(h, w, CELL_EMPTY),
-                index_next: Matrix::filled(h, w, 0u32),
                 scan: ScanMatrix::new(n),
                 tour: TourLengths::new(n),
                 pher,
                 pher_next,
                 dist,
                 seed,
-                mode,
                 winners: Vec::new(),
                 env,
             },
@@ -185,207 +177,19 @@ impl CpuEngine {
 }
 
 impl CpuBackend {
+    // Every stage walks the live agent slots in ascending order. The
+    // paper's kernels walk cells instead (see `GpuEngine`); the two agree
+    // byte for byte because the per-cell Philox streams are keyed by cell
+    // linear index, so visiting only the cells live agents target
+    // consumes exactly the draws a full cell sweep would, and every
+    // slot-keyed write (scan rows, futures, properties) lands on the same
+    // slot with the same value.
+
     fn stage_init(&mut self) {
-        // Supporting kernel (§IV.e): clear scan + FUTURE.
-        self.scan.clear();
-        self.env.props.future_row.fill(NO_FUTURE);
-        self.env.props.future_col.fill(NO_FUTURE);
-    }
-
-    fn stage_initial_calc(&mut self) {
-        // §IV.b: per occupied cell, score the neighbourhood into the scan
-        // matrix and record the front-cell status.
-        let (h, w) = (self.geom.height, self.geom.width);
-        let mat = &self.env.mat;
-        let dist = self.dist.dist_ref();
-        let occ = |r: i64, c: i64| mat.get_or(r, c, CELL_WALL);
-        for r in 0..h {
-            for c in 0..w {
-                let a = self.env.index.get(r, c);
-                if a == 0 {
-                    continue;
-                }
-                let label = mat.get(r, c);
-                let g = Group::from_label(label).expect("indexed cell has group label");
-                let row: ScanRow = match self.cfg.model {
-                    ModelKind::Lem(p) => {
-                        lem_scan_row(&occ, dist, g, r as i64, c as i64, p.scan_range)
-                    }
-                    ModelKind::Aco(p) => {
-                        let field = self.pher.as_ref().expect("ACO has pheromone");
-                        let tf = field.of(g);
-                        let tau = |rr: i64, cc: i64| tf.get_or(rr, cc, 0.0);
-                        aco_scan_row(&occ, &tau, dist, &p, g, r as i64, c as i64)
-                    }
-                };
-                let ai = a as usize;
-                for slot in 0..8 {
-                    self.scan.set(ai, slot, row.vals[slot], row.idxs[slot]);
-                }
-                let fk = dist.front_k(g, r as i64, c as i64);
-                self.env.props.front[ai] = front_status(&occ, fk, r as i64, c as i64);
-                self.env.props.front_k[ai] = fk as u8;
-            }
-        }
-    }
-
-    fn stage_tour(&mut self, step_no: u64) {
-        // §IV.c: every agent picks its future cell.
-        let salt = step_no * 4 + KERNEL_TOUR;
-        let n = self.geom.total_agents();
-        for i in 1..=n {
-            // Dead slots (open-boundary recycling pool) are not on the
-            // grid and make no decision; their future stays NO_FUTURE from
-            // the init stage.
-            if !self.env.alive[i] {
-                continue;
-            }
-            let mut rng = StreamRng::with_offset(self.seed, i as u64, salt << 4);
-            let row = ScanRow {
-                vals: self.scan.row_vals(i).try_into().expect("8 slots"),
-                idxs: self.scan.row_idxs(i).try_into().expect("8 slots"),
-            };
-            let front = self.env.props.front[i];
-            let front_k = self.env.props.front_k[i] as usize;
-            let k = match self.cfg.model {
-                ModelKind::Lem(p) => lem_select(&row, front, front_k, &p, &mut rng),
-                ModelKind::Aco(p) => aco_select(&row, front, front_k, &p, &mut rng),
-            };
-            match k {
-                Some(k) => {
-                    let (dr, dc) = NEIGHBOR_OFFSETS[k];
-                    let (ar, ac) = self.env.props.position(i);
-                    self.env.props.future_row[i] = (i64::from(ar) + dr) as u16;
-                    self.env.props.future_col[i] = (i64::from(ac) + dc) as u16;
-                }
-                None => {
-                    self.env.props.future_row[i] = NO_FUTURE;
-                    self.env.props.future_col[i] = NO_FUTURE;
-                }
-            }
-        }
-    }
-
-    fn stage_movement(&mut self, step_no: u64) {
-        // §IV.d: scatter-to-gather movement + pheromone update.
-        let salt = step_no * 4 + KERNEL_MOVE;
-        let (h, w) = (self.geom.height, self.geom.width);
-        let aco = match self.cfg.model {
-            ModelKind::Aco(p) => Some(p),
-            ModelKind::Lem(_) => None,
-        };
-        let counter_base = salt << 4;
-        {
-            let mat = &self.env.mat;
-            let index = &self.env.index;
-            let props = &self.env.props;
-            let occ = |r: i64, c: i64| mat.get_or(r, c, CELL_WALL);
-            let idx = |r: i64, c: i64| index.get_or(r, c, 0);
-            let fut = |a: u32| (props.future_row[a as usize], props.future_col[a as usize]);
-            for r in 0..h {
-                for c in 0..w {
-                    let lin = (r * w + c) as u64;
-                    let mut rng = StreamRng::with_offset(self.seed, lin, counter_base);
-                    let arrival = gather_winner(&occ, &idx, &fut, r as i64, c as i64, &mut rng);
-                    let own = index.get(r, c);
-                    let (new_label, new_index) = if let Some(arr) = arrival {
-                        (props.id[arr.agent as usize], arr.agent)
-                    } else if own != 0 && props.future_row[own as usize] != NO_FUTURE {
-                        // Recompute the decision at our agent's target with
-                        // the target cell's own stream — identical draw.
-                        let fr = i64::from(props.future_row[own as usize]);
-                        let fc = i64::from(props.future_col[own as usize]);
-                        let tlin = (fr as usize * w + fc as usize) as u64;
-                        let mut trng = StreamRng::with_offset(self.seed, tlin, counter_base);
-                        let wins = gather_winner(&occ, &idx, &fut, fr, fc, &mut trng)
-                            .is_some_and(|a| a.agent == own);
-                        if wins {
-                            (CELL_EMPTY, 0)
-                        } else {
-                            (mat.get(r, c), own)
-                        }
-                    } else {
-                        (mat.get(r, c), own)
-                    };
-                    self.mat_next.set(r, c, new_label);
-                    self.index_next.set(r, c, new_index);
-
-                    // Pheromone: evaporate everywhere, deposit on arrival
-                    // (credited to the arriving agent's group plane).
-                    if let Some(p) = aco {
-                        let deposit: Option<(usize, f32)> = arrival.map(|arr| {
-                            let a = arr.agent as usize;
-                            let l_new = self.tour.get(a) + arr.step_len();
-                            let g =
-                                Group::from_label(props.id[a]).expect("arrival has a group label");
-                            (g.index(), p.q / l_new)
-                        });
-                        let pin = self.pher.as_ref().expect("ACO pheromone");
-                        let pout = self.pher_next.as_mut().expect("ACO pheromone");
-                        for gi in 0..pin.groups() {
-                            let g = Group::new(gi);
-                            let dep = match deposit {
-                                Some((dg, amount)) if dg == gi => amount,
-                                _ => 0.0,
-                            };
-                            let next = PheromoneField::fused_update(
-                                pin.of(g).get(r, c),
-                                p.tau0,
-                                p.rho,
-                                dep,
-                            );
-                            pout.of_mut(g).set(r, c, next);
-                        }
-                    }
-                }
-            }
-        }
-
-        // Apply the winners' property/tour updates (owned by the target
-        // cell in the GPU formulation; sequential here).
-        for r in 0..h {
-            for c in 0..w {
-                let a = self.index_next.get(r, c);
-                if a != 0 && self.env.index.get(r, c) != a {
-                    let ai = a as usize;
-                    let (or, oc) = self.env.props.position(ai);
-                    let dr = (r as i64 - i64::from(or)).unsigned_abs();
-                    let dc = (c as i64 - i64::from(oc)).unsigned_abs();
-                    let step_len = if dr + dc == 2 {
-                        std::f32::consts::SQRT_2
-                    } else {
-                        1.0
-                    };
-                    self.env.props.row[ai] = r as u16;
-                    self.env.props.col[ai] = c as u16;
-                    self.env.pos[ai] = (r * w + c) as u32;
-                    if aco.is_some() {
-                        self.tour.add(ai, step_len);
-                    }
-                }
-            }
-        }
-
-        std::mem::swap(&mut self.env.mat, &mut self.mat_next);
-        std::mem::swap(&mut self.env.index, &mut self.index_next);
-        if aco.is_some() {
-            std::mem::swap(&mut self.pher, &mut self.pher_next);
-        }
-    }
-
-    // ---- sparse (agent-centric) stage variants ----------------------
-    //
-    // Byte-identical to the dense stages above: the per-cell Philox
-    // streams are keyed by cell linear index, so visiting only the cells
-    // live agents actually target consumes the exact draws the dense
-    // sweep would, and the slot-keyed writes (scan rows, futures,
-    // properties) land on the same slots with the same values.
-
-    fn stage_init_sparse(&mut self) {
-        // Only live slots are read downstream (sparse InitialCalc rewrites
-        // their scan rows; Tour rewrites their futures), so clearing the
-        // futures of live slots is the full contract — dead slots' stale
-        // records are never read by any sparse stage.
+        // Supporting kernel (§IV.e). Only live slots are read downstream
+        // (InitialCalc rewrites their scan rows, Tour their futures), so
+        // clearing the futures of live slots is the full contract — dead
+        // slots' stale records are never read.
         let n = self.geom.total_agents();
         for i in 1..=n {
             if self.env.alive[i] {
@@ -395,10 +199,9 @@ impl CpuBackend {
         }
     }
 
-    fn stage_initial_calc_sparse(&mut self) {
-        // One pass per live agent instead of per cell: the scan row and
-        // front status are slot-keyed, so iterating slots in ascending
-        // order writes exactly what the dense cell sweep writes.
+    fn stage_initial_calc(&mut self) {
+        // §IV.b: each live agent scores its neighbourhood into its scan
+        // row and records its front-cell status.
         let mat = &self.env.mat;
         let dist = self.dist.dist_ref();
         let occ = |r: i64, c: i64| mat.get_or(r, c, CELL_WALL);
@@ -431,12 +234,48 @@ impl CpuBackend {
         }
     }
 
-    fn stage_movement_sparse(&mut self, step_no: u64) {
-        // Resolve phase: each live agent with a future recomputes the
-        // winner at its *target* cell with that cell's own stream — the
-        // same draw the dense sweep makes there — and records itself when
-        // it wins. Every contested cell is resolved (identically) by each
-        // claimant; exactly the winner pushes.
+    fn stage_tour(&mut self, step_no: u64) {
+        // §IV.c: every live agent picks its future cell.
+        let salt = step_no * 4 + KERNEL_TOUR;
+        let n = self.geom.total_agents();
+        for i in 1..=n {
+            // Dead slots (open-boundary recycling pool) are not on the
+            // grid and make no decision.
+            if !self.env.alive[i] {
+                continue;
+            }
+            let mut rng = StreamRng::with_offset(self.seed, i as u64, salt << 4);
+            let row = ScanRow {
+                vals: self.scan.row_vals(i).try_into().expect("8 slots"),
+                idxs: self.scan.row_idxs(i).try_into().expect("8 slots"),
+            };
+            let front = self.env.props.front[i];
+            let front_k = self.env.props.front_k[i] as usize;
+            let k = match self.cfg.model {
+                ModelKind::Lem(p) => lem_select(&row, front, front_k, &p, &mut rng),
+                ModelKind::Aco(p) => aco_select(&row, front, front_k, &p, &mut rng),
+            };
+            match k {
+                Some(k) => {
+                    let (dr, dc) = NEIGHBOR_OFFSETS[k];
+                    let (ar, ac) = self.env.props.position(i);
+                    self.env.props.future_row[i] = (i64::from(ar) + dr) as u16;
+                    self.env.props.future_col[i] = (i64::from(ac) + dc) as u16;
+                }
+                None => {
+                    self.env.props.future_row[i] = NO_FUTURE;
+                    self.env.props.future_col[i] = NO_FUTURE;
+                }
+            }
+        }
+    }
+
+    fn stage_movement(&mut self, step_no: u64) {
+        // §IV.d, resolve phase: each live agent with a future recomputes
+        // the winner at its *target* cell with that cell's own stream —
+        // the draw a per-cell gather makes there — and records itself
+        // when it wins. Every contested cell is resolved (identically) by
+        // each claimant; exactly the winner pushes.
         let salt = step_no * 4 + KERNEL_MOVE;
         let counter_base = salt << 4;
         let w = self.geom.width;
@@ -472,9 +311,9 @@ impl CpuBackend {
 
         // Pheromone phase (ACO): evaporate every cell of every plane, then
         // overwrite the winners' destination cells on their group plane
-        // with the fused evaporate+deposit the dense sweep computes there.
+        // with the fused evaporate+deposit a per-cell sweep computes there.
         // Runs before the apply phase so `tour` still holds L_k without
-        // this step's segment (l_new = L_k + step_len, as dense).
+        // this step's segment (l_new = L_k + step_len).
         if let Some(p) = aco {
             let pin = self.pher.as_ref().expect("ACO pheromone");
             let pout = self.pher_next.as_mut().expect("ACO pheromone");
@@ -503,7 +342,7 @@ impl CpuBackend {
         // Apply phase, in place: winners' source cells (all occupied at
         // step start) and destination cells (all empty at step start) are
         // disjoint sets, so clear-src/set-dst per winner is order-free and
-        // lands the exact grid the dense write-then-swap produces.
+        // lands the exact grid a per-cell write-then-swap produces.
         for &(a, fr, fc, step_len) in &self.winners {
             let ai = a as usize;
             let (or, oc) = self.env.props.position(ai);
@@ -531,16 +370,10 @@ impl StageBackend for CpuBackend {
     fn run_stage(&mut self, stage: Stage, step_no: u64, _rec: &mut pedsim_obs::Recorder) {
         // The CPU has no launch machinery to report; its kernel counters
         // stay at the zeros the core pre-registered.
-        let sparse = self.mode == IterationMode::Sparse;
         match stage {
-            Stage::Init if sparse => self.stage_init_sparse(),
             Stage::Init => self.stage_init(),
-            Stage::InitialCalc if sparse => self.stage_initial_calc_sparse(),
             Stage::InitialCalc => self.stage_initial_calc(),
-            // Tour is slot-keyed in both modes: the loop below already
-            // walks live slots in ascending order.
             Stage::Tour => self.stage_tour(step_no),
-            Stage::Movement if sparse => self.stage_movement_sparse(step_no),
             Stage::Movement => self.stage_movement(step_no),
             Stage::Lifecycle | Stage::Metrics => unreachable!("core-driven stage"),
         }
@@ -591,7 +424,7 @@ impl Engine for CpuEngine {
     }
 
     fn iteration_mode(&self) -> IterationMode {
-        self.backend.mode
+        IterationMode::Sparse
     }
 
     fn mat_snapshot(&self) -> Matrix<u8> {
@@ -627,52 +460,6 @@ mod tests {
         let mut e = cpu_engine_small(32, 32, 30, model, 42);
         e.run(steps);
         e
-    }
-
-    #[test]
-    fn sparse_matches_dense_bit_for_bit() {
-        for model in [ModelKind::lem(), ModelKind::aco()] {
-            let env = EnvConfig::small(32, 32, 30).with_seed(42);
-            let base = SimConfig::new(env, model).with_checked(true);
-            let mut dense = CpuEngine::new(base.clone().with_iteration_mode(IterationMode::Dense));
-            let mut sparse =
-                CpuEngine::new(base.clone().with_iteration_mode(IterationMode::Sparse));
-            assert_eq!(dense.iteration_mode(), IterationMode::Dense);
-            assert_eq!(sparse.iteration_mode(), IterationMode::Sparse);
-            for step in 1..=40u64 {
-                dense.step();
-                sparse.step();
-                assert_eq!(
-                    dense.mat_snapshot(),
-                    sparse.mat_snapshot(),
-                    "{} diverged at step {step}",
-                    model.name()
-                );
-                assert_eq!(dense.positions(), sparse.positions());
-                sparse
-                    .environment()
-                    .check_consistency()
-                    .expect("sparse consistent");
-            }
-            if model.is_aco() {
-                assert_eq!(
-                    dense.pheromone().unwrap().of(Group::TOP).as_slice(),
-                    sparse.pheromone().unwrap().of(Group::TOP).as_slice(),
-                    "pheromone diverged"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn auto_resolves_sparse_on_corridor_occupancy() {
-        // 32×32 with 30+30 agents is ~6 % occupancy — Auto goes sparse.
-        let e = cpu_engine_small(32, 32, 30, ModelKind::lem(), 1);
-        assert_eq!(e.iteration_mode(), IterationMode::Sparse);
-        // Near-jammed world stays dense.
-        let env = EnvConfig::small(16, 16, 40).with_seed(1);
-        let e = CpuEngine::new(SimConfig::new(env, ModelKind::lem()));
-        assert_eq!(e.iteration_mode(), IterationMode::Dense);
     }
 
     #[test]

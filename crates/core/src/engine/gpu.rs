@@ -7,7 +7,9 @@
 //! per-agent kernels. Under `ExecPolicy::Parallel` the blocks of each
 //! launch run concurrently on the worker pool; under
 //! `ExecPolicy::Sequential` the same kernels run on one host thread (used
-//! by tests to pin down scheduling independence).
+//! by tests to pin down scheduling independence). The per-cell sweep is
+//! this backend's only traversal: [`Engine::iteration_mode`] always
+//! reports [`IterationMode::Dense`].
 //!
 //! Step orchestration (sequencing, counting, per-stage timing, metrics,
 //! lifecycle) lives in the shared [`StepCore`]; this file only maps each
@@ -22,10 +24,7 @@ use simt::exec::{BlockKernel, LaunchConfig, LaunchStats};
 use simt::profile::KernelProfile;
 use simt::{Device, Dim2};
 
-use crate::kernels::{
-    DeviceState, EvaporationKernel, InitKernel, InitialCalcKernel, MovementKernel,
-    SparseCalcKernel, SparseInitKernel, SparseMoveApplyKernel, SparseMoveDecodeKernel, TourKernel,
-};
+use crate::kernels::{DeviceState, InitKernel, InitialCalcKernel, MovementKernel, TourKernel};
 use crate::metrics::{Geometry, Metrics};
 use crate::params::{IterationMode, ModelKind, SimConfig};
 
@@ -131,14 +130,6 @@ struct GpuBackend {
     lc_init: LaunchConfig,
     /// Launch geometry for the per-agent tour kernel (`n` rows).
     lc_tour: LaunchConfig,
-    /// Traversal mode, resolved from the configuration at build time
-    /// (`Auto` → initial occupancy vs the threshold).
-    mode: IterationMode,
-    /// Live agent slots in ascending order, rebuilt from the liveness
-    /// mask at the start of each sparse step (the lifecycle mutates
-    /// liveness between steps). The sparse 1-D launches iterate this
-    /// list, making their work O(live agents).
-    live_list: Vec<u32>,
 }
 
 impl GpuEngine {
@@ -175,7 +166,6 @@ impl GpuEngine {
                 .with_seed(seed);
         let lc_init = GpuBackend::rows_config(state.n + 1).with_seed(seed);
         let lc_tour = GpuBackend::rows_config(state.n).with_seed(seed);
-        let mode = cfg.iteration.resolve(env.live_count(), state.h * state.w);
         Self {
             core,
             backend: GpuBackend {
@@ -188,8 +178,6 @@ impl GpuEngine {
                 lc_cells,
                 lc_init,
                 lc_tour,
-                mode,
-                live_list: Vec::new(),
             },
         }
     }
@@ -228,7 +216,7 @@ impl GpuEngine {
     pub fn pheromone_snapshot(&self) -> Option<Vec<Matrix<f32>>> {
         let st = &self.backend.state;
         let p = st.pher.as_ref()?;
-        let cur = st.pher_cur;
+        let cur = st.cur;
         Some(
             p.fields
                 .iter()
@@ -276,49 +264,10 @@ impl GpuBackend {
 impl StageBackend for GpuBackend {
     fn run_stage(&mut self, stage: Stage, step_no: u64, rec: &mut pedsim_obs::Recorder) {
         let base = step_no * 4;
-        let sparse = self.mode == IterationMode::Sparse;
-        let seed = self.cfg.env.seed;
-        if sparse && stage == Stage::Init {
-            // Rebuild the live slot list (ascending — the deterministic
-            // iteration order every backend shares) from the liveness
-            // mask the lifecycle updated after the previous step.
-            let alive = &self.state.alive;
-            self.live_list.clear();
-            self.live_list.extend(
-                (1..alive.len())
-                    .filter(|&i| alive[i] != 0)
-                    .map(|i| i as u32),
-            );
-        }
-        let live_rows = self.live_list.len().max(1);
         let st = &self.state;
         let cur = st.cur;
         let nxt = 1 - cur;
         match stage {
-            Stage::Init if sparse => {
-                // Sparse kernel 1: clear live slots' FUTURE fields only —
-                // dead slots are never read by the alive-masked tour
-                // kernel or the live-list movement launches, and the scan
-                // matrix needs no clear (the sparse calc kernel rewrites
-                // every live row before tour reads it).
-                st.future_row.begin_epoch();
-                st.future_col.begin_epoch();
-                let init = SparseInitKernel {
-                    live: &self.live_list,
-                    future_row: st.future_row.view(),
-                    future_col: st.future_col.view(),
-                };
-                let lcfg = Self::rows_config(live_rows).with_seed(seed).with_salt(base);
-                Self::launch_counted(
-                    &self.device,
-                    &mut self.report,
-                    rec,
-                    0,
-                    &lcfg,
-                    &init,
-                    "init_sparse",
-                );
-            }
             Stage::Init => {
                 // Kernel 1: supporting init (§IV.e).
                 st.scan_val.begin_epoch();
@@ -335,51 +284,13 @@ impl StageBackend for GpuBackend {
                 let lcfg = self.lc_init.with_salt(base);
                 Self::launch_counted(&self.device, &mut self.report, rec, 0, &lcfg, &init, "init");
             }
-            Stage::InitialCalc if sparse => {
-                // Sparse kernel 2: one thread per live agent scores its
-                // own neighbourhood — same slot-keyed writes, same values
-                // as the dense per-cell sweep.
-                st.scan_val.begin_epoch();
-                st.scan_idx.begin_epoch();
-                st.front.begin_epoch();
-                st.front_k.begin_epoch();
-                let pher_slices = st.pher.as_ref().map(|p| p.slices(st.pher_cur));
-                let calc = SparseCalcKernel {
-                    w: st.w,
-                    h: st.h,
-                    live: &self.live_list,
-                    mat_in: st.mat[cur].as_slice(),
-                    row: st.row.as_slice(),
-                    col: st.col.as_slice(),
-                    id: &st.id,
-                    dist: st.dist_ref(),
-                    pher_in: pher_slices.as_deref(),
-                    model: self.cfg.model,
-                    scan_val: st.scan_val.view(),
-                    scan_idx: st.scan_idx.view(),
-                    front: st.front.view(),
-                    front_k: st.front_k.view(),
-                };
-                let lcfg = Self::rows_config(live_rows)
-                    .with_seed(seed)
-                    .with_salt(base + 1);
-                Self::launch_counted(
-                    &self.device,
-                    &mut self.report,
-                    rec,
-                    1,
-                    &lcfg,
-                    &calc,
-                    "initial_calc_sparse",
-                );
-            }
             Stage::InitialCalc => {
                 // Kernel 2: initial calculation (§IV.b).
                 st.scan_val.begin_epoch();
                 st.scan_idx.begin_epoch();
                 st.front.begin_epoch();
                 st.front_k.begin_epoch();
-                let pher_slices = st.pher.as_ref().map(|p| p.slices(st.pher_cur));
+                let pher_slices = st.pher.as_ref().map(|p| p.slices(cur));
                 let calc = InitialCalcKernel {
                     w: st.w,
                     h: st.h,
@@ -424,116 +335,8 @@ impl StageBackend for GpuBackend {
                 let lcfg = self.lc_tour.with_salt(base + 2);
                 Self::launch_counted(&self.device, &mut self.report, rec, 2, &lcfg, &tour, "tour");
             }
-            Stage::Movement if sparse => {
-                // Sparse kernel 4, three launches (all salted `base + 3`,
-                // so the decode draws the dense sweep's per-cell streams):
-                //
-                // 1. decode — each live agent resolves its target cell's
-                //    gather and records the outcome in `won`;
-                // 2. (ACO) a dense evaporation sweep into the next
-                //    pheromone side — the field is a per-cell substrate,
-                //    so this launch alone stays O(cells);
-                // 3. apply — winners move in place on the current
-                //    `mat`/`index` side (sources and destinations are
-                //    disjoint, per-winner-unique cell sets), overwrite
-                //    their destination's pheromone entry with the fused
-                //    evaporate+deposit, and update `row`/`col`/`pos`.
-                //
-                // `cur` does not flip; the pheromone pair does.
-                let aco = match self.cfg.model {
-                    ModelKind::Aco(p) => Some(p),
-                    ModelKind::Lem(_) => None,
-                };
-                let lcfg = Self::rows_config(live_rows)
-                    .with_seed(seed)
-                    .with_salt(base + 3);
-                st.won.begin_epoch();
-                let decode = SparseMoveDecodeKernel {
-                    w: st.w,
-                    h: st.h,
-                    live: &self.live_list,
-                    mat_in: st.mat[cur].as_slice(),
-                    index_in: st.index[cur].as_slice(),
-                    future_row: st.future_row.as_slice(),
-                    future_col: st.future_col.as_slice(),
-                    won: st.won.view(),
-                };
-                Self::launch_counted(
-                    &self.device,
-                    &mut self.report,
-                    rec,
-                    3,
-                    &lcfg,
-                    &decode,
-                    "movement_decode_sparse",
-                );
-
-                let pher_nxt = 1 - st.pher_cur;
-                if let (Some(p), Some(pb)) = (aco, st.pher.as_ref()) {
-                    pb.begin_epoch(pher_nxt);
-                    let pher_slices = pb.slices(st.pher_cur);
-                    let pher_views = pb.views(pher_nxt);
-                    let evap = EvaporationKernel {
-                        w: st.w,
-                        h: st.h,
-                        pher_in: &pher_slices,
-                        pher_out: &pher_views,
-                        params: p,
-                    };
-                    let ecfg = self.lc_cells.with_salt(base + 3);
-                    Self::launch_counted(
-                        &self.device,
-                        &mut self.report,
-                        rec,
-                        3,
-                        &ecfg,
-                        &evap,
-                        "pheromone_evaporate",
-                    );
-                    // Fresh epoch: the apply launch overwrites winners'
-                    // destination entries the sweep just wrote.
-                    pb.begin_epoch(pher_nxt);
-                }
-
-                st.mat[cur].begin_epoch();
-                st.index[cur].begin_epoch();
-                st.row.begin_epoch();
-                st.col.begin_epoch();
-                st.pos.begin_epoch();
-                st.tour.begin_epoch();
-                let pher_slices = st.pher.as_ref().map(|p| p.slices(st.pher_cur));
-                let pher_views = st.pher.as_ref().map(|p| p.views(pher_nxt));
-                let apply = SparseMoveApplyKernel {
-                    w: st.w,
-                    live: &self.live_list,
-                    won: st.won.as_slice(),
-                    id: &st.id,
-                    row: st.row.view(),
-                    col: st.col.view(),
-                    pos: st.pos.view(),
-                    mat: st.mat[cur].view(),
-                    index: st.index[cur].view(),
-                    tour: st.tour.view(),
-                    pher_in: pher_slices.as_deref(),
-                    pher_out: pher_views.as_deref(),
-                    aco,
-                };
-                Self::launch_counted(
-                    &self.device,
-                    &mut self.report,
-                    rec,
-                    3,
-                    &lcfg,
-                    &apply,
-                    "movement_apply_sparse",
-                );
-                if aco.is_some() {
-                    self.state.pher_cur = pher_nxt;
-                }
-            }
             Stage::Movement => {
                 // Kernel 4: agent movement (§IV.d).
-                let pher_nxt = 1 - st.pher_cur;
                 st.mat[nxt].begin_epoch();
                 st.index[nxt].begin_epoch();
                 st.row.begin_epoch();
@@ -541,14 +344,14 @@ impl StageBackend for GpuBackend {
                 st.pos.begin_epoch();
                 st.tour.begin_epoch();
                 if let Some(p) = st.pher.as_ref() {
-                    p.begin_epoch(pher_nxt);
+                    p.begin_epoch(nxt);
                 }
                 let aco = match self.cfg.model {
                     ModelKind::Aco(p) => Some(p),
                     ModelKind::Lem(_) => None,
                 };
-                let pher_slices = st.pher.as_ref().map(|p| p.slices(st.pher_cur));
-                let pher_views = st.pher.as_ref().map(|p| p.views(pher_nxt));
+                let pher_slices = st.pher.as_ref().map(|p| p.slices(cur));
+                let pher_views = st.pher.as_ref().map(|p| p.views(nxt));
                 let mv = MovementKernel {
                     w: st.w,
                     h: st.h,
@@ -578,9 +381,6 @@ impl StageBackend for GpuBackend {
                     "movement",
                 );
                 self.state.cur = nxt;
-                if self.state.pher.is_some() {
-                    self.state.pher_cur = pher_nxt;
-                }
             }
             Stage::Lifecycle | Stage::Metrics => unreachable!("core-driven stage"),
         }
@@ -629,7 +429,7 @@ impl Engine for GpuEngine {
     }
 
     fn iteration_mode(&self) -> IterationMode {
-        self.backend.mode
+        IterationMode::Dense
     }
 
     fn mat_snapshot(&self) -> Matrix<u8> {
@@ -655,43 +455,6 @@ mod tests {
         let env = EnvConfig::small(32, 32, 30).with_seed(seed);
         let device = Device::builder().policy(policy).build();
         GpuEngine::new(SimConfig::new(env, model).with_checked(true), device)
-    }
-
-    #[test]
-    fn sparse_matches_dense_bit_for_bit() {
-        for model in [ModelKind::lem(), ModelKind::aco()] {
-            for policy in [ExecPolicy::Sequential, ExecPolicy::Parallel { workers: 4 }] {
-                let env = EnvConfig::small(32, 32, 30).with_seed(42);
-                let build = |mode| {
-                    let device = Device::builder().policy(policy).build();
-                    GpuEngine::new(
-                        SimConfig::new(env, model)
-                            .with_checked(true)
-                            .with_iteration_mode(mode),
-                        device,
-                    )
-                };
-                let mut dense = build(IterationMode::Dense);
-                let mut sparse = build(IterationMode::Sparse);
-                assert_eq!(sparse.iteration_mode(), IterationMode::Sparse);
-                for step in 1..=40u64 {
-                    dense.step();
-                    sparse.step();
-                    assert_eq!(
-                        dense.mat_snapshot(),
-                        sparse.mat_snapshot(),
-                        "{} diverged at step {step}",
-                        model.name()
-                    );
-                    assert_eq!(dense.positions(), sparse.positions());
-                }
-                assert_eq!(dense.pheromone_snapshot(), sparse.pheromone_snapshot());
-                sparse
-                    .download_environment()
-                    .check_consistency()
-                    .expect("sparse device state consistent");
-            }
-        }
     }
 
     #[test]

@@ -110,10 +110,13 @@ pub trait Engine {
     /// The movement model in use.
     fn model(&self) -> ModelKind;
 
-    /// The traversal mode this engine resolved at build time (`Auto`
-    /// settles to `Dense` or `Sparse` against the world's initial
-    /// occupancy; explicit modes pass through). Recorded in bench and
-    /// run provenance.
+    /// The traversal mode this engine steps with. Each reference backend
+    /// has one: `scalar` always reports `Sparse` (agent loops), `simt`
+    /// always `Dense` (one thread per cell). Only `pooled` reads
+    /// [`SimConfig::iteration`](crate::params::SimConfig::iteration):
+    /// `Auto` settles to `Dense` or `Sparse` against the world's initial
+    /// occupancy, explicit modes pass through. Recorded in bench and run
+    /// provenance.
     fn iteration_mode(&self) -> crate::params::IterationMode;
 
     /// Snapshot of the environment matrix (cell labels).

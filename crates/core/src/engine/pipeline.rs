@@ -490,13 +490,7 @@ mod tests {
     fn telemetry_shape_is_engine_independent() {
         let mut cpu = cpu_engine_small(24, 24, 20, ModelKind::lem(), 3);
         let env = pedsim_grid::EnvConfig::small(24, 24, 20).with_seed(3);
-        // Pin dense: the launch-count assertions below encode the dense
-        // one-launch-per-kernel-per-step contract (sparse movement issues
-        // decode+apply launches under the same kernel slot).
-        let mut gpu = GpuEngine::new(
-            SimConfig::new(env, ModelKind::lem()).with_iteration_mode(IterationMode::Dense),
-            Device::sequential(),
-        );
+        let mut gpu = GpuEngine::new(SimConfig::new(env, ModelKind::lem()), Device::sequential());
         cpu.run(8);
         gpu.run(8);
         let (tc, tg) = (cpu.telemetry(), gpu.telemetry());

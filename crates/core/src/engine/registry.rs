@@ -298,6 +298,26 @@ mod tests {
     }
 
     #[test]
+    fn only_pooled_honours_the_iteration_knob() {
+        use crate::params::IterationMode;
+        for mode in [
+            IterationMode::Auto,
+            IterationMode::Dense,
+            IterationMode::Sparse,
+        ] {
+            let cfg = small_cfg().with_iteration_mode(mode);
+            let built = |b: Backend| b.build(cfg.clone()).expect("known").iteration_mode();
+            assert_eq!(built(Backend::scalar()), IterationMode::Sparse, "{mode:?}");
+            assert_eq!(built(Backend::simt()), IterationMode::Dense, "{mode:?}");
+            assert_eq!(
+                built(Backend::pooled(2)),
+                mode.resolve(16, 16 * 16),
+                "{mode:?}"
+            );
+        }
+    }
+
+    #[test]
     fn thread_count_floors_at_one() {
         let b = Backend::named("pooled", 0);
         assert_eq!(b.threads, 1);

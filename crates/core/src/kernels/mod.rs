@@ -24,17 +24,12 @@ pub mod init;
 pub mod initial_calc;
 pub mod movement;
 pub mod movement_atomic;
-pub mod sparse;
 pub mod tour;
 
 pub use init::InitKernel;
 pub use initial_calc::InitialCalcKernel;
 pub use movement::MovementKernel;
 pub use movement_atomic::AtomicMovementKernel;
-pub use sparse::{
-    EvaporationKernel, SparseCalcKernel, SparseInitKernel, SparseMoveApplyKernel,
-    SparseMoveDecodeKernel,
-};
 pub use tour::TourKernel;
 
 use pedsim_grid::cell::CELL_EMPTY;
@@ -90,28 +85,17 @@ pub struct DeviceState {
     pub mat: [ScatterBuffer<u8>; 2],
     /// Agent indices per cell, ping-pong.
     pub index: [ScatterBuffer<u32>; 2],
-    /// Which side of the `mat`/`index` ping-pong pair is current. Dense
-    /// movement flips it every step; sparse movement updates in place and
-    /// never flips.
+    /// Which side of the `mat`/`index` and pheromone ping-pong pairs is
+    /// current. The movement launch flips it every step.
     pub cur: usize,
-    /// Which side of the pheromone ping-pong pair is current. Tracked
-    /// separately from `cur` because the pheromone field ping-pongs in
-    /// *both* traversal modes (evaporation rewrites every cell), while
-    /// `mat`/`index` only ping-pong in dense mode.
-    pub pher_cur: usize,
     /// Agent rows (in-place, arrival-owned writes).
     pub row: ScatterBuffer<u16>,
     /// Agent columns.
     pub col: ScatterBuffer<u16>,
     /// Agent→cell position index: `pos[a] = row[a] * w + col[a]` for every
     /// slot (dead slots keep their last position, mirroring `row`/`col`).
-    /// Winner-owned writes by the movement kernels; the sparse apply
-    /// kernel reads it to find each winner's source cell.
+    /// Winner-owned writes by the movement kernel.
     pub pos: ScatterBuffer<u32>,
-    /// Sparse-movement outcome scratch, agent-keyed: destination linear
-    /// index for this step's winners, `u32::MAX` for everyone else.
-    /// Rewritten for every live slot by each decode launch.
-    pub won: ScatterBuffer<u32>,
     /// Chosen future rows.
     pub future_row: ScatterBuffer<u16>,
     /// Chosen future columns.
@@ -192,11 +176,9 @@ impl DeviceState {
                 ScatterBuffer::new(h * w, 0u32, checked),
             ],
             cur: 0,
-            pher_cur: 0,
             row: ScatterBuffer::from_vec(env.props.row.clone(), checked),
             col: ScatterBuffer::from_vec(env.props.col.clone(), checked),
             pos: ScatterBuffer::from_vec(env.pos.clone(), checked),
-            won: ScatterBuffer::new(n + 1, u32::MAX, checked),
             future_row: ScatterBuffer::new(n + 1, NO_FUTURE, checked),
             future_col: ScatterBuffer::new(n + 1, NO_FUTURE, checked),
             front: ScatterBuffer::new(n + 1, CELL_EMPTY, checked),

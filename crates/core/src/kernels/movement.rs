@@ -44,8 +44,7 @@ pub struct MovementKernel<'a> {
     /// Agent columns (written for winners).
     pub col: ScatterView<'a, u16>,
     /// Agent→cell position index (written for winners — kept in lock-step
-    /// with `row`/`col` so the sparse traversal mode can find any agent's
-    /// cell in O(1)).
+    /// with `row`/`col`, the invariant every backend's world carries).
     pub pos: ScatterView<'a, u32>,
     /// Tour lengths (exclusive read-modify-write for winners).
     pub tour: ScatterView<'a, f32>,

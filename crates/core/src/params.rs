@@ -118,7 +118,7 @@ impl ModelKind {
     }
 }
 
-/// How the kernel stages traverse the world each step.
+/// How the `pooled` backend's kernel stages traverse the world each step.
 ///
 /// The paper's §IV mapping launches one thread per environment cell; at
 /// corridor occupancies (~6 % on the paper's geometry) that sweeps ~16
@@ -127,26 +127,32 @@ impl ModelKind {
 /// maintained agent→cell position index), producing byte-identical
 /// trajectories — the per-cell Philox streams are keyed by cell, so
 /// skipping cells no agent touches consumes no draws.
+///
+/// The knob picks `pooled`'s traversal only. The reference backends have
+/// one traversal each and ignore it: `scalar` always runs agent loops
+/// (`Sparse`), `simt` always runs the paper's per-cell kernels (`Dense`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IterationMode {
-    /// One pass per grid cell (the paper's mapping). Fastest when most
-    /// cells are occupied.
+    /// One pass per grid cell (the paper's mapping). Faster on `pooled`
+    /// when most cells are occupied.
     Dense,
     /// One pass per live agent slot, in deterministic slot order.
     /// Fastest at low occupancy; bit-identical to `Dense`.
     Sparse,
-    /// Pick per engine at build time by initial occupancy:
+    /// Pick at build time by initial occupancy:
     /// `live / (width·height) <` [`IterationMode::AUTO_THRESHOLD`]
     /// selects `Sparse`.
     Auto,
 }
 
 impl IterationMode {
-    /// Occupancy below which `Auto` resolves to `Sparse`. At 25 %
-    /// occupancy the sparse movement pass touches roughly as many cells
-    /// as the dense sweep (each agent reads its 8-neighbourhood plus the
-    /// target resolve), so the crossover sits near 1/4; corridor worlds
-    /// (~6–8 %) resolve sparse, near-jammed stress grids stay dense.
+    /// Occupancy below which `Auto` resolves to `Sparse`. On `pooled`,
+    /// dense steps faster at 50 % occupancy and on the paper's densest
+    /// crowd (102,400 agents on 480², ~44 %); below 10 % the
+    /// measurements disagree (DESIGN.md §16). The value stays at 1/4
+    /// because the registry sweep's densest worlds sit at 18.75 % and
+    /// must keep resolving sparse: the repository benchmark pins the
+    /// mode each of its replicas reports.
     pub const AUTO_THRESHOLD: f64 = 0.25;
 
     /// Resolve `Auto` against a world's initial occupancy; `Dense` and
@@ -199,9 +205,10 @@ pub struct SimConfig {
     pub checked: bool,
     /// Track crossing/movement metrics each step (small O(N) cost).
     pub track_metrics: bool,
-    /// How the kernel stages traverse the world (dense cell sweep vs
-    /// sparse live-slot iteration). Not part of the world: compiled
-    /// worlds and trajectories are identical in both modes.
+    /// How the `pooled` backend's kernel stages traverse the world
+    /// (dense cell sweep vs sparse live-slot iteration); `scalar` and
+    /// `simt` ignore it. Not part of the world: compiled worlds and
+    /// trajectories are identical in both modes.
     pub iteration: IterationMode,
 }
 
@@ -256,7 +263,7 @@ impl SimConfig {
         self
     }
 
-    /// Builder: pick the stage traversal mode (defaults to
+    /// Builder: pick the `pooled` stage traversal mode (defaults to
     /// [`IterationMode::Auto`]).
     pub fn with_iteration_mode(mut self, mode: IterationMode) -> Self {
         self.iteration = mode;

@@ -28,8 +28,9 @@ pub struct RunResult {
     /// Worker-thread count of the executing backend (1 for sequential
     /// backends).
     pub threads: usize,
-    /// Stage-traversal mode the engine resolved at build time (`"dense"`
-    /// / `"sparse"`; an `Auto` configuration reports what it settled to).
+    /// Stage-traversal mode the engine steps with (`"dense"` /
+    /// `"sparse"`): fixed on `scalar` and `simt`, what an `Auto`
+    /// configuration settled to on `pooled`.
     pub mode: &'static str,
     /// World-configuration fingerprint ([`Scenario::config_hash`] for
     /// scenario worlds, an `EnvConfig` field hash for the classic

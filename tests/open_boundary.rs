@@ -5,6 +5,7 @@
 //! unmodified).
 
 use pedsim::core::engine::cpu::CpuEngine;
+use pedsim::core::engine::Backend;
 use pedsim::core::validate::engines_agree;
 use pedsim::prelude::*;
 use pedsim::scenario::registry;
@@ -196,9 +197,9 @@ mod recycling_properties {
         /// step of an open-world run: `pos[a] = row[a]·w + col[a]` for
         /// *every* slot (dead ones mirror their last cell, exactly like
         /// `row`/`col`), `index[pos[a]] = a` for live ones
-        /// (`check_consistency` pins the round trip), and the sparse
-        /// trajectory stays byte-identical to the dense one on both the
-        /// scalar and simt backends while slots recycle underneath.
+        /// (`check_consistency` pins the round trip), and the scalar
+        /// agent loops, the simt cell sweep and sparse pooled stepping
+        /// stay byte-identical while slots recycle underneath.
         #[test]
         fn sparse_position_index_survives_spawn_despawn_churn(
             seed in 0u64..500,
@@ -213,19 +214,16 @@ mod recycling_properties {
             }
             .with_seed(seed);
             let cfg = SimConfig::from_scenario(&scenario, ModelKind::lem()).with_checked(true);
-            let mut dense =
-                CpuEngine::new(cfg.clone().with_iteration_mode(IterationMode::Dense));
-            let mut sparse =
-                CpuEngine::new(cfg.clone().with_iteration_mode(IterationMode::Sparse));
-            let mut simt_sparse = GpuEngine::new(
-                cfg.with_iteration_mode(IterationMode::Sparse),
-                pedsim::simt::Device::sequential(),
-            );
+            let mut scalar = CpuEngine::new(cfg.clone());
+            let mut simt = GpuEngine::new(cfg.clone(), pedsim::simt::Device::sequential());
+            let mut pooled = Backend::pooled(2)
+                .build(cfg.with_iteration_mode(IterationMode::Sparse))
+                .expect("pooled");
             for step in 0..60u32 {
-                dense.step();
-                sparse.step();
-                simt_sparse.step();
-                let env = sparse.environment();
+                scalar.step();
+                simt.step();
+                pooled.step();
+                let env = scalar.environment();
                 let w = env.width();
                 for a in 1..=env.total_agents() {
                     let expect =
@@ -237,21 +235,20 @@ mod recycling_properties {
                     );
                 }
                 prop_assert!(env.check_consistency().is_ok(), "step {step}");
-                prop_assert_eq!(
-                    sparse.mat_snapshot(), dense.mat_snapshot(),
-                    "sparse diverged from dense at step {}", step
-                );
-                prop_assert_eq!(sparse.positions(), dense.positions());
+                for (tag, e) in [("simt", &simt as &dyn Engine), ("pooled", &*pooled)] {
+                    prop_assert_eq!(
+                        e.mat_snapshot(), scalar.mat_snapshot(),
+                        "{} diverged from scalar at step {}", tag, step
+                    );
+                    prop_assert_eq!(e.positions(), scalar.positions());
+                }
             }
-            // The simt sparse path lands on the same state, and its
-            // downloaded position index passes the same audit.
-            prop_assert_eq!(simt_sparse.mat_snapshot(), sparse.mat_snapshot());
-            prop_assert_eq!(simt_sparse.positions(), sparse.positions());
-            let genv = simt_sparse.download_environment();
+            // The simt download's position index passes the same audit.
+            let genv = simt.download_environment();
             prop_assert!(genv.check_consistency().is_ok());
-            prop_assert_eq!(&genv.pos, &sparse.environment().pos);
+            prop_assert_eq!(&genv.pos, &scalar.environment().pos);
             // Churn actually happened: crossings exceed the slot pool.
-            let m = sparse.metrics().expect("metrics");
+            let m = scalar.metrics().expect("metrics");
             prop_assert!(m.throughput() >= 20, "only {} crossings — no churn", m.throughput());
         }
     }
