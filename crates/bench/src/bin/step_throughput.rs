@@ -147,12 +147,11 @@ fn main() {
     log_summary!("wall: {:.2}s on {workers} workers", elapsed.as_secs_f64());
 
     // Gates. In --backend mode: every requested ladder cell must have
-    // timed real steps. In default mode: the engine-pair coverage gate as
-    // before, plus the sink/record checks, at smoke scale only.
-    let ladder_ok = ladder_rows.len() == ladder_jobs.len()
-        && ladder_rows
-            .iter()
-            .all(|r| r.steps > 0 && r.movement_ms > 0.0);
+    // timed real steps in the mode its backend must report. In default
+    // mode: the same, plus every derived ladder series, the engine-pair
+    // coverage gate and the sink/record checks, at smoke scale only.
+    let ladder_ok = st::ladder_complete(&ladder_jobs, &ladder_rows)
+        && (only.is_some() || st::derived_series_present(&ladder_rows));
     if only.is_some() {
         if !ladder_ok || !sinks_ok {
             eprintln!("ladder measurement incomplete");

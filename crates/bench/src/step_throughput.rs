@@ -583,6 +583,42 @@ pub fn thread_scaling(rows: &[LadderRow]) -> Vec<(usize, &'static str, usize, f6
     out
 }
 
+/// The traversal mode a ladder job's engine must report: the requested
+/// mode on `pooled`, the one traversal of `scalar` (`sparse`) and `simt`
+/// (`dense`).
+pub fn ladder_mode(job: &Job) -> &'static str {
+    match job.engine.backend_sel().0 {
+        "scalar" => "sparse",
+        "simt" => "dense",
+        _ => job.cfg.iteration.name(),
+    }
+}
+
+/// The ladder's acceptance gate: one row per job, in job order, each
+/// with timed steps, a positive `steps_per_sec` and movement time, and
+/// the [`ladder_mode`] of its job.
+pub fn ladder_complete(jobs: &[Job], rows: &[LadderRow]) -> bool {
+    rows.len() == jobs.len()
+        && jobs.iter().zip(rows).all(|(job, r)| {
+            let (backend, threads) = job.engine.backend_sel();
+            (r.backend, r.threads, r.mode) == (backend, threads, ladder_mode(job))
+                && r.steps > 0
+                && r.steps_per_sec > 0.0
+                && r.movement_ms > 0.0
+        })
+}
+
+/// Whether a full ladder yields every derived series of the record:
+/// pooled-over-scalar movement speedups, positive sparse-over-dense
+/// ratios, and pooled thread-scaling efficiencies.
+pub fn derived_series_present(rows: &[LadderRow]) -> bool {
+    let sparse = sparse_speedups(rows);
+    !ladder_speedups(rows).is_empty()
+        && !sparse.is_empty()
+        && sparse.iter().all(|&(_, _, _, x)| x > 0.0)
+        && !thread_scaling(rows).is_empty()
+}
+
 /// Render the ladder as a table (Markdown/CSV).
 pub fn ladder_table(rows: &[LadderRow]) -> Table {
     let mut t = Table::new(vec![
@@ -923,6 +959,8 @@ mod tests {
                 assert!((eff - 1.0).abs() < 1e-12);
             }
         }
+        assert!(ladder_complete(&jobs, &rows));
+        assert!(derived_series_present(&rows));
         let json = to_json(Scale::Smoke, &StConfig::for_scale(Scale::Smoke), &[], &rows);
         assert!(json.contains("\"backend\": \"pooled\""));
         assert!(json.contains("\"iteration_mode\": \"sparse\""));
@@ -931,6 +969,65 @@ mod tests {
         assert!(json.contains("ladder_movement_speedup"));
         assert!(json.contains("sparse_over_dense"));
         assert!(json.contains("thread_scaling_efficiency"));
+    }
+
+    #[test]
+    fn ladder_gate_rejects_wrong_modes_idle_rows_and_missing_series() {
+        let rungs = [LadderRung {
+            side: 24,
+            per_side: 20,
+            steps: 10,
+            warmup: 2,
+        }];
+        let jobs = ladder_jobs_for(&rungs, None);
+        // Rows as a healthy run reports them, in job order.
+        let rows: Vec<LadderRow> = jobs
+            .iter()
+            .map(|job| {
+                let (backend, threads) = job.engine.backend_sel();
+                LadderRow {
+                    side: 24,
+                    agents: 40,
+                    occupancy: 0.07,
+                    backend,
+                    threads,
+                    mode: ladder_mode(job),
+                    warmup: 2,
+                    steps: 10,
+                    steps_per_sec: 100.0 * threads as f64,
+                    stage_ms: [1.0; Stage::COUNT],
+                    movement_ms: 1.0,
+                    total_ms: 6.0,
+                }
+            })
+            .collect();
+        assert!(ladder_complete(&jobs, &rows));
+        assert!(derived_series_present(&rows));
+        // A missing row, a pooled row reporting the other mode, a scalar
+        // row reporting dense, and an untimed row each fail the gate.
+        assert!(!ladder_complete(&jobs, &rows[1..]));
+        let broken = |i: usize, f: fn(&mut LadderRow)| {
+            let mut rows = rows.clone();
+            f(&mut rows[i]);
+            rows
+        };
+        let pooled = rows.iter().position(|r| r.backend == "pooled").unwrap();
+        let flip: fn(&mut LadderRow) =
+            |r| r.mode = if r.mode == "dense" { "sparse" } else { "dense" };
+        assert!(!ladder_complete(&jobs, &broken(pooled, flip)));
+        assert!(!ladder_complete(&jobs, &broken(0, flip)));
+        assert!(!ladder_complete(
+            &jobs,
+            &broken(1, |r| r.steps_per_sec = 0.0)
+        ));
+        // Derived series need scalar and pooled rows in both modes.
+        assert!(!derived_series_present(&rows[..1]));
+        let no_scalar: Vec<LadderRow> = rows
+            .iter()
+            .filter(|r| r.backend != "scalar")
+            .cloned()
+            .collect();
+        assert!(!derived_series_present(&no_scalar));
     }
 
     #[test]

@@ -59,9 +59,6 @@ struct CpuBackend {
 pub(crate) struct HostWorld<'a> {
     pub(crate) env: &'a mut Environment,
     pub(crate) tour: &'a mut TourLengths,
-    /// Sparse-mode row buckets to keep in lock-step with the liveness
-    /// table (`None` for dense backends and the scalar engine).
-    pub(crate) buckets: Option<&'a mut super::pooled::RowBuckets>,
 }
 
 impl LifecycleWorld for HostWorld<'_> {
@@ -79,17 +76,11 @@ impl LifecycleWorld for HostWorld<'_> {
 
     fn despawn(&mut self, g: Group, i: usize) {
         self.env.despawn(g, i);
-        if let Some(b) = self.buckets.as_deref_mut() {
-            b.remove(i as u32);
-        }
     }
 
     fn spawn(&mut self, g: Group, r: u16, c: u16) -> Option<u32> {
         let idx = self.env.spawn_from_free(g, r, c)?;
         self.tour.len[idx as usize] = 0.0;
-        if let Some(b) = self.buckets.as_deref_mut() {
-            b.insert(idx, r);
-        }
         Some(idx)
     }
 }
@@ -392,7 +383,6 @@ impl StageBackend for CpuBackend {
         let mut world = HostWorld {
             env: &mut self.env,
             tour: &mut self.tour,
-            buckets: None,
         };
         lifecycle.run_step(&mut world, step, metrics);
     }

@@ -527,25 +527,33 @@ mod tests {
     }
 
     /// The pooled backend's launch telemetry pins its pass structure:
-    /// dense steps take one decide and one resolve launch, sparse steps
-    /// one decide and two resolve launches, whatever the model.
+    /// dense steps take one decide and one resolve launch over
+    /// `workers × BANDS_PER_WORKER` row bands, sparse steps one decide
+    /// and two resolve launches over one slot range per worker, whatever
+    /// the model.
     #[test]
     fn pooled_launches_one_decide_and_one_resolve_pass_per_step() {
-        use crate::engine::pooled::PooledEngine;
+        use crate::engine::pooled::{PooledEngine, BANDS_PER_WORKER};
+        let (workers, steps) = (2, 8);
         for model in [ModelKind::lem(), ModelKind::aco()] {
-            for (mode, movement) in [(IterationMode::Dense, 1), (IterationMode::Sparse, 2)] {
+            for (mode, movement, parts) in [
+                (IterationMode::Dense, 1, workers * BANDS_PER_WORKER as u64),
+                (IterationMode::Sparse, 2, workers),
+            ] {
                 let env = pedsim_grid::EnvConfig::small(24, 24, 20).with_seed(3);
                 let cfg = SimConfig::new(env, model).with_iteration_mode(mode);
-                let mut e = PooledEngine::new(cfg, 2);
-                e.run(8);
+                let mut e = PooledEngine::new(cfg, workers as usize);
+                e.run(steps);
                 let t = e.telemetry();
                 let per_step = [0, 1, 0, movement];
                 for (k, launches) in per_step.into_iter().enumerate() {
                     let label = format!("{} {mode:?} {}", model.name(), KERNEL_LAUNCH_KEYS[k]);
-                    assert_eq!(t.counter(KERNEL_LAUNCH_KEYS[k]), 8 * launches, "{label}");
+                    let launches = steps * launches;
+                    assert_eq!(t.counter(KERNEL_LAUNCH_KEYS[k]), launches, "{label}");
+                    assert_eq!(t.counter(KERNEL_BLOCK_KEYS[k]), parts * launches, "{label}");
                     assert_eq!(
                         t.counter(KERNEL_THREAD_KEYS[k]),
-                        2 * 8 * launches,
+                        workers * launches,
                         "{label}"
                     );
                 }

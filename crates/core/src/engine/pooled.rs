@@ -3,10 +3,10 @@
 //!
 //! A multi-threaded host engine on the `simt` [`WorkerPool`]: the grid is
 //! partitioned into contiguous row bands ([`band_ranges`]) — or, in
-//! sparse mode, the live agents into count-balanced bucket groups
-//! (`RowBuckets`) — and every pass runs with **conflict-free writes**:
-//! each output slot is written by exactly one task, so no locks are held
-//! in any hot loop.
+//! sparse mode, the agent slots `1..=n` into one contiguous slot range
+//! per worker — and every pass runs with **conflict-free writes**: each
+//! output slot is written by exactly one task, so no locks are held in
+//! any hot loop.
 //!
 //! ## The claim protocol: decide, then resolve
 //!
@@ -45,6 +45,16 @@
 //! adding the deposit is bit-equal to the scalar fused update because
 //! `max((1-ρ)τ, τ₀) + 0.0` is exact.
 //!
+//! The sparse passes need no spatial bookkeeping to keep their writes
+//! disjoint: claims commute, `won`/property/tour writes are keyed by
+//! agent slot, and grid and pheromone writes land on cells one winner
+//! owns. So each worker walks one contiguous range of agent slots, dead
+//! slots included (the decide pass marks them as staying put). Slot
+//! ranges are balanced by count by construction; more than one range per
+//! worker would only put adjacent ranges, which overlap in space, on
+//! different threads at once, fighting over the same claim-byte cache
+//! lines.
+//!
 //! Because every draw uses the same stream as the scalar engine and every
 //! candidate list is bit-equal, trajectories are **bit-identical to
 //! `scalar` at every thread count** — asserted by the cross-backend
@@ -75,9 +85,10 @@ use super::pipeline::{
 use super::{swap_model, Engine, ModelSwapError, KERNEL_MOVE, KERNEL_TOUR};
 use crate::world::CompiledWorld;
 
-/// Band oversubscription factor: bands per worker, so a straggler band
-/// cannot serialise the stage.
-const BANDS_PER_WORKER: usize = 4;
+/// Dense band oversubscription factor: row bands per worker, so a
+/// straggler band cannot serialise the stage. Sparse launches dispatch
+/// one slot range per worker instead.
+pub(crate) const BANDS_PER_WORKER: usize = 4;
 
 /// Split `0..n` into exactly `parts.max(1)` contiguous ranges covering
 /// every index exactly once (sizes differ by at most one; trailing ranges
@@ -161,8 +172,9 @@ impl WriteSet {
 /// pool tasks (the host-side analogue of `simt::memory::ScatterView`,
 /// without the per-slot flag machinery — disjointness here is structural:
 /// cell slots are owned by the band holding the cell, agent slots by the
-/// unique cell their agent wins). Under `audit-runtime` every write is
-/// checked against a per-phase [`WriteSet`] instead of being trusted.
+/// slot range holding them or the unique cell their agent wins). Under
+/// `audit-runtime` every write is checked against a per-phase
+/// [`WriteSet`] instead of being trusted.
 #[cfg_attr(not(feature = "audit-runtime"), derive(Clone, Copy))]
 #[cfg_attr(feature = "audit-runtime", derive(Clone))]
 struct Scatter<'a, T> {
@@ -249,169 +261,6 @@ unsafe fn evaporate(plane: &Scatter<'_, f32>, range: std::ops::Range<usize>, p: 
     };
 }
 
-/// Live agents bucketed by contiguous row bands — the sparse iteration
-/// surface of the pooled backend.
-///
-/// Each bucket holds the live slots whose current row falls inside its
-/// band; per-slot back-pointers make insert/remove/move O(1). Stage
-/// dispatch groups **buckets** into tasks balanced by *agent count*
-/// (via [`RowBuckets::task_groups`]), not by row count — at corridor
-/// occupancies most rows are empty, so row-balanced bands leave most
-/// workers idle (the flat-thread-scaling failure this replaces).
-///
-/// Maintenance is single-threaded and deterministic: the movement apply
-/// phase collects cross-band movers into per-task outboxes merged in
-/// task order, and the lifecycle inserts/removes slots in its own
-/// slot-ordered phases. Bucket membership never affects trajectories —
-/// every sparse-stage write is agent- or cell-keyed — so bucket order
-/// only has to be deterministic for reproducible *performance* and for
-/// the audit fixtures.
-pub(crate) struct RowBuckets {
-    rows_per_bucket: usize,
-    /// Bucket → live slots (deterministic maintenance order).
-    members: Vec<Vec<u32>>,
-    /// Slot → owning bucket (`u32::MAX` when dead / unbucketed).
-    slot_bucket: Vec<u32>,
-    /// Slot → index inside its bucket's member list.
-    slot_pos: Vec<u32>,
-}
-
-impl RowBuckets {
-    /// Buckets covering `height` rows in bands of roughly
-    /// `height / buckets_hint` rows, over `capacity + 1` slots.
-    pub(crate) fn new(height: usize, capacity: usize, buckets_hint: usize) -> Self {
-        let rows_per_bucket = height.div_ceil(buckets_hint.clamp(1, height.max(1))).max(1);
-        let n_buckets = height.div_ceil(rows_per_bucket).max(1);
-        Self {
-            rows_per_bucket,
-            members: vec![Vec::new(); n_buckets],
-            slot_bucket: vec![u32::MAX; capacity + 1],
-            slot_pos: vec![0; capacity + 1],
-        }
-    }
-
-    /// The bucket owning row `r`.
-    #[inline]
-    pub(crate) fn bucket_of_row(&self, r: usize) -> usize {
-        r / self.rows_per_bucket
-    }
-
-    /// Number of buckets.
-    pub(crate) fn n_buckets(&self) -> usize {
-        self.members.len()
-    }
-
-    /// The live slots of bucket `b`.
-    #[inline]
-    pub(crate) fn members(&self, b: usize) -> &[u32] {
-        &self.members[b]
-    }
-
-    /// Total bucketed (live) slots.
-    pub(crate) fn len(&self) -> usize {
-        self.members.iter().map(Vec::len).sum()
-    }
-
-    /// Drop all membership and re-insert every live slot in ascending
-    /// slot order.
-    pub(crate) fn rebuild(&mut self, alive: &[bool], rows: &[u16]) {
-        for m in &mut self.members {
-            m.clear();
-        }
-        self.slot_bucket.fill(u32::MAX);
-        for (i, &a) in alive.iter().enumerate().skip(1) {
-            if a {
-                self.insert(i as u32, rows[i]);
-            }
-        }
-    }
-
-    /// Add a live slot standing on `row`.
-    pub(crate) fn insert(&mut self, slot: u32, row: u16) {
-        debug_assert_eq!(self.slot_bucket[slot as usize], u32::MAX);
-        let b = self.bucket_of_row(row as usize);
-        self.slot_bucket[slot as usize] = b as u32;
-        self.slot_pos[slot as usize] = self.members[b].len() as u32;
-        self.members[b].push(slot);
-    }
-
-    /// Remove a slot (despawn): O(1) swap-remove, fixing the back-pointer
-    /// of the member swapped into its place.
-    pub(crate) fn remove(&mut self, slot: u32) {
-        let b = self.slot_bucket[slot as usize] as usize;
-        debug_assert_ne!(b, u32::MAX as usize, "removing unbucketed slot {slot}");
-        let p = self.slot_pos[slot as usize] as usize;
-        self.members[b].swap_remove(p);
-        if let Some(&moved) = self.members[b].get(p) {
-            self.slot_pos[moved as usize] = p as u32;
-        }
-        self.slot_bucket[slot as usize] = u32::MAX;
-    }
-
-    /// Re-home a slot that moved to `row` — a no-op unless the move
-    /// crossed a band boundary (moves are ≤ 1 row per step, so this is
-    /// the incremental path: most steps touch nothing).
-    pub(crate) fn move_to(&mut self, slot: u32, row: u16) {
-        let b = self.bucket_of_row(row as usize);
-        if self.slot_bucket[slot as usize] as usize != b {
-            self.remove(slot);
-            self.insert(slot, row);
-        }
-    }
-
-    /// Partition the buckets into `parts` contiguous groups balanced by
-    /// **member count**: group `t` closes once the cumulative count
-    /// reaches `⌈(t+1)·total/parts⌉`. Trailing empty buckets may stay
-    /// unassigned (they contribute no agents).
-    pub(crate) fn task_groups(&self, parts: usize) -> Vec<std::ops::Range<usize>> {
-        let parts = parts.max(1);
-        let total = self.len();
-        let mut out = Vec::with_capacity(parts);
-        let mut b = 0;
-        let mut acc = 0usize;
-        for t in 0..parts {
-            let start = b;
-            let target = ((t + 1) * total).div_ceil(parts);
-            while b < self.n_buckets() && acc < target {
-                acc += self.members[b].len();
-                b += 1;
-            }
-            out.push(start..b);
-        }
-        out
-    }
-
-    /// Cross-check the bucket structure against the liveness table: every
-    /// live slot bucketed exactly once, in the bucket its row maps to,
-    /// with a correct back-pointer; no dead slot bucketed.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn check_consistency(&self, alive: &[bool], rows: &[u16]) -> Result<(), String> {
-        let mut seen = vec![false; alive.len()];
-        for (b, m) in self.members.iter().enumerate() {
-            for (p, &slot) in m.iter().enumerate() {
-                let i = slot as usize;
-                if seen[i] {
-                    return Err(format!("slot {slot} bucketed twice"));
-                }
-                seen[i] = true;
-                if !alive[i] {
-                    return Err(format!("dead slot {slot} in bucket {b}"));
-                }
-                if self.bucket_of_row(rows[i] as usize) != b {
-                    return Err(format!("slot {slot} (row {}) in bucket {b}", rows[i]));
-                }
-                if self.slot_bucket[i] != b as u32 || self.slot_pos[i] != p as u32 {
-                    return Err(format!("slot {slot}: stale back-pointer"));
-                }
-            }
-        }
-        if let Some(missing) = (1..alive.len()).find(|&i| alive[i] && !seen[i]) {
-            return Err(format!("live slot {missing} not bucketed"));
-        }
-        Ok(())
-    }
-}
-
 /// The tile-parallel pooled engine.
 pub struct PooledEngine {
     core: StepCore,
@@ -435,21 +284,20 @@ struct PooledBackend {
     /// `cell + NEIGHBOR_OFFSETS[k]` targets this cell. All zero between
     /// steps — the movement pass clears every byte it reads.
     claims: Vec<AtomicU8>,
-    /// When set, every launch permutes its band issue order with a
-    /// Philox schedule keyed by `(seed, launch_counter)` — the
-    /// interleaving explorer's handle into this backend. `None` (the
-    /// default) dispatches bands in natural order.
+    /// When set, every launch permutes its task issue order (row bands
+    /// or slot ranges) with a Philox schedule keyed by `(seed,
+    /// launch_counter)` — the interleaving explorer's handle into this
+    /// backend. `None` (the default) dispatches tasks in natural order.
     schedule_seed: Option<u64>,
     /// Monotonic pool-launch counter: keys the per-launch permutations
     /// and feeds the launch telemetry.
     launches: std::cell::Cell<u64>,
     /// Traversal mode, resolved from the configuration at build time.
     mode: IterationMode,
-    /// Live agents bucketed by row band (`Some` iff sparse mode).
-    buckets: Option<RowBuckets>,
-    /// Sparse mode only, agent-keyed: the cell (linear) the agent claimed
-    /// this step, then — after the decode pass — the cell it won;
-    /// `u32::MAX` = stays put.
+    /// Sparse mode only, agent-keyed over slots `0..=n`: the cell
+    /// (linear) the agent claimed this step, then — after the decode
+    /// pass — the cell it won; `u32::MAX` = stays put (and every dead
+    /// slot).
     won: Vec<u32>,
 }
 
@@ -643,16 +491,6 @@ impl PooledEngine {
         };
         let seed = cfg.env.seed;
         let mode = cfg.iteration.resolve(env.live_count(), h * w);
-        let sparse = mode == IterationMode::Sparse;
-        let pool = WorkerPool::new(threads);
-        let buckets = sparse.then(|| {
-            // Finer than the task count so count-balanced grouping has
-            // room to equalise (BANDS_PER_WORKER × 4 buckets per worker).
-            let hint = pool.workers() * BANDS_PER_WORKER * 4;
-            let mut b = RowBuckets::new(h, n, hint);
-            b.rebuild(&env.alive, &env.props.row);
-            b
-        });
         Self {
             core,
             backend: PooledBackend {
@@ -662,13 +500,12 @@ impl PooledEngine {
                 pher,
                 dist,
                 seed,
-                pool,
+                pool: WorkerPool::new(threads),
                 claims: (0..h * w).map(|_| AtomicU8::new(0)).collect(),
                 schedule_seed: None,
                 launches: std::cell::Cell::new(0),
                 mode,
-                buckets,
-                won: if sparse {
+                won: if mode == IterationMode::Sparse {
                     vec![u32::MAX; n + 1]
                 } else {
                     Vec::new()
@@ -683,7 +520,7 @@ impl PooledEngine {
         self.backend.pool.workers()
     }
 
-    /// Permute every launch's band issue order with a Philox schedule
+    /// Permute every launch's task issue order with a Philox schedule
     /// keyed on `seed` (or restore natural order with `None`).
     ///
     /// Trajectories are claimed to be schedule-independent; the
@@ -717,9 +554,22 @@ impl PooledEngine {
 }
 
 impl PooledBackend {
-    /// Bands to dispatch per launch.
+    /// Tasks per launch: row bands, `BANDS_PER_WORKER` per worker, in
+    /// dense mode; one agent-slot range per worker in sparse mode.
     fn parts(&self) -> usize {
-        self.pool.workers() * BANDS_PER_WORKER
+        match self.mode {
+            IterationMode::Sparse => self.pool.workers(),
+            _ => self.pool.workers() * BANDS_PER_WORKER,
+        }
+    }
+
+    /// The agent-slot ranges of a sparse launch: slots `1..=n` split into
+    /// [`PooledBackend::parts`] contiguous ranges.
+    fn slot_ranges(&self) -> Vec<std::ops::Range<usize>> {
+        band_ranges(self.env.total_agents(), self.parts())
+            .into_iter()
+            .map(|r| r.start + 1..r.end + 1)
+            .collect()
     }
 
     /// Count one launch and return its schedule key, if permuted dispatch
@@ -732,8 +582,8 @@ impl PooledBackend {
 
     /// The decide pass (§IV.b–c fused, one launch): every live agent
     /// picks and claims its next cell. Dense mode sweeps row bands of
-    /// cells; sparse mode walks the bucket groups and also records each
-    /// agent's claim in `won` for the decode pass.
+    /// cells; sparse mode walks the slot ranges and also records each
+    /// slot's claim in `won` for the decode pass.
     fn decide(&mut self, step_no: u64) -> Work {
         let w = self.geom.width;
         let parts = self.parts();
@@ -749,7 +599,7 @@ impl PooledBackend {
             claims: &self.claims,
         };
         let sum = WorkSum::default();
-        let Some(buckets) = self.buckets.as_ref() else {
+        if self.mode == IterationMode::Dense {
             let (mat, index) = (&self.env.mat, &self.env.index);
             let bands = band_ranges(self.geom.height, parts);
             dispatch(&self.pool, schedule, parts, &|b| {
@@ -764,23 +614,23 @@ impl PooledBackend {
                 sum.add(work);
             });
             return sum.total();
-        };
-        let groups = buckets.task_groups(parts);
-        let props = &self.env.props;
+        }
+        let slots = self.slot_ranges();
+        let (alive, props) = (&self.env.alive, &self.env.props);
         let won = Scatter::new(&mut self.won);
         dispatch(&self.pool, schedule, parts, &|t| {
             let mut work = Work::default();
-            for bkt in groups[t].clone() {
-                for &a in buckets.members(bkt) {
-                    let ai = a as usize;
+            for ai in slots[t].clone() {
+                let target = if alive[ai] {
                     let (r, c) = (i64::from(props.row[ai]), i64::from(props.col[ai]));
-                    let target = decide.agent(a, props.id[ai], r, c, &mut work);
-                    // SAFETY: agent-unique slot — each live agent sits in
-                    // exactly one bucket and each bucket in exactly one
-                    // task group (the audit fixture seeds the violation
-                    // of precisely this).
-                    unsafe { won.write(ai, target.map_or(u32::MAX, |t| t as u32)) };
-                }
+                    decide.agent(ai as u32, props.id[ai], r, c, &mut work)
+                } else {
+                    None
+                };
+                // SAFETY: slot `ai` lies in this task's slot range alone.
+                // Dead slots are written too, so the decode and apply
+                // passes never read a stale target.
+                unsafe { won.write(ai, target.map_or(u32::MAX, |t| t as u32)) };
             }
             sum.add(work);
         });
@@ -862,7 +712,7 @@ impl PooledBackend {
         sum.total()
     }
 
-    /// Sparse movement (§IV.d, two launches over the bucket groups):
+    /// Sparse movement (§IV.d, two launches over the slot ranges):
     /// decode — each claimant re-draws its target's winner and keeps its
     /// claim in `won` only if it won, while each task evaporates one band
     /// of pheromone cells — then apply — winners move in place, clear
@@ -872,46 +722,38 @@ impl PooledBackend {
         let w = self.geom.width;
         let parts = self.parts();
         let aco = self.cfg.model.aco_params();
-        let groups = self
-            .buckets
-            .as_ref()
-            .expect("sparse mode has buckets")
-            .task_groups(parts);
+        let slots = self.slot_ranges();
 
         let sum = WorkSum::default();
         {
             let schedule = self.next_schedule();
-            let buckets = self.buckets.as_ref().expect("sparse mode has buckets");
             let (seed, claims, props) = (self.seed, &self.claims, &self.env.props);
             let won = Scatter::new(&mut self.won);
             let planes = plane_scatters(self.pher.as_mut());
             let cell_bands = band_ranges(self.geom.height * w, parts);
             dispatch(&self.pool, schedule, parts, &|t| {
                 let mut work = Work::default();
-                for bkt in groups[t].clone() {
-                    for &a in buckets.members(bkt) {
-                        let ai = a as usize;
-                        // SAFETY: agent-unique slot (bucket-disjoint tasks).
-                        let target = unsafe { won.read(ai) };
-                        if target == u32::MAX {
-                            continue;
-                        }
-                        let target = target as usize;
-                        // ordering: relaxed — the decide launch's end
-                        // barrier published every fetch_or; this pass
-                        // only reads the bytes.
-                        let bits = claims[target].load(Ordering::Relaxed);
-                        let own = offset_slot(
-                            i64::from(props.row[ai]) - (target / w) as i64,
-                            i64::from(props.col[ai]) - (target % w) as i64,
-                        );
-                        if admitted(bits, seed, target, counter_base) == own {
-                            // Each claimed cell has exactly one winner.
-                            work.contested += u64::from(bits.count_ones() > 1);
-                        } else {
-                            // SAFETY: agent-unique slot, as above.
-                            unsafe { won.write(ai, u32::MAX) };
-                        }
+                for ai in slots[t].clone() {
+                    // SAFETY: slot `ai` lies in this task's slot range alone.
+                    let target = unsafe { won.read(ai) };
+                    if target == u32::MAX {
+                        continue;
+                    }
+                    let target = target as usize;
+                    // ordering: relaxed — the decide launch's end barrier
+                    // published every fetch_or; this pass only reads the
+                    // bytes.
+                    let bits = claims[target].load(Ordering::Relaxed);
+                    let own = offset_slot(
+                        i64::from(props.row[ai]) - (target / w) as i64,
+                        i64::from(props.col[ai]) - (target % w) as i64,
+                    );
+                    if admitted(bits, seed, target, counter_base) == own {
+                        // Each claimed cell has exactly one winner.
+                        work.contested += u64::from(bits.count_ones() > 1);
+                    } else {
+                        // SAFETY: as above.
+                        unsafe { won.write(ai, u32::MAX) };
                     }
                 }
                 if let Some(p) = &aco {
@@ -927,88 +769,60 @@ impl PooledBackend {
         // Apply, in place: winners' source cells (occupied at step start)
         // and destination cells (empty at step start) are disjoint
         // per-winner-unique sets, so the grid writes cannot conflict;
-        // property/tour writes are agent-keyed. Cross-band movers go to
-        // per-task outboxes, merged serially in task order below.
-        let outboxes: Vec<std::sync::Mutex<Vec<(u32, u16)>>> = (0..parts)
-            .map(|_| std::sync::Mutex::new(Vec::new()))
-            .collect();
-        {
-            let schedule = self.next_schedule();
-            let buckets = self.buckets.as_ref().expect("sparse mode has buckets");
-            let (claims, won, ids) = (&self.claims, &self.won, &self.env.props.id);
-            let mat = Scatter::new(self.env.mat.as_mut_slice());
-            let index = Scatter::new(self.env.index.as_mut_slice());
-            let prow = Scatter::new(&mut self.env.props.row);
-            let pcol = Scatter::new(&mut self.env.props.col);
-            let ppos = Scatter::new(&mut self.env.pos);
-            let tours = Scatter::new(&mut self.tour.len);
-            let planes = plane_scatters(self.pher.as_mut());
-            dispatch(&self.pool, schedule, parts, &|t| {
-                let mut moved: Vec<(u32, u16)> = Vec::new();
-                for bkt in groups[t].clone() {
-                    for &a in buckets.members(bkt) {
-                        let ai = a as usize;
-                        let dst = won[ai];
-                        if dst == u32::MAX {
-                            continue;
-                        }
-                        let dst = dst as usize;
-                        // ordering: relaxed — every claimant of `dst` read
-                        // the byte in the decode launch, whose end barrier
-                        // orders those reads before this store; the next
-                        // decide launch's start barrier publishes it.
-                        claims[dst].store(0, Ordering::Relaxed);
-                        let (nr, nc) = ((dst / w) as u16, (dst % w) as u16);
-                        // SAFETY: `prow`/`pcol`/`ppos`/`tours` slots are
-                        // agent-unique; `mat`/`index`/pheromone writes land
-                        // on this winner's own source and destination
-                        // cells, which are globally unique across winners
-                        // (see the phase comment).
-                        unsafe {
-                            let (or_, oc_) = (prow.read(ai), pcol.read(ai));
-                            let src = or_ as usize * w + oc_ as usize;
-                            if let Some(p) = aco {
-                                let from = offset_slot(
-                                    i64::from(or_) - i64::from(nr),
-                                    i64::from(oc_) - i64::from(nc),
-                                );
-                                let l_new = tours.read(ai) + MOVE_LEN[from];
-                                tours.write(ai, l_new);
-                                let g = Group::from_label(ids[ai]).expect("winner has group label");
-                                // The decode pass left max((1-ρ)τ, τ₀) + 0
-                                // here; adding the deposit completes the
-                                // fused update bit for bit.
-                                let plane = &planes[g.index()];
-                                plane.write(dst, plane.read(dst) + p.q / l_new);
-                            }
-                            mat.write(src, CELL_EMPTY);
-                            index.write(src, 0);
-                            mat.write(dst, ids[ai]);
-                            index.write(dst, a);
-                            prow.write(ai, nr);
-                            pcol.write(ai, nc);
-                            ppos.write(ai, dst as u32);
-                        }
-                        if buckets.bucket_of_row(nr as usize) != bkt {
-                            moved.push((a, nr));
-                        }
+        // property/tour writes are agent-keyed.
+        let schedule = self.next_schedule();
+        let (claims, won, ids) = (&self.claims, &self.won, &self.env.props.id);
+        let mat = Scatter::new(self.env.mat.as_mut_slice());
+        let index = Scatter::new(self.env.index.as_mut_slice());
+        let prow = Scatter::new(&mut self.env.props.row);
+        let pcol = Scatter::new(&mut self.env.props.col);
+        let ppos = Scatter::new(&mut self.env.pos);
+        let tours = Scatter::new(&mut self.tour.len);
+        let planes = plane_scatters(self.pher.as_mut());
+        dispatch(&self.pool, schedule, parts, &|t| {
+            for ai in slots[t].clone() {
+                let dst = won[ai];
+                if dst == u32::MAX {
+                    continue;
+                }
+                let dst = dst as usize;
+                // ordering: relaxed — every claimant of `dst` read the byte
+                // in the decode launch, whose end barrier orders those
+                // reads before this store; the next decide launch's start
+                // barrier publishes it.
+                claims[dst].store(0, Ordering::Relaxed);
+                let (nr, nc) = ((dst / w) as u16, (dst % w) as u16);
+                // SAFETY: `prow`/`pcol`/`ppos`/`tours` slots are
+                // agent-unique; `mat`/`index`/pheromone writes land on this
+                // winner's own source and destination cells, which are
+                // globally unique across winners (see the phase comment).
+                unsafe {
+                    let (or_, oc_) = (prow.read(ai), pcol.read(ai));
+                    let src = or_ as usize * w + oc_ as usize;
+                    if let Some(p) = aco {
+                        let from = offset_slot(
+                            i64::from(or_) - i64::from(nr),
+                            i64::from(oc_) - i64::from(nc),
+                        );
+                        let l_new = tours.read(ai) + MOVE_LEN[from];
+                        tours.write(ai, l_new);
+                        let g = Group::from_label(ids[ai]).expect("winner has group label");
+                        // The decode pass left max((1-ρ)τ, τ₀) + 0 here;
+                        // adding the deposit completes the fused update
+                        // bit for bit.
+                        let plane = &planes[g.index()];
+                        plane.write(dst, plane.read(dst) + p.q / l_new);
                     }
+                    mat.write(src, CELL_EMPTY);
+                    index.write(src, 0);
+                    mat.write(dst, ids[ai]);
+                    index.write(dst, ai as u32);
+                    prow.write(ai, nr);
+                    pcol.write(ai, nc);
+                    ppos.write(ai, dst as u32);
                 }
-                if !moved.is_empty() {
-                    // One uncontended lock per task, outside the hot loop.
-                    *outboxes[t].lock().expect("outbox poisoned") = moved;
-                }
-            });
-        }
-
-        // Serial maintenance: merge the outboxes in task order (a fixed,
-        // schedule-independent order).
-        let buckets = self.buckets.as_mut().expect("sparse mode has buckets");
-        for outbox in outboxes {
-            for (a, nr) in outbox.into_inner().expect("outbox poisoned") {
-                buckets.move_to(a, nr);
             }
-        }
+        });
         sum.total()
     }
 }
@@ -1020,7 +834,7 @@ impl StageBackend for PooledBackend {
             // Fused into the decide pass, which runs under InitialCalc.
             Stage::Init | Stage::Tour => Work::default(),
             Stage::InitialCalc => self.decide(step_no),
-            Stage::Movement if self.buckets.is_some() => self.resolve_sparse(step_no),
+            Stage::Movement if self.mode == IterationMode::Sparse => self.resolve_sparse(step_no),
             Stage::Movement => self.resolve_dense(step_no),
             Stage::Lifecycle | Stage::Metrics => unreachable!("core-driven stage"),
         };
@@ -1056,14 +870,8 @@ impl StageBackend for PooledBackend {
         let mut world = HostWorld {
             env: &mut self.env,
             tour: &mut self.tour,
-            buckets: self.buckets.as_mut(),
         };
         lifecycle.run_step(&mut world, step, metrics);
-        #[cfg(debug_assertions)]
-        if let Some(b) = &self.buckets {
-            b.check_consistency(&self.env.alive, &self.env.props.row)
-                .expect("buckets consistent after lifecycle");
-        }
     }
 }
 
@@ -1339,168 +1147,6 @@ mod tests {
         for (i, v) in data.iter().enumerate() {
             let owner = bands.iter().position(|r| r.contains(&i)).unwrap();
             assert_eq!(*v, owner as u32, "slot {i}");
-        }
-    }
-
-    /// A populated bucket structure for the sparse-partition fixtures:
-    /// 16 rows in 8 two-row buckets, 48 live slots laid out round-robin
-    /// over the rows, so every bucket holds exactly 6 members.
-    fn seeded_buckets() -> RowBuckets {
-        let mut buckets = RowBuckets::new(16, 48, 8);
-        for slot in 1..=48u32 {
-            buckets.insert(slot, (slot % 16) as u16);
-        }
-        buckets
-    }
-
-    #[test]
-    fn bucket_task_groups_cover_every_bucket_exactly_once() {
-        let mut buckets = seeded_buckets();
-        assert_eq!(buckets.n_buckets(), 8);
-        assert_eq!(buckets.len(), 48);
-        for parts in [1usize, 3, 4, 8, 16] {
-            let groups = buckets.task_groups(parts);
-            assert_eq!(groups.len(), parts);
-            let mut next = 0;
-            for g in &groups {
-                assert_eq!(g.start, next, "gap/overlap at {g:?} (parts={parts})");
-                next = g.end;
-            }
-            assert!(next <= buckets.n_buckets());
-            // Unassigned trailing buckets must be empty.
-            let stragglers: usize = (next..buckets.n_buckets())
-                .map(|b| buckets.members(b).len())
-                .sum();
-            assert_eq!(stragglers, 0, "non-empty bucket left unassigned");
-            // Count-balance: no group exceeds its proportional target.
-            for (t, g) in groups.iter().enumerate() {
-                let count: usize = g.clone().map(|b| buckets.members(b).len()).sum();
-                let cap = (t + 1) * buckets.len() / parts + 6;
-                assert!(count <= cap, "group {t} holds {count} members");
-            }
-        }
-        // Churn keeps the partition sound: drain one bucket entirely and
-        // re-home a couple of slots across band boundaries.
-        for slot in [16u32, 32, 48] {
-            buckets.remove(slot);
-        }
-        buckets.move_to(1, 15);
-        buckets.move_to(2, 0);
-        let alive: Vec<bool> = (0..49)
-            .map(|s| s != 0 && s != 16 && s != 32 && s != 48)
-            .collect();
-        let mut rows = vec![0u16; 49];
-        for slot in 1..=48u32 {
-            rows[slot as usize] = (slot % 16) as u16;
-        }
-        rows[1] = 15;
-        rows[2] = 0;
-        buckets
-            .check_consistency(&alive, &rows)
-            .expect("consistent");
-        let groups = buckets.task_groups(4);
-        let covered: usize = groups
-            .iter()
-            .flat_map(|g| g.clone())
-            .map(|b| buckets.members(b).len())
-            .sum();
-        assert_eq!(covered, buckets.len(), "member lost by the partition");
-    }
-
-    /// Seed a deliberate overlap into the sparse *bucket* partition —
-    /// the agent-centric analogue of the band overlap below — and show
-    /// the interleaving explorer catches it: the twice-assigned bucket's
-    /// agent slots become last-writer-wins, so some permuted schedule
-    /// must diverge. The unmutated partition is schedule-independent.
-    #[test]
-    fn explorer_catches_seeded_bucket_overlap() {
-        use simt::exec::explore::{explore, permutation, run_permuted_serial};
-        let buckets = seeded_buckets();
-        let parts = 4;
-        let scatter = |groups: &[std::ops::Range<usize>]| {
-            explore(0..128u64, |seed| {
-                let mut owner = vec![usize::MAX; 49];
-                let perm = permutation(seed, 0, parts);
-                run_permuted_serial(&perm, &mut |t| {
-                    for b in groups[t].clone() {
-                        for &a in buckets.members(b) {
-                            owner[a as usize] = t;
-                        }
-                    }
-                });
-                owner
-            })
-        };
-
-        let mut groups = buckets.task_groups(parts);
-        // The seeded fault: group 1 re-covers group 0's last bucket.
-        groups[1] = groups[1].start - 1..groups[1].end;
-        let err = scatter(&groups).expect_err("overlapping bucket groups are schedule-dependent");
-        assert!(err.agreed >= 1);
-
-        let groups = buckets.task_groups(parts);
-        scatter(&groups).expect("disjoint bucket groups are schedule-independent");
-    }
-
-    /// The same seeded bucket overlap, caught at runtime by the
-    /// write-set race detector guarding the sparse stages' agent-keyed
-    /// scatters: the twice-assigned bucket's agent slot is written by
-    /// two tasks in one phase, so the second write panics and the pool
-    /// re-raises on the launching thread.
-    #[cfg(feature = "audit-runtime")]
-    #[test]
-    fn detector_catches_seeded_bucket_overlap() {
-        let pool = WorkerPool::new(4);
-        let buckets = seeded_buckets();
-        let parts = 4;
-        let mut groups = buckets.task_groups(parts);
-        groups[1] = groups[1].start - 1..groups[1].end;
-        let mut data = vec![u32::MAX; 49];
-        let out = Scatter::new(&mut data);
-        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.run(parts, &|t| {
-                for b in groups[t].clone() {
-                    for &a in buckets.members(b) {
-                        // SAFETY: bounds hold; agent-uniqueness is
-                        // deliberately violated at one bucket to exercise
-                        // the detector.
-                        unsafe { out.write(a as usize, t as u32) };
-                    }
-                }
-            });
-        }));
-        let payload = res.expect_err("write-set detector must fire");
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
-        assert!(msg.contains("tile race"), "unexpected panic: {msg}");
-    }
-
-    /// A clean sparse scatter under the detector: disjoint bucket groups
-    /// write each live agent slot exactly once and never fire it.
-    #[cfg(feature = "audit-runtime")]
-    #[test]
-    fn detector_accepts_disjoint_bucket_groups() {
-        let pool = WorkerPool::new(4);
-        let buckets = seeded_buckets();
-        let parts = 4;
-        let groups = buckets.task_groups(parts);
-        let mut data = vec![u32::MAX; 49];
-        let out = Scatter::new(&mut data);
-        pool.run(parts, &|t| {
-            for b in groups[t].clone() {
-                for &a in buckets.members(b) {
-                    // SAFETY: agent-unique slots (bucket-disjoint groups).
-                    unsafe { out.write(a as usize, t as u32) };
-                }
-            }
-        });
-        drop(out);
-        for (slot, &got) in data.iter().enumerate().skip(1) {
-            let b = buckets.bucket_of_row(slot % 16);
-            let owner = groups.iter().position(|g| g.contains(&b)).unwrap();
-            assert_eq!(got, owner as u32, "slot {slot}");
         }
     }
 

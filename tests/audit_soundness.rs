@@ -71,37 +71,61 @@ fn pooled_is_schedule_independent_across_300_interleavings() {
 }
 
 /// Both stage-traversal modes, explicitly: the dense cell sweep and the
-/// sparse bucket-group iteration each survive 100 permuted schedules
-/// bit-identically. Under `--features audit-runtime` this is the
-/// whole-engine acceptance case for the sparse agent-keyed scatters —
-/// every bucket-group write of every permuted run passes the write-set
-/// race detector.
+/// sparse slot-range iteration each survive 100 permuted schedules
+/// bit-identically on a closed LEM corridor. An open ACO corridor with
+/// inflow adds sparse slot ranges holding dead and recycled slots, and
+/// sparse evaporate-then-deposit. Under `--features audit-runtime` this
+/// is the whole-engine acceptance case for the sparse agent-keyed
+/// scatters — every slot-range write of every permuted run passes the
+/// write-set race detector.
 #[test]
 fn both_iteration_modes_are_schedule_independent() {
+    use pedsim::core::engine::cpu::CpuEngine;
     use pedsim::core::engine::pooled::PooledEngine;
-    let cfg = |mode: IterationMode| {
+    use pedsim::scenario::registry;
+    let closed = |mode: IterationMode| {
         let env = EnvConfig::small(20, 20, 24).with_seed(77);
-        SimConfig::new(env, ModelKind::lem())
-            .with_checked(true)
-            .with_iteration_mode(mode)
+        SimConfig::new(env, ModelKind::lem()).with_iteration_mode(mode)
     };
-    let mut scalar = cpu_engine_small(20, 20, 24, ModelKind::lem(), 77);
-    scalar.run(15);
-    let golden = trajectory_hash(&scalar);
-    for mode in [IterationMode::Dense, IterationMode::Sparse] {
+    let open = registry::open_corridor(20, 20, 24, 2.0).with_seed(77);
+    let inputs = [
+        ("closed LEM", closed(IterationMode::Dense), 15),
+        ("closed LEM", closed(IterationMode::Sparse), 15),
+        (
+            "open ACO",
+            SimConfig::from_scenario(&open, ModelKind::aco())
+                .with_iteration_mode(IterationMode::Sparse),
+            60,
+        ),
+    ];
+    for (world, cfg, steps) in inputs {
+        let cfg = cfg.with_checked(true);
+        let mode = cfg.iteration;
+        let label = format!("{world} {}", mode.name());
+        let mut scalar = CpuEngine::new(cfg.clone());
+        scalar.run(steps);
+        let golden = trajectory_hash(&scalar);
+        if cfg.scenario.is_some() {
+            // Agents crossed into the sinks and freed their slots, and
+            // more agents spawned than there are slots, so the slot
+            // ranges held dead and recycled slots.
+            let m = scalar.metrics().expect("metrics on");
+            assert!(
+                m.throughput() + m.live_count() > 48,
+                "{label}: no slot recycled"
+            );
+        }
         let explored = explore(0..100u64, |seed| {
-            let mut pooled = PooledEngine::new(cfg(mode), 3);
+            let mut pooled = PooledEngine::new(cfg.clone(), 3);
             assert_eq!(pooled.iteration_mode(), mode);
             pooled.set_schedule_seed(Some(seed));
-            pooled.run(15);
+            pooled.run(steps);
             trajectory_hash(&pooled)
         })
-        .unwrap_or_else(|d| panic!("{}: schedule divergence: {d}", mode.name()));
+        .unwrap_or_else(|d| panic!("{label}: schedule divergence: {d}"));
         assert_eq!(
-            explored,
-            golden,
-            "{}: permuted pooled trajectories diverged from scalar",
-            mode.name()
+            explored, golden,
+            "{label}: permuted pooled trajectories diverged from scalar"
         );
     }
 }
