@@ -16,8 +16,8 @@
 //! amortizes flow-field compilation across the replicas of one ladder
 //! rung and records the cached-arm rows under the `fd_world_cache`
 //! bench name; `--no-world-cache` compiles every replica cold and skips
-//! the probe — the control arm the CI cache-identity check diffs
-//! against. Exits non-zero when the smoke-scale curve fails the
+//! the probe — the control arm of the world-cache identity test.
+//! Exits non-zero when the smoke-scale curve fails the
 //! rises-then-saturates sanity check (or, with the cache on, when the
 //! probe's measured speedup lands under 5x despite a measurable cold
 //! arm). Progress chatter honors `PEDSIM_LOG` (off/summary/verbose).

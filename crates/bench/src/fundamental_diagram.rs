@@ -152,8 +152,8 @@ pub struct FdRow {
 /// before [`aggregate`] collapses it into the curve. `world_cache`
 /// toggles the batch executor's compiled-world cache; trajectories (and
 /// the deterministic report) are bit-identical either way, only `setup`
-/// timings move — which is exactly what the CI cache-identity check
-/// asserts.
+/// timings move — which is exactly what
+/// `crates/bench/tests/world_cache_identity.rs` asserts.
 pub fn run_report(cfg: &FdConfig, workers: usize, world_cache: bool) -> BatchReport {
     Batch::new(workers)
         .with_world_cache(world_cache)

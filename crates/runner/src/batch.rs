@@ -20,9 +20,10 @@ use crate::report::{BatchReport, RunResult, FLUX_REPORT_WINDOW};
 /// The pool is the same work-stealing block scheduler the virtual GPU
 /// dispatches kernels on (`simt::exec::pool::WorkerPool`), reused one
 /// level up with whole replicas as the work items: workers claim jobs
-/// from a shared cursor, the caller blocks until every job has finished,
-/// and a panicking replica is re-raised on the calling thread after the
-/// remaining jobs drain — the pool survives for the next batch.
+/// from a shared cursor, the calling thread runs jobs as worker 0 and
+/// then waits until every job has finished, and a panicking replica is
+/// re-raised on the calling thread after the remaining jobs drain — the
+/// pool survives for the next batch.
 ///
 /// World compilation is hoisted out of the workers entirely: before any
 /// worker starts, the calling thread resolves each job's
@@ -42,8 +43,8 @@ pub struct Batch {
 }
 
 impl Batch {
-    /// A batch executor with `workers` pool threads (≥ 1) and the world
-    /// cache enabled.
+    /// A batch executor with `workers` pool workers (≥ 1, the calling
+    /// thread included) and the world cache enabled.
     pub fn new(workers: usize) -> Self {
         Self {
             pool: WorkerPool::new(workers),

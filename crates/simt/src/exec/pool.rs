@@ -5,12 +5,13 @@
 //! across launches — spawning threads per launch would dominate runtime.
 //! Blocks are claimed from a shared atomic cursor in small chunks
 //! (work-stealing by competition, like the GPU's hardware block scheduler
-//! handing CTAs to free SMs).
+//! handing CTAs to free SMs). The launching thread is worker 0: a pool of
+//! `n` spawns `n − 1` threads, so a one-worker pool runs launches inline.
 //!
 //! The pool is deliberately not rayon: the launch semantics (one job at a
-//! time, all workers on it, caller blocked until completion, per-launch
-//! profiling) mirror a CUDA stream's behaviour and are part of the
-//! substrate being reproduced.
+//! time, all workers on it, caller is worker 0 and then waits for the
+//! rest, per-launch profiling) mirror a CUDA stream launch followed by a
+//! synchronize, except that the host thread runs blocks while it waits.
 
 use std::panic::AssertUnwindSafe;
 use std::ptr::NonNull;
@@ -20,47 +21,50 @@ use std::thread::JoinHandle;
 
 use parking_lot::{Condvar, Mutex};
 
+type Kernel<'a> = dyn Fn(usize) + Sync + 'a;
+type Panic = Box<dyn std::any::Any + Send>;
+
 /// The pool's single lifetime-erasure site: a `NonNull` handle to the
 /// job closure whose scope contract lives here and nowhere else.
 ///
 /// ## Scope contract
 ///
-/// A `JobHandle` is created from the `&(dyn Fn(usize) + Sync)` passed to
-/// [`WorkerPool::run`] and is valid **only inside that call's lifetime**:
+/// A `JobHandle` is created from the closure passed to [`WorkerPool::run`]
+/// and is valid **only inside that call's lifetime**. The caller runs its
+/// own chunks through the real borrow; only spawned workers use the handle:
 ///
-/// 1. `run` installs the handle under the state lock and then blocks on
-///    `done_cv` until every worker has decremented `active` to zero;
-/// 2. workers only obtain the handle by copying it out of the installed
-///    [`Job`] (under the same lock) and only call [`JobHandle::get`]
-///    between that copy and their `active` decrement;
+/// 1. `run` installs the handle under the state lock, runs its own chunks
+///    (catching their panics, so it cannot unwind early), then blocks on
+///    `done_cv` until every spawned worker has decremented `active` to 0;
+/// 2. spawned workers only obtain the handle by copying it out of the
+///    installed [`Job`] (under the same lock) and only call
+///    [`JobHandle::get`] between that copy and their `active` decrement;
 /// 3. `run` clears the job before returning, and the debug-mode
-///    `executing` counter asserts no worker is still inside the closure
-///    at that point.
+///    `executing` counter (every thread's chunks, the caller's included)
+///    asserts nobody is still inside the closure at that point.
 ///
 /// Together these guarantee the referent outlives every dereference, so
 /// the erased lifetime is never actually exceeded.
 #[derive(Clone, Copy)]
 struct JobHandle {
-    f: NonNull<dyn Fn(usize) + Sync>,
+    f: NonNull<Kernel<'static>>,
 }
 
 impl JobHandle {
-    fn new(f: &(dyn Fn(usize) + Sync)) -> Self {
+    fn new(f: &Kernel<'_>) -> Self {
         // SAFETY: lifetime erasure to `'static` for storage only; every
         // dereference happens through `get`, whose contract (the scope
         // contract above) keeps it inside the real borrow.
-        let f: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(f) };
-        Self {
-            f: NonNull::from(f),
-        }
+        let f: &'static Kernel<'static> = unsafe { std::mem::transmute(f) };
+        Self { f: f.into() }
     }
 
     /// Borrow the closure.
     ///
     /// SAFETY: the caller must be inside the scope-contract window above
-    /// (worker rule 2) — the installing `run` call is still blocked, so
+    /// (worker rule 2) — the installing `run` call has not returned, so
     /// the referent is alive.
-    unsafe fn get<'scope>(&self) -> &'scope (dyn Fn(usize) + Sync) {
+    unsafe fn get<'scope>(&self) -> &'scope Kernel<'scope> {
         // SAFETY: non-null by construction from a reference; liveness per
         // this method's contract.
         unsafe { self.f.as_ref() }
@@ -69,10 +73,11 @@ impl JobHandle {
 
 // SAFETY: the handle is a pointer to a `Sync` closure (`&dyn Fn + Sync`
 // is itself Send), moved to workers only inside the scope-contract
-// window during which the referent is kept alive by the blocked `run`.
+// window, during which `run` has not returned and the referent is alive.
 unsafe impl Send for JobHandle {}
 
-/// The job payload workers execute: a lifetime-erased `Fn(block_index)`.
+/// The installed job: a lifetime-erased `Fn(block_index)` and its extent.
+#[derive(Clone, Copy)]
 struct Job {
     /// Handle to the job closure (see [`JobHandle`] for the contract).
     f: JobHandle,
@@ -83,14 +88,14 @@ struct Job {
 }
 
 struct State {
+    /// The in-flight job; also the flag concurrent launchers queue on.
     job: Option<Job>,
     /// Bumped once per job; workers use it to detect new work.
     generation: u64,
-    /// Workers still executing the current job.
+    /// Spawned workers still executing the current job.
     active: usize,
-    /// First panic payload caught during the current job, re-raised on the
-    /// launching thread once every worker has drained.
-    panic: Option<Box<dyn std::any::Any + Send>>,
+    /// First panic payload a spawned worker caught during the current job.
+    panic: Option<Panic>,
     shutdown: bool,
 }
 
@@ -99,9 +104,9 @@ struct Shared {
     work_cv: Condvar,
     done_cv: Condvar,
     cursor: AtomicUsize,
-    /// Debug-mode check of the [`JobHandle`] scope contract: workers
-    /// currently *inside* the erased closure. Must be zero whenever
-    /// `run` observes `active == 0`.
+    /// Debug-mode check of the [`JobHandle`] scope contract: threads
+    /// currently *inside* the job closure. Must be zero whenever `run`
+    /// observes `active == 0`.
     #[cfg(debug_assertions)]
     executing: AtomicUsize,
 }
@@ -125,13 +130,11 @@ pub fn current_block() -> Option<usize> {
 pub struct WorkerPool {
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
-    workers: usize,
 }
 
 impl WorkerPool {
-    /// Spawn `workers` threads (≥ 1).
+    /// A pool of `workers` (≥ 1): the caller plus `workers − 1` threads.
     pub fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 job: None,
@@ -146,7 +149,7 @@ impl WorkerPool {
             #[cfg(debug_assertions)]
             executing: AtomicUsize::new(0),
         });
-        let handles = (0..workers)
+        let handles = (1..workers.max(1))
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
@@ -155,38 +158,32 @@ impl WorkerPool {
                     .expect("spawn simt worker")
             })
             .collect();
-        Self {
-            shared,
-            handles,
-            workers,
-        }
+        Self { shared, handles }
     }
 
-    /// Number of worker threads.
+    /// Number of workers per launch, the launching thread included.
     pub fn workers(&self) -> usize {
-        self.workers
+        self.handles.len() + 1
     }
 
-    /// Execute `f(0..n)` across the pool; returns when every index ran.
+    /// Execute `f(0..n)` across the pool, the calling thread working as
+    /// worker 0; returns when every index ran.
     ///
     /// Launches are serialized: the pool runs one job at a time, and a
     /// concurrent `run` (e.g. two batch replicas sharing one parallel
     /// device) queues until the in-flight job drains instead of
     /// corrupting it.
     ///
-    /// Panics in workers are contained per claimed chunk: the panicking
-    /// chunk is abandoned at the faulting index, the remaining workers
-    /// drain the rest of the job, and the *first* panic payload is
-    /// re-raised here on the launching thread. The pool itself stays
-    /// usable — a subsequent `run` starts from clean state.
+    /// Panics are contained per claimed chunk: the panicking chunk is
+    /// abandoned at the faulting index, the workers drain the rest of the
+    /// job, and the *first* panic payload is re-raised here on the
+    /// launching thread. The pool itself stays usable — a subsequent `run`
+    /// starts from clean state.
     pub fn run(&self, n: usize, f: &(dyn Fn(usize) + Sync)) {
         if n == 0 {
             return;
         }
-        // The one lifetime-erasure step; see `JobHandle` for the scope
-        // contract this function upholds by blocking until the job drains.
-        let handle = JobHandle::new(f);
-        let chunk = (n / (self.workers * 4)).max(1);
+        let chunk = (n / (self.workers() * 4)).max(1);
         let mut st = self.shared.state.lock();
         while st.job.is_some() {
             self.shared.done_cv.wait(&mut st);
@@ -194,29 +191,31 @@ impl WorkerPool {
         // ordering: relaxed — the cursor reset is published to workers by
         // the state-mutex release below, not by the atomic itself.
         self.shared.cursor.store(0, Ordering::Relaxed);
+        // The one lifetime-erasure step (see `JobHandle`).
         st.job = Some(Job {
-            f: handle,
+            f: JobHandle::new(f),
             n,
             chunk,
         });
-        st.generation += 1;
-        st.active = self.workers;
-        self.shared.work_cv.notify_all();
+        st.active = self.handles.len();
+        if st.active > 0 {
+            st.generation += 1;
+            self.shared.work_cv.notify_all();
+        }
+        drop(st);
+        let own_panic = claim_blocks(&self.shared, f, n, chunk);
+        let mut st = self.shared.state.lock();
         while st.active > 0 {
             self.shared.done_cv.wait(&mut st);
         }
-        // JobHandle scope contract, rule 3 (debug builds): once `active`
-        // hit zero no worker may still be inside the erased closure.
-        // ordering: relaxed — the mutex acquired around each worker's
-        // `active` decrement ordered its `executing` updates before this.
+        // JobHandle scope contract, rule 3 (debug builds): no thread may
+        // still be inside the closure. ordering: relaxed — the mutex taken
+        // around each `active` decrement ordered the workers' `executing`
+        // updates before this load.
         #[cfg(debug_assertions)]
-        debug_assert_eq!(
-            self.shared.executing.load(Ordering::Relaxed),
-            0,
-            "worker still inside the job closure after drain"
-        );
+        debug_assert_eq!(self.shared.executing.load(Ordering::Relaxed), 0);
         st.job = None;
-        let payload = st.panic.take();
+        let payload = st.panic.take().or(own_panic);
         // Wake any launcher queued behind this job.
         self.shared.done_cv.notify_all();
         drop(st);
@@ -228,74 +227,69 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        {
-            let mut st = self.shared.state.lock();
-            st.shutdown = true;
-            self.shared.work_cv.notify_all();
-        }
+        self.shared.state.lock().shutdown = true;
+        self.shared.work_cv.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
     }
 }
 
+/// Every worker's loop, the caller's included: claim and run chunks until
+/// the cursor passes `n`, returning the first panic caught.
+fn claim_blocks(shared: &Shared, f: &Kernel<'_>, n: usize, chunk: usize) -> Option<Panic> {
+    // An inline launch may run inside another pool's block (a replica's
+    // engine inside a batch job): restore that block on the way out.
+    #[cfg(feature = "audit-runtime")]
+    let outer_block = current_block();
+    let mut first_panic = None;
+    loop {
+        // ordering: relaxed — a pure claim ticket: item data was published
+        // by the state mutex, and claimed ranges never overlap.
+        let start = shared.cursor.fetch_add(chunk, Ordering::Relaxed);
+        if start >= n {
+            break;
+        }
+        // ordering: relaxed — debug-only counter, read after the drain in `run`.
+        #[cfg(debug_assertions)]
+        shared.executing.fetch_add(1, Ordering::Relaxed);
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            for i in start..(start + chunk).min(n) {
+                #[cfg(feature = "audit-runtime")]
+                CURRENT_BLOCK.with(|c| c.set(Some(i)));
+                f(i);
+            }
+        }));
+        // ordering: relaxed — same debug-counter argument as above.
+        #[cfg(debug_assertions)]
+        shared.executing.fetch_sub(1, Ordering::Relaxed);
+        first_panic = first_panic.or(outcome.err());
+    }
+    #[cfg(feature = "audit-runtime")]
+    CURRENT_BLOCK.with(|c| c.set(outer_block));
+    first_panic
+}
+
 fn worker_loop(shared: &Shared) {
     let mut seen_generation = 0u64;
     loop {
-        let (handle, n, chunk) = {
+        let job = {
             let mut st = shared.state.lock();
-            loop {
-                if st.shutdown {
-                    return;
-                }
-                if st.generation > seen_generation {
-                    seen_generation = st.generation;
-                    let job = st.job.as_ref().expect("generation bumped without job");
-                    break (job.f, job.n, job.chunk);
-                }
+            while !st.shutdown && st.generation == seen_generation {
                 shared.work_cv.wait(&mut st);
             }
+            if st.shutdown {
+                return;
+            }
+            seen_generation = st.generation;
+            st.job.expect("generation bumped without job")
         };
         // SAFETY: scope-contract window (rule 2 on `JobHandle`) — the
-        // installing `run` call is still blocked on `done_cv` until this
-        // worker decrements `active` below, so the closure is alive.
-        let f = unsafe { handle.get() };
-        loop {
-            // ordering: relaxed — the cursor is a pure claim ticket; item
-            // data was published by the state-mutex handoff, and claimed
-            // ranges never overlap regardless of ordering.
-            let start = shared.cursor.fetch_add(chunk, Ordering::Relaxed);
-            if start >= n {
-                break;
-            }
-            let end = (start + chunk).min(n);
-            // ordering: relaxed — `executing` is a debug-only counter read
-            // after the mutex-ordered drain; see the assert in `run`.
-            #[cfg(debug_assertions)]
-            shared.executing.fetch_add(1, Ordering::Relaxed);
-            // Contain panics per chunk so one faulting block cannot hang
-            // the pool: the chunk is abandoned, the first payload is kept
-            // for the launching thread, and this worker keeps claiming.
-            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                for i in start..end {
-                    #[cfg(feature = "audit-runtime")]
-                    CURRENT_BLOCK.with(|c| c.set(Some(i)));
-                    f(i);
-                }
-            }));
-            #[cfg(feature = "audit-runtime")]
-            CURRENT_BLOCK.with(|c| c.set(None));
-            // ordering: relaxed — same debug-counter argument as above.
-            #[cfg(debug_assertions)]
-            shared.executing.fetch_sub(1, Ordering::Relaxed);
-            if let Err(payload) = outcome {
-                let mut st = shared.state.lock();
-                if st.panic.is_none() {
-                    st.panic = Some(payload);
-                }
-            }
-        }
+        // installing `run` call cannot return until this worker
+        // decrements `active` below, so the closure is alive.
+        let payload = claim_blocks(shared, unsafe { job.f.get() }, job.n, job.chunk);
         let mut st = shared.state.lock();
+        st.panic = st.panic.take().or(payload);
         st.active -= 1;
         if st.active == 0 {
             shared.done_cv.notify_all();
@@ -311,6 +305,7 @@ mod tests {
     #[test]
     fn runs_every_index_exactly_once() {
         let pool = WorkerPool::new(4);
+        assert_eq!((pool.workers(), pool.handles.len()), (4, 3));
         let hits: Vec<AtomicU64> = (0..1000).map(|_| AtomicU64::new(0)).collect();
         pool.run(1000, &|i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
@@ -337,10 +332,13 @@ mod tests {
     }
 
     #[test]
-    fn single_worker_pool_works() {
+    fn single_worker_pool_runs_inline_on_the_caller() {
         let pool = WorkerPool::new(1);
+        assert!(pool.handles.is_empty());
+        let caller = std::thread::current().id();
         let sum = AtomicU64::new(0);
         pool.run(10, &|i| {
+            assert_eq!(std::thread::current().id(), caller);
             sum.fetch_add(i as u64, Ordering::Relaxed);
         });
         assert_eq!(sum.load(Ordering::Relaxed), 45);

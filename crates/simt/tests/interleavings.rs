@@ -4,7 +4,8 @@
 //! code — the fetch_or claim board used by the pooled backend's
 //! decide/resolve protocol, and the pool's launch/panic paths — under
 //! hundreds of Philox-seeded schedule permutations, asserting schedule
-//! independence.
+//! independence. Nested launches, inline ones on one-worker pools
+//! included, run under forced concurrency.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 
@@ -90,15 +91,21 @@ fn explorer_catches_overlapping_tile_partition() {
 
 /// Launch/panic paths stay sound under schedule permutation: the first
 /// panic payload reaches the launcher, no index runs twice, and the pool
-/// survives to run the next (clean) permuted job — across many seeds.
+/// survives to run the next (clean) permuted job — across many seeds, on
+/// a spawned-worker pool and on a one-worker pool that runs inline.
 #[test]
 fn panic_paths_survive_schedule_exploration() {
-    let pool = WorkerPool::new(4);
+    for pool in [WorkerPool::new(4), WorkerPool::new(1)] {
+        panic_paths_survive_on(&pool);
+    }
+}
+
+fn panic_paths_survive_on(pool: &WorkerPool) {
     for seed in 0..50u64 {
         let perm = permutation(seed, 2, 128);
         let hits: Vec<AtomicU64> = (0..128).map(|_| AtomicU64::new(0)).collect();
         let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_permuted(&pool, &perm, &|i| {
+            run_permuted(pool, &perm, &|i| {
                 if i == 77 {
                     panic!("fault under seed {seed}");
                 }
@@ -110,9 +117,53 @@ fn panic_paths_survive_schedule_exploration() {
 
         // The pool must come back clean for the next schedule.
         let count = AtomicUsize::new(0);
-        run_permuted(&pool, &permutation(seed, 3, 64), &|_| {
+        run_permuted(pool, &permutation(seed, 3, 64), &|_| {
             count.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(count.load(Ordering::Relaxed), 64);
     }
+}
+
+/// Launches nest: two outer blocks run at once (a barrier holds each until
+/// both are in flight, one on the launching thread and one on the spawned
+/// worker), and each launches on a shared one-worker pool (inline on its
+/// own thread) and a shared two-worker pool, so the inner launches also
+/// queue behind each other. Every (outer, inner, index) triple must run
+/// exactly once, round after round.
+#[test]
+fn nested_launches_cover_every_index_once() {
+    let (outer, inline, spawned) = (WorkerPool::new(2), WorkerPool::new(1), WorkerPool::new(2));
+    let both_in_flight = std::sync::Barrier::new(2);
+    for round in 0..50 {
+        let hits: Vec<AtomicU64> = (0..2 * 2 * 32).map(|_| AtomicU64::new(0)).collect();
+        // Two items on two workers give chunk 1: a thread held at the
+        // barrier owns one item and cannot claim the other.
+        outer.run(2, &|o| {
+            both_in_flight.wait();
+            for (k, inner) in [&inline, &spawned].into_iter().enumerate() {
+                inner.run(32, &|i| {
+                    hits[(o * 2 + k) * 32 + i].fetch_add(1, Ordering::Relaxed);
+                });
+            }
+        });
+        assert!(
+            hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
+            "round {round}"
+        );
+    }
+}
+
+/// An inline launch inside another pool's block hands the race detector
+/// its own block indices, then restores the outer block when it returns.
+#[cfg(feature = "audit-runtime")]
+#[test]
+fn inline_launch_restores_the_outer_block() {
+    use simt::exec::pool::current_block;
+    let (outer, inner) = (WorkerPool::new(2), WorkerPool::new(1));
+    assert_eq!(current_block(), None);
+    outer.run(8, &|o| {
+        inner.run(4, &|i| assert_eq!(current_block(), Some(i)));
+        assert_eq!(current_block(), Some(o));
+    });
+    assert_eq!(current_block(), None);
 }
