@@ -73,7 +73,7 @@ use philox::StreamRng;
 use simt::exec::pool::WorkerPool;
 
 use crate::metrics::{Geometry, Metrics};
-use crate::model::{aco_scan_row, aco_select, front_status, lem_scan_row, lem_select};
+use crate::model::{aco_numerator, aco_select, front_status, lem_scan_row, lem_select, ScanRow};
 use crate::params::{AcoParams, IterationMode, ModelKind, SimConfig};
 
 use super::cpu::HostWorld;
@@ -278,6 +278,8 @@ struct PooledBackend {
     tour: TourLengths,
     pher: Option<PheromoneField>,
     dist: Arc<DistanceData>,
+    /// [`eta_beta_plane`] of `dist` under the current model's β.
+    eta_beta: Vec<f32>,
     seed: u64,
     pool: WorkerPool,
     /// One claim byte per cell: bit `k` set means the agent at
@@ -351,13 +353,20 @@ fn admitted(bits: u8, seed: u64, cell: usize, counter_base: u64) -> usize {
 }
 
 /// Telemetry counter keys of the pooled backend's deterministic work
-/// counts, in this order: agents that built a scan row (the
-/// forward-priority short-circuit did not decide), agents that claimed a
-/// target cell, and claimed cells with more than one claimant (a winner
-/// draw). They are sums over agents and cells, so they do not depend on
-/// the schedule, the thread count or the traversal mode, and they tell
-/// less work apart from faster work.
-pub const WORK_KEYS: [&str; 3] = ["pooled.scored", "pooled.claimed", "pooled.contested"];
+/// counts, in this order: agents the forward-priority short-circuit did
+/// not decide (they reach scoring), agents that claimed a target cell,
+/// claimed cells with more than one claimant (a winner draw), and agents
+/// among the first count whose availability byte alone decided them —
+/// boxed in, or a LEM agent with one candidate — so they opened no
+/// stream and built no scan row. They are sums over agents and cells, so
+/// they do not depend on the schedule, the thread count or the traversal
+/// mode, and they tell less work apart from faster work.
+pub const WORK_KEYS: [&str; 4] = [
+    "pooled.scored",
+    "pooled.claimed",
+    "pooled.contested",
+    "pooled.settled",
+];
 
 /// One pass's deterministic work counts (see [`WORK_KEYS`]).
 #[derive(Debug, Default, Clone, Copy)]
@@ -365,17 +374,18 @@ struct Work {
     scored: u64,
     claimed: u64,
     contested: u64,
+    settled: u64,
 }
 
 impl Work {
-    fn counts(self) -> [u64; 3] {
-        [self.scored, self.claimed, self.contested]
+    fn counts(self) -> [u64; 4] {
+        [self.scored, self.claimed, self.contested, self.settled]
     }
 }
 
 /// A launch's [`Work`] total: each task adds its local counts once.
 #[derive(Default)]
-struct WorkSum([AtomicU64; 3]);
+struct WorkSum([AtomicU64; 4]);
 
 impl WorkSum {
     fn add(&self, work: Work) {
@@ -387,11 +397,12 @@ impl WorkSum {
     }
 
     fn total(self) -> Work {
-        let [scored, claimed, contested] = self.0.map(AtomicU64::into_inner);
+        let [scored, claimed, contested, settled] = self.0.map(AtomicU64::into_inner);
         Work {
             scored,
             claimed,
             contested,
+            settled,
         }
     }
 }
@@ -402,6 +413,8 @@ struct Decide<'a> {
     mat: &'a Matrix<u8>,
     pher: Option<&'a PheromoneField>,
     dist: DistRef<'a>,
+    /// ACO's `η^β` plane, indexed as [`DistRef::neighbor_index`].
+    eta_beta: &'a [f32],
     model: ModelKind,
     seed: u64,
     /// Counter base of the tour draws: `(step·4 + KERNEL_TOUR) << 4`.
@@ -415,46 +428,88 @@ impl Decide<'_> {
     /// next cell exactly as the scalar initial-calc + tour kernels do and
     /// claim it, counting into `work`. Returns the claimed cell (linear),
     /// or `None` when the agent stays put.
+    ///
+    /// One availability byte — bit `k` set when neighbour `k` is empty —
+    /// answers every occupancy question: the forward-priority test, the
+    /// two outcomes it fixes alone (boxed in: no move; one LEM candidate:
+    /// the clamped-normal rank of a one-entry row is 0, so that
+    /// candidate), which ACO numerators to compute, and whether the
+    /// target is empty. Each shortcut returns what the select would, and
+    /// draws are keyed per (agent, step), so a skipped draw moves no other
+    /// stream.
     #[inline]
     fn agent(&self, a: u32, label: u8, r: i64, c: i64, work: &mut Work) -> Option<usize> {
         let occ = |rr: i64, cc: i64| self.mat.get_or(rr, cc, CELL_WALL);
+        let mut avail = 0u8;
+        for (k, &(dr, dc)) in NEIGHBOR_OFFSETS.iter().enumerate() {
+            avail |= u8::from(occ(r + dr, c + dc) == CELL_EMPTY) << k;
+        }
         let g = Group::from_label(label).expect("agent has a group label");
         let fk = self.dist.front_k(g, r, c);
-        let front = front_status(&occ, fk, r, c);
-        let k = if self.model.forward_priority() && front == CELL_EMPTY {
+        let k = if self.model.forward_priority() && avail & (1 << fk) != 0 {
             // The selects' own short-circuit (no draw), taken before
             // scoring so the scan row is never built.
             fk
         } else {
             work.scored += 1;
-            let mut rng = StreamRng::with_offset(self.seed, u64::from(a), self.counter_base);
+            if avail == 0 {
+                work.settled += 1;
+                return None;
+            }
+            let front = front_status(&occ, fk, r, c);
+            let stream = || StreamRng::with_offset(self.seed, u64::from(a), self.counter_base);
             match self.model {
+                ModelKind::Lem(_) if avail.count_ones() == 1 => {
+                    work.settled += 1;
+                    avail.trailing_zeros() as usize
+                }
                 ModelKind::Lem(p) => {
                     let row = lem_scan_row(&occ, self.dist, g, r, c, p.scan_range);
-                    lem_select(&row, front, fk, &p, &mut rng)
+                    lem_select(&row, front, fk, &p, &mut stream())?
                 }
                 ModelKind::Aco(p) => {
                     let tf = self.pher.expect("ACO has pheromone").of(g);
-                    let tau = |rr: i64, cc: i64| tf.get_or(rr, cc, 0.0);
-                    let row = aco_scan_row(&occ, &tau, self.dist, &p, g, r, c);
-                    aco_select(&row, front, fk, &p, &mut rng)
+                    let mut row = ScanRow::empty();
+                    let mut bits = avail;
+                    while bits != 0 {
+                        let k = bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        let (dr, dc) = NEIGHBOR_OFFSETS[k];
+                        let i = self
+                            .dist
+                            .neighbor_index(g, r, c, k)
+                            .expect("an empty neighbour lies inside the grid");
+                        let tau = tf.get((r + dr) as usize, (c + dc) as usize);
+                        row.vals[k] = aco_numerator(tau, self.eta_beta[i], p.alpha);
+                    }
+                    aco_select(&row, front, fk, &p, &mut stream())?
                 }
-            }?
+            }
         };
-        let (dr, dc) = NEIGHBOR_OFFSETS[k];
-        let (tr, tc) = (r + dr, c + dc);
         // The selects only pick empty cells; the in-place resolve's
         // race-freedom rests on that, so it is enforced, not assumed.
-        if occ(tr, tc) != CELL_EMPTY {
+        if avail & (1 << k) == 0 {
             return None;
         }
-        let target = tr as usize * self.width + tc as usize;
+        let (dr, dc) = NEIGHBOR_OFFSETS[k];
+        let target = (r + dr) as usize * self.width + (c + dc) as usize;
         // ordering: relaxed — fetch_or commutes, so only the final claim
         // byte matters, and the launch barrier publishes it before the
         // resolve pass reads.
         self.claims[target].fetch_or(1 << offset_slot(-dr, -dc), Ordering::Relaxed);
         work.claimed += 1;
         Some(target)
+    }
+}
+
+/// ACO's `η^β` plane: `(1/D)^β` for every entry of the distance field,
+/// indexed as [`DistRef::neighbor_index`] — the step-invariant half of
+/// eq. (2)'s numerator, computed once per β instead of once per scored
+/// neighbour. Empty for LEM, which never reads it.
+fn eta_beta_plane(dist: &DistanceData, model: ModelKind) -> Vec<f32> {
+    match model.aco_params() {
+        Some(p) => dist.data.iter().map(|&d| (1.0 / d).powf(p.beta)).collect(),
+        None => Vec::new(),
     }
 }
 
@@ -491,6 +546,7 @@ impl PooledEngine {
         };
         let seed = cfg.env.seed;
         let mode = cfg.iteration.resolve(env.live_count(), h * w);
+        let eta_beta = eta_beta_plane(&dist, cfg.model);
         Self {
             core,
             backend: PooledBackend {
@@ -499,6 +555,7 @@ impl PooledEngine {
                 tour: TourLengths::new(n),
                 pher,
                 dist,
+                eta_beta,
                 seed,
                 pool: WorkerPool::new(threads),
                 claims: (0..h * w).map(|_| AtomicU8::new(0)).collect(),
@@ -538,8 +595,16 @@ impl PooledEngine {
     }
 
     /// Replace the model parameters mid-run (the panic-alarm extension).
+    /// A new ACO β rebuilds the `η^β` plane.
     pub fn set_model(&mut self, model: ModelKind) -> Result<(), ModelSwapError> {
-        swap_model(&mut self.backend.cfg.model, model)
+        let beta = |m: ModelKind| m.aco_params().map(|p| p.beta.to_bits());
+        let b = &mut self.backend;
+        let old = beta(b.cfg.model);
+        swap_model(&mut b.cfg.model, model)?;
+        if beta(model) != old {
+            b.eta_beta = eta_beta_plane(&b.dist, model);
+        }
+        Ok(())
     }
 
     /// Borrow the pheromone field (ACO only).
@@ -592,6 +657,7 @@ impl PooledBackend {
             mat: &self.env.mat,
             pher: self.pher.as_ref(),
             dist: self.dist.dist_ref(),
+            eta_beta: &self.eta_beta,
             model: self.cfg.model,
             seed: self.seed,
             counter_base: (step_no * 4 + KERNEL_TOUR) << 4,
@@ -1177,7 +1243,7 @@ mod tests {
                 }
             }
         }
-        let [scored, claimed, contested] = reference;
+        let [scored, claimed, contested, settled] = reference;
         let decided = steps * 120;
         assert!(
             scored > 0 && scored < decided / 2,
@@ -1187,6 +1253,120 @@ mod tests {
             claimed > contested && contested > 0,
             "{claimed} claims, {contested} contested"
         );
+        assert!(settled < scored, "settled {settled} of {scored} scored");
+    }
+
+    /// A pooled engine and its scalar oracle on the same scenario.
+    fn doorway_pair(
+        model: ModelKind,
+        mode: IterationMode,
+        threads: usize,
+    ) -> (crate::engine::cpu::CpuEngine, PooledEngine) {
+        let scenario = pedsim_scenario::registry::doorway(24, 24, 110, 2).with_seed(3);
+        let cfg = SimConfig::from_scenario(&scenario, model).with_iteration_mode(mode);
+        (
+            crate::engine::cpu::CpuEngine::new(cfg.clone()),
+            PooledEngine::new(cfg, threads),
+        )
+    }
+
+    fn assert_same_state(
+        scalar: &crate::engine::cpu::CpuEngine,
+        pooled: &PooledEngine,
+        what: &str,
+    ) {
+        assert_eq!(scalar.mat_snapshot(), pooled.mat_snapshot(), "{what}: mat");
+        assert_eq!(scalar.positions(), pooled.positions(), "{what}: positions");
+        assert_eq!(
+            scalar.tour_lengths(),
+            pooled.tour_lengths(),
+            "{what}: tours"
+        );
+        if let (Some(sp), Some(pp)) = (scalar.pheromone(), pooled.pheromone()) {
+            for g in Group::first_n(sp.groups()) {
+                assert_eq!(
+                    sp.of(g).as_slice(),
+                    pp.of(g).as_slice(),
+                    "{what}: pheromone {g:?}"
+                );
+            }
+        }
+    }
+
+    /// On a dense doorway jam the availability-byte shortcuts (boxed in,
+    /// one LEM candidate) really run, and pooled still matches the scalar
+    /// oracle step for step in both traversals at one and two threads.
+    #[test]
+    fn settled_agents_keep_the_doorway_jam_bit_identical() {
+        for model in [ModelKind::lem(), ModelKind::aco()] {
+            for mode in [IterationMode::Dense, IterationMode::Sparse] {
+                for threads in [1, 2] {
+                    let (mut scalar, mut pooled) = doorway_pair(model, mode, threads);
+                    assert_eq!(pooled.iteration_mode(), mode);
+                    for step in 0..40 {
+                        scalar.step();
+                        pooled.step();
+                        let what = format!("{} {mode:?} t{threads} step {step}", model.name());
+                        assert_same_state(&scalar, &pooled, &what);
+                    }
+                    let settled = pooled.telemetry().counter("pooled.settled");
+                    assert!(settled > 0, "{} {mode:?}: nothing settled", model.name());
+                }
+            }
+        }
+    }
+
+    /// Every `η^β` entry is bit-equal to the scalar oracle's literal
+    /// `(1/D)^β`, on the row tables and on a flow field.
+    #[test]
+    fn eta_beta_plane_is_bit_equal_to_the_literal_formula() {
+        let doorway = pedsim_scenario::registry::doorway(24, 24, 40, 3).distance_data();
+        for dist in [DistanceData::rows(48), (*doorway).clone()] {
+            for beta in [2.0f32, 0.5, 3.7] {
+                let model = ModelKind::Aco(AcoParams {
+                    beta,
+                    ..AcoParams::default()
+                });
+                let plane = eta_beta_plane(&dist, model);
+                assert_eq!(plane.len(), dist.data.len());
+                for (&e, &d) in plane.iter().zip(&dist.data) {
+                    assert_eq!(
+                        e.to_bits(),
+                        (1.0 / d).powf(beta).to_bits(),
+                        "D={d} β={beta}"
+                    );
+                }
+            }
+            assert!(eta_beta_plane(&dist, ModelKind::lem()).is_empty());
+        }
+    }
+
+    /// Changing β mid-run rebuilds the `η^β` plane: pooled stays equal to
+    /// the scalar oracle (which computes `η^β` literally) through the
+    /// switch, on a flow-field world in both traversals.
+    #[test]
+    fn beta_change_mid_run_keeps_pooled_equal_to_scalar() {
+        let switched = ModelKind::Aco(AcoParams {
+            alpha: 0.5,
+            beta: 4.0,
+            ..AcoParams::default()
+        });
+        for mode in [IterationMode::Dense, IterationMode::Sparse] {
+            let (mut scalar, mut pooled) = doorway_pair(ModelKind::aco(), mode, 2);
+            for step in 0..30 {
+                if step == 10 {
+                    scalar.set_model(switched).unwrap();
+                    pooled.set_model(switched).unwrap();
+                }
+                scalar.step();
+                pooled.step();
+                assert_same_state(&scalar, &pooled, &format!("{mode:?} step {step}"));
+            }
+            assert_eq!(
+                pooled.backend.eta_beta,
+                eta_beta_plane(&pooled.backend.dist, switched)
+            );
+        }
     }
 
     /// Permuted dispatch must not change trajectories: a handful of

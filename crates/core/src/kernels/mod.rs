@@ -131,6 +131,9 @@ pub struct DeviceState {
     pub dist_groups: usize,
     /// Per-group forward neighbour slots of `dist`.
     pub dist_forward: Vec<u8>,
+    /// Constant-memory front-slot plane of `dist` (grid layout; empty for
+    /// the row tables), uploaded beside it.
+    pub dist_front: ConstantBuffer<u8>,
     /// Per-cell target bitmask carried for download (scenario worlds).
     pub targets: Option<std::sync::Arc<pedsim_grid::Matrix<u8>>>,
 }
@@ -195,6 +198,7 @@ impl DeviceState {
             dist_kind: dist.kind,
             dist_groups: dist.groups,
             dist_forward: dist.forward.clone(),
+            dist_front: ConstantBuffer::new(dist.front.clone()),
             targets: env.targets.clone(),
         }
     }
@@ -209,6 +213,7 @@ impl DeviceState {
             groups: self.dist_groups,
             forward: &self.dist_forward,
             data: self.dist.as_slice(),
+            front: self.dist_front.as_slice(),
         }
     }
 

@@ -45,13 +45,22 @@ pub fn aco_scan_row(
         if available {
             let d = dist.neighbor(g, r, c, k);
             let eta = 1.0 / d;
-            let t = tau(nr, nc).max(0.0);
-            row.vals[k] = t.powf(params.alpha) * eta.powf(params.beta);
+            row.vals[k] = aco_numerator(tau(nr, nc), eta.powf(params.beta), params.alpha);
         } else {
             row.vals[k] = 0.0;
         }
     }
     row
+}
+
+/// Eq. (2)'s numerator `τ^α · η^β` for one neighbour, from its pheromone
+/// `tau` (negatives read as 0) and its heuristic term `eta_beta = η^β`
+/// already raised to β — the one place the formula lives, shared by
+/// [`aco_scan_row`] and the pooled backend (which reads `η^β` from a
+/// compiled plane).
+#[inline]
+pub(crate) fn aco_numerator(tau: f32, eta_beta: f32, alpha: f32) -> f32 {
+    tau.max(0.0).powf(alpha) * eta_beta
 }
 
 /// Apply the random proportional rule to an ACO scan row whose front cell

@@ -12,6 +12,7 @@ pub mod aco;
 pub mod lem;
 pub mod movement;
 
+pub(crate) use aco::aco_numerator;
 pub use aco::{aco_scan_row, aco_select};
 pub use lem::{lem_scan_row, lem_select};
 pub use movement::{gather_winner, Arrival};

@@ -59,7 +59,8 @@ pub fn default_forward_slots(groups: usize) -> Vec<u8> {
 
 /// A borrowed, layout-tagged view over a flattened distance field — the
 /// form both engines and all kernels consume, so the constant-memory
-/// upload stays a plain `Vec<f32>` whichever layout backs it.
+/// upload stays a plain `Vec<f32>` (plus, for the grid layout, the `u8`
+/// front-slot plane) whichever layout backs it.
 #[derive(Debug, Clone, Copy)]
 pub struct DistRef<'a> {
     /// Layout of `data`.
@@ -75,27 +76,40 @@ pub struct DistRef<'a> {
     pub forward: &'a [u8],
     /// The flattened field.
     pub data: &'a [f32],
+    /// The compiled front-slot plane of a grid layout, `[group][row][col]`
+    /// (see [`DistanceData::front`]); empty for the row layout.
+    pub front: &'a [u8],
 }
 
 impl DistRef<'_> {
+    /// Index into `data` of the distance [`DistRef::neighbor`] reads for
+    /// the `k`-th neighbour of a group-`g` agent at `(r, c)`, or `None`
+    /// when that neighbour lies outside the grid (grid layout only).
+    /// Tables mapped over `data` are read with this index.
+    #[inline]
+    pub fn neighbor_index(&self, g: Group, r: i64, c: i64, k: usize) -> Option<usize> {
+        debug_assert!(g.index() < self.groups, "group plane out of range");
+        match self.kind {
+            DistanceKind::Rows => Some((g.index() * self.height + r as usize) * 8 + k),
+            DistanceKind::Grid => {
+                let (dr, dc) = NEIGHBOR_OFFSETS[k];
+                let (nr, nc) = (r + dr, c + dc);
+                if nr < 0 || nc < 0 || nr as usize >= self.height || nc as usize >= self.width {
+                    None
+                } else {
+                    Some((g.index() * self.height + nr as usize) * self.width + nc as usize)
+                }
+            }
+        }
+    }
+
     /// Distance from the `k`-th neighbour of a group-`g` agent at `(r, c)`
     /// to that agent's target. Out-of-bounds neighbours (grid layout only)
     /// read as `f32::MAX`; such neighbours are walls to the caller anyway.
     #[inline]
     pub fn neighbor(&self, g: Group, r: i64, c: i64, k: usize) -> f32 {
-        debug_assert!(g.index() < self.groups, "group plane out of range");
-        match self.kind {
-            DistanceKind::Rows => DistanceTables::lookup(self.data, self.height, g, r as usize, k),
-            DistanceKind::Grid => {
-                let (dr, dc) = NEIGHBOR_OFFSETS[k];
-                let (nr, nc) = (r + dr, c + dc);
-                if nr < 0 || nc < 0 || nr as usize >= self.height || nc as usize >= self.width {
-                    f32::MAX
-                } else {
-                    self.data[(g.index() * self.height + nr as usize) * self.width + nc as usize]
-                }
-            }
-        }
+        self.neighbor_index(g, r, c, k)
+            .map_or(f32::MAX, |i| self.data[i])
     }
 
     /// The forward neighbour slot of group `g` (its heading's
@@ -109,33 +123,71 @@ impl DistRef<'_> {
     /// *front cell* (the forward-priority target): the distance-argmin
     /// neighbour, ties broken toward the group's forward slot.
     ///
-    /// For the row layout the argmin provably *is* the forward cell (paper
-    /// §IV.b's strict ordering; the only tie is with the backward cell
-    /// when the agent stands on its own target row, which the tie-break
-    /// resolves forward), so this returns the group's forward slot without
-    /// touching the data — the legacy corridor behaviour, bit for bit.
+    /// For the grid layout this is one read of the compiled front-slot
+    /// plane ([`DistanceData::front`]). For the row layout the argmin
+    /// provably *is* the forward cell (paper §IV.b's strict ordering; the
+    /// only tie is with the backward cell when the agent stands on its own
+    /// target row, which the tie-break resolves forward), so this returns
+    /// the group's forward slot without touching the data — the legacy
+    /// corridor behaviour, bit for bit.
     #[inline]
     pub fn front_k(&self, g: Group, r: i64, c: i64) -> usize {
-        let fwd = self.forward_k(g);
         match self.kind {
-            DistanceKind::Rows => fwd,
+            DistanceKind::Rows => self.forward_k(g),
             DistanceKind::Grid => {
-                let mut best = fwd;
-                let mut best_d = self.neighbor(g, r, c, best);
-                for k in 0..8 {
-                    if k == fwd {
-                        continue;
-                    }
-                    let d = self.neighbor(g, r, c, k);
-                    if d < best_d {
-                        best = k;
-                        best_d = d;
-                    }
-                }
-                best
+                self.front[(g.index() * self.height + r as usize) * self.width + c as usize]
+                    as usize
             }
         }
     }
+}
+
+/// Compile the front-slot plane of the field `view` reads: for every
+/// (group, cell), the distance-argmin neighbour slot, ties broken toward
+/// the group's forward slot — what [`DistRef::front_k`] reads for the grid
+/// layout. The row layout needs no plane (its front slot is the forward
+/// slot) and gets an empty one. The plane is step-invariant, so it is
+/// built once with the field; it depends on the forward slots through
+/// the tie-break, so it is rebuilt whenever they change.
+fn front_plane(view: DistRef<'_>) -> Vec<u8> {
+    if view.kind == DistanceKind::Rows {
+        return Vec::new();
+    }
+    let (h, w) = (view.height, view.width);
+    // Interior cells read their neighbours at fixed offsets, with no
+    // bounds checks; border cells go through `DistRef::neighbor`.
+    let step = NEIGHBOR_OFFSETS.map(|(dr, dc)| dr as isize * w as isize + dc as isize);
+    let mut plane = Vec::with_capacity(view.groups * h * w);
+    for g in Group::first_n(view.groups) {
+        let fwd = view.forward_k(g);
+        for r in 0..h {
+            for c in 0..w {
+                let interior = r > 0 && c > 0 && r + 1 < h && c + 1 < w;
+                let i = ((g.index() * h + r) * w + c) as isize;
+                let d = |k: usize| {
+                    if interior {
+                        view.data[(i + step[k]) as usize]
+                    } else {
+                        view.neighbor(g, r as i64, c as i64, k)
+                    }
+                };
+                // Starting from the forward slot, only a strictly
+                // closer neighbour displaces it: the tie-break.
+                let mut best = fwd;
+                let mut best_d = d(fwd);
+                for k in 0..8 {
+                    // A select, not a branch: which neighbour wins is
+                    // data-dependent and mispredicts.
+                    let dk = d(k);
+                    let closer = dk < best_d;
+                    best = if closer { k } else { best };
+                    best_d = if closer { dk } else { best_d };
+                }
+                plane.push(best as u8);
+            }
+        }
+    }
+    plane
 }
 
 /// An owned, layout-tagged flattened distance field — what an engine holds
@@ -155,24 +207,32 @@ pub struct DistanceData {
     pub forward: Vec<u8>,
     /// The flattened field.
     pub data: Vec<f32>,
+    /// The grid layout's compiled front-slot plane, `[group][row][col]`:
+    /// each cell's distance-argmin neighbour slot, ties broken toward the
+    /// group's forward slot. Empty for the row layout.
+    pub front: Vec<u8>,
 }
 
 impl DistanceData {
     /// Snapshot a field into owned form, taking the field's own forward
-    /// slots ([`DistanceField::forward_slots`]).
+    /// slots ([`DistanceField::forward_slots`]), and compile its
+    /// front-slot plane.
     pub fn from_field(field: &impl DistanceField) -> Self {
-        let groups = field.field_groups();
-        Self {
+        let mut out = Self {
             kind: field.kind(),
             height: field.field_height(),
             width: field.field_width(),
-            groups,
+            groups: field.field_groups(),
             forward: field.forward_slots(),
             data: field.flat().to_vec(),
-        }
+            front: Vec::new(),
+        };
+        out.compile_front();
+        out
     }
 
-    /// Override the per-group forward slots (from scenario headings).
+    /// Override the per-group forward slots (from scenario headings) and
+    /// rebuild the front-slot plane, whose tie-break they anchor.
     pub fn with_forward(mut self, forward: Vec<u8>) -> Self {
         assert_eq!(
             forward.len(),
@@ -181,7 +241,15 @@ impl DistanceData {
         );
         assert!(forward.iter().all(|&k| (k as usize) < 8));
         self.forward = forward;
+        self.compile_front();
         self
+    }
+
+    fn compile_front(&mut self) {
+        self.front = front_plane(DistRef {
+            front: &[],
+            ..self.dist_ref()
+        });
     }
 
     /// The paper's row tables for an obstacle-free two-group corridor of
@@ -200,6 +268,7 @@ impl DistanceData {
             groups: self.groups,
             forward: &self.forward,
             data: &self.data,
+            front: &self.front,
         }
     }
 }
@@ -301,14 +370,8 @@ impl DistanceTables {
             groups: 2,
             forward: &ROWS_FORWARD,
             data: &self.data,
+            front: &[],
         }
-    }
-
-    /// Compute the same value as [`DistanceTables::get`] from the raw slice
-    /// (used by kernels that hold only the constant buffer).
-    #[inline]
-    pub fn lookup(data: &[f32], height: usize, g: Group, row: usize, k: usize) -> f32 {
-        data[(g.index() * height + row) * 8 + k]
     }
 }
 
@@ -436,19 +499,6 @@ mod tests {
     }
 
     #[test]
-    fn lookup_matches_get() {
-        let t = DistanceTables::new(64);
-        for row in [0, 10, 63] {
-            for k in 0..8 {
-                assert_eq!(
-                    DistanceTables::lookup(t.as_slice(), 64, Group::BOTTOM, row, k),
-                    t.get(Group::BOTTOM, row, k)
-                );
-            }
-        }
-    }
-
-    #[test]
     fn default_forward_slots_keep_corridor_convention() {
         assert_eq!(default_forward_slots(2), vec![0, 5]);
         assert_eq!(default_forward_slots(4), vec![0, 5, 4, 3]);
@@ -460,6 +510,25 @@ mod tests {
         assert_eq!(d.forward, vec![0, 5]);
         let d = d.with_forward(vec![0, 4]);
         assert_eq!(d.dist_ref().forward_k(Group::BOTTOM), 4);
+    }
+
+    #[test]
+    fn with_forward_rebuilds_the_front_plane() {
+        // A right-edge target on an open 6×6 plaza: from (3, 2) the three
+        // rightward neighbours (slots 2, 4 and 7) tie at distance 2, so
+        // the forward slot alone picks the front cell.
+        let (h, w) = (6usize, 6usize);
+        let right: Vec<(u16, u16)> = (0..h).map(|r| (r as u16, (w - 1) as u16)).collect();
+        let field = crate::flowfield::GridDistanceField::compute(h, w, |_, _| false, &[&right]);
+        let d = DistanceData::from_field(&field).with_forward(vec![4]);
+        let v = d.dist_ref();
+        for k in [2, 4, 7] {
+            assert_eq!(v.neighbor(Group::TOP, 3, 2, k), 2.0);
+        }
+        assert_eq!(v.front_k(Group::TOP, 3, 2), 4);
+        let d = d.with_forward(vec![2]);
+        assert_eq!(d.dist_ref().front_k(Group::TOP, 3, 2), 2);
+        assert_eq!(d.front.len(), h * w);
     }
 
     #[test]

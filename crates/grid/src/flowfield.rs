@@ -22,9 +22,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::cell::{Group, MAX_GROUPS, MOVE_LEN, NEIGHBOR_OFFSETS};
-use crate::distance::{
-    default_forward_slots, DistRef, DistanceField, DistanceKind, DISTANCE_FLOOR,
-};
+use crate::distance::{default_forward_slots, DistanceField, DistanceKind, DISTANCE_FLOOR};
 
 /// Sentinel potential for walls and unreachable cells.
 pub const UNREACHABLE: f32 = f32::MAX;
@@ -202,18 +200,6 @@ impl GridDistanceField {
     pub fn groups(&self) -> usize {
         self.groups
     }
-
-    /// A layout-tagged borrowed view.
-    pub fn dist_ref(&self) -> DistRef<'_> {
-        DistRef {
-            kind: DistanceKind::Grid,
-            height: self.height,
-            width: self.width,
-            groups: self.groups,
-            forward: &self.forward,
-            data: &self.data,
-        }
-    }
 }
 
 impl DistanceField for GridDistanceField {
@@ -245,6 +231,7 @@ impl DistanceField for GridDistanceField {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distance::DistanceData;
 
     fn open(_: usize, _: usize) -> bool {
         false
@@ -372,7 +359,8 @@ mod tests {
         let (h, w) = (6usize, 6usize);
         let (bot, top) = (bottom_edge(h, w), top_edge(w));
         let f = GridDistanceField::compute(h, w, open, &[&bot, &top]);
-        let v = f.dist_ref();
+        let d = DistanceData::from_field(&f);
+        let v = d.dist_ref();
         // Neighbour k=0 of (2,3) is (3,3): potential h-1-3 = 2.
         assert!((v.neighbor(Group::TOP, 2, 3, 0) - 2.0).abs() < 1e-6);
         // Out of bounds reads as MAX.
@@ -391,7 +379,8 @@ mod tests {
         let right: Vec<(u16, u16)> = (0..h).map(|r| (r as u16, (w - 1) as u16)).collect();
         let left: Vec<(u16, u16)> = (0..h).map(|r| (r as u16, 0u16)).collect();
         let f = GridDistanceField::compute(h, w, open, &[&right, &left]).with_forward(vec![4, 3]);
-        let v = f.dist_ref();
+        let d = DistanceData::from_field(&f);
+        let v = d.dist_ref();
         assert_eq!(v.forward_k(Group::TOP), 4);
         assert_eq!(v.forward_k(Group::BOTTOM), 3);
         // Mid-grid, the rightward group's front cell is its forward slot.

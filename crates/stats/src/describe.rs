@@ -17,6 +17,8 @@ pub struct Summary {
     pub min: f64,
     /// Largest value.
     pub max: f64,
+    /// Median (the mean of the two middle values for an even sample).
+    pub median: f64,
 }
 
 impl Summary {
@@ -31,6 +33,9 @@ impl Summary {
             0.0
         };
         let sd = var.sqrt();
+        let mut sorted = xs.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let median = (sorted[(n - 1) / 2] + sorted[n / 2]) / 2.0;
         Self {
             n,
             mean,
@@ -39,6 +44,7 @@ impl Summary {
             sem: sd / (n as f64).sqrt(),
             min: xs.iter().copied().fold(f64::INFINITY, f64::min),
             max: xs.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+            median,
         }
     }
 
@@ -62,6 +68,8 @@ mod tests {
         assert!((s.var - 32.0 / 7.0).abs() < 1e-12);
         assert_eq!(s.min, 2.0);
         assert_eq!(s.max, 9.0);
+        assert_eq!(s.median, 4.5);
+        assert_eq!(Summary::of(&[9.0, 1.0, 5.0]).median, 5.0);
     }
 
     #[test]
@@ -69,6 +77,7 @@ mod tests {
         let s = Summary::of(&[3.0]);
         assert_eq!(s.var, 0.0);
         assert_eq!(s.mean, 3.0);
+        assert_eq!(s.median, 3.0);
     }
 
     #[test]

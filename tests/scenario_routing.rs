@@ -4,7 +4,7 @@
 //! corridor bit for bit.
 
 use pedsim::grid::cell::{Group, CELL_WALL};
-use pedsim::grid::{GridDistanceField, NEIGHBOR_OFFSETS};
+use pedsim::grid::{DistanceData, GridDistanceField, NEIGHBOR_OFFSETS};
 use pedsim::prelude::*;
 use pedsim::scenario::registry;
 
@@ -124,6 +124,31 @@ fn paper_corridor_reproduces_legacy_trajectories_exactly() {
     }
 }
 
+/// The compiled front-slot plane is exactly the distance argmin it
+/// replaces: for every registry world at side 64, every group and every
+/// cell, the plane's slot is the neighbour with the least distance, ties
+/// broken toward the group's forward slot.
+#[test]
+fn front_plane_is_the_distance_argmin_on_every_registry_world() {
+    let side = 64;
+    for &name in registry::names() {
+        let scenario =
+            pedsim::scenario::sweep::build_world(name, side, 120).expect("registry name");
+        let dist = scenario.distance_data();
+        let view = dist.dist_ref();
+        for g in Group::first_n(dist.groups) {
+            let fwd = view.forward_k(g);
+            for r in 0..side as i64 {
+                for c in 0..side as i64 {
+                    let d = |k: usize| view.neighbor(g, r, c, k);
+                    let argmin = (0..8).fold(fwd, |best, k| if d(k) < d(best) { k } else { best });
+                    assert_eq!(view.front_k(g, r, c), argmin, "{name} {g:?} ({r},{c})");
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn crossing_streams_reach_their_targets() {
     let cfg = SimConfig::from_scenario(&registry::crossing(32, 60).with_seed(3), ModelKind::aco());
@@ -208,7 +233,8 @@ mod properties {
                     scenario.target(Group::BOTTOM).cells(),
                 ],
             );
-            let view = field.dist_ref();
+            let data = DistanceData::from_field(&field);
+            let view = data.dist_ref();
             for g in Group::BOTH {
                 for r in 0..24usize {
                     for c in 0..24usize {
