@@ -222,21 +222,24 @@ pub fn probe_jobs(cfg: &FdConfig) -> Vec<Job> {
 /// Measure how the world cache amortizes flow-field compilation across
 /// the replicas of one ladder rung: [`AMORTIZATION_REPEATS`] times, a
 /// cold arm (cache off — every replica compiles), then a cached arm on a
-/// pre-filled cache (every replica fetches). Returns the measurement
-/// plus the last cached arm's report, whose rows carry the hit-path
-/// `setup` timings for the results registry (under
-/// [`AMORTIZATION_BENCH`]).
+/// pre-filled cache (every replica fetches). Every pass runs a fresh
+/// [`probe_jobs`] list, so no arm inherits a distance field a previous
+/// pass left on its scenarios: each pays what a fresh replica pays.
+/// Returns the measurement plus the last cached arm's report, whose
+/// rows carry the hit-path `setup` timings for the results registry
+/// (under [`AMORTIZATION_BENCH`]).
 pub fn measure_amortization(cfg: &FdConfig, workers: usize) -> (SetupAmortization, BatchReport) {
-    let jobs = probe_jobs(cfg);
     let batch = Batch::new(workers);
-    let _fill = batch.run(&jobs); // the first pass pays the single compile
+    let _fill = batch.run(&probe_jobs(cfg)); // the first pass pays the single compile
     let mut cold = Vec::with_capacity(AMORTIZATION_REPEATS);
     let mut cached = Vec::with_capacity(AMORTIZATION_REPEATS);
     let mut warm = None;
     for _ in 0..AMORTIZATION_REPEATS {
-        let report = Batch::new(workers).with_world_cache(false).run(&jobs);
+        let report = Batch::new(workers)
+            .with_world_cache(false)
+            .run(&probe_jobs(cfg));
         cold.push(report.setup_total.as_secs_f64());
-        let report = batch.run(&jobs); // every acquisition is a cache hit
+        let report = batch.run(&probe_jobs(cfg)); // every acquisition is a cache hit
         cached.push(report.setup_total.as_secs_f64());
         warm = Some(report);
     }

@@ -147,41 +147,26 @@ impl DistRef<'_> {
 /// the group's forward slot — what [`DistRef::front_k`] reads for the grid
 /// layout. The row layout needs no plane (its front slot is the forward
 /// slot) and gets an empty one. The plane is step-invariant, so it is
-/// built once with the field; it depends on the forward slots through
-/// the tie-break, so it is rebuilt whenever they change.
+/// built once with the field, after its forward slots are fixed.
 fn front_plane(view: DistRef<'_>) -> Vec<u8> {
     if view.kind == DistanceKind::Rows {
         return Vec::new();
     }
-    let (h, w) = (view.height, view.width);
-    // Interior cells read their neighbours at fixed offsets, with no
-    // bounds checks; border cells go through `DistRef::neighbor`.
-    let step = NEIGHBOR_OFFSETS.map(|(dr, dc)| dr as isize * w as isize + dc as isize);
-    let mut plane = Vec::with_capacity(view.groups * h * w);
+    let mut plane = Vec::with_capacity(view.groups * view.height * view.width);
     for g in Group::first_n(view.groups) {
         let fwd = view.forward_k(g);
-        for r in 0..h {
-            for c in 0..w {
-                let interior = r > 0 && c > 0 && r + 1 < h && c + 1 < w;
-                let i = ((g.index() * h + r) * w + c) as isize;
-                let d = |k: usize| {
-                    if interior {
-                        view.data[(i + step[k]) as usize]
-                    } else {
-                        view.neighbor(g, r as i64, c as i64, k)
-                    }
-                };
-                // Starting from the forward slot, only a strictly
-                // closer neighbour displaces it: the tie-break.
+        for r in 0..view.height as i64 {
+            for c in 0..view.width as i64 {
+                // Starting from the forward slot, only a strictly closer
+                // neighbour displaces it: the tie-break.
                 let mut best = fwd;
-                let mut best_d = d(fwd);
+                let mut best_d = view.neighbor(g, r, c, best);
                 for k in 0..8 {
-                    // A select, not a branch: which neighbour wins is
-                    // data-dependent and mispredicts.
-                    let dk = d(k);
-                    let closer = dk < best_d;
-                    best = if closer { k } else { best };
-                    best_d = if closer { dk } else { best_d };
+                    let d = view.neighbor(g, r, c, k);
+                    if d < best_d {
+                        best = k;
+                        best_d = d;
+                    }
                 }
                 plane.push(best as u8);
             }
@@ -227,29 +212,8 @@ impl DistanceData {
             data: field.flat().to_vec(),
             front: Vec::new(),
         };
-        out.compile_front();
+        out.front = front_plane(out.dist_ref());
         out
-    }
-
-    /// Override the per-group forward slots (from scenario headings) and
-    /// rebuild the front-slot plane, whose tie-break they anchor.
-    pub fn with_forward(mut self, forward: Vec<u8>) -> Self {
-        assert_eq!(
-            forward.len(),
-            self.groups,
-            "forward slots must cover every group plane"
-        );
-        assert!(forward.iter().all(|&k| (k as usize) < 8));
-        self.forward = forward;
-        self.compile_front();
-        self
-    }
-
-    fn compile_front(&mut self) {
-        self.front = front_plane(DistRef {
-            front: &[],
-            ..self.dist_ref()
-        });
     }
 
     /// The paper's row tables for an obstacle-free two-group corridor of
@@ -505,35 +469,21 @@ mod tests {
     }
 
     #[test]
-    fn with_forward_overrides_slots() {
-        let d = DistanceData::rows(16);
-        assert_eq!(d.forward, vec![0, 5]);
-        let d = d.with_forward(vec![0, 4]);
-        assert_eq!(d.dist_ref().forward_k(Group::BOTTOM), 4);
-    }
-
-    #[test]
-    fn with_forward_rebuilds_the_front_plane() {
+    fn forward_slots_anchor_the_front_plane_tie_break() {
         // A right-edge target on an open 6×6 plaza: from (3, 2) the three
         // rightward neighbours (slots 2, 4 and 7) tie at distance 2, so
         // the forward slot alone picks the front cell.
         let (h, w) = (6usize, 6usize);
         let right: Vec<(u16, u16)> = (0..h).map(|r| (r as u16, (w - 1) as u16)).collect();
         let field = crate::flowfield::GridDistanceField::compute(h, w, |_, _| false, &[&right]);
-        let d = DistanceData::from_field(&field).with_forward(vec![4]);
+        let d = DistanceData::from_field(&field.clone().with_forward(vec![4]));
         let v = d.dist_ref();
         for k in [2, 4, 7] {
             assert_eq!(v.neighbor(Group::TOP, 3, 2, k), 2.0);
         }
         assert_eq!(v.front_k(Group::TOP, 3, 2), 4);
-        let d = d.with_forward(vec![2]);
+        let d = DistanceData::from_field(&field.with_forward(vec![2]));
         assert_eq!(d.dist_ref().front_k(Group::TOP, 3, 2), 2);
         assert_eq!(d.front.len(), h * w);
-    }
-
-    #[test]
-    #[should_panic(expected = "cover every group plane")]
-    fn with_forward_rejects_wrong_arity() {
-        let _ = DistanceData::rows(16).with_forward(vec![0, 5, 4]);
     }
 }

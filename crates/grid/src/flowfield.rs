@@ -355,6 +355,13 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "cover every group plane")]
+    fn with_forward_rejects_wrong_arity() {
+        let (bot, top) = (bottom_edge(10, 10), top_edge(10));
+        let _ = GridDistanceField::compute(10, 10, open, &[&bot, &top]).with_forward(vec![0, 5, 4]);
+    }
+
+    #[test]
     fn dist_ref_reads_neighbours() {
         let (h, w) = (6usize, 6usize);
         let (bot, top) = (bottom_edge(h, w), top_edge(w));

@@ -198,11 +198,6 @@ pub struct Scenario {
     /// Lazily computed distance field (seed-independent, so survives
     /// `with_seed`); excluded from equality.
     dist_cache: OnceLock<Arc<DistanceData>>,
-    /// Memoized [`Scenario::config_hash`]: the world cache keys every
-    /// fetch by it, and hashing every region cell costs more than the
-    /// lookup. Reset by `with_seed`, the one mutation; excluded from
-    /// equality.
-    config_hash: OnceLock<u64>,
 }
 
 impl PartialEq for Scenario {
@@ -331,10 +326,6 @@ impl Scenario {
     /// too — two differently-named but otherwise identical worlds are
     /// different experiments.
     pub fn config_hash(&self) -> u64 {
-        *self.config_hash.get_or_init(|| self.hash_config())
-    }
-
-    fn hash_config(&self) -> u64 {
         let mut h = pedsim_obs::hash::Fnv64::new()
             .str(&self.name)
             .usize(self.width)
@@ -372,7 +363,6 @@ impl Scenario {
     /// Builder-style seed change (scenario validity is seed-independent).
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self.config_hash = OnceLock::new();
         self
     }
 
@@ -830,7 +820,6 @@ impl ScenarioBuilder {
             groups,
             seed: self.seed,
             dist_cache: OnceLock::new(),
-            config_hash: OnceLock::new(),
         })
     }
 }
@@ -1074,11 +1063,6 @@ mod tests {
         assert_eq!(a.config_hash(), a.clone().config_hash());
         // Every trajectory-relevant knob moves the fingerprint.
         assert_ne!(a.config_hash(), corridor().with_seed(6).config_hash());
-        // A reseeded clone of an already-hashed scenario rehashes.
-        assert_eq!(
-            a.clone().with_seed(6).config_hash(),
-            corridor().with_seed(6).config_hash()
-        );
         let renamed = Scenario::builder("other", 16, 16)
             .spawn(Group::TOP, Region::row_band(0, 3, 16))
             .spawn(Group::BOTTOM, Region::row_band(13, 3, 16))
