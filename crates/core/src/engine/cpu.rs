@@ -47,8 +47,9 @@ struct CpuBackend {
     pher_next: Option<PheromoneField>,
     dist: std::sync::Arc<DistanceData>,
     seed: u64,
-    /// Scratch list of resolved movers for the movement stage:
-    /// `(slot, dst_row, dst_col, step_len)`.
+    /// Resolved movers of the last movement stage:
+    /// `(slot, dst_row, dst_col, step_len)`. The metrics observation
+    /// reads the slots as the step's movers.
     winners: Vec<(u32, u16, u16, f32)>,
 }
 
@@ -371,7 +372,8 @@ impl StageBackend for CpuBackend {
     }
 
     fn observe(&self, metrics: &mut Metrics) {
-        metrics.observe(&self.env.props.row, &self.env.props.col);
+        let movers = self.winners.iter().map(|&(a, ..)| a);
+        metrics.observe(movers, &self.env.props.row, &self.env.props.col);
     }
 
     fn run_lifecycle(

@@ -387,7 +387,17 @@ impl StageBackend for GpuBackend {
     }
 
     fn observe(&self, metrics: &mut Metrics) {
-        metrics.observe(self.state.row.as_slice(), self.state.col.as_slice());
+        // The movement kernel's arrivals: a winner's new cell was empty
+        // in the pre-step index (the other ping-pong side), so a live
+        // agent moved exactly when that side does not hold it at its
+        // current cell. The scan is O(n); this backend is the paper's
+        // mapping, not the timed path.
+        let st = &self.state;
+        let before = st.index[1 - st.cur].as_slice();
+        let pos = st.pos.as_slice();
+        let movers = (1..=st.n as u32)
+            .filter(|&a| st.alive[a as usize] != 0 && before[pos[a as usize] as usize] != a);
+        metrics.observe(movers, st.row.as_slice(), st.col.as_slice());
     }
 
     fn run_lifecycle(

@@ -152,7 +152,7 @@ impl OpenLifecycle {
                 }
                 if let Some(idx) = world.spawn(src.group, r, c) {
                     if let Some(m) = metrics.as_deref_mut() {
-                        m.note_spawn(idx as usize, r, c);
+                        m.note_spawn(idx as usize);
                     }
                 }
             }

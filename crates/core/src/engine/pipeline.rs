@@ -236,7 +236,8 @@ pub trait StageBackend {
     /// has nothing to add (its keys stay pre-registered at zero).
     fn run_stage(&mut self, stage: Stage, step_no: u64, rec: &mut Recorder);
 
-    /// Feed the post-step agent positions to the metrics observer.
+    /// Feed the step's movers (the live slots that changed cell, each
+    /// once) and the post-step agent positions to the metrics observer.
     fn observe(&self, metrics: &mut Metrics);
 
     /// Run the open-boundary phases over the backend's world (`step` is
@@ -280,11 +281,10 @@ impl StepCore {
             .as_deref()
             .and_then(|s| OpenLifecycle::from_scenario(s, geom, env.targets.clone()));
         let metrics = cfg.track_metrics.then(|| {
-            let mut m =
-                Metrics::with_targets(geom, env.targets.clone(), &env.props.row, &env.props.col);
+            let passable = env.width() * env.height() - env.mat.count(CELL_WALL);
+            let mut m = Metrics::with_targets(geom, env.targets.clone(), passable);
             if lifecycle.is_some() {
-                let passable = env.width() * env.height() - env.mat.count(CELL_WALL);
-                m.enable_open(passable, &env.alive);
+                m.enable_open(&env.alive);
             }
             m
         });
@@ -484,6 +484,18 @@ mod tests {
                 assert!(t.total() >= t.of(stage));
             }
         }
+    }
+
+    /// `live_density` divides by non-wall cells on closed worlds too,
+    /// not only once an open lifecycle is enabled.
+    #[test]
+    fn closed_worlds_measure_density_over_non_wall_cells() {
+        let scenario = registry::doorway(24, 24, 40, 4).with_seed(2);
+        let walls = scenario.walls().len();
+        assert_eq!(walls, 20, "a 24-wide wall pierced by a 4-cell doorway");
+        let e = CpuEngine::new(SimConfig::from_scenario(&scenario, ModelKind::lem()));
+        let m = e.metrics().expect("metrics on");
+        assert_eq!(m.live_density(), 80.0 / (24 * 24 - walls) as f64);
     }
 
     #[test]

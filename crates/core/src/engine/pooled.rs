@@ -35,15 +35,17 @@
 //!    source cell was occupied, so no two winners touch the same cell and
 //!    no task reads a slot another task writes. ACO pheromone is updated
 //!    in place too: each band evaporates its cells, then each winner adds
-//!    its deposit at its new cell.
+//!    its deposit at its new cell. Each task also lists the agents it
+//!    moved in its own mover list, which the metrics observation reads
+//!    as the step's movers.
 //!
 //! Sparse mode iterates agents, not cells, so it cannot resolve by target
 //! cell: its resolve takes two launches — **decode** (each claimant
 //! re-draws its target's winner and keeps its move only if it won; ACO
-//! evaporation rides along) and **apply** (winners move in place, clear
-//! their target's claim byte, and add their deposit). Evaporating and then
-//! adding the deposit is bit-equal to the scalar fused update because
-//! `max((1-ρ)τ, τ₀) + 0.0` is exact.
+//! evaporation rides along) and **apply** (winners move in place, join
+//! the task's mover list, clear their target's claim byte, and add their
+//! deposit). Evaporating and then adding the deposit is bit-equal to the
+//! scalar fused update because `max((1-ρ)τ, τ₀) + 0.0` is exact.
 //!
 //! The sparse passes need no spatial bookkeeping to keep their writes
 //! disjoint: claims commute, `won`/property/tour writes are keyed by
@@ -191,7 +193,7 @@ struct Scatter<'a, T> {
 unsafe impl<T: Send> Sync for Scatter<'_, T> {}
 unsafe impl<T: Send> Send for Scatter<'_, T> {}
 
-impl<'a, T: Copy> Scatter<'a, T> {
+impl<'a, T> Scatter<'a, T> {
     fn new(s: &'a mut [T]) -> Self {
         Self {
             ptr: s.as_mut_ptr(),
@@ -202,6 +204,22 @@ impl<'a, T: Copy> Scatter<'a, T> {
         }
     }
 
+    /// Borrow slot `i` mutably for the rest of the calling task.
+    ///
+    /// SAFETY: `i` must be in bounds and touched by no other concurrent
+    /// task; the caller must not hold two borrows of slot `i` at once.
+    #[inline]
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn slot_mut(&self, i: usize) -> &mut T {
+        debug_assert!(i < self.len);
+        #[cfg(feature = "audit-runtime")]
+        self.ws.note(i);
+        // SAFETY: forwarded contract.
+        unsafe { &mut *self.ptr.add(i) }
+    }
+}
+
+impl<T: Copy> Scatter<'_, T> {
     /// Write slot `i`.
     ///
     /// SAFETY: `i` must be in bounds and written by at most one concurrent
@@ -268,9 +286,10 @@ pub struct PooledEngine {
 }
 
 /// The pooled engine's kernel-stage executor: the same host-side world
-/// the scalar backend loops over, plus the worker pool and the per-cell
-/// claim bytes. Movement updates the world in place, so there is no
-/// second grid, scan matrix or pheromone buffer.
+/// the scalar backend loops over, plus the worker pool, the per-cell
+/// claim bytes and one mover list per task. Movement updates the world
+/// in place, so there is no second grid, scan matrix or pheromone
+/// buffer.
 struct PooledBackend {
     cfg: SimConfig,
     geom: Geometry,
@@ -301,6 +320,10 @@ struct PooledBackend {
     /// pass — the cell it won; `u32::MAX` = stays put (and every dead
     /// slot).
     won: Vec<u32>,
+    /// One list per movement task (row band or slot range): the slots
+    /// that task moved this step, the metrics observation's movers. Each
+    /// task rewrites only its own list, so no lock is taken.
+    movers: Vec<Vec<u32>>,
 }
 
 /// Run `f` over `0..parts` on the pool, optionally permuting the issue
@@ -357,10 +380,10 @@ fn admitted(bits: u8, seed: u64, cell: usize, counter_base: u64) -> usize {
 /// not decide (they reach scoring), agents that claimed a target cell,
 /// claimed cells with more than one claimant (a winner draw), and agents
 /// among the first count whose availability byte alone decided them —
-/// boxed in, or a LEM agent with one candidate — so they opened no
-/// stream and built no scan row. They are sums over agents and cells, so
-/// they do not depend on the schedule, the thread count or the traversal
-/// mode, and they tell less work apart from faster work.
+/// boxed in, or with one candidate — so they opened no stream and built
+/// no scan row. They are sums over agents and cells, so they do not
+/// depend on the schedule, the thread count or the traversal mode, and
+/// they tell less work apart from faster work.
 pub const WORK_KEYS: [&str; 4] = [
     "pooled.scored",
     "pooled.claimed",
@@ -431,12 +454,13 @@ impl Decide<'_> {
     ///
     /// One availability byte — bit `k` set when neighbour `k` is empty —
     /// answers every occupancy question: the forward-priority test, the
-    /// two outcomes it fixes alone (boxed in: no move; one LEM candidate:
-    /// the clamped-normal rank of a one-entry row is 0, so that
-    /// candidate), which ACO numerators to compute, and whether the
-    /// target is empty. Each shortcut returns what the select would, and
-    /// draws are keyed per (agent, step), so a skipped draw moves no other
-    /// stream.
+    /// outcomes it fixes alone (boxed in: no move; one LEM candidate: the
+    /// clamped-normal rank of a one-entry row is 0, so that candidate; one
+    /// ACO candidate: its numerator is the whole denominator, so that
+    /// candidate when the numerator is positive, else no move), which ACO
+    /// numerators to compute, and whether the target is empty. Each
+    /// shortcut returns what the select would, and draws are keyed per
+    /// (agent, step), so a skipped draw moves no other stream.
     #[inline]
     fn agent(&self, a: u32, label: u8, r: i64, c: i64, work: &mut Work) -> Option<usize> {
         let occ = |rr: i64, cc: i64| self.mat.get_or(rr, cc, CELL_WALL);
@@ -469,20 +493,33 @@ impl Decide<'_> {
                 }
                 ModelKind::Aco(p) => {
                     let tf = self.pher.expect("ACO has pheromone").of(g);
-                    let mut row = ScanRow::empty();
-                    let mut bits = avail;
-                    while bits != 0 {
-                        let k = bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
+                    let numerator = |k: usize| {
                         let (dr, dc) = NEIGHBOR_OFFSETS[k];
                         let i = self
                             .dist
                             .neighbor_index(g, r, c, k)
                             .expect("an empty neighbour lies inside the grid");
                         let tau = tf.get((r + dr) as usize, (c + dc) as usize);
-                        row.vals[k] = aco_numerator(tau, self.eta_beta[i], p.alpha);
+                        aco_numerator(tau, self.eta_beta[i], p.alpha)
+                    };
+                    if avail.count_ones() == 1 {
+                        work.settled += 1;
+                        let k = avail.trailing_zeros() as usize;
+                        if numerator(k) > 0.0 {
+                            k
+                        } else {
+                            return None;
+                        }
+                    } else {
+                        let mut row = ScanRow::empty();
+                        let mut bits = avail;
+                        while bits != 0 {
+                            let k = bits.trailing_zeros() as usize;
+                            bits &= bits - 1;
+                            row.vals[k] = numerator(k);
+                        }
+                        aco_select(&row, front, fk, &p, &mut stream())?
                     }
-                    aco_select(&row, front, fk, &p, &mut stream())?
                 }
             }
         };
@@ -547,29 +584,29 @@ impl PooledEngine {
         let seed = cfg.env.seed;
         let mode = cfg.iteration.resolve(env.live_count(), h * w);
         let eta_beta = eta_beta_plane(&dist, cfg.model);
-        Self {
-            core,
-            backend: PooledBackend {
-                cfg,
-                geom,
-                tour: TourLengths::new(n),
-                pher,
-                dist,
-                eta_beta,
-                seed,
-                pool: WorkerPool::new(threads),
-                claims: (0..h * w).map(|_| AtomicU8::new(0)).collect(),
-                schedule_seed: None,
-                launches: std::cell::Cell::new(0),
-                mode,
-                won: if mode == IterationMode::Sparse {
-                    vec![u32::MAX; n + 1]
-                } else {
-                    Vec::new()
-                },
-                env,
+        let mut backend = PooledBackend {
+            cfg,
+            geom,
+            tour: TourLengths::new(n),
+            pher,
+            dist,
+            eta_beta,
+            seed,
+            pool: WorkerPool::new(threads),
+            claims: (0..h * w).map(|_| AtomicU8::new(0)).collect(),
+            schedule_seed: None,
+            launches: std::cell::Cell::new(0),
+            mode,
+            won: if mode == IterationMode::Sparse {
+                vec![u32::MAX; n + 1]
+            } else {
+                Vec::new()
             },
-        }
+            movers: Vec::new(),
+            env,
+        };
+        backend.movers.resize_with(backend.parts(), Vec::new);
+        Self { core, backend }
     }
 
     /// Number of pool worker threads.
@@ -721,10 +758,18 @@ impl PooledBackend {
         let ppos = Scatter::new(&mut self.env.pos);
         let tours = Scatter::new(&mut self.tour.len);
         let planes = plane_scatters(self.pher.as_mut());
+        let movers = Scatter::new(&mut self.movers);
         let bands = band_ranges(h, parts);
         let sum = WorkSum::default();
         dispatch(&self.pool, schedule, parts, &|b| {
             let mut work = Work::default();
+            // SAFETY: task `b` owns mover list `b` alone.
+            let list = unsafe { movers.slot_mut(b) };
+            // Fill a local and store it back once: pushing through the
+            // shared slot would write its length into a cache line the
+            // neighbouring tasks' slots share, once per winner.
+            let mut moved = std::mem::take(list);
+            moved.clear();
             let cells = bands[b].start * w..bands[b].end * w;
             if let Some(p) = &aco {
                 for plane in &planes {
@@ -756,6 +801,7 @@ impl PooledBackend {
                     unsafe {
                         let a = index.read(src);
                         let ai = a as usize;
+                        moved.push(a);
                         mat.write(src, CELL_EMPTY);
                         index.write(src, 0);
                         mat.write(lin, ids[ai]);
@@ -773,6 +819,7 @@ impl PooledBackend {
                     }
                 }
             }
+            *list = moved;
             sum.add(work);
         });
         sum.total()
@@ -845,12 +892,21 @@ impl PooledBackend {
         let ppos = Scatter::new(&mut self.env.pos);
         let tours = Scatter::new(&mut self.tour.len);
         let planes = plane_scatters(self.pher.as_mut());
+        let movers = Scatter::new(&mut self.movers);
         dispatch(&self.pool, schedule, parts, &|t| {
+            // SAFETY: task `t` owns mover list `t` alone.
+            let list = unsafe { movers.slot_mut(t) };
+            // Fill a local and store it back once: pushing through the
+            // shared slot would write its length into a cache line the
+            // neighbouring tasks' slots share, once per winner.
+            let mut moved = std::mem::take(list);
+            moved.clear();
             for ai in slots[t].clone() {
                 let dst = won[ai];
                 if dst == u32::MAX {
                     continue;
                 }
+                moved.push(ai as u32);
                 let dst = dst as usize;
                 // ordering: relaxed — every claimant of `dst` read the byte
                 // in the decode launch, whose end barrier orders those
@@ -888,6 +944,7 @@ impl PooledBackend {
                     ppos.write(ai, dst as u32);
                 }
             }
+            *list = moved;
         });
         sum.total()
     }
@@ -924,7 +981,8 @@ impl StageBackend for PooledBackend {
     }
 
     fn observe(&self, metrics: &mut Metrics) {
-        metrics.observe(&self.env.props.row, &self.env.props.col);
+        let movers = self.movers.iter().flatten().copied();
+        metrics.observe(movers, &self.env.props.row, &self.env.props.col);
     }
 
     fn run_lifecycle(
@@ -1294,11 +1352,17 @@ mod tests {
     }
 
     /// On a dense doorway jam the availability-byte shortcuts (boxed in,
-    /// one LEM candidate) really run, and pooled still matches the scalar
-    /// oracle step for step in both traversals at one and two threads.
+    /// one LEM or ACO candidate) really run, and pooled still matches the
+    /// scalar oracle step for step in both traversals at one and two
+    /// threads. Without forward priority the lone candidate may be an
+    /// empty front cell, which the priority arm otherwise takes first.
     #[test]
     fn settled_agents_keep_the_doorway_jam_bit_identical() {
-        for model in [ModelKind::lem(), ModelKind::aco()] {
+        let aco_unprioritised = ModelKind::Aco(AcoParams {
+            forward_priority: false,
+            ..AcoParams::default()
+        });
+        for model in [ModelKind::lem(), ModelKind::aco(), aco_unprioritised] {
             for mode in [IterationMode::Dense, IterationMode::Sparse] {
                 for threads in [1, 2] {
                     let (mut scalar, mut pooled) = doorway_pair(model, mode, threads);
@@ -1306,7 +1370,11 @@ mod tests {
                     for step in 0..40 {
                         scalar.step();
                         pooled.step();
-                        let what = format!("{} {mode:?} t{threads} step {step}", model.name());
+                        let what = format!(
+                            "{} fp={} {mode:?} t{threads} step {step}",
+                            model.name(),
+                            model.forward_priority()
+                        );
                         assert_same_state(&scalar, &pooled, &what);
                     }
                     let settled = pooled.telemetry().counter("pooled.settled");

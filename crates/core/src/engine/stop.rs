@@ -273,9 +273,9 @@ mod tests {
 
     fn metrics_after_freeze(steps: usize) -> Metrics {
         let geom = Geometry::two_sided(16, 16, 3, 2);
-        let mut m = Metrics::new(geom, &[0, 5, 5, 10, 10], &[0, 1, 2, 1, 2]);
+        let mut m = Metrics::new(geom);
         for _ in 0..steps {
-            m.observe(&[0, 5, 5, 10, 10], &[0, 1, 2, 1, 2]);
+            m.observe([], &[0, 5, 5, 10, 10], &[0, 1, 2, 1, 2]);
         }
         m
     }
@@ -368,17 +368,17 @@ mod tests {
     fn steady_state_fires_once_flux_settles() {
         use crate::metrics::Geometry;
         let geom = Geometry::two_sided(16, 16, 3, 2);
-        let mut m = Metrics::new(geom, &[0, 0, 1, 15, 15], &[0, 0, 1, 0, 1]);
+        let mut m = Metrics::new(geom);
         let c = StopCondition::SteadyState {
             epsilon: 0.75,
             window: 4,
         };
         assert_eq!(c.check(0, Some(&m)), None);
         // One crossing per window half — sustained, settled flow.
-        m.observe(&[0, 13, 1, 15, 15], &[0, 0, 1, 0, 1]); // agent 1 crosses
-        m.observe(&[0, 13, 1, 15, 15], &[0, 0, 1, 0, 1]);
-        m.observe(&[0, 13, 13, 15, 15], &[0, 0, 1, 0, 1]); // agent 2 crosses
-        m.observe(&[0, 13, 13, 15, 15], &[0, 0, 1, 0, 1]);
+        m.observe([1], &[0, 13, 1, 15, 15], &[0, 0, 1, 0, 1]); // agent 1 crosses
+        m.observe([], &[0, 13, 1, 15, 15], &[0, 0, 1, 0, 1]);
+        m.observe([2], &[0, 13, 13, 15, 15], &[0, 0, 1, 0, 1]); // agent 2 crosses
+        m.observe([], &[0, 13, 13, 15, 15], &[0, 0, 1, 0, 1]);
         assert_eq!(c.check(4, Some(&m)), Some(StopReason::SteadyState));
     }
 

@@ -185,25 +185,28 @@ pub struct Metrics {
     /// slots may cross repeatedly) and [`Metrics::all_arrived`] never
     /// fires — open runs are measured by flux, not arrival.
     open: bool,
-    prev_row: Vec<u16>,
-    prev_col: Vec<u16>,
+    /// No observation yet: the first one tests every live slot for
+    /// arrival, because agents may be placed inside their target.
+    fresh: bool,
+    /// Slots spawned since the last observation. Like the movers, they
+    /// are tested for arrival at the next one; every other agent stood
+    /// still where it was already tested.
+    pending: Vec<u32>,
 }
 
 impl Metrics {
-    /// Fresh metrics for a classic corridor; `row`/`col` are the initial
-    /// agent positions (index 0 = sentinel).
-    pub fn new(geom: Geometry, row: &[u16], col: &[u16]) -> Self {
-        Self::with_targets(geom, None, row, col)
+    /// Fresh metrics for a classic corridor (every cell passable).
+    pub fn new(geom: Geometry) -> Self {
+        Self::with_targets(geom, None, geom.width * geom.height)
     }
 
     /// Fresh metrics with an optional per-cell target mask (scenario
     /// worlds count arrivals inside the mask instead of past the band
-    /// line).
+    /// line) over a world of `passable_cells` non-wall cells.
     pub fn with_targets(
         geom: Geometry,
         targets: Option<Arc<Matrix<u8>>>,
-        row: &[u16],
-        col: &[u16],
+        passable_cells: usize,
     ) -> Self {
         let n = geom.total_agents();
         let mut live = vec![true; n + 1];
@@ -221,55 +224,55 @@ impl Metrics {
             live_recent: VecDeque::with_capacity(MAX_FLUX_WINDOW as usize),
             live,
             live_count: n,
-            passable_cells: geom.width * geom.height,
+            passable_cells: passable_cells.max(1),
             open: false,
-            prev_row: row.to_vec(),
-            prev_col: col.to_vec(),
+            fresh: true,
+            pending: Vec::new(),
         }
     }
 
     /// Switch to open-boundary accounting: liveness is seeded from the
-    /// environment's per-slot flags, `passable_cells` becomes the density
-    /// denominator (grid cells minus walls), throughput counts crossing
-    /// *events*, and [`Metrics::all_arrived`] is permanently false (open
-    /// runs stop on steps, gridlock, or steady flux instead).
-    pub fn enable_open(&mut self, passable_cells: usize, alive: &[bool]) {
+    /// environment's per-slot flags, throughput counts crossing *events*,
+    /// and [`Metrics::all_arrived`] is permanently false (open runs stop
+    /// on steps, gridlock, or steady flux instead).
+    pub fn enable_open(&mut self, alive: &[bool]) {
         assert_eq!(alive.len(), self.live.len(), "liveness table size");
         self.open = true;
-        self.passable_cells = passable_cells.max(1);
         self.live.copy_from_slice(alive);
         self.live[0] = false;
         self.live_count = self.live.iter().filter(|&&a| a).count();
     }
 
-    /// Observe the post-step agent positions. Dead slots (open-boundary
-    /// worlds) are skipped for both movement and crossing accounting.
-    pub fn observe(&mut self, row: &[u16], col: &[u16]) {
-        let n = self.geom.total_agents();
+    /// Observe one finished step. `movers` are the live slots that
+    /// changed cell this step, each once; `row`/`col` are the post-step
+    /// agent positions. Only movers and newly placed agents (every live
+    /// slot at the first observation, spawned slots after that) can
+    /// newly arrive, so only they are tested: the cost is O(movers + newly
+    /// placed), not O(slots).
+    pub fn observe(&mut self, movers: impl IntoIterator<Item = u32>, row: &[u16], col: &[u16]) {
         let mut moved = 0usize;
         let mut crossings = 0u32;
-        for i in 1..=n {
-            if !self.live[i] {
-                continue;
-            }
-            if row[i] != self.prev_row[i] || col[i] != self.prev_col[i] {
-                moved += 1;
-                self.prev_row[i] = row[i];
-                self.prev_col[i] = col[i];
-            }
-            if !self.crossed[i] {
-                let g = self.geom.group_of(i);
-                let arrived = match &self.targets {
-                    Some(mask) => mask.get(row[i] as usize, col[i] as usize) & g.target_bit() != 0,
-                    None => self.geom.has_crossed(g, row[i] as usize),
-                };
-                if arrived {
-                    self.crossed[i] = true;
-                    self.crossed_per_group[g.index()] += 1;
-                    crossings += 1;
+        for i in movers {
+            debug_assert!(self.live[i as usize], "mover {i} is not live");
+            moved += 1;
+            crossings += self.arrive(i as usize, row, col);
+        }
+        if std::mem::take(&mut self.fresh) {
+            for i in 1..=self.geom.total_agents() {
+                if self.live[i] {
+                    crossings += self.arrive(i, row, col);
                 }
             }
         }
+        let mut pending = std::mem::take(&mut self.pending);
+        for &i in &pending {
+            // A slot can be spawned and drained again before it is seen.
+            if self.live[i as usize] {
+                crossings += self.arrive(i as usize, row, col);
+            }
+        }
+        pending.clear();
+        self.pending = pending;
         self.moved_last_step = moved;
         if self.moved_recent.len() == MAX_GRIDLOCK_PATIENCE as usize {
             self.moved_recent.pop_front();
@@ -295,6 +298,24 @@ impl Metrics {
         self.steps += 1;
     }
 
+    /// Test the live slot `i` for a new arrival at its position in
+    /// `row`/`col`; returns 1 when it newly arrived (sticky), else 0.
+    fn arrive(&mut self, i: usize, row: &[u16], col: &[u16]) -> u32 {
+        if self.crossed[i] {
+            return 0;
+        }
+        let g = self.geom.group_of(i);
+        let arrived = match &self.targets {
+            Some(mask) => mask.get(row[i] as usize, col[i] as usize) & g.target_bit() != 0,
+            None => self.geom.has_crossed(g, row[i] as usize),
+        };
+        if arrived {
+            self.crossed[i] = true;
+            self.crossed_per_group[g.index()] += 1;
+        }
+        u32::from(arrived)
+    }
+
     /// Record that the lifecycle removed the agent in slot `i` at its sink
     /// (open-boundary worlds). The slot's sticky crossed flag is cleared so
     /// its next occupant can cross again — the cumulative per-group counts
@@ -306,17 +327,16 @@ impl Metrics {
         self.crossed[i] = false;
     }
 
-    /// Record that the lifecycle spawned a new agent into slot `i` at
-    /// `(r, c)` (open-boundary worlds). The previous-position shadow is
-    /// reset so the recycled slot's first step is not miscounted as a
-    /// teleporting move.
-    pub fn note_spawn(&mut self, i: usize, r: u16, c: u16) {
+    /// Record that the lifecycle spawned a new agent into slot `i`
+    /// (open-boundary worlds). The slot joins the pending list, so the
+    /// next observation tests it for arrival even if it does not move;
+    /// its placement is not a move.
+    pub fn note_spawn(&mut self, i: usize) {
         debug_assert!(!self.live[i], "spawn into a live slot {i}");
         self.live[i] = true;
         self.live_count += 1;
         self.crossed[i] = false;
-        self.prev_row[i] = r;
-        self.prev_col[i] = c;
+        self.pending.push(i as u32);
     }
 
     /// Live agents currently on the grid (equals the population for closed
@@ -699,11 +719,59 @@ mod tests {
         Geometry::two_sided(16, 16, 3, 2)
     }
 
+    /// Drives [`Metrics`] from whole position arrays: each observation
+    /// passes the live slots whose cell differs from the previous one as
+    /// the step's movers (a spawn resets the slot's previous cell).
+    struct Feed {
+        m: Metrics,
+        row: Vec<u16>,
+        col: Vec<u16>,
+    }
+
+    impl Feed {
+        fn new(m: Metrics, row: &[u16], col: &[u16]) -> Self {
+            Self {
+                m,
+                row: row.to_vec(),
+                col: col.to_vec(),
+            }
+        }
+
+        fn observe(&mut self, row: &[u16], col: &[u16]) {
+            let movers: Vec<u32> = (1..row.len())
+                .filter(|&i| self.m.live[i] && (row[i], col[i]) != (self.row[i], self.col[i]))
+                .map(|i| i as u32)
+                .collect();
+            self.row = row.to_vec();
+            self.col = col.to_vec();
+            self.m.observe(movers, row, col);
+        }
+
+        fn note_spawn(&mut self, i: usize, r: u16, c: u16) {
+            self.m.note_spawn(i);
+            self.row[i] = r;
+            self.col[i] = c;
+        }
+    }
+
+    impl std::ops::Deref for Feed {
+        type Target = Metrics;
+        fn deref(&self) -> &Metrics {
+            &self.m
+        }
+    }
+
+    impl std::ops::DerefMut for Feed {
+        fn deref_mut(&mut self) -> &mut Metrics {
+            &mut self.m
+        }
+    }
+
     #[test]
     fn crossing_is_sticky() {
         let g = geom();
         // Agents 1,2 top; 3,4 bottom. Initial rows 0 and 15.
-        let mut m = Metrics::new(g, &[0, 0, 1, 15, 15], &[0, 0, 1, 0, 1]);
+        let mut m = Feed::new(Metrics::new(g), &[0, 0, 1, 15, 15], &[0, 0, 1, 0, 1]);
         // Agent 1 jumps to row 13 (crossed), agent 3 to row 2 (crossed).
         m.observe(&[0, 13, 1, 2, 15], &[0, 0, 1, 0, 1]);
         assert_eq!(m.crossed_top(), 1);
@@ -719,6 +787,53 @@ mod tests {
     }
 
     #[test]
+    fn first_observation_counts_agents_placed_inside_their_target() {
+        let g = geom();
+        let mut m = Metrics::new(g);
+        // Agent 1 starts in the far band, agent 3 in its own; nobody moves.
+        let (row, col) = ([0, 14, 1, 1, 15], [0, 0, 1, 0, 1]);
+        m.observe([], &row, &col);
+        assert_eq!(m.crossed_top(), 1);
+        assert_eq!(m.crossed_bottom(), 1);
+        assert!(m.agent_crossed(1) && m.agent_crossed(3));
+        assert_eq!(m.moved_last_step, 0);
+        assert_eq!(m.windowed_flux(1), Some(2.0));
+        // Only the first observation tests standing agents: a later one
+        // with no movers and no spawns records no crossing.
+        m.observe([], &row, &col);
+        assert_eq!(m.windowed_flux(1), Some(0.0));
+        assert_eq!(m.throughput(), 2);
+    }
+
+    #[test]
+    fn spawned_slots_are_tested_without_moving() {
+        let g = geom();
+        let mut m = Metrics::new(g);
+        m.enable_open(&[false, true, false, false, true]);
+        let (mut row, col) = ([0, 0, 0, 0, 15], [0, 0, 1, 2, 1]);
+        m.observe([], &row, &col);
+        assert_eq!(m.throughput(), 0);
+        // Slot 2 spawns straight into its target band and never moves;
+        // slot 3 spawns and is drained before the next observation.
+        row[2] = 14;
+        m.note_spawn(2);
+        m.note_spawn(3);
+        m.note_despawn(3);
+        m.observe([], &row, &col);
+        assert_eq!(m.throughput(), 1);
+        assert!(m.agent_crossed(2) && !m.agent_crossed(3));
+        assert_eq!(m.total_moves, 0);
+        // The pending list is spent: nothing is counted twice.
+        m.observe([], &row, &col);
+        assert_eq!(m.throughput(), 1);
+        // A mover is tested where it landed.
+        row[1] = 13;
+        m.observe([1], &row, &col);
+        assert_eq!(m.throughput(), 2);
+        assert_eq!(m.moved_last_step, 1);
+    }
+
+    #[test]
     fn target_mask_counts_region_arrivals() {
         let g = geom();
         // Top group's target is a single interior doorway cell (8, 4);
@@ -726,9 +841,8 @@ mod tests {
         let mut mask = Matrix::filled(16, 16, 0u8);
         mask.set(8, 4, Group::TOP.target_bit());
         mask.set(0, 0, Group::BOTTOM.target_bit());
-        let mut m = Metrics::with_targets(
-            g,
-            Some(Arc::new(mask)),
+        let mut m = Feed::new(
+            Metrics::with_targets(g, Some(Arc::new(mask)), 256),
             &[0, 0, 1, 15, 15],
             &[0, 0, 1, 0, 1],
         );
@@ -756,7 +870,7 @@ mod tests {
         assert_eq!(g.group_of(4), Group::BOTTOM);
         assert_eq!(g.group_range(Group::TOP), 1..2);
         assert_eq!(g.group_range(Group::BOTTOM), 2..5);
-        let mut m = Metrics::new(g, &[0, 0, 15, 15, 15], &[0, 0, 0, 1, 2]);
+        let mut m = Feed::new(Metrics::new(g), &[0, 0, 15, 15, 15], &[0, 0, 0, 1, 2]);
         // Agent 2 (bottom) reaches row 2: a *bottom* crossing.
         m.observe(&[0, 0, 2, 15, 15], &[0, 0, 0, 1, 2]);
         assert_eq!(m.crossed_bottom(), 1);
@@ -792,7 +906,7 @@ mod tests {
     #[test]
     fn gridlock_detection() {
         let g = geom();
-        let mut m = Metrics::new(g, &[0, 5, 5, 10, 10], &[0, 1, 2, 1, 2]);
+        let mut m = Feed::new(Metrics::new(g), &[0, 5, 5, 10, 10], &[0, 1, 2, 1, 2]);
         assert!(!m.is_gridlocked(1, 1)); // no steps yet
         m.observe(&[0, 5, 5, 10, 10], &[0, 1, 2, 1, 2]); // nobody moved
         assert!(m.is_gridlocked(1, 1));
@@ -802,7 +916,7 @@ mod tests {
     #[test]
     fn gridlock_patience_needs_consecutive_low_steps() {
         let g = geom();
-        let mut m = Metrics::new(g, &[0, 5, 5, 10, 10], &[0, 1, 2, 1, 2]);
+        let mut m = Feed::new(Metrics::new(g), &[0, 5, 5, 10, 10], &[0, 1, 2, 1, 2]);
         m.observe(&[0, 5, 5, 10, 10], &[0, 1, 2, 1, 2]); // frozen
         m.observe(&[0, 6, 5, 10, 10], &[0, 1, 2, 1, 2]); // one moved
         m.observe(&[0, 6, 5, 10, 10], &[0, 1, 2, 1, 2]); // frozen
@@ -818,7 +932,7 @@ mod tests {
     #[test]
     fn gridlock_history_is_bounded() {
         let g = geom();
-        let mut m = Metrics::new(g, &[0, 5, 5, 10, 10], &[0, 1, 2, 1, 2]);
+        let mut m = Feed::new(Metrics::new(g), &[0, 5, 5, 10, 10], &[0, 1, 2, 1, 2]);
         for _ in 0..(MAX_GRIDLOCK_PATIENCE + 50) {
             m.observe(&[0, 5, 5, 10, 10], &[0, 1, 2, 1, 2]);
         }
@@ -829,14 +943,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds the retained history")]
     fn gridlock_patience_beyond_retention_is_rejected() {
-        let m = Metrics::new(geom(), &[0, 5, 5, 10, 10], &[0, 1, 2, 1, 2]);
+        let m = Metrics::new(geom());
         let _ = m.is_gridlocked(1, MAX_GRIDLOCK_PATIENCE + 1);
     }
 
     #[test]
     fn arrived_crowd_is_not_gridlocked() {
         let g = geom();
-        let mut m = Metrics::new(g, &[0, 0, 1, 15, 15], &[0, 0, 1, 0, 1]);
+        let mut m = Feed::new(Metrics::new(g), &[0, 0, 1, 15, 15], &[0, 0, 1, 0, 1]);
         // Everyone jumps straight into the opposite band, then freezes.
         m.observe(&[0, 14, 14, 1, 1], &[0, 0, 1, 0, 1]);
         m.observe(&[0, 14, 14, 1, 1], &[0, 0, 1, 0, 1]);
@@ -866,7 +980,7 @@ mod tests {
     #[test]
     fn flux_window_counts_crossing_events() {
         let g = geom();
-        let mut m = Metrics::new(g, &[0, 0, 1, 15, 15], &[0, 0, 1, 0, 1]);
+        let mut m = Feed::new(Metrics::new(g), &[0, 0, 1, 15, 15], &[0, 0, 1, 0, 1]);
         assert_eq!(m.windowed_flux(4), None); // nothing observed yet
         m.observe(&[0, 13, 1, 2, 15], &[0, 0, 1, 0, 1]); // 2 crossings
         m.observe(&[0, 13, 1, 2, 15], &[0, 0, 1, 0, 1]); // 0
@@ -880,14 +994,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds the retained history")]
     fn flux_window_beyond_retention_is_rejected() {
-        let m = Metrics::new(geom(), &[0, 5, 5, 10, 10], &[0, 1, 2, 1, 2]);
+        let m = Metrics::new(geom());
         let _ = m.windowed_flux(MAX_FLUX_WINDOW + 1);
     }
 
     #[test]
     fn steady_state_needs_flow_and_settled_halves() {
         let g = geom();
-        let mut m = Metrics::new(g, &[0, 5, 5, 10, 10], &[0, 1, 2, 1, 2]);
+        let mut m = Feed::new(Metrics::new(g), &[0, 5, 5, 10, 10], &[0, 1, 2, 1, 2]);
         // Zero-flux steps: fully observed window, but no flow → not steady.
         for _ in 0..8 {
             m.observe(&[0, 5, 5, 10, 10], &[0, 1, 2, 1, 2]);
@@ -895,7 +1009,7 @@ mod tests {
         assert!(!m.is_steady(0.5, 4));
         // Ramp-up — all crossings in the recent half, older half quiet —
         // is not steady no matter how loose the epsilon.
-        let mut m = Metrics::new(g, &[0, 0, 1, 15, 15], &[0, 0, 1, 0, 1]);
+        let mut m = Feed::new(Metrics::new(g), &[0, 0, 1, 15, 15], &[0, 0, 1, 0, 1]);
         m.observe(&[0, 0, 1, 15, 15], &[0, 0, 1, 0, 1]); // quiet
         m.observe(&[0, 0, 1, 15, 15], &[0, 0, 1, 0, 1]); // quiet
         m.observe(&[0, 13, 1, 15, 15], &[0, 0, 1, 0, 1]); // agent 1 crosses
@@ -903,7 +1017,7 @@ mod tests {
         assert!(!m.is_steady(5.0, 4));
         // Sustained flow — one crossing per half — settles even under a
         // tight epsilon.
-        let mut m = Metrics::new(g, &[0, 0, 1, 15, 15], &[0, 0, 1, 0, 1]);
+        let mut m = Feed::new(Metrics::new(g), &[0, 0, 1, 15, 15], &[0, 0, 1, 0, 1]);
         m.observe(&[0, 13, 1, 15, 15], &[0, 0, 1, 0, 1]); // agent 1 crosses
         m.observe(&[0, 13, 1, 15, 15], &[0, 0, 1, 0, 1]); // quiet
         m.observe(&[0, 13, 13, 15, 15], &[0, 0, 1, 0, 1]); // agent 2 crosses
@@ -916,17 +1030,21 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside 2..=")]
     fn steady_window_of_one_is_rejected() {
-        let m = Metrics::new(geom(), &[0, 5, 5, 10, 10], &[0, 1, 2, 1, 2]);
+        let m = Metrics::new(geom());
         let _ = m.is_steady(0.5, 1);
     }
 
     #[test]
     fn open_mode_recycles_slots_and_never_arrives() {
         let g = geom(); // 2 + 2 slots
-        let mut m = Metrics::new(g, &[0, 0, 1, 15, 15], &[0, 0, 1, 0, 1]);
+        let mut m = Feed::new(
+            Metrics::with_targets(g, None, 200),
+            &[0, 0, 1, 15, 15],
+            &[0, 0, 1, 0, 1],
+        );
         // Slot 3 starts dead (a pooled open-world slot).
         let alive = vec![false, true, true, false, true];
-        m.enable_open(200, &alive);
+        m.enable_open(&alive);
         assert_eq!(m.live_count(), 3);
         assert!((m.live_density() - 3.0 / 200.0).abs() < 1e-12);
         // Agent 1 crosses; the lifecycle drains it.
@@ -955,8 +1073,8 @@ mod tests {
     #[test]
     fn empty_open_world_is_not_gridlocked() {
         let g = geom();
-        let mut m = Metrics::new(g, &[0, 0, 0, 0, 0], &[0, 0, 0, 0, 0]);
-        m.enable_open(256, &[false, false, false, false, false]);
+        let mut m = Feed::new(Metrics::new(g), &[0, 0, 0, 0, 0], &[0, 0, 0, 0, 0]);
+        m.enable_open(&[false, false, false, false, false]);
         assert_eq!(m.live_count(), 0);
         for _ in 0..4 {
             m.observe(&[0, 0, 0, 0, 0], &[0, 0, 0, 0, 0]);
@@ -1021,7 +1139,7 @@ mod tests {
         // `>`); it answers None until exactly MAX_FLUX_WINDOW steps have
         // been observed and Some from then on.
         let g = geom();
-        let mut m = Metrics::new(g, &[0, 0, 1, 15, 15], &[0, 0, 1, 0, 1]);
+        let mut m = Feed::new(Metrics::new(g), &[0, 0, 1, 15, 15], &[0, 0, 1, 0, 1]);
         for _ in 0..(MAX_FLUX_WINDOW - 1) {
             m.observe(&[0, 0, 1, 15, 15], &[0, 0, 1, 0, 1]);
         }
@@ -1039,7 +1157,7 @@ mod tests {
         // A burst of crossings older than the ring must vanish from the
         // windowed view once MAX_FLUX_WINDOW quiet steps displace it.
         let g = geom();
-        let mut m = Metrics::new(g, &[0, 0, 1, 15, 15], &[0, 0, 1, 0, 1]);
+        let mut m = Feed::new(Metrics::new(g), &[0, 0, 1, 15, 15], &[0, 0, 1, 0, 1]);
         m.observe(&[0, 13, 1, 2, 15], &[0, 0, 1, 0, 1]); // 2 crossings
         assert_eq!(m.windowed_flux(1), Some(2.0));
         for _ in 0..MAX_FLUX_WINDOW {
@@ -1054,8 +1172,8 @@ mod tests {
     #[test]
     fn empty_open_world_trends_are_flat_not_absent() {
         let g = geom();
-        let mut m = Metrics::new(g, &[0, 0, 0, 0, 0], &[0, 0, 0, 0, 0]);
-        m.enable_open(256, &[false, false, false, false, false]);
+        let mut m = Feed::new(Metrics::new(g), &[0, 0, 0, 0, 0], &[0, 0, 0, 0, 0]);
+        m.enable_open(&[false, false, false, false, false]);
         assert_eq!(m.gridlock_warning(4), None, "window not yet observed");
         for _ in 0..4 {
             m.observe(&[0, 0, 0, 0, 0], &[0, 0, 0, 0, 0]);
@@ -1071,11 +1189,11 @@ mod tests {
     #[test]
     fn gridlock_warning_requires_falling_flux_and_rising_density() {
         let g = geom();
-        let freeze = |m: &mut Metrics| m.observe(&[0, 5, 5, 10, 10], &[0, 1, 2, 1, 2]);
+        let freeze = |m: &mut Feed| m.observe(&[0, 5, 5, 10, 10], &[0, 1, 2, 1, 2]);
 
         // Congestion onset: crossings decay while the live count climbs.
-        let mut m = Metrics::new(g, &[0, 0, 1, 15, 15], &[0, 0, 1, 0, 1]);
-        m.enable_open(256, &[false, true, true, false, true]);
+        let mut m = Feed::new(Metrics::new(g), &[0, 0, 1, 15, 15], &[0, 0, 1, 0, 1]);
+        m.enable_open(&[false, true, true, false, true]);
         m.observe(&[0, 13, 1, 0, 15], &[0, 0, 1, 0, 1]); // crossing, 3 live
         m.note_spawn(3, 15, 0);
         freeze(&mut m); // quiet, 4 live
@@ -1086,8 +1204,8 @@ mod tests {
         assert!(m.density_slope(2).unwrap() > 0.0);
 
         // Drain-out: flux decays but density falls too — no warning.
-        let mut m = Metrics::new(g, &[0, 0, 1, 15, 15], &[0, 0, 1, 0, 1]);
-        m.enable_open(256, &[false, true, true, true, true]);
+        let mut m = Feed::new(Metrics::new(g), &[0, 0, 1, 15, 15], &[0, 0, 1, 0, 1]);
+        m.enable_open(&[false, true, true, true, true]);
         m.observe(&[0, 13, 1, 2, 15], &[0, 0, 1, 0, 1]); // 2 crossings
         m.note_despawn(1);
         m.note_despawn(3);
@@ -1095,8 +1213,8 @@ mod tests {
         assert_eq!(m.gridlock_warning(2), Some(0.0));
 
         // Ramp-up: flux *and* density rising — no warning either.
-        let mut m = Metrics::new(g, &[0, 0, 1, 15, 15], &[0, 0, 1, 0, 1]);
-        m.enable_open(256, &[false, true, true, false, true]);
+        let mut m = Feed::new(Metrics::new(g), &[0, 0, 1, 15, 15], &[0, 0, 1, 0, 1]);
+        m.enable_open(&[false, true, true, false, true]);
         freeze(&mut m); // quiet, 3 live
         m.note_spawn(3, 15, 0);
         m.observe(&[0, 13, 1, 0, 15], &[0, 0, 1, 0, 1]); // crossing, 4 live
@@ -1106,7 +1224,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside 2..=")]
     fn trend_window_of_one_is_rejected() {
-        let m = Metrics::new(geom(), &[0, 5, 5, 10, 10], &[0, 1, 2, 1, 2]);
+        let m = Metrics::new(geom());
         let _ = m.gridlock_warning(1);
     }
 

@@ -58,9 +58,19 @@ pub fn aco_scan_row(
 /// already raised to β — the one place the formula lives, shared by
 /// [`aco_scan_row`] and the pooled backend (which reads `η^β` from a
 /// compiled plane).
+///
+/// At the default `α = 1` the power is skipped: `x.powf(1.0)` is
+/// bit-equal to `x` for every non-negative `f32` (an exhaustive check of
+/// the patterns `0..=0x7f80_0000` found no mismatch; the unit test
+/// sweeps a stride of them), and `τ.max(0)` is never NaN.
 #[inline]
 pub(crate) fn aco_numerator(tau: f32, eta_beta: f32, alpha: f32) -> f32 {
-    tau.max(0.0).powf(alpha) * eta_beta
+    let tau = tau.max(0.0);
+    if alpha == 1.0 {
+        tau * eta_beta
+    } else {
+        tau.powf(alpha) * eta_beta
+    }
 }
 
 /// Apply the random proportional rule to an ACO scan row whose front cell
@@ -81,6 +91,19 @@ pub fn aco_select(
         // forward immediately" (§IV.c). No randomness consumed.
         return Some(front_k);
     }
+    aco_roulette(row, || rng.next_u32())
+}
+
+/// The random proportional rule proper: the reduction, then one draw
+/// word from `word` (taken only when the denominator is positive) mapped
+/// to `[0, denom)` and walked over the positive numerators.
+///
+/// With exactly one positive numerator `v` the denominator is `v` itself
+/// (every other slot adds 0), so every draw lands on that slot, `+inf`
+/// included through the round-off fallback. A row whose lone numerator
+/// is 0, −0 or NaN returns `None`. The pooled backend settles
+/// one-candidate agents on that argument without drawing.
+fn aco_roulette(row: &ScanRow, word: impl FnOnce() -> u32) -> Option<usize> {
     // The reduction the paper performs across the agent's 8 worker threads.
     let denom: f32 = row.vals.iter().sum();
     // NaN-safe: a NaN denominator (pathological parameters) must also bail.
@@ -88,7 +111,7 @@ pub fn aco_select(
     if !(denom > 0.0) {
         return None;
     }
-    let u = rng.uniform_f32() * denom;
+    let u = philox::uniform_f32(word()) * denom;
     let mut acc = 0.0f32;
     let mut chosen = None;
     for (k, &v) in row.vals.iter().enumerate() {
@@ -259,5 +282,56 @@ mod tests {
         // All equal numerators with flat pheromone.
         let first = row.vals[0];
         assert!(row.vals.iter().all(|&v| (v - first).abs() < 1e-9));
+    }
+
+    /// The default `α = 1` takes the power-free arm; it must be bit-equal
+    /// to the literal `τ.max(0).powf(1)` on a strided sweep of every
+    /// non-negative pattern, on `τ₀` and on `+inf`.
+    #[test]
+    fn unit_alpha_skips_powf_bit_exactly() {
+        let eta_beta = 0.37f32;
+        let tau0 = AcoParams::default().tau0;
+        let sweep = (0..=0x7f80_0000u32).step_by(997).map(f32::from_bits);
+        for tau in sweep.chain([tau0, f32::INFINITY, -0.0, -1.5, f32::NAN]) {
+            let literal = tau.max(0.0).powf(1.0) * eta_beta;
+            assert_eq!(
+                aco_numerator(tau, eta_beta, 1.0).to_bits(),
+                literal.to_bits(),
+                "tau bits {:#x}",
+                tau.to_bits()
+            );
+        }
+    }
+
+    /// The one-candidate argument the pooled backend settles agents on:
+    /// a row with one positive numerator picks its slot for every draw
+    /// word, and a lone 0, −0 or NaN picks nothing.
+    #[test]
+    fn one_candidate_rows_need_no_draw() {
+        let positive = [f32::from_bits(1), 1e-30, 1.0, f32::MAX, f32::INFINITY];
+        let words = [0u32, 1, 0xFFFF_FF00, u32::MAX];
+        for k in 0..8 {
+            let mut row = ScanRow::empty();
+            for v in positive {
+                row.vals[k] = v;
+                for w in words {
+                    assert_eq!(
+                        aco_roulette(&row, || w),
+                        Some(k),
+                        "slot {k} v {v} word {w:#x}"
+                    );
+                }
+            }
+            for v in [0.0, -0.0, f32::NAN] {
+                row.vals[k] = v;
+                let drawn = std::cell::Cell::new(false);
+                let pick = aco_roulette(&row, || {
+                    drawn.set(true);
+                    0
+                });
+                assert_eq!(pick, None, "slot {k} v {v}");
+                assert!(!drawn.get(), "slot {k} v {v}: no draw for an empty row");
+            }
+        }
     }
 }
