@@ -539,26 +539,30 @@ mod tests {
     }
 
     /// The pooled backend's launch telemetry pins its pass structure:
-    /// dense steps take one decide and one resolve launch over
-    /// `workers × BANDS_PER_WORKER` row bands, sparse steps one decide
-    /// and two resolve launches over one slot range per worker, whatever
-    /// the model.
+    /// every step takes one decide and one resolve launch, whatever the
+    /// model and traversal. The resolve runs over `workers ×
+    /// BANDS_PER_WORKER` row bands in both modes; the decide runs over
+    /// the same bands in dense mode and over one slot range per worker in
+    /// sparse mode.
     #[test]
     fn pooled_launches_one_decide_and_one_resolve_pass_per_step() {
         use crate::engine::pooled::{PooledEngine, BANDS_PER_WORKER};
         let (workers, steps) = (2, 8);
+        let bands = workers * BANDS_PER_WORKER as u64;
         for model in [ModelKind::lem(), ModelKind::aco()] {
-            for (mode, movement, parts) in [
-                (IterationMode::Dense, 1, workers * BANDS_PER_WORKER as u64),
-                (IterationMode::Sparse, 2, workers),
+            // Tasks per launch of each stage slot: the sparse decide pass
+            // walks one slot range per worker, every other pass the bands.
+            for (mode, decide_parts) in [
+                (IterationMode::Dense, bands),
+                (IterationMode::Sparse, workers),
             ] {
                 let env = pedsim_grid::EnvConfig::small(24, 24, 20).with_seed(3);
                 let cfg = SimConfig::new(env, model).with_iteration_mode(mode);
                 let mut e = PooledEngine::new(cfg, workers as usize);
                 e.run(steps);
                 let t = e.telemetry();
-                let per_step = [0, 1, 0, movement];
-                for (k, launches) in per_step.into_iter().enumerate() {
+                let per_step = [(0, 0), (1, decide_parts), (0, 0), (1, bands)];
+                for (k, (launches, parts)) in per_step.into_iter().enumerate() {
                     let label = format!("{} {mode:?} {}", model.name(), KERNEL_LAUNCH_KEYS[k]);
                     let launches = steps * launches;
                     assert_eq!(t.counter(KERNEL_LAUNCH_KEYS[k]), launches, "{label}");

@@ -2,11 +2,11 @@
 //! registry) — the repo's fast path.
 //!
 //! A multi-threaded host engine on the `simt` [`WorkerPool`]: the grid is
-//! partitioned into contiguous row bands ([`band_ranges`]) — or, in
-//! sparse mode, the agent slots `1..=n` into one contiguous slot range
-//! per worker — and every pass runs with **conflict-free writes**: each
-//! output slot is written by exactly one task, so no locks are held in
-//! any hot loop.
+//! partitioned into contiguous row bands ([`band_ranges`]) — or, for the
+//! sparse decide pass, the agent slots `1..=n` into one contiguous slot
+//! range per worker — and every pass runs with **conflict-free writes**:
+//! each output slot is written by exactly one task, so no locks are held
+//! in any hot loop.
 //!
 //! ## The claim protocol: decide, then resolve
 //!
@@ -15,7 +15,8 @@
 //! [`gather_winner`](crate::model::gather_winner): scan the 8
 //! neighbours in slot order, collect the agents whose FUTURE is this
 //! cell, draw one with the *cell's* RNG stream. The pooled backend
-//! reaches the identical trajectory in **two pool launches per step**:
+//! reaches the identical trajectory in **two pool launches per step**,
+//! in both traversal modes:
 //!
 //! 1. **Decide** (init + initial calculation + tour, fused): each agent
 //!    reads its front cell, scores its neighbourhood only when the
@@ -24,38 +25,35 @@
 //!    one bit into its target cell's claim byte — bit `k` means "the
 //!    agent standing at `target + NEIGHBOR_OFFSETS[k]` wants in".
 //!    `fetch_or` is commutative, so the byte is schedule-independent.
-//!    Neither a scan row nor a FUTURE cell is stored: the claim byte is
-//!    all a decision leaves behind, and only empty cells are claimed.
-//! 2. **Resolve** (movement, over row bands): each cell with a non-zero
-//!    claim byte decodes it — the set bits, read in ascending order, are
-//!    exactly the candidate list `gather_winner` builds in slot order, and
-//!    the winner is drawn with the same `(seed, cell, salt)` stream —
-//!    clears it for the next step, and moves its winner **in place**.
-//!    Claimed cells were empty when the step began and every winner's
-//!    source cell was occupied, so no two winners touch the same cell and
-//!    no task reads a slot another task writes. ACO pheromone is updated
-//!    in place too: each band evaporates its cells, then each winner adds
-//!    its deposit at its new cell. Each task also lists the agents it
-//!    moved in its own mover list, which the metrics observation reads
-//!    as the step's movers.
+//!    Neither a scan row nor a FUTURE cell is stored, and only empty
+//!    cells are claimed. Dense mode sweeps row bands of cells; sparse
+//!    mode walks slot ranges and also files each claimed cell in the
+//!    task's own bin for the target's row band, so the resolve can find
+//!    the claimed cells without sweeping the grid.
+//! 2. **Resolve** (movement, over row bands): each band evaporates its
+//!    pheromone cells (ACO), then every cell of the band with a non-zero
+//!    claim byte — found by sweeping the band's claim bytes (dense) or
+//!    by walking every task's bin for the band (sparse; a duplicate
+//!    entry finds its byte already cleared) — decodes it: the set bits,
+//!    read in ascending order, are exactly the candidate list
+//!    `gather_winner` builds in slot order, and the winner is drawn once
+//!    with the same `(seed, cell, salt)` stream. The cell clears its
+//!    byte for the next step, moves its winner **in place** and adds the
+//!    winner's deposit. Claimed cells were empty when the step began and
+//!    every winner's source cell was occupied, so no two winners touch
+//!    the same cell and no task reads a slot another task writes. Each
+//!    task also lists the agents it moved in its own mover list, which
+//!    the metrics observation reads as the step's movers. Evaporating and
+//!    then adding the deposit is bit-equal to the scalar fused update
+//!    because `max((1-ρ)τ, τ₀) + 0.0` is exact.
 //!
-//! Sparse mode iterates agents, not cells, so it cannot resolve by target
-//! cell: its resolve takes two launches — **decode** (each claimant
-//! re-draws its target's winner and keeps its move only if it won; ACO
-//! evaporation rides along) and **apply** (winners move in place, join
-//! the task's mover list, clear their target's claim byte, and add their
-//! deposit). Evaporating and then adding the deposit is bit-equal to the
-//! scalar fused update because `max((1-ρ)τ, τ₀) + 0.0` is exact.
-//!
-//! The sparse passes need no spatial bookkeeping to keep their writes
-//! disjoint: claims commute, `won`/property/tour writes are keyed by
-//! agent slot, and grid and pheromone writes land on cells one winner
-//! owns. So each worker walks one contiguous range of agent slots, dead
-//! slots included (the decide pass marks them as staying put). Slot
-//! ranges are balanced by count by construction; more than one range per
-//! worker would only put adjacent ranges, which overlap in space, on
-//! different threads at once, fighting over the same claim-byte cache
-//! lines.
+//! The sparse decide pass needs no spatial bookkeeping to keep its
+//! writes disjoint: claims commute and each task writes only its own
+//! bins. So each worker walks one contiguous range of agent slots,
+//! skipping dead ones. Slot ranges are balanced by count by construction;
+//! more than one range per worker would only put adjacent ranges, which
+//! overlap in space, on different threads at once, fighting over the
+//! same claim-byte cache lines.
 //!
 //! Because every draw uses the same stream as the scalar engine and every
 //! candidate list is bit-equal, trajectories are **bit-identical to
@@ -87,9 +85,9 @@ use super::pipeline::{
 use super::{swap_model, Engine, ModelSwapError, KERNEL_MOVE, KERNEL_TOUR};
 use crate::world::CompiledWorld;
 
-/// Dense band oversubscription factor: row bands per worker, so a
-/// straggler band cannot serialise the stage. Sparse launches dispatch
-/// one slot range per worker instead.
+/// Row-band oversubscription factor: row bands per worker, so a
+/// straggler band cannot serialise the stage. The sparse decide pass
+/// dispatches one slot range per worker instead.
 pub(crate) const BANDS_PER_WORKER: usize = 4;
 
 /// Split `0..n` into exactly `parts.max(1)` contiguous ranges covering
@@ -173,8 +171,9 @@ impl WriteSet {
 /// A raw scatter handle over a mutable slice, for disjoint writes from
 /// pool tasks (the host-side analogue of `simt::memory::ScatterView`,
 /// without the per-slot flag machinery — disjointness here is structural:
-/// cell slots are owned by the band holding the cell, agent slots by the
-/// slot range holding them or the unique cell their agent wins). Under
+/// cell slots are owned by the band holding the cell or by the winner
+/// that moves through them, agent slots by the unique cell their agent
+/// wins, and per-task lists by their task). Under
 /// `audit-runtime` every write is checked against a per-phase
 /// [`WriteSet`] instead of being trusted.
 #[cfg_attr(not(feature = "audit-runtime"), derive(Clone, Copy))]
@@ -287,7 +286,8 @@ pub struct PooledEngine {
 
 /// The pooled engine's kernel-stage executor: the same host-side world
 /// the scalar backend loops over, plus the worker pool, the per-cell
-/// claim bytes and one mover list per task. Movement updates the world
+/// claim bytes, the task partitions and one mover list per resolve
+/// band. Movement updates the world
 /// in place, so there is no second grid, scan matrix or pheromone
 /// buffer.
 struct PooledBackend {
@@ -313,16 +313,27 @@ struct PooledBackend {
     /// Monotonic pool-launch counter: keys the per-launch permutations
     /// and feeds the launch telemetry.
     launches: std::cell::Cell<u64>,
+    /// Tasks dispatched over all launches, for the launch telemetry.
+    blocks: std::cell::Cell<u64>,
     /// Traversal mode, resolved from the configuration at build time.
     mode: IterationMode,
-    /// Sparse mode only, agent-keyed over slots `0..=n`: the cell
-    /// (linear) the agent claimed this step, then — after the decode
-    /// pass — the cell it won; `u32::MAX` = stays put (and every dead
-    /// slot).
-    won: Vec<u32>,
-    /// One list per movement task (row band or slot range): the slots
-    /// that task moved this step, the metrics observation's movers. Each
-    /// task rewrites only its own list, so no lock is taken.
+    /// The row bands of the dense decide pass and of every resolve pass,
+    /// `BANDS_PER_WORKER` per worker.
+    bands: Vec<std::ops::Range<usize>>,
+    /// The band holding each grid row.
+    band_of_row: Vec<u32>,
+    /// The sparse decide pass's slot ranges: slots `1..=n`, one
+    /// contiguous range per worker.
+    slots: Vec<std::ops::Range<usize>>,
+    /// Sparse mode only, `bins[task][band]`: the cells (linear) slot
+    /// range `task` claimed this step in row band `band`, one entry per
+    /// claim, so a contested cell may appear more than once. Each decide
+    /// task rewrites only its own bins; the resolve task of `band` reads
+    /// column `band` of every task.
+    bins: Vec<Vec<Vec<u32>>>,
+    /// One list per resolve band: the slots that band moved this step,
+    /// the metrics observation's movers. Each task rewrites only its own
+    /// list, so no lock is taken.
     movers: Vec<Vec<u32>>,
 }
 
@@ -584,7 +595,22 @@ impl PooledEngine {
         let seed = cfg.env.seed;
         let mode = cfg.iteration.resolve(env.live_count(), h * w);
         let eta_beta = eta_beta_plane(&dist, cfg.model);
-        let mut backend = PooledBackend {
+        let pool = WorkerPool::new(threads);
+        let bands = band_ranges(h, pool.workers() * BANDS_PER_WORKER);
+        let mut band_of_row = vec![0; h];
+        for (b, rows) in bands.iter().enumerate() {
+            band_of_row[rows.clone()].fill(b as u32);
+        }
+        let slots = band_ranges(n, pool.workers())
+            .into_iter()
+            .map(|r| r.start + 1..r.end + 1)
+            .collect::<Vec<_>>();
+        let bins = if mode == IterationMode::Sparse {
+            vec![vec![Vec::new(); bands.len()]; slots.len()]
+        } else {
+            Vec::new()
+        };
+        let backend = PooledBackend {
             cfg,
             geom,
             tour: TourLengths::new(n),
@@ -592,20 +618,19 @@ impl PooledEngine {
             dist,
             eta_beta,
             seed,
-            pool: WorkerPool::new(threads),
+            pool,
             claims: (0..h * w).map(|_| AtomicU8::new(0)).collect(),
             schedule_seed: None,
             launches: std::cell::Cell::new(0),
+            blocks: std::cell::Cell::new(0),
             mode,
-            won: if mode == IterationMode::Sparse {
-                vec![u32::MAX; n + 1]
-            } else {
-                Vec::new()
-            },
-            movers: Vec::new(),
+            movers: vec![Vec::new(); bands.len()],
+            bands,
+            band_of_row,
+            slots,
+            bins,
             env,
         };
-        backend.movers.resize_with(backend.parts(), Vec::new);
         Self { core, backend }
     }
 
@@ -656,40 +681,29 @@ impl PooledEngine {
 }
 
 impl PooledBackend {
-    /// Tasks per launch: row bands, `BANDS_PER_WORKER` per worker, in
-    /// dense mode; one agent-slot range per worker in sparse mode.
-    fn parts(&self) -> usize {
-        match self.mode {
-            IterationMode::Sparse => self.pool.workers(),
-            _ => self.pool.workers() * BANDS_PER_WORKER,
-        }
-    }
-
-    /// The agent-slot ranges of a sparse launch: slots `1..=n` split into
-    /// [`PooledBackend::parts`] contiguous ranges.
-    fn slot_ranges(&self) -> Vec<std::ops::Range<usize>> {
-        band_ranges(self.env.total_agents(), self.parts())
-            .into_iter()
-            .map(|r| r.start + 1..r.end + 1)
-            .collect()
-    }
-
-    /// Count one launch and return its schedule key, if permuted dispatch
-    /// is on. Call at the *top* of a pass, before taking field borrows.
-    fn next_schedule(&self) -> Option<(u64, u64)> {
+    /// Count one launch of `parts` tasks and return its schedule key, if
+    /// permuted dispatch is on. Call at the *top* of a pass, before
+    /// taking field borrows.
+    fn next_schedule(&self, parts: usize) -> Option<(u64, u64)> {
         let launch = self.launches.get();
         self.launches.set(launch + 1);
+        self.blocks.set(self.blocks.get() + parts as u64);
         self.schedule_seed.map(|seed| (seed, launch))
     }
 
     /// The decide pass (§IV.b–c fused, one launch): every live agent
-    /// picks and claims its next cell. Dense mode sweeps row bands of
-    /// cells; sparse mode walks the slot ranges and also records each
-    /// slot's claim in `won` for the decode pass.
+    /// picks and claims its next cell. Dense mode sweeps the row bands;
+    /// sparse mode walks the slot ranges and files each claimed cell in
+    /// its task's bin for the cell's band.
     fn decide(&mut self, step_no: u64) -> Work {
         let w = self.geom.width;
-        let parts = self.parts();
-        let schedule = self.next_schedule();
+        let sparse = self.mode == IterationMode::Sparse;
+        let parts = if sparse {
+            self.slots.len()
+        } else {
+            self.bands.len()
+        };
+        let schedule = self.next_schedule(parts);
         let decide = Decide {
             mat: &self.env.mat,
             pher: self.pher.as_ref(),
@@ -702,9 +716,8 @@ impl PooledBackend {
             claims: &self.claims,
         };
         let sum = WorkSum::default();
-        if self.mode == IterationMode::Dense {
-            let (mat, index) = (&self.env.mat, &self.env.index);
-            let bands = band_ranges(self.geom.height, parts);
+        if !sparse {
+            let (mat, index, bands) = (&self.env.mat, &self.env.index, &self.bands);
             dispatch(&self.pool, schedule, parts, &|b| {
                 let mut work = Work::default();
                 for r in bands[b].clone() {
@@ -718,48 +731,59 @@ impl PooledBackend {
             });
             return sum.total();
         }
-        let slots = self.slot_ranges();
         let (alive, props) = (&self.env.alive, &self.env.props);
-        let won = Scatter::new(&mut self.won);
+        let (slots, band_of_row) = (&self.slots, &self.band_of_row);
+        let bins = Scatter::new(&mut self.bins);
         dispatch(&self.pool, schedule, parts, &|t| {
             let mut work = Work::default();
+            // SAFETY: task `t` owns bin row `t` alone. Its inner lists
+            // live in that row's own allocation, so pushing to them
+            // writes no cache line another task's row shares.
+            let bins = unsafe { bins.slot_mut(t) };
+            for bin in bins.iter_mut() {
+                bin.clear();
+            }
             for ai in slots[t].clone() {
-                let target = if alive[ai] {
-                    let (r, c) = (i64::from(props.row[ai]), i64::from(props.col[ai]));
-                    decide.agent(ai as u32, props.id[ai], r, c, &mut work)
-                } else {
-                    None
-                };
-                // SAFETY: slot `ai` lies in this task's slot range alone.
-                // Dead slots are written too, so the decode and apply
-                // passes never read a stale target.
-                unsafe { won.write(ai, target.map_or(u32::MAX, |t| t as u32)) };
+                if !alive[ai] {
+                    continue;
+                }
+                let (r, c) = (i64::from(props.row[ai]), i64::from(props.col[ai]));
+                if let Some(target) = decide.agent(ai as u32, props.id[ai], r, c, &mut work) {
+                    bins[band_of_row[target / w] as usize].push(target as u32);
+                }
             }
             sum.add(work);
         });
         sum.total()
     }
 
-    /// Dense movement (§IV.d, one launch over row bands): each band
-    /// evaporates its pheromone cells (ACO), then every claimed cell
-    /// admits its winner, clears its claim byte, moves the winner in
-    /// place and adds the winner's deposit.
-    fn resolve_dense(&mut self, step_no: u64) -> Work {
-        let counter_base = (step_no * 4 + KERNEL_MOVE) << 4;
-        let (h, w) = (self.geom.height, self.geom.width);
-        let parts = self.parts();
-        let schedule = self.next_schedule();
-        let aco = self.cfg.model.aco_params();
-        let (seed, claims, ids) = (self.seed, &self.claims, &self.env.props.id);
-        let mat = Scatter::new(self.env.mat.as_mut_slice());
-        let index = Scatter::new(self.env.index.as_mut_slice());
-        let prow = Scatter::new(&mut self.env.props.row);
-        let pcol = Scatter::new(&mut self.env.props.col);
-        let ppos = Scatter::new(&mut self.env.pos);
-        let tours = Scatter::new(&mut self.tour.len);
-        let planes = plane_scatters(self.pher.as_mut());
+    /// Movement (§IV.d, one launch over the row bands): each band
+    /// evaporates its pheromone cells (ACO), then every claimed cell of
+    /// the band admits its winner, clears its claim byte, moves the
+    /// winner in place and adds the winner's deposit. Dense mode finds
+    /// the claimed cells by sweeping the band's claim bytes, sparse mode
+    /// by walking every decide task's bin for the band.
+    fn resolve(&mut self, step_no: u64) -> Work {
+        let w = self.geom.width;
+        let parts = self.bands.len();
+        let schedule = self.next_schedule(parts);
+        let (claims, bands, bins) = (&self.claims, &self.bands, &self.bins);
+        let sparse = self.mode == IterationMode::Sparse;
+        let resolve = Resolve {
+            seed: self.seed,
+            counter_base: (step_no * 4 + KERNEL_MOVE) << 4,
+            width: w,
+            aco: self.cfg.model.aco_params(),
+            ids: &self.env.props.id,
+            mat: Scatter::new(self.env.mat.as_mut_slice()),
+            index: Scatter::new(self.env.index.as_mut_slice()),
+            prow: Scatter::new(&mut self.env.props.row),
+            pcol: Scatter::new(&mut self.env.props.col),
+            ppos: Scatter::new(&mut self.env.pos),
+            tours: Scatter::new(&mut self.tour.len),
+            planes: plane_scatters(self.pher.as_mut()),
+        };
         let movers = Scatter::new(&mut self.movers);
-        let bands = band_ranges(h, parts);
         let sum = WorkSum::default();
         dispatch(&self.pool, schedule, parts, &|b| {
             let mut work = Work::default();
@@ -771,51 +795,36 @@ impl PooledBackend {
             let mut moved = std::mem::take(list);
             moved.clear();
             let cells = bands[b].start * w..bands[b].end * w;
-            if let Some(p) = &aco {
-                for plane in &planes {
+            if let Some(p) = &resolve.aco {
+                for plane in &resolve.planes {
                     // SAFETY: band-owned slots.
                     unsafe { evaporate(plane, cells.clone(), p) };
                 }
             }
-            let first = cells.start;
-            for (i, claim) in claims[cells].iter().enumerate() {
-                let lin = first + i;
-                // ordering: relaxed — the decide launch's end barrier
-                // published every fetch_or; in this pass only this task
-                // touches this cell's byte.
-                let bits = claim.load(Ordering::Relaxed);
-                if bits != 0 {
-                    // ordering: relaxed — as above; the next decide
-                    // launch's start barrier publishes the zero.
-                    claim.store(0, Ordering::Relaxed);
-                    work.contested += u64::from(bits.count_ones() > 1);
-                    let k = admitted(bits, seed, lin, counter_base);
-                    let (dr, dc) = NEIGHBOR_OFFSETS[k];
-                    let (r, c) = (lin / w, lin % w);
-                    let src = (r as i64 + dr) as usize * w + (c as i64 + dc) as usize;
-                    // SAFETY: claimed cells were empty at step start and
-                    // the winner's source cell was occupied, so `lin` and
-                    // `src` belong to this winner alone: no other task
-                    // reads or writes them, or the winner's agent slots,
-                    // this pass.
-                    unsafe {
-                        let a = index.read(src);
-                        let ai = a as usize;
-                        moved.push(a);
-                        mat.write(src, CELL_EMPTY);
-                        index.write(src, 0);
-                        mat.write(lin, ids[ai]);
-                        index.write(lin, a);
-                        prow.write(ai, r as u16);
-                        pcol.write(ai, c as u16);
-                        ppos.write(ai, lin as u32);
-                        if let Some(p) = aco {
-                            let l_new = tours.read(ai) + MOVE_LEN[k];
-                            tours.write(ai, l_new);
-                            let g = Group::from_label(ids[ai]).expect("winner has group label");
-                            let plane = &planes[g.index()];
-                            plane.write(lin, plane.read(lin) + p.q / l_new);
+            if sparse {
+                for task_bins in bins {
+                    for &lin in &task_bins[b] {
+                        let (lin, claim) = (lin as usize, &claims[lin as usize]);
+                        // ordering: relaxed — the decide launch's end
+                        // barrier published every fetch_or; in this pass
+                        // only this band's task touches the byte, and a
+                        // duplicate entry finds it already cleared.
+                        let bits = claim.load(Ordering::Relaxed);
+                        if bits != 0 {
+                            // SAFETY: every cell in `bins[*][b]` lies in
+                            // band `b`.
+                            unsafe { resolve.admit(lin, claim, bits, &mut moved, &mut work) };
                         }
+                    }
+                }
+            } else {
+                let first = cells.start;
+                for (i, claim) in claims[cells].iter().enumerate() {
+                    // ordering: relaxed — as above.
+                    let bits = claim.load(Ordering::Relaxed);
+                    if bits != 0 {
+                        // SAFETY: the cell lies in band `b`.
+                        unsafe { resolve.admit(first + i, claim, bits, &mut moved, &mut work) };
                     }
                 }
             }
@@ -824,147 +833,93 @@ impl PooledBackend {
         });
         sum.total()
     }
+}
 
-    /// Sparse movement (§IV.d, two launches over the slot ranges):
-    /// decode — each claimant re-draws its target's winner and keeps its
-    /// claim in `won` only if it won, while each task evaporates one band
-    /// of pheromone cells — then apply — winners move in place, clear
-    /// their target's claim byte and deposit.
-    fn resolve_sparse(&mut self, step_no: u64) -> Work {
-        let counter_base = (step_no * 4 + KERNEL_MOVE) << 4;
-        let w = self.geom.width;
-        let parts = self.parts();
-        let aco = self.cfg.model.aco_params();
-        let slots = self.slot_ranges();
+/// One step's resolve pass: its draw keys and the in-place scatters
+/// every band task writes through.
+struct Resolve<'a> {
+    seed: u64,
+    /// Counter base of the winner draws: `(step·4 + KERNEL_MOVE) << 4`.
+    counter_base: u64,
+    width: usize,
+    aco: Option<AcoParams>,
+    ids: &'a [u8],
+    mat: Scatter<'a, u8>,
+    index: Scatter<'a, u32>,
+    prow: Scatter<'a, u16>,
+    pcol: Scatter<'a, u16>,
+    ppos: Scatter<'a, u32>,
+    tours: Scatter<'a, f32>,
+    planes: Vec<Scatter<'a, f32>>,
+}
 
-        let sum = WorkSum::default();
-        {
-            let schedule = self.next_schedule();
-            let (seed, claims, props) = (self.seed, &self.claims, &self.env.props);
-            let won = Scatter::new(&mut self.won);
-            let planes = plane_scatters(self.pher.as_mut());
-            let cell_bands = band_ranges(self.geom.height * w, parts);
-            dispatch(&self.pool, schedule, parts, &|t| {
-                let mut work = Work::default();
-                for ai in slots[t].clone() {
-                    // SAFETY: slot `ai` lies in this task's slot range alone.
-                    let target = unsafe { won.read(ai) };
-                    if target == u32::MAX {
-                        continue;
-                    }
-                    let target = target as usize;
-                    // ordering: relaxed — the decide launch's end barrier
-                    // published every fetch_or; this pass only reads the
-                    // bytes.
-                    let bits = claims[target].load(Ordering::Relaxed);
-                    let own = offset_slot(
-                        i64::from(props.row[ai]) - (target / w) as i64,
-                        i64::from(props.col[ai]) - (target % w) as i64,
-                    );
-                    if admitted(bits, seed, target, counter_base) == own {
-                        // Each claimed cell has exactly one winner.
-                        work.contested += u64::from(bits.count_ones() > 1);
-                    } else {
-                        // SAFETY: as above.
-                        unsafe { won.write(ai, u32::MAX) };
-                    }
-                }
-                if let Some(p) = &aco {
-                    for plane in &planes {
-                        // SAFETY: band-disjoint slots.
-                        unsafe { evaporate(plane, cell_bands[t].clone(), p) };
-                    }
-                }
-                sum.add(work);
-            });
-        }
-
-        // Apply, in place: winners' source cells (occupied at step start)
-        // and destination cells (empty at step start) are disjoint
-        // per-winner-unique sets, so the grid writes cannot conflict;
-        // property/tour writes are agent-keyed.
-        let schedule = self.next_schedule();
-        let (claims, won, ids) = (&self.claims, &self.won, &self.env.props.id);
-        let mat = Scatter::new(self.env.mat.as_mut_slice());
-        let index = Scatter::new(self.env.index.as_mut_slice());
-        let prow = Scatter::new(&mut self.env.props.row);
-        let pcol = Scatter::new(&mut self.env.props.col);
-        let ppos = Scatter::new(&mut self.env.pos);
-        let tours = Scatter::new(&mut self.tour.len);
-        let planes = plane_scatters(self.pher.as_mut());
-        let movers = Scatter::new(&mut self.movers);
-        dispatch(&self.pool, schedule, parts, &|t| {
-            // SAFETY: task `t` owns mover list `t` alone.
-            let list = unsafe { movers.slot_mut(t) };
-            // Fill a local and store it back once: pushing through the
-            // shared slot would write its length into a cache line the
-            // neighbouring tasks' slots share, once per winner.
-            let mut moved = std::mem::take(list);
-            moved.clear();
-            for ai in slots[t].clone() {
-                let dst = won[ai];
-                if dst == u32::MAX {
-                    continue;
-                }
-                moved.push(ai as u32);
-                let dst = dst as usize;
-                // ordering: relaxed — every claimant of `dst` read the byte
-                // in the decode launch, whose end barrier orders those
-                // reads before this store; the next decide launch's start
-                // barrier publishes it.
-                claims[dst].store(0, Ordering::Relaxed);
-                let (nr, nc) = ((dst / w) as u16, (dst % w) as u16);
-                // SAFETY: `prow`/`pcol`/`ppos`/`tours` slots are
-                // agent-unique; `mat`/`index`/pheromone writes land on this
-                // winner's own source and destination cells, which are
-                // globally unique across winners (see the phase comment).
-                unsafe {
-                    let (or_, oc_) = (prow.read(ai), pcol.read(ai));
-                    let src = or_ as usize * w + oc_ as usize;
-                    if let Some(p) = aco {
-                        let from = offset_slot(
-                            i64::from(or_) - i64::from(nr),
-                            i64::from(oc_) - i64::from(nc),
-                        );
-                        let l_new = tours.read(ai) + MOVE_LEN[from];
-                        tours.write(ai, l_new);
-                        let g = Group::from_label(ids[ai]).expect("winner has group label");
-                        // The decode pass left max((1-ρ)τ, τ₀) + 0 here;
-                        // adding the deposit completes the fused update
-                        // bit for bit.
-                        let plane = &planes[g.index()];
-                        plane.write(dst, plane.read(dst) + p.q / l_new);
-                    }
-                    mat.write(src, CELL_EMPTY);
-                    index.write(src, 0);
-                    mat.write(dst, ids[ai]);
-                    index.write(dst, ai as u32);
-                    prow.write(ai, nr);
-                    pcol.write(ai, nc);
-                    ppos.write(ai, dst as u32);
-                }
+impl Resolve<'_> {
+    /// Admit the winner of claimed cell `lin`, whose claim byte `claim`
+    /// holds the non-zero `bits`: clear the byte, draw the winner (once,
+    /// and only if the cell is contested), move it in place, add its
+    /// deposit (ACO) and push it onto `moved`. Forced inline so that the
+    /// dense sweep keeps the body in its loop.
+    ///
+    /// SAFETY: `lin` must lie in the calling task's row band.
+    #[inline(always)]
+    unsafe fn admit(
+        &self,
+        lin: usize,
+        claim: &AtomicU8,
+        bits: u8,
+        moved: &mut Vec<u32>,
+        work: &mut Work,
+    ) {
+        let w = self.width;
+        // ordering: relaxed — the next decide launch's start barrier
+        // publishes the zero.
+        claim.store(0, Ordering::Relaxed);
+        work.contested += u64::from(bits.count_ones() > 1);
+        let k = admitted(bits, self.seed, lin, self.counter_base);
+        let (dr, dc) = NEIGHBOR_OFFSETS[k];
+        let (r, c) = (lin / w, lin % w);
+        let src = (r as i64 + dr) as usize * w + (c as i64 + dc) as usize;
+        let ids = self.ids;
+        // SAFETY: claimed cells were empty at step start and the winner's
+        // source cell was occupied, so `lin` and `src` belong to this
+        // winner alone: no other task reads or writes them, or the
+        // winner's agent slots, this pass.
+        unsafe {
+            let a = self.index.read(src);
+            let ai = a as usize;
+            moved.push(a);
+            self.mat.write(src, CELL_EMPTY);
+            self.index.write(src, 0);
+            self.mat.write(lin, ids[ai]);
+            self.index.write(lin, a);
+            self.prow.write(ai, r as u16);
+            self.pcol.write(ai, c as u16);
+            self.ppos.write(ai, lin as u32);
+            if let Some(p) = self.aco {
+                let l_new = self.tours.read(ai) + MOVE_LEN[k];
+                self.tours.write(ai, l_new);
+                let g = Group::from_label(ids[ai]).expect("winner has group label");
+                let plane = &self.planes[g.index()];
+                plane.write(lin, plane.read(lin) + p.q / l_new);
             }
-            *list = moved;
-        });
-        sum.total()
+        }
     }
 }
 
 impl StageBackend for PooledBackend {
     fn run_stage(&mut self, stage: Stage, step_no: u64, rec: &mut pedsim_obs::Recorder) {
-        let before = self.launches.get();
+        let (launches, blocks) = (self.launches.get(), self.blocks.get());
         let work = match stage {
             // Fused into the decide pass, which runs under InitialCalc.
             Stage::Init | Stage::Tour => Work::default(),
             Stage::InitialCalc => self.decide(step_no),
-            Stage::Movement if self.mode == IterationMode::Sparse => self.resolve_sparse(step_no),
-            Stage::Movement => self.resolve_dense(step_no),
+            Stage::Movement => self.resolve(step_no),
             Stage::Lifecycle | Stage::Metrics => unreachable!("core-driven stage"),
         };
-        let launches = self.launches.get() - before;
+        let launches = self.launches.get() - launches;
         let k = stage.index();
         rec.inc(KERNEL_LAUNCH_KEYS[k], launches);
-        rec.inc(KERNEL_BLOCK_KEYS[k], launches * self.parts() as u64);
+        rec.inc(KERNEL_BLOCK_KEYS[k], self.blocks.get() - blocks);
         rec.inc(KERNEL_THREAD_KEYS[k], launches * self.pool.workers() as u64);
         for (key, n) in WORK_KEYS.into_iter().zip(work.counts()) {
             rec.inc(key, n);
@@ -1291,7 +1246,7 @@ mod tests {
         };
         let reference = counts(IterationMode::Dense, 1, None);
         for mode in [IterationMode::Dense, IterationMode::Sparse] {
-            for threads in [1, 3] {
+            for threads in [1, 2, 3] {
                 for schedule in [None, Some(7)] {
                     assert_eq!(
                         counts(mode, threads, schedule),
@@ -1381,6 +1336,50 @@ mod tests {
                     assert!(settled > 0, "{} {mode:?}: nothing settled", model.name());
                 }
             }
+        }
+    }
+
+    /// The sparse decide pass files every claim in the bin of its
+    /// target's band, once per claimant, and the resolve pass clears every
+    /// claimed byte through them — on a doorway jam at three threads with
+    /// permuted dispatch, step for step against the scalar oracle.
+    #[test]
+    fn sparse_bins_file_each_claim_under_its_band() {
+        for model in [ModelKind::lem(), ModelKind::aco()] {
+            let (mut scalar, mut pooled) = doorway_pair(model, IterationMode::Sparse, 3);
+            pooled.set_schedule_seed(Some(11));
+            let w = pooled.backend.geom.width;
+            let mut contested = 0;
+            for step in 0..40 {
+                let b = &mut pooled.backend;
+                let work = b.decide(step);
+                let mut entries: Vec<u32> = Vec::new();
+                for task_bins in &b.bins {
+                    assert_eq!(task_bins.len(), b.bands.len());
+                    for (band, bin) in task_bins.iter().enumerate() {
+                        for &lin in bin {
+                            let row = lin as usize / w;
+                            assert!(b.bands[band].contains(&row), "cell {lin} in bin {band}");
+                        }
+                        entries.extend(bin);
+                    }
+                }
+                assert_eq!(entries.len() as u64, work.claimed, "step {step}");
+                entries.sort_unstable();
+                entries.dedup();
+                let claimed: Vec<u32> = (0..b.claims.len() as u32)
+                    .filter(|&i| b.claims[i as usize].load(Ordering::Relaxed) != 0)
+                    .collect();
+                assert_eq!(entries, claimed, "step {step}");
+                contested += b.resolve(step).contested;
+                assert!(
+                    b.claims.iter().all(|c| c.load(Ordering::Relaxed) == 0),
+                    "step {step}: claim bytes left set"
+                );
+                scalar.step();
+                assert_same_state(&scalar, &pooled, &format!("step {step}"));
+            }
+            assert!(contested > 0, "{}: no contested cell", model.name());
         }
     }
 
