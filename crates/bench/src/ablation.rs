@@ -18,7 +18,7 @@ use std::time::Duration;
 use pedsim_core::kernels::{
     AtomicMovementKernel, DeviceState, InitialCalcKernel, MovementKernel, TourKernel,
 };
-use pedsim_core::model::{front_status, lem_scan_row};
+use pedsim_core::model::{availability, front_status, lem_scan_row};
 use pedsim_core::params::{AcoParams, LemParams, ModelKind, SimConfig};
 use pedsim_core::prelude::*;
 use pedsim_grid::cell::{Group, CELL_WALL};
@@ -326,7 +326,8 @@ impl BlockKernel for UntiledCalcKernel<'_> {
                 let occ = |rr: i64, cc: i64| mat.get_or(rr, cc, CELL_WALL);
                 if let Some(g) = Group::from_label(occ(ri, ci)) {
                     let a = self.index_in[r as usize * w + c as usize] as usize;
-                    let row = lem_scan_row(&occ, self.dist, g, ri, ci, 1);
+                    let row =
+                        lem_scan_row(availability(&occ, ri, ci), &occ, self.dist, g, ri, ci, 1);
                     t.note_global_loads(10);
                     for s in 0..8 {
                         self.scan_val.write(a * 8 + s, row.vals[s]);

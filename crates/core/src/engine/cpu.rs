@@ -20,7 +20,7 @@ use pedsim_grid::{DistanceData, EnvConfig, Environment, Matrix, PheromoneField};
 use philox::StreamRng;
 
 use crate::metrics::{Geometry, Metrics};
-use crate::model::{aco_scan_row, aco_select, front_status, gather_winner};
+use crate::model::{aco_scan_row, aco_select, availability, front_status, gather_winner};
 use crate::model::{lem_scan_row, lem_select, ScanRow};
 use crate::params::{IterationMode, ModelKind, SimConfig};
 
@@ -209,7 +209,10 @@ impl CpuBackend {
             let label = self.env.props.id[i];
             let g = Group::from_label(label).expect("live slot has group label");
             let row: ScanRow = match self.cfg.model {
-                ModelKind::Lem(p) => lem_scan_row(&occ, dist, g, r as i64, c as i64, p.scan_range),
+                ModelKind::Lem(p) => {
+                    let (r, c) = (r as i64, c as i64);
+                    lem_scan_row(availability(&occ, r, c), &occ, dist, g, r, c, p.scan_range)
+                }
                 ModelKind::Aco(p) => {
                     let field = self.pher.as_ref().expect("ACO has pheromone");
                     let tf = field.of(g);

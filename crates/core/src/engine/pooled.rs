@@ -2,7 +2,9 @@
 //! registry) — the repo's fast path.
 //!
 //! A multi-threaded host engine on the `simt` [`WorkerPool`]: the grid is
-//! partitioned into contiguous row bands ([`band_ranges`]) — or, for the
+//! partitioned into contiguous row bands ([`band_ranges`], the pool's own
+//! split, so band `b` runs on the same worker in every pass unless that
+//! worker falls behind) — or, for the
 //! sparse decide pass, the agent slots `1..=n` into one contiguous slot
 //! range per worker — and every pass runs with **conflict-free writes**:
 //! each output slot is written by exactly one task, so no locks are held
@@ -72,8 +74,12 @@ use pedsim_grid::{DistanceData, EnvConfig, Environment, Matrix, PheromoneField};
 use philox::StreamRng;
 use simt::exec::pool::WorkerPool;
 
+/// The tile partition every pooled pass dispatches over; the partition
+/// proptests pin its exactly-once property.
+pub use simt::exec::pool::band_ranges;
+
 use crate::metrics::{Geometry, Metrics};
-use crate::model::{aco_numerator, aco_select, front_status, lem_scan_row, lem_select, ScanRow};
+use crate::model::{aco_numerator, aco_select, availability, lem_scan_row, lem_select, ScanRow};
 use crate::params::{AcoParams, IterationMode, ModelKind, SimConfig};
 
 use super::cpu::HostWorld;
@@ -90,26 +96,6 @@ use crate::world::CompiledWorld;
 /// dispatches one slot range per worker instead.
 pub(crate) const BANDS_PER_WORKER: usize = 4;
 
-/// Split `0..n` into exactly `parts.max(1)` contiguous ranges covering
-/// every index exactly once (sizes differ by at most one; trailing ranges
-/// may be empty when `parts > n`). This is the tile partition every
-/// pooled stage dispatches over — the partition proptest pins the
-/// exactly-once property.
-pub fn band_ranges(n: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
-    let parts = parts.max(1);
-    let base = n / parts;
-    let extra = n % parts;
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0;
-    for i in 0..parts {
-        let len = base + usize::from(i < extra);
-        out.push(start..start + len);
-        start += len;
-    }
-    debug_assert_eq!(start, n);
-    out
-}
-
 /// Inverse of [`NEIGHBOR_OFFSETS`]: the slot `k` with
 /// `NEIGHBOR_OFFSETS[k] == (dr, dc)`.
 #[inline]
@@ -125,6 +111,36 @@ fn offset_slot(dr: i64, dc: i64) -> usize {
         (-1, 1) => 7,
         _ => unreachable!("future cell is not a neighbour: ({dr},{dc})"),
     }
+}
+
+/// The [`availability`] byte of the agent at `(r, c)` in `mat`. An
+/// interior agent's 3×3 neighbourhood is three 3-byte row windows of one
+/// slice of the row-major cells, from its top-left to its bottom-right
+/// neighbour; an agent on the grid's border takes the per-neighbour loop,
+/// which reads outside cells as walls.
+#[inline]
+fn mat_availability(mat: &Matrix<u8>, r: usize, c: usize) -> u8 {
+    let (h, w) = (mat.height(), mat.width());
+    if r == 0 || c == 0 || r + 1 >= h || c + 1 >= w {
+        let occ = |rr: i64, cc: i64| mat.get_or(rr, cc, CELL_WALL);
+        return availability(&occ, r as i64, c as i64);
+    }
+    let cells = &mat.as_slice()[(r - 1) * w + c - 1..][..2 * w + 3];
+    let window = |i: usize| [cells[i], cells[i + 1], cells[i + 2]];
+    let free = |v: u8| u8::from(v == CELL_EMPTY);
+    // Bit k is neighbour NEIGHBOR_OFFSETS[k]: (1,0) (1,-1) (1,1) (0,-1)
+    // (0,1) (-1,0) (-1,-1) (-1,1).
+    let [sw, s, se] = window(2 * w);
+    let [west, _, east] = window(w);
+    let [nw, n, ne] = window(0);
+    free(s)
+        | free(sw) << 1
+        | free(se) << 2
+        | free(west) << 3
+        | free(east) << 4
+        | free(n) << 5
+        | free(nw) << 6
+        | free(ne) << 7
 }
 
 /// Write-set tracker for the `audit-runtime` tile-race detector: one
@@ -473,12 +489,9 @@ impl Decide<'_> {
     /// shortcut returns what the select would, and draws are keyed per
     /// (agent, step), so a skipped draw moves no other stream.
     #[inline]
-    fn agent(&self, a: u32, label: u8, r: i64, c: i64, work: &mut Work) -> Option<usize> {
-        let occ = |rr: i64, cc: i64| self.mat.get_or(rr, cc, CELL_WALL);
-        let mut avail = 0u8;
-        for (k, &(dr, dc)) in NEIGHBOR_OFFSETS.iter().enumerate() {
-            avail |= u8::from(occ(r + dr, c + dc) == CELL_EMPTY) << k;
-        }
+    fn agent(&self, a: u32, label: u8, r: usize, c: usize, work: &mut Work) -> Option<usize> {
+        let avail = mat_availability(self.mat, r, c);
+        let (r, c) = (r as i64, c as i64);
         let g = Group::from_label(label).expect("agent has a group label");
         let fk = self.dist.front_k(g, r, c);
         let k = if self.model.forward_priority() && avail & (1 << fk) != 0 {
@@ -491,7 +504,12 @@ impl Decide<'_> {
                 work.settled += 1;
                 return None;
             }
-            let front = front_status(&occ, fk, r, c);
+            // The selects read the front status only as "empty or not".
+            let front = if avail & (1 << fk) != 0 {
+                CELL_EMPTY
+            } else {
+                CELL_WALL
+            };
             let stream = || StreamRng::with_offset(self.seed, u64::from(a), self.counter_base);
             match self.model {
                 ModelKind::Lem(_) if avail.count_ones() == 1 => {
@@ -499,7 +517,9 @@ impl Decide<'_> {
                     avail.trailing_zeros() as usize
                 }
                 ModelKind::Lem(p) => {
-                    let row = lem_scan_row(&occ, self.dist, g, r, c, p.scan_range);
+                    // Only the `scan_range > 1` ray penalty reads `occ`.
+                    let occ = |rr: i64, cc: i64| self.mat.get_or(rr, cc, CELL_WALL);
+                    let row = lem_scan_row(avail, &occ, self.dist, g, r, c, p.scan_range);
                     lem_select(&row, front, fk, &p, &mut stream())?
                 }
                 ModelKind::Aco(p) => {
@@ -723,7 +743,7 @@ impl PooledBackend {
                 for r in bands[b].clone() {
                     for (c, &a) in index.row(r).iter().enumerate() {
                         if a != 0 {
-                            decide.agent(a, mat.get(r, c), r as i64, c as i64, &mut work);
+                            decide.agent(a, mat.get(r, c), r, c, &mut work);
                         }
                     }
                 }
@@ -747,7 +767,7 @@ impl PooledBackend {
                 if !alive[ai] {
                     continue;
                 }
-                let (r, c) = (i64::from(props.row[ai]), i64::from(props.col[ai]));
+                let (r, c) = (usize::from(props.row[ai]), usize::from(props.col[ai]));
                 if let Some(target) = decide.agent(ai as u32, props.id[ai], r, c, &mut work) {
                     bins[band_of_row[target / w] as usize].push(target as u32);
                 }
@@ -1021,17 +1041,51 @@ mod tests {
         }
     }
 
+    /// The row-window availability byte equals the bounds-checked loop on
+    /// every cell: interior and border cells of three registry worlds as
+    /// built and with every open cell relabelled at random, a one-row
+    /// grid, and every labelling of a 2×2 grid.
     #[test]
-    fn band_ranges_cover_exactly_once() {
-        for (n, parts) in [(0, 3), (5, 8), (7, 1), (100, 7), (16, 16)] {
-            let bands = band_ranges(n, parts);
-            assert_eq!(bands.len(), parts.max(1));
-            let mut next = 0;
-            for b in &bands {
-                assert_eq!(b.start, next, "gap/overlap at {b:?} (n={n}, parts={parts})");
-                next = b.end;
+    fn fast_availability_matches_the_checked_loop_on_every_cell() {
+        use pedsim_grid::cell::{CELL_BOTTOM, CELL_TOP};
+        let assert_every_cell = |mat: &Matrix<u8>, what: &str| {
+            let occ = |r: i64, c: i64| mat.get_or(r, c, CELL_WALL);
+            for r in 0..mat.height() {
+                for c in 0..mat.width() {
+                    assert_eq!(
+                        mat_availability(mat, r, c),
+                        availability(&occ, r as i64, c as i64),
+                        "{what}: cell ({r},{c})"
+                    );
+                }
             }
-            assert_eq!(next, n);
+        };
+        const LABELS: [u8; 4] = [CELL_EMPTY, CELL_TOP, CELL_BOTTOM, CELL_WALL];
+        let mut rng = StreamRng::new(17, 0);
+        let worlds = [
+            pedsim_scenario::registry::doorway(24, 24, 110, 2),
+            pedsim_scenario::registry::pillar_hall(32, 32, 60, 5),
+            pedsim_scenario::registry::t_junction_merge(32, 48),
+        ];
+        for scenario in &worlds {
+            let mut mat = scenario.build_environment().mat;
+            assert_every_cell(&mat, scenario.name());
+            for v in mat.as_mut_slice() {
+                if *v != CELL_WALL {
+                    *v = LABELS[rng.bounded_u32(3) as usize];
+                }
+            }
+            assert_every_cell(&mat, &format!("{} relabelled", scenario.name()));
+        }
+        let row = (0..9)
+            .map(|_| LABELS[rng.bounded_u32(4) as usize])
+            .collect();
+        assert_every_cell(&Matrix::from_vec(1, 9, row), "1x9");
+        for pattern in 0..LABELS.len().pow(4) {
+            let cells = (0..4)
+                .map(|i| LABELS[pattern / LABELS.len().pow(i) % 4])
+                .collect();
+            assert_every_cell(&Matrix::from_vec(2, 2, cells), &format!("2x2 #{pattern}"));
         }
     }
 

@@ -16,7 +16,7 @@ use simt::exec::{BlockCtx, BlockKernel};
 use simt::memory::ScatterView;
 use simt::Dim2;
 
-use crate::model::{aco_scan_row, front_status, lem_scan_row};
+use crate::model::{aco_scan_row, availability, front_status, lem_scan_row};
 use crate::params::ModelKind;
 
 /// Per-cell scoring kernel.
@@ -92,7 +92,10 @@ impl BlockKernel for InitialCalcKernel<'_> {
                     t.note_global_loads(1);
                     debug_assert!(a > 0, "occupied cell must be indexed");
                     let row = match model {
-                        ModelKind::Lem(p) => lem_scan_row(&occ, dist, g, ri, ci, p.scan_range),
+                        ModelKind::Lem(p) => {
+                            let avail = availability(&occ, ri, ci);
+                            lem_scan_row(avail, &occ, dist, g, ri, ci, p.scan_range)
+                        }
                         ModelKind::Aco(p) => {
                             let tile = pher_tile.as_ref().expect("ACO pheromone tile");
                             let which = g.index();
@@ -179,7 +182,8 @@ mod tests {
         for i in 1..=env.total_agents() {
             let (r, c) = env.props.position(i);
             let g = env.group_of(i);
-            let expect = lem_scan_row(&occ, dist.dist_ref(), g, i64::from(r), i64::from(c), 1);
+            let (r, c) = (i64::from(r), i64::from(c));
+            let expect = lem_scan_row(availability(&occ, r, c), &occ, dist.dist_ref(), g, r, c, 1);
             let vals = &state.scan_val.as_slice()[i * 8..i * 8 + 8];
             let idxs = &state.scan_idx.as_slice()[i * 8..i * 8 + 8];
             assert_eq!(idxs, &expect.idxs, "agent {i} idxs");

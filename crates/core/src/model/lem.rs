@@ -12,7 +12,7 @@
 //! overflows to the worst rank (§II.A), so the nearest-to-target candidate
 //! is chosen most often — the "least effort" in the model's name.
 
-use pedsim_grid::cell::{Group, CELL_EMPTY, NEIGHBOR_OFFSETS};
+use pedsim_grid::cell::{Group, CELL_EMPTY};
 use pedsim_grid::distance::DistRef;
 use pedsim_grid::scan::SCAN_INVALID;
 use philox::{ClampedNormal, StreamRng};
@@ -25,12 +25,16 @@ use super::ScanRow;
 /// neighbours' target distances, sorted ascending (ties broken by
 /// neighbour index, so the ordering is total and engine-independent).
 ///
-/// `occ(r, c)` must return the cell label, [`pedsim_grid::CELL_WALL`]
-/// outside the environment. `dist` is the layout-tagged distance view —
-/// row tables for the paper's corridor, a flow field for obstacle worlds.
-/// `scan_range > 1` enables the look-ahead congestion penalty of
-/// `extensions::ranges` (paper future work); `1` is the paper baseline.
+/// `avail` is the agent's [`availability`](super::availability) byte,
+/// which names the available neighbours. `dist` is the layout-tagged
+/// distance view — row tables for the paper's corridor, a flow field for
+/// obstacle worlds. `scan_range > 1` enables the look-ahead congestion
+/// penalty of `extensions::ranges` (paper future work), which reads the
+/// cells beyond the neighbours through `occ` (the cell label,
+/// [`pedsim_grid::CELL_WALL`] outside the environment); `1` is the paper
+/// baseline and never calls `occ`.
 pub fn lem_scan_row(
+    avail: u8,
     occ: &impl Fn(i64, i64) -> u8,
     dist: DistRef<'_>,
     g: Group,
@@ -40,25 +44,25 @@ pub fn lem_scan_row(
 ) -> ScanRow {
     let mut row = ScanRow::empty();
     let mut filled = 0usize;
-    for (k, (dr, dc)) in NEIGHBOR_OFFSETS.iter().enumerate() {
-        let available = occ(r + dr, c + dc) == CELL_EMPTY;
-        if available {
-            let mut d = dist.neighbor(g, r, c, k);
-            if scan_range > 1 {
-                let cong = crate::extensions::ranges::ray_congestion(occ, r, c, k, scan_range);
-                d = crate::extensions::ranges::penalised_distance(d, cong);
-            }
-            // Insertion sort into the prefix [0, filled): 8 elements max.
-            let mut j = filled;
-            while j > 0 && row.vals[j - 1] > d {
-                row.vals[j] = row.vals[j - 1];
-                row.idxs[j] = row.idxs[j - 1];
-                j -= 1;
-            }
-            row.vals[j] = d;
-            row.idxs[j] = k as u8;
-            filled += 1;
+    let mut bits = avail;
+    while bits != 0 {
+        let k = bits.trailing_zeros() as usize;
+        bits &= bits - 1;
+        let mut d = dist.neighbor(g, r, c, k);
+        if scan_range > 1 {
+            let cong = crate::extensions::ranges::ray_congestion(occ, r, c, k, scan_range);
+            d = crate::extensions::ranges::penalised_distance(d, cong);
         }
+        // Insertion sort into the prefix [0, filled): 8 elements max.
+        let mut j = filled;
+        while j > 0 && row.vals[j - 1] > d {
+            row.vals[j] = row.vals[j - 1];
+            row.idxs[j] = row.idxs[j - 1];
+            j -= 1;
+        }
+        row.vals[j] = d;
+        row.idxs[j] = k as u8;
+        filled += 1;
     }
     row
 }
@@ -112,10 +116,15 @@ mod tests {
         t.dist_ref()
     }
 
+    /// The paper-baseline scan row of the agent at `(r, c)` in `occ`.
+    fn scan(occ: &impl Fn(i64, i64) -> u8, dist: DistRef<'_>, g: Group, r: i64, c: i64) -> ScanRow {
+        lem_scan_row(crate::model::availability(occ, r, c), occ, dist, g, r, c, 1)
+    }
+
     #[test]
     fn open_neighbourhood_sorted_ascending() {
         let t = tables();
-        let row = lem_scan_row(&open_world, view(&t), Group::TOP, 50, 50, 1);
+        let row = scan(&open_world, view(&t), Group::TOP, 50, 50);
         // All 8 available; first is the forward cell (k=0), last a backward
         // diagonal (k=6 or 7).
         assert_eq!(row.idxs[0], 0);
@@ -147,7 +156,7 @@ mod tests {
                 open_world(r, c)
             }
         };
-        let row = lem_scan_row(&occ, view(&t), Group::TOP, 50, 50, 1);
+        let row = scan(&occ, view(&t), Group::TOP, 50, 50);
         assert!(row
             .idxs
             .iter()
@@ -159,7 +168,7 @@ mod tests {
     #[test]
     fn corner_agent_sees_three_neighbours() {
         let t = tables();
-        let row = lem_scan_row(&open_world, view(&t), Group::TOP, 0, 0, 1);
+        let row = scan(&open_world, view(&t), Group::TOP, 0, 0);
         let n = row.idxs.iter().take_while(|&&i| i != SCAN_INVALID).count();
         assert_eq!(n, 3); // S, SE, E
     }
@@ -167,7 +176,7 @@ mod tests {
     #[test]
     fn forward_priority_is_deterministic() {
         let t = tables();
-        let row = lem_scan_row(&open_world, view(&t), Group::TOP, 50, 50, 1);
+        let row = scan(&open_world, view(&t), Group::TOP, 50, 50);
         let mut rng = StreamRng::new(0, 1);
         let k = lem_select(
             &row,
@@ -209,7 +218,7 @@ mod tests {
                 open_world(r, c)
             }
         };
-        let row = lem_scan_row(&occ, view(&t), Group::TOP, 50, 50, 1);
+        let row = scan(&occ, view(&t), Group::TOP, 50, 50);
         let params = LemParams::default();
         let mut rng = StreamRng::new(42, 9);
         let mut counts = [0usize; 8];
@@ -234,7 +243,7 @@ mod tests {
     #[test]
     fn selection_respects_candidate_bound() {
         let t = tables();
-        let row = lem_scan_row(&open_world, view(&t), Group::BOTTOM, 0, 0, 1);
+        let row = scan(&open_world, view(&t), Group::BOTTOM, 0, 0);
         // Bottom agent at its own target edge: 3 candidates.
         let params = LemParams {
             sigma: 50.0, // extreme spread exercises the clamp

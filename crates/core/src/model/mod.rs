@@ -56,6 +56,21 @@ pub fn front_status(occ: &impl Fn(i64, i64) -> u8, front_k: usize, r: i64, c: i6
     occ(r + dr, c + dc)
 }
 
+/// The availability byte of the agent at `(r, c)`: bit `k` is set when
+/// neighbour `NEIGHBOR_OFFSETS[k]` is empty, reading occupancy through
+/// `occ` (which must return [`pedsim_grid::CELL_WALL`] outside the
+/// environment). [`lem_scan_row`] takes it in place of re-reading the
+/// neighbours, and the pooled decide pass answers every occupancy
+/// question of a decision from it.
+#[inline]
+pub fn availability(occ: &impl Fn(i64, i64) -> u8, r: i64, c: i64) -> u8 {
+    let mut avail = 0u8;
+    for (k, &(dr, dc)) in NEIGHBOR_OFFSETS.iter().enumerate() {
+        avail |= u8::from(occ(r + dr, c + dc) == CELL_EMPTY) << k;
+    }
+    avail
+}
+
 /// Whether a front-status byte means "free to step into".
 #[inline]
 pub fn front_is_empty(front: u8) -> bool {
@@ -94,5 +109,9 @@ mod tests {
         );
         assert!(front_is_empty(CELL_EMPTY));
         assert!(!front_is_empty(CELL_WALL));
+        // Corner (0,0): only neighbours 0, 2 and 4 lie inside, all free.
+        assert_eq!(availability(&occ, 0, 0), 0b1_0101);
+        // The centre sees all 8 neighbours but the agent at (2,1) (k = 0).
+        assert_eq!(availability(&occ, 1, 1), 0b1111_1110);
     }
 }

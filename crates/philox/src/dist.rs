@@ -84,8 +84,20 @@ impl ClampedNormal {
     /// Negative draws clamp to rank 0 (the least-distance cell); draws past
     /// `max_rank` clamp to `max_rank`; otherwise the draw is rounded to the
     /// nearest integer rank.
+    ///
+    /// Half of all draws skip the transform: when `u₂ = (b >> 8) / 2²⁴`
+    /// lies strictly between 1/4 and 3/4, `cos 2πu₂ ≤ −3.7e-7` while
+    /// `r = √(−2 ln u₁) ≥ 3.45e-4` for every `u₁ < 1`, so the normal draw
+    /// is negative and the rank is 0 — unless `σ < 0` flips its sign (a
+    /// NaN `σ` also ranks 0).
     #[inline]
     pub fn rank(&self, a: u32, b: u32, max_rank: u32) -> u32 {
+        const LEFT_HALF: std::ops::Range<u32> = (1 << 22) + 1..3 << 22;
+        // NaN-inclusive: a NaN `σ` takes the shortcut too.
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        if LEFT_HALF.contains(&(b >> 8)) && !(self.sigma < 0.0) {
+            return 0;
+        }
         let z = f64::from(normal_f32(a, b)) * self.sigma;
         if z <= 0.0 {
             0
@@ -163,6 +175,67 @@ mod tests {
             "rank-0 fraction {}",
             zeros as f64 / n as f64
         );
+    }
+
+    /// Every `u₂` the rank shortcut covers has a negative cosine, and the
+    /// normal draw stays negative after the `f32` cast even at the
+    /// smallest radius (`u₁` just below 1).
+    #[test]
+    fn rank_shortcut_covers_only_negative_cosines() {
+        for m in (1u32 << 22) + 1..3 << 22 {
+            let theta = 2.0 * std::f64::consts::PI * f64::from(uniform_f32(m << 8));
+            assert!(theta.cos() < 0.0, "m = {m}");
+            assert!(normal_f32(u32::MAX, m << 8) < 0.0, "m = {m}");
+        }
+    }
+
+    /// The shortcut returns exactly what the literal clamp of the
+    /// Box–Muller draw returns, for a NaN and a negative `σ` too.
+    #[test]
+    fn rank_shortcut_equals_the_literal_formula() {
+        let literal = |sigma: f64, a: u32, b: u32, max_rank: u32| {
+            let z = f64::from(normal_f32(a, b)) * sigma;
+            if z <= 0.0 {
+                0
+            } else {
+                let r = z.round();
+                if r >= f64::from(max_rank) {
+                    max_rank
+                } else {
+                    r as u32
+                }
+            }
+        };
+        let edges = [
+            0u32,
+            1 << 22,
+            (1 << 22) + 1,
+            (3 << 22) - 1,
+            3 << 22,
+            u32::MAX >> 8,
+        ];
+        let mut s = StreamRng::new(5, 9);
+        for sigma in [0.5, 1.0, 2.5, f64::NAN, -1.0] {
+            let cn = ClampedNormal::new(sigma);
+            let check = |a: u32, b: u32| {
+                for max_rank in 0..8 {
+                    assert_eq!(
+                        cn.rank(a, b, max_rank),
+                        literal(sigma, a, b, max_rank),
+                        "sigma {sigma}, words {a:#x} {b:#x}, max rank {max_rank}"
+                    );
+                }
+            };
+            for m in edges {
+                for a in [0, 1 << 31, u32::MAX] {
+                    check(a, m << 8);
+                    check(a, m << 8 | 0xff);
+                }
+            }
+            for _ in 0..20_000 {
+                check(s.next_u32(), s.next_u32());
+            }
+        }
     }
 
     #[test]

@@ -19,9 +19,10 @@ use crate::report::{BatchReport, RunResult, FLUX_REPORT_WINDOW};
 ///
 /// The pool is the same work-stealing block scheduler the virtual GPU
 /// dispatches kernels on (`simt::exec::pool::WorkerPool`), reused one
-/// level up with whole replicas as the work items: workers claim jobs
-/// from a shared cursor, the calling thread runs jobs as worker 0 and
-/// then waits until every job has finished, and a panicking replica is
+/// level up with whole replicas as the work items: each worker runs its
+/// own contiguous range of jobs in order and then takes the jobs left in
+/// the other workers' ranges, the calling thread runs jobs as worker 0
+/// and then waits until every job has finished, and a panicking replica is
 /// re-raised on the calling thread after the remaining jobs drain — the
 /// pool survives for the next batch.
 ///

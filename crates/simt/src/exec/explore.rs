@@ -1,7 +1,8 @@
 //! Bounded interleaving exploration for the unsafe concurrency core.
 //!
-//! The pool's block scheduler (an atomic claim cursor) hands out blocks in
-//! whatever order the OS happens to run the workers, so any single test
+//! The pool's block scheduler (one atomic claim cursor per worker, the
+//! idle ones stealing from the rest) hands out blocks in whatever order
+//! the OS happens to run the workers, so any single test
 //! run observes exactly one interleaving. This module makes schedule
 //! variation *reproducible*: a Philox-seeded permutation reorders the
 //! block index space before dispatch, and [`explore`] re-runs a workload

@@ -3,10 +3,19 @@
 //! The virtual device launches on the order of 10⁵ kernels per simulation
 //! (four kernels × 25,000 steps), so the pool keeps its workers alive
 //! across launches — spawning threads per launch would dominate runtime.
-//! Blocks are claimed from a shared atomic cursor in small chunks
-//! (work-stealing by competition, like the GPU's hardware block scheduler
-//! handing CTAs to free SMs). The launching thread is worker 0: a pool of
-//! `n` spawns `n − 1` threads, so a one-worker pool runs launches inline.
+//! The launching thread is worker 0: a pool of `n` spawns `n − 1`
+//! threads, so a one-worker pool runs launches inline.
+//!
+//! Each launch splits its items into one contiguous range per worker
+//! ([`band_range`]). Worker `w` claims its own range in order from its own
+//! cache-line-padded cursor, then claims from the other workers' cursors
+//! in turn (`w + 1`, `w + 2`, …) until every range is drained. Item `i`
+//! of a launch of `n` therefore runs on the same worker launch after
+//! launch unless that worker falls behind, so a caller that keeps one
+//! partition across passes (the pooled backend's row bands) keeps each
+//! part's data in one core's cache, as the paper's kernels keep a tile on
+//! one SM. Stealing from the other cursors is the GPU block scheduler's
+//! "a free SM takes the next block" for the launch's tail.
 //!
 //! The pool is deliberately not rayon: the launch semantics (one job at a
 //! time, all workers on it, caller is worker 0 and then waits for the
@@ -31,16 +40,16 @@ type Panic = Box<dyn std::any::Any + Send>;
 ///
 /// A `JobHandle` is created from the closure passed to [`WorkerPool::run`]
 /// and is valid **only inside that call's lifetime**. The caller runs its
-/// own chunks through the real borrow; only spawned workers use the handle:
+/// own items through the real borrow; only spawned workers use the handle:
 ///
-/// 1. `run` installs the handle under the state lock, runs its own chunks
+/// 1. `run` installs the handle under the state lock, runs its own items
 ///    (catching their panics, so it cannot unwind early), then blocks on
 ///    `done_cv` until every spawned worker has decremented `active` to 0;
 /// 2. spawned workers only obtain the handle by copying it out of the
 ///    installed [`Job`] (under the same lock) and only call
 ///    [`JobHandle::get`] between that copy and their `active` decrement;
 /// 3. `run` clears the job before returning, and the debug-mode
-///    `executing` counter (every thread's chunks, the caller's included)
+///    `executing` counter (every thread's items, the caller's included)
 ///    asserts nobody is still inside the closure at that point.
 ///
 /// Together these guarantee the referent outlives every dereference, so
@@ -83,9 +92,13 @@ struct Job {
     f: JobHandle,
     /// Number of items (blocks) in the job.
     n: usize,
-    /// Items claimed per cursor grab.
-    chunk: usize,
 }
+
+/// One worker's claim cursor: the next unclaimed item of that worker's
+/// range. Aligned to two cache lines (the adjacent-line prefetcher pairs
+/// them) so a worker's claims never write a line another cursor shares.
+#[repr(align(128))]
+struct Cursor(AtomicUsize);
 
 struct State {
     /// The in-flight job; also the flag concurrent launchers queue on.
@@ -103,7 +116,8 @@ struct Shared {
     state: Mutex<State>,
     work_cv: Condvar,
     done_cv: Condvar,
-    cursor: AtomicUsize,
+    /// One cursor per worker, the launching thread's first.
+    cursors: Box<[Cursor]>,
     /// Debug-mode check of the [`JobHandle`] scope contract: threads
     /// currently *inside* the job closure. Must be zero whenever `run`
     /// observes `active == 0`.
@@ -135,6 +149,7 @@ pub struct WorkerPool {
 impl WorkerPool {
     /// A pool of `workers` (≥ 1): the caller plus `workers − 1` threads.
     pub fn new(workers: usize) -> Self {
+        let workers = workers.max(1);
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 job: None,
@@ -145,16 +160,16 @@ impl WorkerPool {
             }),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
-            cursor: AtomicUsize::new(0),
+            cursors: (0..workers).map(|_| Cursor(AtomicUsize::new(0))).collect(),
             #[cfg(debug_assertions)]
             executing: AtomicUsize::new(0),
         });
-        let handles = (1..workers.max(1))
+        let handles = (1..workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("simt-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
+                    .spawn(move || worker_loop(&shared, i))
                     .expect("spawn simt worker")
             })
             .collect();
@@ -167,35 +182,39 @@ impl WorkerPool {
     }
 
     /// Execute `f(0..n)` across the pool, the calling thread working as
-    /// worker 0; returns when every index ran.
+    /// worker 0; returns when every index ran. Worker `w` first runs
+    /// [`band_range`]`(n, workers, w)` in order, then helps drain the
+    /// other workers' ranges.
     ///
     /// Launches are serialized: the pool runs one job at a time, and a
     /// concurrent `run` (e.g. two batch replicas sharing one parallel
     /// device) queues until the in-flight job drains instead of
     /// corrupting it.
     ///
-    /// Panics are contained per claimed chunk: the panicking chunk is
-    /// abandoned at the faulting index, the workers drain the rest of the
-    /// job, and the *first* panic payload is re-raised here on the
-    /// launching thread. The pool itself stays usable — a subsequent `run`
-    /// starts from clean state.
+    /// Panics are contained per item: the panicking item is abandoned,
+    /// the workers drain the rest of the job, and the *first* panic
+    /// payload is re-raised here on the launching thread. The pool itself
+    /// stays usable — a subsequent `run` starts from clean state.
     pub fn run(&self, n: usize, f: &(dyn Fn(usize) + Sync)) {
         if n == 0 {
             return;
         }
-        let chunk = (n / (self.workers() * 4)).max(1);
         let mut st = self.shared.state.lock();
         while st.job.is_some() {
             self.shared.done_cv.wait(&mut st);
         }
-        // ordering: relaxed — the cursor reset is published to workers by
-        // the state-mutex release below, not by the atomic itself.
-        self.shared.cursor.store(0, Ordering::Relaxed);
+        let workers = self.workers();
+        for (w, cursor) in self.shared.cursors.iter().enumerate() {
+            // ordering: relaxed — the cursor reset is published to workers
+            // by the state-mutex release below, not by the atomic itself.
+            cursor
+                .0
+                .store(band_range(n, workers, w).start, Ordering::Relaxed);
+        }
         // The one lifetime-erasure step (see `JobHandle`).
         st.job = Some(Job {
             f: JobHandle::new(f),
             n,
-            chunk,
         });
         st.active = self.handles.len();
         if st.active > 0 {
@@ -203,7 +222,7 @@ impl WorkerPool {
             self.shared.work_cv.notify_all();
         }
         drop(st);
-        let own_panic = claim_blocks(&self.shared, f, n, chunk);
+        let own_panic = claim_blocks(&self.shared, f, n, 0);
         let mut st = self.shared.state.lock();
         while st.active > 0 {
             self.shared.done_cv.wait(&mut st);
@@ -235,42 +254,63 @@ impl Drop for WorkerPool {
     }
 }
 
-/// Every worker's loop, the caller's included: claim and run chunks until
-/// the cursor passes `n`, returning the first panic caught.
-fn claim_blocks(shared: &Shared, f: &Kernel<'_>, n: usize, chunk: usize) -> Option<Panic> {
+/// The `i`-th of `parts.max(1)` contiguous ranges that split `0..n`:
+/// sizes differ by at most one, the longer ranges come first, and the
+/// trailing ranges are empty when `parts > n`. The ranges for `i` in
+/// `0..parts` cover every index exactly once. This is the pool's
+/// per-worker split and the pooled backend's row-band partition.
+pub fn band_range(n: usize, parts: usize, i: usize) -> std::ops::Range<usize> {
+    let parts = parts.max(1);
+    let (base, extra) = (n / parts, n % parts);
+    let start = i * base + i.min(extra);
+    start..start + base + usize::from(i < extra)
+}
+
+/// All [`band_range`]s of `0..n` in order: exactly `parts.max(1)` of them.
+pub fn band_ranges(n: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
+    (0..parts.max(1)).map(|i| band_range(n, parts, i)).collect()
+}
+
+/// Every worker's loop, the caller's included: worker `me` claims the
+/// items of its own range in order, then those left in the other
+/// workers' ranges (`me + 1`, `me + 2`, …), returning the first panic
+/// caught.
+fn claim_blocks(shared: &Shared, f: &Kernel<'_>, n: usize, me: usize) -> Option<Panic> {
     // An inline launch may run inside another pool's block (a replica's
     // engine inside a batch job): restore that block on the way out.
     #[cfg(feature = "audit-runtime")]
     let outer_block = current_block();
     let mut first_panic = None;
-    loop {
-        // ordering: relaxed — a pure claim ticket: item data was published
-        // by the state mutex, and claimed ranges never overlap.
-        let start = shared.cursor.fetch_add(chunk, Ordering::Relaxed);
-        if start >= n {
-            break;
-        }
-        // ordering: relaxed — debug-only counter, read after the drain in `run`.
-        #[cfg(debug_assertions)]
-        shared.executing.fetch_add(1, Ordering::Relaxed);
-        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            for i in start..(start + chunk).min(n) {
+    let workers = shared.cursors.len();
+    for owner in (me..workers).chain(0..me) {
+        let (cursor, end) = (&shared.cursors[owner].0, band_range(n, workers, owner).end);
+        loop {
+            // ordering: relaxed — a pure claim ticket: item data was
+            // published by the state mutex, and each ticket is unique.
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= end {
+                break;
+            }
+            // ordering: relaxed — debug-only counter, read after the drain in `run`.
+            #[cfg(debug_assertions)]
+            shared.executing.fetch_add(1, Ordering::Relaxed);
+            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
                 #[cfg(feature = "audit-runtime")]
                 CURRENT_BLOCK.with(|c| c.set(Some(i)));
                 f(i);
-            }
-        }));
-        // ordering: relaxed — same debug-counter argument as above.
-        #[cfg(debug_assertions)]
-        shared.executing.fetch_sub(1, Ordering::Relaxed);
-        first_panic = first_panic.or(outcome.err());
+            }));
+            // ordering: relaxed — same debug-counter argument as above.
+            #[cfg(debug_assertions)]
+            shared.executing.fetch_sub(1, Ordering::Relaxed);
+            first_panic = first_panic.or(outcome.err());
+        }
     }
     #[cfg(feature = "audit-runtime")]
     CURRENT_BLOCK.with(|c| c.set(outer_block));
     first_panic
 }
 
-fn worker_loop(shared: &Shared) {
+fn worker_loop(shared: &Shared, me: usize) {
     let mut seen_generation = 0u64;
     loop {
         let job = {
@@ -287,7 +327,7 @@ fn worker_loop(shared: &Shared) {
         // SAFETY: scope-contract window (rule 2 on `JobHandle`) — the
         // installing `run` call cannot return until this worker
         // decrements `active` below, so the closure is alive.
-        let payload = claim_blocks(shared, unsafe { job.f.get() }, job.n, job.chunk);
+        let payload = claim_blocks(shared, unsafe { job.f.get() }, job.n, me);
         let mut st = shared.state.lock();
         st.panic = st.panic.take().or(payload);
         st.active -= 1;
@@ -311,6 +351,54 @@ mod tests {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+    }
+
+    #[test]
+    fn band_ranges_cover_exactly_once() {
+        for (n, parts) in [(0, 3), (5, 8), (7, 1), (100, 7), (16, 16), (9, 0)] {
+            let bands = band_ranges(n, parts);
+            assert_eq!(bands.len(), parts.max(1));
+            let mut next = 0;
+            for (i, b) in bands.iter().enumerate() {
+                assert_eq!(b.start, next, "gap/overlap at {b:?} (n={n}, parts={parts})");
+                assert!(b.len() == n / parts.max(1) + usize::from(i < n % parts.max(1)));
+                next = b.end;
+            }
+            assert_eq!(next, n);
+        }
+    }
+
+    /// Worker 1's first item blocks until its second has run, so only a
+    /// steal can finish the launch: the launching thread runs its own
+    /// range (items 0 and 1) in order, then takes whichever of items 2 and
+    /// 3 worker 1 has not claimed yet.
+    #[test]
+    fn an_idle_worker_steals_from_a_blocked_one() {
+        use std::sync::atomic::AtomicBool;
+        let pool = WorkerPool::new(2);
+        let caller = std::thread::current().id();
+        for _ in 0..20 {
+            let ran_3 = AtomicBool::new(false);
+            let runs: Vec<Mutex<Vec<std::thread::ThreadId>>> =
+                (0..4).map(|_| Mutex::new(Vec::new())).collect();
+            pool.run(4, &|i| {
+                if i == 2 {
+                    // ordering: acquire — pairs with item 3's release store.
+                    while !ran_3.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                }
+                runs[i].lock().push(std::thread::current().id());
+                if i == 3 {
+                    // ordering: release — publishes item 3's record to item 2.
+                    ran_3.store(true, Ordering::Release);
+                }
+            });
+            let runs: Vec<_> = runs.into_iter().map(Mutex::into_inner).collect();
+            assert!(runs.iter().all(|r| r.len() == 1), "{runs:?}");
+            assert_eq!((runs[0][0], runs[1][0]), (caller, caller));
+            assert!((runs[2][0] == caller) != (runs[3][0] == caller), "{runs:?}");
+        }
     }
 
     #[test]
