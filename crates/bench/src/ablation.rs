@@ -56,13 +56,13 @@ fn prepared_state(side: usize, agents: usize, seed: u64) -> DeviceState {
     device.launch(&cells, &calc).expect("calc");
     let tour = TourKernel {
         n: state.n,
+        w: state.w,
         alive: &state.alive,
         scan_val: state.scan_val.as_slice(),
         scan_idx: state.scan_idx.as_slice(),
         front: state.front.as_slice(),
         front_k: state.front_k.as_slice(),
-        row: state.row.as_slice(),
-        col: state.col.as_slice(),
+        pos: state.pos.as_slice(),
         future_row: state.future_row.view(),
         future_col: state.future_col.view(),
         model: ModelKind::lem(),
@@ -122,8 +122,6 @@ pub fn movement_variants(side: usize, agents: usize, reps: usize) -> MovementAbl
             future_row: state.future_row.as_slice(),
             future_col: state.future_col.as_slice(),
             id: &state.id,
-            row: state.row.view(),
-            col: state.col.view(),
             pos: state.pos.view(),
             tour: state.tour.view(),
             mat_out: state.mat[1].view(),
@@ -148,14 +146,13 @@ pub fn movement_variants(side: usize, agents: usize, reps: usize) -> MovementAbl
         .map(|&v| u32::from(v))
         .collect();
     let index_src: Vec<u32> = state.index[0].as_slice().to_vec();
-    let row_scratch = ScatterBuffer::from_vec(state.row.as_slice().to_vec(), false);
-    let col_scratch = ScatterBuffer::from_vec(state.col.as_slice().to_vec(), false);
     let mut atomic_time = Duration::ZERO;
     let mut atomic_ops = 0u64;
     let mut atomic_profile = KernelProfile::default();
     for rep in 0..reps {
         mat_atomic.load_from(&mat_src);
         index_atomic.load_from(&index_src);
+        let pos_scratch = ScatterBuffer::from_vec(state.pos.as_slice().to_vec(), false);
         let k = AtomicMovementKernel {
             w: state.w,
             n: state.n,
@@ -164,8 +161,7 @@ pub fn movement_variants(side: usize, agents: usize, reps: usize) -> MovementAbl
             future_row: state.future_row.as_slice(),
             future_col: state.future_col.as_slice(),
             id: &state.id,
-            row: row_scratch.view(),
-            col: col_scratch.view(),
+            pos: pos_scratch.view(),
         };
         let stats = device.launch(&rows_cfg, &k).expect("atomic");
         atomic_time += stats.duration;

@@ -66,8 +66,16 @@ pub fn property_schema() -> Table {
             "index into the property/scan matrices",
             "implicit (row number)",
         ),
-        ("ROW", "present row position", "props.row (u16)"),
-        ("COLUMN", "present column position", "props.col (u16)"),
+        (
+            "ROW",
+            "present row position",
+            "props.pos (u32, row·width + col)",
+        ),
+        (
+            "COLUMN",
+            "present column position",
+            "props.pos (u32, row·width + col)",
+        ),
         ("EMPTY", "unused", "dropped"),
         (
             "FUTURE ROW",

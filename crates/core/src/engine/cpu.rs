@@ -26,7 +26,7 @@ use crate::params::{IterationMode, ModelKind, SimConfig};
 
 use super::lifecycle::{LifecycleWorld, OpenLifecycle};
 use super::pipeline::{Stage, StageBackend, StepCore, StepTimings};
-use super::{swap_model, Engine, ModelSwapError, KERNEL_MOVE, KERNEL_TOUR};
+use super::{split_positions, swap_model, Engine, ModelSwapError, KERNEL_MOVE, KERNEL_TOUR};
 use crate::world::CompiledWorld;
 
 /// The sequential reference engine.
@@ -48,9 +48,9 @@ struct CpuBackend {
     dist: std::sync::Arc<DistanceData>,
     seed: u64,
     /// Resolved movers of the last movement stage:
-    /// `(slot, dst_row, dst_col, step_len)`. The metrics observation
+    /// `(slot, destination cell, step_len)`. The metrics observation
     /// reads the slots as the step's movers.
-    winners: Vec<(u32, u16, u16, f32)>,
+    winners: Vec<(u32, usize, f32)>,
 }
 
 /// The lifecycle's view of a host-side engine's world: the host
@@ -67,8 +67,8 @@ impl LifecycleWorld for HostWorld<'_> {
         self.env.is_alive(i)
     }
 
-    fn position(&self, i: usize) -> (u16, u16) {
-        self.env.props.position(i)
+    fn position(&self, i: usize) -> usize {
+        self.env.props.pos[i] as usize
     }
 
     fn is_cell_empty(&self, r: u16, c: u16) -> bool {
@@ -202,10 +202,7 @@ impl CpuBackend {
             if !self.env.alive[i] {
                 continue;
             }
-            let (r, c) = (
-                self.env.props.row[i] as usize,
-                self.env.props.col[i] as usize,
-            );
+            let (r, c) = self.env.position(i);
             let label = self.env.props.id[i];
             let g = Group::from_label(label).expect("live slot has group label");
             let row: ScanRow = match self.cfg.model {
@@ -253,9 +250,9 @@ impl CpuBackend {
             match k {
                 Some(k) => {
                     let (dr, dc) = NEIGHBOR_OFFSETS[k];
-                    let (ar, ac) = self.env.props.position(i);
-                    self.env.props.future_row[i] = (i64::from(ar) + dr) as u16;
-                    self.env.props.future_col[i] = (i64::from(ac) + dc) as u16;
+                    let (ar, ac) = self.env.position(i);
+                    self.env.props.future_row[i] = (ar as i64 + dr) as u16;
+                    self.env.props.future_col[i] = (ac as i64 + dc) as u16;
                 }
                 None => {
                     self.env.props.future_row[i] = NO_FUTURE;
@@ -293,12 +290,11 @@ impl CpuBackend {
                 }
                 let fr = i64::from(props.future_row[i]);
                 let fc = i64::from(props.future_col[i]);
-                let tlin = (fr as usize * w + fc as usize) as u64;
-                let mut trng = StreamRng::with_offset(self.seed, tlin, counter_base);
+                let tlin = fr as usize * w + fc as usize;
+                let mut trng = StreamRng::with_offset(self.seed, tlin as u64, counter_base);
                 if let Some(arr) = gather_winner(&occ, &idx, &fut, fr, fc, &mut trng) {
                     if arr.agent == i as u32 {
-                        self.winners
-                            .push((i as u32, fr as u16, fc as u16, arr.step_len()));
+                        self.winners.push((i as u32, tlin, arr.step_len()));
                     }
                 }
             }
@@ -320,17 +316,17 @@ impl CpuBackend {
                     *o = PheromoneField::fused_update(i, p.tau0, p.rho, 0.0);
                 }
             }
-            for &(a, fr, fc, step_len) in &self.winners {
+            for &(a, dst, step_len) in &self.winners {
                 let ai = a as usize;
                 let l_new = self.tour.get(ai) + step_len;
                 let g = Group::from_label(self.env.props.id[ai]).expect("winner has group label");
                 let next = PheromoneField::fused_update(
-                    pin.of(g).get(fr as usize, fc as usize),
+                    pin.of(g).as_slice()[dst],
                     p.tau0,
                     p.rho,
                     p.q / l_new,
                 );
-                pout.of_mut(g).set(fr as usize, fc as usize, next);
+                pout.of_mut(g).as_mut_slice()[dst] = next;
             }
         }
 
@@ -338,18 +334,16 @@ impl CpuBackend {
         // step start) and destination cells (all empty at step start) are
         // disjoint sets, so clear-src/set-dst per winner is order-free and
         // lands the exact grid a per-cell write-then-swap produces.
-        for &(a, fr, fc, step_len) in &self.winners {
+        let (mat, index) = (self.env.mat.as_mut_slice(), self.env.index.as_mut_slice());
+        let props = &mut self.env.props;
+        for &(a, dst, step_len) in &self.winners {
             let ai = a as usize;
-            let (or, oc) = self.env.props.position(ai);
-            self.env.mat.set(or as usize, oc as usize, CELL_EMPTY);
-            self.env.index.set(or as usize, oc as usize, 0);
-            self.env
-                .mat
-                .set(fr as usize, fc as usize, self.env.props.id[ai]);
-            self.env.index.set(fr as usize, fc as usize, a);
-            self.env.props.row[ai] = fr;
-            self.env.props.col[ai] = fc;
-            self.env.pos[ai] = fr as u32 * w as u32 + fc as u32;
+            let src = props.pos[ai] as usize;
+            mat[src] = CELL_EMPTY;
+            index[src] = 0;
+            mat[dst] = props.id[ai];
+            index[dst] = a;
+            props.pos[ai] = dst as u32;
             if aco.is_some() {
                 self.tour.add(ai, step_len);
             }
@@ -376,7 +370,7 @@ impl StageBackend for CpuBackend {
 
     fn observe(&self, metrics: &mut Metrics) {
         let movers = self.winners.iter().map(|&(a, ..)| a);
-        metrics.observe(movers, &self.env.props.row, &self.env.props.col);
+        metrics.observe(movers, &self.env.props.pos);
     }
 
     fn run_lifecycle(
@@ -427,10 +421,8 @@ impl Engine for CpuEngine {
     }
 
     fn positions(&self) -> (Vec<u16>, Vec<u16>) {
-        (
-            self.backend.env.props.row.clone(),
-            self.backend.env.props.col.clone(),
-        )
+        let env = &self.backend.env;
+        split_positions(&env.props.pos, env.width())
     }
 }
 

@@ -30,7 +30,7 @@ use crate::params::{IterationMode, ModelKind, SimConfig};
 
 use super::lifecycle::{LifecycleWorld, OpenLifecycle};
 use super::pipeline::{Stage, StageBackend, StepCore, StepTimings};
-use super::{swap_model, Engine, ModelSwapError};
+use super::{split_positions, swap_model, Engine, ModelSwapError};
 use crate::world::CompiledWorld;
 
 /// The open-boundary lifecycle drives the device state directly: the
@@ -41,8 +41,8 @@ impl LifecycleWorld for DeviceState {
         self.alive[i] != 0
     }
 
-    fn position(&self, i: usize) -> (u16, u16) {
-        (self.row.as_slice()[i], self.col.as_slice()[i])
+    fn position(&self, i: usize) -> usize {
+        self.pos.as_slice()[i] as usize
     }
 
     fn is_cell_empty(&self, r: u16, c: u16) -> bool {
@@ -50,7 +50,7 @@ impl LifecycleWorld for DeviceState {
     }
 
     fn despawn(&mut self, g: Group, i: usize) {
-        let lin = self.row.as_slice()[i] as usize * self.w + self.col.as_slice()[i] as usize;
+        let lin = self.position(i);
         let cur = self.cur;
         debug_assert_eq!(self.index[cur].as_slice()[lin], i as u32);
         self.mat[cur].as_mut_slice()[lin] = CELL_EMPTY;
@@ -66,8 +66,6 @@ impl LifecycleWorld for DeviceState {
         let cur = self.cur;
         self.mat[cur].as_mut_slice()[lin] = g.label();
         self.index[cur].as_mut_slice()[lin] = idx;
-        self.row.as_mut_slice()[idx as usize] = r;
-        self.col.as_mut_slice()[idx as usize] = c;
         self.pos.as_mut_slice()[idx as usize] = lin as u32;
         self.tour.as_mut_slice()[idx as usize] = 0.0;
         self.alive[idx as usize] = 1;
@@ -321,13 +319,13 @@ impl StageBackend for GpuBackend {
                 st.future_col.begin_epoch();
                 let tour = TourKernel {
                     n: st.n,
+                    w: st.w,
                     alive: &st.alive,
                     scan_val: st.scan_val.as_slice(),
                     scan_idx: st.scan_idx.as_slice(),
                     front: st.front.as_slice(),
                     front_k: st.front_k.as_slice(),
-                    row: st.row.as_slice(),
-                    col: st.col.as_slice(),
+                    pos: st.pos.as_slice(),
                     future_row: st.future_row.view(),
                     future_col: st.future_col.view(),
                     model: self.cfg.model,
@@ -339,8 +337,6 @@ impl StageBackend for GpuBackend {
                 // Kernel 4: agent movement (§IV.d).
                 st.mat[nxt].begin_epoch();
                 st.index[nxt].begin_epoch();
-                st.row.begin_epoch();
-                st.col.begin_epoch();
                 st.pos.begin_epoch();
                 st.tour.begin_epoch();
                 if let Some(p) = st.pher.as_ref() {
@@ -360,8 +356,6 @@ impl StageBackend for GpuBackend {
                     future_row: st.future_row.as_slice(),
                     future_col: st.future_col.as_slice(),
                     id: &st.id,
-                    row: st.row.view(),
-                    col: st.col.view(),
                     pos: st.pos.view(),
                     tour: st.tour.view(),
                     mat_out: st.mat[nxt].view(),
@@ -397,7 +391,7 @@ impl StageBackend for GpuBackend {
         let pos = st.pos.as_slice();
         let movers = (1..=st.n as u32)
             .filter(|&a| st.alive[a as usize] != 0 && before[pos[a as usize] as usize] != a);
-        metrics.observe(movers, st.row.as_slice(), st.col.as_slice());
+        metrics.observe(movers, pos);
     }
 
     fn run_lifecycle(
@@ -448,10 +442,8 @@ impl Engine for GpuEngine {
     }
 
     fn positions(&self) -> (Vec<u16>, Vec<u16>) {
-        (
-            self.backend.state.row.as_slice().to_vec(),
-            self.backend.state.col.as_slice().to_vec(),
-        )
+        let st = &self.backend.state;
+        split_positions(st.pos.as_slice(), st.w)
     }
 }
 

@@ -65,8 +65,8 @@ pub struct OpenLifecycle {
 pub trait LifecycleWorld {
     /// Whether slot `i` holds a live agent.
     fn is_alive(&self, i: usize) -> bool;
-    /// Current position of slot `i`.
-    fn position(&self, i: usize) -> (u16, u16);
+    /// Current linear cell (`row·width + col`) of slot `i`.
+    fn position(&self, i: usize) -> usize;
     /// Whether cell `(r, c)` is empty (no agent, no wall).
     fn is_cell_empty(&self, r: u16, c: u16) -> bool;
     /// Remove the live agent in slot `i` (group `g`) and recycle the slot.
@@ -130,8 +130,7 @@ impl OpenLifecycle {
                 continue;
             }
             let g = self.geom.group_of(i);
-            let (r, c) = world.position(i);
-            if self.targets.get(r as usize, c as usize) & g.target_bit() != 0 {
+            if self.targets.as_slice()[world.position(i)] & g.target_bit() != 0 {
                 world.despawn(g, i);
                 if let Some(m) = metrics.as_deref_mut() {
                     m.note_despawn(i);

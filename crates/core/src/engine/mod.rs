@@ -83,6 +83,15 @@ pub(crate) const KERNEL_TOUR: u64 = 2;
 /// Movement kernel salt offset.
 pub(crate) const KERNEL_MOVE: u64 = 3;
 
+/// Split linear agent cells on a `width`-wide grid into the `(row, col)`
+/// vectors [`Engine::positions`] reports.
+pub(crate) fn split_positions(pos: &[u32], width: usize) -> (Vec<u16>, Vec<u16>) {
+    let w = width as u32;
+    pos.iter()
+        .map(|&p| ((p / w) as u16, (p % w) as u16))
+        .unzip()
+}
+
 /// Common engine interface.
 pub trait Engine {
     /// Advance one time step (all four kernels).
@@ -123,7 +132,8 @@ pub trait Engine {
     fn mat_snapshot(&self) -> Matrix<u8>;
 
     /// Snapshot of agent positions: `(row, col)` vectors indexed by agent
-    /// (slot 0 = sentinel).
+    /// (slot 0 = sentinel), derived from the one position column
+    /// `props.pos`. A dead slot reports the cell it last stood on.
     fn positions(&self) -> (Vec<u16>, Vec<u16>);
 
     /// Run `n` steps.

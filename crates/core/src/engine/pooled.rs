@@ -88,7 +88,7 @@ use super::pipeline::{
     Stage, StageBackend, StepCore, StepTimings, KERNEL_BLOCK_KEYS, KERNEL_LAUNCH_KEYS,
     KERNEL_THREAD_KEYS,
 };
-use super::{swap_model, Engine, ModelSwapError, KERNEL_MOVE, KERNEL_TOUR};
+use super::{split_positions, swap_model, Engine, ModelSwapError, KERNEL_MOVE, KERNEL_TOUR};
 use crate::world::CompiledWorld;
 
 /// Row-band oversubscription factor: row bands per worker, so a
@@ -753,6 +753,7 @@ impl PooledBackend {
         }
         let (alive, props) = (&self.env.alive, &self.env.props);
         let (slots, band_of_row) = (&self.slots, &self.band_of_row);
+        let w32 = w as u32;
         let bins = Scatter::new(&mut self.bins);
         dispatch(&self.pool, schedule, parts, &|t| {
             let mut work = Work::default();
@@ -767,7 +768,9 @@ impl PooledBackend {
                 if !alive[ai] {
                     continue;
                 }
-                let (r, c) = (usize::from(props.row[ai]), usize::from(props.col[ai]));
+                let p = props.pos[ai];
+                let r = p / w32;
+                let (r, c) = (r as usize, (p - r * w32) as usize);
                 if let Some(target) = decide.agent(ai as u32, props.id[ai], r, c, &mut work) {
                     bins[band_of_row[target / w] as usize].push(target as u32);
                 }
@@ -797,9 +800,7 @@ impl PooledBackend {
             ids: &self.env.props.id,
             mat: Scatter::new(self.env.mat.as_mut_slice()),
             index: Scatter::new(self.env.index.as_mut_slice()),
-            prow: Scatter::new(&mut self.env.props.row),
-            pcol: Scatter::new(&mut self.env.props.col),
-            ppos: Scatter::new(&mut self.env.pos),
+            pos: Scatter::new(&mut self.env.props.pos),
             tours: Scatter::new(&mut self.tour.len),
             planes: plane_scatters(self.pher.as_mut()),
         };
@@ -866,9 +867,7 @@ struct Resolve<'a> {
     ids: &'a [u8],
     mat: Scatter<'a, u8>,
     index: Scatter<'a, u32>,
-    prow: Scatter<'a, u16>,
-    pcol: Scatter<'a, u16>,
-    ppos: Scatter<'a, u32>,
+    pos: Scatter<'a, u32>,
     tours: Scatter<'a, f32>,
     planes: Vec<Scatter<'a, f32>>,
 }
@@ -890,15 +889,13 @@ impl Resolve<'_> {
         moved: &mut Vec<u32>,
         work: &mut Work,
     ) {
-        let w = self.width;
         // ordering: relaxed — the next decide launch's start barrier
         // publishes the zero.
         claim.store(0, Ordering::Relaxed);
         work.contested += u64::from(bits.count_ones() > 1);
         let k = admitted(bits, self.seed, lin, self.counter_base);
         let (dr, dc) = NEIGHBOR_OFFSETS[k];
-        let (r, c) = (lin / w, lin % w);
-        let src = (r as i64 + dr) as usize * w + (c as i64 + dc) as usize;
+        let src = (lin as i64 + dr * self.width as i64 + dc) as usize;
         let ids = self.ids;
         // SAFETY: claimed cells were empty at step start and the winner's
         // source cell was occupied, so `lin` and `src` belong to this
@@ -912,9 +909,7 @@ impl Resolve<'_> {
             self.index.write(src, 0);
             self.mat.write(lin, ids[ai]);
             self.index.write(lin, a);
-            self.prow.write(ai, r as u16);
-            self.pcol.write(ai, c as u16);
-            self.ppos.write(ai, lin as u32);
+            self.pos.write(ai, lin as u32);
             if let Some(p) = self.aco {
                 let l_new = self.tours.read(ai) + MOVE_LEN[k];
                 self.tours.write(ai, l_new);
@@ -957,7 +952,7 @@ impl StageBackend for PooledBackend {
 
     fn observe(&self, metrics: &mut Metrics) {
         let movers = self.movers.iter().flatten().copied();
-        metrics.observe(movers, &self.env.props.row, &self.env.props.col);
+        metrics.observe(movers, &self.env.props.pos);
     }
 
     fn run_lifecycle(
@@ -1008,10 +1003,8 @@ impl Engine for PooledEngine {
     }
 
     fn positions(&self) -> (Vec<u16>, Vec<u16>) {
-        (
-            self.backend.env.props.row.clone(),
-            self.backend.env.props.col.clone(),
-        )
+        let env = &self.backend.env;
+        split_positions(&env.props.pos, env.width())
     }
 }
 
@@ -1104,8 +1097,9 @@ mod tests {
             let occ = |r: i64, c: i64| env.mat.get_or(r, c, CELL_WALL);
             let mut props = env.props.clone();
             let claims: Vec<AtomicU8> = (0..h * w).map(|_| AtomicU8::new(0)).collect();
-            for a in 1..props.row.len() {
-                let (r, c) = (i64::from(props.row[a]), i64::from(props.col[a]));
+            for a in 1..props.pos.len() {
+                let p = props.pos[a] as usize;
+                let (r, c) = ((p / w) as i64, (p % w) as i64);
                 let free: Vec<usize> = (0..8)
                     .filter(|&k| {
                         let (dr, dc) = NEIGHBOR_OFFSETS[k];

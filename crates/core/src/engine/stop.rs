@@ -275,7 +275,7 @@ mod tests {
         let geom = Geometry::two_sided(16, 16, 3, 2);
         let mut m = Metrics::new(geom);
         for _ in 0..steps {
-            m.observe([], &[0, 5, 5, 10, 10], &[0, 1, 2, 1, 2]);
+            m.observe([], &[0, 81, 82, 161, 162]);
         }
         m
     }
@@ -374,11 +374,12 @@ mod tests {
             window: 4,
         };
         assert_eq!(c.check(0, Some(&m)), None);
-        // One crossing per window half — sustained, settled flow.
-        m.observe([1], &[0, 13, 1, 15, 15], &[0, 0, 1, 0, 1]); // agent 1 crosses
-        m.observe([], &[0, 13, 1, 15, 15], &[0, 0, 1, 0, 1]);
-        m.observe([2], &[0, 13, 13, 15, 15], &[0, 0, 1, 0, 1]); // agent 2 crosses
-        m.observe([], &[0, 13, 13, 15, 15], &[0, 0, 1, 0, 1]);
+        // One crossing per window half — sustained, settled flow. Cells
+        // are linear on the 16-wide grid: row 13 starts at 208.
+        m.observe([1], &[0, 208, 17, 240, 241]); // agent 1 crosses
+        m.observe([], &[0, 208, 17, 240, 241]);
+        m.observe([2], &[0, 208, 209, 240, 241]); // agent 2 crosses
+        m.observe([], &[0, 208, 209, 240, 241]);
         assert_eq!(c.check(4, Some(&m)), Some(StopReason::SteadyState));
     }
 

@@ -180,9 +180,9 @@ mod tests {
         let dist = pedsim_grid::DistanceData::rows(32);
         let occ = |r: i64, c: i64| env.mat.get_or(r, c, CELL_WALL);
         for i in 1..=env.total_agents() {
-            let (r, c) = env.props.position(i);
+            let (r, c) = env.position(i);
             let g = env.group_of(i);
-            let (r, c) = (i64::from(r), i64::from(c));
+            let (r, c) = (r as i64, c as i64);
             let expect = lem_scan_row(availability(&occ, r, c), &occ, dist.dist_ref(), g, r, c, 1);
             let vals = &state.scan_val.as_slice()[i * 8..i * 8 + 8];
             let idxs = &state.scan_idx.as_slice()[i * 8..i * 8 + 8];
@@ -214,9 +214,9 @@ mod tests {
         let (env, state) = run(ModelKind::lem());
         let occ = |r: i64, c: i64| env.mat.get_or(r, c, CELL_WALL);
         for i in 1..=env.total_agents() {
-            let (r, c) = env.props.position(i);
+            let (r, c) = env.position(i);
             let fwd = env.group_of(i).forward_index();
-            let expect = front_status(&occ, fwd, i64::from(r), i64::from(c));
+            let expect = front_status(&occ, fwd, r as i64, c as i64);
             assert_eq!(state.front.as_slice()[i], expect, "agent {i}");
             // Row-table worlds: the front slot is the group-forward cell.
             assert_eq!(state.front_k.as_slice()[i] as usize, fwd, "agent {i}");

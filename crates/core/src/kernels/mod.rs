@@ -9,8 +9,8 @@
 //!   exactly once (copy-through for unchanged cells, decided by the
 //!   deterministic winner recomputation — see
 //!   [`crate::model::movement`]);
-//! * `row`/`col`/`tour` are written in place, but only for arriving agents
-//!   and only by the unique thread of the arrival cell;
+//! * `pos`/`tour` are written in place, but only for arriving agents and
+//!   only by the unique thread of the arrival cell;
 //! * `scan`/`front`/`future` are rewritten wholesale by their producing
 //!   kernel each step;
 //! * the pheromone fields are ping-pong pairs — one pair per directional
@@ -88,13 +88,8 @@ pub struct DeviceState {
     /// Which side of the `mat`/`index` and pheromone ping-pong pairs is
     /// current. The movement launch flips it every step.
     pub cur: usize,
-    /// Agent rows (in-place, arrival-owned writes).
-    pub row: ScatterBuffer<u16>,
-    /// Agent columns.
-    pub col: ScatterBuffer<u16>,
-    /// Agent→cell position index: `pos[a] = row[a] * w + col[a]` for every
-    /// slot (dead slots keep their last position, mirroring `row`/`col`).
-    /// Winner-owned writes by the movement kernel.
+    /// Agent cells, linear `row·w + col` (dead slots keep their last
+    /// cell). Winner-owned writes by the movement kernel.
     pub pos: ScatterBuffer<u32>,
     /// Chosen future rows.
     pub future_row: ScatterBuffer<u16>,
@@ -179,9 +174,7 @@ impl DeviceState {
                 ScatterBuffer::new(h * w, 0u32, checked),
             ],
             cur: 0,
-            row: ScatterBuffer::from_vec(env.props.row.clone(), checked),
-            col: ScatterBuffer::from_vec(env.props.col.clone(), checked),
-            pos: ScatterBuffer::from_vec(env.pos.clone(), checked),
+            pos: ScatterBuffer::from_vec(env.props.pos.clone(), checked),
             future_row: ScatterBuffer::new(n + 1, NO_FUTURE, checked),
             future_col: ScatterBuffer::new(n + 1, NO_FUTURE, checked),
             front: ScatterBuffer::new(n + 1, CELL_EMPTY, checked),
@@ -223,8 +216,7 @@ impl DeviceState {
         use pedsim_grid::{Matrix, PropertyTable};
         let mut props = PropertyTable::new(self.n);
         props.id = self.id.clone();
-        props.row = self.row.as_slice().to_vec();
-        props.col = self.col.as_slice().to_vec();
+        props.pos = self.pos.as_slice().to_vec();
         props.future_row = self.future_row.as_slice().to_vec();
         props.future_col = self.future_col.as_slice().to_vec();
         props.front = self.front.as_slice().to_vec();
@@ -236,7 +228,6 @@ impl DeviceState {
             spawn_rows,
             group_sizes: self.group_sizes.clone(),
             seed,
-            pos: self.pos.as_slice().to_vec(),
             targets: self.targets.clone(),
             alive: self.alive.iter().map(|&a| a != 0).collect(),
             free: self.free.clone(),
@@ -258,7 +249,7 @@ mod tests {
         let back = state.download(env.spawn_rows, env.seed);
         assert_eq!(back.mat, env.mat);
         assert_eq!(back.index, env.index);
-        assert_eq!(back.props.row, env.props.row);
+        assert_eq!(back.props.pos, env.props.pos);
         assert_eq!(back.group_sizes, env.group_sizes);
         back.check_consistency().expect("round-trips consistent");
         let pher = state.pher.as_ref().expect("ACO pheromone");

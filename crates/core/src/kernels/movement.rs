@@ -6,9 +6,9 @@
 //! occupied cell can *recompute* its agent's target-cell gather and learn
 //! deterministically whether the agent left; see
 //! [`crate::model::movement`]). Every output slot — the cell's `mat`/
-//! `index` entry, the winner's `row`/`col`/`tour` slots, the cell's two
-//! pheromone entries — is written by exactly one thread, which the checked
-//! buffers enforce.
+//! `index` entry, the winner's `pos`/`tour` slots, the cell's pheromone
+//! entries — is written by exactly one thread, which the checked buffers
+//! enforce.
 
 use pedsim_grid::cell::{Group, CELL_EMPTY, CELL_WALL};
 use pedsim_grid::property::NO_FUTURE;
@@ -39,12 +39,7 @@ pub struct MovementKernel<'a> {
     pub future_col: &'a [u16],
     /// Agent labels (read).
     pub id: &'a [u8],
-    /// Agent rows (written for winners).
-    pub row: ScatterView<'a, u16>,
-    /// Agent columns (written for winners).
-    pub col: ScatterView<'a, u16>,
-    /// Agent→cell position index (written for winners — kept in lock-step
-    /// with `row`/`col`, the invariant every backend's world carries).
+    /// Agent cells, linear (written for winners).
     pub pos: ScatterView<'a, u32>,
     /// Tour lengths (exclusive read-modify-write for winners).
     pub tour: ScatterView<'a, f32>,
@@ -97,10 +92,8 @@ impl BlockKernel for MovementKernel<'_> {
                 let a = arr.agent as usize;
                 self.mat_out.write(lin, id[a]);
                 self.index_out.write(lin, arr.agent);
-                self.row.write(a, r as u16);
-                self.col.write(a, c as u16);
                 self.pos.write(a, lin as u32);
-                t.note_global_stores(5);
+                t.note_global_stores(3);
                 if let Some(p) = self.aco {
                     // Exclusive RMW: only this thread touches slot `a`.
                     let l_new = self.tour.read(a) + arr.step_len();
@@ -212,13 +205,13 @@ mod tests {
         state.future_col.begin_epoch();
         let tour = TourKernel {
             n: state.n,
+            w: state.w,
             alive: &state.alive,
             scan_val: state.scan_val.as_slice(),
             scan_idx: state.scan_idx.as_slice(),
             front: state.front.as_slice(),
             front_k: state.front_k.as_slice(),
-            row: state.row.as_slice(),
-            col: state.col.as_slice(),
+            pos: state.pos.as_slice(),
             future_row: state.future_row.view(),
             future_col: state.future_col.view(),
             model,
@@ -227,8 +220,6 @@ mod tests {
 
         state.mat[1].begin_epoch();
         state.index[1].begin_epoch();
-        state.row.begin_epoch();
-        state.col.begin_epoch();
         state.pos.begin_epoch();
         state.tour.begin_epoch();
         if let Some(p) = state.pher.as_ref() {
@@ -247,8 +238,6 @@ mod tests {
             future_row: state.future_row.as_slice(),
             future_col: state.future_col.as_slice(),
             id: &state.id,
-            row: state.row.view(),
-            col: state.col.view(),
             pos: state.pos.view(),
             tour: state.tour.view(),
             mat_out: state.mat[1].view(),
@@ -286,13 +275,13 @@ mod tests {
         let (env, state) = one_step(ModelKind::aco(), 32, ExecPolicy::Sequential);
         let mut moved = 0;
         for i in 1..=state.n {
-            let (or, oc) = env.props.position(i);
-            let (nr, nc) = (state.row.as_slice()[i], state.col.as_slice()[i]);
-            if (or, oc) != (nr, nc) {
+            let (old, new) = (env.props.pos[i], state.pos.as_slice()[i]);
+            if old != new {
                 moved += 1;
                 // New position must be the agent's chosen future.
-                assert_eq!(state.future_row.as_slice()[i], nr, "agent {i}");
-                assert_eq!(state.future_col.as_slice()[i], nc, "agent {i}");
+                let (nr, nc) = (new as usize / state.w, new as usize % state.w);
+                assert_eq!(state.future_row.as_slice()[i] as usize, nr, "agent {i}");
+                assert_eq!(state.future_col.as_slice()[i] as usize, nc, "agent {i}");
                 // Tour length accumulated by exactly one step.
                 let t = state.tour.as_slice()[i];
                 assert!((0.99..=1.42).contains(&t), "agent {i} tour {t}");
@@ -309,25 +298,15 @@ mod tests {
         let p = state.pher.as_ref().expect("ACO");
         let tau0 = p.params.tau0;
         let top_out = p.fields[Group::TOP.index()][1].as_slice();
-        for i in 1..=state.n {
-            let (or, oc) = env.props.position(i);
-            let (nr, nc) = (state.row.as_slice()[i], state.col.as_slice()[i]);
-            if (or, oc) != (nr, nc) && state.id[i] == Group::TOP.label() {
-                let cell = nr as usize * state.w + nc as usize;
-                assert!(
-                    top_out[cell] > tau0,
-                    "agent {i} arrival cell has no deposit"
-                );
-            }
+        let pos = state.pos.as_slice();
+        let arrivals: std::collections::HashSet<usize> = (1..=state.n)
+            .filter(|&i| env.props.pos[i] != pos[i] && state.id[i] == Group::TOP.label())
+            .map(|i| pos[i] as usize)
+            .collect();
+        for &cell in &arrivals {
+            assert!(top_out[cell] > tau0, "arrival cell {cell} has no deposit");
         }
         // Cells without arrivals only evaporate (stay at the floor).
-        let arrivals: std::collections::HashSet<usize> = (1..=state.n)
-            .filter(|&i| {
-                env.props.position(i) != (state.row.as_slice()[i], state.col.as_slice()[i])
-                    && state.id[i] == Group::TOP.label()
-            })
-            .map(|i| state.row.as_slice()[i] as usize * state.w + state.col.as_slice()[i] as usize)
-            .collect();
         for (cell, &v) in top_out.iter().enumerate() {
             if !arrivals.contains(&cell) {
                 assert!(
@@ -345,7 +324,7 @@ mod tests {
             let (_, par) = one_step(model, 34, ExecPolicy::Parallel { workers: 3 });
             assert_eq!(seq.mat[1].as_slice(), par.mat[1].as_slice());
             assert_eq!(seq.index[1].as_slice(), par.index[1].as_slice());
-            assert_eq!(seq.row.as_slice(), par.row.as_slice());
+            assert_eq!(seq.pos.as_slice(), par.pos.as_slice());
         }
     }
 }

@@ -33,10 +33,8 @@ pub struct AtomicMovementKernel<'a> {
     pub future_col: &'a [u16],
     /// Agent labels (read).
     pub id: &'a [u8],
-    /// Agent rows (written by the claiming thread).
-    pub row: ScatterView<'a, u16>,
-    /// Agent columns (written by the claiming thread).
-    pub col: ScatterView<'a, u16>,
+    /// Agent cells, linear (written by the claiming thread).
+    pub pos: ScatterView<'a, u32>,
 }
 
 impl BlockKernel for AtomicMovementKernel<'_> {
@@ -58,15 +56,12 @@ impl BlockKernel for AtomicMovementKernel<'_> {
             t.note_atomics(1);
             if prev == 0 {
                 // Won the cell. Publish the label, clear the source.
-                let r = self.row.read(agent);
-                let c = self.col.read(agent);
-                let source = r as usize * w + c as usize;
+                let source = self.pos.read(agent) as usize;
                 self.mat.store(target, u32::from(self.id[agent]));
                 self.index.store(source, 0);
                 self.mat.store(source, u32::from(CELL_EMPTY));
-                self.row.write(agent, fr);
-                self.col.write(agent, fc);
-                t.note_global_stores(5);
+                self.pos.write(agent, target as u32);
+                t.note_global_stores(4);
             }
         });
     }
@@ -95,13 +90,12 @@ mod tests {
         let mat = AtomicBuffer::new(w * w, 0);
         let index = AtomicBuffer::new(w * w, 0);
         // Agents 1,2,3 at (3,2),(3,4),(5,3); all target (4,3).
-        let pos = [(0u16, 0u16), (3, 2), (3, 4), (5, 3)];
-        for (a, &(r, c)) in pos.iter().enumerate().skip(1) {
-            index.store(r as usize * w + c as usize, a as u32);
-            mat.store(r as usize * w + c as usize, 1);
+        let cells = [0u32, 3 * 8 + 2, 3 * 8 + 4, 5 * 8 + 3];
+        for (a, &lin) in cells.iter().enumerate().skip(1) {
+            index.store(lin as usize, a as u32);
+            mat.store(lin as usize, 1);
         }
-        let row = ScatterBuffer::from_vec(pos.iter().map(|p| p.0).collect(), false);
-        let col = ScatterBuffer::from_vec(pos.iter().map(|p| p.1).collect(), false);
+        let pos = ScatterBuffer::from_vec(cells.to_vec(), false);
         let fr = vec![NO_FUTURE, 4, 4, 4];
         let fc = vec![NO_FUTURE, 3, 3, 3];
         let id = vec![0u8, 1, 1, 1];
@@ -113,8 +107,7 @@ mod tests {
             future_row: &fr,
             future_col: &fc,
             id: &id,
-            row: row.view(),
-            col: col.view(),
+            pos: pos.view(),
         };
         let device = Device::parallel();
         let cfg = LaunchConfig::new(Dim2::new(1, 1), Dim2::new(256, 1));
@@ -126,8 +119,7 @@ mod tests {
         // Agent count conserved: 3 non-zero index cells.
         let occupied = index.to_vec().iter().filter(|&&v| v != 0).count();
         assert_eq!(occupied, 3);
-        // Winner's property row matches the target.
-        assert_eq!(row.as_slice()[winner as usize], 4);
-        assert_eq!(col.as_slice()[winner as usize], 3);
+        // Winner's position matches the target.
+        assert_eq!(pos.as_slice()[winner as usize] as usize, 4 * w + 3);
     }
 }

@@ -21,6 +21,8 @@ use crate::params::ModelKind;
 pub struct TourKernel<'a> {
     /// Total agents.
     pub n: usize,
+    /// Environment width (splits `pos` into row and column).
+    pub w: usize,
     /// Per-slot liveness mask (read): dead slots — the open-boundary
     /// recycling pool — are not on the grid and make no decision (their
     /// future stays NO_FUTURE from the init kernel). Closed worlds pass an
@@ -34,10 +36,8 @@ pub struct TourKernel<'a> {
     pub front: &'a [u8],
     /// FRONT CELL neighbour slot (read).
     pub front_k: &'a [u8],
-    /// Agent rows (read).
-    pub row: &'a [u16],
-    /// Agent columns (read).
-    pub col: &'a [u16],
+    /// Agent cells, linear (read).
+    pub pos: &'a [u32],
     /// FUTURE ROW (written).
     pub future_row: ScatterView<'a, u16>,
     /// FUTURE COLUMN (written).
@@ -48,7 +48,7 @@ pub struct TourKernel<'a> {
 
 impl BlockKernel for TourKernel<'_> {
     fn block(&self, ctx: &mut BlockCtx) {
-        let n = self.n;
+        let (n, w) = (self.n, self.w);
         ctx.threads(|t| {
             let agent = t.global_linear() + 1;
             if agent <= n && self.alive[agent] != 0 {
@@ -72,8 +72,9 @@ impl BlockKernel for TourKernel<'_> {
                 match k {
                     Some(k) => {
                         let (dr, dc) = NEIGHBOR_OFFSETS[k];
-                        let r = i64::from(self.row[agent]) + dr;
-                        let c = i64::from(self.col[agent]) + dc;
+                        let p = self.pos[agent] as usize;
+                        let r = (p / w) as i64 + dr;
+                        let c = (p % w) as i64 + dc;
                         self.future_row.write(agent, r as u16);
                         self.future_col.write(agent, c as u16);
                     }
@@ -142,13 +143,13 @@ mod tests {
         state.future_col.begin_epoch();
         let tour = TourKernel {
             n: state.n,
+            w: state.w,
             alive: &state.alive,
             scan_val: state.scan_val.as_slice(),
             scan_idx: state.scan_idx.as_slice(),
             front: state.front.as_slice(),
             front_k: state.front_k.as_slice(),
-            row: state.row.as_slice(),
-            col: state.col.as_slice(),
+            pos: state.pos.as_slice(),
             future_row: state.future_row.view(),
             future_col: state.future_col.view(),
             model,
@@ -172,9 +173,9 @@ mod tests {
                 continue;
             }
             decided += 1;
-            let (r, c) = env.props.position(i);
-            let dr = (i64::from(fr[i]) - i64::from(r)).abs();
-            let dc = (i64::from(fc[i]) - i64::from(c)).abs();
+            let (r, c) = env.position(i);
+            let dr = (i64::from(fr[i]) - r as i64).abs();
+            let dc = (i64::from(fc[i]) - c as i64).abs();
             assert!(
                 dr <= 1 && dc <= 1 && dr + dc > 0,
                 "agent {i} target not adjacent"

@@ -103,21 +103,23 @@ impl Geometry {
         self.starts[g.index()] as usize..self.starts[g.index() + 1] as usize
     }
 
-    /// Whether a group-`g` agent in `row` is past the crossing line — the
-    /// classic corridor's opposite-band convention. Two-group corridors
-    /// only; worlds with more groups (or orthogonal streams) must count
-    /// arrivals through a per-cell target mask.
+    /// Whether a group-`g` agent on the linear cell `lin` is past the
+    /// crossing line — the classic corridor's opposite-band convention.
+    /// The bands are whole rows, so the test compares `lin` with the
+    /// bands' first and last cells and needs no division. Two-group
+    /// corridors only; worlds with more groups (or orthogonal streams)
+    /// must count arrivals through a per-cell target mask.
     #[inline]
-    pub fn has_crossed(&self, g: Group, row: usize) -> bool {
+    pub fn has_crossed(&self, g: Group, lin: usize) -> bool {
         assert!(
             self.n_groups == 2,
             "the row-band crossing fallback is two-group only; \
              multi-group worlds must carry a target mask"
         );
         if g == Group::TOP {
-            row >= self.height - self.spawn_rows
+            lin >= (self.height - self.spawn_rows) * self.width
         } else {
-            row < self.spawn_rows
+            lin < self.spawn_rows * self.width
         }
     }
 
@@ -244,23 +246,23 @@ impl Metrics {
     }
 
     /// Observe one finished step. `movers` are the live slots that
-    /// changed cell this step, each once; `row`/`col` are the post-step
-    /// agent positions. Only movers and newly placed agents (every live
+    /// changed cell this step, each once; `pos` holds the post-step
+    /// agent cells, linear. Only movers and newly placed agents (every live
     /// slot at the first observation, spawned slots after that) can
     /// newly arrive, so only they are tested: the cost is O(movers + newly
     /// placed), not O(slots).
-    pub fn observe(&mut self, movers: impl IntoIterator<Item = u32>, row: &[u16], col: &[u16]) {
+    pub fn observe(&mut self, movers: impl IntoIterator<Item = u32>, pos: &[u32]) {
         let mut moved = 0usize;
         let mut crossings = 0u32;
         for i in movers {
             debug_assert!(self.live[i as usize], "mover {i} is not live");
             moved += 1;
-            crossings += self.arrive(i as usize, row, col);
+            crossings += self.arrive(i as usize, pos);
         }
         if std::mem::take(&mut self.fresh) {
             for i in 1..=self.geom.total_agents() {
                 if self.live[i] {
-                    crossings += self.arrive(i, row, col);
+                    crossings += self.arrive(i, pos);
                 }
             }
         }
@@ -268,7 +270,7 @@ impl Metrics {
         for &i in &pending {
             // A slot can be spawned and drained again before it is seen.
             if self.live[i as usize] {
-                crossings += self.arrive(i as usize, row, col);
+                crossings += self.arrive(i as usize, pos);
             }
         }
         pending.clear();
@@ -298,16 +300,17 @@ impl Metrics {
         self.steps += 1;
     }
 
-    /// Test the live slot `i` for a new arrival at its position in
-    /// `row`/`col`; returns 1 when it newly arrived (sticky), else 0.
-    fn arrive(&mut self, i: usize, row: &[u16], col: &[u16]) -> u32 {
+    /// Test the live slot `i` for a new arrival at its cell `pos[i]`;
+    /// returns 1 when it newly arrived (sticky), else 0.
+    fn arrive(&mut self, i: usize, pos: &[u32]) -> u32 {
         if self.crossed[i] {
             return 0;
         }
         let g = self.geom.group_of(i);
+        let lin = pos[i] as usize;
         let arrived = match &self.targets {
-            Some(mask) => mask.get(row[i] as usize, col[i] as usize) & g.target_bit() != 0,
-            None => self.geom.has_crossed(g, row[i] as usize),
+            Some(mask) => mask.as_slice()[lin] & g.target_bit() != 0,
+            None => self.geom.has_crossed(g, lin),
         };
         if arrived {
             self.crossed[i] = true;
@@ -719,38 +722,43 @@ mod tests {
         Geometry::two_sided(16, 16, 3, 2)
     }
 
+    /// Linear cells of `(row, col)` pairs on the 16-wide test grids.
+    fn cells(row: &[u16], col: &[u16]) -> Vec<u32> {
+        row.iter()
+            .zip(col)
+            .map(|(&r, &c)| u32::from(r) * 16 + u32::from(c))
+            .collect()
+    }
+
     /// Drives [`Metrics`] from whole position arrays: each observation
     /// passes the live slots whose cell differs from the previous one as
     /// the step's movers (a spawn resets the slot's previous cell).
     struct Feed {
         m: Metrics,
-        row: Vec<u16>,
-        col: Vec<u16>,
+        pos: Vec<u32>,
     }
 
     impl Feed {
         fn new(m: Metrics, row: &[u16], col: &[u16]) -> Self {
             Self {
                 m,
-                row: row.to_vec(),
-                col: col.to_vec(),
+                pos: cells(row, col),
             }
         }
 
         fn observe(&mut self, row: &[u16], col: &[u16]) {
-            let movers: Vec<u32> = (1..row.len())
-                .filter(|&i| self.m.live[i] && (row[i], col[i]) != (self.row[i], self.col[i]))
+            let pos = cells(row, col);
+            let movers: Vec<u32> = (1..pos.len())
+                .filter(|&i| self.m.live[i] && pos[i] != self.pos[i])
                 .map(|i| i as u32)
                 .collect();
-            self.row = row.to_vec();
-            self.col = col.to_vec();
-            self.m.observe(movers, row, col);
+            self.m.observe(movers, &pos);
+            self.pos = pos;
         }
 
         fn note_spawn(&mut self, i: usize, r: u16, c: u16) {
             self.m.note_spawn(i);
-            self.row[i] = r;
-            self.col[i] = c;
+            self.pos[i] = u32::from(r) * 16 + u32::from(c);
         }
     }
 
@@ -792,7 +800,7 @@ mod tests {
         let mut m = Metrics::new(g);
         // Agent 1 starts in the far band, agent 3 in its own; nobody moves.
         let (row, col) = ([0, 14, 1, 1, 15], [0, 0, 1, 0, 1]);
-        m.observe([], &row, &col);
+        m.observe([], &cells(&row, &col));
         assert_eq!(m.crossed_top(), 1);
         assert_eq!(m.crossed_bottom(), 1);
         assert!(m.agent_crossed(1) && m.agent_crossed(3));
@@ -800,7 +808,7 @@ mod tests {
         assert_eq!(m.windowed_flux(1), Some(2.0));
         // Only the first observation tests standing agents: a later one
         // with no movers and no spawns records no crossing.
-        m.observe([], &row, &col);
+        m.observe([], &cells(&row, &col));
         assert_eq!(m.windowed_flux(1), Some(0.0));
         assert_eq!(m.throughput(), 2);
     }
@@ -811,7 +819,7 @@ mod tests {
         let mut m = Metrics::new(g);
         m.enable_open(&[false, true, false, false, true]);
         let (mut row, col) = ([0, 0, 0, 0, 15], [0, 0, 1, 2, 1]);
-        m.observe([], &row, &col);
+        m.observe([], &cells(&row, &col));
         assert_eq!(m.throughput(), 0);
         // Slot 2 spawns straight into its target band and never moves;
         // slot 3 spawns and is drained before the next observation.
@@ -819,16 +827,16 @@ mod tests {
         m.note_spawn(2);
         m.note_spawn(3);
         m.note_despawn(3);
-        m.observe([], &row, &col);
+        m.observe([], &cells(&row, &col));
         assert_eq!(m.throughput(), 1);
         assert!(m.agent_crossed(2) && !m.agent_crossed(3));
         assert_eq!(m.total_moves, 0);
         // The pending list is spent: nothing is counted twice.
-        m.observe([], &row, &col);
+        m.observe([], &cells(&row, &col));
         assert_eq!(m.throughput(), 1);
         // A mover is tested where it landed.
         row[1] = 13;
-        m.observe([1], &row, &col);
+        m.observe([1], &cells(&row, &col));
         assert_eq!(m.throughput(), 2);
         assert_eq!(m.moved_last_step, 1);
     }

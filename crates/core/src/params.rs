@@ -123,8 +123,8 @@ impl ModelKind {
 /// The paper's §IV mapping launches one thread per environment cell; at
 /// corridor occupancies (~6 % on the paper's geometry) that sweeps ~16
 /// cells to advance one agent. `Sparse` drives InitialCalc, Tour, and
-/// Movement from the live-agent slot list instead (through the
-/// maintained agent→cell position index), producing byte-identical
+/// Movement from the live-agent slot list instead (reading each agent's
+/// cell from the position column `props.pos`), producing byte-identical
 /// trajectories — the per-cell Philox streams are keyed by cell, so
 /// skipping cells no agent touches consumes no draws.
 ///

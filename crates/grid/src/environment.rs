@@ -10,6 +10,11 @@ use crate::matrix::Matrix;
 use crate::placement::place_confined;
 use crate::property::PropertyTable;
 
+/// The largest grid side: cell coordinates are `u16` (scenario regions,
+/// walls and FUTURE ROW/COLUMN), and the bound also keeps the linear cell
+/// `row·width + col` inside `u32`.
+pub const MAX_SIDE: usize = u16::MAX as usize;
+
 /// Scenario geometry and population for the paper's classic two-group
 /// corridor (scenario worlds describe themselves through
 /// `pedsim-scenario` instead).
@@ -130,15 +135,6 @@ pub struct Environment {
     /// Live agents currently on the grid (≤ the slot capacity
     /// [`Environment::total_agents`]).
     pub live: usize,
-    /// Agent→cell position index: `pos[i] == row[i]·width + col[i]` for
-    /// **every** slot, dead ones included (a dead slot keeps the linear
-    /// position it last stood on, mirroring how `props.row`/`props.col`
-    /// are left in place on despawn). This is the sparse iteration
-    /// surface: the agent-centric stages walk live slots and read their
-    /// cells through `pos` instead of sweeping the grid, so the invariant
-    /// `index[pos[i]] == i` for live `i` is part of
-    /// [`Environment::check_consistency`].
-    pub pos: Vec<u32>,
 }
 
 impl Environment {
@@ -149,6 +145,12 @@ impl Environment {
     /// both groups, Figure 2b).
     pub fn new(cfg: &EnvConfig) -> Self {
         assert!(cfg.width >= 2 && cfg.height >= 4, "environment too small");
+        assert!(
+            cfg.width <= MAX_SIDE && cfg.height <= MAX_SIDE,
+            "environment {}x{} exceeds the largest side {MAX_SIDE}",
+            cfg.width,
+            cfg.height
+        );
         let spawn_rows = cfg.effective_spawn_rows();
         assert!(
             spawn_rows * 2 <= cfg.height,
@@ -186,7 +188,6 @@ impl Environment {
         );
         let mut alive = vec![true; 2 * n + 1];
         alive[0] = false;
-        let pos = Self::derive_pos(&props, cfg.width);
         Self {
             mat,
             index,
@@ -198,18 +199,7 @@ impl Environment {
             alive,
             free: vec![FreeSlots::new(), FreeSlots::new()],
             live: 2 * n,
-            pos,
         }
-    }
-
-    /// Derive the agent→cell position index from a property table: one
-    /// `row·width + col` entry per slot (slot 0 is the sentinel and maps
-    /// to cell 0). Constructors use this once; every later `row`/`col`
-    /// write maintains the index in place.
-    pub fn derive_pos(props: &PropertyTable, width: usize) -> Vec<u32> {
-        (0..props.row.len())
-            .map(|i| props.row[i] as u32 * width as u32 + props.col[i] as u32)
-            .collect()
     }
 
     /// Environment width.
@@ -222,6 +212,14 @@ impl Environment {
     #[inline]
     pub fn height(&self) -> usize {
         self.mat.height()
+    }
+
+    /// Current `(row, column)` of slot `idx`, derived from its linear
+    /// cell `props.pos[idx]`.
+    #[inline]
+    pub fn position(&self, idx: usize) -> (usize, usize) {
+        let lin = self.props.pos[idx] as usize;
+        (lin / self.width(), lin % self.width())
     }
 
     /// Number of directional groups.
@@ -292,7 +290,8 @@ impl Environment {
         (1..=self.total_agents())
             .filter(|&i| self.props.id[i] == g.label())
             .filter(|&i| {
-                self.has_crossed(g, self.props.row[i] as usize, self.props.col[i] as usize)
+                let (r, c) = self.position(i);
+                self.has_crossed(g, r, c)
             })
             .count()
     }
@@ -313,15 +312,15 @@ impl Environment {
     /// recycle its property slot: the cell it stood on becomes empty, the
     /// slot joins the group's free pool (the smallest free slot is reused
     /// first), and the live count drops. The slot's
-    /// row/col/id records are left in place — dead slots are simply not on
+    /// pos/id records are left in place — dead slots are simply not on
     /// the grid, which is how both engines' kernels already treat them.
     pub fn despawn(&mut self, g: Group, idx: usize) {
         debug_assert!(self.alive[idx], "despawning a dead slot {idx}");
         debug_assert_eq!(self.group_of(idx), g, "slot {idx} is not in group {g:?}");
-        let (r, c) = self.props.position(idx);
-        debug_assert_eq!(self.index.get(r as usize, c as usize), idx as u32);
-        self.mat.set(r as usize, c as usize, CELL_EMPTY);
-        self.index.set(r as usize, c as usize, 0);
+        let lin = self.props.pos[idx] as usize;
+        debug_assert_eq!(self.index.as_slice()[lin], idx as u32);
+        self.mat.as_mut_slice()[lin] = CELL_EMPTY;
+        self.index.as_mut_slice()[lin] = 0;
         self.alive[idx] = false;
         self.live -= 1;
         self.free[g.index()].insert(idx as u32);
@@ -334,18 +333,19 @@ impl Environment {
     pub fn spawn_from_free(&mut self, g: Group, r: u16, c: u16) -> Option<u32> {
         debug_assert_eq!(self.mat.get(r as usize, c as usize), CELL_EMPTY);
         let idx = self.free[g.index()].pop_first()?;
-        let w = self.width() as u32;
         self.mat.set(r as usize, c as usize, g.label());
         self.index.set(r as usize, c as usize, idx);
-        self.props.place(idx as usize, g.label(), r, c);
-        self.pos[idx as usize] = r as u32 * w + c as u32;
+        let lin = self.mat.linear(r as usize, c as usize) as u32;
+        self.props.place(idx as usize, g.label(), lin);
         self.alive[idx as usize] = true;
         self.live += 1;
         Some(idx)
     }
 
     /// Verify the three matrices tell one consistent story; returns a
-    /// description of the first inconsistency.
+    /// description of the first inconsistency. Every live slot `a` must
+    /// stand on the grid (`props.pos[a] < width·height`) at a cell that
+    /// indexes it back (`index[props.pos[a]] == a`).
     pub fn check_consistency(&self) -> Result<(), String> {
         if self.n_groups() > MAX_GROUPS {
             return Err(format!("{} groups exceed MAX_GROUPS", self.n_groups()));
@@ -364,30 +364,20 @@ impl Environment {
                 self.n_groups()
             ));
         }
-        if self.pos.len() != self.total_agents() + 1 {
+        if self.props.pos.len() != self.total_agents() + 1 {
             return Err(format!(
-                "position index holds {} slots for {} agents",
-                self.pos.len(),
+                "position column holds {} slots for {} agents",
+                self.props.pos.len(),
                 self.total_agents() + 1
             ));
         }
-        let w = self.width() as u32;
-        for i in 0..=self.total_agents() {
-            let expect = self.props.row[i] as u32 * w + self.props.col[i] as u32;
-            if self.pos[i] != expect {
-                return Err(format!(
-                    "slot {i}: position index {} != row·w+col {expect}",
-                    self.pos[i]
-                ));
-            }
-            if i > 0 && self.alive[i] {
-                let (r, c) = (self.pos[i] / w, self.pos[i] % w);
-                if self.index.get(r as usize, c as usize) != i as u32 {
-                    return Err(format!(
-                        "live slot {i}: index[pos] = {} at ({r},{c})",
-                        self.index.get(r as usize, c as usize)
-                    ));
-                }
+        let cells = self.index.as_slice();
+        for i in (1..=self.total_agents()).filter(|&i| self.alive[i]) {
+            let lin = self.props.pos[i] as usize;
+            match cells.get(lin) {
+                Some(&v) if v == i as u32 => {}
+                Some(&v) => return Err(format!("live slot {i}: index[pos {lin}] = {v}")),
+                None => return Err(format!("live slot {i}: pos {lin} lies off the grid")),
             }
         }
         let mut seen = vec![false; self.total_agents() + 1];
@@ -422,20 +412,9 @@ impl Environment {
                     self.props.id[idx]
                 ));
             }
-            if self.props.position(idx) != (r as u16, c as u16) {
-                return Err(format!(
-                    "agent {idx}: property position {:?} != cell ({r},{c})",
-                    self.props.position(idx)
-                ));
-            }
             if self.group_of(idx).label() != label {
                 return Err(format!("agent {idx}: index range disagrees with label"));
             }
-        }
-        if let Some(missing) = (1..=self.total_agents()).find(|&i| self.alive[i] && !seen[i]) {
-            return Err(format!(
-                "live agent {missing} not present in the index matrix"
-            ));
         }
         if self.live != self.alive.iter().filter(|&&a| a).count() {
             return Err(format!(
@@ -585,14 +564,14 @@ mod tests {
         assert_eq!(env.free[0].iter().copied().collect::<Vec<_>>(), vec![1, 2]);
         env.check_consistency().expect("consistent after despawn");
         // Their cells emptied.
-        let (r, c) = env.props.position(1);
-        assert_eq!(env.mat.get(r as usize, c as usize), CELL_EMPTY);
+        let (r, c) = env.position(1);
+        assert_eq!(env.mat.get(r, c), CELL_EMPTY);
         // Spawn reuses slot 1 first, at the requested cell.
         let idx = env.spawn_from_free(Group::TOP, 8, 8).expect("slot free");
         assert_eq!(idx, 1);
         assert_eq!(env.mat.get(8, 8), CELL_TOP);
         assert_eq!(env.index.get(8, 8), 1);
-        assert_eq!(env.props.position(1), (8, 8));
+        assert_eq!(env.position(1), (8, 8));
         assert!(env.is_alive(1));
         assert_eq!(env.live_count(), 5);
         env.check_consistency().expect("consistent after spawn");
@@ -641,8 +620,8 @@ mod tests {
     fn consistency_detects_corruption() {
         let mut env = Environment::new(&EnvConfig::small(32, 32, 5));
         // Clobber one agent's label.
-        let (r, c) = env.props.position(1);
-        env.mat.set(r as usize, c as usize, CELL_BOTTOM);
+        let (r, c) = env.position(1);
+        env.mat.set(r, c, CELL_BOTTOM);
         assert!(env.check_consistency().is_err());
     }
 }

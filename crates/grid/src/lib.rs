@@ -9,9 +9,9 @@
 //!   (up to [`cell::MAX_GROUPS`]), headings, and the paper's Figure-1
 //!   neighbourhood numbering;
 //! * [`property::PropertyTable`] — the per-agent record of the paper's
-//!   Table I (ID, ROW, COLUMN, FUTURE ROW, FUTURE COLUMN, FRONT CELL) with
-//!   the 0th sentinel row, stored struct-of-arrays so each kernel touches
-//!   disjoint fields;
+//!   Table I (ID, ROW and COLUMN as one linear cell, FUTURE ROW, FUTURE
+//!   COLUMN, FRONT CELL) with the 0th sentinel row, stored
+//!   struct-of-arrays so each kernel touches disjoint fields;
 //! * [`scan::ScanMatrix`] — the `(N+1)×8` scan matrix holding eq. (1)
 //!   values (LEM) or eq. (2) numerators (ACO);
 //! * [`distance::DistanceTables`] — the pre-computed constant-memory
@@ -40,7 +40,7 @@ pub use cell::{
     NEIGHBOR_OFFSETS,
 };
 pub use distance::{DistRef, DistanceData, DistanceField, DistanceKind, DistanceTables};
-pub use environment::{EnvConfig, Environment};
+pub use environment::{EnvConfig, Environment, MAX_SIDE};
 pub use flowfield::GridDistanceField;
 pub use matrix::Matrix;
 pub use pheromone::PheromoneField;

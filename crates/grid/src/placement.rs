@@ -107,7 +107,8 @@ pub fn place_in_cells(
         );
         mat.set(r as usize, c as usize, label);
         index.set(r as usize, c as usize, idx);
-        props.place(idx as usize, label, r, c);
+        let lin = mat.linear(r as usize, c as usize) as u32;
+        props.place(idx as usize, label, lin);
     }
 }
 
@@ -184,7 +185,7 @@ mod tests {
         );
         for (r, c, v) in index.iter_cells() {
             if v != 0 {
-                assert_eq!(props.position(v as usize), (r as u16, c as u16));
+                assert_eq!(props.pos[v as usize] as usize, index.linear(r, c));
                 assert_eq!(props.id[v as usize], mat.get(r, c));
             }
         }

@@ -7,10 +7,16 @@
 //!
 //! The layout is struct-of-arrays rather than the paper's array-of-rows:
 //! each simulation kernel then reads and writes *disjoint* field vectors
-//! (e.g. the movement kernel reads `future_*` and writes `row`/`col`),
-//! which is what lets the Rust engines run the kernels in parallel without
-//! locks. The paper's EMPTY column (unused) is dropped; its INDEX NO column
-//! is implicit (an agent's index *is* its row number).
+//! (e.g. the movement kernel reads `future_*` and writes `pos`), which is
+//! what lets the Rust engines run the kernels in parallel without locks.
+//!
+//! Departures from Table I:
+//! * ROW and COLUMN are one linear cell, `pos = row·width + col` (`u32`).
+//!   The table holds an agent's position once; a kernel that needs the
+//!   coordinates derives them as `(pos / width, pos % width)`.
+//! * The EMPTY column (unused) is dropped.
+//! * The INDEX NO column is implicit: an agent's index *is* its row
+//!   number.
 
 /// Sentinel for "no future cell chosen" in `future_row`/`future_col`.
 ///
@@ -23,10 +29,9 @@ pub const NO_FUTURE: u16 = u16::MAX;
 pub struct PropertyTable {
     /// Group label (1 top, 2 bottom); 0 in the sentinel row.
     pub id: Vec<u8>,
-    /// Current row per agent.
-    pub row: Vec<u16>,
-    /// Current column per agent.
-    pub col: Vec<u16>,
+    /// Current cell per agent, linear: `row·width + col` (Table I's ROW
+    /// and COLUMN). A dead slot keeps the cell it last stood on.
+    pub pos: Vec<u32>,
     /// Chosen next row ([`NO_FUTURE`] when none).
     pub future_row: Vec<u16>,
     /// Chosen next column ([`NO_FUTURE`] when none).
@@ -48,8 +53,7 @@ impl PropertyTable {
         let n = n_agents + 1;
         Self {
             id: vec![0; n],
-            row: vec![0; n],
-            col: vec![0; n],
+            pos: vec![0; n],
             future_row: vec![NO_FUTURE; n],
             future_col: vec![NO_FUTURE; n],
             front: vec![0; n],
@@ -69,22 +73,16 @@ impl PropertyTable {
         self.id.len()
     }
 
-    /// Register agent `idx` (1-based) at `(r, c)` with `label`.
-    pub fn place(&mut self, idx: usize, label: u8, r: u16, c: u16) {
+    /// Register agent `idx` (1-based) at the linear cell `lin` with
+    /// `label`.
+    pub fn place(&mut self, idx: usize, label: u8, lin: u32) {
         debug_assert!(idx >= 1 && idx < self.rows(), "agent index out of range");
         self.id[idx] = label;
-        self.row[idx] = r;
-        self.col[idx] = c;
+        self.pos[idx] = lin;
         self.future_row[idx] = NO_FUTURE;
         self.future_col[idx] = NO_FUTURE;
         self.front[idx] = 0;
         self.front_k[idx] = 0;
-    }
-
-    /// Current position of agent `idx`.
-    #[inline]
-    pub fn position(&self, idx: usize) -> (u16, u16) {
-        (self.row[idx], self.col[idx])
     }
 
     /// Whether agent `idx` has a pending future cell.
@@ -109,8 +107,8 @@ mod tests {
     #[test]
     fn place_and_query() {
         let mut t = PropertyTable::new(3);
-        t.place(2, 1, 5, 7);
-        assert_eq!(t.position(2), (5, 7));
+        t.place(2, 1, 5 * 16 + 7);
+        assert_eq!(t.pos[2], 87);
         assert_eq!(t.id[2], 1);
         assert!(!t.has_future(2));
         t.future_row[2] = 6;

@@ -5,7 +5,7 @@ use std::sync::{Arc, OnceLock};
 use pedsim_grid::cell::{Group, Heading, MAX_GROUPS};
 use pedsim_grid::{
     place_in_cells, DistanceData, DistanceTables, EnvConfig, Environment, GridDistanceField,
-    Matrix, PropertyTable, CELL_EMPTY, CELL_WALL,
+    Matrix, PropertyTable, CELL_EMPTY, CELL_WALL, MAX_SIDE,
 };
 use philox::StreamRng;
 
@@ -16,6 +16,13 @@ use crate::region::Region;
 pub enum ScenarioError {
     /// The grid is smaller than the simulation substrate supports.
     WorldTooSmall {
+        /// Requested width.
+        width: usize,
+        /// Requested height.
+        height: usize,
+    },
+    /// A grid side exceeds [`MAX_SIDE`]: cell coordinates are `u16`.
+    WorldTooLarge {
         /// Requested width.
         width: usize,
         /// Requested height.
@@ -83,6 +90,12 @@ impl std::fmt::Display for ScenarioError {
         match self {
             Self::WorldTooSmall { width, height } => {
                 write!(f, "world {width}x{height} is too small (need >= 2x4)")
+            }
+            Self::WorldTooLarge { width, height } => {
+                write!(
+                    f,
+                    "world {width}x{height} exceeds the largest side {MAX_SIDE}"
+                )
             }
             Self::NoGroups => write!(f, "scenario declares no directional groups"),
             Self::TooManyGroups { groups } => {
@@ -541,7 +554,6 @@ impl Scenario {
             first_index = spare_hi;
         }
         let live = self.total_agents();
-        let pos = Environment::derive_pos(&props, self.width);
         Environment {
             mat,
             index,
@@ -553,7 +565,6 @@ impl Scenario {
             alive,
             free,
             live,
-            pos,
         }
     }
 }
@@ -682,6 +693,12 @@ impl ScenarioBuilder {
         let (w, h) = (self.width, self.height);
         if w < 2 || h < 4 {
             return Err(ScenarioError::WorldTooSmall {
+                width: w,
+                height: h,
+            });
+        }
+        if w > MAX_SIDE || h > MAX_SIDE {
+            return Err(ScenarioError::WorldTooLarge {
                 width: w,
                 height: h,
             });

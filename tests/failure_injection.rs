@@ -1,7 +1,9 @@
 //! Failure injection: the substrate must *reject* what the paper's design
 //! rules out — write races, invalid launches, inconsistent worlds.
 
+use pedsim::grid::MAX_SIDE;
 use pedsim::prelude::*;
+use pedsim::scenario::ScenarioError;
 use pedsim::simt::exec::{BlockCtx, BlockKernel, LaunchConfig};
 use pedsim::simt::memory::ScatterBuffer;
 use pedsim::simt::{Device, Dim2, LaunchError};
@@ -53,9 +55,15 @@ fn consistency_checker_flags_corrupted_worlds() {
     let mut env = Environment::new(&EnvConfig::small(32, 32, 20).with_seed(1));
     assert!(env.check_consistency().is_ok());
     // Teleport an agent in the property table without updating the grid.
-    env.props.row[3] = 31;
-    env.props.col[3] = 31;
+    let (w, h) = (env.width(), env.height());
+    let saved = env.props.pos[3];
+    env.props.pos[3] = (31 * w + 31) as u32;
     assert!(env.check_consistency().is_err());
+    // A position off the grid is an error too, not a panic.
+    env.props.pos[3] = (w * h) as u32;
+    assert!(env.check_consistency().is_err());
+    env.props.pos[3] = saved;
+    assert!(env.check_consistency().is_ok());
 }
 
 #[test]
@@ -67,6 +75,32 @@ fn overfull_scenarios_are_rejected() {
         Environment::new(&cfg)
     });
     assert!(result.is_err());
+}
+
+#[test]
+fn oversized_worlds_are_rejected() {
+    // A side past the u16 coordinate range is a typed scenario error,
+    // checked before anything the size of the grid is allocated.
+    let side = MAX_SIDE + 1;
+    let built = Scenario::builder("too_wide", side, 4)
+        .group(Region::rect(0, 0, 1, 1), Region::rect(3, 0, 1, 1), 1)
+        .build();
+    assert_eq!(
+        built.unwrap_err(),
+        ScenarioError::WorldTooLarge {
+            width: side,
+            height: 4
+        }
+    );
+    // The classic corridor asserts the same bound instead of wrapping
+    // column coordinates onto duplicate cells.
+    let result = std::panic::catch_unwind(|| Environment::new(&EnvConfig::small(side, 4, 1)));
+    let msg = result.expect_err("oversized corridor must panic");
+    let msg = msg
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .unwrap_or_default();
+    assert!(msg.contains("exceeds the largest side"), "{msg}");
 }
 
 #[test]

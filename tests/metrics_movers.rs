@@ -203,7 +203,7 @@ fn open_corridor_counts_every_spawned_arrival() {
         let mut others = all_backends(&cfg);
         others.remove(0);
         for step in 1..=150 {
-            let (alive, (prow, pcol)) = (scalar.environment().alive.clone(), scalar.positions());
+            let (alive, (row0, col0)) = (scalar.environment().alive.clone(), scalar.positions());
             let before = scalar.metrics().expect("metrics on").throughput();
             scalar.step();
             let (row, col) = scalar.positions();
@@ -213,7 +213,7 @@ fn open_corridor_counts_every_spawned_arrival() {
                 if !alive[i] {
                     continue;
                 }
-                let jump = (row[i].abs_diff(prow[i])).max(col[i].abs_diff(pcol[i]));
+                let jump = (row[i].abs_diff(row0[i])).max(col[i].abs_diff(col0[i]));
                 if !env.alive[i] || jump > 1 {
                     drained += 1;
                 } else {

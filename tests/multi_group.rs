@@ -227,9 +227,9 @@ mod placement_properties {
                     if !env.is_alive(i) {
                         continue;
                     }
-                    let (r, c) = env.props.position(i);
+                    let (r, c) = env.position(i);
                     prop_assert!(
-                        scenario.spawn(group).contains(r, c),
+                        scenario.spawn(group).contains(r as u16, c as u16),
                         "{name}: agent {i} of group {g} spawned outside its region at ({r},{c})"
                     );
                 }

@@ -32,9 +32,9 @@ fn assert_walls_respected(env: &Environment, scenario: &Scenario) {
         scenario.name()
     );
     for i in 1..=env.total_agents() {
-        let (r, c) = env.props.position(i);
+        let (r, c) = env.position(i);
         assert!(
-            !scenario.is_wall(r as usize, c as usize),
+            !scenario.is_wall(r, c),
             "{}: agent {i} stands on wall ({r},{c})",
             scenario.name()
         );
@@ -205,9 +205,9 @@ mod properties {
                 let env = e.environment();
                 prop_assert!(env.check_consistency().is_ok());
                 for i in 1..=env.total_agents() {
-                    let (r, c) = env.props.position(i);
+                    let (r, c) = env.position(i);
                     prop_assert!(
-                        !scenario.is_wall(r as usize, c as usize),
+                        !scenario.is_wall(r, c),
                         "agent {i} on wall ({r},{c})"
                     );
                 }
