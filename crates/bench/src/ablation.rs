@@ -448,9 +448,10 @@ pub fn param_sweep(side: usize, agents: usize, steps: u64) -> Table {
     let jobs: Vec<Job> = points
         .iter()
         .map(|(model_name, param, value, model)| {
-            Job::gpu(
+            Job::backend(
                 format!("{model_name}/{param}/{value}"),
                 SimConfig::new(env, *model),
+                Backend::simt(),
                 StopCondition::arrived_or_steps(steps),
             )
         })

@@ -16,7 +16,6 @@ use std::time::Duration;
 
 use pedsim_core::prelude::*;
 use pedsim_runner::{Batch, Job};
-use simt::Device;
 
 use crate::report::{f3, secs, Table};
 use crate::scale::Scale;
@@ -93,12 +92,14 @@ impl Fig5Row {
 /// "time spent solely for simulation") and stop on the fixed step budget
 /// — early termination would change the measured workload. The batch uses
 /// a **single** pool worker so replicas are timed one at a time with no
-/// cross-replica contention; the GPU jobs keep the parallel device (the
-/// thing being measured), the CPU job is the single-threaded reference.
+/// cross-replica contention; the GPU jobs run `simt` on every host core
+/// (the thing being measured), the CPU job is the single-threaded
+/// `scalar` reference.
 /// `RunResult::wall` covers the simulation loop alone, engine
 /// construction excluded, exactly as the hand-rolled timers did.
 pub fn run(cfg: &Fig5Config) -> Vec<Fig5Row> {
-    let device = Device::parallel();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let gpu = Backend::named("simt", cores);
     let timer = Batch::new(1);
     cfg.populations
         .iter()
@@ -110,21 +111,22 @@ pub fn run(cfg: &Fig5Config) -> Vec<Fig5Row> {
                     .with_metrics(false)
             };
             let jobs = [
-                Job::on_device(
+                Job::backend(
                     "lem_gpu",
                     scfg(ModelKind::lem()),
-                    device.clone(),
+                    gpu.clone(),
                     StopCondition::Steps(cfg.steps),
                 ),
-                Job::on_device(
+                Job::backend(
                     "aco_gpu",
                     scfg(ModelKind::aco()),
-                    device.clone(),
+                    gpu.clone(),
                     StopCondition::Steps(cfg.steps),
                 ),
-                Job::cpu(
+                Job::backend(
                     "aco_cpu",
                     scfg(ModelKind::aco()),
+                    Backend::scalar(),
                     StopCondition::Steps(cfg.steps),
                 ),
             ];
@@ -169,9 +171,9 @@ pub fn table_5b(rows: &[Fig5Row]) -> Table {
     t
 }
 
-/// Render Fig. 5c (speedup).
+/// Render Fig. 5c (speedup: CPU time over GPU time).
 pub fn table_5c(rows: &[Fig5Row]) -> Table {
-    let mut t = Table::new(vec!["agents", "speedup_cpu_over_gpu"]);
+    let mut t = Table::new(vec!["agents", "gpu_speedup"]);
     for r in rows {
         t.push_row(vec![r.agents.to_string(), f3(r.speedup())]);
     }
@@ -189,7 +191,7 @@ pub fn table_5c(rows: &[Fig5Row]) -> Table {
 pub fn modeled_speedup(cfg: &Fig5Config, profile_steps: u64) -> Table {
     use simt::exec::ExecPolicy;
     use simt::profile::{CycleModel, KernelProfile};
-    use simt::DeviceProps;
+    use simt::{Device, DeviceProps};
 
     let model = CycleModel::default();
     let gpu_props = DeviceProps::gtx_560_ti_448();

@@ -98,11 +98,12 @@ fn series_jobs(
             let scfg = SimConfig::new(env, model).with_checked(false);
             let label = format!("d{:02}/{suffix}", i + 1);
             let stop = StopCondition::arrived_or_steps(cfg.steps);
-            jobs.push(if use_cpu {
-                Job::cpu(label, scfg, stop)
+            let backend = if use_cpu {
+                Backend::scalar()
             } else {
-                Job::gpu(label, scfg, stop)
-            });
+                Backend::simt()
+            };
+            jobs.push(Job::backend(label, scfg, backend, stop));
         }
     }
     jobs

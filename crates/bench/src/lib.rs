@@ -18,8 +18,10 @@
 //!   across an inflow ladder (steady-state stop, windowed flux), seeding
 //!   the repo-root `BENCH_fundamental_diagram.json` perf trajectory;
 //! * [`step_throughput`] — per-stage wall time and steps/second of the
-//!   unified engine pipeline on both engines (closed + open worlds),
-//!   seeding the repo-root `BENCH_step_throughput.json` perf trajectory;
+//!   unified engine pipeline on every registry backend, over one scale
+//!   ladder of registry worlds (the LEM corridor at growing sides, a
+//!   closed + open ACO pair), seeding the repo-root
+//!   `BENCH_step_throughput.json` perf trajectory;
 //! * [`report`] — Markdown/CSV/JSON emitters (the MATLAB-plotting
 //!   substitute);
 //! * [`scale`] — the `--paper` / default / `--smoke` protocol scales;

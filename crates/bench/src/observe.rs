@@ -117,9 +117,10 @@ mod tests {
         };
         let env = pedsim_grid::EnvConfig::small(16, 16, 4).with_seed(2);
         let cfg = pedsim_core::params::SimConfig::new(env, pedsim_core::params::ModelKind::lem());
-        let report = Batch::new(1).run(&[Job::gpu(
+        let report = Batch::new(1).run(&[Job::backend(
             "t",
             cfg,
+            pedsim_core::engine::Backend::simt(),
             pedsim_core::engine::StopCondition::Steps(10),
         )]);
         emit(&sinks, "observe_test", Scale::Smoke, &report).expect("emit");

@@ -51,7 +51,7 @@ mod tests {
             scale: "smoke".to_owned(),
             bench: "step_throughput".to_owned(),
             world: "paper_corridor".to_owned(),
-            engine: "gpu".to_owned(),
+            engine: "simt".to_owned(),
             backend: "simt".to_owned(),
             threads: 1,
             model: "ACO".to_owned(),

@@ -1,276 +1,65 @@
-//! Step throughput of the unified engine pipeline: per-stage wall time,
-//! steps/second, and the CPU-vs-GPU ratio — the repo's perf trajectory.
+//! Step throughput of the unified engine pipeline: per-stage wall time
+//! and steps/second on every backend-registry configuration — the repo's
+//! perf trajectory.
 //!
 //! The paper's headline result is per-kernel speedup of the four-stage
-//! pipeline; the unified `StepCore` now times every stage of **both**
-//! engines through one code path, so that comparison is measurable
-//! end-to-end instead of modelled. This harness runs a closed and an open
-//! registry world on both engines, aggregates the per-stage
+//! pipeline; the unified `StepCore` times every stage of **every**
+//! backend through one code path, so that comparison is measurable
+//! end-to-end instead of modelled. This harness is one **scale ladder**:
+//! each rung is a registry world at one grid side with its model and
+//! metrics switch ([`LadderRung`]), and every rung runs on every backend
+//! configuration of [`LADDER_BACKENDS`]. The rungs are
+//!
+//! * the classic corridor under LEM with metrics off at growing sides
+//!   (96 → 1024 → 4096; roughly 10³ → 10⁵ → 10⁶ agents, the larger rungs
+//!   behind the default/paper scales) — the kernel pipeline alone;
+//! * a closed (`paper_corridor`) and an open (`open_corridor`) world
+//!   under ACO with metrics on, at the scale's own side — the heavier
+//!   pipeline with the metrics and open-boundary lifecycle stages doing
+//!   real work.
+//!
+//! The harness aggregates the per-stage
 //! [`pedsim_core::engine::StepTimings`] that `pedsim_runner` surfaces on
-//! every [`RunResult`](pedsim_runner::RunResult), and writes
+//! every [`RunResult`](pedsim_runner::RunResult) into one row per
+//! (rung, backend configuration, traversal mode), and writes
 //! `results/step_throughput_<scale>.{csv,json}` plus the repo-root
-//! `BENCH_step_throughput.json` record that every subsequent optimisation
-//! PR is judged against.
+//! `BENCH_step_throughput.json` record that every subsequent
+//! optimisation PR is judged against.
 //!
 //! Every number here is wall-clock and therefore non-deterministic; the
 //! record captures *shape* (which stages dominate, how far apart the
-//! engines sit), not bit-stable bytes.
-//!
-//! The **scale ladder** rides alongside the world×engine matrix: the
-//! classic corridor at growing grid sides (96 → 1024 → 4096; roughly
-//! 10³ → 10⁵ → 10⁶ agents, the larger rungs behind the default/paper
-//! scales) swept across every backend-registry configuration
-//! ([`LADDER_BACKENDS`]). Ladder rows land in the same JSON record and
-//! registry, keyed by backend and thread count.
-
-use std::collections::BTreeSet;
+//! backends sit), not bit-stable bytes.
 
 use pedsim_core::engine::{Backend, Stage};
 use pedsim_core::prelude::*;
-use pedsim_runner::{Batch, BatchReport, Job};
+use pedsim_runner::{BatchReport, Job};
 use pedsim_scenario::registry;
 
 use crate::report::Table;
 use crate::scale::Scale;
 
-/// Step-throughput protocol parameters.
-#[derive(Debug, Clone)]
-pub struct StConfig {
-    /// Grid side (square worlds).
-    pub side: usize,
-    /// Initial agents per side of the closed corridor.
-    pub closed_per_side: usize,
-    /// Recyclable slot capacity per side of the open corridor.
-    pub open_capacity: usize,
-    /// Open-corridor inflow rate (expected arrivals per step per group).
-    pub open_rate: f64,
-    /// Steps per replica (a pure step budget — timing runs never stop
-    /// early, so every replica times exactly this many steps).
-    pub steps: u64,
-    /// Repeats per (world, engine); timings aggregate across them.
-    pub repeats: u64,
-    /// Base seed; repeat `k` uses `seed + k`.
-    pub seed: u64,
-}
+/// Schema tag of the JSON record.
+pub const SCHEMA: &str = "pedsim.step_throughput.v4";
 
-impl StConfig {
-    /// Protocol for `scale`.
-    pub fn for_scale(scale: Scale) -> Self {
-        match scale {
-            // The paper's geometry at its mid population (25,600 agents on
-            // 480×480). The step budget is a timing sample, not the
-            // paper's 25,000-step evaluation budget — per-stage means
-            // stabilise within a few hundred steps.
-            Scale::Paper => Self {
-                side: 480,
-                closed_per_side: 12_800,
-                open_capacity: 10_000,
-                open_rate: 16.0,
-                steps: 400,
-                repeats: 2,
-                seed: 9_300,
-            },
-            Scale::Default => Self {
-                side: 96,
-                closed_per_side: 600,
-                open_capacity: 500,
-                open_rate: 4.0,
-                steps: 300,
-                repeats: 2,
-                seed: 9_300,
-            },
-            Scale::Smoke => Self {
-                side: 32,
-                closed_per_side: 30,
-                open_capacity: 40,
-                open_rate: 2.0,
-                steps: 120,
-                repeats: 1,
-                seed: 9_300,
-            },
-        }
-    }
-
-    /// The measured worlds: one closed, one open registry scenario.
-    pub fn worlds(&self) -> [(&'static str, bool); 2] {
-        [("paper_corridor", false), ("open_corridor", true)]
-    }
-
-    fn scenario(&self, world: &str, seed: u64) -> Scenario {
-        match world {
-            "paper_corridor" => registry::paper_corridor(
-                &EnvConfig::small(self.side, self.side, self.closed_per_side).with_seed(seed),
-            ),
-            "open_corridor" => {
-                registry::open_corridor(self.side, self.side, self.open_capacity, self.open_rate)
-                    .with_seed(seed)
-            }
-            other => panic!("unknown step-throughput world {other:?}"),
-        }
-    }
-
-    /// The job list: every world × engine × repeat, ACO model (the
-    /// heavier pipeline — pheromone scan and update on every stage pass),
-    /// stopping on the pure step budget.
-    pub fn jobs(&self) -> Vec<Job> {
-        let mut jobs = Vec::new();
-        for (world, _) in self.worlds() {
-            for k in 0..self.repeats {
-                let cfg = SimConfig::from_scenario(
-                    &self.scenario(world, self.seed + k),
-                    ModelKind::aco(),
-                );
-                let stop = StopCondition::Steps(self.steps);
-                jobs.push(Job::cpu(format!("{world}/cpu"), cfg.clone(), stop.clone()));
-                jobs.push(Job::gpu(format!("{world}/gpu"), cfg, stop));
-            }
-        }
-        jobs
-    }
-}
-
-/// One (world, engine) cell of the measurement (repeats aggregated).
-#[derive(Debug, Clone)]
-pub struct StRow {
-    /// Registry world name.
-    pub world: &'static str,
-    /// Whether the world runs the open-boundary lifecycle.
-    pub open: bool,
-    /// Engine name (`"cpu"` / `"gpu"`).
-    pub engine: &'static str,
-    /// Agents (population for closed worlds, slot capacity for open).
-    pub agents: usize,
-    /// Total steps timed across repeats.
-    pub steps: u64,
-    /// Simulated steps per wall-clock second.
-    pub steps_per_sec: f64,
-    /// Mean milliseconds per step per stage ([`Stage::ALL`] order).
-    pub stage_ms: [f64; Stage::COUNT],
-    /// Mean milliseconds per step across all stages.
-    pub total_ms: f64,
-}
-
-/// CPU-over-GPU time ratio for one world (how much slower the reference
-/// engine is per stage; > 1 means the GPU pipeline wins).
-#[derive(Debug, Clone)]
-pub struct StRatio {
-    /// Registry world name.
-    pub world: &'static str,
-    /// Total-pipeline ratio.
-    pub total: f64,
-    /// Per-stage ratios ([`Stage::ALL`] order; 0 when the GPU stage
-    /// measured zero time).
-    pub stages: [f64; Stage::COUNT],
-}
-
-/// Run the measurement on `workers` pool threads (1 for clean timings —
-/// concurrent replicas contend for cores), returning the raw per-replica
-/// report — the journal/registry emitters consume this before
-/// [`aggregate`] collapses it into the table.
-pub fn run_report(cfg: &StConfig, workers: usize) -> BatchReport {
-    Batch::new(workers).run(&cfg.jobs())
-}
-
-/// [`run_report`] + [`aggregate`] in one call.
-pub fn run(cfg: &StConfig, workers: usize) -> Vec<StRow> {
-    aggregate(cfg, &run_report(cfg, workers))
-}
-
-/// Aggregate a finished measurement per (world, engine) cell.
-pub fn aggregate(cfg: &StConfig, report: &BatchReport) -> Vec<StRow> {
-    let mut rows = Vec::new();
-    for (world, open) in cfg.worlds() {
-        for engine in ["cpu", "gpu"] {
-            let label = format!("{world}/{engine}");
-            let results: Vec<_> = report.with_label(&label).collect();
-            if results.is_empty() {
-                continue;
-            }
-            let steps: u64 = results.iter().map(|r| r.steps).sum();
-            let wall: f64 = results.iter().map(|r| r.wall.as_secs_f64()).sum();
-            let mut stage_ms = [0.0; Stage::COUNT];
-            for stage in Stage::ALL {
-                let secs: f64 = results
-                    .iter()
-                    .map(|r| r.stages.of(stage).as_secs_f64())
-                    .sum();
-                stage_ms[stage.index()] = if steps == 0 {
-                    0.0
-                } else {
-                    secs * 1e3 / steps as f64
-                };
-            }
-            rows.push(StRow {
-                world,
-                open,
-                engine,
-                agents: results[0].agents,
-                steps,
-                steps_per_sec: if wall > 0.0 { steps as f64 / wall } else { 0.0 },
-                stage_ms,
-                total_ms: stage_ms.iter().sum(),
-            });
-        }
-    }
-    rows
-}
-
-/// Pair each world's CPU and GPU rows into time ratios.
-pub fn ratios(rows: &[StRow]) -> Vec<StRatio> {
-    let worlds: BTreeSet<&'static str> = rows.iter().map(|r| r.world).collect();
-    worlds
-        .into_iter()
-        .filter_map(|world| {
-            let cpu = rows
-                .iter()
-                .find(|r| r.world == world && r.engine == "cpu")?;
-            let gpu = rows
-                .iter()
-                .find(|r| r.world == world && r.engine == "gpu")?;
-            let ratio = |c: f64, g: f64| if g > 0.0 { c / g } else { 0.0 };
-            let mut stages = [0.0; Stage::COUNT];
-            for (i, slot) in stages.iter_mut().enumerate() {
-                *slot = ratio(cpu.stage_ms[i], gpu.stage_ms[i]);
-            }
-            Some(StRatio {
-                world,
-                total: ratio(cpu.total_ms, gpu.total_ms),
-                stages,
-            })
-        })
-        .collect()
-}
-
-/// The smoke acceptance gate: every world was measured on **both**
-/// engines, every replica ran its full budget, and every stage that does
-/// real work reported non-zero time — the kernel stages everywhere, the
-/// metrics stage (tracking is on), and the lifecycle stage on open
-/// worlds (a silently-unconstructed lifecycle must fail the gate, not
-/// ship a zero column).
-pub fn covers_both_engines_and_all_stages(rows: &[StRow]) -> bool {
-    let worlds: BTreeSet<&'static str> = rows.iter().map(|r| r.world).collect();
-    !worlds.is_empty()
-        && worlds.iter().all(|w| {
-            ["cpu", "gpu"].iter().all(|e| {
-                rows.iter().any(|r| {
-                    r.world == *w
-                        && r.engine == *e
-                        && r.steps > 0
-                        && Stage::KERNELS.iter().all(|s| r.stage_ms[s.index()] > 0.0)
-                        && r.stage_ms[Stage::Metrics.index()] > 0.0
-                        && (!r.open || r.stage_ms[Stage::Lifecycle.index()] > 0.0)
-                })
-            })
-        })
-}
-
-/// One rung of the scale ladder: a square classic-corridor world.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One rung of the scale ladder: a square registry world at one side,
+/// with its model and metrics switch.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LadderRung {
+    /// Registry world: `paper_corridor` (closed) or `open_corridor`.
+    pub world: &'static str,
+    /// Movement model.
+    pub model: ModelKind,
+    /// Whether replicas track metrics (the metrics stage then does real
+    /// work; timing-only rungs switch it off).
+    pub metrics: bool,
     /// Grid side.
     pub side: usize,
-    /// Agents per side (total population is twice this).
+    /// Agents per side on the closed world, recyclable slot capacity per
+    /// side on the open one.
     pub per_side: usize,
+    /// Open-world inflow rate (expected arrivals per step per group);
+    /// unused on the closed world.
+    pub rate: f64,
     /// Measured steps per replica (pure step budget).
     pub steps: u64,
     /// Untimed warmup steps discarded before the clock starts.
@@ -278,14 +67,34 @@ pub struct LadderRung {
 }
 
 impl LadderRung {
-    /// Initial occupancy of this rung's world (`agents / cells`) — what
-    /// `IterationMode::Auto` resolves against.
+    /// Whether the rung's world runs the open-boundary lifecycle.
+    pub fn open(&self) -> bool {
+        self.world == "open_corridor"
+    }
+
+    /// Population (slot capacity on the open world) per cell — on closed
+    /// worlds the initial occupancy `IterationMode::Auto` resolves
+    /// against.
     pub fn occupancy(&self) -> f64 {
         (self.per_side * 2) as f64 / (self.side * self.side) as f64
     }
+
+    /// The rung's world, seeded with [`LADDER_SEED`].
+    pub fn scenario(&self) -> Scenario {
+        match self.world {
+            "paper_corridor" => registry::paper_corridor(
+                &EnvConfig::small(self.side, self.side, self.per_side).with_seed(LADDER_SEED),
+            ),
+            "open_corridor" => {
+                registry::open_corridor(self.side, self.side, self.per_side, self.rate)
+                    .with_seed(LADDER_SEED)
+            }
+            other => panic!("unknown ladder world {other:?}"),
+        }
+    }
 }
 
-/// The backend-registry configurations the ladder sweeps, in report
+/// The backend-registry configurations every rung runs on, in report
 /// order: the scalar reference, the pooled backend at 1/2/4 workers,
 /// and the virtual-GPU engine.
 pub const LADDER_BACKENDS: &[(&str, usize)] = &[
@@ -316,47 +125,73 @@ pub fn ladder_modes(backend: &str) -> Vec<Option<IterationMode>> {
 /// Seed shared by every ladder replica.
 pub const LADDER_SEED: u64 = 9_700;
 
-/// The rungs measured at `scale`. Every scale climbs from the smoke
+/// The rungs measured at `scale`. The LEM corridor climbs from the smoke
 /// rung; the 10⁵-agent rung needs `default`, the 10⁶-agent rung
 /// `--paper` (minutes per single-threaded backend). The big rungs carry a
 /// warmup discard and enough measured steps that one slow first step
-/// (page faults, cold caches) cannot dominate the mean — at 10/3
-/// measured steps with no warmup they used to be noise traps.
+/// (page faults, cold caches) cannot dominate the mean. The closed+open
+/// ACO pair runs at the scale's own side: the paper's 480×480 geometry
+/// at its mid population (25,600 agents) under `--paper`. Its step
+/// budget is a timing sample, not the paper's 25,000-step evaluation
+/// budget — per-stage means stabilise within a few hundred steps.
 pub fn ladder_rungs(scale: Scale) -> Vec<LadderRung> {
-    let mut rungs = vec![LadderRung {
-        side: 96,
-        per_side: 400,
-        steps: 40,
-        warmup: 5,
-    }];
+    let corridor = |side, per_side, steps, warmup| LadderRung {
+        world: "paper_corridor",
+        model: ModelKind::lem(),
+        metrics: false,
+        side,
+        per_side,
+        rate: 0.0,
+        steps,
+        warmup,
+    };
+    let mut rungs = vec![corridor(96, 400, 40, 5)];
     if scale != Scale::Smoke {
-        rungs.push(LadderRung {
-            side: 1024,
-            per_side: 50_000,
-            steps: 30,
-            warmup: 3,
-        });
+        rungs.push(corridor(1024, 50_000, 30, 3));
     }
     if scale == Scale::Paper {
+        rungs.push(corridor(4096, 500_000, 10, 2));
+    }
+    // (side, closed agents per side, open capacity per side, open
+    // inflow rate, steps)
+    let (side, closed, capacity, rate, steps) = match scale {
+        Scale::Paper => (480, 12_800, 10_000, 16.0, 400),
+        Scale::Default => (96, 600, 500, 4.0, 300),
+        Scale::Smoke => (32, 30, 40, 2.0, 120),
+    };
+    for (world, per_side, rate) in [
+        ("paper_corridor", closed, 0.0),
+        ("open_corridor", capacity, rate),
+    ] {
         rungs.push(LadderRung {
-            side: 4096,
-            per_side: 500_000,
-            steps: 10,
-            warmup: 2,
+            world,
+            model: ModelKind::aco(),
+            metrics: true,
+            side,
+            per_side,
+            rate,
+            steps,
+            warmup: 5,
         });
     }
     rungs
 }
 
-/// Canonical ladder job label: `ladder/s<side>/<backend>/t<threads>`,
-/// plus `/<mode>` when the cell requests a traversal mode.
+/// Canonical ladder job label:
+/// `ladder/<world>/<model>/s<side>/<backend>/t<threads>`, plus
+/// `/<mode>` when the cell requests a traversal mode.
 pub fn ladder_label(
-    side: usize,
+    rung: &LadderRung,
     backend: &str,
     threads: usize,
     mode: Option<IterationMode>,
 ) -> String {
-    let label = format!("ladder/s{side}/{backend}/t{threads}");
+    let label = format!(
+        "ladder/{}/{}/s{}/{backend}/t{threads}",
+        rung.world,
+        rung.model.name(),
+        rung.side
+    );
     match mode {
         Some(mode) => format!("{label}/{}", mode.name()),
         None => label,
@@ -365,31 +200,26 @@ pub fn ladder_label(
 
 /// The ladder job list over explicit rungs: every rung × backend
 /// configuration × [`ladder_modes`] (restricted to `only`'s backend
-/// configuration when given), LEM on the classic corridor with metrics
-/// off — the ladder times the kernel pipeline, not the observables. One
+/// configuration when given), stopping on the pure step budget. One
 /// replica per cell: the registry accumulates repeats across runs, and
 /// a 10⁶-agent rung cannot afford in-process repetition.
 pub fn ladder_jobs_for(rungs: &[LadderRung], only: Option<(&str, usize)>) -> Vec<Job> {
     let mut jobs = Vec::new();
     for rung in rungs {
+        let scenario = rung.scenario();
         for &(backend, threads) in LADDER_BACKENDS {
-            if let Some((b, t)) = only {
-                if b != backend || t != threads {
-                    continue;
-                }
+            if only.is_some_and(|cell| cell != (backend, threads)) {
+                continue;
             }
             for mode in ladder_modes(backend) {
-                let env =
-                    EnvConfig::small(rung.side, rung.side, rung.per_side).with_seed(LADDER_SEED);
                 let mut cfg =
-                    SimConfig::from_scenario(&registry::paper_corridor(&env), ModelKind::lem())
-                        .with_metrics(false);
+                    SimConfig::from_scenario(&scenario, rung.model).with_metrics(rung.metrics);
                 if let Some(mode) = mode {
                     cfg = cfg.with_iteration_mode(mode);
                 }
                 jobs.push(
                     Job::backend(
-                        ladder_label(rung.side, backend, threads, mode),
+                        ladder_label(rung, backend, threads, mode),
                         cfg,
                         Backend::named(backend, threads),
                         // Stop conditions count warmup steps too.
@@ -412,12 +242,10 @@ pub fn ladder_jobs(scale: Scale, only: Option<(&str, usize)>) -> Vec<Job> {
 /// ladder.
 #[derive(Debug, Clone)]
 pub struct LadderRow {
-    /// Grid side of the rung.
-    pub side: usize,
-    /// Total agents simulated.
+    /// The rung measured.
+    pub rung: LadderRung,
+    /// Agents (population on closed worlds, slot capacity on open ones).
     pub agents: usize,
-    /// Initial occupancy (`agents / cells`) of the rung's world.
-    pub occupancy: f64,
     /// Backend registry key.
     pub backend: &'static str,
     /// Worker threads.
@@ -425,19 +253,21 @@ pub struct LadderRow {
     /// Stage-traversal mode the engine reported (`"dense"` /
     /// `"sparse"`), not the requested one.
     pub mode: &'static str,
-    /// Untimed warmup steps discarded before measurement.
-    pub warmup: u64,
     /// Steps timed (warmup excluded).
     pub steps: u64,
     /// Simulated steps per wall-clock second.
     pub steps_per_sec: f64,
     /// Mean milliseconds per step per stage ([`Stage::ALL`] order).
     pub stage_ms: [f64; Stage::COUNT],
-    /// Mean milliseconds per step in the movement stage (the conflict-
-    /// resolution kernel the pooled backend parallelises).
-    pub movement_ms: f64,
     /// Mean milliseconds per step across all stages.
     pub total_ms: f64,
+}
+
+impl LadderRow {
+    /// Mean milliseconds per step of `stage`.
+    pub fn ms(&self, stage: Stage) -> f64 {
+        self.stage_ms[stage.index()]
+    }
 }
 
 /// Aggregate a finished ladder batch into per-cell rows (report order:
@@ -447,40 +277,32 @@ pub fn aggregate_ladder(rungs: &[LadderRung], report: &BatchReport) -> Vec<Ladde
     for rung in rungs {
         for &(backend, threads) in LADDER_BACKENDS {
             for mode in ladder_modes(backend) {
-                let label = ladder_label(rung.side, backend, threads, mode);
+                let label = ladder_label(rung, backend, threads, mode);
                 let results: Vec<_> = report.with_label(&label).collect();
                 if results.is_empty() {
                     continue;
                 }
                 let steps: u64 = results.iter().map(|r| r.steps).sum();
                 let wall: f64 = results.iter().map(|r| r.wall.as_secs_f64()).sum();
-                let per_step_ms = |secs: f64| {
-                    if steps == 0 {
-                        0.0
-                    } else {
-                        secs * 1e3 / steps as f64
-                    }
-                };
                 let mut stage_ms = [0.0; Stage::COUNT];
-                for stage in Stage::ALL {
-                    let secs: f64 = results
-                        .iter()
-                        .map(|r| r.stages.of(stage).as_secs_f64())
-                        .sum();
-                    stage_ms[stage.index()] = per_step_ms(secs);
+                if steps > 0 {
+                    for stage in Stage::ALL {
+                        let secs: f64 = results
+                            .iter()
+                            .map(|r| r.stages.of(stage).as_secs_f64())
+                            .sum();
+                        stage_ms[stage.index()] = secs * 1e3 / steps as f64;
+                    }
                 }
                 out.push(LadderRow {
-                    side: rung.side,
+                    rung: *rung,
                     agents: results[0].agents,
-                    occupancy: rung.occupancy(),
                     backend,
                     threads,
                     mode: results[0].mode,
-                    warmup: rung.warmup,
                     steps,
                     steps_per_sec: if wall > 0.0 { steps as f64 / wall } else { 0.0 },
                     stage_ms,
-                    movement_ms: stage_ms[Stage::Movement.index()],
                     total_ms: stage_ms.iter().sum(),
                 });
             }
@@ -489,12 +311,24 @@ pub fn aggregate_ladder(rungs: &[LadderRung], report: &BatchReport) -> Vec<Ladde
     out
 }
 
+/// The distinct `keys`, in first-seen order (rungs hold floats, so no
+/// ordered set).
+fn distinct<K: PartialEq>(keys: impl Iterator<Item = K>) -> Vec<K> {
+    let mut out = Vec::new();
+    for k in keys {
+        if !out.contains(&k) {
+            out.push(k);
+        }
+    }
+    out
+}
+
 /// Movement-stage speedup of the widest pooled configuration over the
-/// scalar reference, per `(side, pooled mode)`: `(side, mode,
+/// scalar reference, per `(rung, pooled mode)`: `(rung, mode,
 /// scalar_movement_ms / pooled_movement_ms)`, dividing scalar's single
 /// row by each pooled mode's. Cells missing either side of the ratio are
 /// skipped.
-pub fn ladder_speedups(rows: &[LadderRow]) -> Vec<(usize, &'static str, f64)> {
+pub fn ladder_speedups(rows: &[LadderRow]) -> Vec<(LadderRung, &'static str, f64)> {
     let widest = LADDER_BACKENDS
         .iter()
         .filter(|(b, _)| *b == "pooled")
@@ -502,82 +336,70 @@ pub fn ladder_speedups(rows: &[LadderRow]) -> Vec<(usize, &'static str, f64)> {
         .max()
         .unwrap_or(1);
     rows.iter()
-        .filter(|r| r.backend == "pooled" && r.threads == widest && r.movement_ms > 0.0)
+        .filter(|r| r.backend == "pooled" && r.threads == widest && r.ms(Stage::Movement) > 0.0)
         .filter_map(|pooled| {
             let scalar = rows
                 .iter()
-                .find(|r| r.side == pooled.side && r.backend == "scalar")?;
+                .find(|r| r.rung == pooled.rung && r.backend == "scalar")?;
             Some((
-                pooled.side,
+                pooled.rung,
                 pooled.mode,
-                scalar.movement_ms / pooled.movement_ms,
+                scalar.ms(Stage::Movement) / pooled.ms(Stage::Movement),
             ))
         })
         .collect()
 }
 
-/// Total-step speedup of sparse over dense traversal, per `(side,
+/// Total-step speedup of sparse over dense traversal, per `(rung,
 /// backend, threads)` cell measured in both modes (the `pooled` cells):
 /// `dense_total_ms / sparse_total_ms`. The series `IterationMode::Auto`
 /// trades on — O(live agents) stepping should beat the O(cells) sweep
 /// wherever occupancy is low.
-pub fn sparse_speedups(rows: &[LadderRow]) -> Vec<(usize, &'static str, usize, f64)> {
-    let cells: BTreeSet<(usize, &'static str, usize)> = rows
-        .iter()
-        .map(|r| (r.side, r.backend, r.threads))
-        .collect();
-    cells
+pub fn sparse_speedups(rows: &[LadderRow]) -> Vec<(LadderRung, &'static str, usize, f64)> {
+    distinct(rows.iter().map(|r| (r.rung, r.backend, r.threads)))
         .into_iter()
-        .filter_map(|(side, backend, threads)| {
+        .filter_map(|(rung, backend, threads)| {
             let find = |mode: &str| {
                 rows.iter().find(|r| {
-                    r.side == side && r.backend == backend && r.threads == threads && r.mode == mode
+                    r.rung == rung && r.backend == backend && r.threads == threads && r.mode == mode
                 })
             };
             let (dense, sparse) = (find("dense")?, find("sparse")?);
-            if sparse.total_ms > 0.0 {
-                Some((side, backend, threads, dense.total_ms / sparse.total_ms))
-            } else {
-                None
-            }
+            (sparse.total_ms > 0.0)
+                .then(|| (rung, backend, threads, dense.total_ms / sparse.total_ms))
         })
         .collect()
 }
 
-/// Pooled thread-scaling efficiency per `(side, mode, threads)`:
+/// Pooled thread-scaling efficiency per `(rung, mode, threads)`:
 /// `steps_per_sec(t) / (steps_per_sec(1) · t)`. 1.0 is perfect linear
 /// scaling; a flat thread curve reads as `1/t`. The dense rows were
 /// historically near-flat because row bands balanced *cells*, not
 /// agents — this series keeps that regression visible.
-pub fn thread_scaling(rows: &[LadderRow]) -> Vec<(usize, &'static str, usize, f64)> {
+pub fn thread_scaling(rows: &[LadderRow]) -> Vec<(LadderRung, &'static str, usize, f64)> {
+    let pooled = || rows.iter().filter(|r| r.backend == "pooled");
     let mut out = Vec::new();
-    let cells: BTreeSet<(usize, &'static str)> = rows
-        .iter()
-        .filter(|r| r.backend == "pooled")
-        .map(|r| (r.side, r.mode))
-        .collect();
-    for (side, mode) in cells {
-        let sps = |threads: usize| {
-            rows.iter()
-                .find(|r| {
-                    r.side == side
-                        && r.mode == mode
-                        && r.backend == "pooled"
-                        && r.threads == threads
-                })
-                .map(|r| r.steps_per_sec)
+    for (rung, mode) in distinct(pooled().map(|r| (r.rung, r.mode))) {
+        let cell: Vec<&LadderRow> = pooled()
+            .filter(|r| r.rung == rung && r.mode == mode)
+            .collect();
+        let Some(base) = cell
+            .iter()
+            .find(|r| r.threads == 1)
+            .map(|r| r.steps_per_sec)
+        else {
+            continue;
         };
-        let Some(base) = sps(1) else { continue };
         if base <= 0.0 {
             continue;
         }
-        for &(backend, threads) in LADDER_BACKENDS {
-            if backend != "pooled" {
-                continue;
-            }
-            if let Some(v) = sps(threads) {
-                out.push((side, mode, threads, v / (base * threads as f64)));
-            }
+        for r in cell {
+            out.push((
+                rung,
+                mode,
+                r.threads,
+                r.steps_per_sec / (base * r.threads as f64),
+            ));
         }
     }
     out
@@ -587,7 +409,7 @@ pub fn thread_scaling(rows: &[LadderRow]) -> Vec<(usize, &'static str, usize, f6
 /// mode on `pooled`, the one traversal of `scalar` (`sparse`) and `simt`
 /// (`dense`).
 pub fn ladder_mode(job: &Job) -> &'static str {
-    match job.engine.backend_sel().0 {
+    match job.backend.name.as_str() {
         "scalar" => "sparse",
         "simt" => "dense",
         _ => job.cfg.iteration.name(),
@@ -595,16 +417,36 @@ pub fn ladder_mode(job: &Job) -> &'static str {
 }
 
 /// The ladder's acceptance gate: one row per job, in job order, each
-/// with timed steps, a positive `steps_per_sec` and movement time, and
-/// the [`ladder_mode`] of its job.
+/// naming its job's world, model, backend configuration and
+/// [`ladder_mode`], with timed steps, a positive `steps_per_sec` and
+/// positive time in every stage that does real work:
+///
+/// * movement everywhere;
+/// * the paper's four kernel stages on `scalar` and `simt` (`pooled`
+///   files its two passes under `initial_calc` and `movement` only);
+/// * metrics where the job tracks them;
+/// * the lifecycle on open worlds — a silently-unconstructed lifecycle
+///   must fail the gate, not ship a zero column.
 pub fn ladder_complete(jobs: &[Job], rows: &[LadderRow]) -> bool {
     rows.len() == jobs.len()
         && jobs.iter().zip(rows).all(|(job, r)| {
-            let (backend, threads) = job.engine.backend_sel();
-            (r.backend, r.threads, r.mode) == (backend, threads, ladder_mode(job))
+            let world = job.cfg.scenario.as_ref().map(|s| s.name());
+            let open = job.cfg.scenario.as_ref().is_some_and(|s| s.is_open());
+            let kernels = r.backend == "pooled" || Stage::KERNELS.iter().all(|&s| r.ms(s) > 0.0);
+            world == Some(r.rung.world)
+                && job.cfg.model.name() == r.rung.model.name()
+                && (r.backend, r.threads, r.mode)
+                    == (
+                        job.backend.name.as_str(),
+                        job.backend.threads,
+                        ladder_mode(job),
+                    )
                 && r.steps > 0
                 && r.steps_per_sec > 0.0
-                && r.movement_ms > 0.0
+                && r.ms(Stage::Movement) > 0.0
+                && kernels
+                && (!job.cfg.track_metrics || r.ms(Stage::Metrics) > 0.0)
+                && (!open || r.ms(Stage::Lifecycle) > 0.0)
         })
 }
 
@@ -621,52 +463,33 @@ pub fn derived_series_present(rows: &[LadderRow]) -> bool {
 
 /// Render the ladder as a table (Markdown/CSV).
 pub fn ladder_table(rows: &[LadderRow]) -> Table {
-    let mut t = Table::new(vec![
-        "side".to_string(),
-        "agents".to_string(),
-        "occupancy".to_string(),
-        "backend".to_string(),
-        "threads".to_string(),
-        "mode".to_string(),
-        "steps".to_string(),
-        "steps_per_sec".to_string(),
-        "movement_ms".to_string(),
-        "total_ms".to_string(),
-    ]);
-    for r in rows {
-        t.push_row(vec![
-            r.side.to_string(),
-            r.agents.to_string(),
-            format!("{:.4}", r.occupancy),
-            r.backend.to_string(),
-            r.threads.to_string(),
-            r.mode.to_string(),
-            r.steps.to_string(),
-            format!("{:.1}", r.steps_per_sec),
-            format!("{:.4}", r.movement_ms),
-            format!("{:.4}", r.total_ms),
-        ]);
-    }
-    t
-}
-
-/// Render the measurement as a table (Markdown/CSV).
-pub fn table(rows: &[StRow]) -> Table {
-    let mut headers = vec![
-        "world".to_string(),
-        "engine".to_string(),
-        "agents".to_string(),
-        "steps".to_string(),
-        "steps_per_sec".to_string(),
-    ];
+    let mut headers: Vec<String> = [
+        "world",
+        "model",
+        "side",
+        "agents",
+        "occupancy",
+        "backend",
+        "threads",
+        "mode",
+        "steps",
+        "steps_per_sec",
+    ]
+    .map(String::from)
+    .into();
     headers.extend(Stage::ALL.iter().map(|s| format!("{}_ms", s.name())));
     headers.push("total_ms".to_string());
     let mut t = Table::new(headers);
     for r in rows {
         let mut row = vec![
-            r.world.to_string(),
-            r.engine.to_string(),
+            r.rung.world.to_string(),
+            r.rung.model.name().to_string(),
+            r.rung.side.to_string(),
             r.agents.to_string(),
+            format!("{:.4}", r.rung.occupancy()),
+            r.backend.to_string(),
+            r.threads.to_string(),
+            r.mode.to_string(),
             r.steps.to_string(),
             format!("{:.1}", r.steps_per_sec),
         ];
@@ -677,241 +500,215 @@ pub fn table(rows: &[StRow]) -> Table {
     t
 }
 
-fn stages_object(values: &[f64; Stage::COUNT], precision: usize) -> String {
-    let mut s = String::from("{");
-    for stage in Stage::ALL {
-        if s.len() > 1 {
-            s.push_str(", ");
-        }
-        s.push_str(&format!(
-            "\"{}\": {:.precision$}",
-            stage.name(),
-            values[stage.index()]
-        ));
+fn stages_object(values: &[f64; Stage::COUNT]) -> String {
+    let fields: Vec<String> = Stage::ALL
+        .iter()
+        .map(|s| format!("\"{}\": {:.4}", s.name(), values[s.index()]))
+        .collect();
+    format!("{{{}}}", fields.join(", "))
+}
+
+/// The JSON fields naming a rung: world, model and side.
+fn rung_fields(rung: &LadderRung) -> String {
+    format!(
+        "\"world\": \"{}\", \"model\": \"{}\", \"side\": {}",
+        rung.world,
+        rung.model.name(),
+        rung.side
+    )
+}
+
+/// One named JSON array of `items`, one per line.
+fn json_array(s: &mut String, name: &str, items: &[String], last: bool) {
+    s.push_str(&format!("  \"{name}\": [\n"));
+    for (i, item) in items.iter().enumerate() {
+        let comma = if i + 1 < items.len() { "," } else { "" };
+        s.push_str(&format!("    {{{item}}}{comma}\n"));
     }
-    s.push('}');
-    s
+    s.push_str(if last { "  ]\n" } else { "  ],\n" });
 }
 
 /// JSON for `results/step_throughput_<scale>.json` and the repo-root
-/// `BENCH_step_throughput.json`: per-stage breakdowns for both engines
-/// plus CPU-over-GPU ratios, per world, and the backend scale ladder —
-/// v3 adds per-cell occupancy / traversal mode / per-stage timings and
-/// the sparse-over-dense and thread-scaling-efficiency derived series.
-pub fn to_json(scale: Scale, cfg: &StConfig, rows: &[StRow], ladder: &[LadderRow]) -> String {
-    let ratios = ratios(rows);
+/// `BENCH_step_throughput.json`: one `ladder` array with a row per
+/// (rung, backend configuration, traversal mode) — world, model and
+/// metrics switch, occupancy, reported traversal mode and per-stage
+/// timings — and the pooled-over-scalar movement, sparse-over-dense and
+/// thread-scaling-efficiency series derived from it.
+pub fn to_json(scale: Scale, ladder: &[LadderRow]) -> String {
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str("  \"bench\": \"step_throughput\",\n");
-    s.push_str("  \"schema\": \"pedsim.step_throughput.v3\",\n");
+    s.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
     s.push_str(&format!("  \"scale\": \"{}\",\n", scale.label()));
-    s.push_str(&format!("  \"side\": {},\n", cfg.side));
-    s.push_str(&format!("  \"steps_per_replica\": {},\n", cfg.steps));
-    s.push_str(&format!("  \"repeats\": {},\n", cfg.repeats));
-    s.push_str("  \"worlds\": [\n");
-    let worlds = cfg.worlds();
-    let present: Vec<_> = worlds
+    let rows: Vec<String> = ladder
         .iter()
-        .filter(|(w, _)| rows.iter().any(|r| r.world == *w))
-        .collect();
-    for (wi, (world, open)) in present.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"world\": \"{world}\", \"open\": {open}, \"engines\": [\n"
-        ));
-        let engine_rows: Vec<_> = rows.iter().filter(|r| r.world == *world).collect();
-        for (i, r) in engine_rows.iter().enumerate() {
-            let comma = if i + 1 < engine_rows.len() { "," } else { "" };
-            s.push_str(&format!(
-                "      {{\"engine\": \"{}\", \"agents\": {}, \"steps\": {}, \
-                 \"steps_per_sec\": {:.1}, \"total_ms_per_step\": {:.4}, \
-                 \"stages_ms_per_step\": {}}}{comma}\n",
-                r.engine,
+        .map(|r| {
+            format!(
+                "{}, \"open\": {}, \"metrics\": {}, \"agents\": {}, \"occupancy\": {:.4}, \
+                 \"backend\": \"{}\", \"threads\": {}, \"iteration_mode\": \"{}\", \
+                 \"warmup\": {}, \"steps\": {}, \"steps_per_sec\": {:.1}, \
+                 \"movement_ms_per_step\": {:.4}, \"total_ms_per_step\": {:.4}, \
+                 \"stages_ms_per_step\": {}",
+                rung_fields(&r.rung),
+                r.rung.open(),
+                r.rung.metrics,
                 r.agents,
+                r.rung.occupancy(),
+                r.backend,
+                r.threads,
+                r.mode,
+                r.rung.warmup,
                 r.steps,
                 r.steps_per_sec,
+                r.ms(Stage::Movement),
                 r.total_ms,
-                stages_object(&r.stage_ms, 4),
-            ));
-        }
-        s.push_str("    ]");
-        if let Some(ratio) = ratios.iter().find(|x| x.world == *world) {
-            s.push_str(&format!(
-                ", \"cpu_over_gpu\": {{\"total\": {:.3}, \"stages\": {}}}",
-                ratio.total,
-                stages_object(&ratio.stages, 3),
-            ));
-        }
-        let comma = if wi + 1 < present.len() { "," } else { "" };
-        s.push_str(&format!("}}{comma}\n"));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"ladder\": [\n");
-    for (i, r) in ladder.iter().enumerate() {
-        let comma = if i + 1 < ladder.len() { "," } else { "" };
-        s.push_str(&format!(
-            "    {{\"side\": {}, \"agents\": {}, \"occupancy\": {:.4}, \"backend\": \"{}\", \
-             \"threads\": {}, \"iteration_mode\": \"{}\", \"warmup\": {}, \"steps\": {}, \
-             \"steps_per_sec\": {:.1}, \"movement_ms_per_step\": {:.4}, \
-             \"total_ms_per_step\": {:.4}, \"stages_ms_per_step\": {}}}{comma}\n",
-            r.side,
-            r.agents,
-            r.occupancy,
-            r.backend,
-            r.threads,
-            r.mode,
-            r.warmup,
-            r.steps,
-            r.steps_per_sec,
-            r.movement_ms,
-            r.total_ms,
-            stages_object(&r.stage_ms, 4),
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"ladder_movement_speedup\": [\n");
-    let speedups = ladder_speedups(ladder);
-    for (i, (side, mode, x)) in speedups.iter().enumerate() {
-        let comma = if i + 1 < speedups.len() { "," } else { "" };
-        s.push_str(&format!(
-            "    {{\"side\": {side}, \"mode\": \"{mode}\", \"pooled_over_scalar\": {x:.3}}}{comma}\n"
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"sparse_over_dense\": [\n");
-    let sparse = sparse_speedups(ladder);
-    for (i, (side, backend, threads, x)) in sparse.iter().enumerate() {
-        let comma = if i + 1 < sparse.len() { "," } else { "" };
-        s.push_str(&format!(
-            "    {{\"side\": {side}, \"backend\": \"{backend}\", \"threads\": {threads}, \
-             \"total_speedup\": {x:.3}}}{comma}\n"
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"thread_scaling_efficiency\": [\n");
-    let scaling = thread_scaling(ladder);
-    for (i, (side, mode, threads, eff)) in scaling.iter().enumerate() {
-        let comma = if i + 1 < scaling.len() { "," } else { "" };
-        s.push_str(&format!(
-            "    {{\"side\": {side}, \"mode\": \"{mode}\", \"threads\": {threads}, \
-             \"efficiency\": {eff:.3}}}{comma}\n"
-        ));
-    }
-    s.push_str("  ]\n}\n");
+                stages_object(&r.stage_ms),
+            )
+        })
+        .collect();
+    json_array(&mut s, "ladder", &rows, false);
+    let speedups: Vec<String> = ladder_speedups(ladder)
+        .iter()
+        .map(|(rung, mode, x)| {
+            format!(
+                "{}, \"mode\": \"{mode}\", \"pooled_over_scalar\": {x:.3}",
+                rung_fields(rung)
+            )
+        })
+        .collect();
+    json_array(&mut s, "ladder_movement_speedup", &speedups, false);
+    let sparse: Vec<String> = sparse_speedups(ladder)
+        .iter()
+        .map(|(rung, backend, threads, x)| {
+            format!(
+                "{}, \"backend\": \"{backend}\", \"threads\": {threads}, \
+                 \"total_speedup\": {x:.3}",
+                rung_fields(rung)
+            )
+        })
+        .collect();
+    json_array(&mut s, "sparse_over_dense", &sparse, false);
+    let scaling: Vec<String> = thread_scaling(ladder)
+        .iter()
+        .map(|(rung, mode, threads, eff)| {
+            format!(
+                "{}, \"mode\": \"{mode}\", \"threads\": {threads}, \"efficiency\": {eff:.3}",
+                rung_fields(rung)
+            )
+        })
+        .collect();
+    json_array(&mut s, "thread_scaling_efficiency", &scaling, true);
+    s.push_str("}\n");
     s
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pedsim_runner::Batch;
 
-    #[test]
-    fn smoke_protocol_is_small_and_jobs_cover_both_engines_and_worlds() {
-        let cfg = StConfig::for_scale(Scale::Smoke);
-        assert!(cfg.steps <= 200);
-        let jobs = cfg.jobs();
-        assert_eq!(jobs.len(), cfg.worlds().len() * 2 * cfg.repeats as usize);
-        for job in &jobs {
-            assert!(job.validate().is_ok());
-        }
-        for (world, open) in cfg.worlds() {
-            for engine in ["cpu", "gpu"] {
-                let label = format!("{world}/{engine}");
-                let matched: Vec<_> = jobs.iter().filter(|j| j.label == label).collect();
-                assert_eq!(matched.len(), cfg.repeats as usize, "{label}");
-                for j in matched {
-                    assert_eq!(j.engine.name(), engine);
-                    let s = j.cfg.scenario.as_ref().expect("registry world");
-                    assert_eq!(s.is_open(), open);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn tiny_run_covers_all_stages_and_yields_ratios() {
-        let cfg = StConfig {
+    /// A tiny rung of each kind: the LEM corridor with metrics off, and
+    /// the closed+open ACO pair with metrics on.
+    fn tiny_rungs() -> Vec<LadderRung> {
+        let rung = |world, model, metrics, per_side, rate| LadderRung {
+            world,
+            model,
+            metrics,
             side: 24,
-            closed_per_side: 16,
-            open_capacity: 12,
-            open_rate: 1.5,
-            steps: 25,
-            repeats: 1,
-            seed: 1,
+            per_side,
+            rate,
+            steps: 10,
+            warmup: 2,
         };
-        let rows = run(&cfg, 2);
-        assert_eq!(rows.len(), 4, "2 worlds x 2 engines");
-        assert!(covers_both_engines_and_all_stages(&rows));
-        for r in &rows {
-            assert_eq!(r.steps, cfg.steps);
-            assert!(r.steps_per_sec > 0.0, "{}/{} untimed", r.world, r.engine);
-            assert!(r.total_ms > 0.0);
-            // Open worlds exercise the lifecycle stage for real.
-            if r.open {
-                assert!(r.stage_ms[Stage::Lifecycle.index()] > 0.0);
-            }
-        }
-        let ratios = ratios(&rows);
-        assert_eq!(ratios.len(), 2);
-        for x in &ratios {
-            assert!(x.total > 0.0, "{}: no total ratio", x.world);
-        }
-        let json = to_json(Scale::Smoke, &cfg, &rows, &[]);
-        assert!(json.contains("\"bench\": \"step_throughput\""));
-        assert!(json.contains("\"schema\": \"pedsim.step_throughput.v3\""));
-        for stage in Stage::ALL {
-            assert!(json.contains(&format!("\"{}\":", stage.name())));
-        }
-        assert!(json.contains("\"cpu\"") && json.contains("\"gpu\""));
-        assert!(json.contains("cpu_over_gpu"));
-        assert!(json.contains("\"ladder\": ["));
+        vec![
+            rung("paper_corridor", ModelKind::lem(), false, 20, 0.0),
+            rung("paper_corridor", ModelKind::aco(), true, 16, 0.0),
+            rung("open_corridor", ModelKind::aco(), true, 12, 1.5),
+        ]
+    }
+
+    /// Rows as a healthy run reports them, in job order.
+    fn healthy_rows(rungs: &[LadderRung], jobs: &[Job]) -> Vec<LadderRow> {
+        let cells = jobs.len() / rungs.len();
+        jobs.iter()
+            .enumerate()
+            .map(|(i, job)| LadderRow {
+                rung: rungs[i / cells],
+                agents: 40,
+                backend: job.backend.resolve().expect("registry backend").name,
+                threads: job.backend.threads,
+                mode: ladder_mode(job),
+                steps: 10,
+                steps_per_sec: 100.0 * job.backend.threads as f64,
+                stage_ms: [1.0; Stage::COUNT],
+                total_ms: 6.0,
+            })
+            .collect()
     }
 
     #[test]
-    fn ladder_jobs_cover_every_backend_and_validate() {
+    fn ladder_jobs_cover_every_backend_world_and_validate() {
         let cells: usize = LADDER_BACKENDS
             .iter()
             .map(|(b, _)| ladder_modes(b).len())
             .sum();
         // Both modes on the three pooled cells, one run on scalar and simt.
         assert_eq!(cells, 3 * LADDER_MODES.len() + 2);
+        let rungs = ladder_rungs(Scale::Smoke);
+        // The LEM corridor rung plus the closed+open ACO pair.
+        assert_eq!(rungs.len(), 3);
         let jobs = ladder_jobs(Scale::Smoke, None);
-        assert_eq!(jobs.len(), cells);
+        assert_eq!(jobs.len(), rungs.len() * cells);
         for job in &jobs {
             assert!(job.validate().is_ok(), "{}", job.label);
             // Warmup rides inside the step budget, never on top of it.
             assert!(job.warmup > 0, "{}", job.label);
-            assert_eq!(job.stop, StopCondition::Steps(job.warmup + 40));
         }
-        // Every label is distinct and names its backend configuration
-        // and traversal mode.
-        let labels: BTreeSet<&str> = jobs.iter().map(|j| j.label.as_str()).collect();
+        // Every label is distinct and names its rung, backend
+        // configuration and traversal mode.
+        let mut labels: Vec<&str> = jobs.iter().map(|j| j.label.as_str()).collect();
+        labels.sort_unstable();
+        labels.dedup();
         assert_eq!(labels.len(), jobs.len());
-        for &(backend, threads) in LADDER_BACKENDS {
-            for mode in ladder_modes(backend) {
-                let label = ladder_label(96, backend, threads, mode);
-                let job = jobs.iter().find(|j| j.label == label).expect("cell");
-                assert_eq!(job.engine.backend_sel(), (backend, threads));
-                assert_eq!(job.cfg.iteration, mode.unwrap_or(IterationMode::Auto));
+        for rung in &rungs {
+            for &(backend, threads) in LADDER_BACKENDS {
+                for mode in ladder_modes(backend) {
+                    let label = ladder_label(rung, backend, threads, mode);
+                    let job = jobs.iter().find(|j| j.label == label).expect("cell");
+                    assert_eq!(job.backend, Backend::named(backend, threads));
+                    assert_eq!(job.cfg.iteration, mode.unwrap_or(IterationMode::Auto));
+                    assert_eq!(job.cfg.model, rung.model);
+                    assert_eq!(job.cfg.track_metrics, rung.metrics);
+                    assert_eq!(job.stop, StopCondition::Steps(rung.warmup + rung.steps));
+                    let s = job.cfg.scenario.as_ref().expect("registry world");
+                    assert_eq!((s.name(), s.is_open()), (rung.world, rung.open()));
+                }
             }
         }
-        // Larger scales add rungs without dropping the smoke rung.
-        assert_eq!(ladder_jobs(Scale::Default, None).len(), 2 * cells);
-        assert_eq!(ladder_jobs(Scale::Paper, None).len(), 3 * cells);
+        // Both ACO worlds run on every backend cell at every scale.
+        for scale in [Scale::Smoke, Scale::Default, Scale::Paper] {
+            for world in ["paper_corridor", "open_corridor"] {
+                let aco = ladder_jobs(scale, None)
+                    .into_iter()
+                    .filter(|j| j.cfg.model.name() == "ACO")
+                    .filter(|j| j.cfg.scenario.as_ref().is_some_and(|s| s.name() == world))
+                    .count();
+                assert_eq!(aco, cells, "{world} at {}", scale.label());
+            }
+        }
+        // Larger scales add corridor rungs without dropping the smoke one.
+        assert_eq!(ladder_jobs(Scale::Default, None).len(), 4 * cells);
+        assert_eq!(ladder_jobs(Scale::Paper, None).len(), 5 * cells);
         // `only` restricts to one backend configuration per rung; both
         // modes stay.
         let pooled4 = ladder_jobs(Scale::Default, Some(("pooled", 4)));
-        assert_eq!(pooled4.len(), 2 * LADDER_MODES.len());
-        assert!(pooled4.iter().all(|j| j.label.contains("pooled/t4/")));
+        assert_eq!(pooled4.len(), 4 * LADDER_MODES.len());
+        assert!(pooled4.iter().all(|j| j.label.contains("/pooled/t4/")));
     }
 
     #[test]
     fn tiny_ladder_run_aggregates_and_reports_speedups() {
-        let rungs = [LadderRung {
-            side: 24,
-            per_side: 20,
-            steps: 10,
-            warmup: 2,
-        }];
+        let rungs = tiny_rungs();
         let jobs = ladder_jobs_for(&rungs, None);
         let report = Batch::new(1).run(&jobs);
         let rows = aggregate_ladder(&rungs, &report);
@@ -919,9 +716,7 @@ mod tests {
         for r in &rows {
             // Warmup steps are discarded from the timed count.
             assert_eq!(r.steps, 10);
-            assert_eq!(r.warmup, 2);
-            assert_eq!(r.agents, 40);
-            assert!((r.occupancy - 40.0 / (24.0 * 24.0)).abs() < 1e-12);
+            assert_eq!(r.agents, r.rung.per_side * 2);
             assert!(
                 r.steps_per_sec > 0.0,
                 "{}/t{}/{} untimed",
@@ -929,8 +724,11 @@ mod tests {
                 r.threads,
                 r.mode
             );
-            assert!(r.movement_ms > 0.0);
-            assert_eq!(r.movement_ms, r.stage_ms[Stage::Movement.index()]);
+            assert!(r.ms(Stage::Movement) > 0.0);
+            // Open worlds exercise the lifecycle stage for real.
+            if r.rung.open() {
+                assert!(r.ms(Stage::Lifecycle) > 0.0);
+            }
             // Rows carry the mode the engine reported.
             match r.backend {
                 "scalar" => assert_eq!(r.mode, "sparse"),
@@ -938,21 +736,21 @@ mod tests {
                 _ => {}
             }
         }
-        // One movement-speedup entry per pooled mode; sparse-over-dense
-        // per pooled configuration; pooled scaling per mode × thread
-        // count.
+        // Per rung: one movement-speedup entry per pooled mode;
+        // sparse-over-dense per pooled configuration; pooled scaling per
+        // mode × thread count.
         let speedups = ladder_speedups(&rows);
-        assert_eq!(speedups.len(), LADDER_MODES.len());
-        for (side, _, x) in &speedups {
-            assert_eq!(*side, 24);
+        assert_eq!(speedups.len(), rungs.len() * LADDER_MODES.len());
+        for (rung, _, x) in &speedups {
+            assert_eq!(rung.side, 24);
             assert!(*x > 0.0);
         }
         let sparse = sparse_speedups(&rows);
-        assert_eq!(sparse.len(), 3);
+        assert_eq!(sparse.len(), rungs.len() * 3);
         assert!(sparse.iter().all(|(_, b, _, _)| *b == "pooled"));
         assert!(sparse.iter().all(|(_, _, _, x)| *x > 0.0));
         let scaling = thread_scaling(&rows);
-        assert_eq!(scaling.len(), 3 * LADDER_MODES.len());
+        assert_eq!(scaling.len(), rungs.len() * 3 * LADDER_MODES.len());
         for (_, mode, threads, eff) in &scaling {
             assert!(*eff > 0.0, "pooled t{threads} {mode} unmeasured");
             if *threads == 1 {
@@ -961,7 +759,17 @@ mod tests {
         }
         assert!(ladder_complete(&jobs, &rows));
         assert!(derived_series_present(&rows));
-        let json = to_json(Scale::Smoke, &StConfig::for_scale(Scale::Smoke), &[], &rows);
+        let json = to_json(Scale::Smoke, &rows);
+        assert!(json.contains("\"bench\": \"step_throughput\""));
+        assert!(json.contains(&format!("\"schema\": \"{SCHEMA}\"")));
+        for stage in Stage::ALL {
+            assert!(json.contains(&format!("\"{}\":", stage.name())));
+        }
+        for world in ["paper_corridor", "open_corridor"] {
+            assert!(json.contains(&format!("\"world\": \"{world}\"")));
+        }
+        assert!(json.contains("\"model\": \"ACO\"") && json.contains("\"model\": \"LEM\""));
+        assert!(json.contains("\"open\": true") && json.contains("\"metrics\": true"));
         assert!(json.contains("\"backend\": \"pooled\""));
         assert!(json.contains("\"iteration_mode\": \"sparse\""));
         assert!(json.contains("\"occupancy\":"));
@@ -969,56 +777,83 @@ mod tests {
         assert!(json.contains("ladder_movement_speedup"));
         assert!(json.contains("sparse_over_dense"));
         assert!(json.contains("thread_scaling_efficiency"));
+        assert!(!json.contains("\"worlds\"") && !json.contains("\"cpu\""));
     }
 
     #[test]
     fn ladder_gate_rejects_wrong_modes_idle_rows_and_missing_series() {
-        let rungs = [LadderRung {
-            side: 24,
-            per_side: 20,
-            steps: 10,
-            warmup: 2,
-        }];
+        let rungs = tiny_rungs();
         let jobs = ladder_jobs_for(&rungs, None);
-        // Rows as a healthy run reports them, in job order.
-        let rows: Vec<LadderRow> = jobs
-            .iter()
-            .map(|job| {
-                let (backend, threads) = job.engine.backend_sel();
-                LadderRow {
-                    side: 24,
-                    agents: 40,
-                    occupancy: 0.07,
-                    backend,
-                    threads,
-                    mode: ladder_mode(job),
-                    warmup: 2,
-                    steps: 10,
-                    steps_per_sec: 100.0 * threads as f64,
-                    stage_ms: [1.0; Stage::COUNT],
-                    movement_ms: 1.0,
-                    total_ms: 6.0,
-                }
-            })
-            .collect();
+        let rows = healthy_rows(&rungs, &jobs);
         assert!(ladder_complete(&jobs, &rows));
         assert!(derived_series_present(&rows));
-        // A missing row, a pooled row reporting the other mode, a scalar
-        // row reporting dense, and an untimed row each fail the gate.
-        assert!(!ladder_complete(&jobs, &rows[1..]));
-        let broken = |i: usize, f: fn(&mut LadderRow)| {
+        let broken = |i: usize, f: &dyn Fn(&mut LadderRow)| {
             let mut rows = rows.clone();
             f(&mut rows[i]);
             rows
         };
-        let pooled = rows.iter().position(|r| r.backend == "pooled").unwrap();
-        let flip: fn(&mut LadderRow) =
-            |r| r.mode = if r.mode == "dense" { "sparse" } else { "dense" };
-        assert!(!ladder_complete(&jobs, &broken(pooled, flip)));
-        assert!(!ladder_complete(&jobs, &broken(0, flip)));
+        let find = |world: &str, backend: &str| {
+            rows.iter()
+                .position(|r| r.rung.world == world && r.backend == backend)
+                .expect("row")
+        };
+        let scalar = find("paper_corridor", "scalar");
+        let pooled = find("paper_corridor", "pooled");
+        let simt = find("paper_corridor", "simt");
+        // A missing row or backend cell, a row naming another world, and
+        // an untimed row each fail the gate.
+        assert!(!ladder_complete(&jobs, &rows[1..]));
+        let no_simt: Vec<LadderRow> = rows
+            .iter()
+            .filter(|r| r.backend != "simt")
+            .cloned()
+            .collect();
+        assert!(!ladder_complete(&jobs, &no_simt));
         assert!(!ladder_complete(
             &jobs,
-            &broken(1, |r| r.steps_per_sec = 0.0)
+            &broken(scalar, &|r| r.rung.world = "open_corridor")
+        ));
+        assert!(!ladder_complete(
+            &jobs,
+            &broken(1, &|r| r.steps_per_sec = 0.0)
+        ));
+        // A pooled row reporting the other mode, and a scalar row
+        // reporting dense.
+        let flip = |r: &mut LadderRow| r.mode = if r.mode == "dense" { "sparse" } else { "dense" };
+        assert!(!ladder_complete(&jobs, &broken(pooled, &flip)));
+        assert!(!ladder_complete(&jobs, &broken(scalar, &flip)));
+        // A zero kernel stage fails on scalar and simt; pooled files its
+        // passes under two stages and may read zero in the other two.
+        let idle = |stage: Stage| move |r: &mut LadderRow| r.stage_ms[stage.index()] = 0.0;
+        assert!(!ladder_complete(&jobs, &broken(scalar, &idle(Stage::Tour))));
+        assert!(!ladder_complete(&jobs, &broken(simt, &idle(Stage::Init))));
+        assert!(ladder_complete(&jobs, &broken(pooled, &idle(Stage::Tour))));
+        assert!(!ladder_complete(
+            &jobs,
+            &broken(pooled, &idle(Stage::Movement))
+        ));
+        // An idle metrics stage fails where metrics are on, and only
+        // there.
+        let lem = rows
+            .iter()
+            .position(|r| r.rung.model.name() == "LEM")
+            .expect("LEM row");
+        let aco = rows
+            .iter()
+            .position(|r| r.rung.model.name() == "ACO" && !r.rung.open())
+            .expect("closed ACO row");
+        assert!(ladder_complete(&jobs, &broken(lem, &idle(Stage::Metrics))));
+        assert!(!ladder_complete(&jobs, &broken(aco, &idle(Stage::Metrics))));
+        // An idle lifecycle fails on the open world; a closed world is
+        // allowed a zero lifecycle column.
+        let open = find("open_corridor", "pooled");
+        assert!(!ladder_complete(
+            &jobs,
+            &broken(open, &idle(Stage::Lifecycle))
+        ));
+        assert!(ladder_complete(
+            &jobs,
+            &broken(aco, &idle(Stage::Lifecycle))
         ));
         // Derived series need scalar and pooled rows in both modes.
         assert!(!derived_series_present(&rows[..1]));
@@ -1028,54 +863,5 @@ mod tests {
             .cloned()
             .collect();
         assert!(!derived_series_present(&no_scalar));
-    }
-
-    #[test]
-    fn coverage_gate_rejects_missing_engines_and_idle_stages() {
-        assert!(!covers_both_engines_and_all_stages(&[]));
-        let row = |engine: &'static str| StRow {
-            world: "paper_corridor",
-            open: false,
-            engine,
-            agents: 10,
-            steps: 5,
-            steps_per_sec: 1.0,
-            stage_ms: [1.0; Stage::COUNT],
-            total_ms: 6.0,
-        };
-        // GPU row missing.
-        assert!(!covers_both_engines_and_all_stages(&[row("cpu")]));
-        // Both present: covered.
-        assert!(covers_both_engines_and_all_stages(&[
-            row("cpu"),
-            row("gpu")
-        ]));
-        // A zero kernel stage breaks coverage.
-        let mut dead = row("gpu");
-        dead.stage_ms[Stage::Tour.index()] = 0.0;
-        assert!(!covers_both_engines_and_all_stages(&[row("cpu"), dead]));
-        // An open world with an idle lifecycle stage breaks coverage; a
-        // closed world is allowed a zero lifecycle column.
-        let open_row = |engine: &'static str, lifecycle_ms: f64| {
-            let mut r = row(engine);
-            r.world = "open_corridor";
-            r.open = true;
-            r.stage_ms[Stage::Lifecycle.index()] = lifecycle_ms;
-            r
-        };
-        assert!(covers_both_engines_and_all_stages(&[
-            open_row("cpu", 0.01),
-            open_row("gpu", 0.01),
-        ]));
-        assert!(!covers_both_engines_and_all_stages(&[
-            open_row("cpu", 0.01),
-            open_row("gpu", 0.0),
-        ]));
-        let mut closed_idle = row("gpu");
-        closed_idle.stage_ms[Stage::Lifecycle.index()] = 0.0;
-        assert!(covers_both_engines_and_all_stages(&[
-            row("cpu"),
-            closed_idle
-        ]));
     }
 }

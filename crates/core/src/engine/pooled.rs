@@ -476,8 +476,9 @@ struct Decide<'a> {
 impl Decide<'_> {
     /// Decide the group-`label` agent `a` standing at `(r, c)`: pick its
     /// next cell exactly as the scalar initial-calc + tour kernels do and
-    /// claim it, counting into `work`. Returns the claimed cell (linear),
-    /// or `None` when the agent stays put.
+    /// claim it, counting into `work`. Returns the claimed cell's row and
+    /// linear index (the row files sparse claims under their band without
+    /// a division), or `None` when the agent stays put.
     ///
     /// One availability byte — bit `k` set when neighbour `k` is empty —
     /// answers every occupancy question: the forward-priority test, the
@@ -489,7 +490,14 @@ impl Decide<'_> {
     /// shortcut returns what the select would, and draws are keyed per
     /// (agent, step), so a skipped draw moves no other stream.
     #[inline]
-    fn agent(&self, a: u32, label: u8, r: usize, c: usize, work: &mut Work) -> Option<usize> {
+    fn agent(
+        &self,
+        a: u32,
+        label: u8,
+        r: usize,
+        c: usize,
+        work: &mut Work,
+    ) -> Option<(usize, usize)> {
         let avail = mat_availability(self.mat, r, c);
         let (r, c) = (r as i64, c as i64);
         let g = Group::from_label(label).expect("agent has a group label");
@@ -560,13 +568,14 @@ impl Decide<'_> {
             return None;
         }
         let (dr, dc) = NEIGHBOR_OFFSETS[k];
-        let target = (r + dr) as usize * self.width + (c + dc) as usize;
+        let row = (r + dr) as usize;
+        let target = row * self.width + (c + dc) as usize;
         // ordering: relaxed — fetch_or commutes, so only the final claim
         // byte matters, and the launch barrier publishes it before the
         // resolve pass reads.
         self.claims[target].fetch_or(1 << offset_slot(-dr, -dc), Ordering::Relaxed);
         work.claimed += 1;
-        Some(target)
+        Some((row, target))
     }
 }
 
@@ -771,8 +780,9 @@ impl PooledBackend {
                 let p = props.pos[ai];
                 let r = p / w32;
                 let (r, c) = (r as usize, (p - r * w32) as usize);
-                if let Some(target) = decide.agent(ai as u32, props.id[ai], r, c, &mut work) {
-                    bins[band_of_row[target / w] as usize].push(target as u32);
+                if let Some((row, target)) = decide.agent(ai as u32, props.id[ai], r, c, &mut work)
+                {
+                    bins[band_of_row[row] as usize].push(target as u32);
                 }
             }
             sum.add(work);

@@ -776,6 +776,18 @@ mod tests {
     }
 
     #[test]
+    fn crossing_line_is_the_first_row_of_the_far_band() {
+        // 16 rows, 3 spawn rows: top agents cross at row 13, bottom
+        // agents at row 2, whatever the column.
+        let g = geom();
+        let lin = |r: usize, c: usize| r * 16 + c;
+        assert!(g.has_crossed(Group::TOP, lin(13, 0)));
+        assert!(!g.has_crossed(Group::TOP, lin(12, 15)));
+        assert!(g.has_crossed(Group::BOTTOM, lin(2, 5)));
+        assert!(!g.has_crossed(Group::BOTTOM, lin(3, 5)));
+    }
+
+    #[test]
     fn crossing_is_sticky() {
         let g = geom();
         // Agents 1,2 top; 3,4 bottom. Initial rows 0 and 15.

@@ -260,42 +260,6 @@ impl Environment {
         unreachable!("agent index {idx} beyond every group range")
     }
 
-    /// Whether a group-`g` agent standing at `(row, col)` has crossed:
-    /// reached the group's target region when one is defined, else the
-    /// *opposite* spawn band (the paper's "14th row in the opposite end"
-    /// example — the first row of the far band). The band fallback is a
-    /// two-group corridor notion; worlds with more groups must carry a
-    /// target mask.
-    #[inline]
-    pub fn has_crossed(&self, g: Group, row: usize, col: usize) -> bool {
-        match &self.targets {
-            Some(mask) => mask.get(row, col) & g.target_bit() != 0,
-            None => {
-                assert!(
-                    self.n_groups() == 2,
-                    "the row-band crossing fallback is two-group only; \
-                     multi-group worlds must carry a target mask"
-                );
-                if g == Group::TOP {
-                    row >= self.height() - self.spawn_rows
-                } else {
-                    row < self.spawn_rows
-                }
-            }
-        }
-    }
-
-    /// Count agents of `g` currently inside their target region.
-    pub fn crossed_count(&self, g: Group) -> usize {
-        (1..=self.total_agents())
-            .filter(|&i| self.props.id[i] == g.label())
-            .filter(|&i| {
-                let (r, c) = self.position(i);
-                self.has_crossed(g, r, c)
-            })
-            .count()
-    }
-
     /// Live agents currently on the grid.
     #[inline]
     pub fn live_count(&self) -> usize {
@@ -503,41 +467,6 @@ mod tests {
         assert_eq!(env.group_of(10), Group::BOTTOM);
         assert_eq!(env.group_start(Group::BOTTOM), 4);
         assert_eq!(env.group_size(Group::BOTTOM), 7);
-    }
-
-    #[test]
-    fn crossing_line_is_opposite_band() {
-        let env = Environment::new(&EnvConfig::small(16, 16, 29)); // 3 spawn rows
-        assert!(env.has_crossed(Group::TOP, 13, 0));
-        assert!(!env.has_crossed(Group::TOP, 12, 0));
-        assert!(env.has_crossed(Group::BOTTOM, 2, 5));
-        assert!(!env.has_crossed(Group::BOTTOM, 3, 5));
-        // Nobody crossed at t=0.
-        assert_eq!(env.crossed_count(Group::TOP), 0);
-        assert_eq!(env.crossed_count(Group::BOTTOM), 0);
-    }
-
-    #[test]
-    fn target_mask_overrides_band_convention() {
-        use std::sync::Arc;
-        let mut env = Environment::new(&EnvConfig::small(16, 16, 10));
-        let mut mask = Matrix::filled(16, 16, 0u8);
-        // Top group's target: a single doorway cell mid-grid.
-        mask.set(8, 8, Group::TOP.target_bit());
-        mask.set(1, 1, Group::BOTTOM.target_bit());
-        env.targets = Some(Arc::new(mask));
-        assert!(env.has_crossed(Group::TOP, 8, 8));
-        assert!(!env.has_crossed(Group::TOP, 15, 0)); // far band no longer counts
-        assert!(env.has_crossed(Group::BOTTOM, 1, 1));
-        assert!(!env.has_crossed(Group::BOTTOM, 8, 8)); // other group's bit
-    }
-
-    #[test]
-    #[should_panic(expected = "two-group only")]
-    fn band_fallback_rejects_multi_group_worlds() {
-        let mut env = Environment::new(&EnvConfig::small(16, 16, 6));
-        env.group_sizes = vec![4, 4, 4];
-        let _ = env.has_crossed(Group::new(2), 0, 0);
     }
 
     #[test]

@@ -57,7 +57,9 @@ pub struct Row {
     pub bench: String,
     /// World label (`paper_corridor`, `open_corridor`, `r03/0.25`, ...).
     pub world: String,
-    /// Engine (`cpu` / `gpu`).
+    /// Engine: the executing backend's registry key, as `backend` (rows
+    /// written before the runner named engines by backend read `cpu` /
+    /// `gpu`). The column stays because the registry is append-only.
     pub engine: String,
     /// Backend registry key executing the measurement (`scalar` /
     /// `pooled` / `simt`).
@@ -465,7 +467,7 @@ mod tests {
             scale: "smoke".to_owned(),
             bench: "step_throughput".to_owned(),
             world: "paper_corridor".to_owned(),
-            engine: "cpu".to_owned(),
+            engine: "scalar".to_owned(),
             backend: "scalar".to_owned(),
             threads: 1,
             model: "pso".to_owned(),

@@ -5,14 +5,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use pedsim_core::engine::cpu::CpuEngine;
-use pedsim_core::engine::gpu::GpuEngine;
 use pedsim_core::engine::Engine;
 use pedsim_core::metrics::{band_count, lane_index, segregation_index};
 use pedsim_core::world::{CacheStats, CompiledWorld, WorldCache};
 use simt::exec::pool::WorkerPool;
 
-use crate::job::{EngineSel, Job, JobError};
+use crate::job::{Job, JobError};
 use crate::report::{BatchReport, RunResult, FLUX_REPORT_WINDOW};
 
 /// Runs job lists on a persistent thread pool.
@@ -169,22 +167,12 @@ pub fn execute_with_world(job: &Job, world: &Arc<CompiledWorld>, setup: Duration
             }
         },
     );
-    // Every selection flows through a `from_world` constructor, so the
-    // per-replica stage is one code path regardless of backend.
-    let engine: Box<dyn Engine + Send> = match &job.engine {
-        EngineSel::Cpu => Box::new(CpuEngine::from_world(world, job.cfg.clone())),
-        EngineSel::Gpu(device) => Box::new(GpuEngine::from_world(
-            world,
-            job.cfg.clone(),
-            device.clone(),
-        )),
-        EngineSel::Backend(b) => {
-            // Validation resolves the name first; a direct execute() call
-            // on an unvalidated job panics with the typed message.
-            b.build_from_world(world, job.cfg.clone())
-                .unwrap_or_else(|e| panic!("job {:?}: {e}", job.label))
-        }
-    };
+    // Validation resolves the name first; a direct execute() call on an
+    // unvalidated job panics with the typed message.
+    let engine = job
+        .backend
+        .build_from_world(world, job.cfg.clone())
+        .unwrap_or_else(|e| panic!("job {:?}: {e}", job.label));
     finish(job, world_name, agents, world.fingerprint(), setup, engine)
 }
 
@@ -212,14 +200,15 @@ fn finish<E: Engine>(
     let metrics = engine.metrics();
     // One snapshot serves all three order parameters.
     let mat = metrics.is_some().then(|| engine.mat_snapshot());
-    let (backend, threads) = job.engine.backend_sel();
+    // The engine was built from this selection, so the name resolves.
+    let backend = job.backend.resolve().map_or("unknown", |d| d.name);
     RunResult {
         label: job.label.clone(),
         world,
         model: engine.model().name().to_string(),
-        engine: job.engine.name(),
+        engine: backend,
         backend,
-        threads,
+        threads: job.backend.threads,
         mode: engine.iteration_mode().name(),
         config,
         seed: job.cfg.env.seed,
@@ -243,15 +232,16 @@ fn finish<E: Engine>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pedsim_core::engine::StopCondition;
+    use pedsim_core::engine::{Backend, StopCondition};
     use pedsim_core::params::{ModelKind, SimConfig};
     use pedsim_grid::EnvConfig;
 
     fn corridor_job(label: &str, seed: u64, steps: u64) -> Job {
         let env = EnvConfig::small(24, 24, 16).with_seed(seed);
-        Job::gpu(
+        Job::backend(
             label,
             SimConfig::new(env, ModelKind::lem()),
+            Backend::simt(),
             StopCondition::arrived_or_steps(steps),
         )
     }
@@ -269,9 +259,10 @@ mod tests {
     fn early_termination_undershoots_the_budget() {
         // A near-empty corridor crosses everyone long before 5,000 steps.
         let env = EnvConfig::small(24, 24, 4).with_seed(3);
-        let job = Job::gpu(
+        let job = Job::backend(
             "sparse",
             SimConfig::new(env, ModelKind::lem()),
+            Backend::simt(),
             StopCondition::arrived_or_steps(5_000),
         );
         let report = Batch::new(1).run(&[job]);
@@ -282,17 +273,30 @@ mod tests {
     }
 
     #[test]
-    fn cpu_and_gpu_jobs_agree_in_one_batch() {
+    fn scalar_and_simt_jobs_agree_in_one_batch() {
         let env = EnvConfig::small(24, 24, 16).with_seed(9);
         let cfg = SimConfig::new(env, ModelKind::aco());
         let jobs = vec![
-            Job::cpu("ref", cfg.clone(), StopCondition::Steps(40)),
-            Job::gpu("ref", cfg, StopCondition::Steps(40)),
+            Job::backend(
+                "ref",
+                cfg.clone(),
+                Backend::scalar(),
+                StopCondition::Steps(40),
+            ),
+            Job::backend(
+                "ref",
+                cfg,
+                Backend::named("simt", 2),
+                StopCondition::Steps(40),
+            ),
         ];
         let report = Batch::new(2).run(&jobs);
         let [a, b] = &report.results[..] else {
             panic!("two results")
         };
+        // Both name columns carry the registry key; threads the selection's.
+        assert_eq!((a.engine, a.backend, a.threads), ("scalar", "scalar", 1));
+        assert_eq!((b.engine, b.backend, b.threads), ("simt", "simt", 2));
         // Same configuration ⇒ bit-identical trajectories on both engines.
         assert_eq!(a.throughput, b.throughput);
         assert_eq!(a.total_moves, b.total_moves);
@@ -303,7 +307,12 @@ mod tests {
     fn metrics_off_reports_nulls() {
         let env = EnvConfig::small(24, 24, 8).with_seed(1);
         let cfg = SimConfig::new(env, ModelKind::lem()).with_metrics(false);
-        let report = Batch::new(1).run(&[Job::gpu("t", cfg, StopCondition::Steps(10))]);
+        let report = Batch::new(1).run(&[Job::backend(
+            "t",
+            cfg,
+            Backend::simt(),
+            StopCondition::Steps(10),
+        )]);
         let r = &report.results[0];
         assert_eq!(r.throughput, None);
         assert_eq!(r.total_moves, None);
@@ -315,9 +324,10 @@ mod tests {
     fn oversized_gridlock_patience_is_a_typed_error_not_a_worker_panic() {
         use pedsim_core::metrics::MAX_GRIDLOCK_PATIENCE;
         let env = EnvConfig::small(16, 16, 4).with_seed(1);
-        let bad = Job::gpu(
+        let bad = Job::backend(
             "too-patient",
             SimConfig::new(env, ModelKind::lem()),
+            Backend::simt(),
             StopCondition::Gridlocked {
                 threshold: 1,
                 patience: MAX_GRIDLOCK_PATIENCE + 1,
@@ -334,9 +344,10 @@ mod tests {
         );
         // run() panics on the *calling* thread with the typed message.
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let bad = Job::gpu(
+            let bad = Job::backend(
                 "too-patient",
                 SimConfig::new(env, ModelKind::lem()),
+                Backend::simt(),
                 StopCondition::Gridlocked {
                     threshold: 1,
                     patience: MAX_GRIDLOCK_PATIENCE + 1,
@@ -359,9 +370,10 @@ mod tests {
         // thread after the remaining jobs drain, and the pool survives
         // for the next batch.
         let env = EnvConfig::small(8, 8, 1_000).with_seed(1);
-        let bad = Job::gpu(
+        let bad = Job::backend(
             "boom",
             SimConfig::new(env, ModelKind::lem()),
+            Backend::simt(),
             StopCondition::Steps(5),
         );
         let batch = Batch::new(2);
@@ -379,9 +391,10 @@ mod tests {
         // The EnvConfig record mirrors only group 0; the report must count
         // the scenario's full (uneven) population.
         let scenario = pedsim_scenario::registry::asymmetric_corridor(24, 24, 30, 10).with_seed(4);
-        let job = Job::gpu(
+        let job = Job::backend(
             "asym",
             SimConfig::from_scenario(&scenario, ModelKind::lem()),
+            Backend::simt(),
             StopCondition::arrived_or_steps(300),
         );
         let report = Batch::new(1).run(&[job]);
@@ -400,9 +413,10 @@ mod tests {
         // StopCondition::check on a worker thread. Job validation now
         // rejects the description before any worker starts.
         let env = EnvConfig::small(16, 16, 4).with_seed(1);
-        let bad = Job::gpu(
+        let bad = Job::backend(
             "bad",
             SimConfig::new(env, ModelKind::lem()).with_metrics(false),
+            Backend::simt(),
             StopCondition::AllArrived,
         );
         let batch = Batch::new(2);

@@ -2,7 +2,6 @@
 
 use pedsim_core::engine::{Backend, InvalidStopCondition, StopCondition, UnknownBackend};
 use pedsim_core::params::SimConfig;
-use simt::Device;
 
 /// Why a [`Job`] is rejected before execution.
 ///
@@ -49,56 +48,8 @@ impl std::error::Error for JobError {
     }
 }
 
-/// Which engine executes a job.
-///
-/// Batch parallelism comes from running many replicas concurrently, so
-/// the default GPU selection is a **sequential** device — nesting a
-/// parallel device inside every batch worker would oversubscribe the
-/// host without changing any trajectory (engines are schedule-
-/// independent). Pass an explicit parallel device (e.g. for a
-/// single-job timing batch) via [`EngineSel::Gpu`]; sharing one
-/// parallel device across concurrent jobs is safe (its pool serializes
-/// launches) but makes them take turns.
-#[derive(Debug, Clone)]
-pub enum EngineSel {
-    /// The single-threaded reference engine.
-    Cpu,
-    /// The virtual-GPU engine on the given device.
-    Gpu(Device),
-    /// A registry backend selected by name (`scalar` / `pooled` / `simt`),
-    /// resolved at validation time — an unknown name is a typed
-    /// [`JobError::UnknownBackend`], never a worker panic.
-    Backend(Backend),
-}
-
-impl EngineSel {
-    /// Stable name for reports ("cpu" / "gpu", or the registry key for
-    /// [`EngineSel::Backend`] jobs).
-    pub fn name(&self) -> &'static str {
-        match self {
-            EngineSel::Cpu => "cpu",
-            EngineSel::Gpu(_) => "gpu",
-            // Resolve to the registry's static name; validation catches
-            // unknown names before any report is written.
-            EngineSel::Backend(b) => b.resolve().map_or("unknown", |d| d.name),
-        }
-    }
-
-    /// Backend provenance for results: the registry key and thread count
-    /// actually executing this job. The legacy selectors map onto their
-    /// registry equivalents (`Cpu` → `scalar`/1, `Gpu` → `simt` with the
-    /// device's worker count).
-    pub fn backend_sel(&self) -> (&'static str, usize) {
-        match self {
-            EngineSel::Cpu => ("scalar", 1),
-            EngineSel::Gpu(device) => ("simt", device.worker_count()),
-            EngineSel::Backend(b) => (b.resolve().map_or("unknown", |d| d.name), b.threads),
-        }
-    }
-}
-
-/// One replica: a configuration (scenario × model × seed), an engine, and
-/// a stop condition.
+/// One replica: a configuration (scenario × model × seed), a registry
+/// backend, and a stop condition.
 #[derive(Debug, Clone)]
 pub struct Job {
     /// Caller-chosen label grouping related replicas in reports (e.g.
@@ -110,8 +61,17 @@ pub struct Job {
     /// default); timing protocols may switch it off and stop on
     /// [`StopCondition::Steps`] alone.
     pub cfg: SimConfig,
-    /// Engine selection.
-    pub engine: EngineSel,
+    /// The registry backend that executes the job, resolved at
+    /// validation time: an unknown name is a typed
+    /// [`JobError::UnknownBackend`], never a worker panic.
+    ///
+    /// Batch parallelism comes from running many replicas concurrently,
+    /// so batches usually pick sequential backends (`scalar`, `simt` on
+    /// one thread): a parallel backend inside every batch worker would
+    /// oversubscribe the host without changing any trajectory (backends
+    /// are schedule-independent). A single-job timing batch is where a
+    /// multi-threaded `pooled` or `simt` selection belongs.
+    pub backend: Backend,
     /// When this replica is done.
     pub stop: StopCondition,
     /// Untimed warmup steps executed before the measured loop starts.
@@ -124,46 +84,6 @@ pub struct Job {
 }
 
 impl Job {
-    /// A GPU job on a fresh **sequential** device (the batch default; see
-    /// [`EngineSel`]).
-    pub fn gpu(label: impl Into<String>, cfg: SimConfig, stop: StopCondition) -> Self {
-        Self {
-            label: label.into(),
-            cfg,
-            engine: EngineSel::Gpu(Device::sequential()),
-            stop,
-            warmup: 0,
-        }
-    }
-
-    /// A GPU job on an explicit device (shared pools, parallel policies,
-    /// profiling devices).
-    pub fn on_device(
-        label: impl Into<String>,
-        cfg: SimConfig,
-        device: Device,
-        stop: StopCondition,
-    ) -> Self {
-        Self {
-            label: label.into(),
-            cfg,
-            engine: EngineSel::Gpu(device),
-            stop,
-            warmup: 0,
-        }
-    }
-
-    /// A CPU-reference job.
-    pub fn cpu(label: impl Into<String>, cfg: SimConfig, stop: StopCondition) -> Self {
-        Self {
-            label: label.into(),
-            cfg,
-            engine: EngineSel::Cpu,
-            stop,
-            warmup: 0,
-        }
-    }
-
     /// A job on a registry backend selected by name and thread count.
     pub fn backend(
         label: impl Into<String>,
@@ -174,7 +94,7 @@ impl Job {
         Self {
             label: label.into(),
             cfg,
-            engine: EngineSel::Backend(backend),
+            backend,
             stop,
             warmup: 0,
         }
@@ -201,12 +121,12 @@ impl Job {
                 label: self.label.clone(),
                 source,
             })?;
-        if let EngineSel::Backend(b) = &self.engine {
-            b.resolve().map_err(|source| JobError::UnknownBackend {
+        self.backend
+            .resolve()
+            .map_err(|source| JobError::UnknownBackend {
                 label: self.label.clone(),
                 source,
             })?;
-        }
         Ok(())
     }
 }
@@ -218,18 +138,7 @@ mod tests {
     use pedsim_grid::EnvConfig;
 
     #[test]
-    fn constructors_select_engines() {
-        let cfg = SimConfig::new(EnvConfig::small(16, 16, 4), ModelKind::lem());
-        let g = Job::gpu("g", cfg.clone(), StopCondition::Steps(1));
-        let c = Job::cpu("c", cfg.clone(), StopCondition::Steps(1));
-        assert_eq!(g.engine.name(), "gpu");
-        assert_eq!(c.engine.name(), "cpu");
-        let d = Job::on_device("d", cfg, Device::parallel(), StopCondition::Steps(1));
-        assert_eq!(d.engine.name(), "gpu");
-    }
-
-    #[test]
-    fn backend_jobs_resolve_and_report_provenance() {
+    fn backend_jobs_carry_their_selection_and_validate() {
         let cfg = SimConfig::new(EnvConfig::small(16, 16, 4), ModelKind::lem());
         let j = Job::backend(
             "p",
@@ -237,15 +146,10 @@ mod tests {
             Backend::pooled(4),
             StopCondition::Steps(1),
         );
-        assert_eq!(j.engine.name(), "pooled");
-        assert_eq!(j.engine.backend_sel(), ("pooled", 4));
+        assert_eq!(j.backend, Backend::pooled(4));
         assert!(j.validate().is_ok());
-        // The legacy selectors map onto their registry equivalents.
-        assert_eq!(EngineSel::Cpu.backend_sel(), ("scalar", 1));
-        let (name, _) = Job::gpu("g", cfg, StopCondition::Steps(1))
-            .engine
-            .backend_sel();
-        assert_eq!(name, "simt");
+        let s = Job::backend("s", cfg, Backend::simt(), StopCondition::Steps(1));
+        assert_eq!(s.backend.resolve().map(|d| d.name), Ok("simt"));
     }
 
     #[test]
@@ -267,15 +171,17 @@ mod tests {
     fn validate_flags_oversized_gridlock_patience() {
         use pedsim_core::metrics::MAX_GRIDLOCK_PATIENCE;
         let cfg = SimConfig::new(EnvConfig::small(16, 16, 4), ModelKind::lem());
-        let ok = Job::gpu(
+        let ok = Job::backend(
             "ok",
             cfg.clone(),
+            Backend::simt(),
             StopCondition::settled_or_steps(100, 1, 32),
         );
         assert_eq!(ok.validate(), Ok(()));
-        let bad = Job::cpu(
+        let bad = Job::backend(
             "too-patient",
             cfg,
+            Backend::scalar(),
             StopCondition::Gridlocked {
                 threshold: 1,
                 patience: MAX_GRIDLOCK_PATIENCE + 7,
@@ -297,18 +203,25 @@ mod tests {
             StopCondition::settled_or_steps(100, 1, 8),
             StopCondition::steady_or_steps(100, 0.5, 8),
         ] {
-            let job = Job::cpu("dark", cfg.clone(), stop);
+            let job = Job::backend("dark", cfg.clone(), Backend::scalar(), stop);
             let err = job.validate().unwrap_err();
             assert!(err.to_string().contains("track_metrics"), "{err}");
         }
         // A pure step budget needs no metrics; metrics-on configs accept
         // metric-based stops as before.
-        assert!(Job::cpu("ok", cfg.clone(), StopCondition::Steps(10))
-            .validate()
-            .is_ok());
+        assert!(Job::backend(
+            "ok",
+            cfg.clone(),
+            Backend::scalar(),
+            StopCondition::Steps(10)
+        )
+        .validate()
+        .is_ok());
         let tracked = SimConfig::new(EnvConfig::small(16, 16, 4), ModelKind::lem());
-        assert!(Job::cpu("ok", tracked, StopCondition::AllArrived)
-            .validate()
-            .is_ok());
+        assert!(
+            Job::backend("ok", tracked, Backend::scalar(), StopCondition::AllArrived)
+                .validate()
+                .is_ok()
+        );
     }
 }

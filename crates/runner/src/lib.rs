@@ -9,7 +9,9 @@
 //! own [`StopCondition`] fires instead of burning a fixed step budget.
 //!
 //! * [`Job`] — one replica description: a `SimConfig` (scenario × model ×
-//!   seed), an engine selection, and a stop condition;
+//!   seed), a registry [`Backend`](pedsim_core::engine::Backend)
+//!   (`scalar` / `pooled` / `simt` and a thread count), and a stop
+//!   condition;
 //! * [`Batch`] — the executor: a persistent thread pool (reusing the
 //!   `simt` worker pool — the same block scheduler the virtual GPU uses,
 //!   one level up) that runs a job list and aggregates a [`BatchReport`];
@@ -20,8 +22,8 @@
 //!
 //! The repo's determinism story — bit-identical trajectories for equal
 //! configurations — extends from one engine to whole fleets: every job is
-//! seeded independently and runs on a sequential device by default
-//! (parallelism comes from running *replicas* concurrently, not blocks),
+//! seeded independently, usually on a sequential backend (parallelism
+//! comes from running *replicas* concurrently, not blocks),
 //! results land in canonical order regardless of completion order, and
 //! [`BatchReport::to_json`] omits wall-clock fields. The same job set
 //! therefore produces **byte-identical** JSON across pool worker counts
@@ -37,9 +39,10 @@
 //! let jobs: Vec<Job> = (0..4)
 //!     .map(|seed| {
 //!         let env = EnvConfig::small(32, 32, 30).with_seed(seed);
-//!         Job::gpu(
+//!         Job::backend(
 //!             format!("corridor/seed{seed}"),
 //!             SimConfig::new(env, ModelKind::aco()),
+//!             Backend::simt(),
 //!             StopCondition::arrived_or_steps(400),
 //!         )
 //!     })
@@ -56,13 +59,13 @@ pub mod job;
 pub mod report;
 
 pub use batch::Batch;
-pub use job::{EngineSel, Job, JobError};
+pub use job::{Job, JobError};
 pub use pedsim_core::engine::{InvalidStopCondition, StopCondition, StopReason};
 pub use report::{BatchReport, RunResult, FLUX_REPORT_WINDOW};
 
 /// The commonly-used surface of the runner.
 pub mod prelude {
     pub use crate::batch::Batch;
-    pub use crate::job::{EngineSel, Job, JobError};
+    pub use crate::job::{Job, JobError};
     pub use crate::report::{BatchReport, RunResult};
 }

@@ -19,11 +19,12 @@ pub struct RunResult {
     pub world: String,
     /// Model name (`"LEM"` / `"ACO"`).
     pub model: String,
-    /// Engine name (`"cpu"` / `"gpu"`).
+    /// The executing backend's registry key, as [`RunResult::backend`].
+    /// The column stays because result consumers build this struct by
+    /// field and the append-only registry's columns are fixed.
     pub engine: &'static str,
     /// Backend registry key actually executing the job (`"scalar"` /
-    /// `"pooled"` / `"simt"`); the legacy engine selectors map onto
-    /// their registry equivalents.
+    /// `"pooled"` / `"simt"`).
     pub backend: &'static str,
     /// Worker-thread count of the executing backend (1 for sequential
     /// backends).
@@ -480,7 +481,7 @@ mod tests {
             label: label.into(),
             world: "paper_corridor".into(),
             model: "LEM".into(),
-            engine: "gpu",
+            engine: "simt",
             backend: "simt",
             threads: 1,
             mode: "sparse",

@@ -7,7 +7,7 @@
 //! * `run_until(AllArrived)` agrees with the legacy `run(n)`-then-inspect
 //!   protocol on `paper_corridor`.
 
-use pedsim_core::engine::{Engine, StopCondition, StopReason};
+use pedsim_core::engine::{Backend, Engine, StopCondition, StopReason};
 use pedsim_core::params::{ModelKind, SimConfig};
 use pedsim_core::prelude::GpuEngine;
 use pedsim_grid::EnvConfig;
@@ -30,18 +30,20 @@ fn job_set() -> Vec<Job> {
         for model in [ModelKind::lem(), ModelKind::aco()] {
             let label = format!("{}/n{}/{}", point.world, point.per_side * 2, model.name());
             let cfg = SimConfig::from_scenario(&point.scenario, model);
-            jobs.push(Job::gpu(
+            jobs.push(Job::backend(
                 label,
                 cfg,
+                Backend::simt(),
                 StopCondition::settled_or_steps(250, 1, 8),
             ));
         }
     }
     // One CPU reference replica rides along.
     let env = EnvConfig::small(24, 24, 8).with_seed(5);
-    jobs.push(Job::cpu(
+    jobs.push(Job::backend(
         "corridor/cpu_ref",
         SimConfig::new(env, ModelKind::lem()),
+        Backend::scalar(),
         StopCondition::arrived_or_steps(250),
     ));
     jobs
@@ -77,8 +79,13 @@ fn cpu_and_gpu_agree_on_multi_group_worlds_in_a_batch() {
             .with_seed(31);
         let cfg = SimConfig::from_scenario(&scenario, ModelKind::aco());
         let jobs = vec![
-            Job::cpu("pair", cfg.clone(), StopCondition::Steps(30)),
-            Job::gpu("pair", cfg, StopCondition::Steps(30)),
+            Job::backend(
+                "pair",
+                cfg.clone(),
+                Backend::scalar(),
+                StopCondition::Steps(30),
+            ),
+            Job::backend("pair", cfg, Backend::simt(), StopCondition::Steps(30)),
         ];
         let report = Batch::new(2).run(&jobs);
         let [a, b] = &report.results[..] else {

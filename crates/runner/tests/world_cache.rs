@@ -8,7 +8,7 @@
 
 use std::time::Duration;
 
-use pedsim_core::engine::StopCondition;
+use pedsim_core::engine::{Backend, StopCondition};
 use pedsim_core::params::{ModelKind, SimConfig};
 use pedsim_runner::{Batch, Job};
 use pedsim_scenario::registry;
@@ -22,17 +22,19 @@ fn job_set() -> Vec<Job> {
     for seed in [1u64, 2, 3] {
         let scenario = registry::crossing(24, 16).with_seed(seed);
         for model in [ModelKind::lem(), ModelKind::aco()] {
-            jobs.push(Job::gpu(
+            jobs.push(Job::backend(
                 format!("crossing/s{seed}/{}", model.name()),
                 SimConfig::from_scenario(&scenario, model),
+                Backend::simt(),
                 StopCondition::Steps(25),
             ));
         }
     }
     let doorway = registry::doorway(24, 24, 20, 5).with_seed(9);
-    jobs.push(Job::cpu(
+    jobs.push(Job::backend(
         "doorway/cold",
         SimConfig::from_scenario(&doorway, ModelKind::lem()),
+        Backend::scalar(),
         StopCondition::Steps(25),
     ));
     jobs

@@ -10,21 +10,32 @@
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Region {
     cells: Vec<(u16, u16)>,
+    /// A cell past the `u16` coordinate range the region was asked to
+    /// cover; such a region holds no cells, and
+    /// [`ScenarioBuilder::build`](crate::ScenarioBuilder::build) rejects
+    /// it as `ScenarioError::OutOfBounds`.
+    overflow: Option<(usize, usize)>,
 }
 
 impl Region {
     /// A rectangle of `rows × cols` cells with top-left corner `(r0, c0)`,
-    /// enumerated row-major.
+    /// enumerated row-major. A rectangle reaching past the `u16`
+    /// coordinate range holds no cells and records its far corner as
+    /// [`Region::overflow`].
     pub fn rect(r0: usize, c0: usize, rows: usize, cols: usize) -> Self {
         assert!(rows > 0 && cols > 0, "empty region rectangle");
-        assert!(
-            r0 + rows <= u16::MAX as usize && c0 + cols <= u16::MAX as usize,
-            "region exceeds u16 coordinates"
-        );
+        let far = (r0.saturating_add(rows - 1), c0.saturating_add(cols - 1));
+        if far.0 > u16::MAX as usize || far.1 > u16::MAX as usize {
+            return Self {
+                cells: Vec::new(),
+                overflow: Some(far),
+            };
+        }
         Self {
             cells: (r0..r0 + rows)
                 .flat_map(|r| (c0..c0 + cols).map(move |c| (r as u16, c as u16)))
                 .collect(),
+            overflow: None,
         }
     }
 
@@ -53,7 +64,17 @@ impl Region {
         let before = seen.len();
         seen.dedup();
         assert_eq!(before, seen.len(), "duplicate cell in region");
-        Self { cells }
+        Self {
+            cells,
+            overflow: None,
+        }
+    }
+
+    /// The cell past the `u16` coordinate range that [`Region::rect`] was
+    /// asked to cover, if any.
+    #[inline]
+    pub fn overflow(&self) -> Option<(usize, usize)> {
+        self.overflow
     }
 
     /// The cells in enumeration order.
@@ -68,7 +89,8 @@ impl Region {
         self.cells.len()
     }
 
-    /// Always false — regions cannot be constructed empty.
+    /// False for every region but one whose rectangle overflowed the
+    /// coordinate range (see [`Region::overflow`]).
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.cells.is_empty()

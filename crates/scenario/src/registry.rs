@@ -395,10 +395,12 @@ mod tests {
         env.check_consistency().expect("consistent");
         // The horizontal stream's target is a column band: crossing for
         // its agents means "reached the right edge".
-        assert!(env.has_crossed(Group::BOTTOM, 20, 39));
-        assert!(!env.has_crossed(Group::BOTTOM, 20, 0));
+        let mask = env.targets.as_ref().expect("target mask");
+        let in_target = |g: Group, r: usize, c: usize| mask.get(r, c) & g.target_bit() != 0;
+        assert!(in_target(Group::BOTTOM, 20, 39));
+        assert!(!in_target(Group::BOTTOM, 20, 0));
         // And the vertical stream still crosses downward.
-        assert!(env.has_crossed(Group::TOP, 39, 20));
+        assert!(in_target(Group::TOP, 39, 20));
     }
 
     #[test]
@@ -412,11 +414,13 @@ mod tests {
         env.check_consistency().expect("consistent");
         assert_eq!(env.total_agents(), 400);
         // Each stream's target sits at the opposite edge.
-        assert!(env.has_crossed(Group::new(0), 39, 20)); // north → bottom
-        assert!(env.has_crossed(Group::new(1), 0, 20)); // south → top
-        assert!(env.has_crossed(Group::new(2), 20, 39)); // west → right
-        assert!(env.has_crossed(Group::new(3), 20, 0)); // east → left
-        assert!(!env.has_crossed(Group::new(2), 20, 0));
+        let mask = env.targets.as_ref().expect("target mask");
+        let in_target = |g: Group, r: usize, c: usize| mask.get(r, c) & g.target_bit() != 0;
+        assert!(in_target(Group::new(0), 39, 20)); // north → bottom
+        assert!(in_target(Group::new(1), 0, 20)); // south → top
+        assert!(in_target(Group::new(2), 20, 39)); // west → right
+        assert!(in_target(Group::new(3), 20, 0)); // east → left
+        assert!(!in_target(Group::new(2), 20, 0));
     }
 
     #[test]

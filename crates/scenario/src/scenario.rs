@@ -35,12 +35,13 @@ pub enum ScenarioError {
         /// Declared group count.
         groups: usize,
     },
-    /// A region or wall cell lies outside the grid.
+    /// A region or wall cell lies outside the grid (or past the `u16`
+    /// coordinate range altogether).
     OutOfBounds {
         /// What was out of bounds.
         what: &'static str,
         /// The offending cell.
-        cell: (u16, u16),
+        cell: (usize, usize),
     },
     /// A group's spawn region is missing.
     MissingSpawn(usize),
@@ -232,6 +233,7 @@ impl Scenario {
             width,
             height,
             walls: Vec::new(),
+            wall_overflow: None,
             slots: Vec::new(),
             default_population: 0,
             seed: 0,
@@ -588,6 +590,9 @@ pub struct ScenarioBuilder {
     width: usize,
     height: usize,
     walls: Vec<(u16, u16)>,
+    /// The first wall cell past the `u16` coordinate range, reported by
+    /// [`ScenarioBuilder::build`].
+    wall_overflow: Option<(usize, usize)>,
     slots: Vec<GroupSlot>,
     default_population: usize,
     seed: u64,
@@ -595,25 +600,23 @@ pub struct ScenarioBuilder {
 
 impl ScenarioBuilder {
     /// Add a single obstacle cell.
-    pub fn wall_cell(mut self, r: usize, c: usize) -> Self {
-        assert!(
-            r <= u16::MAX as usize && c <= u16::MAX as usize,
-            "wall cell ({r},{c}) exceeds u16 coordinates"
-        );
-        self.walls.push((r as u16, c as u16));
-        self
+    pub fn wall_cell(self, r: usize, c: usize) -> Self {
+        self.wall_rect(r, c, 1, 1)
     }
 
-    /// Add a rectangle of obstacle cells.
+    /// Add a rectangle of obstacle cells. A rectangle reaching past the
+    /// `u16` coordinate range adds no cells; [`ScenarioBuilder::build`]
+    /// then returns [`ScenarioError::OutOfBounds`].
     pub fn wall_rect(mut self, r0: usize, c0: usize, rows: usize, cols: usize) -> Self {
-        assert!(
-            r0 + rows <= u16::MAX as usize && c0 + cols <= u16::MAX as usize,
-            "wall rectangle exceeds u16 coordinates"
-        );
-        for r in r0..r0 + rows {
-            for c in c0..c0 + cols {
-                self.walls.push((r as u16, c as u16));
+        if rows == 0 || cols == 0 {
+            return self;
+        }
+        let rect = Region::rect(r0, c0, rows, cols);
+        match rect.overflow() {
+            Some(cell) => {
+                self.wall_overflow.get_or_insert(cell);
             }
+            None => self.walls.extend_from_slice(rect.cells()),
         }
         self
     }
@@ -712,12 +715,24 @@ impl ScenarioBuilder {
             });
         }
         let in_bounds = |&(r, c): &(u16, u16)| (r as usize) < h && (c as usize) < w;
+        // The first cell of `cells` outside the grid, a coordinate
+        // overflow recorded at construction first.
+        let out_of_bounds =
+            |what: &'static str, overflow: Option<(usize, usize)>, cells: &[(u16, u16)]| {
+                let cell = overflow.or_else(|| {
+                    cells
+                        .iter()
+                        .find(|c| !in_bounds(c))
+                        .map(|&(r, c)| (r as usize, c as usize))
+                });
+                cell.map_or(Ok(()), |cell| {
+                    Err(ScenarioError::OutOfBounds { what, cell })
+                })
+            };
         let mut walls = self.walls;
         walls.sort_unstable();
         walls.dedup();
-        if let Some(&cell) = walls.iter().find(|c| !in_bounds(c)) {
-            return Err(ScenarioError::OutOfBounds { what: "wall", cell });
-        }
+        out_of_bounds("wall", self.wall_overflow, &walls)?;
         let mut groups: Vec<GroupDesc> = Vec::with_capacity(self.slots.len());
         // Hash set of every earlier spawn cell keeps the pairwise
         // disjointness check O(total cells); regions reach ~10^4 cells at
@@ -726,12 +741,7 @@ impl ScenarioBuilder {
         let mut earlier_spawns: std::collections::HashSet<(u16, u16)> = Default::default();
         for (gi, slot) in self.slots.iter().enumerate() {
             let spawn = slot.spawn.clone().ok_or(ScenarioError::MissingSpawn(gi))?;
-            if let Some(&cell) = spawn.cells().iter().find(|c| !in_bounds(c)) {
-                return Err(ScenarioError::OutOfBounds {
-                    what: "spawn",
-                    cell,
-                });
-            }
+            out_of_bounds("spawn", spawn.overflow(), spawn.cells())?;
             if let Some(&cell) = spawn
                 .cells()
                 .iter()
@@ -760,12 +770,7 @@ impl ScenarioBuilder {
                 .target
                 .clone()
                 .ok_or(ScenarioError::MissingTarget(gi))?;
-            if let Some(&cell) = target.cells().iter().find(|c| !in_bounds(c)) {
-                return Err(ScenarioError::OutOfBounds {
-                    what: "target",
-                    cell,
-                });
-            }
+            out_of_bounds("target", target.overflow(), target.cells())?;
             if target
                 .cells()
                 .iter()
@@ -788,12 +793,8 @@ impl ScenarioBuilder {
                 if !source.rate.is_finite() || source.rate < 0.0 {
                     return Err(ScenarioError::InvalidSourceRate(gi));
                 }
-                if let Some(&cell) = source.region.cells().iter().find(|c| !in_bounds(c)) {
-                    return Err(ScenarioError::OutOfBounds {
-                        what: "source",
-                        cell,
-                    });
-                }
+                let region = &source.region;
+                out_of_bounds("source", region.overflow(), region.cells())?;
                 if let Some(&cell) = source
                     .region
                     .cells()
@@ -925,9 +926,10 @@ mod tests {
         assert_eq!(env.mat.count(CELL_WALL), 6);
         assert_eq!(env.mat.count(Group::TOP.label()), 12);
         assert_eq!(env.mat.count(Group::BOTTOM.label()), 12);
-        assert!(env.targets.is_some());
-        assert!(env.has_crossed(Group::TOP, 14, 3));
-        assert!(!env.has_crossed(Group::TOP, 8, 3));
+        let mask = env.targets.as_ref().expect("target mask");
+        let in_target = |g: Group, r: usize, c: usize| mask.get(r, c) & g.target_bit() != 0;
+        assert!(in_target(Group::TOP, 14, 3));
+        assert!(!in_target(Group::TOP, 8, 3));
     }
 
     #[test]

@@ -43,9 +43,10 @@ fn main() {
                 } else {
                     registry::doorway(side, side, per_side, gap).with_seed(29)
                 };
-                Job::gpu(
+                Job::backend(
                     format!("gap{gap:03}/{}", model.name()),
                     SimConfig::from_scenario(&scenario, model),
+                    Backend::simt(),
                     StopCondition::arrived_or_steps(steps),
                 )
             })

@@ -34,9 +34,10 @@ fn main() {
         .flat_map(|&per| {
             [ModelKind::lem(), ModelKind::aco()].map(|model| {
                 let scenario = registry::four_way_crossing(side, per).with_seed(41);
-                Job::gpu(
+                Job::backend(
                     format!("n{:04}/{}", per * 4, model.name()),
                     SimConfig::from_scenario(&scenario, model),
+                    Backend::simt(),
                     StopCondition::settled_or_steps(steps, 2, 40),
                 )
             })

@@ -26,9 +26,10 @@ fn main() {
         .iter()
         .flat_map(|&cp| {
             [ModelKind::lem(), ModelKind::aco()].map(|model| {
-                Job::gpu(
+                Job::backend(
                     format!("step{cp:05}/{}", model.name()),
                     SimConfig::new(env, model),
+                    Backend::simt(),
                     StopCondition::Steps(cp),
                 )
             })

@@ -1,6 +1,7 @@
 //! Failure injection: the substrate must *reject* what the paper's design
 //! rules out — write races, invalid launches, inconsistent worlds.
 
+use pedsim::grid::cell::Group;
 use pedsim::grid::MAX_SIDE;
 use pedsim::prelude::*;
 use pedsim::scenario::ScenarioError;
@@ -101,6 +102,55 @@ fn oversized_worlds_are_rejected() {
         .map(String::as_str)
         .unwrap_or_default();
     assert!(msg.contains("exceeds the largest side"), "{msg}");
+}
+
+#[test]
+fn coordinates_past_u16_are_typed_errors() {
+    // Walls and regions past the u16 coordinate range come back from
+    // `build()` as `OutOfBounds`, never as a panic at the call.
+    let far = u16::MAX as usize + 1;
+    let base = || {
+        Scenario::builder("far", 8, 8).group(Region::rect(0, 0, 1, 8), Region::rect(7, 0, 1, 8), 4)
+    };
+    let out_of_bounds = |built: Result<Scenario, ScenarioError>, what: &'static str, cell| {
+        assert_eq!(
+            built.unwrap_err(),
+            ScenarioError::OutOfBounds { what, cell }
+        );
+    };
+    out_of_bounds(base().wall_cell(far, 3).build(), "wall", (far, 3));
+    out_of_bounds(base().wall_cell(2, far).build(), "wall", (2, far));
+    out_of_bounds(
+        base().wall_rect(far - 2, 0, 4, 1).build(),
+        "wall",
+        (far + 1, 0),
+    );
+    out_of_bounds(
+        base().wall_rect(usize::MAX, usize::MAX, 2, 2).build(),
+        "wall",
+        (usize::MAX, usize::MAX),
+    );
+    let g = Group::new(0);
+    let region = Region::rect(0, far, 1, 2);
+    assert_eq!(region.overflow(), Some((0, far + 1)));
+    assert!(region.is_empty());
+    out_of_bounds(
+        base().spawn(g, region.clone()).build(),
+        "spawn",
+        (0, far + 1),
+    );
+    out_of_bounds(
+        base().target(g, region.clone()).build(),
+        "target",
+        (0, far + 1),
+    );
+    out_of_bounds(
+        base().source(g, region, 1.0).build(),
+        "source",
+        (0, far + 1),
+    );
+    // An in-range wall past the grid keeps its old error.
+    out_of_bounds(base().wall_cell(8, 0).build(), "wall", (8, 0));
 }
 
 #[test]

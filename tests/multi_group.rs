@@ -160,9 +160,18 @@ fn crossing_counts_its_orthogonal_stream_through_the_mask() {
     );
     // Per-group attribution is exact: every counted horizontal arrival is
     // an agent of the horizontal stream standing (or having stood) in the
-    // right-edge band — cross-check against the environment's own count.
+    // right-edge band — cross-check against the agents of the stream whose
+    // cell is in the mask now.
     let env = e.environment();
-    assert!(m.crossed(Group::BOTTOM) >= env.crossed_count(Group::BOTTOM));
+    let in_band_now = (1..=env.total_agents())
+        .filter(|&i| env.props.id[i] == Group::BOTTOM.label())
+        .filter(|&i| {
+            let (r, c) = env.position(i);
+            mask.get(r, c) & horizontal_bit != 0
+        })
+        .count();
+    assert!(in_band_now > 0, "no horizontal agent stands in its band");
+    assert!(m.crossed(Group::BOTTOM) >= in_band_now);
     assert_eq!(
         m.throughput(),
         m.crossed(Group::TOP) + m.crossed(Group::BOTTOM)

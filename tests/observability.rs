@@ -20,20 +20,23 @@ fn jobs() -> Vec<Job> {
     for seed in [3, 4] {
         let env = EnvConfig::small(24, 24, 12).with_seed(seed);
         let cfg = SimConfig::new(env, ModelKind::lem());
-        jobs.push(Job::cpu(
-            format!("closed/s{seed}/cpu"),
+        jobs.push(Job::backend(
+            format!("closed/s{seed}/scalar"),
             cfg.clone(),
+            Backend::scalar(),
             StopCondition::Steps(40),
         ));
-        jobs.push(Job::gpu(
-            format!("closed/s{seed}/gpu"),
+        jobs.push(Job::backend(
+            format!("closed/s{seed}/simt"),
             cfg,
+            Backend::simt(),
             StopCondition::Steps(40),
         ));
         let open = registry::open_corridor(24, 24, 30, 1.5).with_seed(seed);
-        jobs.push(Job::gpu(
+        jobs.push(Job::backend(
             format!("open/s{seed}"),
             SimConfig::from_scenario(&open, ModelKind::aco()),
+            Backend::simt(),
             StopCondition::Steps(40),
         ));
     }
@@ -117,12 +120,12 @@ fn order_parameters_report_through_the_batch_surface() {
         let cpu = report
             .results
             .iter()
-            .find(|r| r.label == format!("closed/s{seed}/cpu"))
+            .find(|r| r.label == format!("closed/s{seed}/scalar"))
             .expect("cpu row");
         let gpu = report
             .results
             .iter()
-            .find(|r| r.label == format!("closed/s{seed}/gpu"))
+            .find(|r| r.label == format!("closed/s{seed}/simt"))
             .expect("gpu row");
         assert_eq!(cpu.bands, gpu.bands);
         assert_eq!(cpu.segregation, gpu.segregation);
@@ -135,9 +138,10 @@ fn gridlock_gauge_engages_once_the_window_fills() {
     // Run past the 64-step warning window: the gauge must report a
     // value (possibly 0.0) instead of None.
     let env = EnvConfig::small(24, 24, 12).with_seed(7);
-    let job = Job::gpu(
+    let job = Job::backend(
         "long",
         SimConfig::new(env, ModelKind::lem()),
+        Backend::simt(),
         StopCondition::Steps(80),
     );
     let report = Batch::new(1).run(&[job]);

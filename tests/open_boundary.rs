@@ -113,9 +113,10 @@ fn batch_with_sources_is_deterministic_across_worker_counts() {
                 let scenario = pedsim::scenario::sweep::build_world(world, 24, 16)
                     .expect("registry world")
                     .with_seed(seed);
-                Job::gpu(
+                Job::backend(
                     format!("{world}/s{seed}"),
                     SimConfig::from_scenario(&scenario, ModelKind::lem()),
+                    Backend::simt(),
                     StopCondition::steady_or_steps(220, 0.5, 32),
                 )
             })
