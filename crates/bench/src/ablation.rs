@@ -33,9 +33,10 @@ use crate::report::{f3, secs, Table};
 /// Prepare a device state with populated futures (init→calc→tour run
 /// once), ready for movement-kernel experiments.
 fn prepared_state(side: usize, agents: usize, seed: u64) -> DeviceState {
-    let env = Environment::new(&EnvConfig::small(side, side, agents / 2).with_seed(seed));
-    let dist = pedsim_grid::DistanceData::rows(env.height());
-    let state = DeviceState::upload(&env, &dist, ModelKind::lem(), false);
+    let cfg = EnvConfig::small(side, side, agents / 2).with_seed(seed);
+    let scenario = pedsim_scenario::registry::paper_corridor(&cfg);
+    let env = scenario.build_environment();
+    let state = DeviceState::upload(&env, &scenario.distance_data(), ModelKind::lem(), false);
     let device = Device::sequential();
     let calc = InitialCalcKernel {
         w: state.w,

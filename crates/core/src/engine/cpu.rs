@@ -87,9 +87,9 @@ impl LifecycleWorld for HostWorld<'_> {
 }
 
 impl CpuEngine {
-    /// Build the engine (runs the data-preparation stage, §IV.a — from the
-    /// attached scenario when present, else the classic corridor). A thin
-    /// compile-then-construct wrapper over [`CpuEngine::from_world`].
+    /// Build the engine (runs the data-preparation stage, §IV.a, over the
+    /// configuration's scenario). A thin compile-then-construct wrapper
+    /// over [`CpuEngine::from_world`].
     pub fn new(cfg: SimConfig) -> Self {
         let world = CompiledWorld::compile(&cfg);
         Self::from_world(&world, cfg)
@@ -107,7 +107,7 @@ impl CpuEngine {
         let env = world.environment();
         let dist = world.distance();
         let geom = world.geometry();
-        let core = StepCore::for_world(&cfg, &env, geom);
+        let core = StepCore::for_world(&cfg, world, &env);
         let n = env.total_agents();
         let groups = env.n_groups();
         let (pher, pher_next) = match cfg.model {

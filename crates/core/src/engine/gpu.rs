@@ -117,7 +117,6 @@ struct GpuBackend {
     geom: Geometry,
     device: Device,
     state: DeviceState,
-    spawn_rows: usize,
     report: KernelReport,
     /// Launch geometry for the per-cell kernels (initial-calc, movement),
     /// built once — per step only the salt changes. Rebuilding these in
@@ -131,10 +130,9 @@ struct GpuBackend {
 }
 
 impl GpuEngine {
-    /// Build the engine on `device` (runs data preparation and upload —
-    /// from the attached scenario when present, else the classic
-    /// corridor). A thin compile-then-construct wrapper over
-    /// [`GpuEngine::from_world`].
+    /// Build the engine on `device` (runs data preparation and upload of
+    /// the configuration's scenario). A thin compile-then-construct
+    /// wrapper over [`GpuEngine::from_world`].
     pub fn new(cfg: SimConfig, device: Device) -> Self {
         let world = CompiledWorld::compile(&cfg);
         Self::from_world(&world, cfg, device)
@@ -156,7 +154,7 @@ impl GpuEngine {
         let env = world.environment();
         let dist = world.distance();
         let geom = world.geometry();
-        let core = StepCore::for_world(&cfg, &env, geom);
+        let core = StepCore::for_world(&cfg, world, &env);
         let state = DeviceState::upload(&env, &dist, cfg.model, cfg.checked);
         let seed = cfg.env.seed;
         let lc_cells =
@@ -171,7 +169,6 @@ impl GpuEngine {
                 geom,
                 device,
                 state,
-                spawn_rows: env.spawn_rows,
                 report: KernelReport::default(),
                 lc_cells,
                 lc_init,
@@ -204,9 +201,7 @@ impl GpuEngine {
 
     /// Download the full environment for inspection/validation.
     pub fn download_environment(&self) -> Environment {
-        self.backend
-            .state
-            .download(self.backend.spawn_rows, self.backend.cfg.env.seed)
+        self.backend.state.download(self.backend.cfg.env.seed)
     }
 
     /// Current pheromone fields, one matrix per group in index order (ACO

@@ -79,13 +79,12 @@ pub trait LifecycleWorld {
 impl OpenLifecycle {
     /// Compile `scenario`'s lifecycle, or `None` for closed worlds.
     /// `geom` must be the engine's capacity-sized geometry; `targets` the
-    /// environment's already-built mask when available (so the lifecycle
-    /// and the metrics share one mask instead of rebuilding it per
-    /// engine).
+    /// environment's mask (so the lifecycle and the metrics share one
+    /// mask instead of rebuilding it per engine).
     pub fn from_scenario(
         scenario: &Scenario,
         geom: Geometry,
-        targets: Option<Arc<Matrix<u8>>>,
+        targets: Arc<Matrix<u8>>,
     ) -> Option<Self> {
         if !scenario.is_open() {
             return None;
@@ -106,7 +105,7 @@ impl OpenLifecycle {
             .collect();
         Some(Self {
             geom,
-            targets: targets.unwrap_or_else(|| Arc::new(scenario.target_mask())),
+            targets,
             sources,
             seed: scenario.seed(),
         })
@@ -178,15 +177,17 @@ mod tests {
     fn compile_is_none_for_closed_worlds() {
         let cfg = pedsim_grid::EnvConfig::small(16, 16, 4);
         let scenario = pedsim_scenario::registry::paper_corridor(&cfg);
-        let geom = Geometry::two_sided(16, 16, 1, 4);
-        assert!(OpenLifecycle::from_scenario(&scenario, geom, None).is_none());
+        let geom = Geometry::with_groups(16, 16, &[4, 4]);
+        let targets = Arc::new(scenario.target_mask());
+        assert!(OpenLifecycle::from_scenario(&scenario, geom, targets).is_none());
     }
 
     #[test]
     fn thresholds_scale_with_rate_and_region() {
         let scenario = pedsim_scenario::registry::open_corridor(16, 16, 8, 4.0);
-        let geom = Geometry::two_sided(16, 16, 1, 8);
-        let lc = OpenLifecycle::from_scenario(&scenario, geom, None).expect("open");
+        let geom = Geometry::with_groups(16, 16, &[8, 8]);
+        let targets = Arc::new(scenario.target_mask());
+        let lc = OpenLifecycle::from_scenario(&scenario, geom, targets).expect("open");
         assert_eq!(lc.sources.len(), 2);
         // rate 4 over a 16-cell band row? (band is rows × 16 cells) —
         // whatever the band size, p = rate / len and the fixed-point

@@ -265,24 +265,21 @@ pub struct StepCore {
 
 impl StepCore {
     /// Build the core for a configured world: compile the open-boundary
-    /// lifecycle when the scenario has one, and construct metrics when
-    /// tracking is on — the construction logic both engines previously
-    /// duplicated. `geom` is the engine's capacity-sized geometry (the
-    /// same instance its kernels use, so core and backend cannot drift).
+    /// lifecycle when the world's scenario has one, and construct metrics
+    /// when tracking is on — the construction logic every engine shares.
+    /// `env` is the engine's own clone of the world's environment.
     pub fn for_world(
         cfg: &crate::params::SimConfig,
+        world: &crate::world::CompiledWorld,
         env: &pedsim_grid::Environment,
-        geom: crate::metrics::Geometry,
     ) -> Self {
         use pedsim_grid::cell::CELL_WALL;
 
-        let lifecycle = cfg
-            .scenario
-            .as_deref()
-            .and_then(|s| OpenLifecycle::from_scenario(s, geom, env.targets.clone()));
+        let geom = world.geometry();
+        let lifecycle = OpenLifecycle::from_scenario(world.scenario(), geom, env.targets.clone());
         let metrics = cfg.track_metrics.then(|| {
             let passable = env.width() * env.height() - env.mat.count(CELL_WALL);
-            let mut m = Metrics::with_targets(geom, env.targets.clone(), passable);
+            let mut m = Metrics::new(geom, env.targets.clone(), passable);
             if lifecycle.is_some() {
                 m.enable_open(&env.alive);
             }

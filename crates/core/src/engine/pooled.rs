@@ -614,7 +614,7 @@ impl PooledEngine {
         let env = world.environment();
         let dist = world.distance();
         let geom = world.geometry();
-        let core = StepCore::for_world(&cfg, &env, geom);
+        let core = StepCore::for_world(&cfg, world, &env);
         let n = env.total_agents();
         let (h, w) = (env.height(), env.width());
         let pher = match cfg.model {

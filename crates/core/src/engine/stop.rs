@@ -272,8 +272,8 @@ mod tests {
     use crate::metrics::Geometry;
 
     fn metrics_after_freeze(steps: usize) -> Metrics {
-        let geom = Geometry::two_sided(16, 16, 3, 2);
-        let mut m = Metrics::new(geom);
+        let geom = Geometry::with_groups(16, 16, &[2, 2]);
+        let mut m = Metrics::new(geom, crate::metrics::band_mask(&geom, 3), 256);
         for _ in 0..steps {
             m.observe([], &[0, 81, 82, 161, 162]);
         }
@@ -367,8 +367,8 @@ mod tests {
     #[test]
     fn steady_state_fires_once_flux_settles() {
         use crate::metrics::Geometry;
-        let geom = Geometry::two_sided(16, 16, 3, 2);
-        let mut m = Metrics::new(geom);
+        let geom = Geometry::with_groups(16, 16, &[2, 2]);
+        let mut m = Metrics::new(geom, crate::metrics::band_mask(&geom, 3), 256);
         let c = StopCondition::SteadyState {
             epsilon: 0.75,
             window: 4,

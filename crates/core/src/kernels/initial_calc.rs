@@ -144,11 +144,12 @@ mod tests {
     use crate::kernels::DeviceState;
     use pedsim_grid::scan::SCAN_INVALID;
     use pedsim_grid::{EnvConfig, Environment};
+    use pedsim_scenario::registry::paper_corridor;
     use simt::exec::LaunchConfig;
     use simt::Device;
 
     fn run(model: ModelKind) -> (Environment, DeviceState) {
-        let env = Environment::new(&EnvConfig::small(32, 32, 25).with_seed(9));
+        let env = paper_corridor(&EnvConfig::small(32, 32, 25).with_seed(9)).build_environment();
         let dist = pedsim_grid::DistanceData::rows(env.height());
         let state = DeviceState::upload(&env, &dist, model, true);
         state.scan_val.begin_epoch();

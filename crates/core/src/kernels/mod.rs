@@ -129,14 +129,13 @@ pub struct DeviceState {
     /// Constant-memory front-slot plane of `dist` (grid layout; empty for
     /// the row tables), uploaded beside it.
     pub dist_front: ConstantBuffer<u8>,
-    /// Per-cell target bitmask carried for download (scenario worlds).
-    pub targets: Option<std::sync::Arc<pedsim_grid::Matrix<u8>>>,
+    /// Per-cell target bitmask carried for download.
+    pub targets: std::sync::Arc<pedsim_grid::Matrix<u8>>,
 }
 
 impl DeviceState {
     /// Upload an environment and its distance field (the host→device copy
-    /// of §IV.a). For the classic corridor pass
-    /// [`DistanceData::rows`]`(env.height())`.
+    /// of §IV.a).
     pub fn upload(env: &Environment, dist: &DistanceData, model: ModelKind, checked: bool) -> Self {
         let (h, w) = (env.height(), env.width());
         let n = env.total_agents();
@@ -212,7 +211,7 @@ impl DeviceState {
 
     /// Download the device state back into a host [`Environment`]
     /// (device→host copy for validation and snapshots).
-    pub fn download(&self, spawn_rows: usize, seed: u64) -> Environment {
+    pub fn download(&self, seed: u64) -> Environment {
         use pedsim_grid::{Matrix, PropertyTable};
         let mut props = PropertyTable::new(self.n);
         props.id = self.id.clone();
@@ -225,7 +224,6 @@ impl DeviceState {
             mat: Matrix::from_vec(self.h, self.w, self.mat[self.cur].as_slice().to_vec()),
             index: Matrix::from_vec(self.h, self.w, self.index[self.cur].as_slice().to_vec()),
             props,
-            spawn_rows,
             group_sizes: self.group_sizes.clone(),
             seed,
             targets: self.targets.clone(),
@@ -240,13 +238,14 @@ impl DeviceState {
 mod tests {
     use super::*;
     use pedsim_grid::EnvConfig;
+    use pedsim_scenario::registry::paper_corridor;
 
     #[test]
     fn upload_download_roundtrip() {
-        let env = Environment::new(&EnvConfig::small(32, 32, 20).with_seed(3));
+        let env = paper_corridor(&EnvConfig::small(32, 32, 20).with_seed(3)).build_environment();
         let dist = DistanceData::rows(env.height());
         let state = DeviceState::upload(&env, &dist, ModelKind::aco(), true);
-        let back = state.download(env.spawn_rows, env.seed);
+        let back = state.download(env.seed);
         assert_eq!(back.mat, env.mat);
         assert_eq!(back.index, env.index);
         assert_eq!(back.props.pos, env.props.pos);
@@ -258,7 +257,7 @@ mod tests {
 
     #[test]
     fn lem_state_has_no_pheromone() {
-        let env = Environment::new(&EnvConfig::small(16, 16, 5));
+        let env = paper_corridor(&EnvConfig::small(16, 16, 5)).build_environment();
         let state = DeviceState::upload(&env, &DistanceData::rows(16), ModelKind::lem(), false);
         assert!(state.pher.is_none());
         assert_eq!(state.n, 10);

@@ -165,12 +165,13 @@ mod tests {
     use crate::params::ModelKind;
     use pedsim_grid::cell::CELL_TOP;
     use pedsim_grid::{EnvConfig, Environment};
+    use pedsim_scenario::registry::paper_corridor;
     use simt::exec::{ExecPolicy, LaunchConfig};
     use simt::Device;
 
     /// Run init-free single step of calc→tour→movement on a checked state.
     fn one_step(model: ModelKind, seed: u64, policy: ExecPolicy) -> (Environment, DeviceState) {
-        let env = Environment::new(&EnvConfig::small(32, 32, 60).with_seed(seed));
+        let env = paper_corridor(&EnvConfig::small(32, 32, 60).with_seed(seed)).build_environment();
         let dist = pedsim_grid::DistanceData::rows(env.height());
         let state = DeviceState::upload(&env, &dist, model, true);
         let device = Device::builder().policy(policy).build();

@@ -103,13 +103,14 @@ mod tests {
     use crate::kernels::{DeviceState, InitialCalcKernel};
     use pedsim_grid::cell::CELL_EMPTY;
     use pedsim_grid::{EnvConfig, Environment};
+    use pedsim_scenario::registry::paper_corridor;
     use simt::exec::LaunchConfig;
     use simt::{Device, Dim2};
 
     fn run_tour(model: ModelKind, seed: u64, salt: u64) -> (Environment, DeviceState) {
         // Two spawn rows so plenty of agents face a blocked forward cell
         // and actually consume randomness.
-        let env = Environment::new(&EnvConfig::small(32, 32, 40).with_seed(seed));
+        let env = paper_corridor(&EnvConfig::small(32, 32, 40).with_seed(seed)).build_environment();
         let dist = pedsim_grid::DistanceData::rows(env.height());
         let state = DeviceState::upload(&env, &dist, model, true);
         let device = Device::sequential();

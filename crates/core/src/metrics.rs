@@ -4,8 +4,8 @@
 //! pedestrians able to cross the environment and reach the other side"
 //! within the step budget. Crossing is sticky — once an agent has reached
 //! its goal it counts even if it later wanders back out. The goal is the
-//! opposite spawn band in the classic corridor, or the group's declared
-//! target region in scenario worlds (doorways, crossings, halls).
+//! group's target region, read from the world's per-cell target mask: the
+//! opposite spawn band in the classic corridor, a doorway, a far edge.
 //! [`Metrics`] also tracks per-step movement (for gridlock detection) and a
 //! lane-formation index used by the analysis examples.
 //!
@@ -44,9 +44,6 @@ pub struct Geometry {
     pub width: usize,
     /// Environment height.
     pub height: usize,
-    /// Spawn-band rows at each edge (classic corridor; reporting value for
-    /// scenario worlds).
-    pub spawn_rows: usize,
     /// 1-based start index per group plus an end sentinel: group `g` owns
     /// agents `starts[g]..starts[g + 1]`.
     starts: [u32; MAX_GROUPS + 1],
@@ -56,7 +53,7 @@ pub struct Geometry {
 impl Geometry {
     /// Geometry with one explicit population per directional group.
     /// Agent indices are 1-based and contiguous in group order.
-    pub fn with_groups(width: usize, height: usize, spawn_rows: usize, sizes: &[usize]) -> Self {
+    pub fn with_groups(width: usize, height: usize, sizes: &[usize]) -> Self {
         assert!(
             (1..=MAX_GROUPS).contains(&sizes.len()),
             "group count {} out of range 1..={MAX_GROUPS}",
@@ -74,15 +71,9 @@ impl Geometry {
         Self {
             width,
             height,
-            spawn_rows,
             starts,
             n_groups: sizes.len() as u8,
         }
-    }
-
-    /// The classic symmetric two-group corridor geometry.
-    pub fn two_sided(width: usize, height: usize, spawn_rows: usize, per_side: usize) -> Self {
-        Self::with_groups(width, height, spawn_rows, &[per_side, per_side])
     }
 
     /// Number of directional groups.
@@ -101,26 +92,6 @@ impl Geometry {
     #[inline]
     pub fn group_range(&self, g: Group) -> std::ops::Range<usize> {
         self.starts[g.index()] as usize..self.starts[g.index() + 1] as usize
-    }
-
-    /// Whether a group-`g` agent on the linear cell `lin` is past the
-    /// crossing line — the classic corridor's opposite-band convention.
-    /// The bands are whole rows, so the test compares `lin` with the
-    /// bands' first and last cells and needs no division. Two-group
-    /// corridors only; worlds with more groups (or orthogonal streams)
-    /// must count arrivals through a per-cell target mask.
-    #[inline]
-    pub fn has_crossed(&self, g: Group, lin: usize) -> bool {
-        assert!(
-            self.n_groups == 2,
-            "the row-band crossing fallback is two-group only; \
-             multi-group worlds must carry a target mask"
-        );
-        if g == Group::TOP {
-            lin >= (self.height - self.spawn_rows) * self.width
-        } else {
-            lin < self.spawn_rows * self.width
-        }
     }
 
     /// Total agents.
@@ -151,9 +122,8 @@ impl Geometry {
 #[derive(Debug, Clone)]
 pub struct Metrics {
     geom: Geometry,
-    /// Per-cell target bitmask ([`Group::target_bit`]); `None` uses the
-    /// classic opposite-band convention from `geom`.
-    targets: Option<Arc<Matrix<u8>>>,
+    /// Per-cell target bitmask ([`Group::target_bit`]).
+    targets: Arc<Matrix<u8>>,
     /// Sticky per-agent crossed flags (index 0 unused).
     crossed: Vec<bool>,
     /// Crossed-agent count per group.
@@ -197,19 +167,9 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// Fresh metrics for a classic corridor (every cell passable).
-    pub fn new(geom: Geometry) -> Self {
-        Self::with_targets(geom, None, geom.width * geom.height)
-    }
-
-    /// Fresh metrics with an optional per-cell target mask (scenario
-    /// worlds count arrivals inside the mask instead of past the band
-    /// line) over a world of `passable_cells` non-wall cells.
-    pub fn with_targets(
-        geom: Geometry,
-        targets: Option<Arc<Matrix<u8>>>,
-        passable_cells: usize,
-    ) -> Self {
+    /// Fresh metrics counting arrivals inside the per-cell target mask
+    /// `targets`, over a world of `passable_cells` non-wall cells.
+    pub fn new(geom: Geometry, targets: Arc<Matrix<u8>>, passable_cells: usize) -> Self {
         let n = geom.total_agents();
         let mut live = vec![true; n + 1];
         live[0] = false;
@@ -307,11 +267,7 @@ impl Metrics {
             return 0;
         }
         let g = self.geom.group_of(i);
-        let lin = pos[i] as usize;
-        let arrived = match &self.targets {
-            Some(mask) => mask.as_slice()[lin] & g.target_bit() != 0,
-            None => self.geom.has_crossed(g, lin),
-        };
+        let arrived = self.targets.as_slice()[pos[i] as usize] & g.target_bit() != 0;
         if arrived {
             self.crossed[i] = true;
             self.crossed_per_group[g.index()] += 1;
@@ -713,13 +669,35 @@ fn group_at(mat: &Matrix<u8>, r: i64, c: i64) -> Option<Group> {
     Group::from_label(label)
 }
 
+/// The classic corridor's target mask over `geom`'s extents: group 0
+/// arrives in the last `rows` rows, group 1 in the first `rows`.
+#[cfg(test)]
+pub(crate) fn band_mask(geom: &Geometry, rows: usize) -> Arc<Matrix<u8>> {
+    let (w, h) = (geom.width, geom.height);
+    let mut mask = Matrix::filled(h, w, 0u8);
+    for r in 0..rows {
+        for c in 0..w {
+            mask.set(h - 1 - r, c, Group::TOP.target_bit());
+            mask.set(r, c, Group::BOTTOM.target_bit());
+        }
+    }
+    Arc::new(mask)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use pedsim_grid::cell::{CELL_BOTTOM, CELL_EMPTY, CELL_TOP};
 
+    /// Two agents per group on a 16×16 corridor.
     fn geom() -> Geometry {
-        Geometry::two_sided(16, 16, 3, 2)
+        Geometry::with_groups(16, 16, &[2, 2])
+    }
+
+    /// Metrics over the corridor's 3-row target bands, every cell
+    /// passable.
+    fn corridor(g: Geometry) -> Metrics {
+        Metrics::new(g, band_mask(&g, 3), 256)
     }
 
     /// Linear cells of `(row, col)` pairs on the 16-wide test grids.
@@ -777,21 +755,19 @@ mod tests {
 
     #[test]
     fn crossing_line_is_the_first_row_of_the_far_band() {
-        // 16 rows, 3 spawn rows: top agents cross at row 13, bottom
+        // 16 rows, 3-row bands: top agents cross at row 13, bottom
         // agents at row 2, whatever the column.
-        let g = geom();
-        let lin = |r: usize, c: usize| r * 16 + c;
-        assert!(g.has_crossed(Group::TOP, lin(13, 0)));
-        assert!(!g.has_crossed(Group::TOP, lin(12, 15)));
-        assert!(g.has_crossed(Group::BOTTOM, lin(2, 5)));
-        assert!(!g.has_crossed(Group::BOTTOM, lin(3, 5)));
+        let mut m = Feed::new(corridor(geom()), &[0, 0, 0, 15, 15], &[0, 0, 15, 0, 15]);
+        m.observe(&[0, 13, 12, 2, 3], &[0, 0, 15, 5, 5]);
+        assert!(m.agent_crossed(1) && !m.agent_crossed(2));
+        assert!(m.agent_crossed(3) && !m.agent_crossed(4));
     }
 
     #[test]
     fn crossing_is_sticky() {
         let g = geom();
         // Agents 1,2 top; 3,4 bottom. Initial rows 0 and 15.
-        let mut m = Feed::new(Metrics::new(g), &[0, 0, 1, 15, 15], &[0, 0, 1, 0, 1]);
+        let mut m = Feed::new(corridor(g), &[0, 0, 1, 15, 15], &[0, 0, 1, 0, 1]);
         // Agent 1 jumps to row 13 (crossed), agent 3 to row 2 (crossed).
         m.observe(&[0, 13, 1, 2, 15], &[0, 0, 1, 0, 1]);
         assert_eq!(m.crossed_top(), 1);
@@ -809,7 +785,7 @@ mod tests {
     #[test]
     fn first_observation_counts_agents_placed_inside_their_target() {
         let g = geom();
-        let mut m = Metrics::new(g);
+        let mut m = corridor(g);
         // Agent 1 starts in the far band, agent 3 in its own; nobody moves.
         let (row, col) = ([0, 14, 1, 1, 15], [0, 0, 1, 0, 1]);
         m.observe([], &cells(&row, &col));
@@ -828,7 +804,7 @@ mod tests {
     #[test]
     fn spawned_slots_are_tested_without_moving() {
         let g = geom();
-        let mut m = Metrics::new(g);
+        let mut m = corridor(g);
         m.enable_open(&[false, true, false, false, true]);
         let (mut row, col) = ([0, 0, 0, 0, 15], [0, 0, 1, 2, 1]);
         m.observe([], &cells(&row, &col));
@@ -862,7 +838,7 @@ mod tests {
         mask.set(8, 4, Group::TOP.target_bit());
         mask.set(0, 0, Group::BOTTOM.target_bit());
         let mut m = Feed::new(
-            Metrics::with_targets(g, Some(Arc::new(mask)), 256),
+            Metrics::new(g, Arc::new(mask), 256),
             &[0, 0, 1, 15, 15],
             &[0, 0, 1, 0, 1],
         );
@@ -883,14 +859,14 @@ mod tests {
     fn asymmetric_groups_attribute_crossings_correctly() {
         // 1 top agent, 3 bottom agents — the old `agents_per_side * 2`
         // convention would misclassify agent 2 as Top.
-        let g = Geometry::with_groups(16, 16, 3, &[1, 3]);
+        let g = Geometry::with_groups(16, 16, &[1, 3]);
         assert_eq!(g.total_agents(), 4);
         assert_eq!(g.group_of(1), Group::TOP);
         assert_eq!(g.group_of(2), Group::BOTTOM);
         assert_eq!(g.group_of(4), Group::BOTTOM);
         assert_eq!(g.group_range(Group::TOP), 1..2);
         assert_eq!(g.group_range(Group::BOTTOM), 2..5);
-        let mut m = Feed::new(Metrics::new(g), &[0, 0, 15, 15, 15], &[0, 0, 0, 1, 2]);
+        let mut m = Feed::new(corridor(g), &[0, 0, 15, 15, 15], &[0, 0, 0, 1, 2]);
         // Agent 2 (bottom) reaches row 2: a *bottom* crossing.
         m.observe(&[0, 0, 2, 15, 15], &[0, 0, 0, 1, 2]);
         assert_eq!(m.crossed_bottom(), 1);
@@ -904,7 +880,7 @@ mod tests {
 
     #[test]
     fn four_group_geometry_ranges() {
-        let g = Geometry::with_groups(32, 32, 2, &[5, 7, 3, 9]);
+        let g = Geometry::with_groups(32, 32, &[5, 7, 3, 9]);
         assert_eq!(g.n_groups(), 4);
         assert_eq!(g.total_agents(), 24);
         assert_eq!(g.group_range(Group::new(0)), 1..6);
@@ -917,16 +893,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "two-group only")]
-    fn band_fallback_rejects_multi_group() {
-        let g = Geometry::with_groups(16, 16, 3, &[2, 2, 2]);
-        let _ = g.has_crossed(Group::new(2), 0);
-    }
-
-    #[test]
     fn gridlock_detection() {
         let g = geom();
-        let mut m = Feed::new(Metrics::new(g), &[0, 5, 5, 10, 10], &[0, 1, 2, 1, 2]);
+        let mut m = Feed::new(corridor(g), &[0, 5, 5, 10, 10], &[0, 1, 2, 1, 2]);
         assert!(!m.is_gridlocked(1, 1)); // no steps yet
         m.observe(&[0, 5, 5, 10, 10], &[0, 1, 2, 1, 2]); // nobody moved
         assert!(m.is_gridlocked(1, 1));
@@ -936,7 +905,7 @@ mod tests {
     #[test]
     fn gridlock_patience_needs_consecutive_low_steps() {
         let g = geom();
-        let mut m = Feed::new(Metrics::new(g), &[0, 5, 5, 10, 10], &[0, 1, 2, 1, 2]);
+        let mut m = Feed::new(corridor(g), &[0, 5, 5, 10, 10], &[0, 1, 2, 1, 2]);
         m.observe(&[0, 5, 5, 10, 10], &[0, 1, 2, 1, 2]); // frozen
         m.observe(&[0, 6, 5, 10, 10], &[0, 1, 2, 1, 2]); // one moved
         m.observe(&[0, 6, 5, 10, 10], &[0, 1, 2, 1, 2]); // frozen
@@ -952,7 +921,7 @@ mod tests {
     #[test]
     fn gridlock_history_is_bounded() {
         let g = geom();
-        let mut m = Feed::new(Metrics::new(g), &[0, 5, 5, 10, 10], &[0, 1, 2, 1, 2]);
+        let mut m = Feed::new(corridor(g), &[0, 5, 5, 10, 10], &[0, 1, 2, 1, 2]);
         for _ in 0..(MAX_GRIDLOCK_PATIENCE + 50) {
             m.observe(&[0, 5, 5, 10, 10], &[0, 1, 2, 1, 2]);
         }
@@ -963,14 +932,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds the retained history")]
     fn gridlock_patience_beyond_retention_is_rejected() {
-        let m = Metrics::new(geom());
+        let m = corridor(geom());
         let _ = m.is_gridlocked(1, MAX_GRIDLOCK_PATIENCE + 1);
     }
 
     #[test]
     fn arrived_crowd_is_not_gridlocked() {
         let g = geom();
-        let mut m = Feed::new(Metrics::new(g), &[0, 0, 1, 15, 15], &[0, 0, 1, 0, 1]);
+        let mut m = Feed::new(corridor(g), &[0, 0, 1, 15, 15], &[0, 0, 1, 0, 1]);
         // Everyone jumps straight into the opposite band, then freezes.
         m.observe(&[0, 14, 14, 1, 1], &[0, 0, 1, 0, 1]);
         m.observe(&[0, 14, 14, 1, 1], &[0, 0, 1, 0, 1]);
@@ -1000,7 +969,7 @@ mod tests {
     #[test]
     fn flux_window_counts_crossing_events() {
         let g = geom();
-        let mut m = Feed::new(Metrics::new(g), &[0, 0, 1, 15, 15], &[0, 0, 1, 0, 1]);
+        let mut m = Feed::new(corridor(g), &[0, 0, 1, 15, 15], &[0, 0, 1, 0, 1]);
         assert_eq!(m.windowed_flux(4), None); // nothing observed yet
         m.observe(&[0, 13, 1, 2, 15], &[0, 0, 1, 0, 1]); // 2 crossings
         m.observe(&[0, 13, 1, 2, 15], &[0, 0, 1, 0, 1]); // 0
@@ -1014,14 +983,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds the retained history")]
     fn flux_window_beyond_retention_is_rejected() {
-        let m = Metrics::new(geom());
+        let m = corridor(geom());
         let _ = m.windowed_flux(MAX_FLUX_WINDOW + 1);
     }
 
     #[test]
     fn steady_state_needs_flow_and_settled_halves() {
         let g = geom();
-        let mut m = Feed::new(Metrics::new(g), &[0, 5, 5, 10, 10], &[0, 1, 2, 1, 2]);
+        let mut m = Feed::new(corridor(g), &[0, 5, 5, 10, 10], &[0, 1, 2, 1, 2]);
         // Zero-flux steps: fully observed window, but no flow → not steady.
         for _ in 0..8 {
             m.observe(&[0, 5, 5, 10, 10], &[0, 1, 2, 1, 2]);
@@ -1029,7 +998,7 @@ mod tests {
         assert!(!m.is_steady(0.5, 4));
         // Ramp-up — all crossings in the recent half, older half quiet —
         // is not steady no matter how loose the epsilon.
-        let mut m = Feed::new(Metrics::new(g), &[0, 0, 1, 15, 15], &[0, 0, 1, 0, 1]);
+        let mut m = Feed::new(corridor(g), &[0, 0, 1, 15, 15], &[0, 0, 1, 0, 1]);
         m.observe(&[0, 0, 1, 15, 15], &[0, 0, 1, 0, 1]); // quiet
         m.observe(&[0, 0, 1, 15, 15], &[0, 0, 1, 0, 1]); // quiet
         m.observe(&[0, 13, 1, 15, 15], &[0, 0, 1, 0, 1]); // agent 1 crosses
@@ -1037,7 +1006,7 @@ mod tests {
         assert!(!m.is_steady(5.0, 4));
         // Sustained flow — one crossing per half — settles even under a
         // tight epsilon.
-        let mut m = Feed::new(Metrics::new(g), &[0, 0, 1, 15, 15], &[0, 0, 1, 0, 1]);
+        let mut m = Feed::new(corridor(g), &[0, 0, 1, 15, 15], &[0, 0, 1, 0, 1]);
         m.observe(&[0, 13, 1, 15, 15], &[0, 0, 1, 0, 1]); // agent 1 crosses
         m.observe(&[0, 13, 1, 15, 15], &[0, 0, 1, 0, 1]); // quiet
         m.observe(&[0, 13, 13, 15, 15], &[0, 0, 1, 0, 1]); // agent 2 crosses
@@ -1050,7 +1019,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside 2..=")]
     fn steady_window_of_one_is_rejected() {
-        let m = Metrics::new(geom());
+        let m = corridor(geom());
         let _ = m.is_steady(0.5, 1);
     }
 
@@ -1058,7 +1027,7 @@ mod tests {
     fn open_mode_recycles_slots_and_never_arrives() {
         let g = geom(); // 2 + 2 slots
         let mut m = Feed::new(
-            Metrics::with_targets(g, None, 200),
+            Metrics::new(g, band_mask(&g, 3), 200),
             &[0, 0, 1, 15, 15],
             &[0, 0, 1, 0, 1],
         );
@@ -1093,7 +1062,7 @@ mod tests {
     #[test]
     fn empty_open_world_is_not_gridlocked() {
         let g = geom();
-        let mut m = Feed::new(Metrics::new(g), &[0, 0, 0, 0, 0], &[0, 0, 0, 0, 0]);
+        let mut m = Feed::new(corridor(g), &[0, 0, 0, 0, 0], &[0, 0, 0, 0, 0]);
         m.enable_open(&[false, false, false, false, false]);
         assert_eq!(m.live_count(), 0);
         for _ in 0..4 {
@@ -1159,7 +1128,7 @@ mod tests {
         // `>`); it answers None until exactly MAX_FLUX_WINDOW steps have
         // been observed and Some from then on.
         let g = geom();
-        let mut m = Feed::new(Metrics::new(g), &[0, 0, 1, 15, 15], &[0, 0, 1, 0, 1]);
+        let mut m = Feed::new(corridor(g), &[0, 0, 1, 15, 15], &[0, 0, 1, 0, 1]);
         for _ in 0..(MAX_FLUX_WINDOW - 1) {
             m.observe(&[0, 0, 1, 15, 15], &[0, 0, 1, 0, 1]);
         }
@@ -1177,7 +1146,7 @@ mod tests {
         // A burst of crossings older than the ring must vanish from the
         // windowed view once MAX_FLUX_WINDOW quiet steps displace it.
         let g = geom();
-        let mut m = Feed::new(Metrics::new(g), &[0, 0, 1, 15, 15], &[0, 0, 1, 0, 1]);
+        let mut m = Feed::new(corridor(g), &[0, 0, 1, 15, 15], &[0, 0, 1, 0, 1]);
         m.observe(&[0, 13, 1, 2, 15], &[0, 0, 1, 0, 1]); // 2 crossings
         assert_eq!(m.windowed_flux(1), Some(2.0));
         for _ in 0..MAX_FLUX_WINDOW {
@@ -1192,7 +1161,7 @@ mod tests {
     #[test]
     fn empty_open_world_trends_are_flat_not_absent() {
         let g = geom();
-        let mut m = Feed::new(Metrics::new(g), &[0, 0, 0, 0, 0], &[0, 0, 0, 0, 0]);
+        let mut m = Feed::new(corridor(g), &[0, 0, 0, 0, 0], &[0, 0, 0, 0, 0]);
         m.enable_open(&[false, false, false, false, false]);
         assert_eq!(m.gridlock_warning(4), None, "window not yet observed");
         for _ in 0..4 {
@@ -1212,7 +1181,7 @@ mod tests {
         let freeze = |m: &mut Feed| m.observe(&[0, 5, 5, 10, 10], &[0, 1, 2, 1, 2]);
 
         // Congestion onset: crossings decay while the live count climbs.
-        let mut m = Feed::new(Metrics::new(g), &[0, 0, 1, 15, 15], &[0, 0, 1, 0, 1]);
+        let mut m = Feed::new(corridor(g), &[0, 0, 1, 15, 15], &[0, 0, 1, 0, 1]);
         m.enable_open(&[false, true, true, false, true]);
         m.observe(&[0, 13, 1, 0, 15], &[0, 0, 1, 0, 1]); // crossing, 3 live
         m.note_spawn(3, 15, 0);
@@ -1224,7 +1193,7 @@ mod tests {
         assert!(m.density_slope(2).unwrap() > 0.0);
 
         // Drain-out: flux decays but density falls too — no warning.
-        let mut m = Feed::new(Metrics::new(g), &[0, 0, 1, 15, 15], &[0, 0, 1, 0, 1]);
+        let mut m = Feed::new(corridor(g), &[0, 0, 1, 15, 15], &[0, 0, 1, 0, 1]);
         m.enable_open(&[false, true, true, true, true]);
         m.observe(&[0, 13, 1, 2, 15], &[0, 0, 1, 0, 1]); // 2 crossings
         m.note_despawn(1);
@@ -1233,7 +1202,7 @@ mod tests {
         assert_eq!(m.gridlock_warning(2), Some(0.0));
 
         // Ramp-up: flux *and* density rising — no warning either.
-        let mut m = Feed::new(Metrics::new(g), &[0, 0, 1, 15, 15], &[0, 0, 1, 0, 1]);
+        let mut m = Feed::new(corridor(g), &[0, 0, 1, 15, 15], &[0, 0, 1, 0, 1]);
         m.enable_open(&[false, true, true, false, true]);
         freeze(&mut m); // quiet, 3 live
         m.note_spawn(3, 15, 0);
@@ -1244,7 +1213,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside 2..=")]
     fn trend_window_of_one_is_rejected() {
-        let m = Metrics::new(geom());
+        let m = corridor(geom());
         let _ = m.gridlock_warning(1);
     }
 

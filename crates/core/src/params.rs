@@ -195,8 +195,9 @@ pub struct SimConfig {
     /// [`SimConfig::from_scenario`] instead.
     pub env: pedsim_grid::EnvConfig,
     /// Declarative world description (spawn/target regions, interior
-    /// obstacles, flow-field routing). `None` runs the paper's classic
-    /// corridor from `env` alone.
+    /// obstacles, flow-field routing). Both constructors set it. A
+    /// hand-built `None` means the classic corridor of `env`; read the
+    /// world through [`SimConfig::world_scenario`], which resolves it.
     pub scenario: Option<std::sync::Arc<pedsim_scenario::Scenario>>,
     /// Movement model.
     pub model: ModelKind,
@@ -213,12 +214,17 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
-    /// A configuration over `env` with `model` and metrics on (the
-    /// classic corridor; no scenario handle).
+    /// A configuration over the paper's classic corridor of `env`
+    /// ([`paper_corridor`]) with `model` and metrics on. Panics when `env`
+    /// describes no valid corridor (see
+    /// [`try_paper_corridor`](pedsim_scenario::registry::try_paper_corridor)).
+    ///
+    /// [`paper_corridor`]: pedsim_scenario::registry::paper_corridor
     pub fn new(env: pedsim_grid::EnvConfig, model: ModelKind) -> Self {
+        let corridor = pedsim_scenario::registry::paper_corridor(&env);
         Self {
             env,
-            scenario: None,
+            scenario: Some(std::sync::Arc::new(corridor)),
             model,
             checked: false,
             track_metrics: true,
@@ -249,6 +255,14 @@ impl SimConfig {
             track_metrics: true,
             iteration: IterationMode::Auto,
         }
+    }
+
+    /// The world this configuration runs: the attached scenario, or for a
+    /// hand-built `scenario: None` the classic corridor of `env`.
+    pub fn world_scenario(&self) -> std::sync::Arc<pedsim_scenario::Scenario> {
+        self.scenario.clone().unwrap_or_else(|| {
+            std::sync::Arc::new(pedsim_scenario::registry::paper_corridor(&self.env))
+        })
     }
 
     /// Builder: toggle conflict checking.
@@ -297,6 +311,15 @@ mod tests {
         assert_eq!(sim.env.agents_per_side, 40);
         assert_eq!(sim.env.seed, 3);
         assert!(sim.scenario.is_some());
+        // The classic constructor builds the same corridor.
+        let classic = SimConfig::new(cfg, ModelKind::lem());
+        assert_eq!(classic.world_scenario(), sim.world_scenario());
+        // A hand-built `None` resolves to the corridor of `env`.
+        let bare = SimConfig {
+            scenario: None,
+            ..classic.clone()
+        };
+        assert_eq!(bare.world_scenario(), sim.world_scenario());
         // Clones share the scenario handle.
         let clone = sim.clone();
         assert!(std::sync::Arc::ptr_eq(

@@ -15,10 +15,9 @@
 //! as before; the kernels are untouched.
 //!
 //! [`WorldCache`] sits on top: a bounded, content-addressed LRU map
-//! keyed by the configuration fingerprint ([`Scenario::config_hash`]
-//! for scenario worlds). Repeated jobs — sweeps, the fundamental-diagram
-//! inflow ladder, a future server — skip world compilation entirely on
-//! a hit. Because replicas of one ladder rung usually differ *only* by
+//! keyed by the configuration fingerprint ([`Scenario::config_hash`]).
+//! Repeated jobs — sweeps, the fundamental-diagram inflow ladder, a
+//! future server — skip world compilation entirely on a hit. Because replicas of one ladder rung usually differ *only* by
 //! seed, the cache keeps a second, seed-independent level keyed by
 //! [`Scenario::geometry_hash`] that reuses the expensive distance-field
 //! planes (the per-group Dijkstra) even when the full key misses.
@@ -43,74 +42,52 @@ use crate::params::SimConfig;
 /// no placement, no validation.
 #[derive(Debug)]
 pub struct CompiledWorld {
-    /// The scenario this world was compiled from (`None` for the classic
-    /// `EnvConfig` corridor).
-    scenario: Option<Arc<pedsim_scenario::Scenario>>,
+    /// The scenario this world was compiled from.
+    scenario: Arc<pedsim_scenario::Scenario>,
     /// The placed environment template, cloned per replica. Cloning is
     /// bit-identical to re-running placement: `build_environment` is a
     /// pure function of the scenario.
     env0: Environment,
     /// Per-group distance/flow-field planes in uploadable form.
     dist: Arc<DistanceData>,
-    /// Metrics geometry (extents, spawn rows, group index ranges).
+    /// Metrics geometry (extents, group index ranges).
     geom: Geometry,
-    /// Content address: [`CompiledWorld::fingerprint_of`] of the source
-    /// configuration.
+    /// Content address: the scenario's [`config_hash`].
+    ///
+    /// [`config_hash`]: pedsim_scenario::Scenario::config_hash
     fingerprint: u64,
 }
 
 impl CompiledWorld {
-    /// Run the data-preparation stage (§IV.a) for `cfg`: materialise the
-    /// scenario when one is attached (walls, regions, row-fast-path or
-    /// flow-field routing), else the paper's classic corridor from the
-    /// `EnvConfig` alone. Both engines consume the result through this
-    /// single door so they always agree on the world they simulate.
+    /// Run the data-preparation stage (§IV.a) for `cfg`: materialise its
+    /// scenario ([`SimConfig::world_scenario`]) — walls, regions,
+    /// row-fast-path or flow-field routing. Every engine consumes the
+    /// result through this single door so they always agree on the world
+    /// they simulate.
     pub fn compile(cfg: &SimConfig) -> Arc<Self> {
-        let (env0, dist) = match &cfg.scenario {
-            Some(s) => (s.build_environment(), s.distance_data()),
-            None => (
-                Environment::new(&cfg.env),
-                Arc::new(DistanceData::rows(cfg.env.height)),
-            ),
-        };
-        let geom = Geometry::with_groups(
-            env0.width(),
-            env0.height(),
-            env0.spawn_rows,
-            &env0.group_sizes,
-        );
+        Self::from_scenario(cfg.world_scenario())
+    }
+
+    fn from_scenario(scenario: Arc<pedsim_scenario::Scenario>) -> Arc<Self> {
+        let env0 = scenario.build_environment();
+        let geom = Geometry::with_groups(env0.width(), env0.height(), &env0.group_sizes);
         Arc::new(Self {
-            scenario: cfg.scenario.clone(),
+            dist: scenario.distance_data(),
+            fingerprint: scenario.config_hash(),
+            scenario,
             env0,
-            dist,
             geom,
-            fingerprint: Self::fingerprint_of(cfg),
         })
     }
 
-    /// The content address a configuration compiles to: the scenario's
-    /// own [`config_hash`] when one is set, otherwise a fixed FNV-1a
-    /// hash over every `EnvConfig` field of the classic corridor. Stable
-    /// across commits and platforms for equal configurations — the
-    /// provenance key results and registry rows carry.
+    /// The content address a configuration compiles to: its scenario's
+    /// [`config_hash`]. Stable across commits and platforms for equal
+    /// configurations — the provenance key results and registry rows
+    /// carry.
     ///
     /// [`config_hash`]: pedsim_scenario::Scenario::config_hash
     pub fn fingerprint_of(cfg: &SimConfig) -> u64 {
-        match &cfg.scenario {
-            Some(s) => s.config_hash(),
-            None => {
-                let env = &cfg.env;
-                pedsim_obs::hash::Fnv64::new()
-                    .str("classic_corridor")
-                    .usize(env.width)
-                    .usize(env.height)
-                    .usize(env.agents_per_side)
-                    .u64(env.spawn_rows.map_or(u64::MAX, |r| r as u64))
-                    .f64(env.spawn_fill)
-                    .u64(env.seed)
-                    .finish()
-            }
-        }
+        cfg.world_scenario().config_hash()
     }
 
     /// Whether this world is the one `cfg` would compile to (the
@@ -139,9 +116,9 @@ impl CompiledWorld {
         self.fingerprint
     }
 
-    /// The scenario this world was compiled from, when one was attached.
-    pub fn scenario(&self) -> Option<&Arc<pedsim_scenario::Scenario>> {
-        self.scenario.as_ref()
+    /// The scenario this world was compiled from.
+    pub fn scenario(&self) -> &Arc<pedsim_scenario::Scenario> {
+        &self.scenario
     }
 }
 
@@ -184,12 +161,12 @@ pub const WORLD_CACHE_GAUGES: [&str; 5] = [
 /// 1. **worlds** — full fingerprint → [`CompiledWorld`]. A hit skips
 ///    compilation entirely (placement *and* flow fields).
 /// 2. **fields** — [`Scenario::geometry_hash`] → distance planes. On a
-///    full-key miss for a scenario world, a field hit pre-seeds the
-///    scenario's lazy distance cache so the compile skips the per-group
-///    Dijkstra — the expensive part — and only re-runs placement. Sound
-///    because the geometry hash covers every input of the field
-///    computation (extents, walls, targets, headings, group count),
-///    including the row-fast-path predicate.
+///    full-key miss, a field hit pre-seeds the scenario's lazy distance
+///    cache so the compile skips the per-group Dijkstra — the expensive
+///    part — and only re-runs placement. Sound because the geometry hash
+///    covers every input of the field computation (extents, walls,
+///    targets, headings, group count), including the row-fast-path
+///    predicate.
 ///
 /// Thread-safe; compilation happens outside the lock (two threads may
 /// race to compile the same world — both results are bit-identical and
@@ -235,12 +212,13 @@ impl WorldCache {
     }
 
     /// The world `cfg` compiles to: served from cache on a fingerprint
-    /// hit, compiled (and inserted) on a miss. On a miss for a scenario
-    /// world, a previously compiled distance field for the same routing
-    /// geometry is reused so only placement re-runs.
+    /// hit, compiled (and inserted) on a miss. On a miss, a previously
+    /// compiled distance field for the same routing geometry is reused so
+    /// only placement re-runs.
     pub fn get_or_compile(&self, cfg: &SimConfig) -> Arc<CompiledWorld> {
-        let key = CompiledWorld::fingerprint_of(cfg);
-        {
+        let s = cfg.world_scenario();
+        let key = s.config_hash();
+        let gkey = {
             let mut inner = self.lock();
             if let Some(pos) = inner.worlds.iter().position(|(k, _)| *k == key) {
                 let entry = inner.worlds.remove(pos);
@@ -250,30 +228,26 @@ impl WorldCache {
                 return world;
             }
             inner.stats.misses += 1;
-            if let Some(s) = &cfg.scenario {
-                let gkey = s.geometry_hash();
-                if let Some(pos) = inner.fields.iter().position(|(k, _)| *k == gkey) {
-                    let entry = inner.fields.remove(pos);
-                    s.seed_distance_cache(entry.1.clone());
-                    inner.fields.push(entry);
-                    inner.stats.field_hits += 1;
-                } else {
-                    inner.stats.field_misses += 1;
-                }
+            let gkey = s.geometry_hash();
+            if let Some(pos) = inner.fields.iter().position(|(k, _)| *k == gkey) {
+                let entry = inner.fields.remove(pos);
+                s.seed_distance_cache(entry.1.clone());
+                inner.fields.push(entry);
+                inner.stats.field_hits += 1;
+            } else {
+                inner.stats.field_misses += 1;
             }
-        }
+            gkey
+        };
         // Compile outside the lock: the Dijkstra can take milliseconds at
         // paper scale and must not serialise unrelated lookups.
-        let world = CompiledWorld::compile(cfg);
+        let world = CompiledWorld::from_scenario(s);
         let mut inner = self.lock();
-        if let Some(s) = &cfg.scenario {
-            let gkey = s.geometry_hash();
-            if !inner.fields.iter().any(|(k, _)| *k == gkey) {
-                if inner.fields.len() >= self.capacity {
-                    inner.fields.remove(0);
-                }
-                inner.fields.push((gkey, world.distance()));
+        if !inner.fields.iter().any(|(k, _)| *k == gkey) {
+            if inner.fields.len() >= self.capacity {
+                inner.fields.remove(0);
             }
+            inner.fields.push((gkey, world.distance()));
         }
         if !inner.worlds.iter().any(|(k, _)| *k == key) {
             if inner.worlds.len() >= self.capacity {
@@ -346,11 +320,12 @@ mod tests {
         assert_eq!(a.fingerprint(), b.fingerprint());
         assert!(a.matches(&cfg));
         assert!(!a.matches(&crossing(8)));
-        // Scenario worlds fingerprint with the scenario's own hash; the
-        // classic corridor gets the EnvConfig field hash.
+        // Every world fingerprints with its scenario's own hash, the
+        // classic corridor included.
+        assert_eq!(a.fingerprint(), cfg.world_scenario().config_hash());
         assert_eq!(
-            a.fingerprint(),
-            cfg.scenario.as_ref().expect("scenario").config_hash()
+            CompiledWorld::fingerprint_of(&classic(1)),
+            registry::paper_corridor(&classic(1).env).config_hash()
         );
         assert_ne!(
             CompiledWorld::fingerprint_of(&classic(1)),

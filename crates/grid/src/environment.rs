@@ -3,11 +3,8 @@
 
 use std::sync::Arc;
 
-use philox::StreamRng;
-
 use crate::cell::{Group, CELL_EMPTY, CELL_WALL, MAX_GROUPS};
 use crate::matrix::Matrix;
-use crate::placement::place_confined;
 use crate::property::PropertyTable;
 
 /// The largest grid side: cell coordinates are `u16` (scenario regions,
@@ -15,9 +12,9 @@ use crate::property::PropertyTable;
 /// `row·width + col` inside `u32`.
 pub const MAX_SIDE: usize = u16::MAX as usize;
 
-/// Scenario geometry and population for the paper's classic two-group
-/// corridor (scenario worlds describe themselves through
-/// `pedsim-scenario` instead).
+/// Geometry and population of the paper's classic two-group corridor.
+/// `pedsim-scenario`'s `registry::paper_corridor` turns it into the
+/// scenario the corridor is built from, like every other world.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnvConfig {
     /// Environment width in cells (the paper uses 480).
@@ -100,6 +97,7 @@ impl EnvConfig {
 pub type FreeSlots = std::collections::BTreeSet<u32>;
 
 /// The environment state: cell labels, agent indices, agent properties.
+/// Every world is built by `pedsim-scenario`'s `Scenario::build_environment`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Environment {
     /// Cell labels (`mat` in the paper): 0 empty, `g + 1` a group-`g`
@@ -109,9 +107,6 @@ pub struct Environment {
     pub index: Matrix<u32>,
     /// Per-agent records.
     pub props: PropertyTable,
-    /// Rows of each spawn band (the classic corridor layout; scenario
-    /// worlds record their spawn extent here for reporting only).
-    pub spawn_rows: usize,
     /// Per-group populations. Agent indices are assigned contiguously and
     /// 1-based: group `g` owns `1 + Σ sizes[..g] ..= Σ sizes[..=g]` (the
     /// paper's single index sequence over both groups, Figure 2b,
@@ -119,10 +114,10 @@ pub struct Environment {
     pub group_sizes: Vec<usize>,
     /// Seed the environment was built with.
     pub seed: u64,
-    /// Per-cell target-region bitmask ([`Group::target_bit`]); `None` means
-    /// the classic corridor convention "crossed = reached the opposite
-    /// spawn band".
-    pub targets: Option<Arc<Matrix<u8>>>,
+    /// Per-cell target-region bitmask ([`Group::target_bit`]): a
+    /// group-`g` agent has arrived when it stands on a cell carrying its
+    /// group's bit.
+    pub targets: Arc<Matrix<u8>>,
     /// Per-slot liveness (index 0 is the sentinel and always dead). Closed
     /// worlds keep every slot alive for the whole run; open-boundary worlds
     /// toggle flags through [`Environment::despawn`] /
@@ -138,70 +133,6 @@ pub struct Environment {
 }
 
 impl Environment {
-    /// Build and populate a classic two-group corridor.
-    ///
-    /// Top agents receive indices `1..=per_side`, bottom agents
-    /// `per_side+1..=2·per_side` (the paper's single index sequence over
-    /// both groups, Figure 2b).
-    pub fn new(cfg: &EnvConfig) -> Self {
-        assert!(cfg.width >= 2 && cfg.height >= 4, "environment too small");
-        assert!(
-            cfg.width <= MAX_SIDE && cfg.height <= MAX_SIDE,
-            "environment {}x{} exceeds the largest side {MAX_SIDE}",
-            cfg.width,
-            cfg.height
-        );
-        let spawn_rows = cfg.effective_spawn_rows();
-        assert!(
-            spawn_rows * 2 <= cfg.height,
-            "spawn bands overlap: {spawn_rows} rows each in height {}",
-            cfg.height
-        );
-        let n = cfg.agents_per_side;
-        let mut mat = Matrix::filled(cfg.height, cfg.width, CELL_EMPTY);
-        let mut index = Matrix::filled(cfg.height, cfg.width, 0u32);
-        let mut props = PropertyTable::new(2 * n);
-        // Dedicated placement streams, far away from the per-cell streams
-        // the kernels use (which are < width·height): group g draws from
-        // stream u64::MAX - 1 - g.
-        let mut rng_top = StreamRng::new(cfg.seed, u64::MAX - 1);
-        let mut rng_bot = StreamRng::new(cfg.seed, u64::MAX - 2);
-        place_confined(
-            &mut mat,
-            &mut index,
-            &mut props,
-            Group::TOP,
-            n,
-            spawn_rows,
-            1,
-            &mut rng_top,
-        );
-        place_confined(
-            &mut mat,
-            &mut index,
-            &mut props,
-            Group::BOTTOM,
-            n,
-            spawn_rows,
-            (n + 1) as u32,
-            &mut rng_bot,
-        );
-        let mut alive = vec![true; 2 * n + 1];
-        alive[0] = false;
-        Self {
-            mat,
-            index,
-            props,
-            spawn_rows,
-            group_sizes: vec![n, n],
-            seed: cfg.seed,
-            targets: None,
-            alive,
-            free: vec![FreeSlots::new(), FreeSlots::new()],
-            live: 2 * n,
-        }
-    }
-
     /// Environment width.
     #[inline]
     pub fn width(&self) -> usize {
@@ -419,6 +350,47 @@ impl Environment {
 mod tests {
     use super::*;
     use crate::cell::{CELL_BOTTOM, CELL_TOP};
+    use crate::placement::place_in_cells;
+    use philox::StreamRng;
+
+    /// A `side × side` two-group corridor with `per_side` agents in each
+    /// 3-row edge band, placed the way scenario spawn regions are.
+    fn corridor(side: usize, per_side: usize, seed: u64) -> Environment {
+        let n = per_side;
+        let mut mat = Matrix::filled(side, side, CELL_EMPTY);
+        let mut index = Matrix::filled(side, side, 0u32);
+        let mut props = PropertyTable::new(2 * n);
+        for (g, r0) in [(Group::TOP, 0), (Group::BOTTOM, side - 3)] {
+            let band = (r0..r0 + 3)
+                .flat_map(|r| (0..side).map(move |c| (r as u16, c as u16)))
+                .collect();
+            let mut rng = StreamRng::new(seed, u64::MAX - 1 - g.index() as u64);
+            let first = 1 + (g.index() * n) as u32;
+            place_in_cells(
+                &mut mat,
+                &mut index,
+                &mut props,
+                g.label(),
+                band,
+                n,
+                first,
+                &mut rng,
+            );
+        }
+        let mut alive = vec![true; 2 * n + 1];
+        alive[0] = false;
+        Environment {
+            mat,
+            index,
+            props,
+            group_sizes: vec![n, n],
+            seed,
+            targets: Arc::new(Matrix::filled(side, side, 0)),
+            alive,
+            free: vec![FreeSlots::new(), FreeSlots::new()],
+            live: 2 * n,
+        }
+    }
 
     #[test]
     fn paper_config_geometry() {
@@ -438,7 +410,7 @@ mod tests {
 
     #[test]
     fn build_is_consistent() {
-        let env = Environment::new(&EnvConfig::small(32, 32, 40).with_seed(11));
+        let env = corridor(32, 40, 11);
         env.check_consistency().expect("consistent");
         assert_eq!(env.mat.count(CELL_TOP), 40);
         assert_eq!(env.mat.count(CELL_BOTTOM), 40);
@@ -447,7 +419,7 @@ mod tests {
 
     #[test]
     fn group_index_ranges() {
-        let env = Environment::new(&EnvConfig::small(32, 32, 10));
+        let env = corridor(32, 10, 0);
         assert_eq!(env.group_of(1), Group::TOP);
         assert_eq!(env.group_of(10), Group::TOP);
         assert_eq!(env.group_of(11), Group::BOTTOM);
@@ -459,7 +431,7 @@ mod tests {
     #[test]
     fn asymmetric_group_ranges() {
         // Hand-build an environment with uneven groups: 3 + 7 agents.
-        let mut env = Environment::new(&EnvConfig::small(16, 16, 5));
+        let mut env = corridor(16, 5, 0);
         env.group_sizes = vec![3, 7];
         assert_eq!(env.total_agents(), 10);
         assert_eq!(env.group_of(3), Group::TOP);
@@ -471,7 +443,7 @@ mod tests {
 
     #[test]
     fn walls_are_consistent_with_index_zero() {
-        let mut env = Environment::new(&EnvConfig::small(16, 16, 10));
+        let mut env = corridor(16, 10, 0);
         env.mat.set(8, 8, crate::cell::CELL_WALL);
         env.check_consistency().expect("walls carry index 0");
         // But a wall with a stale index entry is corruption.
@@ -481,7 +453,7 @@ mod tests {
 
     #[test]
     fn despawn_and_spawn_recycle_slots_smallest_first() {
-        let mut env = Environment::new(&EnvConfig::small(16, 16, 3));
+        let mut env = corridor(16, 3, 0);
         assert_eq!(env.live_count(), 6);
         // Drain two top agents (slots 1 and 2).
         for idx in [2usize, 1] {
@@ -511,7 +483,7 @@ mod tests {
 
     #[test]
     fn consistency_rejects_lifecycle_corruption() {
-        let mut env = Environment::new(&EnvConfig::small(16, 16, 3));
+        let mut env = corridor(16, 3, 0);
         // A dead slot still sitting on the grid is corruption.
         env.alive[1] = false;
         env.free[0].insert(1);
@@ -520,14 +492,14 @@ mod tests {
             .unwrap_err()
             .contains("dead slot 1 occupies"));
         // A live slot listed as free is corruption.
-        let mut env = Environment::new(&EnvConfig::small(16, 16, 3));
+        let mut env = corridor(16, 3, 0);
         env.free[1].insert(4);
         assert!(env
             .check_consistency()
             .unwrap_err()
             .contains("live slot 4 listed as free"));
         // A despawned slot missing from every free list is corruption.
-        let mut env = Environment::new(&EnvConfig::small(16, 16, 3));
+        let mut env = corridor(16, 3, 0);
         env.despawn(Group::TOP, 1);
         env.free[0].clear();
         assert!(env
@@ -538,16 +510,16 @@ mod tests {
 
     #[test]
     fn seeds_differ() {
-        let a = Environment::new(&EnvConfig::small(32, 32, 40).with_seed(1));
-        let b = Environment::new(&EnvConfig::small(32, 32, 40).with_seed(2));
+        let a = corridor(32, 40, 1);
+        let b = corridor(32, 40, 2);
         assert_ne!(a.mat, b.mat);
-        let a2 = Environment::new(&EnvConfig::small(32, 32, 40).with_seed(1));
+        let a2 = corridor(32, 40, 1);
         assert_eq!(a.mat, a2.mat);
     }
 
     #[test]
     fn consistency_detects_corruption() {
-        let mut env = Environment::new(&EnvConfig::small(32, 32, 5));
+        let mut env = corridor(32, 5, 0);
         // Clobber one agent's label.
         let (r, c) = env.position(1);
         env.mat.set(r, c, CELL_BOTTOM);

@@ -4,72 +4,15 @@
 
 use philox::StreamRng;
 
-use crate::cell::{Group, CELL_EMPTY};
+use crate::cell::CELL_EMPTY;
 use crate::matrix::Matrix;
 use crate::property::PropertyTable;
 
-/// Place `count` agents of `group` uniformly at random into the group's
-/// spawn band (`spawn_rows` rows at the group's own edge), assigning agent
-/// indices `first_index..first_index + count`.
-///
-/// Uses a partial Fisher–Yates shuffle over the band's cells, so placement
-/// is uniform over all `C(band, count)` configurations and deterministic in
-/// the RNG stream.
-///
-/// Panics if the band cannot hold `count` agents or any band cell is
-/// already occupied.
-#[allow(clippy::too_many_arguments)]
-pub fn place_confined(
-    mat: &mut Matrix<u8>,
-    index: &mut Matrix<u32>,
-    props: &mut PropertyTable,
-    group: Group,
-    count: usize,
-    spawn_rows: usize,
-    first_index: u32,
-    rng: &mut StreamRng,
-) {
-    let width = mat.width();
-    let height = mat.height();
-    assert!(spawn_rows <= height / 2, "spawn bands must not overlap");
-    let capacity = spawn_rows * width;
-    assert!(
-        count <= capacity,
-        "cannot place {count} agents in a band of {capacity} cells"
-    );
-
-    assert!(
-        group.index() < 2,
-        "band placement is a two-group corridor notion; scenario worlds \
-         place through place_in_cells"
-    );
-    let row0 = if group == Group::TOP {
-        0
-    } else {
-        height - spawn_rows
-    };
-
-    // Band cells as (r, c) in row-major order — the enumeration order is
-    // part of the deterministic placement contract.
-    let cells: Vec<(u16, u16)> = (row0..row0 + spawn_rows)
-        .flat_map(|r| (0..width).map(move |c| (r as u16, c as u16)))
-        .collect();
-    place_in_cells(
-        mat,
-        index,
-        props,
-        group.label(),
-        cells,
-        count,
-        first_index,
-        rng,
-    );
-}
-
 /// Place `count` agents with `label` uniformly at random among `cells`
 /// (given in a caller-fixed order), assigning indices
-/// `first_index..first_index + count` — the region-general form of
-/// [`place_confined`] used by scenario spawn regions.
+/// `first_index..first_index + count`. Scenario spawn regions place
+/// through it; the classic corridor's spawn bands are row-major band
+/// regions.
 ///
 /// Uses a partial Fisher–Yates shuffle over `cells`, so placement is
 /// uniform over all `C(cells, count)` configurations and deterministic in
@@ -125,19 +68,21 @@ mod tests {
         )
     }
 
+    /// The cells of the full-width band `r0..r0 + rows` on the 16-wide
+    /// test grid, row-major (the classic corridor's spawn order).
+    fn band(r0: u16, rows: u16) -> Vec<(u16, u16)> {
+        (r0..r0 + rows)
+            .flat_map(|r| (0..16u16).map(move |c| (r, c)))
+            .collect()
+    }
+
     #[test]
     fn places_exact_count_in_band() {
         let (mut mat, mut index, mut props) = setup(20);
         let mut rng = StreamRng::new(1, 0);
-        place_confined(
-            &mut mat,
-            &mut index,
-            &mut props,
-            Group::TOP,
-            20,
-            3,
-            1,
-            &mut rng,
+        let cells = band(0, 3);
+        place_in_cells(
+            &mut mat, &mut index, &mut props, CELL_TOP, cells, 20, 1, &mut rng,
         );
         assert_eq!(mat.count(CELL_TOP), 20);
         // Confined to rows 0..3.
@@ -152,16 +97,18 @@ mod tests {
     fn bottom_band_is_at_far_edge() {
         let (mut mat, mut index, mut props) = setup(10);
         let mut rng = StreamRng::new(2, 0);
-        place_confined(
+        let cells = band(30, 2);
+        place_in_cells(
             &mut mat,
             &mut index,
             &mut props,
-            Group::BOTTOM,
+            CELL_BOTTOM,
+            cells,
             10,
-            2,
             1,
             &mut rng,
         );
+        assert_eq!(mat.count(CELL_BOTTOM), 10);
         for (r, _, v) in mat.iter_cells() {
             if v == CELL_BOTTOM {
                 assert!(r >= 30);
@@ -173,15 +120,9 @@ mod tests {
     fn index_and_props_consistent() {
         let (mut mat, mut index, mut props) = setup(12);
         let mut rng = StreamRng::new(3, 0);
-        place_confined(
-            &mut mat,
-            &mut index,
-            &mut props,
-            Group::TOP,
-            12,
-            2,
-            1,
-            &mut rng,
+        let cells = band(0, 2);
+        place_in_cells(
+            &mut mat, &mut index, &mut props, CELL_TOP, cells, 12, 1, &mut rng,
         );
         for (r, c, v) in index.iter_cells() {
             if v != 0 {
@@ -195,27 +136,30 @@ mod tests {
     fn deterministic_in_seed() {
         let (mut m1, mut i1, mut p1) = setup(15);
         let (mut m2, mut i2, mut p2) = setup(15);
-        place_confined(
+        let mut rng = StreamRng::new(7, 0);
+        place_in_cells(
             &mut m1,
             &mut i1,
             &mut p1,
-            Group::TOP,
+            CELL_TOP,
+            band(0, 3),
             15,
-            3,
             1,
-            &mut StreamRng::new(7, 0),
+            &mut rng,
         );
-        place_confined(
+        let mut rng = StreamRng::new(7, 0);
+        place_in_cells(
             &mut m2,
             &mut i2,
             &mut p2,
-            Group::TOP,
+            CELL_TOP,
+            band(0, 3),
             15,
-            3,
             1,
-            &mut StreamRng::new(7, 0),
+            &mut rng,
         );
         assert_eq!(m1, m2);
+        assert_eq!(i1, i2);
         assert_eq!(p1, p2);
     }
 
@@ -223,55 +167,15 @@ mod tests {
     fn full_band_fills_every_cell() {
         let (mut mat, mut index, mut props) = setup(48);
         let mut rng = StreamRng::new(5, 0);
-        place_confined(
-            &mut mat,
-            &mut index,
-            &mut props,
-            Group::TOP,
-            48,
-            3,
-            1,
-            &mut rng,
+        let cells = band(0, 3);
+        place_in_cells(
+            &mut mat, &mut index, &mut props, CELL_TOP, cells, 48, 1, &mut rng,
         );
         for r in 0..3 {
             for c in 0..16 {
                 assert_eq!(mat.get(r, c), CELL_TOP);
             }
         }
-    }
-
-    #[test]
-    fn region_form_matches_band_form_exactly() {
-        // The scenario path must reproduce the legacy band placement bit
-        // for bit when handed the same cells in the same order.
-        let (mut m1, mut i1, mut p1) = setup(15);
-        let (mut m2, mut i2, mut p2) = setup(15);
-        place_confined(
-            &mut m1,
-            &mut i1,
-            &mut p1,
-            Group::TOP,
-            15,
-            3,
-            1,
-            &mut StreamRng::new(9, 4),
-        );
-        let band: Vec<(u16, u16)> = (0..3u16)
-            .flat_map(|r| (0..16u16).map(move |c| (r, c)))
-            .collect();
-        place_in_cells(
-            &mut m2,
-            &mut i2,
-            &mut p2,
-            Group::TOP.label(),
-            band,
-            15,
-            1,
-            &mut StreamRng::new(9, 4),
-        );
-        assert_eq!(m1, m2);
-        assert_eq!(i1, i2);
-        assert_eq!(p1, p2);
     }
 
     #[test]
@@ -311,15 +215,9 @@ mod tests {
     fn overfull_band_rejected() {
         let (mut mat, mut index, mut props) = setup(49);
         let mut rng = StreamRng::new(5, 0);
-        place_confined(
-            &mut mat,
-            &mut index,
-            &mut props,
-            Group::TOP,
-            49,
-            3,
-            1,
-            &mut rng,
+        let cells = band(0, 3);
+        place_in_cells(
+            &mut mat, &mut index, &mut props, CELL_TOP, cells, 49, 1, &mut rng,
         );
     }
 }

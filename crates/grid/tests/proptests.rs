@@ -1,41 +1,11 @@
 //! Property-based tests for the environment substrate.
 
-use pedsim_grid::cell::{Group, CELL_BOTTOM, CELL_TOP};
-use pedsim_grid::{DistanceTables, EnvConfig, Environment, Matrix, PheromoneField};
+use pedsim_grid::cell::Group;
+use pedsim_grid::{DistanceTables, Matrix, PheromoneField};
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
-
-    /// Any buildable scenario is internally consistent and has the exact
-    /// requested population confined to its bands.
-    #[test]
-    fn environments_build_consistent(
-        width in 8usize..80,
-        height in 8usize..80,
-        seed in any::<u64>(),
-        fill in 1usize..100,
-    ) {
-        // Population that always fits: ≤ 40 % of a half-grid band budget.
-        let per_side = (width * (height / 2) * fill / 250).max(1);
-        let cfg = EnvConfig::small(width, height, per_side).with_seed(seed);
-        prop_assume!(cfg.effective_spawn_rows() * 2 <= height);
-        let env = Environment::new(&cfg);
-        prop_assert!(env.check_consistency().is_ok());
-        prop_assert_eq!(env.mat.count(CELL_TOP), per_side);
-        prop_assert_eq!(env.mat.count(CELL_BOTTOM), per_side);
-        // Bands at the right edges.
-        for (r, _, v) in env.mat.iter_cells() {
-            if v == CELL_TOP {
-                prop_assert!(r < env.spawn_rows);
-            } else if v == CELL_BOTTOM {
-                prop_assert!(r >= height - env.spawn_rows);
-            }
-        }
-        // Placement is seed-deterministic.
-        let env2 = Environment::new(&cfg);
-        prop_assert_eq!(env.mat, env2.mat);
-    }
 
     /// Distance tables: forward strictly dominates mid-grid, floors hold,
     /// and group symmetry (top at row r ≡ bottom at row H−1−r).

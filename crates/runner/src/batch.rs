@@ -148,37 +148,28 @@ pub fn execute(job: &Job) -> RunResult {
 /// compiled world. `setup` is the time the caller spent acquiring the
 /// world (cold compile or cache fetch) and is reported verbatim.
 pub fn execute_with_world(job: &Job, world: &Arc<CompiledWorld>, setup: Duration) -> RunResult {
-    let world_name = job
-        .cfg
-        .scenario
-        .as_ref()
-        .map_or_else(|| "corridor".to_string(), |s| s.name().to_string());
+    let s = world.scenario();
     // The scenario's population sum is authoritative: the EnvConfig record
     // only mirrors group 0 and would misreport asymmetric or multi-group
     // worlds as `agents_per_side * 2`. Open worlds start empty, so their
     // meaningful size is the recyclable slot capacity.
-    let agents = job.cfg.scenario.as_ref().map_or_else(
-        || job.cfg.env.total_agents(),
-        |s| {
-            if s.is_open() {
-                s.total_capacity()
-            } else {
-                s.total_agents()
-            }
-        },
-    );
+    let agents = if s.is_open() {
+        s.total_capacity()
+    } else {
+        s.total_agents()
+    };
     // Validation resolves the name first; a direct execute() call on an
     // unvalidated job panics with the typed message.
     let engine = job
         .backend
         .build_from_world(world, job.cfg.clone())
         .unwrap_or_else(|e| panic!("job {:?}: {e}", job.label));
-    finish(job, world_name, agents, world.fingerprint(), setup, engine)
+    finish(job, s.name(), agents, world.fingerprint(), setup, engine)
 }
 
 fn finish<E: Engine>(
     job: &Job,
-    world: String,
+    world: &str,
     agents: usize,
     config: u64,
     setup: Duration,
@@ -204,7 +195,7 @@ fn finish<E: Engine>(
     let backend = job.backend.resolve().map_or("unknown", |d| d.name);
     RunResult {
         label: job.label.clone(),
-        world,
+        world: world.to_string(),
         model: engine.model().name().to_string(),
         engine: backend,
         backend,
@@ -363,19 +354,15 @@ mod tests {
 
     #[test]
     fn replica_panic_reaches_caller_and_pool_survives() {
-        // Job validation catches bad stop conditions up front, but a
-        // replica can still panic inside a worker (here: a world whose
-        // spawn bands cannot hold the population panics during engine
-        // construction). The batch re-raises the panic on the calling
-        // thread after the remaining jobs drain, and the pool survives
-        // for the next batch.
-        let env = EnvConfig::small(8, 8, 1_000).with_seed(1);
-        let bad = Job::backend(
-            "boom",
-            SimConfig::new(env, ModelKind::lem()),
-            Backend::simt(),
-            StopCondition::Steps(5),
-        );
+        // Job validation catches bad stop conditions up front, but a job
+        // can still panic inside the batch (here: a hand-built
+        // configuration whose corridor cannot seat its population panics
+        // while its world is built). The panic reaches the caller, and
+        // the pool survives for the next batch.
+        let mut cfg = corridor_job("boom", 1, 5).cfg;
+        cfg.env = EnvConfig::small(8, 8, 1_000).with_seed(1);
+        cfg.scenario = None;
+        let bad = Job::backend("boom", cfg, Backend::simt(), StopCondition::Steps(5));
         let batch = Batch::new(2);
         assert!(bad.validate().is_ok(), "the run description itself is fine");
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

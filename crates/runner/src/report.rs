@@ -15,7 +15,7 @@ pub const FLUX_REPORT_WINDOW: u64 = 64;
 pub struct RunResult {
     /// The job's label.
     pub label: String,
-    /// Scenario name, or `"corridor"` for the classic `EnvConfig` world.
+    /// Scenario name (`"paper_corridor"` for the classic corridor).
     pub world: String,
     /// Model name (`"LEM"` / `"ACO"`).
     pub model: String,

@@ -10,6 +10,7 @@ use std::time::Duration;
 
 use pedsim_core::engine::{Backend, StopCondition};
 use pedsim_core::params::{ModelKind, SimConfig};
+use pedsim_grid::EnvConfig;
 use pedsim_runner::{Batch, Job};
 use pedsim_scenario::registry;
 
@@ -133,4 +134,38 @@ fn disabling_the_cache_leaves_it_untouched() {
     let stats = batch.cache_stats();
     assert_eq!(stats.hits + stats.misses, 0, "cache bypassed entirely");
     assert_eq!(stats.field_hits + stats.field_misses, 0);
+}
+
+#[test]
+fn classic_and_scenario_corridors_share_one_world() {
+    // `SimConfig::new` builds the classic corridor through
+    // `paper_corridor`, so both doors fingerprint alike: one compile, one
+    // hit, and the same world name and provenance in the report.
+    let env = EnvConfig::small(24, 24, 20).with_seed(5);
+    let jobs = [
+        Job::backend(
+            "classic",
+            SimConfig::new(env, ModelKind::lem()),
+            Backend::scalar(),
+            StopCondition::Steps(10),
+        ),
+        Job::backend(
+            "scenario",
+            SimConfig::from_scenario(&registry::paper_corridor(&env), ModelKind::lem()),
+            Backend::scalar(),
+            StopCondition::Steps(10),
+        ),
+    ];
+    let batch = Batch::new(1);
+    let report = batch.run(&jobs);
+    let stats = batch.cache_stats();
+    assert_eq!((stats.misses, stats.hits), (1, 1));
+    let [a, b] = [&report.results[0], &report.results[1]];
+    assert_eq!(
+        (a.world.as_str(), b.world.as_str()),
+        ("paper_corridor", "paper_corridor")
+    );
+    assert_eq!(a.config, b.config);
+    assert_eq!(a.config, registry::paper_corridor(&env).config_hash());
+    assert_eq!((a.throughput, a.total_moves), (b.throughput, b.total_moves));
 }

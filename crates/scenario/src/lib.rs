@@ -12,10 +12,10 @@
 //!   own spawn/target regions, population (asymmetric mixes allowed), and
 //!   heading;
 //! * [`registry`] — ready-made worlds: `paper_corridor` (the paper's
-//!   geometry, bit-identical to the legacy `EnvConfig` path), `doorway`,
-//!   `pillar_hall`, `crossing`, `four_way_crossing`, `t_junction_merge`,
-//!   `asymmetric_corridor`, and the open-boundary `open_corridor` /
-//!   `open_crossing`;
+//!   geometry from an `EnvConfig`; the classic corridor's only door),
+//!   `doorway`, `pillar_hall`, `crossing`, `four_way_crossing`,
+//!   `t_junction_merge`, `asymmetric_corridor`, and the open-boundary
+//!   `open_corridor` / `open_crossing`;
 //! * [`sweep`] — registry-world × population × seed grids, the input
 //!   enumeration for `pedsim-runner` batches.
 //!

@@ -5,8 +5,8 @@
 /// The order matters: spawn placement runs a partial Fisher–Yates shuffle
 /// over the region's cells, so the enumeration order is part of the
 /// deterministic-placement contract (the registry's `paper_corridor`
-/// reproduces the legacy corridor bit for bit *because* its spawn regions
-/// enumerate the same band cells in the same row-major order).
+/// keeps its pinned placements *because* its spawn regions enumerate the
+/// band cells in row-major order).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Region {
     cells: Vec<(u16, u16)>,
@@ -15,28 +15,36 @@ pub struct Region {
     /// [`ScenarioBuilder::build`](crate::ScenarioBuilder::build) rejects
     /// it as `ScenarioError::OutOfBounds`.
     overflow: Option<(usize, usize)>,
+    /// The smallest cell [`Region::from_cells`] was given twice;
+    /// [`ScenarioBuilder::build`](crate::ScenarioBuilder::build) rejects
+    /// such a region as `ScenarioError::DuplicateCell`.
+    duplicate: Option<(u16, u16)>,
 }
 
 impl Region {
     /// A rectangle of `rows × cols` cells with top-left corner `(r0, c0)`,
-    /// enumerated row-major. A rectangle reaching past the `u16`
-    /// coordinate range holds no cells and records its far corner as
+    /// enumerated row-major. A rectangle with no rows or no columns holds
+    /// no cells. A rectangle reaching past the `u16` coordinate range
+    /// holds no cells either and records its far corner as
     /// [`Region::overflow`].
     pub fn rect(r0: usize, c0: usize, rows: usize, cols: usize) -> Self {
-        assert!(rows > 0 && cols > 0, "empty region rectangle");
+        let mut region = Self {
+            cells: Vec::new(),
+            overflow: None,
+            duplicate: None,
+        };
+        if rows == 0 || cols == 0 {
+            return region;
+        }
         let far = (r0.saturating_add(rows - 1), c0.saturating_add(cols - 1));
         if far.0 > u16::MAX as usize || far.1 > u16::MAX as usize {
-            return Self {
-                cells: Vec::new(),
-                overflow: Some(far),
-            };
-        }
-        Self {
-            cells: (r0..r0 + rows)
+            region.overflow = Some(far);
+        } else {
+            region.cells = (r0..r0 + rows)
                 .flat_map(|r| (c0..c0 + cols).map(move |c| (r as u16, c as u16)))
-                .collect(),
-            overflow: None,
+                .collect();
         }
+        region
     }
 
     /// A full-width horizontal band: rows `r0..r0 + rows` over `width`
@@ -53,20 +61,19 @@ impl Region {
 
     /// An explicit cell list (kept in the given order).
     ///
-    /// Panics on duplicates: a region is a *set* with an enumeration
-    /// order, and a duplicated spawn cell would otherwise surface only as
-    /// a placement panic deep inside `build_environment`.
+    /// A region is a *set* with an enumeration order: a list naming a
+    /// cell twice records the smallest such cell as
+    /// [`Region::duplicate`], which would otherwise surface only as a
+    /// placement panic deep inside `build_environment`.
     pub fn from_cells(cells: impl IntoIterator<Item = (u16, u16)>) -> Self {
         let cells: Vec<_> = cells.into_iter().collect();
-        assert!(!cells.is_empty(), "empty region");
-        let mut seen = cells.clone();
-        seen.sort_unstable();
-        let before = seen.len();
-        seen.dedup();
-        assert_eq!(before, seen.len(), "duplicate cell in region");
+        let mut sorted = cells.clone();
+        sorted.sort_unstable();
+        let duplicate = sorted.windows(2).find(|p| p[0] == p[1]).map(|p| p[0]);
         Self {
             cells,
             overflow: None,
+            duplicate,
         }
     }
 
@@ -75,6 +82,13 @@ impl Region {
     #[inline]
     pub fn overflow(&self) -> Option<(usize, usize)> {
         self.overflow
+    }
+
+    /// The smallest cell [`Region::from_cells`] was given more than once,
+    /// if any.
+    #[inline]
+    pub fn duplicate(&self) -> Option<(u16, u16)> {
+        self.duplicate
     }
 
     /// The cells in enumeration order.
@@ -89,8 +103,9 @@ impl Region {
         self.cells.len()
     }
 
-    /// False for every region but one whose rectangle overflowed the
-    /// coordinate range (see [`Region::overflow`]).
+    /// Whether the region holds no cells: an empty rectangle or cell
+    /// list, or a rectangle that overflowed the coordinate range (see
+    /// [`Region::overflow`]).
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.cells.is_empty()
@@ -159,9 +174,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "duplicate cell")]
-    fn from_cells_rejects_duplicates() {
-        let _ = Region::from_cells([(1, 1), (2, 2), (1, 1)]);
+    fn from_cells_records_the_smallest_duplicate() {
+        let r = Region::from_cells([(3, 3), (1, 1), (2, 2), (3, 3), (1, 1)]);
+        assert_eq!(r.duplicate(), Some((1, 1)));
+        assert_eq!(r.len(), 5);
+        assert_eq!(Region::from_cells([(1, 1), (2, 2)]).duplicate(), None);
     }
 
     #[test]

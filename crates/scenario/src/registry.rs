@@ -4,9 +4,10 @@
 //! regime:
 //!
 //! * [`paper_corridor`] — exactly the paper's evaluation geometry
-//!   (obstacle-free bi-directional corridor, edge spawn bands). Takes the
-//!   row-table fast path and reproduces the legacy `EnvConfig` trajectories
-//!   bit for bit.
+//!   (obstacle-free bi-directional corridor, edge spawn bands), built from
+//!   an [`EnvConfig`]. It is the classic corridor's only door:
+//!   `SimConfig::new` builds through it too. Takes the row-table fast
+//!   path.
 //! * [`doorway`] — the corridor pinched to a `gap`-cell doorway mid-height:
 //!   the classic bottleneck benchmark (cf. the CALM model's constrained
 //!   aisle geometries, arXiv:1910.05749).
@@ -36,7 +37,7 @@ use pedsim_grid::cell::Group;
 use pedsim_grid::EnvConfig;
 
 use crate::region::Region;
-use crate::scenario::Scenario;
+use crate::scenario::{Scenario, ScenarioError};
 
 /// The registry's scenario names, in presentation order.
 pub fn names() -> &'static [&'static str] {
@@ -53,28 +54,39 @@ pub fn names() -> &'static [&'static str] {
     ]
 }
 
-/// Derive the spawn-band depth the legacy corridor would use for this
+/// Derive the spawn-band depth [`paper_corridor`] would use for this
 /// population (the ~0.6-fill rule of [`EnvConfig::effective_spawn_rows`]).
 fn band_rows(width: usize, height: usize, per_side: usize) -> usize {
     EnvConfig::small(width, height, per_side).effective_spawn_rows()
 }
 
 /// The paper's evaluation geometry as a declarative scenario, mirroring
-/// `cfg` (including its seed). Obstacle-free with full-width opposite-edge
-/// targets, so it routes by the row-table fast path — bit-identical to
-/// building the same [`EnvConfig`] directly.
+/// `cfg` (including its seed): each group placed at random inside the
+/// [`EnvConfig::effective_spawn_rows`]-row band at its own edge, headed
+/// for the opposite band. Obstacle-free with full-width opposite-edge
+/// targets, so it routes by the row-table fast path.
+///
+/// Panics with the typed error's message when `cfg` describes no valid
+/// corridor; [`try_paper_corridor`] returns the error instead.
 pub fn paper_corridor(cfg: &EnvConfig) -> Scenario {
+    try_paper_corridor(cfg).unwrap_or_else(|e| panic!("invalid paper corridor: {e}"))
+}
+
+/// [`paper_corridor`], returning the [`ScenarioError`] of an invalid
+/// `cfg` (a grid outside the supported sides, empty or overlapping bands,
+/// or more agents than a band holds).
+pub fn try_paper_corridor(cfg: &EnvConfig) -> Result<Scenario, ScenarioError> {
     let (w, h) = (cfg.width, cfg.height);
     let s = cfg.effective_spawn_rows();
+    let far = h.saturating_sub(s);
     Scenario::builder("paper_corridor", w, h)
         .spawn(Group::TOP, Region::row_band(0, s, w))
-        .spawn(Group::BOTTOM, Region::row_band(h - s, s, w))
-        .target(Group::TOP, Region::row_band(h - s, s, w))
+        .spawn(Group::BOTTOM, Region::row_band(far, s, w))
+        .target(Group::TOP, Region::row_band(far, s, w))
         .target(Group::BOTTOM, Region::row_band(0, s, w))
         .agents_per_side(cfg.agents_per_side)
         .seed(cfg.seed)
         .build()
-        .expect("paper corridor geometry is always valid")
 }
 
 /// The corridor with a full wall at mid-height pierced by a centred
@@ -340,20 +352,87 @@ mod tests {
     use super::*;
     use pedsim_grid::{DistanceKind, Heading};
 
+    /// FNV-1a over everything placement writes: extents, group sizes,
+    /// `mat`, `index`, every property column and the liveness flags.
+    fn placement_hash(env: &pedsim_grid::Environment) -> u64 {
+        let p = &env.props;
+        let words = env.index.as_slice().iter().chain(&p.pos);
+        let halves = p.future_row.iter().chain(&p.future_col);
+        let bytes: Vec<u8> = env
+            .mat
+            .as_slice()
+            .iter()
+            .chain(&p.id)
+            .chain(&p.front)
+            .chain(&p.front_k)
+            .copied()
+            .chain(words.flat_map(|v| v.to_le_bytes()))
+            .chain(halves.flat_map(|v| v.to_le_bytes()))
+            .chain(env.alive.iter().map(|&a| u8::from(a)))
+            .collect();
+        let mut h = pedsim_obs::hash::Fnv64::new()
+            .usize(env.height())
+            .usize(env.width());
+        for &n in &env.group_sizes {
+            h = h.usize(n);
+        }
+        h.bytes(&bytes).finish()
+    }
+
+    /// The classic corridor places exactly as the `EnvConfig`
+    /// constructor it replaced: these hashes were taken from that
+    /// constructor's output for the same configurations.
     #[test]
-    fn paper_corridor_mirrors_env_config() {
-        let cfg = EnvConfig::small(32, 32, 40).with_seed(11);
-        let s = paper_corridor(&cfg);
-        assert!(s.uses_row_fast_path());
-        assert_eq!(s.distance_data().kind, DistanceKind::Rows);
-        // Same placement, bit for bit.
-        let legacy = pedsim_grid::Environment::new(&cfg);
-        let scen = s.build_environment();
-        assert_eq!(legacy.mat, scen.mat);
-        assert_eq!(legacy.index, scen.index);
-        assert_eq!(legacy.props, scen.props);
-        assert_eq!(legacy.spawn_rows, scen.spawn_rows);
-        assert_eq!(legacy.group_sizes, scen.group_sizes);
+    fn paper_corridor_matches_pinned_legacy_placement() {
+        let pins = [
+            // No agents at all.
+            (
+                EnvConfig::small(16, 16, 0).with_seed(1),
+                0x2b6f_149f_1c08_9269,
+            ),
+            // A full band.
+            (
+                EnvConfig::small(16, 16, 48).with_spawn_rows(3).with_seed(2),
+                0xa64b_75d0_fc55_9589,
+            ),
+            (
+                EnvConfig::small(16, 16, 10).with_spawn_rows(1).with_seed(3),
+                0x2adc_908a_9675_5ce1,
+            ),
+            (
+                EnvConfig::small(16, 16, 20).with_spawn_rows(2).with_seed(4),
+                0xff08_a69a_c170_772a,
+            ),
+            // Odd sides.
+            (
+                EnvConfig::small(17, 23, 30).with_seed(5),
+                0x1f65_e1fd_f102_c8bf,
+            ),
+            (
+                EnvConfig::small(31, 9, 12).with_seed(6),
+                0xff0b_a2ba_36c7_4be7,
+            ),
+            // The smallest grid, both bands full.
+            (
+                EnvConfig::small(2, 4, 2).with_seed(7),
+                0xe4e4_a1c6_98af_af4d,
+            ),
+            (
+                EnvConfig::small(40, 40, 150).with_seed(91),
+                0x113a_597a_1b13_e168,
+            ),
+            // The paper's largest crowd.
+            (EnvConfig::paper(102_400), 0x1ab2_c26d_c0f8_e879),
+        ];
+        for (cfg, pin) in pins {
+            let s = paper_corridor(&cfg);
+            assert!(s.uses_row_fast_path());
+            assert_eq!(s.distance_data().kind, DistanceKind::Rows);
+            assert_eq!(s.spawn(Group::TOP).row_extent(), cfg.effective_spawn_rows());
+            let env = s.build_environment();
+            env.check_consistency().expect("consistent");
+            assert_eq!(placement_hash(&env), pin, "{cfg:?}");
+        }
     }
 
     #[test]
@@ -377,9 +456,10 @@ mod tests {
         let env = s.build_environment();
         env.check_consistency().expect("consistent");
         // No pillar inside either spawn band.
+        let rows = s.spawn(Group::TOP).row_extent();
         for &(r, _) in s.walls() {
-            assert!((r as usize) >= env.spawn_rows);
-            assert!((r as usize) < 48 - env.spawn_rows);
+            assert!((r as usize) >= rows);
+            assert!((r as usize) < 48 - rows);
         }
     }
 
@@ -395,7 +475,7 @@ mod tests {
         env.check_consistency().expect("consistent");
         // The horizontal stream's target is a column band: crossing for
         // its agents means "reached the right edge".
-        let mask = env.targets.as_ref().expect("target mask");
+        let mask = &env.targets;
         let in_target = |g: Group, r: usize, c: usize| mask.get(r, c) & g.target_bit() != 0;
         assert!(in_target(Group::BOTTOM, 20, 39));
         assert!(!in_target(Group::BOTTOM, 20, 0));
@@ -414,7 +494,7 @@ mod tests {
         env.check_consistency().expect("consistent");
         assert_eq!(env.total_agents(), 400);
         // Each stream's target sits at the opposite edge.
-        let mask = env.targets.as_ref().expect("target mask");
+        let mask = &env.targets;
         let in_target = |g: Group, r: usize, c: usize| mask.get(r, c) & g.target_bit() != 0;
         assert!(in_target(Group::new(0), 39, 20)); // north → bottom
         assert!(in_target(Group::new(1), 0, 20)); // south → top

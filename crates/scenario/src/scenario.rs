@@ -4,8 +4,8 @@ use std::sync::{Arc, OnceLock};
 
 use pedsim_grid::cell::{Group, Heading, MAX_GROUPS};
 use pedsim_grid::{
-    place_in_cells, DistanceData, DistanceTables, EnvConfig, Environment, GridDistanceField,
-    Matrix, PropertyTable, CELL_EMPTY, CELL_WALL, MAX_SIDE,
+    place_in_cells, DistanceData, EnvConfig, Environment, GridDistanceField, Matrix, PropertyTable,
+    CELL_EMPTY, CELL_WALL, MAX_SIDE,
 };
 use philox::StreamRng;
 
@@ -42,6 +42,18 @@ pub enum ScenarioError {
         what: &'static str,
         /// The offending cell.
         cell: (usize, usize),
+    },
+    /// A spawn, target or source region holds no cells.
+    EmptyRegion {
+        /// Which kind of region is empty.
+        what: &'static str,
+    },
+    /// A spawn, target or source region names one cell twice.
+    DuplicateCell {
+        /// Which kind of region repeats a cell.
+        what: &'static str,
+        /// The repeated cell (the smallest, when several repeat).
+        cell: (u16, u16),
     },
     /// A group's spawn region is missing.
     MissingSpawn(usize),
@@ -104,6 +116,10 @@ impl std::fmt::Display for ScenarioError {
             }
             Self::OutOfBounds { what, cell } => {
                 write!(f, "{what} cell ({}, {}) out of bounds", cell.0, cell.1)
+            }
+            Self::EmptyRegion { what } => write!(f, "{what} region holds no cells"),
+            Self::DuplicateCell { what, cell } => {
+                write!(f, "{what} region names cell ({}, {}) twice", cell.0, cell.1)
             }
             Self::MissingSpawn(g) => write!(f, "group {g} has no spawn region"),
             Self::MissingTarget(g) => write!(f, "group {g} has no target region"),
@@ -431,9 +447,9 @@ impl Scenario {
     /// True when the world is an obstacle-free two-group corridor whose
     /// targets are the classic full-width opposite-edge bands — exactly
     /// the geometry the paper's row-based distance tables encode. Such
-    /// scenarios take the [`DistanceTables`] fast path and reproduce the
-    /// legacy corridor trajectories bit for bit; everything else routes
-    /// through a [`GridDistanceField`].
+    /// scenarios take the row-table fast path
+    /// ([`DistanceTables`](pedsim_grid::DistanceTables)); everything else
+    /// routes through a [`GridDistanceField`].
     pub fn uses_row_fast_path(&self) -> bool {
         self.groups.len() == 2
             && self.walls.is_empty()
@@ -455,7 +471,7 @@ impl Scenario {
         self.dist_cache
             .get_or_init(|| {
                 Arc::new(if self.uses_row_fast_path() {
-                    DistanceData::from_field(&DistanceTables::new(self.height))
+                    DistanceData::rows(self.height)
                 } else {
                     let targets: Vec<&[(u16, u16)]> =
                         self.groups.iter().map(|g| g.target.cells()).collect();
@@ -512,9 +528,9 @@ impl Scenario {
     /// Build and populate the world (the paper's data-preparation stage
     /// over a declarative description): walls stamped into `mat`, each
     /// group placed uniformly at random inside its spawn region with its
-    /// dedicated RNG stream (`u64::MAX - 1 - g`, so the two legacy groups
-    /// keep the exact streams the classic corridor uses), target bitmask
-    /// attached.
+    /// dedicated RNG stream (`u64::MAX - 1 - g`), target bitmask
+    /// attached. Every world is built here, the classic corridor of
+    /// `SimConfig::new` included.
     pub fn build_environment(&self) -> Environment {
         let total = self.total_capacity();
         let mut mat = Matrix::filled(self.height, self.width, CELL_EMPTY);
@@ -560,10 +576,9 @@ impl Scenario {
             mat,
             index,
             props,
-            spawn_rows: self.groups[0].spawn.row_extent(),
             group_sizes: self.capacities(),
             seed: self.seed,
-            targets: Some(Arc::new(self.target_mask())),
+            targets: Arc::new(self.target_mask()),
             alive,
             free,
             live,
@@ -729,19 +744,30 @@ impl ScenarioBuilder {
                     Err(ScenarioError::OutOfBounds { what, cell })
                 })
             };
+        // A region's construction fault, or its first cell off the grid.
+        let check_region = |what: &'static str, region: &Region| {
+            out_of_bounds(what, region.overflow(), region.cells())?;
+            if let Some(cell) = region.duplicate() {
+                return Err(ScenarioError::DuplicateCell { what, cell });
+            }
+            if region.is_empty() {
+                return Err(ScenarioError::EmptyRegion { what });
+            }
+            Ok(())
+        };
         let mut walls = self.walls;
         walls.sort_unstable();
         walls.dedup();
         out_of_bounds("wall", self.wall_overflow, &walls)?;
         let mut groups: Vec<GroupDesc> = Vec::with_capacity(self.slots.len());
-        // Hash set of every earlier spawn cell keeps the pairwise
-        // disjointness check O(total cells); regions reach ~10^4 cells at
-        // paper scale and a linear-scan contains would go quadratic here.
-        // audit:allow(hash-container, membership-only set — never iterated, so hash order cannot reach any output)
-        let mut earlier_spawns: std::collections::HashSet<(u16, u16)> = Default::default();
+        // One flag per cell marks every earlier group's spawn cells, so the
+        // pairwise disjointness check is O(total cells). Indexing is safe:
+        // each region passed `check_region` first.
+        let mut earlier_spawns = vec![false; w * h];
+        let cell_index = |&(r, c): &(u16, u16)| r as usize * w + c as usize;
         for (gi, slot) in self.slots.iter().enumerate() {
             let spawn = slot.spawn.clone().ok_or(ScenarioError::MissingSpawn(gi))?;
-            out_of_bounds("spawn", spawn.overflow(), spawn.cells())?;
+            check_region("spawn", &spawn)?;
             if let Some(&cell) = spawn
                 .cells()
                 .iter()
@@ -752,7 +778,7 @@ impl ScenarioBuilder {
                     cell,
                 });
             }
-            if let Some(&cell) = spawn.cells().iter().find(|c| earlier_spawns.contains(c)) {
+            if let Some(&cell) = spawn.cells().iter().find(|c| earlier_spawns[cell_index(c)]) {
                 return Err(ScenarioError::SpawnOverlap {
                     with: "another group's spawn region",
                     cell,
@@ -770,7 +796,7 @@ impl ScenarioBuilder {
                 .target
                 .clone()
                 .ok_or(ScenarioError::MissingTarget(gi))?;
-            out_of_bounds("target", target.overflow(), target.cells())?;
+            check_region("target", &target)?;
             if target
                 .cells()
                 .iter()
@@ -793,8 +819,7 @@ impl ScenarioBuilder {
                 if !source.rate.is_finite() || source.rate < 0.0 {
                     return Err(ScenarioError::InvalidSourceRate(gi));
                 }
-                let region = &source.region;
-                out_of_bounds("source", region.overflow(), region.cells())?;
+                check_region("source", &source.region)?;
                 if let Some(&cell) = source
                     .region
                     .cells()
@@ -820,7 +845,9 @@ impl ScenarioBuilder {
                     });
                 }
             }
-            earlier_spawns.extend(spawn.cells().iter().copied());
+            for c in spawn.cells() {
+                earlier_spawns[cell_index(c)] = true;
+            }
             groups.push(GroupDesc {
                 spawn,
                 target,
@@ -926,7 +953,7 @@ mod tests {
         assert_eq!(env.mat.count(CELL_WALL), 6);
         assert_eq!(env.mat.count(Group::TOP.label()), 12);
         assert_eq!(env.mat.count(Group::BOTTOM.label()), 12);
-        let mask = env.targets.as_ref().expect("target mask");
+        let mask = &env.targets;
         let in_target = |g: Group, r: usize, c: usize| mask.get(r, c) & g.target_bit() != 0;
         assert!(in_target(Group::TOP, 14, 3));
         assert!(!in_target(Group::TOP, 8, 3));

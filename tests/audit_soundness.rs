@@ -105,7 +105,7 @@ fn both_iteration_modes_are_schedule_independent() {
         let mut scalar = CpuEngine::new(cfg.clone());
         scalar.run(steps);
         let golden = trajectory_hash(&scalar);
-        if cfg.scenario.is_some() {
+        if cfg.world_scenario().is_open() {
             // Agents crossed into the sinks and freed their slots, and
             // more agents spawned than there are slots, so the slot
             // ranges held dead and recycled slots.

@@ -4,7 +4,7 @@
 use pedsim::grid::cell::Group;
 use pedsim::grid::MAX_SIDE;
 use pedsim::prelude::*;
-use pedsim::scenario::ScenarioError;
+use pedsim::scenario::{registry, ScenarioError};
 use pedsim::simt::exec::{BlockCtx, BlockKernel, LaunchConfig};
 use pedsim::simt::memory::ScatterBuffer;
 use pedsim::simt::{Device, Dim2, LaunchError};
@@ -53,7 +53,8 @@ fn invalid_launches_are_rejected_not_executed() {
 
 #[test]
 fn consistency_checker_flags_corrupted_worlds() {
-    let mut env = Environment::new(&EnvConfig::small(32, 32, 20).with_seed(1));
+    let mut env =
+        registry::paper_corridor(&EnvConfig::small(32, 32, 20).with_seed(1)).build_environment();
     assert!(env.check_consistency().is_ok());
     // Teleport an agent in the property table without updating the grid.
     let (w, h) = (env.width(), env.height());
@@ -67,15 +68,29 @@ fn consistency_checker_flags_corrupted_worlds() {
     assert!(env.check_consistency().is_ok());
 }
 
+/// The message of a caught panic.
+fn panic_message(caught: Box<dyn std::any::Any + Send>) -> String {
+    caught.downcast_ref::<String>().cloned().unwrap_or_default()
+}
+
 #[test]
 fn overfull_scenarios_are_rejected() {
-    // More agents than the spawn bands can hold must panic at build time,
-    // not corrupt the grid.
-    let result = std::panic::catch_unwind(|| {
-        let cfg = EnvConfig::small(16, 16, 200).with_spawn_rows(2);
-        Environment::new(&cfg)
-    });
-    assert!(result.is_err());
+    // More agents than a spawn band can hold is a typed error at build
+    // time, never a corrupted grid.
+    let cfg = EnvConfig::small(16, 16, 200).with_spawn_rows(2);
+    assert_eq!(
+        registry::try_paper_corridor(&cfg).unwrap_err(),
+        ScenarioError::SpawnTooSmall {
+            group: 0,
+            agents: 200,
+            capacity: 32
+        }
+    );
+    // The classic constructor has no error channel: it panics with the
+    // typed error's message.
+    let caught = std::panic::catch_unwind(|| SimConfig::new(cfg, ModelKind::lem()));
+    let msg = panic_message(caught.expect_err("overfull corridor must panic"));
+    assert!(msg.contains("cannot seat 200 agents"), "{msg}");
 }
 
 #[test]
@@ -93,15 +108,73 @@ fn oversized_worlds_are_rejected() {
             height: 4
         }
     );
-    // The classic corridor asserts the same bound instead of wrapping
-    // column coordinates onto duplicate cells.
-    let result = std::panic::catch_unwind(|| Environment::new(&EnvConfig::small(side, 4, 1)));
-    let msg = result.expect_err("oversized corridor must panic");
-    let msg = msg
-        .downcast_ref::<String>()
-        .map(String::as_str)
-        .unwrap_or_default();
-    assert!(msg.contains("exceeds the largest side"), "{msg}");
+    // The classic corridor goes through the same door.
+    assert_eq!(
+        registry::try_paper_corridor(&EnvConfig::small(side, 4, 1)).unwrap_err(),
+        ScenarioError::WorldTooLarge {
+            width: side,
+            height: 4
+        }
+    );
+}
+
+#[test]
+fn empty_and_duplicated_regions_are_typed_errors() {
+    // Empty rectangles and cell lists, and lists naming a cell twice,
+    // come back from `build()` as typed errors, never as a panic at the
+    // call.
+    let g = Group::new(0);
+    let base = || {
+        Scenario::builder("regions", 8, 8).group(
+            Region::rect(0, 0, 1, 8),
+            Region::rect(7, 0, 1, 8),
+            4,
+        )
+    };
+    let empty = |what| ScenarioError::EmptyRegion { what };
+    for region in [
+        Region::rect(0, 0, 0, 8),
+        Region::rect(0, 0, 1, 0),
+        Region::from_cells([]),
+    ] {
+        assert!(region.is_empty());
+        let spawn = base().spawn(g, region.clone()).build();
+        assert_eq!(spawn.unwrap_err(), empty("spawn"));
+        let target = base().target(g, region.clone()).build();
+        assert_eq!(target.unwrap_err(), empty("target"));
+        let source = base().source(g, region, 1.0).build();
+        assert_eq!(source.unwrap_err(), empty("source"));
+    }
+    let twice = Region::from_cells([(0, 3), (0, 1), (0, 2), (0, 1)]);
+    assert_eq!(twice.duplicate(), Some((0, 1)));
+    for (built, what) in [
+        (base().spawn(g, twice.clone()).build(), "spawn"),
+        (base().target(g, twice.clone()).build(), "target"),
+        (base().source(g, twice, 1.0).build(), "source"),
+    ] {
+        let cell = (0, 1);
+        assert_eq!(
+            built.unwrap_err(),
+            ScenarioError::DuplicateCell { what, cell }
+        );
+    }
+    // The classic corridor's bands are regions too: zero rows, bands that
+    // overlap, and bands taller than the grid are typed errors.
+    let corridor =
+        |rows| registry::try_paper_corridor(&EnvConfig::small(8, 8, 4).with_spawn_rows(rows));
+    assert_eq!(corridor(0).unwrap_err(), empty("spawn"));
+    assert!(matches!(
+        corridor(5).unwrap_err(),
+        ScenarioError::SpawnOverlap { .. }
+    ));
+    assert_eq!(
+        corridor(9).unwrap_err(),
+        ScenarioError::OutOfBounds {
+            what: "spawn",
+            cell: (8, 0)
+        }
+    );
+    assert!(corridor(4).is_ok());
 }
 
 #[test]
