@@ -12,7 +12,7 @@
 //! Default mode runs the whole ladder as one batch, writes
 //! `results/step_throughput_<scale>.{csv,json}` plus the repo-root
 //! `BENCH_step_throughput.json` perf-trajectory record (schema
-//! `pedsim.step_throughput.v4`, one `ladder` array), appends one
+//! `pedsim.step_throughput.v5`, one `ladder` array), appends one
 //! provenance-stamped row per replica to the results registry (and, with
 //! `--journal`, one JSONL record per replica), and prints the Markdown
 //! table. At smoke scale it exits non-zero when the ladder gate fails:
@@ -81,7 +81,7 @@ fn main() {
     print!("{}", table.markdown());
     for (rung, mode, x) in st::ladder_speedups(&rows) {
         println!(
-            "{}/{} s{} [{mode}]: pooled movement runs at {x:.2}x the scalar stage \
+            "{}/{} s{} [{mode}]: a pooled step runs at {x:.2}x the scalar step \
              (gains beyond the banded kernels' single-thread advantage need real cores)",
             rung.world,
             rung.model.name(),

@@ -39,7 +39,7 @@ use crate::report::Table;
 use crate::scale::Scale;
 
 /// Schema tag of the JSON record.
-pub const SCHEMA: &str = "pedsim.step_throughput.v4";
+pub const SCHEMA: &str = "pedsim.step_throughput.v5";
 
 /// One rung of the scale ladder: a square registry world at one side,
 /// with its model and metrics switch.
@@ -323,11 +323,12 @@ fn distinct<K: PartialEq>(keys: impl Iterator<Item = K>) -> Vec<K> {
     out
 }
 
-/// Movement-stage speedup of the widest pooled configuration over the
-/// scalar reference, per `(rung, pooled mode)`: `(rung, mode,
-/// scalar_movement_ms / pooled_movement_ms)`, dividing scalar's single
-/// row by each pooled mode's. Cells missing either side of the ratio are
-/// skipped.
+/// Whole-step speedup of the widest pooled configuration over the scalar
+/// reference, per `(rung, pooled mode)`: `(rung, mode, scalar_total_ms /
+/// pooled_total_ms)`, dividing scalar's single row by each pooled mode's.
+/// Whole steps, because the backends cut a step into passes differently
+/// (a dense pooled step is one fused pass, filed under movement). Cells
+/// missing either side of the ratio are skipped.
 pub fn ladder_speedups(rows: &[LadderRow]) -> Vec<(LadderRung, &'static str, f64)> {
     let widest = LADDER_BACKENDS
         .iter()
@@ -336,16 +337,12 @@ pub fn ladder_speedups(rows: &[LadderRow]) -> Vec<(LadderRung, &'static str, f64
         .max()
         .unwrap_or(1);
     rows.iter()
-        .filter(|r| r.backend == "pooled" && r.threads == widest && r.ms(Stage::Movement) > 0.0)
+        .filter(|r| r.backend == "pooled" && r.threads == widest && r.total_ms > 0.0)
         .filter_map(|pooled| {
             let scalar = rows
                 .iter()
                 .find(|r| r.rung == pooled.rung && r.backend == "scalar")?;
-            Some((
-                pooled.rung,
-                pooled.mode,
-                scalar.ms(Stage::Movement) / pooled.ms(Stage::Movement),
-            ))
+            Some((pooled.rung, pooled.mode, scalar.total_ms / pooled.total_ms))
         })
         .collect()
 }
@@ -451,7 +448,7 @@ pub fn ladder_complete(jobs: &[Job], rows: &[LadderRow]) -> bool {
 }
 
 /// Whether a full ladder yields every derived series of the record:
-/// pooled-over-scalar movement speedups, positive sparse-over-dense
+/// pooled-over-scalar whole-step speedups, positive sparse-over-dense
 /// ratios, and pooled thread-scaling efficiencies.
 pub fn derived_series_present(rows: &[LadderRow]) -> bool {
     let sparse = sparse_speedups(rows);
@@ -576,7 +573,7 @@ pub fn to_json(scale: Scale, ladder: &[LadderRow]) -> String {
             )
         })
         .collect();
-    json_array(&mut s, "ladder_movement_speedup", &speedups, false);
+    json_array(&mut s, "ladder_step_speedup", &speedups, false);
     let sparse: Vec<String> = sparse_speedups(ladder)
         .iter()
         .map(|(rung, backend, threads, x)| {
@@ -736,7 +733,7 @@ mod tests {
                 _ => {}
             }
         }
-        // Per rung: one movement-speedup entry per pooled mode;
+        // Per rung: one whole-step speedup entry per pooled mode;
         // sparse-over-dense per pooled configuration; pooled scaling per
         // mode × thread count.
         let speedups = ladder_speedups(&rows);
@@ -774,7 +771,7 @@ mod tests {
         assert!(json.contains("\"iteration_mode\": \"sparse\""));
         assert!(json.contains("\"occupancy\":"));
         assert!(json.contains("\"stages_ms_per_step\":"));
-        assert!(json.contains("ladder_movement_speedup"));
+        assert!(json.contains("ladder_step_speedup"));
         assert!(json.contains("sparse_over_dense"));
         assert!(json.contains("thread_scaling_efficiency"));
         assert!(!json.contains("\"worlds\"") && !json.contains("\"cpu\""));

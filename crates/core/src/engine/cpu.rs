@@ -356,7 +356,13 @@ impl CpuBackend {
 }
 
 impl StageBackend for CpuBackend {
-    fn run_stage(&mut self, stage: Stage, step_no: u64, _rec: &mut pedsim_obs::Recorder) {
+    fn run_stage(
+        &mut self,
+        stage: Stage,
+        step_no: u64,
+        _rec: &mut pedsim_obs::Recorder,
+        _metrics: Option<&mut Metrics>,
+    ) {
         // The CPU has no launch machinery to report; its kernel counters
         // stay at the zeros the core pre-registered.
         match stage {

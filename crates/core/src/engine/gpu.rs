@@ -255,7 +255,13 @@ impl GpuBackend {
 }
 
 impl StageBackend for GpuBackend {
-    fn run_stage(&mut self, stage: Stage, step_no: u64, rec: &mut pedsim_obs::Recorder) {
+    fn run_stage(
+        &mut self,
+        stage: Stage,
+        step_no: u64,
+        rec: &mut pedsim_obs::Recorder,
+        _metrics: Option<&mut Metrics>,
+    ) {
         let base = step_no * 4;
         let st = &self.state;
         let cur = st.cur;

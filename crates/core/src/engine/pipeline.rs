@@ -76,8 +76,9 @@ pub const GRIDLOCK_EVENT_THRESHOLD: f64 = 0.5;
 ///
 /// A backend may fuse consecutive kernels into one pass: it runs the
 /// pass under one stage and leaves the others empty, so their timings
-/// read (near) zero. The pooled backend runs Init + InitialCalc + Tour as
-/// one decide pass under [`Stage::InitialCalc`].
+/// read (near) zero. The pooled backend runs a dense step as one pass
+/// under [`Stage::Movement`], and a sparse step's Init + InitialCalc +
+/// Tour as one decide pass under [`Stage::InitialCalc`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
     /// Supporting initialisation (§IV.e): clear the scan matrix and the
@@ -234,10 +235,21 @@ pub trait StageBackend {
     /// is the engine's telemetry recorder; backends with launch machinery
     /// (the GPU) feed their per-kernel launch statistics into it, the CPU
     /// has nothing to add (its keys stay pre-registered at zero).
-    fn run_stage(&mut self, stage: Stage, step_no: u64, rec: &mut Recorder);
+    /// `metrics` is the engine's metrics when tracking is on; a backend
+    /// may apply the arrival rule ([`Metrics::arrivals`]) to its movers
+    /// during movement instead of in [`StageBackend::observe`].
+    fn run_stage(
+        &mut self,
+        stage: Stage,
+        step_no: u64,
+        rec: &mut Recorder,
+        metrics: Option<&mut Metrics>,
+    );
 
-    /// Feed the step's movers (the live slots that changed cell, each
-    /// once) and the post-step agent positions to the metrics observer.
+    /// Complete the step's metrics observation: the movers (the live
+    /// slots that changed cell, each once) and the post-step agent
+    /// positions, through [`Metrics::observe`] or, for movers a movement
+    /// pass already tallied, [`Metrics::finish_step`].
     fn observe(&self, metrics: &mut Metrics);
 
     /// Run the open-boundary phases over the backend's world (`step` is
@@ -342,7 +354,12 @@ impl StepCore {
     pub fn step<B: StageBackend>(&mut self, backend: &mut B) {
         for stage in Stage::KERNELS {
             let t0 = Instant::now();
-            backend.run_stage(stage, self.step_no, &mut self.recorder);
+            backend.run_stage(
+                stage,
+                self.step_no,
+                &mut self.recorder,
+                self.metrics.as_mut(),
+            );
             self.time_stage(stage, t0.elapsed());
         }
         self.step_no += 1;
@@ -535,30 +552,30 @@ mod tests {
         assert_eq!(tc.gauge("sim.live"), Some(40.0));
     }
 
-    /// The pooled backend's launch telemetry pins its pass structure:
-    /// every step takes one decide and one resolve launch, whatever the
-    /// model and traversal. The resolve runs over `workers ×
-    /// BANDS_PER_WORKER` row bands in both modes; the decide runs over
-    /// the same bands in dense mode and over one slot range per worker in
-    /// sparse mode.
+    /// The pooled backend's launch telemetry pins its pass structure,
+    /// whatever the model: a dense step is one launch with one item per
+    /// worker, filed under movement; a sparse step is a decide launch over
+    /// one slot range per worker and a resolve launch over `workers ×
+    /// BANDS_PER_WORKER` row bands.
     #[test]
     fn pooled_launches_one_decide_and_one_resolve_pass_per_step() {
         use crate::engine::pooled::{PooledEngine, BANDS_PER_WORKER};
         let (workers, steps) = (2, 8);
         let bands = workers * BANDS_PER_WORKER as u64;
         for model in [ModelKind::lem(), ModelKind::aco()] {
-            // Tasks per launch of each stage slot: the sparse decide pass
-            // walks one slot range per worker, every other pass the bands.
-            for (mode, decide_parts) in [
-                (IterationMode::Dense, bands),
-                (IterationMode::Sparse, workers),
+            // (launches, tasks per launch) of each kernel stage, per step.
+            for (mode, per_step) in [
+                (IterationMode::Dense, [(0, 0), (0, 0), (0, 0), (1, workers)]),
+                (
+                    IterationMode::Sparse,
+                    [(0, 0), (1, workers), (0, 0), (1, bands)],
+                ),
             ] {
                 let env = pedsim_grid::EnvConfig::small(24, 24, 20).with_seed(3);
                 let cfg = SimConfig::new(env, model).with_iteration_mode(mode);
                 let mut e = PooledEngine::new(cfg, workers as usize);
                 e.run(steps);
                 let t = e.telemetry();
-                let per_step = [(0, 0), (1, decide_parts), (0, 0), (1, bands)];
                 for (k, (launches, parts)) in per_step.into_iter().enumerate() {
                     let label = format!("{} {mode:?} {}", model.name(), KERNEL_LAUNCH_KEYS[k]);
                     let launches = steps * launches;

@@ -3,12 +3,11 @@
 //!
 //! A multi-threaded host engine on the `simt` [`WorkerPool`]: the grid is
 //! partitioned into contiguous row bands ([`band_ranges`], the pool's own
-//! split, so band `b` runs on the same worker in every pass unless that
-//! worker falls behind) — or, for the
-//! sparse decide pass, the agent slots `1..=n` into one contiguous slot
-//! range per worker — and every pass runs with **conflict-free writes**:
-//! each output slot is written by exactly one task, so no locks are held
-//! in any hot loop.
+//! split, so band `b` belongs to the same worker in every pass) — or, for
+//! the sparse decide pass, the agent slots `1..=n` into one contiguous
+//! slot range per worker — and every pass runs with **conflict-free
+//! writes**: each output slot is written by exactly one task, so no locks
+//! are held in any hot loop.
 //!
 //! ## The claim protocol: decide, then resolve
 //!
@@ -17,8 +16,7 @@
 //! [`gather_winner`](crate::model::gather_winner): scan the 8
 //! neighbours in slot order, collect the agents whose FUTURE is this
 //! cell, draw one with the *cell's* RNG stream. The pooled backend
-//! reaches the identical trajectory in **two pool launches per step**,
-//! in both traversal modes:
+//! reaches the identical trajectory with two operations per row band:
 //!
 //! 1. **Decide** (init + initial calculation + tour, fused): each agent
 //!    reads its front cell, scores its neighbourhood only when the
@@ -28,31 +26,65 @@
 //!    agent standing at `target + NEIGHBOR_OFFSETS[k]` wants in".
 //!    `fetch_or` is commutative, so the byte is schedule-independent.
 //!    Neither a scan row nor a FUTURE cell is stored, and only empty
-//!    cells are claimed. Dense mode sweeps row bands of cells; sparse
-//!    mode walks slot ranges and also files each claimed cell in the
-//!    task's own bin for the target's row band, so the resolve can find
-//!    the claimed cells without sweeping the grid.
-//! 2. **Resolve** (movement, over row bands): each band evaporates its
-//!    pheromone cells (ACO), then every cell of the band with a non-zero
-//!    claim byte — found by sweeping the band's claim bytes (dense) or
-//!    by walking every task's bin for the band (sparse; a duplicate
-//!    entry finds its byte already cleared) — decodes it: the set bits,
-//!    read in ascending order, are exactly the candidate list
-//!    `gather_winner` builds in slot order, and the winner is drawn once
-//!    with the same `(seed, cell, salt)` stream. The cell clears its
-//!    byte for the next step, moves its winner **in place** and adds the
-//!    winner's deposit. Claimed cells were empty when the step began and
-//!    every winner's source cell was occupied, so no two winners touch
-//!    the same cell and no task reads a slot another task writes. Each
-//!    task also lists the agents it moved in its own mover list, which
-//!    the metrics observation reads as the step's movers. Evaporating and
-//!    then adding the deposit is bit-equal to the scalar fused update
+//!    cells are claimed.
+//! 2. **Resolve** (movement): the band evaporates its pheromone cells
+//!    (ACO), then every cell of the band with a non-zero claim byte
+//!    decodes it: the set bits, read in ascending order, are exactly the
+//!    candidate list `gather_winner` builds in slot order, and the winner
+//!    is drawn once with the same `(seed, cell, salt)` stream. The cell
+//!    clears its byte for the next step, moves its winner **in place**
+//!    (the winner's label is read from its source cell before that cell
+//!    is cleared) and adds the winner's deposit. Claimed cells were
+//!    empty when the step began and every winner's source cell was
+//!    occupied, so no two winners touch the same cell. The band also
+//!    applies the metrics' arrival rule to its winners
+//!    ([`Metrics::arrivals`]) and counts them into its own
+//!    [`StepTally`]; the tallies are merged in band order, so the
+//!    metrics are deterministic by construction and only the serial tail
+//!    ([`Metrics::finish_step`]) is left to the observation. Evaporating
+//!    and then adding the deposit is bit-equal to the scalar fused update
 //!    because `max((1-ρ)τ, τ₀) + 0.0` is exact.
 //!
-//! The sparse decide pass needs no spatial bookkeeping to keep its
-//! writes disjoint: claims commute and each task writes only its own
-//! bins. So each worker walks one contiguous range of agent slots,
-//! skipping dead ones. Slot ranges are balanced by count by construction;
+//! ## Dense steps: one pool launch, band-pipelined
+//!
+//! Resolve of band `b` reads and writes only cells within one row of the
+//! band, and decide reads only cells within its halo (one row, or LEM's
+//! scan range) of its agents. So, with every band at least `halo + 1`
+//! rows tall, resolve of `b` may start as soon as decide has finished in
+//! bands `b − 1`, `b` and `b + 1`:
+//! - claims into `b` come only from agents in adjacent rows;
+//! - resolve writes source cells in `b ± 1`, which those bands' decide
+//!   reads;
+//! - ACO decide reads pheromone in `b ± 1`, which those bands' resolve
+//!   deposits;
+//! - no band further away reads or writes a cell resolve of `b` touches.
+//!
+//! A dense step is therefore **one** pool launch with one item per
+//! worker. Worker `w` walks its own contiguous run of bands — even
+//! workers from their last band up the grid, odd workers from their first
+//! band down, so two neighbouring workers meet at a shared edge either
+//! first or last — deciding band `b` and then resolving the band it
+//! decided just before. Each decide publishes "decided at step `t`" in its
+//! band's readiness flag (one `AtomicU64` per band, release; the value
+//! only grows, so it is never reset), and each resolve first waits
+//! (acquire) for the flags of its neighbours. A worker's interior bands
+//! never wait; only the bands at its edges wait on a neighbouring worker,
+//! spinning briefly and then yielding the core. The workers claim the
+//! operations of their plans from one cursor per plan, and a worker that
+//! has drained its own plan claims the next operations of the others',
+//! so a worker the host stalls does not hold up the whole step. A resolve
+//! only waits for decides earlier in its own plan or at the start or end
+//! of a neighbouring plan, and every worker claims its own plan first, so
+//! the launch cannot deadlock.
+//!
+//! ## Sparse steps: two launches
+//!
+//! The sparse decide pass walks one contiguous range of agent slots per
+//! worker, skipping dead ones, and files each claimed cell in the task's
+//! own bin for the target's row band. A slot range can claim into any
+//! band, so its resolve waits for the whole decide launch and then walks
+//! every task's bin for the band (a duplicate entry finds its byte
+//! already cleared). Slot ranges are balanced by count by construction;
 //! more than one range per worker would only put adjacent ranges, which
 //! overlap in space, on different threads at once, fighting over the
 //! same claim-byte cache lines.
@@ -60,11 +92,13 @@
 //! Because every draw uses the same stream as the scalar engine and every
 //! candidate list is bit-equal, trajectories are **bit-identical to
 //! `scalar` at every thread count** — asserted by the cross-backend
-//! golden parity tests. The fused decide pass is timed under
-//! [`Stage::InitialCalc`]; [`Stage::Init`] and [`Stage::Tour`] have no
-//! pass of their own on this backend.
+//! golden parity tests. The dense step is timed under [`Stage::Movement`]
+//! and the sparse decide launch under [`Stage::InitialCalc`];
+//! [`Stage::Init`] and [`Stage::Tour`] have no pass of their own on this
+//! backend.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use pedsim_grid::cell::{Group, CELL_EMPTY, CELL_WALL, MOVE_LEN, NEIGHBOR_OFFSETS};
@@ -72,13 +106,13 @@ use pedsim_grid::distance::DistRef;
 use pedsim_grid::scan::TourLengths;
 use pedsim_grid::{DistanceData, EnvConfig, Environment, Matrix, PheromoneField};
 use philox::StreamRng;
-use simt::exec::pool::WorkerPool;
+use simt::exec::pool::{band_range, WorkerPool};
 
 /// The tile partition every pooled pass dispatches over; the partition
 /// proptests pin its exactly-once property.
 pub use simt::exec::pool::band_ranges;
 
-use crate::metrics::{Geometry, Metrics};
+use crate::metrics::{Arrivals, Geometry, Metrics, StepTally};
 use crate::model::{aco_numerator, aco_select, availability, lem_scan_row, lem_select, ScanRow};
 use crate::params::{AcoParams, IterationMode, ModelKind, SimConfig};
 
@@ -91,10 +125,15 @@ use super::pipeline::{
 use super::{split_positions, swap_model, Engine, ModelSwapError, KERNEL_MOVE, KERNEL_TOUR};
 use crate::world::CompiledWorld;
 
-/// Row-band oversubscription factor: row bands per worker, so a
-/// straggler band cannot serialise the stage. The sparse decide pass
-/// dispatches one slot range per worker instead.
+/// Row-band oversubscription factor: row bands per worker, where the
+/// grid is tall enough, so the dense pipeline's edge waits are a small
+/// share of a worker's bands. The sparse decide pass dispatches one slot
+/// range per worker instead.
 pub(crate) const BANDS_PER_WORKER: usize = 4;
+
+/// Readiness polls before a waiting resolve yields its core. A pure spin
+/// starves the worker it waits on when there are more workers than cores.
+const SPINS_BEFORE_YIELD: u32 = 64;
 
 /// Inverse of [`NEIGHBOR_OFFSETS`]: the slot `k` with
 /// `NEIGHBOR_OFFSETS[k] == (dr, dc)`.
@@ -113,19 +152,53 @@ fn offset_slot(dr: i64, dc: i64) -> usize {
     }
 }
 
+/// A read view of a row-major grid: a [`Matrix`] borrowed, or the cells
+/// of a [`Scatter`] that other tasks of the same pass write elsewhere.
+#[derive(Clone, Copy)]
+struct View<'a, T> {
+    cells: &'a [T],
+    height: usize,
+    width: usize,
+}
+
+impl<'a, T: Copy> View<'a, T> {
+    fn of(m: &'a Matrix<T>) -> Self {
+        Self {
+            cells: m.as_slice(),
+            height: m.height(),
+            width: m.width(),
+        }
+    }
+
+    #[inline]
+    fn get(&self, r: usize, c: usize) -> T {
+        self.cells[r * self.width + c]
+    }
+
+    /// The cell at `(r, c)`, or `fill` outside the grid.
+    #[inline]
+    fn get_or(&self, r: i64, c: i64, fill: T) -> T {
+        if r < 0 || c < 0 || r as usize >= self.height || c as usize >= self.width {
+            fill
+        } else {
+            self.get(r as usize, c as usize)
+        }
+    }
+}
+
 /// The [`availability`] byte of the agent at `(r, c)` in `mat`. An
 /// interior agent's 3×3 neighbourhood is three 3-byte row windows of one
 /// slice of the row-major cells, from its top-left to its bottom-right
 /// neighbour; an agent on the grid's border takes the per-neighbour loop,
 /// which reads outside cells as walls.
 #[inline]
-fn mat_availability(mat: &Matrix<u8>, r: usize, c: usize) -> u8 {
-    let (h, w) = (mat.height(), mat.width());
+fn mat_availability(mat: View<'_, u8>, r: usize, c: usize) -> u8 {
+    let (h, w) = (mat.height, mat.width);
     if r == 0 || c == 0 || r + 1 >= h || c + 1 >= w {
         let occ = |rr: i64, cc: i64| mat.get_or(rr, cc, CELL_WALL);
         return availability(&occ, r as i64, c as i64);
     }
-    let cells = &mat.as_slice()[(r - 1) * w + c - 1..][..2 * w + 3];
+    let cells = &mat.cells[(r - 1) * w + c - 1..][..2 * w + 3];
     let window = |i: usize| [cells[i], cells[i + 1], cells[i + 2]];
     let free = |v: u8| u8::from(v == CELL_EMPTY);
     // Bit k is neighbour NEIGHBOR_OFFSETS[k]: (1,0) (1,-1) (1,1) (0,-1)
@@ -143,10 +216,32 @@ fn mat_availability(mat: &Matrix<u8>, r: usize, c: usize) -> u8 {
         | free(ne) << 7
 }
 
+// The row band whose resolve the calling thread is running, if any: the
+// write-set detector attributes its writes to the band rather than to the
+// pool item running it, because a dense item runs several bands.
+#[cfg(feature = "audit-runtime")]
+thread_local! {
+    static BAND: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
+}
+
+/// Run `f` as row band `b`'s task (see `BAND`).
+#[inline]
+fn as_band<R>(b: usize, f: impl FnOnce() -> R) -> R {
+    #[cfg(feature = "audit-runtime")]
+    let outer = BAND.with(|t| t.replace(Some(b)));
+    #[cfg(not(feature = "audit-runtime"))]
+    let _ = b;
+    let out = f();
+    #[cfg(feature = "audit-runtime")]
+    BAND.with(|t| t.set(outer));
+    out
+}
+
 /// Write-set tracker for the `audit-runtime` tile-race detector: one
 /// owner word per slot, `0` = unwritten this phase, `1` = host thread,
-/// `b + 2` = pool block `b`. A [`Scatter`] lives for exactly one phase,
-/// so "written by two tasks while this Scatter exists" is precisely the
+/// `t + 2` = task `t` (the row band being resolved, else the pool
+/// block). A [`Scatter`] lives for exactly one phase, so "written by two
+/// tasks while this Scatter exists" is precisely the
 /// structural-disjointness violation the SAFETY contracts rule out (a
 /// task may rewrite its own slot).
 #[cfg(feature = "audit-runtime")]
@@ -167,8 +262,11 @@ impl WriteSet {
     /// Record a write to slot `i`, panicking if another task already
     /// wrote it during this Scatter's phase.
     fn note(&self, i: usize) {
-        let me = match simt::exec::pool::current_block() {
-            Some(b) => b as u32 + 2,
+        let task = BAND
+            .with(|t| t.get())
+            .or_else(simt::exec::pool::current_block);
+        let me = match task {
+            Some(t) => t as u32 + 2,
             None => 1,
         };
         // ordering: relaxed — the swap is an atomic claim; detection only
@@ -203,8 +301,8 @@ struct Scatter<'a, T> {
 }
 
 // SAFETY: tasks write disjoint slots (see the struct docs); the barrier
-// at the end of every `WorkerPool::run` orders writes before any
-// subsequent read.
+// at the end of every `WorkerPool::run`, and within a dense launch the
+// readiness flags, order writes before any subsequent read.
 unsafe impl<T: Send> Sync for Scatter<'_, T> {}
 unsafe impl<T: Send> Send for Scatter<'_, T> {}
 
@@ -231,6 +329,19 @@ impl<'a, T> Scatter<'a, T> {
         self.ws.note(i);
         // SAFETY: forwarded contract.
         unsafe { &mut *self.ptr.add(i) }
+    }
+
+    /// The whole slice, shared, for a pass whose tasks read slots that
+    /// other tasks of the same pass write.
+    ///
+    /// SAFETY: every slot read through the view must be read before, and
+    /// never after, any write to it through this Scatter in the same
+    /// phase, and each such write must happen after the read (ordered by
+    /// an acquire/release pair or by being on the same thread).
+    unsafe fn shared(&self) -> &'a [T] {
+        // SAFETY: `ptr..ptr + len` is the live slice this Scatter was made
+        // from; the read/write ordering is forwarded to the caller.
+        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
     }
 }
 
@@ -263,7 +374,7 @@ impl<T: Copy> Scatter<'_, T> {
     /// SAFETY: as [`Scatter::write`] and [`Scatter::read`], for every slot
     /// of `range`.
     #[inline]
-    unsafe fn update_range(&self, range: std::ops::Range<usize>, f: impl Fn(T) -> T) {
+    unsafe fn update_range(&self, range: Range<usize>, f: impl Fn(T) -> T) {
         debug_assert!(range.end <= self.len);
         #[cfg(feature = "audit-runtime")]
         for i in range.clone() {
@@ -285,13 +396,256 @@ impl<T: Copy> Scatter<'_, T> {
 ///
 /// SAFETY: as [`Scatter::update_range`].
 #[inline]
-unsafe fn evaporate(plane: &Scatter<'_, f32>, range: std::ops::Range<usize>, p: &AcoParams) {
+unsafe fn evaporate(plane: &Scatter<'_, f32>, range: Range<usize>, p: &AcoParams) {
     // SAFETY: forwarded contract.
     unsafe {
         plane.update_range(range, |tau| {
             PheromoneField::fused_update(tau, p.tau0, p.rho, 0.0)
         })
     };
+}
+
+/// One operation of a dense step's plan: decide or resolve a row band.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Op {
+    Decide(usize),
+    Resolve(usize),
+}
+
+/// A row band's readiness flag: the 1-based number of the last step whose
+/// decide pass finished in the band. Padded so that a waiting worker's
+/// polls do not share a cache line with another band's flag.
+#[repr(align(128))]
+#[derive(Default)]
+struct Ready(AtomicU64);
+
+/// A plan's claim cursor, padded like [`Ready`].
+#[repr(align(128))]
+#[derive(Default)]
+struct Cursor(AtomicUsize);
+
+/// The row-band partition of one engine and the dense step's plan over
+/// it.
+struct Bands {
+    /// Contiguous row bands: `BANDS_PER_WORKER` per worker where the grid
+    /// is tall enough, with every band at least one row taller than the
+    /// decide halo (see [`decide_halo`]).
+    rows: Vec<Range<usize>>,
+    /// The band holding each grid row.
+    of_row: Vec<u32>,
+    /// Per band `b`: the bands whose decide must have finished before
+    /// resolve of `b` starts, `b − 1 ..= b + 1`.
+    needs: Vec<Range<usize>>,
+    /// Per band: its readiness flag.
+    ready: Vec<Ready>,
+    /// Per worker: its dense-step operations in order.
+    plans: Vec<Vec<Op>>,
+    /// Per plan: the index of its next unclaimed operation.
+    cursors: Vec<Cursor>,
+    /// Set when an operation of the current dense launch panicked.
+    aborted: AtomicBool,
+}
+
+/// How many rows away from an agent its decide reads a cell: one for the
+/// availability byte and ACO's pheromone, LEM's scan range for its ray
+/// congestion penalty.
+fn decide_halo(model: ModelKind) -> usize {
+    match model {
+        ModelKind::Lem(p) => usize::from(p.scan_range.max(1)),
+        ModelKind::Aco(_) => 1,
+    }
+}
+
+impl Bands {
+    /// The partition of `height` rows for `workers` workers under a decide
+    /// halo of `halo` rows.
+    fn new(height: usize, workers: usize, halo: usize) -> Self {
+        let count = (workers * BANDS_PER_WORKER).min(height / (halo + 1)).max(1);
+        let rows = band_ranges(height, count);
+        let mut of_row = vec![0; height];
+        for (b, r) in rows.iter().enumerate() {
+            of_row[r.clone()].fill(b as u32);
+        }
+        let needs = (0..count)
+            .map(|b| b.saturating_sub(1)..(b + 2).min(count))
+            .collect();
+        let plans = (0..workers)
+            .map(|w| {
+                let own = band_range(count, workers, w);
+                let walk: Vec<usize> = if w % 2 == 0 {
+                    own.rev().collect()
+                } else {
+                    own.collect()
+                };
+                let mut plan = Vec::with_capacity(2 * walk.len());
+                for (i, &b) in walk.iter().enumerate() {
+                    plan.push(Op::Decide(b));
+                    if i > 0 {
+                        plan.push(Op::Resolve(walk[i - 1]));
+                    }
+                }
+                plan.extend(walk.last().map(|&b| Op::Resolve(b)));
+                plan
+            })
+            .collect();
+        Self {
+            rows,
+            of_row,
+            needs,
+            ready: (0..count).map(|_| Ready::default()).collect(),
+            cursors: (0..workers).map(|_| Cursor::default()).collect(),
+            aborted: AtomicBool::new(false),
+            plans,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Publish that decide finished in band `b` at (1-based) step `step`.
+    fn publish(&self, b: usize, step: u64) {
+        // ordering: release — publishes the band's claim bytes and its
+        // finished reads of the cells its neighbours' resolves write.
+        self.ready[b].0.store(step, Ordering::Release);
+    }
+
+    /// Whether decide has published `step` in every band resolve of `b`
+    /// needs.
+    fn resolvable(&self, b: usize, step: u64) -> bool {
+        // ordering: acquire — pairs with `publish`: the claims and reads
+        // of every needed band happen before this band's resolve.
+        self.needs[b]
+            .clone()
+            .all(|x| self.ready[x].0.load(Ordering::Acquire) >= step)
+    }
+
+    /// Wait until band `b` is resolvable at `step`: spin briefly, then
+    /// yield the core between polls. `false` if the launch was aborted
+    /// first.
+    fn wait(&self, b: usize, step: u64) -> bool {
+        let mut spins = 0;
+        while !self.resolvable(b, step) {
+            // ordering: relaxed — see `claim`.
+            if self.aborted.load(Ordering::Relaxed) {
+                return false;
+            }
+            if spins < SPINS_BEFORE_YIELD {
+                spins += 1;
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+        }
+        true
+    }
+
+    /// The next operation worker `w` runs: the next of its own plan,
+    /// then, once its plan is drained, the next of the other workers'
+    /// plans in turn (`w + 1`, `w + 2`, …). `None` when every plan is
+    /// drained or the launch was aborted.
+    fn claim(&self, w: usize) -> Option<Op> {
+        let n = self.plans.len();
+        for p in (w..n).chain(0..w) {
+            // ordering: relaxed — a stop flag; the pool's end barrier
+            // publishes it together with the panic.
+            if self.aborted.load(Ordering::Relaxed) {
+                return None;
+            }
+            // ordering: relaxed — a pure claim ticket over an immutable
+            // plan; the reset before the launch is published by the pool.
+            let i = self.cursors[p].0.fetch_add(1, Ordering::Relaxed);
+            if let Some(&o) = self.plans[p].get(i) {
+                return Some(o);
+            }
+        }
+        None
+    }
+
+    /// Worker `w`'s share of a dense launch for `step`: claim operations
+    /// until every plan is drained, publishing each decide and waiting
+    /// before each resolve. Each worker claims its own plan first, and a
+    /// resolve only ever waits for decides that come earlier in its own
+    /// plan or open a neighbouring plan, so the launch cannot deadlock.
+    /// If an operation panics, the launch is aborted: no other worker
+    /// claims or starts another operation, so none waits forever and none
+    /// resolves a band whose neighbour's decide may still be running.
+    fn run_worker(&self, w: usize, step: u64, op: &(dyn Fn(Op) + Sync)) {
+        struct Abort<'a>(&'a AtomicBool);
+        impl Drop for Abort<'_> {
+            fn drop(&mut self) {
+                if std::thread::panicking() {
+                    // ordering: relaxed — see `claim`.
+                    self.0.store(true, Ordering::Relaxed);
+                }
+            }
+        }
+        let _abort = Abort(&self.aborted);
+        while let Some(o) = self.claim(w) {
+            if let Op::Resolve(b) = o {
+                if !self.wait(b, step) {
+                    return;
+                }
+            }
+            op(o);
+            if let Op::Decide(b) = o {
+                self.publish(b, step);
+            }
+        }
+    }
+
+    /// Start a dense launch: every plan undrained, nothing aborted.
+    fn reset(&mut self) {
+        for c in &mut self.cursors {
+            *c.0.get_mut() = 0;
+        }
+        *self.aborted.get_mut() = false;
+    }
+
+    /// Run a dense launch for `step` on the calling thread, one move at a
+    /// time, as the workers would: at each point a Philox stream keyed by
+    /// `(seed, launch)` picks one worker that can move — one that holds
+    /// no operation claims its next ([`Bands::claim`]), one that holds a
+    /// decide, or a resolve whose needed bands have published, runs it.
+    /// These are the explorer's interleavings of a dense launch: every
+    /// order the claim cursors and the readiness waits allow.
+    fn run_interleaved(&self, seed: u64, launch: u64, step: u64, op: &dyn Fn(Op)) {
+        let mut rng = StreamRng::new(seed, launch);
+        let mut held: Vec<Option<Op>> = vec![None; self.plans.len()];
+        let undrained = || {
+            self.cursors
+                .iter()
+                .zip(&self.plans)
+                // ordering: relaxed — single-threaded here.
+                .any(|(c, plan)| c.0.load(Ordering::Relaxed) < plan.len())
+        };
+        loop {
+            let movable: Vec<usize> = (0..held.len())
+                .filter(|&w| match held[w] {
+                    Some(Op::Resolve(b)) => self.resolvable(b, step),
+                    Some(Op::Decide(_)) => true,
+                    None => undrained(),
+                })
+                .collect();
+            if movable.is_empty() {
+                assert!(
+                    held.iter().all(Option::is_none),
+                    "dense plan deadlocked at step {step}"
+                );
+                return;
+            }
+            let w = movable[rng.bounded_u32(movable.len() as u32) as usize];
+            match held[w].take() {
+                None => held[w] = self.claim(w),
+                Some(o) => {
+                    op(o);
+                    if let Op::Decide(b) = o {
+                        self.publish(b, step);
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// The tile-parallel pooled engine.
@@ -302,10 +656,9 @@ pub struct PooledEngine {
 
 /// The pooled engine's kernel-stage executor: the same host-side world
 /// the scalar backend loops over, plus the worker pool, the per-cell
-/// claim bytes, the task partitions and one mover list per resolve
-/// band. Movement updates the world
-/// in place, so there is no second grid, scan matrix or pheromone
-/// buffer.
+/// claim bytes, the band partition and one metrics tally per band.
+/// Movement updates the world in place, so there is no second grid, scan
+/// matrix or pheromone buffer.
 struct PooledBackend {
     cfg: SimConfig,
     geom: Geometry,
@@ -321,10 +674,13 @@ struct PooledBackend {
     /// `cell + NEIGHBOR_OFFSETS[k]` targets this cell. All zero between
     /// steps — the movement pass clears every byte it reads.
     claims: Vec<AtomicU8>,
-    /// When set, every launch permutes its task issue order (row bands
-    /// or slot ranges) with a Philox schedule keyed by `(seed,
-    /// launch_counter)` — the interleaving explorer's handle into this
-    /// backend. `None` (the default) dispatches tasks in natural order.
+    /// When set, every sparse launch permutes its task issue order (slot
+    /// ranges or row bands) with a Philox schedule keyed by `(seed,
+    /// launch_counter)`, and every dense launch runs the workers' plans
+    /// in an interleaving drawn from the same key
+    /// ([`Bands::run_interleaved`]) — the interleaving explorer's handle
+    /// into this backend. `None` (the default) dispatches tasks in
+    /// natural order on the pool.
     schedule_seed: Option<u64>,
     /// Monotonic pool-launch counter: keys the per-launch permutations
     /// and feeds the launch telemetry.
@@ -333,24 +689,21 @@ struct PooledBackend {
     blocks: std::cell::Cell<u64>,
     /// Traversal mode, resolved from the configuration at build time.
     mode: IterationMode,
-    /// The row bands of the dense decide pass and of every resolve pass,
-    /// `BANDS_PER_WORKER` per worker.
-    bands: Vec<std::ops::Range<usize>>,
-    /// The band holding each grid row.
-    band_of_row: Vec<u32>,
+    /// The row bands of every resolve pass and of the dense decide.
+    bands: Bands,
     /// The sparse decide pass's slot ranges: slots `1..=n`, one
     /// contiguous range per worker.
-    slots: Vec<std::ops::Range<usize>>,
+    slots: Vec<Range<usize>>,
     /// Sparse mode only, `bins[task][band]`: the cells (linear) slot
     /// range `task` claimed this step in row band `band`, one entry per
     /// claim, so a contested cell may appear more than once. Each decide
     /// task rewrites only its own bins; the resolve task of `band` reads
     /// column `band` of every task.
     bins: Vec<Vec<Vec<u32>>>,
-    /// One list per resolve band: the slots that band moved this step,
-    /// the metrics observation's movers. Each task rewrites only its own
-    /// list, so no lock is taken.
-    movers: Vec<Vec<u32>>,
+    /// One movement tally per band, each written by its band's resolve.
+    tallies: Vec<StepTally>,
+    /// The last movement's tallies, merged in band order.
+    tally: StepTally,
 }
 
 /// Run `f` over `0..parts` on the pool, optionally permuting the issue
@@ -460,8 +813,11 @@ impl WorkSum {
 /// The read-only inputs of one step's decide pass, shared by both
 /// traversals.
 struct Decide<'a> {
-    mat: &'a Matrix<u8>,
-    pher: Option<&'a PheromoneField>,
+    mat: View<'a, u8>,
+    /// The agent index by cell (read by the dense sweep).
+    index: &'a [u32],
+    /// One pheromone plane per group (empty for LEM).
+    planes: Vec<View<'a, f32>>,
     dist: DistRef<'a>,
     /// ACO's `η^β` plane, indexed as [`DistRef::neighbor_index`].
     eta_beta: &'a [f32],
@@ -469,7 +825,6 @@ struct Decide<'a> {
     seed: u64,
     /// Counter base of the tour draws: `(step·4 + KERNEL_TOUR) << 4`.
     counter_base: u64,
-    width: usize,
     claims: &'a [AtomicU8],
 }
 
@@ -531,7 +886,7 @@ impl Decide<'_> {
                     lem_select(&row, front, fk, &p, &mut stream())?
                 }
                 ModelKind::Aco(p) => {
-                    let tf = self.pher.expect("ACO has pheromone").of(g);
+                    let tf = self.planes[g.index()];
                     let numerator = |k: usize| {
                         let (dr, dc) = NEIGHBOR_OFFSETS[k];
                         let i = self
@@ -569,13 +924,25 @@ impl Decide<'_> {
         }
         let (dr, dc) = NEIGHBOR_OFFSETS[k];
         let row = (r + dr) as usize;
-        let target = row * self.width + (c + dc) as usize;
+        let target = row * self.mat.width + (c + dc) as usize;
         // ordering: relaxed — fetch_or commutes, so only the final claim
-        // byte matters, and the launch barrier publishes it before the
-        // resolve pass reads.
+        // byte matters; the band's readiness flag (dense) or the launch
+        // barrier (sparse) publishes it before the resolve reads.
         self.claims[target].fetch_or(1 << offset_slot(-dr, -dc), Ordering::Relaxed);
         work.claimed += 1;
         Some((row, target))
+    }
+
+    /// Decide every agent standing in `rows` (the dense sweep).
+    fn rows(&self, rows: Range<usize>, work: &mut Work) {
+        let w = self.mat.width;
+        for r in rows {
+            for (c, &a) in self.index[r * w..][..w].iter().enumerate() {
+                if a != 0 {
+                    self.agent(a, self.mat.get(r, c), r, c, work);
+                }
+            }
+        }
     }
 }
 
@@ -625,21 +992,12 @@ impl PooledEngine {
         let mode = cfg.iteration.resolve(env.live_count(), h * w);
         let eta_beta = eta_beta_plane(&dist, cfg.model);
         let pool = WorkerPool::new(threads);
-        let bands = band_ranges(h, pool.workers() * BANDS_PER_WORKER);
-        let mut band_of_row = vec![0; h];
-        for (b, rows) in bands.iter().enumerate() {
-            band_of_row[rows.clone()].fill(b as u32);
-        }
         let slots = band_ranges(n, pool.workers())
             .into_iter()
             .map(|r| r.start + 1..r.end + 1)
             .collect::<Vec<_>>();
-        let bins = if mode == IterationMode::Sparse {
-            vec![vec![Vec::new(); bands.len()]; slots.len()]
-        } else {
-            Vec::new()
-        };
-        let backend = PooledBackend {
+        let mut backend = PooledBackend {
+            bands: Bands::new(h, pool.workers(), decide_halo(cfg.model)),
             cfg,
             geom,
             tour: TourLengths::new(n),
@@ -653,13 +1011,13 @@ impl PooledEngine {
             launches: std::cell::Cell::new(0),
             blocks: std::cell::Cell::new(0),
             mode,
-            movers: vec![Vec::new(); bands.len()],
-            bands,
-            band_of_row,
             slots,
-            bins,
+            bins: Vec::new(),
+            tallies: Vec::new(),
+            tally: StepTally::default(),
             env,
         };
+        backend.size_band_state();
         Self { core, backend }
     }
 
@@ -668,8 +1026,9 @@ impl PooledEngine {
         self.backend.pool.workers()
     }
 
-    /// Permute every launch's task issue order with a Philox schedule
-    /// keyed on `seed` (or restore natural order with `None`).
+    /// Run every later launch under an explorer schedule keyed on `seed`
+    /// (see the backend's `schedule_seed`), or restore natural dispatch
+    /// with `None`.
     ///
     /// Trajectories are claimed to be schedule-independent; the
     /// interleaving-exploration tests drive this knob over hundreds of
@@ -686,14 +1045,19 @@ impl PooledEngine {
     }
 
     /// Replace the model parameters mid-run (the panic-alarm extension).
-    /// A new ACO β rebuilds the `η^β` plane.
+    /// A new ACO β rebuilds the `η^β` plane, and a new LEM scan range the
+    /// band partition.
     pub fn set_model(&mut self, model: ModelKind) -> Result<(), ModelSwapError> {
         let beta = |m: ModelKind| m.aco_params().map(|p| p.beta.to_bits());
         let b = &mut self.backend;
-        let old = beta(b.cfg.model);
+        let old = b.cfg.model;
         swap_model(&mut b.cfg.model, model)?;
-        if beta(model) != old {
+        if beta(model) != beta(old) {
             b.eta_beta = eta_beta_plane(&b.dist, model);
+        }
+        if decide_halo(model) != decide_halo(old) {
+            b.bands = Bands::new(b.geom.height, b.pool.workers(), decide_halo(model));
+            b.size_band_state();
         }
         Ok(())
     }
@@ -710,8 +1074,20 @@ impl PooledEngine {
 }
 
 impl PooledBackend {
+    /// Size the per-band state (tallies, and sparse mode's bins) to the
+    /// current band partition.
+    fn size_band_state(&mut self) {
+        let bands = self.bands.len();
+        self.tallies = vec![StepTally::default(); bands];
+        self.bins = if self.mode == IterationMode::Sparse {
+            vec![vec![Vec::new(); bands]; self.slots.len()]
+        } else {
+            Vec::new()
+        };
+    }
+
     /// Count one launch of `parts` tasks and return its schedule key, if
-    /// permuted dispatch is on. Call at the *top* of a pass, before
+    /// the explorer schedule is on. Call at the *top* of a pass, before
     /// taking field borrows.
     fn next_schedule(&self, parts: usize) -> Option<(u64, u64)> {
         let launch = self.launches.get();
@@ -720,48 +1096,64 @@ impl PooledBackend {
         self.schedule_seed.map(|seed| (seed, launch))
     }
 
-    /// The decide pass (§IV.b–c fused, one launch): every live agent
-    /// picks and claims its next cell. Dense mode sweeps the row bands;
-    /// sparse mode walks the slot ranges and files each claimed cell in
-    /// its task's bin for the cell's band.
-    fn decide(&mut self, step_no: u64) -> Work {
-        let w = self.geom.width;
-        let sparse = self.mode == IterationMode::Sparse;
-        let parts = if sparse {
-            self.slots.len()
-        } else {
-            self.bands.len()
+    /// A dense step (§IV.b–d, one launch): every worker runs its plan,
+    /// deciding its bands and resolving each once its neighbours have
+    /// decided.
+    fn step_dense(&mut self, step_no: u64, metrics: Option<&mut Metrics>) -> Work {
+        let schedule = self.next_schedule(self.pool.workers());
+        self.bands.reset();
+        let resolve = Resolve::new(self, step_no, metrics);
+        // SAFETY: decide of band `b` runs before the resolves of `b − 1`,
+        // `b` and `b + 1`: `run_worker` and `run_interleaved` start a
+        // resolve only once its needed bands published this step.
+        let decide = unsafe { resolve.decide(step_no) };
+        let (bands, sum) = (resolve.bands, WorkSum::default());
+        let op = |o: Op| {
+            let mut work = Work::default();
+            match o {
+                Op::Decide(b) => decide.rows(bands.rows[b].clone(), &mut work),
+                // SAFETY: band `b`'s resolve runs once, as band `b`'s
+                // task, after its needed bands published this step.
+                Op::Resolve(b) => as_band(b, || unsafe { resolve.band(b, &mut work) }),
+            }
+            sum.add(work);
         };
+        let step = step_no + 1;
+        match schedule {
+            None => resolve
+                .pool
+                .run(bands.plans.len(), &|w| bands.run_worker(w, step, &op)),
+            Some((seed, launch)) => bands.run_interleaved(seed, launch, step, &op),
+        }
+        self.merge_tallies();
+        sum.total()
+    }
+
+    /// The sparse decide pass (§IV.b–c fused, one launch): every live
+    /// agent of each slot range picks and claims its next cell, and the
+    /// task files the claimed cell in its bin for the cell's band. Every
+    /// band is published as decided once the launch ends.
+    fn decide_sparse(&mut self, step_no: u64) -> Work {
+        let w = self.geom.width;
+        let parts = self.slots.len();
         let schedule = self.next_schedule(parts);
         let decide = Decide {
-            mat: &self.env.mat,
-            pher: self.pher.as_ref(),
+            mat: View::of(&self.env.mat),
+            index: self.env.index.as_slice(),
+            planes: self
+                .pher
+                .as_ref()
+                .map_or_else(Vec::new, |p| p.planes().iter().map(View::of).collect()),
             dist: self.dist.dist_ref(),
             eta_beta: &self.eta_beta,
             model: self.cfg.model,
             seed: self.seed,
             counter_base: (step_no * 4 + KERNEL_TOUR) << 4,
-            width: w,
             claims: &self.claims,
         };
         let sum = WorkSum::default();
-        if !sparse {
-            let (mat, index, bands) = (&self.env.mat, &self.env.index, &self.bands);
-            dispatch(&self.pool, schedule, parts, &|b| {
-                let mut work = Work::default();
-                for r in bands[b].clone() {
-                    for (c, &a) in index.row(r).iter().enumerate() {
-                        if a != 0 {
-                            decide.agent(a, mat.get(r, c), r, c, &mut work);
-                        }
-                    }
-                }
-                sum.add(work);
-            });
-            return sum.total();
-        }
         let (alive, props) = (&self.env.alive, &self.env.props);
-        let (slots, band_of_row) = (&self.slots, &self.band_of_row);
+        let (slots, band_of_row) = (&self.slots, &self.bands.of_row);
         let w32 = w as u32;
         let bins = Scatter::new(&mut self.bins);
         dispatch(&self.pool, schedule, parts, &|t| {
@@ -787,107 +1179,196 @@ impl PooledBackend {
             }
             sum.add(work);
         });
+        for b in 0..self.bands.len() {
+            self.bands.publish(b, step_no + 1);
+        }
         sum.total()
     }
 
-    /// Movement (§IV.d, one launch over the row bands): each band
-    /// evaporates its pheromone cells (ACO), then every claimed cell of
-    /// the band admits its winner, clears its claim byte, moves the
-    /// winner in place and adds the winner's deposit. Dense mode finds
-    /// the claimed cells by sweeping the band's claim bytes, sparse mode
-    /// by walking every decide task's bin for the band.
-    fn resolve(&mut self, step_no: u64) -> Work {
-        let w = self.geom.width;
-        let parts = self.bands.len();
-        let schedule = self.next_schedule(parts);
-        let (claims, bands, bins) = (&self.claims, &self.bands, &self.bins);
-        let sparse = self.mode == IterationMode::Sparse;
-        let resolve = Resolve {
-            seed: self.seed,
-            counter_base: (step_no * 4 + KERNEL_MOVE) << 4,
-            width: w,
-            aco: self.cfg.model.aco_params(),
-            ids: &self.env.props.id,
-            mat: Scatter::new(self.env.mat.as_mut_slice()),
-            index: Scatter::new(self.env.index.as_mut_slice()),
-            pos: Scatter::new(&mut self.env.props.pos),
-            tours: Scatter::new(&mut self.tour.len),
-            planes: plane_scatters(self.pher.as_mut()),
-        };
-        let movers = Scatter::new(&mut self.movers);
+    /// Sparse movement (§IV.d, one launch over the row bands): each band
+    /// resolves the claimed cells every decide task filed in its bin.
+    fn resolve_sparse(&mut self, step_no: u64, metrics: Option<&mut Metrics>) -> Work {
+        let schedule = self.next_schedule(self.bands.len());
+        let resolve = Resolve::new(self, step_no, metrics);
         let sum = WorkSum::default();
-        dispatch(&self.pool, schedule, parts, &|b| {
+        dispatch(resolve.pool, schedule, resolve.bands.len(), &|b| {
             let mut work = Work::default();
-            // SAFETY: task `b` owns mover list `b` alone.
-            let list = unsafe { movers.slot_mut(b) };
-            // Fill a local and store it back once: pushing through the
-            // shared slot would write its length into a cache line the
-            // neighbouring tasks' slots share, once per winner.
-            let mut moved = std::mem::take(list);
-            moved.clear();
-            let cells = bands[b].start * w..bands[b].end * w;
-            if let Some(p) = &resolve.aco {
-                for plane in &resolve.planes {
-                    // SAFETY: band-owned slots.
-                    unsafe { evaporate(plane, cells.clone(), p) };
-                }
-            }
-            if sparse {
-                for task_bins in bins {
-                    for &lin in &task_bins[b] {
-                        let (lin, claim) = (lin as usize, &claims[lin as usize]);
-                        // ordering: relaxed — the decide launch's end
-                        // barrier published every fetch_or; in this pass
-                        // only this band's task touches the byte, and a
-                        // duplicate entry finds it already cleared.
-                        let bits = claim.load(Ordering::Relaxed);
-                        if bits != 0 {
-                            // SAFETY: every cell in `bins[*][b]` lies in
-                            // band `b`.
-                            unsafe { resolve.admit(lin, claim, bits, &mut moved, &mut work) };
-                        }
-                    }
-                }
-            } else {
-                let first = cells.start;
-                for (i, claim) in claims[cells].iter().enumerate() {
-                    // ordering: relaxed — as above.
-                    let bits = claim.load(Ordering::Relaxed);
-                    if bits != 0 {
-                        // SAFETY: the cell lies in band `b`.
-                        unsafe { resolve.admit(first + i, claim, bits, &mut moved, &mut work) };
-                    }
-                }
-            }
-            *list = moved;
+            // SAFETY: task `b` is band `b`'s only resolve, and the decide
+            // launch has ended.
+            as_band(b, || unsafe { resolve.band(b, &mut work) });
             sum.add(work);
         });
+        self.merge_tallies();
         sum.total()
+    }
+
+    /// Merge the bands' movement tallies in band order.
+    fn merge_tallies(&mut self) {
+        self.tally = StepTally::default();
+        for t in &self.tallies {
+            self.tally.merge(t);
+        }
     }
 }
 
-/// One step's resolve pass: its draw keys and the in-place scatters
-/// every band task writes through.
+/// One step's resolve pass: its draw keys, the claims it decodes, the
+/// in-place scatters every band task writes through, and the pool it
+/// runs on.
 struct Resolve<'a> {
+    pool: &'a WorkerPool,
     seed: u64,
     /// Counter base of the winner draws: `(step·4 + KERNEL_MOVE) << 4`.
     counter_base: u64,
     width: usize,
     aco: Option<AcoParams>,
-    ids: &'a [u8],
+    bands: &'a Bands,
+    claims: &'a [AtomicU8],
+    /// Sparse mode: every decide task's bins, `bins[task][band]`.
+    bins: Option<&'a [Vec<Vec<u32>>]>,
     mat: Scatter<'a, u8>,
     index: Scatter<'a, u32>,
     pos: Scatter<'a, u32>,
     tours: Scatter<'a, f32>,
     planes: Vec<Scatter<'a, f32>>,
+    /// The arrival rule and the crossed flags it sets, when metrics are
+    /// tracked.
+    arrivals: Option<(Arrivals<'a>, Scatter<'a, bool>)>,
+    tallies: Scatter<'a, StepTally>,
+    /// The read-only inputs of the dense step's decide, taken from the
+    /// same borrow of the backend.
+    dist: DistRef<'a>,
+    eta_beta: &'a [f32],
+    model: ModelKind,
+    /// The readiness value decide publishes this step (`step + 1`).
+    #[cfg(feature = "audit-runtime")]
+    step: u64,
 }
 
-impl Resolve<'_> {
+impl<'a> Resolve<'a> {
+    fn new(b: &'a mut PooledBackend, step_no: u64, metrics: Option<&'a mut Metrics>) -> Self {
+        let sparse = b.mode == IterationMode::Sparse;
+        Self {
+            pool: &b.pool,
+            seed: b.seed,
+            counter_base: (step_no * 4 + KERNEL_MOVE) << 4,
+            width: b.geom.width,
+            aco: b.cfg.model.aco_params(),
+            bands: &b.bands,
+            claims: &b.claims,
+            bins: sparse.then_some(b.bins.as_slice()),
+            mat: Scatter::new(b.env.mat.as_mut_slice()),
+            index: Scatter::new(b.env.index.as_mut_slice()),
+            pos: Scatter::new(&mut b.env.props.pos),
+            tours: Scatter::new(&mut b.tour.len),
+            planes: plane_scatters(b.pher.as_mut()),
+            arrivals: metrics.map(|m| {
+                let (rule, crossed) = m.arrivals();
+                (rule, Scatter::new(crossed))
+            }),
+            tallies: Scatter::new(&mut b.tallies),
+            dist: b.dist.dist_ref(),
+            eta_beta: &b.eta_beta,
+            model: b.cfg.model,
+            #[cfg(feature = "audit-runtime")]
+            step: step_no + 1,
+        }
+    }
+
+    /// The dense step's decide inputs, reading the world through this
+    /// pass's scatters.
+    ///
+    /// SAFETY: (`Scatter::shared`) decide of band `b` reads cells only
+    /// within its halo, and the only writers of those cells in the pass
+    /// are the resolves of `b − 1`, `b` and `b + 1` (every band is taller
+    /// than the halo): the caller must run decide of `b` before, and
+    /// ordered before, each of them.
+    unsafe fn decide(&self, step_no: u64) -> Decide<'a> {
+        let (height, width) = (self.bands.of_row.len(), self.width);
+        // SAFETY: forwarded contract.
+        let view = |s: &Scatter<'a, u8>| View {
+            cells: unsafe { s.shared() },
+            height,
+            width,
+        };
+        Decide {
+            mat: view(&self.mat),
+            // SAFETY: forwarded contract.
+            index: unsafe { self.index.shared() },
+            planes: self
+                .planes
+                .iter()
+                .map(|p| View {
+                    // SAFETY: forwarded contract.
+                    cells: unsafe { p.shared() },
+                    height,
+                    width,
+                })
+                .collect(),
+            dist: self.dist,
+            eta_beta: self.eta_beta,
+            model: self.model,
+            seed: self.seed,
+            counter_base: (step_no * 4 + KERNEL_TOUR) << 4,
+            claims: self.claims,
+        }
+    }
+
+    /// Resolve row band `b`: evaporate its pheromone cells (ACO), then
+    /// admit the winner of every claimed cell of the band — found by
+    /// sweeping its claim bytes (dense) or by walking every decide task's
+    /// bin for the band (sparse) — and store the band's tally.
+    ///
+    /// SAFETY: only band `b`'s task may call this, once per step, after
+    /// decide has finished in every band of `needs[b]`.
+    unsafe fn band(&self, b: usize, work: &mut Work) {
+        let w = self.width;
+        let rows = &self.bands.rows[b];
+        let cells = rows.start * w..rows.end * w;
+        let mut tally = StepTally::default();
+        if let Some(p) = &self.aco {
+            for plane in &self.planes {
+                // SAFETY: band-owned slots.
+                unsafe { evaporate(plane, cells.clone(), p) };
+            }
+        }
+        if let Some(bins) = self.bins {
+            for task_bins in bins {
+                for &lin in &task_bins[b] {
+                    let (lin, claim) = (lin as usize, &self.claims[lin as usize]);
+                    // ordering: relaxed — the decide launch's end barrier
+                    // published every fetch_or; in this pass only this
+                    // band's task touches the byte, and a duplicate entry
+                    // finds it already cleared.
+                    let bits = claim.load(Ordering::Relaxed);
+                    if bits != 0 {
+                        // SAFETY: every cell in `bins[*][b]` lies in band
+                        // `b`.
+                        unsafe { self.admit(lin, claim, bits, &mut tally, work) };
+                    }
+                }
+            }
+        } else {
+            let first = cells.start;
+            for (i, claim) in self.claims[cells].iter().enumerate() {
+                // ordering: relaxed — the readiness flags of the band and
+                // its neighbours, acquired before this resolve started,
+                // published every fetch_or into it.
+                let bits = claim.load(Ordering::Relaxed);
+                if bits != 0 {
+                    // SAFETY: the cell lies in band `b`.
+                    unsafe { self.admit(first + i, claim, bits, &mut tally, work) };
+                }
+            }
+        }
+        // SAFETY: band `b` owns tally slot `b`.
+        unsafe { self.tallies.write(b, tally) };
+    }
+
     /// Admit the winner of claimed cell `lin`, whose claim byte `claim`
     /// holds the non-zero `bits`: clear the byte, draw the winner (once,
     /// and only if the cell is contested), move it in place, add its
-    /// deposit (ACO) and push it onto `moved`. Forced inline so that the
-    /// dense sweep keeps the body in its loop.
+    /// deposit (ACO) and count it into `tally`, testing it for arrival.
+    /// Forced inline so that the dense sweep keeps the body in its loop.
     ///
     /// SAFETY: `lin` must lie in the calling task's row band.
     #[inline(always)]
@@ -896,17 +1377,21 @@ impl Resolve<'_> {
         lin: usize,
         claim: &AtomicU8,
         bits: u8,
-        moved: &mut Vec<u32>,
+        tally: &mut StepTally,
         work: &mut Work,
     ) {
-        // ordering: relaxed — the next decide launch's start barrier
-        // publishes the zero.
+        // ordering: relaxed — the next step's decide starts after this
+        // launch's end barrier, which publishes the zero.
         claim.store(0, Ordering::Relaxed);
         work.contested += u64::from(bits.count_ones() > 1);
         let k = admitted(bits, self.seed, lin, self.counter_base);
         let (dr, dc) = NEIGHBOR_OFFSETS[k];
         let src = (lin as i64 + dr * self.width as i64 + dc) as usize;
-        let ids = self.ids;
+        #[cfg(feature = "audit-runtime")]
+        {
+            self.assert_ready(lin);
+            self.assert_ready(src);
+        }
         // SAFETY: claimed cells were empty at step start and the winner's
         // source cell was occupied, so `lin` and `src` belong to this
         // winner alone: no other task reads or writes them, or the
@@ -914,31 +1399,67 @@ impl Resolve<'_> {
         unsafe {
             let a = self.index.read(src);
             let ai = a as usize;
-            moved.push(a);
+            let label = self.mat.read(src);
             self.mat.write(src, CELL_EMPTY);
             self.index.write(src, 0);
-            self.mat.write(lin, ids[ai]);
+            self.mat.write(lin, label);
             self.index.write(lin, a);
             self.pos.write(ai, lin as u32);
             if let Some(p) = self.aco {
                 let l_new = self.tours.read(ai) + MOVE_LEN[k];
                 self.tours.write(ai, l_new);
-                let g = Group::from_label(ids[ai]).expect("winner has group label");
+                let g = Group::from_label(label).expect("winner has group label");
                 let plane = &self.planes[g.index()];
                 plane.write(lin, plane.read(lin) + p.q / l_new);
             }
+            tally.moved += 1;
+            if let Some((rule, crossed)) = &self.arrivals {
+                rule.test(ai, lin, crossed.slot_mut(ai), tally);
+            }
+        }
+    }
+
+    /// The readiness check of the `audit-runtime` detector: before a
+    /// resolve writes cell `cell` at `(r, c)`, decide must have published
+    /// this step in the bands of rows `r − 1 ..= r + 1`.
+    #[cfg(feature = "audit-runtime")]
+    fn assert_ready(&self, cell: usize) {
+        let (r, c) = (cell / self.width, cell % self.width);
+        let of_row = &self.bands.of_row;
+        let first = r.saturating_sub(1);
+        for (row, &b) in (first..).zip(&of_row[first..(r + 2).min(of_row.len())]) {
+            let b = b as usize;
+            // ordering: acquire — a detector read; it only has to see the
+            // flag a correctly ordered resolve has already acquired.
+            let at = self.bands.ready[b].0.load(Ordering::Acquire);
+            assert!(
+                at >= self.step,
+                "readiness: resolve wrote cell ({r}, {c}) at step {} before decide \
+                 published row {row} (band {b})",
+                self.step - 1
+            );
         }
     }
 }
 
 impl StageBackend for PooledBackend {
-    fn run_stage(&mut self, stage: Stage, step_no: u64, rec: &mut pedsim_obs::Recorder) {
+    fn run_stage(
+        &mut self,
+        stage: Stage,
+        step_no: u64,
+        rec: &mut pedsim_obs::Recorder,
+        metrics: Option<&mut Metrics>,
+    ) {
         let (launches, blocks) = (self.launches.get(), self.blocks.get());
+        let sparse = self.mode == IterationMode::Sparse;
         let work = match stage {
-            // Fused into the decide pass, which runs under InitialCalc.
+            // Dense steps run in one pass, under Movement; sparse decide
+            // fuses Init + InitialCalc + Tour under InitialCalc.
             Stage::Init | Stage::Tour => Work::default(),
-            Stage::InitialCalc => self.decide(step_no),
-            Stage::Movement => self.resolve(step_no),
+            Stage::InitialCalc if sparse => self.decide_sparse(step_no),
+            Stage::InitialCalc => Work::default(),
+            Stage::Movement if sparse => self.resolve_sparse(step_no, metrics),
+            Stage::Movement => self.step_dense(step_no, metrics),
             Stage::Lifecycle | Stage::Metrics => unreachable!("core-driven stage"),
         };
         let launches = self.launches.get() - launches;
@@ -961,8 +1482,7 @@ impl StageBackend for PooledBackend {
     }
 
     fn observe(&self, metrics: &mut Metrics) {
-        let movers = self.movers.iter().flatten().copied();
-        metrics.observe(movers, &self.env.props.pos);
+        metrics.finish_step(self.tally, &self.env.props.pos);
     }
 
     fn run_lifecycle(
@@ -1056,7 +1576,7 @@ mod tests {
             for r in 0..mat.height() {
                 for c in 0..mat.width() {
                     assert_eq!(
-                        mat_availability(mat, r, c),
+                        mat_availability(View::of(mat), r, c),
                         availability(&occ, r as i64, c as i64),
                         "{what}: cell ({r},{c})"
                     );
@@ -1410,14 +1930,17 @@ mod tests {
             let mut contested = 0;
             for step in 0..40 {
                 let b = &mut pooled.backend;
-                let work = b.decide(step);
+                let work = b.decide_sparse(step);
                 let mut entries: Vec<u32> = Vec::new();
                 for task_bins in &b.bins {
                     assert_eq!(task_bins.len(), b.bands.len());
                     for (band, bin) in task_bins.iter().enumerate() {
                         for &lin in bin {
                             let row = lin as usize / w;
-                            assert!(b.bands[band].contains(&row), "cell {lin} in bin {band}");
+                            assert!(
+                                b.bands.rows[band].contains(&row),
+                                "cell {lin} in bin {band}"
+                            );
                         }
                         entries.extend(bin);
                     }
@@ -1429,7 +1952,7 @@ mod tests {
                     .filter(|&i| b.claims[i as usize].load(Ordering::Relaxed) != 0)
                     .collect();
                 assert_eq!(entries, claimed, "step {step}");
-                contested += b.resolve(step).contested;
+                contested += b.resolve_sparse(step, None).contested;
                 assert!(
                     b.claims.iter().all(|c| c.load(Ordering::Relaxed) == 0),
                     "step {step}: claim bytes left set"
@@ -1525,5 +2048,258 @@ mod tests {
             assert_eq!(sp.of(g).as_slice(), pp.of(g).as_slice());
         }
         assert_eq!(scalar.tour_lengths(), pooled.tour_lengths());
+    }
+
+    /// A dense pooled engine and its scalar oracle on the classic corridor
+    /// of `height` rows.
+    fn corridor_pair(
+        height: usize,
+        model: ModelKind,
+        threads: usize,
+    ) -> (crate::engine::cpu::CpuEngine, PooledEngine) {
+        let env = EnvConfig::small(16, height, 2 * height).with_seed(height as u64);
+        let cfg = SimConfig::new(env, model).with_iteration_mode(IterationMode::Dense);
+        (
+            crate::engine::cpu::CpuEngine::new(cfg.clone()),
+            PooledEngine::new(cfg, threads),
+        )
+    }
+
+    /// Every band is taller than the decide halo where the grid allows
+    /// it, the bands cover the rows in order, and each worker's plan
+    /// decides and then resolves each of its own bands exactly once,
+    /// never resolving a band before deciding it.
+    #[test]
+    fn bands_are_taller_than_the_halo_and_plans_cover_them() {
+        for height in [1, 2, 3, 5, 7, 12, 20, 61] {
+            for workers in 1..=5 {
+                for halo in 1..=3 {
+                    let bands = Bands::new(height, workers, halo);
+                    let what = format!("h{height} t{workers} halo {halo}");
+                    assert_eq!(bands.rows, band_ranges(height, bands.len()), "{what}");
+                    if height > halo {
+                        assert!(
+                            bands.rows.iter().all(|r| r.len() > halo),
+                            "{what}: {:?}",
+                            bands.rows
+                        );
+                    }
+                    let mut decided = vec![0; bands.len()];
+                    let mut resolved = vec![0; bands.len()];
+                    for (w, plan) in bands.plans.iter().enumerate() {
+                        for op in plan {
+                            match *op {
+                                Op::Decide(b) => decided[b] += 1,
+                                Op::Resolve(b) => {
+                                    assert_eq!(decided[b], 1, "{what}: w{w} resolves {b} early");
+                                    resolved[b] += 1;
+                                }
+                            }
+                        }
+                    }
+                    assert!(decided.iter().chain(&resolved).all(|&n| n == 1), "{what}");
+                }
+            }
+        }
+    }
+
+    /// The dense pipeline matches the scalar oracle step for step at one
+    /// to four threads on corridors short enough that four bands per
+    /// worker would leave bands of fewer than two rows, under ACO, LEM
+    /// and LEM with a scan range of 3 (a three-row decide halo).
+    #[test]
+    fn dense_pipeline_matches_scalar_on_short_bands() {
+        let lem3 = ModelKind::Lem(crate::params::LemParams {
+            scan_range: 3,
+            ..crate::params::LemParams::default()
+        });
+        for height in [5, 7, 12, 20] {
+            for model in [ModelKind::aco(), ModelKind::lem(), lem3] {
+                for threads in 1..=4 {
+                    let (mut scalar, mut pooled) = corridor_pair(height, model, threads);
+                    for step in 0..30 {
+                        scalar.step();
+                        pooled.step();
+                        let what = format!(
+                            "h{height} {} scan {} t{threads} step {step}",
+                            model.name(),
+                            decide_halo(model)
+                        );
+                        assert_same_state(&scalar, &pooled, &what);
+                    }
+                    let (ms, mp) = (scalar.metrics().unwrap(), pooled.metrics().unwrap());
+                    assert_eq!(ms.throughput(), mp.throughput());
+                    assert_eq!(ms.total_moves, mp.total_moves);
+                }
+            }
+        }
+    }
+
+    /// A mid-run scan-range change widens the decide halo: the band
+    /// partition is rebuilt and pooled stays equal to the scalar oracle.
+    #[test]
+    fn scan_range_change_mid_run_rebuilds_the_bands() {
+        let wide = ModelKind::Lem(crate::params::LemParams {
+            scan_range: 4,
+            ..crate::params::LemParams::default()
+        });
+        let (mut scalar, mut pooled) = corridor_pair(24, ModelKind::lem(), 3);
+        assert_eq!(pooled.backend.bands.len(), 12);
+        for step in 0..30 {
+            if step == 10 {
+                scalar.set_model(wide).unwrap();
+                pooled.set_model(wide).unwrap();
+                assert_eq!(pooled.backend.bands.len(), 4);
+            }
+            scalar.step();
+            pooled.step();
+            assert_same_state(&scalar, &pooled, &format!("step {step}"));
+        }
+    }
+
+    fn mat_hash(e: &PooledEngine) -> u64 {
+        pedsim_obs::hash::Fnv64::new()
+            .bytes(e.mat_snapshot().as_slice())
+            .finish()
+    }
+
+    /// A dense LEM doorway jam on two workers with the wait of resolve of
+    /// band 3 (worker 0's first band) on decide of band 4 (worker 1's
+    /// first) dropped when `drop_wait` is set, run for 20 steps under the
+    /// explorer schedule `seed`. Returns the final state's hash, or
+    /// `None` if a check panicked.
+    fn dropped_wait_run(seed: u64, drop_wait: bool) -> Option<u64> {
+        let (_, mut pooled) = doorway_pair(ModelKind::lem(), IterationMode::Dense, 2);
+        let bands = &mut pooled.backend.bands;
+        assert_eq!((bands.len(), bands.needs[3].clone()), (8, 2..5));
+        assert_eq!(bands.plans[1][0], Op::Decide(4));
+        if drop_wait {
+            bands.needs[3] = 2..4;
+        }
+        pooled.set_schedule_seed(Some(seed));
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pooled.run(20);
+            mat_hash(&pooled)
+        }))
+        .ok()
+    }
+
+    /// The seeded mis-ordering: with one readiness wait dropped, resolve
+    /// of band 3 may run before decide of band 4 has claimed into it, and
+    /// the explorer's interleavings find a schedule that diverges (in a
+    /// debug or `audit-runtime` build, a check panics first). With the
+    /// wait in place every schedule agrees with natural dispatch.
+    #[test]
+    fn explorer_catches_a_dropped_readiness_wait() {
+        use simt::exec::explore::explore;
+        let (_, mut natural) = doorway_pair(ModelKind::lem(), IterationMode::Dense, 2);
+        natural.run(20);
+        let golden = Some(mat_hash(&natural));
+        let explored = explore(0..40u64, |seed| dropped_wait_run(seed, false))
+            .expect("the full wait set is schedule-independent");
+        assert_eq!(explored, golden);
+        let err = explore(0..40u64, |seed| dropped_wait_run(seed, true))
+            .expect_err("a dropped wait must be schedule-dependent");
+        assert!(err.agreed >= 1);
+    }
+
+    /// The same mis-ordering, caught by the `audit-runtime` readiness
+    /// check: some explorer schedule makes resolve write a cell whose
+    /// neighbouring row decide has not yet published.
+    #[cfg(feature = "audit-runtime")]
+    #[test]
+    fn readiness_check_catches_a_dropped_wait() {
+        let caught = (0..40u64).find(|&seed| {
+            let (_, mut pooled) = doorway_pair(ModelKind::lem(), IterationMode::Dense, 2);
+            pooled.backend.bands.needs[3] = 2..4;
+            pooled.set_schedule_seed(Some(seed));
+            let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pooled.run(20)));
+            res.err().is_some_and(|payload| {
+                let msg = payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .unwrap_or_default();
+                assert!(msg.contains("readiness"), "unexpected panic: {msg}");
+                true
+            })
+        });
+        assert!(caught.is_some(), "no schedule tripped the readiness check");
+    }
+
+    /// The readiness check stays silent on correctly ordered runs: the
+    /// dense pipeline on real threads and under explorer schedules, and
+    /// the sparse launches, on the doorway jam.
+    #[cfg(feature = "audit-runtime")]
+    #[test]
+    fn readiness_check_accepts_ordered_runs() {
+        for mode in [IterationMode::Dense, IterationMode::Sparse] {
+            for schedule in [None, Some(3)] {
+                for threads in [2, 3, 4] {
+                    let (mut scalar, mut pooled) = doorway_pair(ModelKind::aco(), mode, threads);
+                    pooled.set_schedule_seed(schedule);
+                    scalar.run(25);
+                    pooled.run(25);
+                    assert_same_state(&scalar, &pooled, &format!("{mode:?} t{threads}"));
+                }
+            }
+        }
+    }
+
+    /// A worker that has drained its own plan claims the next operations
+    /// of another's: worker 1 blocks in resolve of band 6 until resolve
+    /// of band 7, the last operation of its own plan, has run, so only
+    /// worker 0 claiming it can finish the launch.
+    #[test]
+    fn a_drained_worker_claims_operations_of_another_plan() {
+        use std::sync::atomic::AtomicBool;
+        let pool = WorkerPool::new(2);
+        let mut bands = Bands::new(32, 2, 1);
+        assert_eq!(bands.plans[1].last(), Some(&Op::Resolve(7)));
+        for step in 1..=20 {
+            bands.reset();
+            let ran_7 = AtomicBool::new(false);
+            let start = std::time::Instant::now();
+            let op = |o: Op| match o {
+                Op::Resolve(6) => {
+                    // ordering: acquire — pairs with the release below.
+                    while !ran_7.load(Ordering::Acquire) {
+                        assert!(
+                            start.elapsed().as_secs() < 10,
+                            "resolve of band 7 never ran"
+                        );
+                        std::thread::yield_now();
+                    }
+                }
+                // ordering: release — publishes the run to resolve of 6.
+                Op::Resolve(7) => ran_7.store(true, Ordering::Release),
+                _ => {}
+            };
+            pool.run(2, &|w| bands.run_worker(w, step, &op));
+            assert!((0..8).all(|b| bands.resolvable(b, step)));
+        }
+    }
+
+    /// A panicking operation aborts the dense launch instead of hanging
+    /// it: the workers waiting on the band whose decide panicked stop, and
+    /// the pool re-raises the panic; the next launch runs clean.
+    #[test]
+    fn a_panicking_operation_aborts_the_dense_launch() {
+        let pool = WorkerPool::new(3);
+        let mut bands = Bands::new(36, 3, 1);
+        bands.reset();
+        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.run(3, &|w| {
+                bands.run_worker(w, 1, &|o| {
+                    if o == Op::Decide(4) {
+                        panic!("decide fault");
+                    }
+                })
+            });
+        }));
+        let payload = res.expect_err("the panic reaches the launching thread");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"decide fault"));
+        bands.reset();
+        pool.run(3, &|w| bands.run_worker(w, 2, &|_| {}));
+        assert!((0..bands.len()).all(|b| bands.resolvable(b, 2)));
     }
 }

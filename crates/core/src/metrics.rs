@@ -118,6 +118,54 @@ impl Geometry {
     }
 }
 
+/// One step's movement count and new arrivals per group, before the
+/// serial tail of an observation ([`Metrics::finish_step`]) folds it in.
+/// A parallel movement pass keeps one per task and merges them in task
+/// order.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct StepTally {
+    /// Agents that changed cell.
+    pub moved: u32,
+    /// New arrivals per group index.
+    pub arrived: [u32; MAX_GROUPS],
+}
+
+impl StepTally {
+    /// Add `other`'s counts to this tally.
+    pub fn merge(&mut self, other: &StepTally) {
+        self.moved += other.moved;
+        for (a, b) in self.arrived.iter_mut().zip(other.arrived) {
+            *a += b;
+        }
+    }
+}
+
+/// The arrival rule: a live agent arrives when it first stands on a cell
+/// of its group's target mask, and the arrival is sticky. Borrowed from
+/// [`Metrics::arrivals`].
+#[derive(Clone, Copy)]
+pub struct Arrivals<'a> {
+    geom: &'a Geometry,
+    targets: &'a [u8],
+}
+
+impl Arrivals<'_> {
+    /// Test the live slot `i`, standing at linear `cell`, whose sticky
+    /// flag is `crossed`: on a new arrival set the flag and count it into
+    /// `tally`.
+    #[inline]
+    pub fn test(&self, i: usize, cell: usize, crossed: &mut bool, tally: &mut StepTally) {
+        if *crossed {
+            return;
+        }
+        let g = self.geom.group_of(i);
+        if self.targets[cell] & g.target_bit() != 0 {
+            *crossed = true;
+            tally.arrived[g.index()] += 1;
+        }
+    }
+}
+
 /// Running simulation metrics.
 #[derive(Debug, Clone)]
 pub struct Metrics {
@@ -211,30 +259,62 @@ impl Metrics {
     /// slot at the first observation, spawned slots after that) can
     /// newly arrive, so only they are tested: the cost is O(movers + newly
     /// placed), not O(slots).
+    ///
+    /// This is [`Arrivals::test`] over the movers, then
+    /// [`Metrics::finish_step`]. A parallel movement pass may instead
+    /// apply the rule itself, each task to its own movers, and hand the
+    /// merged [`StepTally`] to the tail.
     pub fn observe(&mut self, movers: impl IntoIterator<Item = u32>, pos: &[u32]) {
-        let mut moved = 0usize;
-        let mut crossings = 0u32;
+        let mut tally = StepTally::default();
+        let rule = Arrivals {
+            geom: &self.geom,
+            targets: self.targets.as_slice(),
+        };
         for i in movers {
-            debug_assert!(self.live[i as usize], "mover {i} is not live");
-            moved += 1;
-            crossings += self.arrive(i as usize, pos);
+            let i = i as usize;
+            debug_assert!(self.live[i], "mover {i} is not live");
+            tally.moved += 1;
+            rule.test(i, pos[i] as usize, &mut self.crossed[i], &mut tally);
         }
-        if std::mem::take(&mut self.fresh) {
-            for i in 1..=self.geom.total_agents() {
-                if self.live[i] {
-                    crossings += self.arrive(i, pos);
-                }
-            }
-        }
-        let mut pending = std::mem::take(&mut self.pending);
-        for &i in &pending {
+        self.finish_step(tally, pos);
+    }
+
+    /// The arrival rule and the sticky per-slot crossed flags it sets
+    /// (index 0 unused), borrowed apart so that a movement pass can hand
+    /// each task the flags of the movers it moves.
+    pub fn arrivals(&mut self) -> (Arrivals<'_>, &mut [bool]) {
+        let rule = Arrivals {
+            geom: &self.geom,
+            targets: self.targets.as_slice(),
+        };
+        (rule, &mut self.crossed)
+    }
+
+    /// The serial tail of an observation: take the step's movers already
+    /// counted into `tally` (their arrivals applied to the crossed flags),
+    /// test the newly placed agents at their cells in `pos`, and advance
+    /// the per-step windows.
+    pub fn finish_step(&mut self, mut tally: StepTally, pos: &[u32]) {
+        let rule = Arrivals {
+            geom: &self.geom,
+            targets: self.targets.as_slice(),
+        };
+        let (live, crossed) = (&self.live, &mut self.crossed);
+        let mut placed = |i: usize| {
             // A slot can be spawned and drained again before it is seen.
-            if self.live[i as usize] {
-                crossings += self.arrive(i as usize, pos);
+            if live[i] {
+                rule.test(i, pos[i] as usize, &mut crossed[i], &mut tally);
             }
+        };
+        if std::mem::take(&mut self.fresh) {
+            (1..=self.geom.total_agents()).for_each(&mut placed);
         }
-        pending.clear();
-        self.pending = pending;
+        self.pending.drain(..).for_each(|i| placed(i as usize));
+        let crossings: u32 = tally.arrived.iter().sum();
+        for (count, n) in self.crossed_per_group.iter_mut().zip(tally.arrived) {
+            *count += n;
+        }
+        let moved = tally.moved as usize;
         self.moved_last_step = moved;
         if self.moved_recent.len() == MAX_GRIDLOCK_PATIENCE as usize {
             self.moved_recent.pop_front();
@@ -258,21 +338,6 @@ impl Metrics {
         self.live_recent.push_back(self.live_count as u32);
         self.total_moves += moved as u64;
         self.steps += 1;
-    }
-
-    /// Test the live slot `i` for a new arrival at its cell `pos[i]`;
-    /// returns 1 when it newly arrived (sticky), else 0.
-    fn arrive(&mut self, i: usize, pos: &[u32]) -> u32 {
-        if self.crossed[i] {
-            return 0;
-        }
-        let g = self.geom.group_of(i);
-        let arrived = self.targets.as_slice()[pos[i] as usize] & g.target_bit() != 0;
-        if arrived {
-            self.crossed[i] = true;
-            self.crossed_per_group[g.index()] += 1;
-        }
-        u32::from(arrived)
     }
 
     /// Record that the lifecycle removed the agent in slot `i` at its sink

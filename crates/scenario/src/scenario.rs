@@ -764,6 +764,9 @@ impl ScenarioBuilder {
         // pairwise disjointness check is O(total cells). Indexing is safe:
         // each region passed `check_region` first.
         let mut earlier_spawns = vec![false; w * h];
+        // One flag per cell of the current group's target, set only while
+        // its source is checked (allocated for open worlds only).
+        let mut in_target = Vec::new();
         let cell_index = |&(r, c): &(u16, u16)| r as usize * w + c as usize;
         for (gi, slot) in self.slots.iter().enumerate() {
             let spawn = slot.spawn.clone().ok_or(ScenarioError::MissingSpawn(gi))?;
@@ -832,13 +835,24 @@ impl ScenarioBuilder {
                     });
                 }
                 // A source cell inside the group's own sink would despawn
-                // its arrivals the step after they appear.
-                if let Some(&cell) = source
+                // its arrivals the step after they appear. The target's
+                // cells are flagged, checked against and then cleared, so
+                // the check is O(source + target).
+                if in_target.is_empty() {
+                    in_target = vec![false; w * h];
+                }
+                for c in target.cells() {
+                    in_target[cell_index(c)] = true;
+                }
+                let overlap = source
                     .region
                     .cells()
                     .iter()
-                    .find(|&&(r, c)| target.contains(r, c))
-                {
+                    .find(|c| in_target[cell_index(c)]);
+                for c in target.cells() {
+                    in_target[cell_index(c)] = false;
+                }
+                if let Some(&cell) = overlap {
                     return Err(ScenarioError::SourceOverlap {
                         with: "the group's own target region",
                         cell,
@@ -902,6 +916,43 @@ mod tests {
             .seed(5)
             .build()
             .expect("valid")
+    }
+
+    /// A source cell inside the group's own target is a typed error
+    /// naming the first such source cell; another group's target is no
+    /// obstacle, so the target flags of one group's check do not leak
+    /// into the next group's.
+    #[test]
+    fn source_inside_its_own_target_is_rejected_at_its_first_cell() {
+        let open = |top_source: Region, bottom_source: Region| {
+            Scenario::builder("t", 16, 16)
+                .spawn(Group::TOP, Region::row_band(0, 3, 16))
+                .spawn(Group::BOTTOM, Region::row_band(13, 3, 16))
+                .target(Group::TOP, Region::row_band(13, 3, 16))
+                .target(Group::BOTTOM, Region::row_band(0, 3, 16))
+                .agents_per_side(20)
+                .source(Group::TOP, top_source, 1.0)
+                .source(Group::BOTTOM, bottom_source, 1.0)
+                .build()
+        };
+        let err = open(Region::rect(12, 4, 3, 2), Region::rect(14, 0, 1, 4)).unwrap_err();
+        assert_eq!(
+            err,
+            ScenarioError::SourceOverlap {
+                with: "the group's own target region",
+                cell: (13, 4),
+            }
+        );
+        // Top's source lies in bottom's target and bottom's in top's.
+        open(Region::rect(1, 0, 1, 16), Region::rect(14, 0, 1, 16)).expect("valid");
+        let err = open(Region::rect(1, 0, 1, 4), Region::rect(0, 9, 2, 2)).unwrap_err();
+        assert_eq!(
+            err,
+            ScenarioError::SourceOverlap {
+                with: "the group's own target region",
+                cell: (0, 9),
+            }
+        );
     }
 
     #[test]

@@ -35,38 +35,50 @@ fn trajectory_hash(e: &impl Engine) -> u64 {
     fnv1a(bytes)
 }
 
-/// 300 permuted schedules per model, every one bit-identical to scalar.
+/// 300 explorer schedules per model and traversal mode, every one
+/// bit-identical to scalar. Sparse schedules permute every launch's task
+/// issue order; dense ones interleave the workers' band plans as the
+/// readiness waits allow.
 #[test]
 fn pooled_is_schedule_independent_across_300_interleavings() {
+    use pedsim::core::engine::pooled::PooledEngine;
     for model in [ModelKind::lem(), ModelKind::aco()] {
         let mut scalar = cpu_engine_small(20, 20, 24, model, 77);
         scalar.run(15);
         let golden = trajectory_hash(&scalar);
+        for mode in [IterationMode::Sparse, IterationMode::Dense] {
+            let pooled = |threads: usize| {
+                let env = EnvConfig::small(20, 20, 24).with_seed(77);
+                let cfg = SimConfig::new(env, model)
+                    .with_checked(true)
+                    .with_iteration_mode(mode);
+                PooledEngine::new(cfg, threads)
+            };
+            let label = format!("{} {}", model.name(), mode.name());
+            let explored = explore(0..150u64, |seed| {
+                let mut pooled = pooled(3);
+                pooled.set_schedule_seed(Some(seed));
+                pooled.run(15);
+                trajectory_hash(&pooled)
+            })
+            .unwrap_or_else(|d| panic!("{label}: schedule divergence: {d}"));
+            assert_eq!(
+                explored, golden,
+                "{label}: permuted pooled trajectories diverged from scalar"
+            );
 
-        let explored = explore(0..150u64, |seed| {
-            let mut pooled = pooled_engine_small(20, 20, 24, model, 77, 3);
-            pooled.set_schedule_seed(Some(seed));
-            pooled.run(15);
-            trajectory_hash(&pooled)
-        })
-        .unwrap_or_else(|d| panic!("{}: schedule divergence: {d}", model.name()));
-        assert_eq!(
-            explored,
-            golden,
-            "{}: permuted pooled trajectories diverged from scalar",
-            model.name()
-        );
-
-        // Same budget again at a different thread count: the schedule
-        // space depends on `parts`, so this explores fresh interleavings.
-        let explored = explore(150..300u64, |seed| {
-            let mut pooled = pooled_engine_small(20, 20, 24, model, 77, 5);
-            pooled.set_schedule_seed(Some(seed));
-            pooled.run(15);
-            trajectory_hash(&pooled)
-        })
-        .unwrap_or_else(|d| panic!("{}: schedule divergence at 5 threads: {d}", model.name()));
-        assert_eq!(explored, golden, "{}: 5-thread divergence", model.name());
+            // Same budget again at a different thread count: the schedule
+            // space depends on the task and worker counts, so this
+            // explores fresh interleavings.
+            let explored = explore(150..300u64, |seed| {
+                let mut pooled = pooled(5);
+                pooled.set_schedule_seed(Some(seed));
+                pooled.run(15);
+                trajectory_hash(&pooled)
+            })
+            .unwrap_or_else(|d| panic!("{label}: schedule divergence at 5 threads: {d}"));
+            assert_eq!(explored, golden, "{label}: 5-thread divergence");
+        }
     }
 }
 
