@@ -814,7 +814,8 @@ impl WorkSum {
 /// traversals.
 struct Decide<'a> {
     mat: View<'a, u8>,
-    /// The agent index by cell (read by the dense sweep).
+    /// The agent index by cell: the dense sweep reads a slot from it only
+    /// for an agent that opens a stream.
     index: &'a [u32],
     /// One pheromone plane per group (empty for LEM).
     planes: Vec<View<'a, f32>>,
@@ -829,7 +830,8 @@ struct Decide<'a> {
 }
 
 impl Decide<'_> {
-    /// Decide the group-`label` agent `a` standing at `(r, c)`: pick its
+    /// Decide the group-`label` agent standing at `(r, c)`, whose slot
+    /// `a` yields (only called when the agent opens a stream): pick its
     /// next cell exactly as the scalar initial-calc + tour kernels do and
     /// claim it, counting into `work`. Returns the claimed cell's row and
     /// linear index (the row files sparse claims under their band without
@@ -847,7 +849,7 @@ impl Decide<'_> {
     #[inline]
     fn agent(
         &self,
-        a: u32,
+        a: impl Fn() -> u32,
         label: u8,
         r: usize,
         c: usize,
@@ -873,7 +875,7 @@ impl Decide<'_> {
             } else {
                 CELL_WALL
             };
-            let stream = || StreamRng::with_offset(self.seed, u64::from(a), self.counter_base);
+            let stream = || StreamRng::with_offset(self.seed, u64::from(a()), self.counter_base);
             match self.model {
                 ModelKind::Lem(_) if avail.count_ones() == 1 => {
                     work.settled += 1;
@@ -933,13 +935,15 @@ impl Decide<'_> {
         Some((row, target))
     }
 
-    /// Decide every agent standing in `rows` (the dense sweep).
+    /// Decide every agent standing in `rows` (the dense sweep). Agents are
+    /// found in `mat`, one byte a cell, rather than in the four-byte
+    /// `index`, which about four in five agents never need.
     fn rows(&self, rows: Range<usize>, work: &mut Work) {
         let w = self.mat.width;
         for r in rows {
-            for (c, &a) in self.index[r * w..][..w].iter().enumerate() {
-                if a != 0 {
-                    self.agent(a, self.mat.get(r, c), r, c, work);
+            for (c, &label) in self.mat.cells[r * w..][..w].iter().enumerate() {
+                if label != CELL_EMPTY && label != CELL_WALL {
+                    self.agent(|| self.index[r * w + c], label, r, c, work);
                 }
             }
         }
@@ -1172,7 +1176,8 @@ impl PooledBackend {
                 let p = props.pos[ai];
                 let r = p / w32;
                 let (r, c) = (r as usize, (p - r * w32) as usize);
-                if let Some((row, target)) = decide.agent(ai as u32, props.id[ai], r, c, &mut work)
+                if let Some((row, target)) =
+                    decide.agent(|| ai as u32, props.id[ai], r, c, &mut work)
                 {
                     bins[band_of_row[row] as usize].push(target as u32);
                 }
