@@ -420,7 +420,7 @@ pub fn ladder_mode(job: &Job) -> &'static str {
 ///
 /// * movement everywhere;
 /// * the paper's four kernel stages on `scalar` and `simt` (`pooled`
-///   files its two passes under `initial_calc` and `movement` only);
+///   files its whole step, in both modes, under `movement` only);
 /// * metrics where the job tracks them;
 /// * the lifecycle on open worlds — a silently-unconstructed lifecycle
 ///   must fail the gate, not ship a zero column.

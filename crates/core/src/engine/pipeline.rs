@@ -76,9 +76,8 @@ pub const GRIDLOCK_EVENT_THRESHOLD: f64 = 0.5;
 ///
 /// A backend may fuse consecutive kernels into one pass: it runs the
 /// pass under one stage and leaves the others empty, so their timings
-/// read (near) zero. The pooled backend runs a dense step as one pass
-/// under [`Stage::Movement`], and a sparse step's Init + InitialCalc +
-/// Tour as one decide pass under [`Stage::InitialCalc`].
+/// read (near) zero. The pooled backend runs its whole step, in both
+/// traversal modes, as one launch under [`Stage::Movement`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
     /// Supporting initialisation (§IV.e): clear the scan matrix and the
@@ -233,8 +232,11 @@ pub trait StageBackend {
     /// Execute one kernel stage of step `step_no` (0-based). Only ever
     /// called with members of [`Stage::KERNELS`], in that order. `rec`
     /// is the engine's telemetry recorder; backends with launch machinery
-    /// (the GPU) feed their per-kernel launch statistics into it, the CPU
-    /// has nothing to add (its keys stay pre-registered at zero).
+    /// (the GPU, the pool) feed their per-kernel launch statistics into
+    /// it, the CPU has nothing to add (its keys stay pre-registered at
+    /// zero). A backend that fuses kernels runs the fused pass under one
+    /// stage and returns at once from the others: `pooled` runs its
+    /// whole step, in both traversal modes, under [`Stage::Movement`].
     /// `metrics` is the engine's metrics when tracking is on; a backend
     /// may apply the arrival rule ([`Metrics::arrivals`]) to its movers
     /// during movement instead of in [`StageBackend::observe`].
@@ -552,25 +554,17 @@ mod tests {
         assert_eq!(tc.gauge("sim.live"), Some(40.0));
     }
 
-    /// The pooled backend's launch telemetry pins its pass structure,
-    /// whatever the model: a dense step is one launch with one item per
-    /// worker, filed under movement; a sparse step is a decide launch over
-    /// one slot range per worker and a resolve launch over `workers ×
-    /// BANDS_PER_WORKER` row bands.
+    /// The pooled backend's launch telemetry pins its step structure,
+    /// whatever the model and traversal mode: a step is one launch with
+    /// one item per worker, filed under movement.
     #[test]
-    fn pooled_launches_one_decide_and_one_resolve_pass_per_step() {
-        use crate::engine::pooled::{PooledEngine, BANDS_PER_WORKER};
+    fn pooled_launches_once_per_step_in_both_modes() {
+        use crate::engine::pooled::PooledEngine;
         let (workers, steps) = (2, 8);
-        let bands = workers * BANDS_PER_WORKER as u64;
+        // (launches, tasks per launch) of each kernel stage, per step.
+        let per_step = [(0, 0), (0, 0), (0, 0), (1, workers)];
         for model in [ModelKind::lem(), ModelKind::aco()] {
-            // (launches, tasks per launch) of each kernel stage, per step.
-            for (mode, per_step) in [
-                (IterationMode::Dense, [(0, 0), (0, 0), (0, 0), (1, workers)]),
-                (
-                    IterationMode::Sparse,
-                    [(0, 0), (1, workers), (0, 0), (1, bands)],
-                ),
-            ] {
+            for mode in [IterationMode::Dense, IterationMode::Sparse] {
                 let env = pedsim_grid::EnvConfig::small(24, 24, 20).with_seed(3);
                 let cfg = SimConfig::new(env, model).with_iteration_mode(mode);
                 let mut e = PooledEngine::new(cfg, workers as usize);

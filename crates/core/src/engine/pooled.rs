@@ -3,9 +3,9 @@
 //!
 //! A multi-threaded host engine on the `simt` [`WorkerPool`]: the grid is
 //! partitioned into contiguous row bands ([`band_ranges`], the pool's own
-//! split, so band `b` belongs to the same worker in every pass) — or, for
-//! the sparse decide pass, the agent slots `1..=n` into one contiguous
-//! slot range per worker — and every pass runs with **conflict-free
+//! split, so band `b` belongs to the same worker in every step) — and,
+//! for the sparse traversal, the agent slots `1..=n` into one contiguous
+//! slot range per worker — and every operation runs with **conflict-free
 //! writes**: each output slot is written by exactly one task, so no locks
 //! are held in any hot loop.
 //!
@@ -16,7 +16,7 @@
 //! [`gather_winner`](crate::model::gather_winner): scan the 8
 //! neighbours in slot order, collect the agents whose FUTURE is this
 //! cell, draw one with the *cell's* RNG stream. The pooled backend
-//! reaches the identical trajectory with two operations per row band:
+//! reaches the identical trajectory with two kinds of operation:
 //!
 //! 1. **Decide** (init + initial calculation + tour, fused): each agent
 //!    reads its front cell, scores its neighbourhood only when the
@@ -27,17 +27,17 @@
 //!    `fetch_or` is commutative, so the byte is schedule-independent.
 //!    Neither a scan row nor a FUTURE cell is stored, and only empty
 //!    cells are claimed.
-//! 2. **Resolve** (movement): the band evaporates its pheromone cells
-//!    (ACO), then every cell of the band with a non-zero claim byte
-//!    decodes it: the set bits, read in ascending order, are exactly the
-//!    candidate list `gather_winner` builds in slot order, and the winner
-//!    is drawn once with the same `(seed, cell, salt)` stream. The cell
-//!    clears its byte for the next step, moves its winner **in place**
-//!    (the winner's label is read from its source cell before that cell
-//!    is cleared) and adds the winner's deposit. Claimed cells were
-//!    empty when the step began and every winner's source cell was
-//!    occupied, so no two winners touch the same cell. The band also
-//!    applies the metrics' arrival rule to its winners
+//! 2. **Resolve** (movement) of a row band: the band evaporates its
+//!    pheromone cells (ACO), then every cell of the band with a non-zero
+//!    claim byte decodes it: the set bits, read in ascending order, are
+//!    exactly the candidate list `gather_winner` builds in slot order,
+//!    and the winner is drawn once with the same `(seed, cell, salt)`
+//!    stream. The cell clears its byte for the next step, moves its
+//!    winner **in place** (the winner's label is read from its source
+//!    cell before that cell is cleared) and adds the winner's deposit.
+//!    Claimed cells were empty when the step began and every winner's
+//!    source cell was occupied, so no two winners touch the same cell.
+//!    The band also applies the metrics' arrival rule to its winners
 //!    ([`Metrics::arrivals`]) and counts them into its own
 //!    [`StepTally`]; the tallies are merged in band order, so the
 //!    metrics are deterministic by construction and only the serial tail
@@ -45,57 +45,58 @@
 //!    and then adding the deposit is bit-equal to the scalar fused update
 //!    because `max((1-ρ)τ, τ₀) + 0.0` is exact.
 //!
-//! ## Dense steps: one pool launch, band-pipelined
+//! ## One pool launch per step
 //!
-//! Resolve of band `b` reads and writes only cells within one row of the
-//! band, and decide reads only cells within its halo (one row, or LEM's
-//! scan range) of its agents. So, with every band at least `halo + 1`
-//! rows tall, resolve of `b` may start as soon as decide has finished in
-//! bands `b − 1`, `b` and `b + 1`:
-//! - claims into `b` come only from agents in adjacent rows;
-//! - resolve writes source cells in `b ± 1`, which those bands' decide
-//!   reads;
-//! - ACO decide reads pheromone in `b ± 1`, which those bands' resolve
-//!   deposits;
-//! - no band further away reads or writes a cell resolve of `b` touches.
+//! Every step, in both traversal modes, is **one** pool launch with one
+//! item per worker, scheduled by [`Bands`]: worker `w` runs its plan, a
+//! list of decide and resolve operations. Each decide publishes "decided
+//! at step `t`" in its own readiness flag (one `AtomicU64` per decide,
+//! release; the value only grows, so it is never reset), and each resolve
+//! of band `b` first waits (acquire) for the flags of the decides
+//! `needs[b]` names, spinning briefly and then yielding the core. The
+//! two modes differ only in what a decide walks and so in the plans:
 //!
-//! A dense step is therefore **one** pool launch with one item per
-//! worker. Worker `w` walks its own contiguous run of bands — even
-//! workers from their last band up the grid, odd workers from their first
-//! band down, so two neighbouring workers meet at a shared edge either
-//! first or last — deciding band `b` and then resolving the band it
-//! decided just before. Each decide publishes "decided at step `t`" in its
-//! band's readiness flag (one `AtomicU64` per band, release; the value
-//! only grows, so it is never reset), and each resolve first waits
-//! (acquire) for the flags of its neighbours. A worker's interior bands
-//! never wait; only the bands at its edges wait on a neighbouring worker,
-//! spinning briefly and then yielding the core. The workers claim the
-//! operations of their plans from one cursor per plan, and a worker that
-//! has drained its own plan claims the next operations of the others',
-//! so a worker the host stalls does not hold up the whole step. A resolve
-//! only waits for decides earlier in its own plan or at the start or end
-//! of a neighbouring plan, and every worker claims its own plan first, so
-//! the launch cannot deadlock.
+//! - **Dense:** a decide sweeps one row band's cells. Resolve of band
+//!   `b` reads and writes only cells within one row of the band, and
+//!   decide reads only cells within its halo (one row, or LEM's scan
+//!   range) of its agents. So, with every band at least `halo + 1` rows
+//!   tall, resolve of `b` needs only the decides of bands `b − 1`, `b`
+//!   and `b + 1`: claims into `b` come only from agents in adjacent rows;
+//!   resolve writes source cells in `b ± 1`, which those bands' decide
+//!   reads; ACO decide reads pheromone in `b ± 1`, which those bands'
+//!   resolve deposits; no band further away reads or writes a cell
+//!   resolve of `b` touches. Worker `w` walks its own contiguous run of
+//!   bands — even workers from their last band up the grid, odd workers
+//!   from their first band down, so two neighbouring workers meet at a
+//!   shared edge either first or last — deciding band `b` and then
+//!   resolving the band it decided just before. A worker's interior
+//!   bands never wait; only the bands at its edges wait on a neighbour.
+//! - **Sparse:** a decide walks one contiguous range of agent slots,
+//!   skipping dead ones, and files each claimed cell in its own bin for
+//!   the target's row band. A slot range can claim into any band, so
+//!   every band needs every decide: worker `w`'s plan decides slot range
+//!   `w` and then resolves its own bands, each walking every range's bin
+//!   for the band (a duplicate entry finds its byte already cleared).
+//!   Slot ranges are balanced by count by construction; more than one
+//!   range per worker would only put adjacent ranges, which overlap in
+//!   space, on different threads at once, fighting over the same
+//!   claim-byte cache lines.
 //!
-//! ## Sparse steps: two launches
-//!
-//! The sparse decide pass walks one contiguous range of agent slots per
-//! worker, skipping dead ones, and files each claimed cell in the task's
-//! own bin for the target's row band. A slot range can claim into any
-//! band, so its resolve waits for the whole decide launch and then walks
-//! every task's bin for the band (a duplicate entry finds its byte
-//! already cleared). Slot ranges are balanced by count by construction;
-//! more than one range per worker would only put adjacent ranges, which
-//! overlap in space, on different threads at once, fighting over the
-//! same claim-byte cache lines.
+//! The workers claim the operations of their plans from one cursor per
+//! plan, and a worker that has drained its own plan claims the next
+//! operations of the others', so a worker the host stalls does not hold
+//! up the whole step. Decides never wait, and a resolve only waits for
+//! decides earlier in its own plan or at the start or end of another
+//! plan (every sparse plan opens with its only decide); every worker
+//! claims its own plan first, so the launch cannot deadlock.
 //!
 //! Because every draw uses the same stream as the scalar engine and every
 //! candidate list is bit-equal, trajectories are **bit-identical to
 //! `scalar` at every thread count** — asserted by the cross-backend
-//! golden parity tests. The dense step is timed under [`Stage::Movement`]
-//! and the sparse decide launch under [`Stage::InitialCalc`];
-//! [`Stage::Init`] and [`Stage::Tour`] have no pass of their own on this
-//! backend.
+//! golden parity tests. The whole step is timed under
+//! [`Stage::Movement`] in both modes; [`Stage::Init`],
+//! [`Stage::InitialCalc`] and [`Stage::Tour`] have no pass of their own
+//! on this backend.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -127,9 +128,9 @@ use crate::world::CompiledWorld;
 
 /// Row-band oversubscription factor: row bands per worker, where the
 /// grid is tall enough, so the dense pipeline's edge waits are a small
-/// share of a worker's bands. The sparse decide pass dispatches one slot
-/// range per worker instead.
-pub(crate) const BANDS_PER_WORKER: usize = 4;
+/// share of a worker's bands. A sparse plan decides one slot range per
+/// worker instead.
+const BANDS_PER_WORKER: usize = 4;
 
 /// Readiness polls before a waiting resolve yields its core. A pure spin
 /// starves the worker it waits on when there are more workers than cores.
@@ -152,8 +153,8 @@ fn offset_slot(dr: i64, dc: i64) -> usize {
     }
 }
 
-/// A read view of a row-major grid: a [`Matrix`] borrowed, or the cells
-/// of a [`Scatter`] that other tasks of the same pass write elsewhere.
+/// A read view of a row-major grid: the cells of a [`Scatter`] that
+/// other tasks of the same launch write elsewhere.
 #[derive(Clone, Copy)]
 struct View<'a, T> {
     cells: &'a [T],
@@ -161,15 +162,7 @@ struct View<'a, T> {
     width: usize,
 }
 
-impl<'a, T: Copy> View<'a, T> {
-    fn of(m: &'a Matrix<T>) -> Self {
-        Self {
-            cells: m.as_slice(),
-            height: m.height(),
-            width: m.width(),
-        }
-    }
-
+impl<T: Copy> View<'_, T> {
     #[inline]
     fn get(&self, r: usize, c: usize) -> T {
         self.cells[r * self.width + c]
@@ -218,7 +211,7 @@ fn mat_availability(mat: View<'_, u8>, r: usize, c: usize) -> u8 {
 
 // The row band whose resolve the calling thread is running, if any: the
 // write-set detector attributes its writes to the band rather than to the
-// pool item running it, because a dense item runs several bands.
+// pool item running it, because an item runs several bands.
 #[cfg(feature = "audit-runtime")]
 thread_local! {
     static BAND: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
@@ -301,7 +294,7 @@ struct Scatter<'a, T> {
 }
 
 // SAFETY: tasks write disjoint slots (see the struct docs); the barrier
-// at the end of every `WorkerPool::run`, and within a dense launch the
+// at the end of every `WorkerPool::run`, and within a launch the
 // readiness flags, order writes before any subsequent read.
 unsafe impl<T: Send> Sync for Scatter<'_, T> {}
 unsafe impl<T: Send> Send for Scatter<'_, T> {}
@@ -331,13 +324,13 @@ impl<'a, T> Scatter<'a, T> {
         unsafe { &mut *self.ptr.add(i) }
     }
 
-    /// The whole slice, shared, for a pass whose tasks read slots that
-    /// other tasks of the same pass write.
+    /// The whole slice, shared, for a launch whose tasks read slots that
+    /// other tasks of the same launch write.
     ///
-    /// SAFETY: every slot read through the view must be read before, and
-    /// never after, any write to it through this Scatter in the same
-    /// phase, and each such write must happen after the read (ordered by
-    /// an acquire/release pair or by being on the same thread).
+    /// SAFETY: every read of a slot through the view must be ordered
+    /// against every write to that slot through this Scatter in the same
+    /// phase, before or after it, by an acquire/release pair or by being
+    /// on the same thread.
     unsafe fn shared(&self) -> &'a [T] {
         // SAFETY: `ptr..ptr + len` is the live slice this Scatter was made
         // from; the read/write ordering is forwarded to the caller.
@@ -405,16 +398,17 @@ unsafe fn evaporate(plane: &Scatter<'_, f32>, range: Range<usize>, p: &AcoParams
     };
 }
 
-/// One operation of a dense step's plan: decide or resolve a row band.
+/// One operation of a step's plan: decide a row band (dense) or a slot
+/// range (sparse), or resolve a row band.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Op {
     Decide(usize),
     Resolve(usize),
 }
 
-/// A row band's readiness flag: the 1-based number of the last step whose
-/// decide pass finished in the band. Padded so that a waiting worker's
-/// polls do not share a cache line with another band's flag.
+/// A decide operation's readiness flag: the 1-based number of the last
+/// step whose decide finished. Padded so that a waiting worker's polls
+/// do not share a cache line with another decide's flag.
 #[repr(align(128))]
 #[derive(Default)]
 struct Ready(AtomicU64);
@@ -424,8 +418,7 @@ struct Ready(AtomicU64);
 #[derive(Default)]
 struct Cursor(AtomicUsize);
 
-/// The row-band partition of one engine and the dense step's plan over
-/// it.
+/// The row-band partition of one engine and the step's plan over it.
 struct Bands {
     /// Contiguous row bands: `BANDS_PER_WORKER` per worker where the grid
     /// is tall enough, with every band at least one row taller than the
@@ -433,16 +426,18 @@ struct Bands {
     rows: Vec<Range<usize>>,
     /// The band holding each grid row.
     of_row: Vec<u32>,
-    /// Per band `b`: the bands whose decide must have finished before
-    /// resolve of `b` starts, `b − 1 ..= b + 1`.
+    /// Per band `b`: the decides that must have finished before resolve
+    /// of `b` starts — bands `b − 1 ..= b + 1` when dense, every slot
+    /// range when sparse.
     needs: Vec<Range<usize>>,
-    /// Per band: its readiness flag.
+    /// Per decide operation: its readiness flag, one per band when dense,
+    /// one per slot range when sparse.
     ready: Vec<Ready>,
-    /// Per worker: its dense-step operations in order.
+    /// Per worker: its operations in order.
     plans: Vec<Vec<Op>>,
     /// Per plan: the index of its next unclaimed operation.
     cursors: Vec<Cursor>,
-    /// Set when an operation of the current dense launch panicked.
+    /// Set when an operation of the current launch panicked.
     aborted: AtomicBool,
 }
 
@@ -458,20 +453,33 @@ fn decide_halo(model: ModelKind) -> usize {
 
 impl Bands {
     /// The partition of `height` rows for `workers` workers under a decide
-    /// halo of `halo` rows.
-    fn new(height: usize, workers: usize, halo: usize) -> Self {
+    /// halo of `halo` rows, and the plans of a `mode` step over it.
+    fn new(height: usize, workers: usize, halo: usize, mode: IterationMode) -> Self {
         let count = (workers * BANDS_PER_WORKER).min(height / (halo + 1)).max(1);
         let rows = band_ranges(height, count);
         let mut of_row = vec![0; height];
         for (b, r) in rows.iter().enumerate() {
             of_row[r.clone()].fill(b as u32);
         }
+        let sparse = mode == IterationMode::Sparse;
+        let decides = if sparse { workers } else { count };
         let needs = (0..count)
-            .map(|b| b.saturating_sub(1)..(b + 2).min(count))
+            .map(|b| {
+                if sparse {
+                    0..workers
+                } else {
+                    b.saturating_sub(1)..(b + 2).min(count)
+                }
+            })
             .collect();
         let plans = (0..workers)
             .map(|w| {
                 let own = band_range(count, workers, w);
+                if sparse {
+                    return std::iter::once(Op::Decide(w))
+                        .chain(own.map(Op::Resolve))
+                        .collect();
+                }
                 let walk: Vec<usize> = if w % 2 == 0 {
                     own.rev().collect()
                 } else {
@@ -492,7 +500,7 @@ impl Bands {
             rows,
             of_row,
             needs,
-            ready: (0..count).map(|_| Ready::default()).collect(),
+            ready: (0..decides).map(|_| Ready::default()).collect(),
             cursors: (0..workers).map(|_| Cursor::default()).collect(),
             aborted: AtomicBool::new(false),
             plans,
@@ -503,18 +511,18 @@ impl Bands {
         self.rows.len()
     }
 
-    /// Publish that decide finished in band `b` at (1-based) step `step`.
-    fn publish(&self, b: usize, step: u64) {
-        // ordering: release — publishes the band's claim bytes and its
-        // finished reads of the cells its neighbours' resolves write.
-        self.ready[b].0.store(step, Ordering::Release);
+    /// Publish that decide `d` finished at (1-based) step `step`.
+    fn publish(&self, d: usize, step: u64) {
+        // ordering: release — publishes the decide's claim bytes (and,
+        // sparse, its bins) and its finished reads of the cells that
+        // resolves write.
+        self.ready[d].0.store(step, Ordering::Release);
     }
 
-    /// Whether decide has published `step` in every band resolve of `b`
-    /// needs.
+    /// Whether every decide resolve of `b` needs has published `step`.
     fn resolvable(&self, b: usize, step: u64) -> bool {
         // ordering: acquire — pairs with `publish`: the claims and reads
-        // of every needed band happen before this band's resolve.
+        // of every needed decide happen before this band's resolve.
         self.needs[b]
             .clone()
             .all(|x| self.ready[x].0.load(Ordering::Acquire) >= step)
@@ -562,14 +570,15 @@ impl Bands {
         None
     }
 
-    /// Worker `w`'s share of a dense launch for `step`: claim operations
-    /// until every plan is drained, publishing each decide and waiting
-    /// before each resolve. Each worker claims its own plan first, and a
-    /// resolve only ever waits for decides that come earlier in its own
-    /// plan or open a neighbouring plan, so the launch cannot deadlock.
-    /// If an operation panics, the launch is aborted: no other worker
-    /// claims or starts another operation, so none waits forever and none
-    /// resolves a band whose neighbour's decide may still be running.
+    /// Worker `w`'s share of a launch for `step`: claim operations until
+    /// every plan is drained, publishing each decide and waiting before
+    /// each resolve. Each worker claims its own plan first, decides never
+    /// wait, and a resolve only ever waits for decides that come earlier
+    /// in its own plan or open or close another plan, so the launch
+    /// cannot deadlock. If an operation panics, the launch is aborted: no
+    /// other worker claims or starts another operation, so none waits
+    /// forever and none resolves a band whose needed decide may still be
+    /// running.
     fn run_worker(&self, w: usize, step: u64, op: &(dyn Fn(Op) + Sync)) {
         struct Abort<'a>(&'a AtomicBool);
         impl Drop for Abort<'_> {
@@ -594,7 +603,7 @@ impl Bands {
         }
     }
 
-    /// Start a dense launch: every plan undrained, nothing aborted.
+    /// Start a launch: every plan undrained, nothing aborted.
     fn reset(&mut self) {
         for c in &mut self.cursors {
             *c.0.get_mut() = 0;
@@ -602,15 +611,15 @@ impl Bands {
         *self.aborted.get_mut() = false;
     }
 
-    /// Run a dense launch for `step` on the calling thread, one move at a
-    /// time, as the workers would: at each point a Philox stream keyed by
-    /// `(seed, launch)` picks one worker that can move — one that holds
-    /// no operation claims its next ([`Bands::claim`]), one that holds a
-    /// decide, or a resolve whose needed bands have published, runs it.
-    /// These are the explorer's interleavings of a dense launch: every
-    /// order the claim cursors and the readiness waits allow.
-    fn run_interleaved(&self, seed: u64, launch: u64, step: u64, op: &dyn Fn(Op)) {
-        let mut rng = StreamRng::new(seed, launch);
+    /// Run a launch for `step` on the calling thread, one move at a time,
+    /// as the workers would: at each point a Philox stream keyed by
+    /// `(seed, step)` picks one worker that can move — one that holds no
+    /// operation claims its next ([`Bands::claim`]), one that holds a
+    /// decide, or a resolve whose needed decides have published, runs it.
+    /// These are the explorer's interleavings of a step: every order the
+    /// claim cursors and the readiness waits allow.
+    fn run_interleaved(&self, seed: u64, step: u64, op: &dyn Fn(Op)) {
+        let mut rng = StreamRng::new(seed, step);
         let mut held: Vec<Option<Op>> = vec![None; self.plans.len()];
         let undrained = || {
             self.cursors
@@ -630,7 +639,7 @@ impl Bands {
             if movable.is_empty() {
                 assert!(
                     held.iter().all(Option::is_none),
-                    "dense plan deadlocked at step {step}"
+                    "plan deadlocked at step {step}"
                 );
                 return;
             }
@@ -674,54 +683,29 @@ struct PooledBackend {
     /// `cell + NEIGHBOR_OFFSETS[k]` targets this cell. All zero between
     /// steps — the movement pass clears every byte it reads.
     claims: Vec<AtomicU8>,
-    /// When set, every sparse launch permutes its task issue order (slot
-    /// ranges or row bands) with a Philox schedule keyed by `(seed,
-    /// launch_counter)`, and every dense launch runs the workers' plans
-    /// in an interleaving drawn from the same key
-    /// ([`Bands::run_interleaved`]) — the interleaving explorer's handle
-    /// into this backend. `None` (the default) dispatches tasks in
-    /// natural order on the pool.
+    /// When set, every step runs the workers' plans on the calling thread
+    /// in an interleaving drawn from a Philox stream keyed by `(seed,
+    /// step)` ([`Bands::run_interleaved`]) — the interleaving explorer's
+    /// handle into this backend. `None` (the default) runs the plans on
+    /// the pool.
     schedule_seed: Option<u64>,
-    /// Monotonic pool-launch counter: keys the per-launch permutations
-    /// and feeds the launch telemetry.
-    launches: std::cell::Cell<u64>,
-    /// Tasks dispatched over all launches, for the launch telemetry.
-    blocks: std::cell::Cell<u64>,
     /// Traversal mode, resolved from the configuration at build time.
     mode: IterationMode,
-    /// The row bands of every resolve pass and of the dense decide.
+    /// The row bands and the step's plans over them.
     bands: Bands,
-    /// The sparse decide pass's slot ranges: slots `1..=n`, one
-    /// contiguous range per worker.
+    /// The sparse decides' slot ranges: slots `1..=n`, one contiguous
+    /// range per worker.
     slots: Vec<Range<usize>>,
-    /// Sparse mode only, `bins[task][band]`: the cells (linear) slot
-    /// range `task` claimed this step in row band `band`, one entry per
+    /// Sparse mode only, `bins[range][band]`: the cells (linear) slot
+    /// range `range` claimed this step in row band `band`, one entry per
     /// claim, so a contested cell may appear more than once. Each decide
-    /// task rewrites only its own bins; the resolve task of `band` reads
-    /// column `band` of every task.
+    /// rewrites only its own row of bins; the resolve of `band` reads
+    /// column `band` of every row.
     bins: Vec<Vec<Vec<u32>>>,
     /// One movement tally per band, each written by its band's resolve.
     tallies: Vec<StepTally>,
     /// The last movement's tallies, merged in band order.
     tally: StepTally,
-}
-
-/// Run `f` over `0..parts` on the pool, optionally permuting the issue
-/// order with the schedule key. A free function (not a method) so stages
-/// can call it while holding field borrows of the backend.
-fn dispatch(
-    pool: &WorkerPool,
-    schedule: Option<(u64, u64)>,
-    parts: usize,
-    f: &(dyn Fn(usize) + Sync),
-) {
-    match schedule {
-        None => pool.run(parts, f),
-        Some((seed, launch)) => {
-            let perm = simt::exec::explore::permutation(seed, launch, parts);
-            simt::exec::explore::run_permuted(pool, &perm, f);
-        }
-    }
 }
 
 /// In-place scatters over every pheromone plane (empty for LEM).
@@ -810,13 +794,20 @@ impl WorkSum {
     }
 }
 
-/// The read-only inputs of one step's decide pass, shared by both
+/// The read-only inputs of one step's decides, shared by both
 /// traversals.
 struct Decide<'a> {
     mat: View<'a, u8>,
     /// The agent index by cell: the dense sweep reads a slot from it only
     /// for an agent that opens a stream.
     index: &'a [u32],
+    /// The slot table the sparse walk reads: liveness, cell and group
+    /// label per slot.
+    alive: &'a [bool],
+    pos: &'a [u32],
+    ids: &'a [u8],
+    /// The band holding each grid row, for filing sparse claims.
+    of_row: &'a [u32],
     /// One pheromone plane per group (empty for LEM).
     planes: Vec<View<'a, f32>>,
     dist: DistRef<'a>,
@@ -928,8 +919,8 @@ impl Decide<'_> {
         let row = (r + dr) as usize;
         let target = row * self.mat.width + (c + dc) as usize;
         // ordering: relaxed — fetch_or commutes, so only the final claim
-        // byte matters; the band's readiness flag (dense) or the launch
-        // barrier (sparse) publishes it before the resolve reads.
+        // byte matters; the decide's readiness flag publishes it before
+        // any resolve reads.
         self.claims[target].fetch_or(1 << offset_slot(-dr, -dc), Ordering::Relaxed);
         work.claimed += 1;
         Some((row, target))
@@ -945,6 +936,26 @@ impl Decide<'_> {
                 if label != CELL_EMPTY && label != CELL_WALL {
                     self.agent(|| self.index[r * w + c], label, r, c, work);
                 }
+            }
+        }
+    }
+
+    /// Decide every live agent of the slot range `slots` (the sparse
+    /// walk), filing each claimed cell in `bins` under its row band.
+    fn slots(&self, slots: Range<usize>, bins: &mut [Vec<u32>], work: &mut Work) {
+        for bin in bins.iter_mut() {
+            bin.clear();
+        }
+        let w32 = self.mat.width as u32;
+        for ai in slots {
+            if !self.alive[ai] {
+                continue;
+            }
+            let p = self.pos[ai];
+            let r = p / w32;
+            let (r, c) = (r as usize, (p - r * w32) as usize);
+            if let Some((row, target)) = self.agent(|| ai as u32, self.ids[ai], r, c, work) {
+                bins[self.of_row[row] as usize].push(target as u32);
             }
         }
     }
@@ -1001,7 +1012,7 @@ impl PooledEngine {
             .map(|r| r.start + 1..r.end + 1)
             .collect::<Vec<_>>();
         let mut backend = PooledBackend {
-            bands: Bands::new(h, pool.workers(), decide_halo(cfg.model)),
+            bands: Bands::new(h, pool.workers(), decide_halo(cfg.model), mode),
             cfg,
             geom,
             tour: TourLengths::new(n),
@@ -1012,8 +1023,6 @@ impl PooledEngine {
             pool,
             claims: (0..h * w).map(|_| AtomicU8::new(0)).collect(),
             schedule_seed: None,
-            launches: std::cell::Cell::new(0),
-            blocks: std::cell::Cell::new(0),
             mode,
             slots,
             bins: Vec::new(),
@@ -1030,9 +1039,10 @@ impl PooledEngine {
         self.backend.pool.workers()
     }
 
-    /// Run every later launch under an explorer schedule keyed on `seed`
-    /// (see the backend's `schedule_seed`), or restore natural dispatch
-    /// with `None`.
+    /// Run every later step on the calling thread in an explorer
+    /// interleaving of the workers' plans keyed on `(seed, step)` (see
+    /// the backend's `schedule_seed`), or restore pool dispatch with
+    /// `None`.
     ///
     /// Trajectories are claimed to be schedule-independent; the
     /// interleaving-exploration tests drive this knob over hundreds of
@@ -1060,7 +1070,7 @@ impl PooledEngine {
             b.eta_beta = eta_beta_plane(&b.dist, model);
         }
         if decide_halo(model) != decide_halo(old) {
-            b.bands = Bands::new(b.geom.height, b.pool.workers(), decide_halo(model));
+            b.bands = Bands::new(b.geom.height, b.pool.workers(), decide_halo(model), b.mode);
             b.size_band_state();
         }
         Ok(())
@@ -1090,35 +1100,32 @@ impl PooledBackend {
         };
     }
 
-    /// Count one launch of `parts` tasks and return its schedule key, if
-    /// the explorer schedule is on. Call at the *top* of a pass, before
-    /// taking field borrows.
-    fn next_schedule(&self, parts: usize) -> Option<(u64, u64)> {
-        let launch = self.launches.get();
-        self.launches.set(launch + 1);
-        self.blocks.set(self.blocks.get() + parts as u64);
-        self.schedule_seed.map(|seed| (seed, launch))
-    }
-
-    /// A dense step (§IV.b–d, one launch): every worker runs its plan,
-    /// deciding its bands and resolving each once its neighbours have
-    /// decided.
-    fn step_dense(&mut self, step_no: u64, metrics: Option<&mut Metrics>) -> Work {
-        let schedule = self.next_schedule(self.pool.workers());
+    /// One step (§IV.b–d) in one launch: every worker runs its plan,
+    /// deciding its row bands (dense) or its slot range (sparse) and
+    /// resolving each of its bands once the decides it needs have
+    /// published.
+    fn step(&mut self, step_no: u64, metrics: Option<&mut Metrics>) -> Work {
         self.bands.reset();
+        let schedule = self.schedule_seed;
         let resolve = Resolve::new(self, step_no, metrics);
-        // SAFETY: decide of band `b` runs before the resolves of `b − 1`,
-        // `b` and `b + 1`: `run_worker` and `run_interleaved` start a
-        // resolve only once its needed bands published this step.
+        // SAFETY: `run_worker` and `run_interleaved` start resolve of band
+        // `b` only once every decide of `needs[b]` has published this
+        // step, and those are all the decides that read a cell it writes.
         let decide = unsafe { resolve.decide(step_no) };
         let (bands, sum) = (resolve.bands, WorkSum::default());
         let op = |o: Op| {
             let mut work = Work::default();
-            match o {
-                Op::Decide(b) => decide.rows(bands.rows[b].clone(), &mut work),
+            match (o, &resolve.bins) {
+                (Op::Decide(b), None) => decide.rows(bands.rows[b].clone(), &mut work),
+                (Op::Decide(t), Some(bins)) => {
+                    // SAFETY: decide `t`, run once per step, is the only
+                    // operation that writes bin row `t`.
+                    let bins = unsafe { bins.slot_mut(t) };
+                    decide.slots(resolve.slots[t].clone(), bins, &mut work);
+                }
                 // SAFETY: band `b`'s resolve runs once, as band `b`'s
-                // task, after its needed bands published this step.
-                Op::Resolve(b) => as_band(b, || unsafe { resolve.band(b, &mut work) }),
+                // task, after every decide of `needs[b]` published.
+                (Op::Resolve(b), _) => as_band(b, || unsafe { resolve.band(b, &mut work) }),
             }
             sum.add(work);
         };
@@ -1127,82 +1134,8 @@ impl PooledBackend {
             None => resolve
                 .pool
                 .run(bands.plans.len(), &|w| bands.run_worker(w, step, &op)),
-            Some((seed, launch)) => bands.run_interleaved(seed, launch, step, &op),
+            Some(seed) => bands.run_interleaved(seed, step, &op),
         }
-        self.merge_tallies();
-        sum.total()
-    }
-
-    /// The sparse decide pass (§IV.b–c fused, one launch): every live
-    /// agent of each slot range picks and claims its next cell, and the
-    /// task files the claimed cell in its bin for the cell's band. Every
-    /// band is published as decided once the launch ends.
-    fn decide_sparse(&mut self, step_no: u64) -> Work {
-        let w = self.geom.width;
-        let parts = self.slots.len();
-        let schedule = self.next_schedule(parts);
-        let decide = Decide {
-            mat: View::of(&self.env.mat),
-            index: self.env.index.as_slice(),
-            planes: self
-                .pher
-                .as_ref()
-                .map_or_else(Vec::new, |p| p.planes().iter().map(View::of).collect()),
-            dist: self.dist.dist_ref(),
-            eta_beta: &self.eta_beta,
-            model: self.cfg.model,
-            seed: self.seed,
-            counter_base: (step_no * 4 + KERNEL_TOUR) << 4,
-            claims: &self.claims,
-        };
-        let sum = WorkSum::default();
-        let (alive, props) = (&self.env.alive, &self.env.props);
-        let (slots, band_of_row) = (&self.slots, &self.bands.of_row);
-        let w32 = w as u32;
-        let bins = Scatter::new(&mut self.bins);
-        dispatch(&self.pool, schedule, parts, &|t| {
-            let mut work = Work::default();
-            // SAFETY: task `t` owns bin row `t` alone. Its inner lists
-            // live in that row's own allocation, so pushing to them
-            // writes no cache line another task's row shares.
-            let bins = unsafe { bins.slot_mut(t) };
-            for bin in bins.iter_mut() {
-                bin.clear();
-            }
-            for ai in slots[t].clone() {
-                if !alive[ai] {
-                    continue;
-                }
-                let p = props.pos[ai];
-                let r = p / w32;
-                let (r, c) = (r as usize, (p - r * w32) as usize);
-                if let Some((row, target)) =
-                    decide.agent(|| ai as u32, props.id[ai], r, c, &mut work)
-                {
-                    bins[band_of_row[row] as usize].push(target as u32);
-                }
-            }
-            sum.add(work);
-        });
-        for b in 0..self.bands.len() {
-            self.bands.publish(b, step_no + 1);
-        }
-        sum.total()
-    }
-
-    /// Sparse movement (§IV.d, one launch over the row bands): each band
-    /// resolves the claimed cells every decide task filed in its bin.
-    fn resolve_sparse(&mut self, step_no: u64, metrics: Option<&mut Metrics>) -> Work {
-        let schedule = self.next_schedule(self.bands.len());
-        let resolve = Resolve::new(self, step_no, metrics);
-        let sum = WorkSum::default();
-        dispatch(resolve.pool, schedule, resolve.bands.len(), &|b| {
-            let mut work = Work::default();
-            // SAFETY: task `b` is band `b`'s only resolve, and the decide
-            // launch has ended.
-            as_band(b, || unsafe { resolve.band(b, &mut work) });
-            sum.add(work);
-        });
         self.merge_tallies();
         sum.total()
     }
@@ -1216,9 +1149,9 @@ impl PooledBackend {
     }
 }
 
-/// One step's resolve pass: its draw keys, the claims it decodes, the
-/// in-place scatters every band task writes through, and the pool it
-/// runs on.
+/// One step's resolve operations: their draw keys, the claims they
+/// decode, the in-place scatters every band task writes through, the
+/// decides' inputs, and the pool the step runs on.
 struct Resolve<'a> {
     pool: &'a WorkerPool,
     seed: u64,
@@ -1228,8 +1161,9 @@ struct Resolve<'a> {
     aco: Option<AcoParams>,
     bands: &'a Bands,
     claims: &'a [AtomicU8],
-    /// Sparse mode: every decide task's bins, `bins[task][band]`.
-    bins: Option<&'a [Vec<Vec<u32>>]>,
+    /// Sparse mode: every slot range's bins, `bins[range][band]`, each
+    /// row written by its range's decide and read by every resolve.
+    bins: Option<Scatter<'a, Vec<Vec<u32>>>>,
     mat: Scatter<'a, u8>,
     index: Scatter<'a, u32>,
     pos: Scatter<'a, u32>,
@@ -1239,8 +1173,11 @@ struct Resolve<'a> {
     /// tracked.
     arrivals: Option<(Arrivals<'a>, Scatter<'a, bool>)>,
     tallies: Scatter<'a, StepTally>,
-    /// The read-only inputs of the dense step's decide, taken from the
-    /// same borrow of the backend.
+    /// The read-only inputs of the step's decides, taken from the same
+    /// borrow of the backend.
+    slots: &'a [Range<usize>],
+    alive: &'a [bool],
+    ids: &'a [u8],
     dist: DistRef<'a>,
     eta_beta: &'a [f32],
     model: ModelKind,
@@ -1260,7 +1197,7 @@ impl<'a> Resolve<'a> {
             aco: b.cfg.model.aco_params(),
             bands: &b.bands,
             claims: &b.claims,
-            bins: sparse.then_some(b.bins.as_slice()),
+            bins: sparse.then(|| Scatter::new(&mut b.bins)),
             mat: Scatter::new(b.env.mat.as_mut_slice()),
             index: Scatter::new(b.env.index.as_mut_slice()),
             pos: Scatter::new(&mut b.env.props.pos),
@@ -1271,6 +1208,9 @@ impl<'a> Resolve<'a> {
                 (rule, Scatter::new(crossed))
             }),
             tallies: Scatter::new(&mut b.tallies),
+            slots: &b.slots,
+            alive: &b.env.alive,
+            ids: &b.env.props.id,
             dist: b.dist.dist_ref(),
             eta_beta: &b.eta_beta,
             model: b.cfg.model,
@@ -1279,14 +1219,16 @@ impl<'a> Resolve<'a> {
         }
     }
 
-    /// The dense step's decide inputs, reading the world through this
-    /// pass's scatters.
+    /// The step's decide inputs, reading the world through this step's
+    /// scatters.
     ///
-    /// SAFETY: (`Scatter::shared`) decide of band `b` reads cells only
-    /// within its halo, and the only writers of those cells in the pass
-    /// are the resolves of `b − 1`, `b` and `b + 1` (every band is taller
-    /// than the halo): the caller must run decide of `b` before, and
-    /// ordered before, each of them.
+    /// SAFETY: (`Scatter::shared`) the only writers of what a decide
+    /// reads are resolves: the caller must run each decide before, and
+    /// ordered before, every resolve that writes a cell or slot it reads.
+    /// Dense decide of band `b` reads cells only within its halo, which
+    /// only the resolves of `b − 1`, `b` and `b + 1` write (every band is
+    /// taller than the halo); a sparse decide reads its agents' `pos`
+    /// slots and cells anywhere, so it must precede every resolve.
     unsafe fn decide(&self, step_no: u64) -> Decide<'a> {
         let (height, width) = (self.bands.of_row.len(), self.width);
         // SAFETY: forwarded contract.
@@ -1299,6 +1241,11 @@ impl<'a> Resolve<'a> {
             mat: view(&self.mat),
             // SAFETY: forwarded contract.
             index: unsafe { self.index.shared() },
+            alive: self.alive,
+            // SAFETY: forwarded contract.
+            pos: unsafe { self.pos.shared() },
+            ids: self.ids,
+            of_row: &self.bands.of_row,
             planes: self
                 .planes
                 .iter()
@@ -1320,11 +1267,11 @@ impl<'a> Resolve<'a> {
 
     /// Resolve row band `b`: evaporate its pheromone cells (ACO), then
     /// admit the winner of every claimed cell of the band — found by
-    /// sweeping its claim bytes (dense) or by walking every decide task's
+    /// sweeping its claim bytes (dense) or by walking every slot range's
     /// bin for the band (sparse) — and store the band's tally.
     ///
     /// SAFETY: only band `b`'s task may call this, once per step, after
-    /// decide has finished in every band of `needs[b]`.
+    /// every decide of `needs[b]` has published this step.
     unsafe fn band(&self, b: usize, work: &mut Work) {
         let w = self.width;
         let rows = &self.bands.rows[b];
@@ -1336,13 +1283,18 @@ impl<'a> Resolve<'a> {
                 unsafe { evaporate(plane, cells.clone(), p) };
             }
         }
-        if let Some(bins) = self.bins {
-            for task_bins in bins {
-                for &lin in &task_bins[b] {
+        if let Some(bins) = &self.bins {
+            // SAFETY: every decide, the only writer of its bin row, has
+            // published this step (`needs[b]` holds every slot range), and
+            // this resolve acquired the flags before it started.
+            let bins = unsafe { bins.shared() };
+            for range_bins in bins {
+                for &lin in &range_bins[b] {
                     let (lin, claim) = (lin as usize, &self.claims[lin as usize]);
-                    // ordering: relaxed — the decide launch's end barrier
-                    // published every fetch_or; in this pass only this
-                    // band's task touches the byte, and a duplicate entry
+                    // ordering: relaxed — every decide's readiness flag,
+                    // acquired before this resolve started, published its
+                    // fetch_ors; in this step only this band's task
+                    // touches the byte after them, and a duplicate entry
                     // finds it already cleared.
                     let bits = claim.load(Ordering::Relaxed);
                     if bits != 0 {
@@ -1425,11 +1377,25 @@ impl<'a> Resolve<'a> {
     }
 
     /// The readiness check of the `audit-runtime` detector: before a
-    /// resolve writes cell `cell` at `(r, c)`, decide must have published
-    /// this step in the bands of rows `r − 1 ..= r + 1`.
+    /// resolve writes cell `cell` at `(r, c)`, every decide must have
+    /// published this step when sparse, and the decides of the bands of
+    /// rows `r − 1 ..= r + 1` when dense.
     #[cfg(feature = "audit-runtime")]
     fn assert_ready(&self, cell: usize) {
         let (r, c) = (cell / self.width, cell % self.width);
+        if self.bins.is_some() {
+            for (d, ready) in self.bands.ready.iter().enumerate() {
+                // ordering: acquire — a detector read, as below.
+                let at = ready.0.load(Ordering::Acquire);
+                assert!(
+                    at >= self.step,
+                    "readiness: resolve wrote cell ({r}, {c}) at step {} before decide \
+                     published slot range {d}",
+                    self.step - 1
+                );
+            }
+            return;
+        }
         let of_row = &self.bands.of_row;
         let first = r.saturating_sub(1);
         for (row, &b) in (first..).zip(&of_row[first..(r + 2).min(of_row.len())]) {
@@ -1455,23 +1421,17 @@ impl StageBackend for PooledBackend {
         rec: &mut pedsim_obs::Recorder,
         metrics: Option<&mut Metrics>,
     ) {
-        let (launches, blocks) = (self.launches.get(), self.blocks.get());
-        let sparse = self.mode == IterationMode::Sparse;
-        let work = match stage {
-            // Dense steps run in one pass, under Movement; sparse decide
-            // fuses Init + InitialCalc + Tour under InitialCalc.
-            Stage::Init | Stage::Tour => Work::default(),
-            Stage::InitialCalc if sparse => self.decide_sparse(step_no),
-            Stage::InitialCalc => Work::default(),
-            Stage::Movement if sparse => self.resolve_sparse(step_no, metrics),
-            Stage::Movement => self.step_dense(step_no, metrics),
+        // The whole step is one launch, filed under Movement.
+        let (launches, work) = match stage {
+            Stage::Init | Stage::InitialCalc | Stage::Tour => (0, Work::default()),
+            Stage::Movement => (1, self.step(step_no, metrics)),
             Stage::Lifecycle | Stage::Metrics => unreachable!("core-driven stage"),
         };
-        let launches = self.launches.get() - launches;
-        let k = stage.index();
+        // One launch item, one plan, per worker.
+        let (k, workers) = (stage.index(), self.pool.workers() as u64);
         rec.inc(KERNEL_LAUNCH_KEYS[k], launches);
-        rec.inc(KERNEL_BLOCK_KEYS[k], self.blocks.get() - blocks);
-        rec.inc(KERNEL_THREAD_KEYS[k], launches * self.pool.workers() as u64);
+        rec.inc(KERNEL_BLOCK_KEYS[k], launches * workers);
+        rec.inc(KERNEL_THREAD_KEYS[k], launches * workers);
         for (key, n) in WORK_KEYS.into_iter().zip(work.counts()) {
             rec.inc(key, n);
         }
@@ -1578,10 +1538,15 @@ mod tests {
         use pedsim_grid::cell::{CELL_BOTTOM, CELL_TOP};
         let assert_every_cell = |mat: &Matrix<u8>, what: &str| {
             let occ = |r: i64, c: i64| mat.get_or(r, c, CELL_WALL);
+            let view = View {
+                cells: mat.as_slice(),
+                height: mat.height(),
+                width: mat.width(),
+            };
             for r in 0..mat.height() {
                 for c in 0..mat.width() {
                     assert_eq!(
-                        mat_availability(View::of(mat), r, c),
+                        mat_availability(view, r, c),
                         availability(&occ, r as i64, c as i64),
                         "{what}: cell ({r},{c})"
                     );
@@ -1922,26 +1887,30 @@ mod tests {
         }
     }
 
-    /// The sparse decide pass files every claim in the bin of its
-    /// target's band, once per claimant, and the resolve pass clears every
-    /// claimed byte through them — on a doorway jam at three threads with
-    /// permuted dispatch, step for step against the scalar oracle.
+    /// Sparse decides file every claim in the bin of its target's band,
+    /// once per claimant, and the resolves clear every claimed byte
+    /// through them — on a doorway jam at three threads under explorer
+    /// schedules, step for step against the scalar oracle. The world is
+    /// closed, so the cells claimed in a step are exactly the cells empty
+    /// before it and occupied after it.
     #[test]
     fn sparse_bins_file_each_claim_under_its_band() {
         for model in [ModelKind::lem(), ModelKind::aco()] {
             let (mut scalar, mut pooled) = doorway_pair(model, IterationMode::Sparse, 3);
             pooled.set_schedule_seed(Some(11));
-            let w = pooled.backend.geom.width;
-            let mut contested = 0;
+            let counter = |e: &PooledEngine, k: &str| e.telemetry().counter(k);
             for step in 0..40 {
-                let b = &mut pooled.backend;
-                let work = b.decide_sparse(step);
+                let before = pooled.mat_snapshot();
+                let claimed_before = counter(&pooled, "pooled.claimed");
+                pooled.step();
+                let claimed = counter(&pooled, "pooled.claimed") - claimed_before;
+                let b = &pooled.backend;
                 let mut entries: Vec<u32> = Vec::new();
-                for task_bins in &b.bins {
-                    assert_eq!(task_bins.len(), b.bands.len());
-                    for (band, bin) in task_bins.iter().enumerate() {
+                for range_bins in &b.bins {
+                    assert_eq!(range_bins.len(), b.bands.len());
+                    for (band, bin) in range_bins.iter().enumerate() {
                         for &lin in bin {
-                            let row = lin as usize / w;
+                            let row = lin as usize / b.geom.width;
                             assert!(
                                 b.bands.rows[band].contains(&row),
                                 "cell {lin} in bin {band}"
@@ -1950,14 +1919,16 @@ mod tests {
                         entries.extend(bin);
                     }
                 }
-                assert_eq!(entries.len() as u64, work.claimed, "step {step}");
+                assert_eq!(entries.len() as u64, claimed, "step {step}");
                 entries.sort_unstable();
                 entries.dedup();
-                let claimed: Vec<u32> = (0..b.claims.len() as u32)
-                    .filter(|&i| b.claims[i as usize].load(Ordering::Relaxed) != 0)
+                let after = pooled.mat_snapshot();
+                let moved_in: Vec<u32> = (0..)
+                    .zip(before.as_slice().iter().zip(after.as_slice()))
+                    .filter(|&(_, (&was, &is))| was == CELL_EMPTY && is != CELL_EMPTY)
+                    .map(|(i, _)| i)
                     .collect();
-                assert_eq!(entries, claimed, "step {step}");
-                contested += b.resolve_sparse(step, None).contested;
+                assert_eq!(entries, moved_in, "step {step}");
                 assert!(
                     b.claims.iter().all(|c| c.load(Ordering::Relaxed) == 0),
                     "step {step}: claim bytes left set"
@@ -1965,6 +1936,7 @@ mod tests {
                 scalar.step();
                 assert_same_state(&scalar, &pooled, &format!("step {step}"));
             }
+            let contested = counter(&pooled, "pooled.contested");
             assert!(contested > 0, "{}: no contested cell", model.name());
         }
     }
@@ -2022,7 +1994,7 @@ mod tests {
         }
     }
 
-    /// Permuted dispatch must not change trajectories: a handful of
+    /// Explorer schedules must not change trajectories: a handful of
     /// schedule seeds here, hundreds in tests/audit_soundness.rs.
     #[test]
     fn schedule_permutation_preserves_trajectories() {
@@ -2055,15 +2027,16 @@ mod tests {
         assert_eq!(scalar.tour_lengths(), pooled.tour_lengths());
     }
 
-    /// A dense pooled engine and its scalar oracle on the classic corridor
-    /// of `height` rows.
+    /// A pooled engine in traversal `mode` and its scalar oracle on the
+    /// classic corridor of `height` rows.
     fn corridor_pair(
         height: usize,
         model: ModelKind,
+        mode: IterationMode,
         threads: usize,
     ) -> (crate::engine::cpu::CpuEngine, PooledEngine) {
         let env = EnvConfig::small(16, height, 2 * height).with_seed(height as u64);
-        let cfg = SimConfig::new(env, model).with_iteration_mode(IterationMode::Dense);
+        let cfg = SimConfig::new(env, model).with_iteration_mode(mode);
         (
             crate::engine::cpu::CpuEngine::new(cfg.clone()),
             PooledEngine::new(cfg, threads),
@@ -2071,72 +2044,98 @@ mod tests {
     }
 
     /// Every band is taller than the decide halo where the grid allows
-    /// it, the bands cover the rows in order, and each worker's plan
-    /// decides and then resolves each of its own bands exactly once,
-    /// never resolving a band before deciding it.
+    /// it, and the bands cover the rows in order. Each dense plan decides
+    /// and then resolves each of its worker's own bands exactly once,
+    /// never resolving a band before deciding it; each sparse plan opens
+    /// with the decide of its worker's slot range, its only decide, and
+    /// then resolves the worker's own bands, every one needing every
+    /// slot range.
     #[test]
     fn bands_are_taller_than_the_halo_and_plans_cover_them() {
-        for height in [1, 2, 3, 5, 7, 12, 20, 61] {
-            for workers in 1..=5 {
-                for halo in 1..=3 {
-                    let bands = Bands::new(height, workers, halo);
-                    let what = format!("h{height} t{workers} halo {halo}");
-                    assert_eq!(bands.rows, band_ranges(height, bands.len()), "{what}");
-                    if height > halo {
-                        assert!(
-                            bands.rows.iter().all(|r| r.len() > halo),
-                            "{what}: {:?}",
-                            bands.rows
-                        );
-                    }
-                    let mut decided = vec![0; bands.len()];
-                    let mut resolved = vec![0; bands.len()];
-                    for (w, plan) in bands.plans.iter().enumerate() {
-                        for op in plan {
-                            match *op {
-                                Op::Decide(b) => decided[b] += 1,
-                                Op::Resolve(b) => {
-                                    assert_eq!(decided[b], 1, "{what}: w{w} resolves {b} early");
-                                    resolved[b] += 1;
+        for mode in [IterationMode::Dense, IterationMode::Sparse] {
+            for height in [1, 2, 3, 5, 7, 12, 20, 61] {
+                for workers in 1..=5 {
+                    for halo in 1..=3 {
+                        let bands = Bands::new(height, workers, halo, mode);
+                        let what = format!("{mode:?} h{height} t{workers} halo {halo}");
+                        assert_eq!(bands.rows, band_ranges(height, bands.len()), "{what}");
+                        if height > halo {
+                            assert!(
+                                bands.rows.iter().all(|r| r.len() > halo),
+                                "{what}: {:?}",
+                                bands.rows
+                            );
+                        }
+                        let sparse = mode == IterationMode::Sparse;
+                        let decides = if sparse { workers } else { bands.len() };
+                        assert_eq!(bands.ready.len(), decides, "{what}");
+                        let mut decided = vec![0; decides];
+                        let mut resolved = vec![0; bands.len()];
+                        for (w, plan) in bands.plans.iter().enumerate() {
+                            if sparse {
+                                assert_eq!(plan[0], Op::Decide(w), "{what}");
+                            }
+                            for op in plan {
+                                match *op {
+                                    Op::Decide(d) => decided[d] += 1,
+                                    Op::Resolve(b) if sparse => {
+                                        assert_eq!(bands.needs[b], 0..workers, "{what}");
+                                        resolved[b] += 1;
+                                    }
+                                    Op::Resolve(b) => {
+                                        assert_eq!(
+                                            decided[b], 1,
+                                            "{what}: w{w} resolves {b} early"
+                                        );
+                                        resolved[b] += 1;
+                                    }
                                 }
                             }
                         }
+                        assert!(decided.iter().chain(&resolved).all(|&n| n == 1), "{what}");
                     }
-                    assert!(decided.iter().chain(&resolved).all(|&n| n == 1), "{what}");
                 }
             }
         }
     }
 
-    /// The dense pipeline matches the scalar oracle step for step at one
-    /// to four threads on corridors short enough that four bands per
-    /// worker would leave bands of fewer than two rows, under ACO, LEM
-    /// and LEM with a scan range of 3 (a three-row decide halo).
+    /// Both traversals match the scalar oracle step for step at one to
+    /// four threads on corridors short enough that four bands per worker
+    /// would leave bands of fewer than two rows, under ACO, LEM and LEM
+    /// with a scan range of 3 (a three-row decide halo). On the shortest
+    /// ones there are more plans than bands, so some sparse plans decide
+    /// their slot range and resolve nothing.
     #[test]
-    fn dense_pipeline_matches_scalar_on_short_bands() {
+    fn pipeline_matches_scalar_on_short_bands() {
         let lem3 = ModelKind::Lem(crate::params::LemParams {
             scan_range: 3,
             ..crate::params::LemParams::default()
         });
-        for height in [5, 7, 12, 20] {
-            for model in [ModelKind::aco(), ModelKind::lem(), lem3] {
-                for threads in 1..=4 {
-                    let (mut scalar, mut pooled) = corridor_pair(height, model, threads);
-                    for step in 0..30 {
-                        scalar.step();
-                        pooled.step();
-                        let what = format!(
-                            "h{height} {} scan {} t{threads} step {step}",
-                            model.name(),
-                            decide_halo(model)
-                        );
-                        assert_same_state(&scalar, &pooled, &what);
+        for mode in [IterationMode::Dense, IterationMode::Sparse] {
+            let mut plans_outnumber_bands = 0;
+            for height in [5, 7, 12, 20] {
+                for model in [ModelKind::aco(), ModelKind::lem(), lem3] {
+                    for threads in 1..=4 {
+                        let (mut scalar, mut pooled) = corridor_pair(height, model, mode, threads);
+                        let bands = &pooled.backend.bands;
+                        plans_outnumber_bands += usize::from(bands.plans.len() > bands.len());
+                        for step in 0..30 {
+                            scalar.step();
+                            pooled.step();
+                            let what = format!(
+                                "{mode:?} h{height} {} scan {} t{threads} step {step}",
+                                model.name(),
+                                decide_halo(model)
+                            );
+                            assert_same_state(&scalar, &pooled, &what);
+                        }
+                        let (ms, mp) = (scalar.metrics().unwrap(), pooled.metrics().unwrap());
+                        assert_eq!(ms.throughput(), mp.throughput());
+                        assert_eq!(ms.total_moves, mp.total_moves);
                     }
-                    let (ms, mp) = (scalar.metrics().unwrap(), pooled.metrics().unwrap());
-                    assert_eq!(ms.throughput(), mp.throughput());
-                    assert_eq!(ms.total_moves, mp.total_moves);
                 }
             }
+            assert!(plans_outnumber_bands > 0, "{mode:?}");
         }
     }
 
@@ -2148,7 +2147,7 @@ mod tests {
             scan_range: 4,
             ..crate::params::LemParams::default()
         });
-        let (mut scalar, mut pooled) = corridor_pair(24, ModelKind::lem(), 3);
+        let (mut scalar, mut pooled) = corridor_pair(24, ModelKind::lem(), IterationMode::Dense, 3);
         assert_eq!(pooled.backend.bands.len(), 12);
         for step in 0..30 {
             if step == 10 {
@@ -2168,72 +2167,106 @@ mod tests {
             .finish()
     }
 
-    /// A dense LEM doorway jam on two workers with the wait of resolve of
-    /// band 3 (worker 0's first band) on decide of band 4 (worker 1's
-    /// first) dropped when `drop_wait` is set, run for 20 steps under the
-    /// explorer schedule `seed`. Returns the final state's hash, or
-    /// `None` if a check panicked.
-    fn dropped_wait_run(seed: u64, drop_wait: bool) -> Option<u64> {
-        let (_, mut pooled) = doorway_pair(ModelKind::lem(), IterationMode::Dense, 2);
+    /// The wait a dropped-wait run drops, as the band `b` whose resolve
+    /// loses it, `needs[b]` with and without it, and the steps the run
+    /// takes. Dense: resolve of band 3, worker 0's last, on decide of band
+    /// 4, worker 1's first. Sparse: resolve of band 4, worker 1's first
+    /// operation after its decide, on decide of slot range 0, worker 0's
+    /// (the upper group's agents, which reach the door in band 4's top
+    /// row). Sparse runs take 10 steps: that resolve runs early in about
+    /// one step in five, and the sparse readiness check trips on any such
+    /// write, so over 20 steps nearly every schedule would trip it.
+    fn dropped_wait(mode: IterationMode) -> (usize, Range<usize>, Range<usize>, u64) {
+        match mode {
+            IterationMode::Sparse => (4, 0..2, 1..2, 10),
+            _ => (3, 2..5, 2..4, 20),
+        }
+    }
+
+    /// A LEM doorway jam in traversal `mode` on two workers with the wait
+    /// [`dropped_wait`] names dropped when `drop_wait` is set, run under
+    /// the explorer schedule `seed`. Returns the final
+    /// state's hash, or `None` if a check panicked.
+    fn dropped_wait_run(mode: IterationMode, seed: u64, drop_wait: bool) -> Option<u64> {
+        let (_, mut pooled) = doorway_pair(ModelKind::lem(), mode, 2);
         let bands = &mut pooled.backend.bands;
-        assert_eq!((bands.len(), bands.needs[3].clone()), (8, 2..5));
-        assert_eq!(bands.plans[1][0], Op::Decide(4));
+        let (b, full, dropped, steps) = dropped_wait(mode);
+        assert_eq!((bands.len(), bands.needs[b].clone()), (8, full));
+        let plan_1 = match mode {
+            IterationMode::Sparse => [Op::Decide(1), Op::Resolve(4)],
+            _ => [Op::Decide(4), Op::Decide(5)],
+        };
+        assert_eq!(bands.plans[1][..2], plan_1);
         if drop_wait {
-            bands.needs[3] = 2..4;
+            bands.needs[b] = dropped;
         }
         pooled.set_schedule_seed(Some(seed));
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pooled.run(20);
+            pooled.run(steps);
             mat_hash(&pooled)
         }))
         .ok()
     }
 
-    /// The seeded mis-ordering: with one readiness wait dropped, resolve
-    /// of band 3 may run before decide of band 4 has claimed into it, and
-    /// the explorer's interleavings find a schedule that diverges (in a
-    /// debug or `audit-runtime` build, a check panics first). With the
-    /// wait in place every schedule agrees with natural dispatch.
+    /// The seeded mis-ordering: with one readiness wait dropped, a resolve
+    /// may run before a decide that claims into its band has run, and the
+    /// explorer's
+    /// interleavings find a schedule that diverges (in a debug or
+    /// `audit-runtime` build, a check panics first). With the wait in
+    /// place every schedule agrees with natural dispatch.
     #[test]
     fn explorer_catches_a_dropped_readiness_wait() {
         use simt::exec::explore::explore;
-        let (_, mut natural) = doorway_pair(ModelKind::lem(), IterationMode::Dense, 2);
-        natural.run(20);
-        let golden = Some(mat_hash(&natural));
-        let explored = explore(0..40u64, |seed| dropped_wait_run(seed, false))
-            .expect("the full wait set is schedule-independent");
-        assert_eq!(explored, golden);
-        let err = explore(0..40u64, |seed| dropped_wait_run(seed, true))
-            .expect_err("a dropped wait must be schedule-dependent");
-        assert!(err.agreed >= 1);
+        for mode in [IterationMode::Dense, IterationMode::Sparse] {
+            let (_, mut natural) = doorway_pair(ModelKind::lem(), mode, 2);
+            natural.run(dropped_wait(mode).3);
+            let golden = Some(mat_hash(&natural));
+            let explored = explore(0..40u64, |seed| dropped_wait_run(mode, seed, false))
+                .unwrap_or_else(|d| panic!("{mode:?}: the full wait set diverged: {d}"));
+            assert_eq!(explored, golden, "{mode:?}");
+            let err = explore(0..40u64, |seed| dropped_wait_run(mode, seed, true)).expect_err(
+                &format!("{mode:?}: a dropped wait must be schedule-dependent"),
+            );
+            assert!(err.agreed >= 1, "{mode:?}");
+        }
     }
 
     /// The same mis-ordering, caught by the `audit-runtime` readiness
-    /// check: some explorer schedule makes resolve write a cell whose
-    /// neighbouring row decide has not yet published.
+    /// check in both modes: some explorer schedule makes resolve write a
+    /// cell before a decide it needs has published.
     #[cfg(feature = "audit-runtime")]
     #[test]
     fn readiness_check_catches_a_dropped_wait() {
-        let caught = (0..40u64).find(|&seed| {
-            let (_, mut pooled) = doorway_pair(ModelKind::lem(), IterationMode::Dense, 2);
-            pooled.backend.bands.needs[3] = 2..4;
-            pooled.set_schedule_seed(Some(seed));
-            let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pooled.run(20)));
-            res.err().is_some_and(|payload| {
-                let msg = payload
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .unwrap_or_default();
-                assert!(msg.contains("readiness"), "unexpected panic: {msg}");
-                true
-            })
-        });
-        assert!(caught.is_some(), "no schedule tripped the readiness check");
+        for mode in [IterationMode::Dense, IterationMode::Sparse] {
+            let caught = (0..40u64).find(|&seed| {
+                let (_, mut pooled) = doorway_pair(ModelKind::lem(), mode, 2);
+                let (b, _, dropped, steps) = dropped_wait(mode);
+                pooled.backend.bands.needs[b] = dropped;
+                pooled.set_schedule_seed(Some(seed));
+                let res =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pooled.run(steps)));
+                res.err().is_some_and(|payload| {
+                    let msg = payload
+                        .downcast_ref::<String>()
+                        .cloned()
+                        .unwrap_or_default();
+                    assert!(
+                        msg.contains("readiness"),
+                        "{mode:?}: unexpected panic: {msg}"
+                    );
+                    true
+                })
+            });
+            assert!(
+                caught.is_some(),
+                "{mode:?}: no schedule tripped the readiness check"
+            );
+        }
     }
 
-    /// The readiness check stays silent on correctly ordered runs: the
-    /// dense pipeline on real threads and under explorer schedules, and
-    /// the sparse launches, on the doorway jam.
+    /// The readiness check stays silent on correctly ordered runs of both
+    /// traversals, on real threads and under explorer schedules, on the
+    /// doorway jam.
     #[cfg(feature = "audit-runtime")]
     #[test]
     fn readiness_check_accepts_ordered_runs() {
@@ -2251,60 +2284,72 @@ mod tests {
     }
 
     /// A worker that has drained its own plan claims the next operations
-    /// of another's: worker 1 blocks in resolve of band 6 until resolve
-    /// of band 7, the last operation of its own plan, has run, so only
-    /// worker 0 claiming it can finish the launch.
+    /// of another's, in both modes: worker 1 blocks in resolve of band 6
+    /// until resolve of band 7, the last operation of its own plan, has
+    /// run, so only worker 0 claiming it can finish the launch.
     #[test]
     fn a_drained_worker_claims_operations_of_another_plan() {
         use std::sync::atomic::AtomicBool;
         let pool = WorkerPool::new(2);
-        let mut bands = Bands::new(32, 2, 1);
-        assert_eq!(bands.plans[1].last(), Some(&Op::Resolve(7)));
-        for step in 1..=20 {
-            bands.reset();
-            let ran_7 = AtomicBool::new(false);
-            let start = std::time::Instant::now();
-            let op = |o: Op| match o {
-                Op::Resolve(6) => {
-                    // ordering: acquire — pairs with the release below.
-                    while !ran_7.load(Ordering::Acquire) {
-                        assert!(
-                            start.elapsed().as_secs() < 10,
-                            "resolve of band 7 never ran"
-                        );
-                        std::thread::yield_now();
+        for mode in [IterationMode::Dense, IterationMode::Sparse] {
+            let mut bands = Bands::new(32, 2, 1, mode);
+            let plan = &bands.plans[1];
+            let at = |o: Op| plan.iter().position(|&p| p == o);
+            assert_eq!(plan.last(), Some(&Op::Resolve(7)), "{mode:?}");
+            assert!(at(Op::Resolve(6)) < at(Op::Resolve(7)), "{mode:?}");
+            for step in 1..=20 {
+                bands.reset();
+                let ran_7 = AtomicBool::new(false);
+                let start = std::time::Instant::now();
+                let op = |o: Op| match o {
+                    Op::Resolve(6) => {
+                        // ordering: acquire — pairs with the release below.
+                        while !ran_7.load(Ordering::Acquire) {
+                            assert!(
+                                start.elapsed().as_secs() < 10,
+                                "{mode:?}: resolve of band 7 never ran"
+                            );
+                            std::thread::yield_now();
+                        }
                     }
-                }
-                // ordering: release — publishes the run to resolve of 6.
-                Op::Resolve(7) => ran_7.store(true, Ordering::Release),
-                _ => {}
-            };
-            pool.run(2, &|w| bands.run_worker(w, step, &op));
-            assert!((0..8).all(|b| bands.resolvable(b, step)));
+                    // ordering: release — publishes the run to resolve of 6.
+                    Op::Resolve(7) => ran_7.store(true, Ordering::Release),
+                    _ => {}
+                };
+                pool.run(2, &|w| bands.run_worker(w, step, &op));
+                assert!((0..8).all(|b| bands.resolvable(b, step)), "{mode:?}");
+            }
         }
     }
 
-    /// A panicking operation aborts the dense launch instead of hanging
-    /// it: the workers waiting on the band whose decide panicked stop, and
-    /// the pool re-raises the panic; the next launch runs clean.
+    /// A panicking decide aborts the launch instead of hanging it, in
+    /// both modes: the workers waiting on it stop, and the pool re-raises
+    /// the panic; the next launch runs clean. A sparse plan's decide is
+    /// needed by every band, so every other worker's resolves wait on it.
     #[test]
-    fn a_panicking_operation_aborts_the_dense_launch() {
+    fn a_panicking_operation_aborts_the_launch() {
         let pool = WorkerPool::new(3);
-        let mut bands = Bands::new(36, 3, 1);
-        bands.reset();
-        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.run(3, &|w| {
-                bands.run_worker(w, 1, &|o| {
-                    if o == Op::Decide(4) {
-                        panic!("decide fault");
-                    }
-                })
-            });
-        }));
-        let payload = res.expect_err("the panic reaches the launching thread");
-        assert_eq!(payload.downcast_ref::<&str>(), Some(&"decide fault"));
-        bands.reset();
-        pool.run(3, &|w| bands.run_worker(w, 2, &|_| {}));
-        assert!((0..bands.len()).all(|b| bands.resolvable(b, 2)));
+        for (mode, faulty) in [(IterationMode::Dense, 4), (IterationMode::Sparse, 1)] {
+            let mut bands = Bands::new(36, 3, 1, mode);
+            bands.reset();
+            let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                pool.run(3, &|w| {
+                    bands.run_worker(w, 1, &|o| {
+                        if o == Op::Decide(faulty) {
+                            panic!("decide fault");
+                        }
+                    })
+                });
+            }));
+            let payload = res.expect_err("the panic reaches the launching thread");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"decide fault"),
+                "{mode:?}"
+            );
+            bands.reset();
+            pool.run(3, &|w| bands.run_worker(w, 2, &|_| {}));
+            assert!((0..bands.len()).all(|b| bands.resolvable(b, 2)), "{mode:?}");
+        }
     }
 }

@@ -4,11 +4,12 @@
 //! the claim bytes commute, every other write is structurally disjoint,
 //! and all randomness is counter-based. This suite drives the backend's
 //! schedule knob ([`PooledEngine::set_schedule_seed`]) through hundreds
-//! of Philox-keyed permutations of every stage launch's band issue order
-//! and asserts bit-identity with the scalar reference throughout — the
-//! explorer's whole-engine acceptance case. Under
+//! of Philox-keyed interleavings of every step's worker plans, in both
+//! traversal modes, and asserts bit-identity with the scalar reference
+//! throughout — the explorer's whole-engine acceptance case. Under
 //! `--features audit-runtime`, every scatter write in these runs is
-//! additionally checked by the write-set race detector.
+//! additionally checked by the write-set race detector, and every
+//! resolve write by the readiness check.
 
 use pedsim::core::engine::cpu::cpu_engine_small;
 use pedsim::core::engine::pooled::pooled_engine_small;
@@ -36,8 +37,8 @@ fn trajectory_hash(e: &impl Engine) -> u64 {
 }
 
 /// 300 explorer schedules per model and traversal mode, every one
-/// bit-identical to scalar. Sparse schedules permute every launch's task
-/// issue order; dense ones interleave the workers' band plans as the
+/// bit-identical to scalar. Every schedule, in both modes, interleaves
+/// the workers' plans of each step's one launch as the claim cursors and
 /// readiness waits allow.
 #[test]
 fn pooled_is_schedule_independent_across_300_interleavings() {
@@ -64,7 +65,7 @@ fn pooled_is_schedule_independent_across_300_interleavings() {
             .unwrap_or_else(|d| panic!("{label}: schedule divergence: {d}"));
             assert_eq!(
                 explored, golden,
-                "{label}: permuted pooled trajectories diverged from scalar"
+                "{label}: explored pooled trajectories diverged from scalar"
             );
 
             // Same budget again at a different thread count: the schedule
@@ -83,13 +84,14 @@ fn pooled_is_schedule_independent_across_300_interleavings() {
 }
 
 /// Both stage-traversal modes, explicitly: the dense cell sweep and the
-/// sparse slot-range iteration each survive 100 permuted schedules
+/// sparse slot-range iteration each survive 100 explorer schedules
 /// bit-identically on a closed LEM corridor. An open ACO corridor with
 /// inflow adds sparse slot ranges holding dead and recycled slots, and
 /// sparse evaporate-then-deposit. Under `--features audit-runtime` this
 /// is the whole-engine acceptance case for the sparse agent-keyed
-/// scatters — every slot-range write of every permuted run passes the
-/// write-set race detector.
+/// scatters — every slot-range write of every explored run passes the
+/// write-set race detector, and every resolve write the sparse
+/// readiness check.
 #[test]
 fn both_iteration_modes_are_schedule_independent() {
     use pedsim::core::engine::cpu::CpuEngine;
@@ -137,13 +139,13 @@ fn both_iteration_modes_are_schedule_independent() {
         .unwrap_or_else(|d| panic!("{label}: schedule divergence: {d}"));
         assert_eq!(
             explored, golden,
-            "{label}: permuted pooled trajectories diverged from scalar"
+            "{label}: explored pooled trajectories diverged from scalar"
         );
     }
 }
 
-/// The knob itself is inert: permuted dispatch equals natural dispatch,
-/// and switching the seed off mid-run restores natural order cleanly.
+/// The knob itself is inert: an explorer schedule equals pool dispatch,
+/// and switching the seed off mid-run restores pool dispatch cleanly.
 #[test]
 fn schedule_knob_roundtrip_is_inert() {
     let mut natural = pooled_engine_small(20, 20, 24, ModelKind::lem(), 9, 4);
