@@ -26,7 +26,14 @@
 //!    agent standing at `target + NEIGHBOR_OFFSETS[k]` wants in".
 //!    `fetch_or` is commutative, so the byte is schedule-independent.
 //!    Neither a scan row nor a FUTURE cell is stored, and only empty
-//!    cells are claimed.
+//!    cells are claimed. Every occupancy question is answered from the
+//!    agent's availability byte (bit `k` set when neighbour `k` is
+//!    empty). The dense sweep computes the byte of every cell of a row
+//!    in one pass over that row and its two neighbours before deciding
+//!    the row's agents ([`row_availability`], vectorised on interior
+//!    columns); the sparse walk builds it per agent from three 3-byte
+//!    row windows ([`mat_availability`]). Both fall back to
+//!    [`availability`]'s per-neighbour loop on the grid's border.
 //! 2. **Resolve** (movement) of a row band: the band evaporates its
 //!    pheromone cells (ACO), then every cell of the band with a non-zero
 //!    claim byte decodes it: the set bits, read in ascending order, are
@@ -179,7 +186,20 @@ impl<T: Copy> View<'_, T> {
     }
 }
 
-/// The [`availability`] byte of the agent at `(r, c)` in `mat`. An
+/// The availability byte of a cell whose eight neighbours hold `n`,
+/// listed in [`NEIGHBOR_OFFSETS`] order — (1,0) (1,-1) (1,1) (0,-1)
+/// (0,1) (-1,0) (-1,-1) (-1,1): bit `k` set when `n[k]` is empty.
+#[inline(always)]
+fn pack_free(n: [u8; 8]) -> u8 {
+    let mut avail = 0;
+    for (k, v) in n.into_iter().enumerate() {
+        avail |= u8::from(v == CELL_EMPTY) << k;
+    }
+    avail
+}
+
+/// The [`availability`] byte of the agent at `(r, c)` in `mat`, as the
+/// sparse walk reads it (the dense sweep uses [`row_availability`]). An
 /// interior agent's 3×3 neighbourhood is three 3-byte row windows of one
 /// slice of the row-major cells, from its top-left to its bottom-right
 /// neighbour; an agent on the grid's border takes the per-neighbour loop,
@@ -193,20 +213,43 @@ fn mat_availability(mat: View<'_, u8>, r: usize, c: usize) -> u8 {
     }
     let cells = &mat.cells[(r - 1) * w + c - 1..][..2 * w + 3];
     let window = |i: usize| [cells[i], cells[i + 1], cells[i + 2]];
-    let free = |v: u8| u8::from(v == CELL_EMPTY);
-    // Bit k is neighbour NEIGHBOR_OFFSETS[k]: (1,0) (1,-1) (1,1) (0,-1)
-    // (0,1) (-1,0) (-1,-1) (-1,1).
     let [sw, s, se] = window(2 * w);
     let [west, _, east] = window(w);
     let [nw, n, ne] = window(0);
-    free(s)
-        | free(sw) << 1
-        | free(se) << 2
-        | free(west) << 3
-        | free(east) << 4
-        | free(n) << 5
-        | free(nw) << 6
-        | free(ne) << 7
+    pack_free([s, sw, se, west, east, n, nw, ne])
+}
+
+/// The [`availability`] byte of every cell of row `r` of `mat`, into
+/// `out` (one byte per column). Interior columns take one branch-free
+/// pass over the three row slices above, at and below `r`, which the
+/// compiler vectorises; row 0, the last row, columns 0 and `w − 1`, and
+/// grids narrower than 3 take [`mat_availability`]'s per-neighbour loop,
+/// which reads outside cells as walls.
+fn row_availability(mat: View<'_, u8>, r: usize, out: &mut [u8]) {
+    let (h, w) = (mat.height, mat.width);
+    if r == 0 || r + 1 >= h || w < 3 {
+        for (c, v) in out[..w].iter_mut().enumerate() {
+            *v = mat_availability(mat, r, c);
+        }
+        return;
+    }
+    // Column c + 1's neighbours, for c in 0..n: every slice is `n` long,
+    // so the loop carries no bounds checks.
+    let n = w - 2;
+    let windows = |rr: usize| {
+        let cells = &mat.cells[rr * w..][..w];
+        (&cells[..n], &cells[1..=n], &cells[2..])
+    };
+    let (nw, north, ne) = windows(r - 1);
+    let (west, _, east) = windows(r);
+    let (sw, south, se) = windows(r + 1);
+    for (c, v) in out[1..=n].iter_mut().enumerate() {
+        *v = pack_free([
+            south[c], sw[c], se[c], west[c], east[c], north[c], nw[c], ne[c],
+        ]);
+    }
+    out[0] = mat_availability(mat, r, 0);
+    out[w - 1] = mat_availability(mat, r, w - 1);
 }
 
 // The row band whose resolve the calling thread is running, if any: the
@@ -795,7 +838,10 @@ impl WorkSum {
 }
 
 /// The read-only inputs of one step's decides, shared by both
-/// traversals.
+/// traversals. Each traversal supplies the availability byte that
+/// [`Decide::agent`] decides from: the dense sweep ([`Decide::rows`])
+/// from a row pass over every cell, the sparse walk ([`Decide::slots`])
+/// per agent.
 struct Decide<'a> {
     mat: View<'a, u8>,
     /// The agent index by cell: the dense sweep reads a slot from it only
@@ -822,13 +868,14 @@ struct Decide<'a> {
 
 impl Decide<'_> {
     /// Decide the group-`label` agent standing at `(r, c)`, whose slot
-    /// `a` yields (only called when the agent opens a stream): pick its
-    /// next cell exactly as the scalar initial-calc + tour kernels do and
-    /// claim it, counting into `work`. Returns the claimed cell's row and
-    /// linear index (the row files sparse claims under their band without
-    /// a division), or `None` when the agent stays put.
+    /// `a` yields (only called when the agent opens a stream) and whose
+    /// availability byte is `avail`: pick its next cell exactly as the
+    /// scalar initial-calc + tour kernels do and claim it, counting into
+    /// `work`. Returns the claimed cell's row and linear index (the row
+    /// files sparse claims under their band without a division), or
+    /// `None` when the agent stays put.
     ///
-    /// One availability byte — bit `k` set when neighbour `k` is empty —
+    /// The availability byte — bit `k` set when neighbour `k` is empty —
     /// answers every occupancy question: the forward-priority test, the
     /// outcomes it fixes alone (boxed in: no move; one LEM candidate: the
     /// clamped-normal rank of a one-entry row is 0, so that candidate; one
@@ -842,11 +889,11 @@ impl Decide<'_> {
         &self,
         a: impl Fn() -> u32,
         label: u8,
+        avail: u8,
         r: usize,
         c: usize,
         work: &mut Work,
     ) -> Option<(usize, usize)> {
-        let avail = mat_availability(self.mat, r, c);
         let (r, c) = (r as i64, c as i64);
         let g = Group::from_label(label).expect("agent has a group label");
         let fk = self.dist.front_k(g, r, c);
@@ -926,15 +973,20 @@ impl Decide<'_> {
         Some((row, target))
     }
 
-    /// Decide every agent standing in `rows` (the dense sweep). Agents are
-    /// found in `mat`, one byte a cell, rather than in the four-byte
-    /// `index`, which about four in five agents never need.
+    /// Decide every agent standing in `rows` (the dense sweep). Each row
+    /// first gets every cell's availability byte in one pass over it and
+    /// its two neighbour rows ([`row_availability`]). Agents are found in
+    /// `mat`, one byte a cell, rather than in the four-byte `index`, which
+    /// about four in five agents never need.
     fn rows(&self, rows: Range<usize>, work: &mut Work) {
         let w = self.mat.width;
+        let mut avail = vec![0; w];
         for r in rows {
-            for (c, &label) in self.mat.cells[r * w..][..w].iter().enumerate() {
+            row_availability(self.mat, r, &mut avail);
+            let cells = self.mat.cells[r * w..][..w].iter().zip(&avail);
+            for (c, (&label, &av)) in cells.enumerate() {
                 if label != CELL_EMPTY && label != CELL_WALL {
-                    self.agent(|| self.index[r * w + c], label, r, c, work);
+                    self.agent(|| self.index[r * w + c], label, av, r, c, work);
                 }
             }
         }
@@ -954,7 +1006,8 @@ impl Decide<'_> {
             let p = self.pos[ai];
             let r = p / w32;
             let (r, c) = (r as usize, (p - r * w32) as usize);
-            if let Some((row, target)) = self.agent(|| ai as u32, self.ids[ai], r, c, work) {
+            let avail = mat_availability(self.mat, r, c);
+            if let Some((row, target)) = self.agent(|| ai as u32, self.ids[ai], avail, r, c, work) {
                 bins[self.of_row[row] as usize].push(target as u32);
             }
         }
@@ -1222,13 +1275,16 @@ impl<'a> Resolve<'a> {
     /// The step's decide inputs, reading the world through this step's
     /// scatters.
     ///
+    /// Dense decide of band `b` reads every cell of rows `start − 1 ..=
+    /// end` (the availability bytes of its rows) and, around its agents,
+    /// cells within its halo, which only the resolves of `b − 1`, `b` and
+    /// `b + 1` write (every band is taller than the halo); a sparse decide
+    /// reads its agents' `pos` slots and cells anywhere, so it must
+    /// precede every resolve.
+    ///
     /// SAFETY: (`Scatter::shared`) the only writers of what a decide
     /// reads are resolves: the caller must run each decide before, and
     /// ordered before, every resolve that writes a cell or slot it reads.
-    /// Dense decide of band `b` reads cells only within its halo, which
-    /// only the resolves of `b − 1`, `b` and `b + 1` write (every band is
-    /// taller than the halo); a sparse decide reads its agents' `pos`
-    /// slots and cells anywhere, so it must precede every resolve.
     unsafe fn decide(&self, step_no: u64) -> Decide<'a> {
         let (height, width) = (self.bands.of_row.len(), self.width);
         // SAFETY: forwarded contract.
@@ -1529,10 +1585,11 @@ mod tests {
         }
     }
 
-    /// The row-window availability byte equals the bounds-checked loop on
-    /// every cell: interior and border cells of three registry worlds as
-    /// built and with every open cell relabelled at random, a one-row
-    /// grid, and every labelling of a 2×2 grid.
+    /// The row-window availability byte (sparse) and the row pass (dense)
+    /// equal the bounds-checked loop on every cell: interior and border
+    /// cells of three registry worlds as built and with every open cell
+    /// relabelled at random, a one-row grid, every labelling of a 2×2
+    /// grid, and random labellings of every grid 1–3 cells high and wide.
     #[test]
     fn fast_availability_matches_the_checked_loop_on_every_cell() {
         use pedsim_grid::cell::{CELL_BOTTOM, CELL_TOP};
@@ -1543,13 +1600,13 @@ mod tests {
                 height: mat.height(),
                 width: mat.width(),
             };
+            let mut row = vec![0; mat.width()];
             for r in 0..mat.height() {
-                for c in 0..mat.width() {
-                    assert_eq!(
-                        mat_availability(view, r, c),
-                        availability(&occ, r as i64, c as i64),
-                        "{what}: cell ({r},{c})"
-                    );
+                row_availability(view, r, &mut row);
+                for (c, &fast) in row.iter().enumerate() {
+                    let want = availability(&occ, r as i64, c as i64);
+                    assert_eq!(mat_availability(view, r, c), want, "{what}: cell ({r},{c})");
+                    assert_eq!(fast, want, "{what}: row pass, cell ({r},{c})");
                 }
             }
         };
@@ -1579,6 +1636,14 @@ mod tests {
                 .map(|i| LABELS[pattern / LABELS.len().pow(i) % 4])
                 .collect();
             assert_every_cell(&Matrix::from_vec(2, 2, cells), &format!("2x2 #{pattern}"));
+        }
+        for (h, w) in (1..=3).flat_map(|h| (1..=3).map(move |w| (h, w))) {
+            for i in 0..16 {
+                let cells = (0..h * w)
+                    .map(|_| LABELS[rng.bounded_u32(4) as usize])
+                    .collect();
+                assert_every_cell(&Matrix::from_vec(h, w, cells), &format!("{h}x{w} #{i}"));
+            }
         }
     }
 

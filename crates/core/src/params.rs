@@ -328,6 +328,27 @@ mod tests {
         ));
     }
 
+    /// The classic constructor and the scenario route give equal
+    /// configurations, `env` record included: a derived spawn band is
+    /// recorded as `spawn_rows: None` on both.
+    #[test]
+    fn classic_constructor_equals_the_scenario_route() {
+        use pedsim_grid::EnvConfig;
+        for env in [
+            EnvConfig::small(40, 40, 150).with_seed(2),
+            EnvConfig::small(32, 32, 40),
+            EnvConfig::small(16, 16, 20),
+            EnvConfig::paper(2_400).with_seed(9),
+        ] {
+            for model in [ModelKind::lem(), ModelKind::aco()] {
+                let corridor = pedsim_scenario::registry::paper_corridor(&env);
+                let via_scenario = SimConfig::from_scenario(&corridor, model);
+                assert_eq!(via_scenario.env.spawn_rows, None, "{env:?}");
+                assert_eq!(SimConfig::new(env, model), via_scenario, "{env:?}");
+            }
+        }
+    }
+
     #[test]
     fn auto_mode_resolves_by_occupancy() {
         assert_eq!(IterationMode::Auto.resolve(60, 1024), IterationMode::Sparse);

@@ -510,18 +510,27 @@ impl Scenario {
     /// simulation configuration carries for reporting and kernel seeding).
     ///
     /// `agents_per_side` reports group 0's population, `spawn_rows` group
-    /// 0's row extent, and `spawn_fill` the classic 0.6 convention; for
-    /// multi-group or asymmetric worlds these are reporting approximations
-    /// only — populations and crossing semantics always come from the
-    /// scenario itself, never from this record.
+    /// 0's row extent (`None` when the 0.6-fill rule of
+    /// [`EnvConfig::effective_spawn_rows`] derives that extent, as it does
+    /// for the classic corridor of an `EnvConfig` without one), and
+    /// `spawn_fill` the classic 0.6 convention; for multi-group or
+    /// asymmetric worlds these are reporting approximations only —
+    /// populations and crossing semantics always come from the scenario
+    /// itself, never from this record.
     pub fn env_config(&self) -> EnvConfig {
-        EnvConfig {
+        let env = EnvConfig {
             width: self.width,
             height: self.height,
             agents_per_side: self.groups[0].population,
-            spawn_rows: Some(self.groups[0].spawn.row_extent()),
+            spawn_rows: None,
             spawn_fill: 0.6,
             seed: self.seed,
+        };
+        let rows = self.groups[0].spawn.row_extent();
+        if rows == env.effective_spawn_rows() {
+            env
+        } else {
+            env.with_spawn_rows(rows)
         }
     }
 

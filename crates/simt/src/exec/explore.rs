@@ -12,13 +12,17 @@
 //! [`Divergence`] naming the offending seed, which then reproduces
 //! deterministically.
 //!
-//! This is bounded exploration, not a model checker: it permutes the
-//! *block issue order* (the schedule dimension the pooled backend actually
-//! varies between hosts) rather than every instruction interleaving.
-//! Paired with the write-set race detector (`audit-runtime` feature) it
-//! covers the two failure modes the pooled backend's claim protocol is
-//! designed against: non-commutative claim resolution and cross-tile
-//! writes.
+//! This is bounded exploration, not a model checker. [`run_permuted`]
+//! permutes the *block issue order* of one pool launch, a pool-level
+//! tool that the pool's own interleaving tests use. The pooled backend's
+//! steps do not vary by block order: each step is one launch of
+//! per-worker plans, and its explorer schedule (the seed given to
+//! `PooledEngine::set_schedule_seed`) steps those plans one operation
+//! at a time in a seeded order that the claim cursors and readiness
+//! waits allow. [`explore`] drives either kind of schedule. Paired with
+//! the write-set race detector (`audit-runtime` feature) it covers the
+//! two failure modes the pooled backend's claim protocol is designed
+//! against: non-commutative claim resolution and cross-tile writes.
 
 use philox::StreamRng;
 

@@ -118,6 +118,29 @@ fn all_registry_worlds_agree_across_backends() {
     }
 }
 
+/// A jammed classic corridor (side 64, 900 agents per side: 44 %
+/// occupancy) runs bit-identically across the matrix. At this density
+/// many agents are boxed in or have one free neighbour, so pooled's
+/// shortcuts on the availability byte decide them without a draw; the
+/// `pooled.settled` count shows they fire.
+#[test]
+fn jammed_corridor_agrees_across_backends() {
+    let env = EnvConfig::small(64, 64, 900).with_seed(5);
+    for model in [ModelKind::lem(), ModelKind::aco()] {
+        let cfg = SimConfig::from_scenario(&registry::paper_corridor(&env), model);
+        assert_backends_agree(&format!("jam/{}", model.name()), cfg.clone(), 40);
+        let mut pooled = Backend::pooled(1)
+            .build(cfg.with_iteration_mode(IterationMode::Dense))
+            .expect("pooled");
+        pooled.run(40);
+        assert!(
+            pooled.telemetry().counter("pooled.settled") > 0,
+            "jam/{}: no agent was decided by its availability byte alone",
+            model.name()
+        );
+    }
+}
+
 mod partition_properties {
     use super::*;
     use proptest::prelude::*;
