@@ -23,6 +23,7 @@ use pedsim_core::params::{AcoParams, LemParams, ModelKind, SimConfig};
 use pedsim_core::prelude::*;
 use pedsim_grid::cell::{Group, CELL_WALL};
 use pedsim_grid::Matrix;
+use pedsim_scenario::ScenarioError;
 use simt::exec::{BlockCtx, BlockKernel, ExecPolicy, LaunchConfig};
 use simt::memory::{AtomicBuffer, ScatterBuffer, ScatterView};
 use simt::profile::{CycleModel, KernelProfile};
@@ -415,7 +416,9 @@ pub fn tiled_variants(side: usize, agents: usize, reps: usize) -> TiledAblation 
 /// everyone and the sweep is flat). All twelve parameter settings run as
 /// one concurrent batch, each replica exiting early once everyone has
 /// arrived.
-pub fn param_sweep(side: usize, agents: usize, steps: u64) -> Table {
+///
+/// An error when `side` and `agents` describe no valid corridor.
+pub fn param_sweep(side: usize, agents: usize, steps: u64) -> Result<Table, ScenarioError> {
     use pedsim_core::engine::StopCondition;
     use pedsim_runner::{Batch, Job};
 
@@ -446,17 +449,17 @@ pub fn param_sweep(side: usize, agents: usize, steps: u64) -> Table {
         }))
         .collect();
 
-    let jobs: Vec<Job> = points
+    let jobs = points
         .iter()
         .map(|(model_name, param, value, model)| {
-            Job::backend(
+            Ok(Job::backend(
                 format!("{model_name}/{param}/{value}"),
-                SimConfig::new(env, *model),
+                SimConfig::try_new(env, *model)?,
                 Backend::simt(),
                 StopCondition::arrived_or_steps(steps),
-            )
+            ))
         })
-        .collect();
+        .collect::<Result<Vec<Job>, ScenarioError>>()?;
     let report = Batch::auto().run(&jobs);
 
     let mut t = Table::new(vec!["model", "parameter", "value", "throughput"]);
@@ -474,7 +477,7 @@ pub fn param_sweep(side: usize, agents: usize, steps: u64) -> Table {
             tp.to_string(),
         ]);
     }
-    t
+    Ok(t)
 }
 
 /// Render the movement ablation.

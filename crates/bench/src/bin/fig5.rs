@@ -9,6 +9,7 @@
 use pedsim_bench::scale::{arg_value, Scale};
 use pedsim_bench::{fig5, Table};
 use pedsim_obs::log_summary;
+use pedsim_scenario::ScenarioError;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -24,7 +25,7 @@ fn main() {
         cfg.steps,
         cfg.populations
     );
-    let rows = fig5::run(&cfg);
+    let rows = fig5::run(&cfg).unwrap_or_else(|e| invalid_corridor(e));
     let base = std::path::Path::new(".");
 
     let emit = |name: &str, title: &str, table: &Table| {
@@ -77,7 +78,14 @@ fn main() {
         emit(
             &format!("fig5c_modeled_{}", scale.label()),
             "Figure 5b/5c — modelled on the paper's hardware (GTX 560 Ti vs i7-930, cycle model)",
-            &fig5::modeled_speedup(&cfg, profile_steps),
+            &fig5::modeled_speedup(&cfg, profile_steps).unwrap_or_else(|e| invalid_corridor(e)),
         );
     }
+}
+
+/// Exit with the typed error's message (status 2) when the scale's
+/// configuration describes no valid corridor.
+fn invalid_corridor(e: ScenarioError) -> ! {
+    eprintln!("error: invalid paper corridor: {e}");
+    std::process::exit(2);
 }

@@ -12,6 +12,7 @@
 use pedsim_bench::scale::{arg_value, Scale};
 use pedsim_bench::{fig6, Table};
 use pedsim_obs::log_summary;
+use pedsim_scenario::ScenarioError;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -39,7 +40,7 @@ fn main() {
             cfg.repeats,
             cfg.densities.len()
         );
-        let rows = fig6::run_6a(&cfg);
+        let rows = fig6::run_6a(&cfg).unwrap_or_else(|e| invalid_corridor(e));
         emit(
             &format!("fig6a_{}", scale.label()),
             "Figure 6a — throughput, LEM vs ACO (virtual GPU)",
@@ -65,7 +66,7 @@ fn main() {
             cfg.densities.len(),
             cfg.repeats
         );
-        let analysis = fig6::run_6b(&cfg);
+        let analysis = fig6::run_6b(&cfg).unwrap_or_else(|e| invalid_corridor(e));
         emit(
             &format!("fig6b_{}", scale.label()),
             "Figure 6b — ACO throughput, CPU vs virtual GPU",
@@ -88,4 +89,11 @@ fn main() {
             }
         );
     }
+}
+
+/// Exit with the typed error's message (status 2) when the scale's
+/// configuration describes no valid corridor.
+fn invalid_corridor(e: ScenarioError) -> ! {
+    eprintln!("error: invalid paper corridor: {e}");
+    std::process::exit(2);
 }

@@ -16,6 +16,7 @@ use std::time::Duration;
 
 use pedsim_core::prelude::*;
 use pedsim_runner::{Batch, Job};
+use pedsim_scenario::ScenarioError;
 
 use crate::report::{f3, secs, Table};
 use crate::scale::Scale;
@@ -97,7 +98,9 @@ impl Fig5Row {
 /// `scalar` reference.
 /// `RunResult::wall` covers the simulation loop alone, engine
 /// construction excluded, exactly as the hand-rolled timers did.
-pub fn run(cfg: &Fig5Config) -> Vec<Fig5Row> {
+///
+/// An error when a population describes no valid corridor on `cfg.side`.
+pub fn run(cfg: &Fig5Config) -> Result<Vec<Fig5Row>, ScenarioError> {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let gpu = Backend::named("simt", cores);
     let timer = Batch::new(1);
@@ -106,26 +109,24 @@ pub fn run(cfg: &Fig5Config) -> Vec<Fig5Row> {
         .map(|&agents| {
             let env = EnvConfig::small(cfg.side, cfg.side, agents / 2).with_seed(cfg.seed);
             let scfg = |model: ModelKind| {
-                SimConfig::new(env, model)
-                    .with_checked(false)
-                    .with_metrics(false)
+                SimConfig::try_new(env, model).map(|c| c.with_checked(false).with_metrics(false))
             };
             let jobs = [
                 Job::backend(
                     "lem_gpu",
-                    scfg(ModelKind::lem()),
+                    scfg(ModelKind::lem())?,
                     gpu.clone(),
                     StopCondition::Steps(cfg.steps),
                 ),
                 Job::backend(
                     "aco_gpu",
-                    scfg(ModelKind::aco()),
+                    scfg(ModelKind::aco())?,
                     gpu.clone(),
                     StopCondition::Steps(cfg.steps),
                 ),
                 Job::backend(
                     "aco_cpu",
-                    scfg(ModelKind::aco()),
+                    scfg(ModelKind::aco())?,
                     Backend::scalar(),
                     StopCondition::Steps(cfg.steps),
                 ),
@@ -138,12 +139,12 @@ pub fn run(cfg: &Fig5Config) -> Vec<Fig5Row> {
                     .expect("one result per label")
                     .wall
             };
-            Fig5Row {
+            Ok(Fig5Row {
                 agents,
                 lem_gpu: wall("lem_gpu"),
                 aco_gpu: wall("aco_gpu"),
                 aco_cpu: wall("aco_cpu"),
-            }
+            })
         })
         .collect()
 }
@@ -187,8 +188,8 @@ pub fn table_5c(rows: &[Fig5Row]) -> Table {
 /// the paper's own devices — GTX 560 Ti warp-wide execution vs i7-930
 /// serial execution (`simt::CycleModel`). This is the substitution that
 /// keeps the figure's "who wins" meaningful on any host; EXPERIMENTS.md
-/// reports both.
-pub fn modeled_speedup(cfg: &Fig5Config, profile_steps: u64) -> Table {
+/// reports both. An error when a population describes no valid corridor.
+pub fn modeled_speedup(cfg: &Fig5Config, profile_steps: u64) -> Result<Table, ScenarioError> {
     use simt::exec::ExecPolicy;
     use simt::profile::{CycleModel, KernelProfile};
     use simt::{Device, DeviceProps};
@@ -209,7 +210,7 @@ pub fn modeled_speedup(cfg: &Fig5Config, profile_steps: u64) -> Table {
             .profiling(true)
             .build();
         let mut engine = GpuEngine::new(
-            SimConfig::new(env, ModelKind::aco()).with_metrics(false),
+            SimConfig::try_new(env, ModelKind::aco())?.with_metrics(false),
             device,
         );
         engine.run(profile_steps);
@@ -228,7 +229,7 @@ pub fn modeled_speedup(cfg: &Fig5Config, profile_steps: u64) -> Table {
             f3(cpu_s / gpu_s.max(1e-12)),
         ]);
     }
-    t
+    Ok(t)
 }
 
 #[cfg(test)]
@@ -238,7 +239,7 @@ mod tests {
     #[test]
     fn smoke_protocol_produces_rows() {
         let cfg = Fig5Config::for_scale(Scale::Smoke);
-        let rows = run(&cfg);
+        let rows = run(&cfg).expect("valid corridors");
         assert_eq!(rows.len(), 2);
         for r in &rows {
             assert!(r.lem_gpu > Duration::ZERO);

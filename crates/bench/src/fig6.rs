@@ -23,6 +23,7 @@
 
 use pedsim_core::prelude::*;
 use pedsim_runner::{Batch, Job};
+use pedsim_scenario::ScenarioError;
 use pedsim_stats::BinomialGlm;
 
 use crate::report::{f3, Table};
@@ -82,20 +83,21 @@ impl Fig6Config {
 
 /// The jobs of one model/engine series: every density × repeat replica,
 /// seeded exactly as the legacy serial loop was (`seed_base + density ×
-/// 1000 + repeat`), labelled `d<density>/<suffix>` for aggregation.
+/// 1000 + repeat`), labelled `d<density>/<suffix>` for aggregation. An
+/// error when a density describes no valid corridor on `cfg.side`.
 fn series_jobs(
     cfg: &Fig6Config,
     model: ModelKind,
     use_cpu: bool,
     seed_base: u64,
     suffix: &str,
-) -> Vec<Job> {
+) -> Result<Vec<Job>, ScenarioError> {
     let mut jobs = Vec::with_capacity(cfg.densities.len() * cfg.repeats as usize);
     for (i, &agents) in cfg.densities.iter().enumerate() {
         for k in 0..cfg.repeats {
             let seed = seed_base + (i + 1) as u64 * 1000 + k;
             let env = EnvConfig::small(cfg.side, cfg.side, agents / 2).with_seed(seed);
-            let scfg = SimConfig::new(env, model).with_checked(false);
+            let scfg = SimConfig::try_new(env, model)?.with_checked(false);
             let label = format!("d{:02}/{suffix}", i + 1);
             let stop = StopCondition::arrived_or_steps(cfg.steps);
             let backend = if use_cpu {
@@ -106,7 +108,7 @@ fn series_jobs(
             jobs.push(Job::backend(label, scfg, backend, stop));
         }
     }
-    jobs
+    Ok(jobs)
 }
 
 /// One density point of Fig. 6a.
@@ -124,12 +126,13 @@ pub struct Fig6aRow {
 
 /// Run Fig. 6a: LEM vs ACO on the virtual GPU — one batch over every
 /// (density, model, repeat) replica, each exiting early once all agents
-/// have arrived.
-pub fn run_6a(cfg: &Fig6Config) -> Vec<Fig6aRow> {
-    let mut jobs = series_jobs(cfg, ModelKind::lem(), false, cfg.seed, "LEM");
-    jobs.extend(series_jobs(cfg, ModelKind::aco(), false, cfg.seed, "ACO"));
+/// have arrived. An error when a density describes no valid corridor.
+pub fn run_6a(cfg: &Fig6Config) -> Result<Vec<Fig6aRow>, ScenarioError> {
+    let mut jobs = series_jobs(cfg, ModelKind::lem(), false, cfg.seed, "LEM")?;
+    jobs.extend(series_jobs(cfg, ModelKind::aco(), false, cfg.seed, "ACO")?);
     let report = Batch::auto().run(&jobs);
-    cfg.densities
+    Ok(cfg
+        .densities
         .iter()
         .enumerate()
         .map(|(i, &agents)| Fig6aRow {
@@ -138,7 +141,7 @@ pub fn run_6a(cfg: &Fig6Config) -> Vec<Fig6aRow> {
             lem: report.mean_throughput(&format!("d{:02}/LEM", i + 1)),
             aco: report.mean_throughput(&format!("d{:02}/ACO", i + 1)),
         })
-        .collect()
+        .collect())
 }
 
 /// Overall ACO gain over LEM across all densities (paper: +39.6 %).
@@ -203,16 +206,17 @@ pub struct Fig6bAnalysis {
 ///
 /// Per the paper, the CPU and GPU runs of a repeat use *different seeds*
 /// (`seed` offsets) so the comparison is statistical, not the trivial
-/// bit-equality that `validate::engines_agree` already proves.
-pub fn run_6b(cfg: &Fig6Config) -> Fig6bAnalysis {
-    let mut jobs = series_jobs(cfg, ModelKind::aco(), true, cfg.seed, "cpu");
+/// bit-equality that `validate::engines_agree` already proves. An error
+/// when a density describes no valid corridor.
+pub fn run_6b(cfg: &Fig6Config) -> Result<Fig6bAnalysis, ScenarioError> {
+    let mut jobs = series_jobs(cfg, ModelKind::aco(), true, cfg.seed, "cpu")?;
     jobs.extend(series_jobs(
         cfg,
         ModelKind::aco(),
         false,
         cfg.seed + 500_000,
         "gpu",
-    ));
+    )?);
     let report = Batch::auto().run(&jobs);
     let rows: Vec<Fig6bRow> = cfg
         .densities
@@ -241,13 +245,13 @@ pub fn run_6b(cfg: &Fig6Config) -> Fig6bAnalysis {
         glm.push(&[x, 1.0], r.gpu.round() as u64, r.agents as u64);
     }
     let fit = glm.fit().expect("GLM fit");
-    Fig6bAnalysis {
+    Ok(Fig6bAnalysis {
         rows,
         gpu_coef: fit.coef[2],
         gpu_z: fit.z[2],
         gpu_p: fit.p[2],
         glm_scenarios: kept.len(),
-    }
+    })
 }
 
 /// Render Fig. 6b's series.
@@ -276,7 +280,7 @@ mod tests {
     #[test]
     fn smoke_6a_produces_shape_inputs() {
         let cfg = Fig6Config::for_scale(Scale::Smoke);
-        let rows = run_6a(&cfg);
+        let rows = run_6a(&cfg).expect("valid corridors");
         assert_eq!(rows.len(), 3);
         // Low density: both models get everyone (or nearly everyone) across.
         let r0 = rows[0];
@@ -286,12 +290,22 @@ mod tests {
         assert_eq!(table_6a(&rows).rows.len(), 3);
     }
 
+    /// A density the grid cannot seat is the scenario's typed error, before
+    /// any replica runs.
+    #[test]
+    fn an_unseatable_density_is_a_typed_error() {
+        let mut cfg = Fig6Config::for_scale(Scale::Smoke);
+        cfg.densities.push(cfg.side * cfg.side * 2);
+        assert!(run_6a(&cfg).is_err());
+        assert!(run_6b(&cfg).is_err());
+    }
+
     #[test]
     fn smoke_6b_fits_glm() {
         let mut cfg = Fig6Config::for_scale(Scale::Smoke);
         cfg.densities = vec![64, 128, 256, 384, 512, 640, 768, 896];
         cfg.steps = 150;
-        let analysis = run_6b(&cfg);
+        let analysis = run_6b(&cfg).expect("valid corridors");
         assert_eq!(analysis.rows.len(), 8);
         assert_eq!(analysis.glm_scenarios, 4);
         assert!(analysis.gpu_p.is_finite());

@@ -23,17 +23,33 @@
 //!    forward-priority short-circuit does not already decide (the scan
 //!    row would go unread), draws its move from its own stream, and ORs
 //!    one bit into its target cell's claim byte — bit `k` means "the
-//!    agent standing at `target + NEIGHBOR_OFFSETS[k]` wants in".
-//!    `fetch_or` is commutative, so the byte is schedule-independent.
-//!    Neither a scan row nor a FUTURE cell is stored, and only empty
-//!    cells are claimed. Every occupancy question is answered from the
-//!    agent's availability byte (bit `k` set when neighbour `k` is
-//!    empty). The dense sweep computes the byte of every cell of a row
-//!    in one pass over that row and its two neighbours before deciding
-//!    the row's agents ([`row_availability`], vectorised on interior
-//!    columns); the sparse walk builds it per agent from three 3-byte
-//!    row windows ([`mat_availability`]). Both fall back to
-//!    [`availability`]'s per-neighbour loop on the grid's border.
+//!    agent standing at `target + NEIGHBOR_OFFSETS[k]` wants in"
+//!    ([`OPPOSITE`] maps a move to its bit). Neither a scan row nor a
+//!    FUTURE cell is stored, and only empty cells are claimed. Every
+//!    occupancy question is answered from the agent's availability byte
+//!    (bit `k` set when neighbour `k` is empty). The dense sweep computes
+//!    the byte of every cell of a row in one pass over that row and its
+//!    two neighbours ([`row_availability`], vectorised on interior
+//!    columns); the sparse walk builds it per agent from three 3-byte row
+//!    windows ([`mat_availability`]). Both fall back to [`availability`]'s
+//!    per-neighbour loop on the grid's border.
+//!
+//!    The dense sweep then classifies the whole row in one branch-free
+//!    pass ([`classify`]): agents whose forward cell is free, agents boxed
+//!    in, and agents with one candidate are decided by the byte alone —
+//!    the per-agent code's own shortcuts — and only the rest, the drawing
+//!    agents, go through [`Decide::agent`]. One pass per move direction
+//!    then ORs every target's bit into the claim rows above, at and below.
+//!    An ACO agent with one candidate moves only when that neighbour's
+//!    numerator is positive; the pass settles it unread only at steps
+//!    where every numerator is provably positive ([`settles_one`]).
+//!
+//!    Claims are schedule-independent by construction. A claim row that
+//!    several decides reach — a band's first and last rows and the rows
+//!    just outside it — takes a commutative `fetch_or`; the rows `start +
+//!    1 ..= end − 2` of a dense band only its own decide reaches, and
+//!    only its own resolve, which waits for it, reads, so they take plain
+//!    byte ORs ([`Claims`]). The sparse walk `fetch_or`s every claim.
 //! 2. **Resolve** (movement) of a row band: the band evaporates its
 //!    pheromone cells (ACO), then every cell of the band with a non-zero
 //!    claim byte decodes it: the set bits, read in ascending order, are
@@ -112,7 +128,7 @@ use std::sync::Arc;
 use pedsim_grid::cell::{Group, CELL_EMPTY, CELL_WALL, MOVE_LEN, NEIGHBOR_OFFSETS};
 use pedsim_grid::distance::DistRef;
 use pedsim_grid::scan::TourLengths;
-use pedsim_grid::{DistanceData, EnvConfig, Environment, Matrix, PheromoneField};
+use pedsim_grid::{DistanceData, DistanceKind, EnvConfig, Environment, Matrix, PheromoneField};
 use philox::StreamRng;
 use simt::exec::pool::{band_range, WorkerPool};
 
@@ -143,22 +159,26 @@ const BANDS_PER_WORKER: usize = 4;
 /// starves the worker it waits on when there are more workers than cores.
 const SPINS_BEFORE_YIELD: u32 = 64;
 
-/// Inverse of [`NEIGHBOR_OFFSETS`]: the slot `k` with
-/// `NEIGHBOR_OFFSETS[k] == (dr, dc)`.
-#[inline]
-fn offset_slot(dr: i64, dc: i64) -> usize {
-    match (dr, dc) {
-        (1, 0) => 0,
-        (1, -1) => 1,
-        (1, 1) => 2,
-        (0, -1) => 3,
-        (0, 1) => 4,
-        (-1, 0) => 5,
-        (-1, -1) => 6,
-        (-1, 1) => 7,
-        _ => unreachable!("future cell is not a neighbour: ({dr},{dc})"),
+/// The claim-byte bit of each move: `OPPOSITE[k]` is the slot of
+/// `NEIGHBOR_OFFSETS[k]` reversed, so an agent moving by offset `k` sets
+/// bit `OPPOSITE[k]` of its target's claim byte — "the agent at `target +
+/// NEIGHBOR_OFFSETS[OPPOSITE[k]]` wants in".
+const OPPOSITE: [usize; 8] = {
+    let mut opposite = [0; 8];
+    let mut k = 0;
+    while k < 8 {
+        let (dr, dc) = NEIGHBOR_OFFSETS[k];
+        let mut j = 0;
+        while j < 8 {
+            if NEIGHBOR_OFFSETS[j].0 == -dr && NEIGHBOR_OFFSETS[j].1 == -dc {
+                opposite[k] = j;
+            }
+            j += 1;
+        }
+        k += 1;
     }
-}
+    opposite
+};
 
 /// A read view of a row-major grid: the cells of a [`Scatter`] that
 /// other tasks of the same launch write elsewhere.
@@ -275,15 +295,23 @@ fn as_band<R>(b: usize, f: impl FnOnce() -> R) -> R {
 
 /// Write-set tracker for the `audit-runtime` tile-race detector: one
 /// owner word per slot, `0` = unwritten this phase, `1` = host thread,
-/// `t + 2` = task `t` (the row band being resolved, else the pool
-/// block). A [`Scatter`] lives for exactly one phase, so "written by two
-/// tasks while this Scatter exists" is precisely the
+/// `t + 2` = task `t` (the row band being decided or resolved, else the
+/// pool block). A [`Scatter`] lives for exactly one phase, so "written by
+/// two tasks while this Scatter exists" is precisely the
 /// structural-disjointness violation the SAFETY contracts rule out (a
-/// task may rewrite its own slot).
+/// task may rewrite its own slot). Commutative atomic writes, which any
+/// number of tasks may make to one slot, are noted as shared
+/// ([`WriteSet::note_shared`]): they conflict only with another task's
+/// plain write.
 #[cfg(feature = "audit-runtime")]
 struct WriteSet {
     owners: Vec<std::sync::atomic::AtomicU32>,
 }
+
+/// Owner-word flag of a slot written by commutative atomic writes only;
+/// with no task in the low bits, by more than one task.
+#[cfg(feature = "audit-runtime")]
+const SHARED: u32 = 1 << 31;
 
 #[cfg(feature = "audit-runtime")]
 impl WriteSet {
@@ -295,22 +323,50 @@ impl WriteSet {
         }
     }
 
-    /// Record a write to slot `i`, panicking if another task already
-    /// wrote it during this Scatter's phase.
-    fn note(&self, i: usize) {
+    /// The calling task's owner word.
+    fn me() -> u32 {
         let task = BAND
             .with(|t| t.get())
             .or_else(simt::exec::pool::current_block);
-        let me = match task {
+        match task {
             Some(t) => t as u32 + 2,
             None => 1,
-        };
+        }
+    }
+
+    /// Record a plain write to slot `i`, panicking if another task already
+    /// wrote it during this Scatter's phase.
+    fn note(&self, i: usize) {
+        let me = Self::me();
         // ordering: relaxed — the swap is an atomic claim; detection only
         // needs each slot's own modification order, not cross-slot order.
         let prev = self.owners[i].swap(me, Ordering::Relaxed);
-        if prev != 0 && prev != me {
+        if prev != 0 && prev & !SHARED != me {
             panic!(
                 "tile race: slot {i} written by task {} after task {} in the same phase",
+                me.wrapping_sub(2),
+                (prev & !SHARED).wrapping_sub(2),
+            );
+        }
+    }
+
+    /// Record a commutative atomic write to slot `i`, panicking if
+    /// another task wrote it plainly during this phase.
+    fn note_shared(&self, i: usize) {
+        let me = Self::me();
+        // ordering: relaxed — as in `note`.
+        let prev = self.owners[i]
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |o| match o {
+                0 => Some(SHARED | me),
+                o if o & !SHARED == me => None,
+                o if o & SHARED != 0 => Some(SHARED),
+                _ => None,
+            })
+            .unwrap_or_else(|o| o);
+        if prev != 0 && prev & SHARED == 0 && prev != me {
+            panic!(
+                "tile race: slot {i} written by task {} after a plain write by task {} in \
+                 the same phase",
                 me.wrapping_sub(2),
                 prev.wrapping_sub(2),
             );
@@ -426,6 +482,61 @@ impl<T: Copy> Scatter<'_, T> {
     }
 }
 
+/// One step's claim bytes as the decides write them, one per cell: a
+/// commutative `fetch_or` ([`Claims::or`]) into a row that several decides
+/// reach, plain byte ORs ([`Claims::row_mut`]) into a row only the
+/// calling decide reaches. Under `audit-runtime` every write is noted in
+/// a per-step [`WriteSet`] — the atomic ones as shared — so a plain row
+/// that another task also writes is a detected tile race.
+#[derive(Clone)]
+struct Claims<'a> {
+    bytes: &'a [AtomicU8],
+    #[cfg(feature = "audit-runtime")]
+    ws: Arc<WriteSet>,
+}
+
+impl<'a> Claims<'a> {
+    fn new(bytes: &'a [AtomicU8]) -> Self {
+        Self {
+            bytes,
+            #[cfg(feature = "audit-runtime")]
+            ws: Arc::new(WriteSet::new(bytes.len())),
+        }
+    }
+
+    /// OR `bits` into claim byte `i`.
+    #[inline]
+    fn or(&self, i: usize, bits: u8) {
+        #[cfg(feature = "audit-runtime")]
+        self.ws.note_shared(i);
+        // ordering: relaxed — fetch_or commutes, so only the final claim
+        // byte matters; the decide's readiness flag publishes it before
+        // any resolve reads.
+        self.bytes[i].fetch_or(bits, Ordering::Relaxed);
+    }
+
+    /// The `width` claim bytes of row `r`, for plain writes.
+    ///
+    /// SAFETY: no other task may read or write a byte of the row in this
+    /// step until the calling task's readiness flag has published the
+    /// writes (a release the reader acquires), and the caller must not
+    /// hold two borrows of the row at once.
+    #[inline]
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn row_mut(&self, r: usize, width: usize) -> &mut [u8] {
+        let row = &self.bytes[r * width..][..width];
+        #[cfg(feature = "audit-runtime")]
+        for i in r * width..(r + 1) * width {
+            self.ws.note(i);
+        }
+        // SAFETY: `AtomicU8` has the layout of `u8` and its bytes sit in
+        // an `UnsafeCell`, so they may be written through a pointer
+        // derived from a shared borrow; exclusivity is the caller's
+        // contract.
+        unsafe { std::slice::from_raw_parts_mut(row.as_ptr().cast::<u8>().cast_mut(), width) }
+    }
+}
+
 /// ACO evaporation of one band of pheromone slots: the fused update with
 /// no deposit. A deposit added afterwards completes the fused update bit
 /// for bit, because `max((1-ρ)τ, τ₀) + 0.0` is exactly `max((1-ρ)τ, τ₀)`.
@@ -469,6 +580,12 @@ struct Bands {
     rows: Vec<Range<usize>>,
     /// The band holding each grid row.
     of_row: Vec<u32>,
+    /// Per band: the claim rows its dense decide writes with plain byte
+    /// ORs, `start + 1 ..= end − 2`. Claims reach one row from an agent,
+    /// so no other decide reaches them, and only the band's own resolve
+    /// reads them; the band's first and last rows, and the rows just
+    /// outside it, take `fetch_or`.
+    plain: Vec<Range<usize>>,
     /// Per band `b`: the decides that must have finished before resolve
     /// of `b` starts — bands `b − 1 ..= b + 1` when dense, every slot
     /// range when sparse.
@@ -540,6 +657,10 @@ impl Bands {
             })
             .collect();
         Self {
+            plain: rows
+                .iter()
+                .map(|r| r.start + 1..r.end.saturating_sub(1))
+                .collect(),
             rows,
             of_row,
             needs,
@@ -720,6 +841,13 @@ struct PooledBackend {
     dist: Arc<DistanceData>,
     /// [`eta_beta_plane`] of `dist` under the current model's β.
     eta_beta: Vec<f32>,
+    /// [`eta_beta_min`] of `eta_beta`.
+    eta_beta_min: f32,
+    /// ACO: the least value a pheromone cell holds when the next step's
+    /// decides read it — the initial τ₀ before the first step, then the
+    /// τ₀ of the last step's evaporation, which rewrites every cell, when
+    /// its deposits `Q/L` were not negative; NaN otherwise.
+    pher_floor: f32,
     seed: u64,
     pool: WorkerPool,
     /// One claim byte per cell: bit `k` set means the agent at
@@ -837,11 +965,103 @@ impl WorkSum {
     }
 }
 
+/// Flags of the dense class pass ([`classify`]), one byte per cell. A
+/// byte holds at most one of each, and bits 0 and 5 are far enough apart
+/// that sixteen bytes' sum of `CLAIMS | SETTLED` in `u16` keeps both
+/// counts ([`count_flags`]).
+///
+/// The pass claims the agent's target: forward, or the one candidate.
+const CLAIMS: u8 = 1;
+/// The agent's availability byte alone decided it: boxed in, or with one
+/// candidate the pass settles.
+const SETTLED: u8 = 1 << 5;
+/// The agent is left to [`Decide::agent`].
+const DRAWS: u8 = 1 << 7;
+
+/// The class pass of one row of the dense sweep, branch-free so that the
+/// compiler vectorises it. Per cell, from its availability byte `avail`
+/// and its front bit `front` (`1 << front_k` for an agent, 0 for an empty
+/// or wall cell), it writes a flags byte and a one-hot target byte:
+///
+/// - **forward** (`forward` priority on and the front bit free): claims
+///   the front cell;
+/// - **boxed in** (no free neighbour): settled, no claim;
+/// - **one candidate** (one free neighbour, when `settle_one`): settled,
+///   claims it;
+/// - **drawing** (anything else): no target yet — [`Decide::agent`]
+///   decides it.
+///
+/// These are [`Decide::agent`]'s own outcomes for the first three
+/// classes, with no stream opened and no scan row built.
+fn classify(
+    avail: &[u8],
+    front: &[u8],
+    forward: bool,
+    settle_one: bool,
+    flags: &mut [u8],
+    target: &mut [u8],
+) {
+    let mask = |b: bool| 0u8.wrapping_sub(u8::from(b));
+    let (forward, settle_one) = (mask(forward), mask(settle_one));
+    let n = avail.len();
+    let (front, flags, target) = (&front[..n], &mut flags[..n], &mut target[..n]);
+    for c in 0..n {
+        let (av, fb) = (avail[c], front[c]);
+        let agent = mask(fb != 0);
+        let fwd = mask(av & fb & forward != 0);
+        let rest = agent & !fwd;
+        let boxed = rest & mask(av == 0);
+        let one = rest & settle_one & mask((av != 0) & (av & av.wrapping_sub(1) == 0));
+        let draws = rest & !boxed & !one;
+        target[c] = (fwd & fb) | (one & av);
+        flags[c] =
+            (fwd & CLAIMS) | (boxed & SETTLED) | (one & (SETTLED | CLAIMS)) | (draws & DRAWS);
+    }
+}
+
+/// The `(claimed, settled)` counts of a row of [`classify`] flags, summed
+/// per 16-byte chunk in `u16`: at most 16 claims in bits 0–4, and the
+/// settled count from bit 5.
+fn count_flags(flags: &[u8]) -> (u64, u64) {
+    let sum = |chunk: &[u8]| -> u16 {
+        chunk
+            .iter()
+            .map(|&f| u16::from(f & (CLAIMS | SETTLED)))
+            .sum()
+    };
+    let chunks = flags.chunks_exact(16);
+    let tail = sum(chunks.remainder());
+    let (mut claimed, mut settled) = (u64::from(tail & 31), u64::from(tail >> 5));
+    for chunk in chunks {
+        let s = sum(chunk);
+        claimed += u64::from(s & 31);
+        settled += u64::from(s >> 5);
+    }
+    (claimed, settled)
+}
+
+/// OR the claims of row `targets`' agents that move by offset `k` into
+/// `dst`, the claim bytes of their target row: the agent in column `c`
+/// sets bit [`OPPOSITE`]`[k]` of `dst[c + dc]`. Every byte of `dst` in
+/// reach is rewritten, claimed or not.
+#[inline(always)]
+fn or_moves(dst: &mut [u8], targets: &[u8], k: usize) {
+    let (from, to) = (1u8 << k, 1u8 << OPPOSITE[k]);
+    let n = dst.len() - 1;
+    let (dst, targets) = match NEIGHBOR_OFFSETS[k].1 {
+        -1 => (&mut dst[..n], &targets[1..]),
+        1 => (&mut dst[1..], &targets[..n]),
+        _ => (dst, targets),
+    };
+    for (d, &t) in dst.iter_mut().zip(targets) {
+        *d |= if t & from != 0 { to } else { 0 };
+    }
+}
+
 /// The read-only inputs of one step's decides, shared by both
-/// traversals. Each traversal supplies the availability byte that
-/// [`Decide::agent`] decides from: the dense sweep ([`Decide::rows`])
-/// from a row pass over every cell, the sparse walk ([`Decide::slots`])
-/// per agent.
+/// traversals. The dense sweep ([`Decide::rows`]) settles most agents in
+/// whole-row passes and hands the rest to [`Decide::agent`]; the sparse
+/// walk ([`Decide::slots`]) hands every agent to it.
 struct Decide<'a> {
     mat: View<'a, u8>,
     /// The agent index by cell: the dense sweep reads a slot from it only
@@ -860,20 +1080,22 @@ struct Decide<'a> {
     /// ACO's `η^β` plane, indexed as [`DistRef::neighbor_index`].
     eta_beta: &'a [f32],
     model: ModelKind,
+    /// Whether the dense class pass settles one-candidate agents (see
+    /// [`settles_one`]).
+    settle_one: bool,
     seed: u64,
     /// Counter base of the tour draws: `(step·4 + KERNEL_TOUR) << 4`.
     counter_base: u64,
-    claims: &'a [AtomicU8],
+    claims: Claims<'a>,
 }
 
 impl Decide<'_> {
     /// Decide the group-`label` agent standing at `(r, c)`, whose slot
     /// `a` yields (only called when the agent opens a stream) and whose
     /// availability byte is `avail`: pick its next cell exactly as the
-    /// scalar initial-calc + tour kernels do and claim it, counting into
-    /// `work`. Returns the claimed cell's row and linear index (the row
-    /// files sparse claims under their band without a division), or
-    /// `None` when the agent stays put.
+    /// scalar initial-calc + tour kernels do, counting into `work` (the
+    /// caller counts the claim). Returns the neighbour slot of the cell
+    /// it claims, or `None` when it stays put.
     ///
     /// The availability byte — bit `k` set when neighbour `k` is empty —
     /// answers every occupancy question: the forward-priority test, the
@@ -893,7 +1115,7 @@ impl Decide<'_> {
         r: usize,
         c: usize,
         work: &mut Work,
-    ) -> Option<(usize, usize)> {
+    ) -> Option<usize> {
         let (r, c) = (r as i64, c as i64);
         let g = Group::from_label(label).expect("agent has a group label");
         let fk = self.dist.front_k(g, r, c);
@@ -959,34 +1181,96 @@ impl Decide<'_> {
         };
         // The selects only pick empty cells; the in-place resolve's
         // race-freedom rests on that, so it is enforced, not assumed.
-        if avail & (1 << k) == 0 {
-            return None;
-        }
-        let (dr, dc) = NEIGHBOR_OFFSETS[k];
-        let row = (r + dr) as usize;
-        let target = row * self.mat.width + (c + dc) as usize;
-        // ordering: relaxed — fetch_or commutes, so only the final claim
-        // byte matters; the decide's readiness flag publishes it before
-        // any resolve reads.
-        self.claims[target].fetch_or(1 << offset_slot(-dr, -dc), Ordering::Relaxed);
-        work.claimed += 1;
-        Some((row, target))
+        (avail & (1 << k) != 0).then_some(k)
     }
 
-    /// Decide every agent standing in `rows` (the dense sweep). Each row
-    /// first gets every cell's availability byte in one pass over it and
-    /// its two neighbour rows ([`row_availability`]). Agents are found in
-    /// `mat`, one byte a cell, rather than in the four-byte `index`, which
-    /// about four in five agents never need.
-    fn rows(&self, rows: Range<usize>, work: &mut Work) {
-        let w = self.mat.width;
-        let mut avail = vec![0; w];
+    /// Every cell's front bit in row `r`, whose labels are `labels`:
+    /// `1 << front_k` for an agent, 0 for an empty or wall cell. The row
+    /// layout's front slot is a constant per group; the grid layout's is
+    /// read from its front plane.
+    fn front_bits(&self, r: usize, labels: &[u8], out: &mut [u8]) {
+        let (h, w) = (self.mat.height, self.mat.width);
+        out.fill(0);
+        for g in Group::first_n(self.dist.groups) {
+            let label = g.label();
+            if self.dist.kind == DistanceKind::Rows {
+                let bit = 1u8 << self.dist.forward_k(g);
+                for (o, &l) in out.iter_mut().zip(labels) {
+                    *o |= if l == label { bit } else { 0 };
+                }
+            } else {
+                let front = &self.dist.front[(g.index() * h + r) * w..][..w];
+                for ((o, &l), &k) in out.iter_mut().zip(labels).zip(front) {
+                    *o |= if l == label { 1 << (k & 7) } else { 0 };
+                }
+            }
+        }
+    }
+
+    /// Decide every agent standing in `rows` (the dense sweep), writing
+    /// the claim rows `plain` with plain byte ORs and every other claim
+    /// row with `fetch_or`. Per row: every cell's availability byte
+    /// ([`row_availability`]) and front bit, the class pass
+    /// ([`classify`]), [`Decide::agent`] for the drawing agents only, and
+    /// then every target's claim in one pass per move direction. The work
+    /// counts of the settled classes are sums over the flags bytes.
+    ///
+    /// SAFETY: no other task may write or read a claim byte of the rows
+    /// `plain` in this step before the calling decide has published
+    /// them (as [`Claims::row_mut`]).
+    unsafe fn rows(&self, rows: Range<usize>, plain: Range<usize>, work: &mut Work) {
+        let (h, w) = (self.mat.height, self.mat.width);
+        let mut buf = vec![0; 4 * w];
+        let (avail, rest) = buf.split_at_mut(w);
+        let (front, rest) = rest.split_at_mut(w);
+        let (flags, target) = rest.split_at_mut(w);
+        let forward = self.model.forward_priority();
         for r in rows {
-            row_availability(self.mat, r, &mut avail);
-            let cells = self.mat.cells[r * w..][..w].iter().zip(&avail);
-            for (c, (&label, &av)) in cells.enumerate() {
-                if label != CELL_EMPTY && label != CELL_WALL {
-                    self.agent(|| self.index[r * w + c], label, av, r, c, work);
+            let labels = &self.mat.cells[r * w..][..w];
+            row_availability(self.mat, r, avail);
+            self.front_bits(r, labels, front);
+            classify(avail, front, forward, self.settle_one, flags, target);
+            let (claimed, settled) = count_flags(flags);
+            work.claimed += claimed;
+            work.scored += settled;
+            work.settled += settled;
+            // The drawing agents, eight flags bytes at a time.
+            for (i, word) in flags.chunks(8).enumerate() {
+                let mut bytes = [0; 8];
+                bytes[..word.len()].copy_from_slice(word);
+                let mut draws = u64::from_le_bytes(bytes) & u64::from_le_bytes([DRAWS; 8]);
+                while draws != 0 {
+                    let c = 8 * i + draws.trailing_zeros() as usize / 8;
+                    draws &= draws - 1;
+                    let a = || self.index[r * w + c];
+                    if let Some(k) = self.agent(a, labels[c], avail[c], r, c, work) {
+                        target[c] = 1 << k;
+                        work.claimed += 1;
+                    }
+                }
+            }
+            for (dr, moves) in [(-1, 5..8), (0, 3..5), (1, 0..3)] {
+                let Some(rr) = r.checked_add_signed(dr).filter(|&rr| rr < h) else {
+                    continue;
+                };
+                if plain.contains(&rr) {
+                    // SAFETY: forwarded contract; the borrow ends with
+                    // this block.
+                    let dst = unsafe { self.claims.row_mut(rr, w) };
+                    for k in moves {
+                        or_moves(dst, target, k);
+                    }
+                    continue;
+                }
+                let mask = moves.fold(0u8, |m, k| m | 1 << k);
+                for (c, &t) in target.iter().enumerate() {
+                    let mut bits = t & mask;
+                    while bits != 0 {
+                        let k = bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        let cc = (c as i64 + NEIGHBOR_OFFSETS[k].1) as usize;
+                        self.claims.or(rr * w + cc, 1 << OPPOSITE[k]);
+                    }
                 }
             }
         }
@@ -1007,11 +1291,52 @@ impl Decide<'_> {
             let r = p / w32;
             let (r, c) = (r as usize, (p - r * w32) as usize);
             let avail = mat_availability(self.mat, r, c);
-            if let Some((row, target)) = self.agent(|| ai as u32, self.ids[ai], avail, r, c, work) {
+            if let Some(k) = self.agent(|| ai as u32, self.ids[ai], avail, r, c, work) {
+                let (dr, dc) = NEIGHBOR_OFFSETS[k];
+                let row = (r as i64 + dr) as usize;
+                let target = row * self.mat.width + (c as i64 + dc) as usize;
+                self.claims.or(target, 1 << OPPOSITE[k]);
+                work.claimed += 1;
                 bins[self.of_row[row] as usize].push(target as u32);
             }
         }
     }
+}
+
+/// Whether the dense class pass may settle a one-candidate agent from its
+/// availability byte alone, at a step where every pheromone cell holds at
+/// least `pher_floor` and every `η^β` an empty neighbour reads is at
+/// least `eta_beta_min`. LEM always may. An ACO agent moves only when its
+/// lone numerator `τ^α · η^β` is positive, so at `α = 1` it may when
+/// `pher_floor · eta_beta_min > 0` in `f32`, with both factors positive:
+/// rounded multiplication is monotone, so every numerator is then
+/// positive. NaN-safe: a NaN bound fails every comparison.
+fn settles_one(model: ModelKind, pher_floor: f32, eta_beta_min: f32) -> bool {
+    model.aco_params().is_none_or(|p| {
+        p.alpha == 1.0 && pher_floor > 0.0 && eta_beta_min > 0.0 && pher_floor * eta_beta_min > 0.0
+    })
+}
+
+/// The least `η^β` an ACO decide can read for an empty neighbour, NaN if
+/// any of them is NaN: over every entry of the row layout's table, and
+/// over the grid layout's non-wall cells (a wall's entry, `(1/f32::MAX)^β`,
+/// is never read, and walls never move).
+fn eta_beta_min(eta_beta: &[f32], dist: DistRef<'_>, mat: &[u8]) -> f32 {
+    let cells = mat.len();
+    eta_beta
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| dist.kind == DistanceKind::Rows || mat[i % cells] != CELL_WALL)
+        .fold(
+            f32::INFINITY,
+            |m, (_, &v)| {
+                if v < m || v.is_nan() {
+                    v
+                } else {
+                    m
+                }
+            },
+        )
 }
 
 /// ACO's `η^β` plane: `(1/D)^β` for every entry of the distance field,
@@ -1059,6 +1384,8 @@ impl PooledEngine {
         let seed = cfg.env.seed;
         let mode = cfg.iteration.resolve(env.live_count(), h * w);
         let eta_beta = eta_beta_plane(&dist, cfg.model);
+        let eta_beta_min = eta_beta_min(&eta_beta, dist.dist_ref(), env.mat.as_slice());
+        let pher_floor = cfg.model.aco_params().map_or(f32::NAN, |p| p.tau0);
         let pool = WorkerPool::new(threads);
         let slots = band_ranges(n, pool.workers())
             .into_iter()
@@ -1072,6 +1399,8 @@ impl PooledEngine {
             pher,
             dist,
             eta_beta,
+            eta_beta_min,
+            pher_floor,
             seed,
             pool,
             claims: (0..h * w).map(|_| AtomicU8::new(0)).collect(),
@@ -1121,6 +1450,7 @@ impl PooledEngine {
         swap_model(&mut b.cfg.model, model)?;
         if beta(model) != beta(old) {
             b.eta_beta = eta_beta_plane(&b.dist, model);
+            b.eta_beta_min = eta_beta_min(&b.eta_beta, b.dist.dist_ref(), b.env.mat.as_slice());
         }
         if decide_halo(model) != decide_halo(old) {
             b.bands = Bands::new(b.geom.height, b.pool.workers(), decide_halo(model), b.mode);
@@ -1169,7 +1499,12 @@ impl PooledBackend {
         let op = |o: Op| {
             let mut work = Work::default();
             match (o, &resolve.bins) {
-                (Op::Decide(b), None) => decide.rows(bands.rows[b].clone(), &mut work),
+                // SAFETY: band `b`'s decide, run once per step, is the
+                // only writer of the claim rows `plain[b]`, and only band
+                // `b`'s resolve, which waits for it, reads them.
+                (Op::Decide(b), None) => as_band(b, || unsafe {
+                    decide.rows(bands.rows[b].clone(), bands.plain[b].clone(), &mut work)
+                }),
                 (Op::Decide(t), Some(bins)) => {
                     // SAFETY: decide `t`, run once per step, is the only
                     // operation that writes bin row `t`.
@@ -1190,6 +1525,9 @@ impl PooledBackend {
             Some(seed) => bands.run_interleaved(seed, step, &op),
         }
         self.merge_tallies();
+        if let Some(p) = self.cfg.model.aco_params() {
+            self.pher_floor = if p.q >= 0.0 { p.tau0 } else { f32::NAN };
+        }
         sum.total()
     }
 
@@ -1213,7 +1551,7 @@ struct Resolve<'a> {
     width: usize,
     aco: Option<AcoParams>,
     bands: &'a Bands,
-    claims: &'a [AtomicU8],
+    claims: Claims<'a>,
     /// Sparse mode: every slot range's bins, `bins[range][band]`, each
     /// row written by its range's decide and read by every resolve.
     bins: Option<Scatter<'a, Vec<Vec<u32>>>>,
@@ -1234,6 +1572,8 @@ struct Resolve<'a> {
     dist: DistRef<'a>,
     eta_beta: &'a [f32],
     model: ModelKind,
+    /// [`settles_one`] at this step.
+    settle_one: bool,
     /// The readiness value decide publishes this step (`step + 1`).
     #[cfg(feature = "audit-runtime")]
     step: u64,
@@ -1249,7 +1589,7 @@ impl<'a> Resolve<'a> {
             width: b.geom.width,
             aco: b.cfg.model.aco_params(),
             bands: &b.bands,
-            claims: &b.claims,
+            claims: Claims::new(&b.claims),
             bins: sparse.then(|| Scatter::new(&mut b.bins)),
             mat: Scatter::new(b.env.mat.as_mut_slice()),
             index: Scatter::new(b.env.index.as_mut_slice()),
@@ -1267,6 +1607,7 @@ impl<'a> Resolve<'a> {
             dist: b.dist.dist_ref(),
             eta_beta: &b.eta_beta,
             model: b.cfg.model,
+            settle_one: settles_one(b.cfg.model, b.pher_floor, b.eta_beta_min),
             #[cfg(feature = "audit-runtime")]
             step: step_no + 1,
         }
@@ -1315,9 +1656,10 @@ impl<'a> Resolve<'a> {
             dist: self.dist,
             eta_beta: self.eta_beta,
             model: self.model,
+            settle_one: self.settle_one,
             seed: self.seed,
             counter_base: (step_no * 4 + KERNEL_TOUR) << 4,
-            claims: self.claims,
+            claims: self.claims.clone(),
         }
     }
 
@@ -1346,7 +1688,7 @@ impl<'a> Resolve<'a> {
             let bins = unsafe { bins.shared() };
             for range_bins in bins {
                 for &lin in &range_bins[b] {
-                    let (lin, claim) = (lin as usize, &self.claims[lin as usize]);
+                    let (lin, claim) = (lin as usize, &self.claims.bytes[lin as usize]);
                     // ordering: relaxed — every decide's readiness flag,
                     // acquired before this resolve started, published its
                     // fetch_ors; in this step only this band's task
@@ -1362,7 +1704,7 @@ impl<'a> Resolve<'a> {
             }
         } else {
             let first = cells.start;
-            for (i, claim) in self.claims[cells].iter().enumerate() {
+            for (i, claim) in self.claims.bytes[cells].iter().enumerate() {
                 // ordering: relaxed — the readiness flags of the band and
                 // its neighbours, acquired before this resolve started,
                 // published every fetch_or into it.
@@ -1577,11 +1919,13 @@ mod tests {
     use super::*;
     use crate::engine::cpu::cpu_engine_small;
     use crate::model::{gather_winner, Arrival};
+    use crate::params::LemParams;
 
     #[test]
-    fn offset_slot_inverts_neighbor_offsets() {
+    fn opposite_inverts_neighbor_offsets() {
         for (k, &(dr, dc)) in NEIGHBOR_OFFSETS.iter().enumerate() {
-            assert_eq!(offset_slot(dr, dc), k);
+            assert_eq!(NEIGHBOR_OFFSETS[OPPOSITE[k]], (-dr, -dc), "slot {k}");
+            assert_eq!(OPPOSITE[OPPOSITE[k]], k, "slot {k}");
         }
     }
 
@@ -1647,6 +1991,156 @@ mod tests {
         }
     }
 
+    /// The dense class pass agrees with [`Decide::agent`] on every agent
+    /// it can meet: every availability byte × label (empty, wall, groups
+    /// 1–4) × front slot × forward priority on and off × model — LEM, and
+    /// ACO with one-candidate settling both allowed and refused (then the
+    /// lone numerator is 0 at about half the cells, so settling it would
+    /// claim a cell `agent` leaves) — on both distance layouts, with the
+    /// claim rows written plainly and by `fetch_or`. The agent stands at
+    /// the centre of a 3×3 grid whose other cells are empty or walls, and
+    /// the claim bytes and work counts must match.
+    #[test]
+    fn class_pass_matches_agent_on_every_byte_label_and_front_slot() {
+        use pedsim_grid::cell::CELL_TOP;
+        const LABELS: [u8; 6] = [CELL_EMPTY, CELL_WALL, CELL_TOP, 2, 3, 4];
+        let (h, w, groups) = (3, 3, 4);
+        let cells = h * w;
+        let distances: Vec<f32> = (0..groups * h * 8).map(|i| 0.5 + (i % 7) as f32).collect();
+        let mut cases = 0;
+        for fp in [true, false] {
+            let lem = ModelKind::Lem(LemParams {
+                forward_priority: fp,
+                ..LemParams::default()
+            });
+            let aco = ModelKind::Aco(AcoParams {
+                forward_priority: fp,
+                ..AcoParams::default()
+            });
+            // (model, pheromone floor, whether the plane may hold zeros)
+            for (model, floor, zeros) in
+                [(lem, f32::NAN, false), (aco, 0.5, false), (aco, 0.0, true)]
+            {
+                for kind in [DistanceKind::Rows, DistanceKind::Grid] {
+                    for fk in 0..8u8 {
+                        let forward = [fk; 4];
+                        let front = vec![fk; groups * cells];
+                        let data = match kind {
+                            DistanceKind::Rows => distances.clone(),
+                            DistanceKind::Grid => {
+                                (0..groups * cells).map(|i| 0.5 + (i % 5) as f32).collect()
+                            }
+                        };
+                        let dist = DistRef {
+                            kind,
+                            height: h,
+                            width: w,
+                            groups,
+                            forward: &forward,
+                            data: &data,
+                            front: if kind == DistanceKind::Grid {
+                                &front
+                            } else {
+                                &[]
+                            },
+                        };
+                        let eta_beta: Vec<f32> = match model.aco_params() {
+                            Some(p) => data.iter().map(|&d| (1.0 / d).powf(p.beta)).collect(),
+                            None => Vec::new(),
+                        };
+                        let min = eta_beta_min(&eta_beta, dist, &vec![CELL_EMPTY; cells]);
+                        let settle_one = settles_one(model, floor, min);
+                        assert_eq!(settle_one, !zeros, "{} floor {floor}", model.name());
+                        for label in LABELS {
+                            for avail in 0..=255u8 {
+                                let mut mat = vec![CELL_EMPTY; cells];
+                                for (k, &(dr, dc)) in NEIGHBOR_OFFSETS.iter().enumerate() {
+                                    if avail & (1 << k) == 0 {
+                                        mat[((1 + dr) * 3 + 1 + dc) as usize] = CELL_WALL;
+                                    }
+                                }
+                                mat[4] = label;
+                                let tau: Vec<f32> = (0..cells)
+                                    .map(|i| {
+                                        if zeros && (i + usize::from(avail)) % 2 == 0 {
+                                            0.0
+                                        } else {
+                                            0.5 + i as f32
+                                        }
+                                    })
+                                    .collect();
+                                let mut index = vec![0u32; cells];
+                                index[4] = 1;
+                                let run = |plain: Range<usize>, by_agent: bool| {
+                                    let bytes: Vec<AtomicU8> =
+                                        (0..cells).map(|_| AtomicU8::new(0)).collect();
+                                    let decide = Decide {
+                                        mat: View {
+                                            cells: &mat,
+                                            height: h,
+                                            width: w,
+                                        },
+                                        index: &index,
+                                        alive: &[],
+                                        pos: &[],
+                                        ids: &[],
+                                        of_row: &[0; 3],
+                                        planes: vec![
+                                            View {
+                                                cells: &tau,
+                                                height: h,
+                                                width: w,
+                                            };
+                                            groups
+                                        ],
+                                        dist,
+                                        eta_beta: &eta_beta,
+                                        model,
+                                        settle_one,
+                                        seed: 9,
+                                        counter_base: (5 * 4 + KERNEL_TOUR) << 4,
+                                        claims: Claims::new(&bytes),
+                                    };
+                                    let mut work = Work::default();
+                                    if by_agent {
+                                        if label != CELL_EMPTY && label != CELL_WALL {
+                                            let k =
+                                                decide.agent(|| 1, label, avail, 1, 1, &mut work);
+                                            if let Some(k) = k {
+                                                let (dr, dc) = NEIGHBOR_OFFSETS[k];
+                                                let t = ((1 + dr) * 3 + 1 + dc) as usize;
+                                                decide.claims.or(t, 1 << OPPOSITE[k]);
+                                                work.claimed += 1;
+                                            }
+                                        }
+                                    } else {
+                                        // SAFETY: one task.
+                                        unsafe { decide.rows(1..2, plain, &mut work) };
+                                    }
+                                    drop(decide);
+                                    let bytes: Vec<u8> =
+                                        bytes.into_iter().map(AtomicU8::into_inner).collect();
+                                    (bytes, work.counts())
+                                };
+                                let want = run(0..0, true);
+                                for plain in [0..0, 0..3] {
+                                    let what = format!(
+                                        "{} fp={fp} settle_one={settle_one} {kind:?} front {fk} \
+                                         label {label} avail {avail:#010b} plain {plain:?}",
+                                        model.name()
+                                    );
+                                    assert_eq!(run(plain, false), want, "{what}");
+                                }
+                                cases += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 2 * 3 * 2 * 8 * LABELS.len() * 256);
+    }
+
     #[test]
     fn admitted_claimant_matches_gather_winner() {
         // Drive the scalar engine a few steps; at each state give every
@@ -1681,7 +2175,7 @@ mod tests {
                 let (fr, fc) = ((r + dr) as usize, (c + dc) as usize);
                 props.future_row[a] = fr as u16;
                 props.future_col[a] = fc as u16;
-                claims[fr * w + fc].fetch_or(1 << offset_slot(-dr, -dc), Ordering::Relaxed);
+                claims[fr * w + fc].fetch_or(1 << OPPOSITE[k], Ordering::Relaxed);
             }
             let idx = |r: i64, c: i64| env.index.get_or(r, c, 0);
             let fut = |a: u32| (props.future_row[a as usize], props.future_col[a as usize]);
@@ -2346,6 +2840,54 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The plain claim rows under the `audit-runtime` write-set detector,
+    /// seeded as the dropped-wait runs are: band 3's plain range widened
+    /// by one row reaches its last row, which band 4's decide also claims
+    /// into with `fetch_or`, and some explorer schedule of a LEM doorway
+    /// jam on two workers trips the detector (dense, 8 bands of 3 rows).
+    /// With the bands' own ranges every schedule runs clean and agrees
+    /// with the scalar oracle.
+    #[cfg(feature = "audit-runtime")]
+    #[test]
+    fn detector_catches_a_widened_plain_claim_range() {
+        let run = |seed: u64, widen: bool| {
+            let (mut scalar, mut pooled) = doorway_pair(ModelKind::lem(), IterationMode::Dense, 2);
+            let bands = &mut pooled.backend.bands;
+            assert_eq!(
+                (bands.rows[3].clone(), bands.plain[3].clone()),
+                (9..12, 10..11)
+            );
+            if widen {
+                bands.plain[3].end += 1;
+            }
+            pooled.set_schedule_seed(Some(seed));
+            let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pooled.run(20)));
+            match res {
+                Ok(()) => {
+                    scalar.run(20);
+                    assert_same_state(&scalar, &pooled, &format!("schedule {seed}"));
+                    None
+                }
+                Err(payload) => Some(
+                    payload
+                        .downcast_ref::<String>()
+                        .cloned()
+                        .unwrap_or_default(),
+                ),
+            }
+        };
+        for seed in 0..8u64 {
+            assert_eq!(
+                run(seed, false),
+                None,
+                "schedule {seed}: the bands' ranges tripped"
+            );
+        }
+        let caught = (0..8u64).find_map(|seed| run(seed, true));
+        let msg = caught.expect("no schedule tripped the detector on a widened range");
+        assert!(msg.contains("tile race"), "unexpected panic: {msg}");
     }
 
     /// A worker that has drained its own plan claims the next operations

@@ -216,20 +216,32 @@ pub struct SimConfig {
 impl SimConfig {
     /// A configuration over the paper's classic corridor of `env`
     /// ([`paper_corridor`]) with `model` and metrics on. Panics when `env`
-    /// describes no valid corridor (see
-    /// [`try_paper_corridor`](pedsim_scenario::registry::try_paper_corridor)).
+    /// describes no valid corridor; [`SimConfig::try_new`] returns the
+    /// error instead.
     ///
     /// [`paper_corridor`]: pedsim_scenario::registry::paper_corridor
     pub fn new(env: pedsim_grid::EnvConfig, model: ModelKind) -> Self {
-        let corridor = pedsim_scenario::registry::paper_corridor(&env);
-        Self {
+        Self::try_new(env, model).unwrap_or_else(|e| panic!("invalid paper corridor: {e}"))
+    }
+
+    /// [`SimConfig::new`], returning the
+    /// [`ScenarioError`](pedsim_scenario::ScenarioError) of an `env` that
+    /// describes no valid corridor (see
+    /// [`try_paper_corridor`](pedsim_scenario::registry::try_paper_corridor))
+    /// — the constructor for configurations built from user input.
+    pub fn try_new(
+        env: pedsim_grid::EnvConfig,
+        model: ModelKind,
+    ) -> Result<Self, pedsim_scenario::ScenarioError> {
+        let corridor = pedsim_scenario::registry::try_paper_corridor(&env)?;
+        Ok(Self {
             env,
             scenario: Some(std::sync::Arc::new(corridor)),
             model,
             checked: false,
             track_metrics: true,
             iteration: IterationMode::Auto,
-        }
+        })
     }
 
     /// A configuration over a declarative scenario with `model` and
@@ -297,6 +309,24 @@ mod tests {
         assert!(a.alpha > 0.0 && a.beta > 0.0);
         assert!((0.0..=1.0).contains(&a.rho));
         assert!(a.tau0 > 0.0);
+    }
+
+    /// An `EnvConfig` that describes no corridor is a typed error from
+    /// `try_new`, not a panic: more agents than a band seats, and a grid
+    /// too small for two spawn bands.
+    #[test]
+    fn try_new_returns_a_typed_error_for_an_invalid_corridor() {
+        use pedsim_grid::EnvConfig;
+        for env in [
+            EnvConfig::small(8, 8, 1_000),
+            EnvConfig::small(8, 8, 10).with_spawn_rows(5),
+        ] {
+            let err = SimConfig::try_new(env, ModelKind::lem()).expect_err("no valid corridor");
+            assert!(!err.to_string().is_empty());
+        }
+        let env = EnvConfig::small(32, 32, 40).with_seed(3);
+        let ok = SimConfig::try_new(env, ModelKind::aco()).expect("valid corridor");
+        assert_eq!(ok, SimConfig::new(env, ModelKind::aco()));
     }
 
     #[test]

@@ -354,15 +354,17 @@ mod tests {
 
     #[test]
     fn replica_panic_reaches_caller_and_pool_survives() {
-        // Job validation catches bad stop conditions up front, but a job
-        // can still panic inside the batch (here: a hand-built
-        // configuration whose corridor cannot seat its population panics
-        // while its world is built). The panic reaches the caller, and
-        // the pool survives for the next batch.
+        // Job validation catches bad stop conditions and worlds up front,
+        // but a job can still panic inside the batch (here: an ACO model
+        // with τ₀ = 0, whose pheromone field the scalar engine refuses to
+        // build on the worker). The panic reaches the caller, and the pool
+        // survives for the next batch.
         let mut cfg = corridor_job("boom", 1, 5).cfg;
-        cfg.env = EnvConfig::small(8, 8, 1_000).with_seed(1);
-        cfg.scenario = None;
-        let bad = Job::backend("boom", cfg, Backend::simt(), StopCondition::Steps(5));
+        cfg.model = ModelKind::Aco(pedsim_core::params::AcoParams {
+            tau0: 0.0,
+            ..Default::default()
+        });
+        let bad = Job::backend("boom", cfg, Backend::scalar(), StopCondition::Steps(5));
         let batch = Batch::new(2);
         assert!(bad.validate().is_ok(), "the run description itself is fine");
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -371,6 +373,25 @@ mod tests {
         assert!(caught.is_err(), "worker panic must re-raise on the caller");
         let ok = corridor_job("ok", 1, 50);
         assert_eq!(batch.run(&[ok]).jobs, 1);
+    }
+
+    #[test]
+    fn invalid_hand_built_world_is_a_typed_error_not_a_panic() {
+        // A hand-built configuration (`scenario: None`) whose corridor
+        // cannot seat its population used to panic while the batch built
+        // its world; validation now returns the scenario error.
+        let mut cfg = corridor_job("crowded", 1, 5).cfg;
+        cfg.env = EnvConfig::small(8, 8, 1_000).with_seed(1);
+        cfg.scenario = None;
+        let bad = Job::backend("crowded", cfg, Backend::simt(), StopCondition::Steps(5));
+        let err = bad.validate().expect_err("no valid corridor");
+        assert!(
+            matches!(err, crate::job::JobError::InvalidWorld { ref label, .. } if label == "crowded"),
+            "{err}"
+        );
+        let batch = Batch::new(2);
+        assert_eq!(batch.try_run(&[bad]).unwrap_err(), err);
+        assert_eq!(batch.run(&[corridor_job("ok", 1, 50)]).jobs, 1);
     }
 
     #[test]

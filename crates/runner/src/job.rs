@@ -2,6 +2,7 @@
 
 use pedsim_core::engine::{Backend, InvalidStopCondition, StopCondition, UnknownBackend};
 use pedsim_core::params::SimConfig;
+use pedsim_scenario::ScenarioError;
 
 /// Why a [`Job`] is rejected before execution.
 ///
@@ -24,6 +25,14 @@ pub enum JobError {
         /// The registry's typed lookup error (lists the known names).
         source: UnknownBackend,
     },
+    /// The job's hand-built configuration (`scenario: None`) describes no
+    /// valid classic corridor.
+    InvalidWorld {
+        /// The offending job's label.
+        label: String,
+        /// Why the corridor cannot be built.
+        source: ScenarioError,
+    },
 }
 
 impl std::fmt::Display for JobError {
@@ -35,6 +44,9 @@ impl std::fmt::Display for JobError {
             Self::UnknownBackend { label, source } => {
                 write!(f, "job {label:?}: {source}")
             }
+            Self::InvalidWorld { label, source } => {
+                write!(f, "job {label:?}: invalid paper corridor: {source}")
+            }
         }
     }
 }
@@ -44,6 +56,7 @@ impl std::error::Error for JobError {
         match self {
             Self::InvalidStop { source, .. } => Some(source),
             Self::UnknownBackend { source, .. } => Some(source),
+            Self::InvalidWorld { source, .. } => Some(source),
         }
     }
 }
@@ -113,7 +126,9 @@ impl Job {
     /// condition surfaces as a typed error on the calling thread, never a
     /// worker panic mid-batch. Covers both the condition's parameters and
     /// its fit with this job's engine configuration: a metric-based stop
-    /// on a `track_metrics`-off config can never fire.
+    /// on a `track_metrics`-off config can never fire. A hand-built
+    /// configuration without a scenario must describe a valid classic
+    /// corridor ([`SimConfig::try_new`]).
     pub fn validate(&self) -> Result<(), JobError> {
         self.stop
             .validate_for(self.cfg.track_metrics)
@@ -127,6 +142,14 @@ impl Job {
                 label: self.label.clone(),
                 source,
             })?;
+        if self.cfg.scenario.is_none() {
+            SimConfig::try_new(self.cfg.env, self.cfg.model).map_err(|source| {
+                JobError::InvalidWorld {
+                    label: self.label.clone(),
+                    source,
+                }
+            })?;
+        }
         Ok(())
     }
 }

@@ -45,7 +45,7 @@ fn assert_backends_agree(name: &str, cfg: SimConfig, steps: u64) -> u64 {
     for mode in [IterationMode::Dense, IterationMode::Sparse] {
         let cfg = cfg.clone().with_iteration_mode(mode);
         let tag = mode.name();
-        for threads in [1usize, 2, 4] {
+        for threads in 1..=4 {
             let mut pooled = Backend::pooled(threads).build(cfg.clone()).expect("pooled");
             pooled.run(steps);
             assert_eq!(
@@ -139,6 +139,92 @@ fn jammed_corridor_agrees_across_backends() {
             model.name()
         );
     }
+}
+
+/// Jammed classic corridors (44 % occupancy) whose heights give the
+/// pooled dense sweep row bands of every kind: 8 rows make 2-row bands at
+/// every thread count (no row is claimed by one decide alone), 24 rows
+/// 3-row bands at two threads (one such row per band), and 64 rows bands
+/// of 4 to 16 rows. Every backend agrees on each.
+#[test]
+fn jammed_corridors_of_every_band_height_agree_across_backends() {
+    for (height, per_side) in [(8, 85), (24, 250), (64, 680)] {
+        let env = EnvConfig::small(48, height, per_side).with_seed(13);
+        for model in [ModelKind::lem(), ModelKind::aco()] {
+            let cfg = SimConfig::from_scenario(&registry::paper_corridor(&env), model);
+            assert_backends_agree(&format!("jam h{height}/{}", model.name()), cfg, 40);
+        }
+    }
+}
+
+/// Run `cfg` for `before` steps, swap every engine's model to `model`,
+/// run `after` more, and assert scalar ≡ pooled (both modes, 1–4
+/// threads) ≡ simt.
+fn assert_swap_agrees(name: &str, cfg: SimConfig, before: u64, model: ModelKind, after: u64) {
+    let mut scalar = CpuEngine::new(cfg.clone());
+    scalar.run(before);
+    scalar.set_model(model).expect("same model family");
+    scalar.run(after);
+    let golden = trajectory_hash(&scalar);
+    for mode in [IterationMode::Dense, IterationMode::Sparse] {
+        for threads in 1..=4 {
+            let mut pooled = PooledEngine::new(cfg.clone().with_iteration_mode(mode), threads);
+            pooled.run(before);
+            pooled.set_model(model).expect("same model family");
+            pooled.run(after);
+            assert_eq!(
+                trajectory_hash(&pooled),
+                golden,
+                "{name}: pooled/t{threads}/{} diverged from scalar",
+                mode.name()
+            );
+        }
+    }
+    let mut simt = GpuEngine::new(cfg, pedsim::simt::Device::builder().build());
+    simt.run(before);
+    simt.set_model(model).expect("same model family");
+    simt.run(after);
+    assert_eq!(
+        trajectory_hash(&simt),
+        golden,
+        "{name}: simt diverged from scalar"
+    );
+}
+
+/// An ACO jam whose τ₀ is swapped mid-run. At τ₀ = 1e-44 (subnormal)
+/// `τ₀ · η^β` underflows to 0 away from the target, so a one-candidate
+/// agent facing an undeposited cell there stays put. Raised to the
+/// default, the step after the swap still reads cells evaporated under
+/// the old τ₀, and only the step after it may settle one-candidate agents
+/// without reading τ; lowered, the step after the swap still may.
+#[test]
+fn aco_tau0_swapped_mid_run_agrees_across_backends() {
+    let env = EnvConfig::small(48, 24, 250).with_seed(17);
+    let tiny = ModelKind::Aco(AcoParams {
+        tau0: 1e-44,
+        ..AcoParams::default()
+    });
+    for (from, to, name) in [
+        (tiny, ModelKind::aco(), "aco tau0 1e-44 -> 0.1"),
+        (ModelKind::aco(), tiny, "aco tau0 0.1 -> 1e-44"),
+    ] {
+        let cfg = SimConfig::from_scenario(&registry::paper_corridor(&env), from);
+        assert_swap_agrees(name, cfg, 15, to, 25);
+    }
+}
+
+/// An ACO jam at β = 200: `η^β` underflows to 0 wherever the distance to
+/// the target exceeds about 1.6 cells, so most numerators are 0 and
+/// one-candidate agents must each read theirs.
+#[test]
+fn aco_with_underflowing_eta_beta_agrees_across_backends() {
+    let env = EnvConfig::small(48, 24, 250).with_seed(19);
+    let steep = ModelKind::Aco(AcoParams {
+        beta: 200.0,
+        ..AcoParams::default()
+    });
+    let cfg = SimConfig::from_scenario(&registry::paper_corridor(&env), steep);
+    assert_backends_agree("aco beta 200", cfg, 40);
 }
 
 mod partition_properties {
