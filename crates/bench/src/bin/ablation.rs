@@ -5,8 +5,7 @@
 //! ```
 
 use pedsim_bench::ablation;
-use pedsim_bench::scale::Scale;
-use pedsim_scenario::ScenarioError;
+use pedsim_bench::scale::{invalid_corridor, Scale};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -51,11 +50,4 @@ fn main() {
         .unwrap_or_else(|e| invalid_corridor(e));
     print!("{}", t.markdown());
     let _ = t.save_csv(base, &format!("ablation_params_{}", scale.label()));
-}
-
-/// Exit with the typed error's message (status 2) when the scale's
-/// configuration describes no valid corridor.
-fn invalid_corridor(e: ScenarioError) -> ! {
-    eprintln!("error: invalid paper corridor: {e}");
-    std::process::exit(2);
 }

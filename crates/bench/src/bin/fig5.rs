@@ -6,10 +6,9 @@
 //!
 //! Writes `results/fig5*.csv` and prints Markdown tables.
 
-use pedsim_bench::scale::{arg_value, Scale};
+use pedsim_bench::scale::{arg_value, invalid_corridor, Scale};
 use pedsim_bench::{fig5, Table};
 use pedsim_obs::log_summary;
-use pedsim_scenario::ScenarioError;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -81,11 +80,4 @@ fn main() {
             &fig5::modeled_speedup(&cfg, profile_steps).unwrap_or_else(|e| invalid_corridor(e)),
         );
     }
-}
-
-/// Exit with the typed error's message (status 2) when the scale's
-/// configuration describes no valid corridor.
-fn invalid_corridor(e: ScenarioError) -> ! {
-    eprintln!("error: invalid paper corridor: {e}");
-    std::process::exit(2);
 }

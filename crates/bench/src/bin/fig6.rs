@@ -9,10 +9,9 @@
 //! Part b: ACO throughput CPU vs GPU plus the binomial-GLM test on the
 //! CPU/GPU indicator (paper: p = 0.6145, not significant).
 
-use pedsim_bench::scale::{arg_value, Scale};
+use pedsim_bench::scale::{arg_value, invalid_corridor, Scale};
 use pedsim_bench::{fig6, Table};
 use pedsim_obs::log_summary;
-use pedsim_scenario::ScenarioError;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -89,11 +88,4 @@ fn main() {
             }
         );
     }
-}
-
-/// Exit with the typed error's message (status 2) when the scale's
-/// configuration describes no valid corridor.
-fn invalid_corridor(e: ScenarioError) -> ! {
-    eprintln!("error: invalid paper corridor: {e}");
-    std::process::exit(2);
 }

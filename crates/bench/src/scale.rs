@@ -79,6 +79,13 @@ pub fn arg_value(args: &[String], flag: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
+/// Exit with the typed error's message (status 2) when the scale's
+/// configuration describes no valid corridor.
+pub fn invalid_corridor(e: pedsim_scenario::ScenarioError) -> ! {
+    eprintln!("error: invalid paper corridor: {e}");
+    std::process::exit(2);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

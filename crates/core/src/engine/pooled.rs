@@ -34,11 +34,12 @@
 //!    windows ([`mat_availability`]). Both fall back to [`availability`]'s
 //!    per-neighbour loop on the grid's border.
 //!
-//!    The dense sweep then classifies the whole row in one branch-free
-//!    pass ([`classify`]): agents whose forward cell is free, agents boxed
-//!    in, and agents with one candidate are decided by the byte alone —
-//!    the per-agent code's own shortcuts — and only the rest, the drawing
-//!    agents, go through [`Decide::agent`]. One pass per move direction
+//!    The dense sweep skips a row with no agent and classifies every
+//!    other row in one branch-free pass ([`classify`]): agents whose
+//!    forward cell is free, agents boxed in, and agents with one
+//!    candidate are decided by the byte alone — the per-agent code's own
+//!    shortcuts — and only the rest, the drawing agents, go through
+//!    [`Decide::agent`]. One pass per move direction
 //!    then ORs every target's bit into the claim rows above, at and below.
 //!    An ACO agent with one candidate moves only when that neighbour's
 //!    numerator is positive; the pass settles it unread only at steps
@@ -1209,8 +1210,8 @@ impl Decide<'_> {
 
     /// Decide every agent standing in `rows` (the dense sweep), writing
     /// the claim rows `plain` with plain byte ORs and every other claim
-    /// row with `fetch_or`. Per row: every cell's availability byte
-    /// ([`row_availability`]) and front bit, the class pass
+    /// row with `fetch_or`. Per row holding an agent: every cell's front
+    /// bit and availability byte ([`row_availability`]), the class pass
     /// ([`classify`]), [`Decide::agent`] for the drawing agents only, and
     /// then every target's claim in one pass per move direction. The work
     /// counts of the settled classes are sums over the flags bytes.
@@ -1227,8 +1228,11 @@ impl Decide<'_> {
         let forward = self.model.forward_priority();
         for r in rows {
             let labels = &self.mat.cells[r * w..][..w];
-            row_availability(self.mat, r, avail);
             self.front_bits(r, labels, front);
+            if front.iter().fold(0, |any, &f| any | f) == 0 {
+                continue; // no agent stands in the row
+            }
+            row_availability(self.mat, r, avail);
             classify(avail, front, forward, self.settle_one, flags, target);
             let (claimed, settled) = count_flags(flags);
             work.claimed += claimed;

@@ -7,6 +7,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 use pedsim_core::engine::Engine;
 use pedsim_core::metrics::{band_count, lane_index, segregation_index};
+use pedsim_core::params::SimConfig;
 use pedsim_core::world::{CacheStats, CompiledWorld, WorldCache};
 use simt::exec::pool::WorkerPool;
 
@@ -95,21 +96,33 @@ impl Batch {
     /// has finished; jobs run in work-stealing order but the report is
     /// deterministic (see [`BatchReport::from_results`]).
     pub fn try_run(&self, jobs: &[Job]) -> Result<BatchReport, JobError> {
-        for job in jobs {
-            job.validate()?;
-        }
+        let cfgs = jobs
+            .iter()
+            .map(Job::resolve)
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(self.run_each(jobs, &cfgs, execute_with_world))
+    }
+
+    /// Run `exec` for every validated job on the pool, each over the
+    /// world its resolved configuration `cfgs[i]` compiles to.
+    fn run_each(
+        &self,
+        jobs: &[Job],
+        cfgs: &[SimConfig],
+        exec: impl Fn(&Job, &Arc<CompiledWorld>, Duration) -> RunResult + Sync,
+    ) -> BatchReport {
         // Resolve every job's world up front on the calling thread:
         // compile-once semantics need no cross-worker coordination, and
         // the per-job acquisition time (cache fetch vs. cold compile) is
         // the job's `setup` timing.
-        let worlds: Vec<(Arc<CompiledWorld>, Duration)> = jobs
+        let worlds: Vec<(Arc<CompiledWorld>, Duration)> = cfgs
             .iter()
-            .map(|job| {
+            .map(|cfg| {
                 let t0 = Instant::now();
                 let world = if self.use_cache {
-                    self.cache.get_or_compile(&job.cfg)
+                    self.cache.get_or_compile(cfg)
                 } else {
-                    CompiledWorld::compile(&job.cfg)
+                    CompiledWorld::compile(cfg)
                 };
                 (world, t0.elapsed())
             })
@@ -117,15 +130,15 @@ impl Batch {
         let slots: Vec<Mutex<Option<RunResult>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
         self.pool.run(jobs.len(), &|i| {
             let (world, setup) = &worlds[i];
-            let result = execute_with_world(&jobs[i], world, *setup);
+            let result = exec(&jobs[i], world, *setup);
             *slots[i].lock() = Some(result);
         });
-        Ok(BatchReport::from_results(
+        BatchReport::from_results(
             slots
                 .into_iter()
                 .map(|slot| slot.into_inner().expect("every job fills its slot"))
                 .collect(),
-        ))
+        )
     }
 
     /// [`Batch::try_run`], panicking (on the calling thread, with the
@@ -354,23 +367,23 @@ mod tests {
 
     #[test]
     fn replica_panic_reaches_caller_and_pool_survives() {
-        // Job validation catches bad stop conditions and worlds up front,
-        // but a job can still panic inside the batch (here: an ACO model
-        // with τ₀ = 0, whose pheromone field the scalar engine refuses to
-        // build on the worker). The panic reaches the caller, and the pool
+        // Job validation catches bad run descriptions up front, but a
+        // replica can still panic inside the batch. One that panics on
+        // purpose on the worker re-raises on the caller, and the pool
         // survives for the next batch.
-        let mut cfg = corridor_job("boom", 1, 5).cfg;
-        cfg.model = ModelKind::Aco(pedsim_core::params::AcoParams {
-            tau0: 0.0,
-            ..Default::default()
-        });
-        let bad = Job::backend("boom", cfg, Backend::scalar(), StopCondition::Steps(5));
+        let job = corridor_job("boom", 1, 5);
+        let cfgs = [job.resolve().expect("a valid job")];
         let batch = Batch::new(2);
-        assert!(bad.validate().is_ok(), "the run description itself is fine");
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            batch.run(&[bad]);
+            batch.run_each(std::slice::from_ref(&job), &cfgs, |job, _, _| {
+                panic!("replica {:?} failed", job.label)
+            });
         }));
-        assert!(caught.is_err(), "worker panic must re-raise on the caller");
+        let msg = *caught
+            .expect_err("worker panic must re-raise on the caller")
+            .downcast::<String>()
+            .expect("string");
+        assert!(msg.contains("replica \"boom\" failed"), "{msg}");
         let ok = corridor_job("ok", 1, 50);
         assert_eq!(batch.run(&[ok]).jobs, 1);
     }

@@ -3,6 +3,7 @@
 use pedsim_core::engine::{Backend, InvalidStopCondition, StopCondition, UnknownBackend};
 use pedsim_core::params::SimConfig;
 use pedsim_scenario::ScenarioError;
+use std::sync::Arc;
 
 /// Why a [`Job`] is rejected before execution.
 ///
@@ -128,8 +129,18 @@ impl Job {
     /// its fit with this job's engine configuration: a metric-based stop
     /// on a `track_metrics`-off config can never fire. A hand-built
     /// configuration without a scenario must describe a valid classic
-    /// corridor ([`SimConfig::try_new`]).
+    /// corridor ([`registry::try_paper_corridor`]).
+    ///
+    /// [`registry::try_paper_corridor`]: pedsim_scenario::registry::try_paper_corridor
     pub fn validate(&self) -> Result<(), JobError> {
+        self.resolve().map(drop)
+    }
+
+    /// [`Job::validate`], returning the job's configuration with its
+    /// world scenario filled in: a hand-built `scenario: None` gets the
+    /// classic corridor its check built, so the batch compiles the world
+    /// without building the corridor again.
+    pub(crate) fn resolve(&self) -> Result<SimConfig, JobError> {
         self.stop
             .validate_for(self.cfg.track_metrics)
             .map_err(|source| JobError::InvalidStop {
@@ -142,15 +153,19 @@ impl Job {
                 label: self.label.clone(),
                 source,
             })?;
-        if self.cfg.scenario.is_none() {
-            SimConfig::try_new(self.cfg.env, self.cfg.model).map_err(|source| {
-                JobError::InvalidWorld {
+        let scenario = match &self.cfg.scenario {
+            Some(s) => s.clone(),
+            None => pedsim_scenario::registry::try_paper_corridor(&self.cfg.env)
+                .map(Arc::new)
+                .map_err(|source| JobError::InvalidWorld {
                     label: self.label.clone(),
                     source,
-                }
-            })?;
-        }
-        Ok(())
+                })?,
+        };
+        Ok(SimConfig {
+            scenario: Some(scenario),
+            ..self.cfg.clone()
+        })
     }
 }
 
