@@ -10,8 +10,13 @@
 //! [`Engine::iteration_mode`] always reports [`IterationMode::Sparse`].
 //!
 //! Step orchestration (sequencing, counting, per-stage timing, metrics,
-//! lifecycle) lives in the shared [`StepCore`]; this file only implements
-//! the four kernel stages over the host matrices ([`StageBackend`]).
+//! lifecycle) lives in the shared [`StepCore`], and the [`Sim`] shell
+//! supplies [`Engine`]; this file only implements the four kernel stages
+//! over the host matrices ([`StageBackend`]).
+//!
+//! [`Engine`]: super::Engine
+//! [`Engine::iteration_mode`]: super::Engine::iteration_mode
+//! [`StepCore`]: super::StepCore
 
 use pedsim_grid::cell::{Group, CELL_EMPTY, CELL_WALL, NEIGHBOR_OFFSETS};
 use pedsim_grid::property::NO_FUTURE;
@@ -25,20 +30,17 @@ use crate::model::{lem_scan_row, lem_select, ScanRow};
 use crate::params::{IterationMode, ModelKind, SimConfig};
 
 use super::lifecycle::{LifecycleWorld, OpenLifecycle};
-use super::pipeline::{Stage, StageBackend, StepCore, StepTimings};
-use super::{split_positions, swap_model, Engine, ModelSwapError, KERNEL_MOVE, KERNEL_TOUR};
+use super::pipeline::{Stage, StageBackend};
+use super::{split_positions, Sim, KERNEL_MOVE, KERNEL_TOUR};
 use crate::world::CompiledWorld;
 
-/// The sequential reference engine.
-pub struct CpuEngine {
-    core: StepCore,
-    backend: CpuBackend,
-}
+/// The sequential reference engine: the [`Sim`] shell over
+/// [`CpuBackend`].
+pub type CpuEngine = Sim<CpuBackend>;
 
 /// The CPU engine's kernel-stage executor: the host-side world state the
 /// four stages loop over.
-struct CpuBackend {
-    cfg: SimConfig,
+pub struct CpuBackend {
     geom: Geometry,
     env: Environment,
     scan: ScanMatrix,
@@ -88,73 +90,20 @@ impl LifecycleWorld for HostWorld<'_> {
 
 impl CpuEngine {
     /// Build the engine (runs the data-preparation stage, §IV.a, over the
-    /// configuration's scenario). A thin compile-then-construct wrapper
-    /// over [`CpuEngine::from_world`].
+    /// configuration's scenario).
     pub fn new(cfg: SimConfig) -> Self {
-        let world = CompiledWorld::compile(&cfg);
-        Self::from_world(&world, cfg)
+        Self::build_cold(cfg, ())
     }
 
-    /// Build per-replica engine state from an already compiled world —
-    /// the shared-artifact stage of the setup pipeline. Clones the placed
-    /// environment template and shares the distance planes; bit-identical
-    /// to [`CpuEngine::new`] on the same configuration.
+    /// Build per-replica engine state from an already compiled world
+    /// ([`Sim::build`]).
     pub fn from_world(world: &std::sync::Arc<CompiledWorld>, cfg: SimConfig) -> Self {
-        debug_assert!(
-            world.matches(&cfg),
-            "CompiledWorld was compiled from a different configuration"
-        );
-        let env = world.environment();
-        let dist = world.distance();
-        let geom = world.geometry();
-        let core = StepCore::for_world(&cfg, world, &env);
-        let n = env.total_agents();
-        let groups = env.n_groups();
-        let (pher, pher_next) = match cfg.model {
-            ModelKind::Aco(p) => (
-                Some(PheromoneField::with_groups(
-                    env.height(),
-                    env.width(),
-                    p.tau0,
-                    groups,
-                )),
-                Some(PheromoneField::with_groups(
-                    env.height(),
-                    env.width(),
-                    p.tau0,
-                    groups,
-                )),
-            ),
-            ModelKind::Lem(_) => (None, None),
-        };
-        let seed = cfg.env.seed;
-        Self {
-            core,
-            backend: CpuBackend {
-                cfg,
-                geom,
-                scan: ScanMatrix::new(n),
-                tour: TourLengths::new(n),
-                pher,
-                pher_next,
-                dist,
-                seed,
-                winners: Vec::new(),
-                env,
-            },
-        }
+        Self::build(world, cfg, ())
     }
 
     /// Borrow the current environment state.
     pub fn environment(&self) -> &Environment {
         &self.backend.env
-    }
-
-    /// Replace the model parameters mid-run (the panic-alarm extension).
-    /// A model-*variant* change is a typed error — a LEM run has no
-    /// pheromone substrate to become an ACO run.
-    pub fn set_model(&mut self, model: ModelKind) -> Result<(), ModelSwapError> {
-        swap_model(&mut self.backend.cfg.model, model)
     }
 
     /// Borrow the pheromone field (ACO only).
@@ -191,7 +140,7 @@ impl CpuBackend {
         }
     }
 
-    fn stage_initial_calc(&mut self) {
+    fn stage_initial_calc(&mut self, model: ModelKind) {
         // §IV.b: each live agent scores its neighbourhood into its scan
         // row and records its front-cell status.
         let mat = &self.env.mat;
@@ -205,7 +154,7 @@ impl CpuBackend {
             let (r, c) = self.env.position(i);
             let label = self.env.props.id[i];
             let g = Group::from_label(label).expect("live slot has group label");
-            let row: ScanRow = match self.cfg.model {
+            let row: ScanRow = match model {
                 ModelKind::Lem(p) => {
                     let (r, c) = (r as i64, c as i64);
                     lem_scan_row(availability(&occ, r, c), &occ, dist, g, r, c, p.scan_range)
@@ -226,7 +175,7 @@ impl CpuBackend {
         }
     }
 
-    fn stage_tour(&mut self, step_no: u64) {
+    fn stage_tour(&mut self, step_no: u64, model: ModelKind) {
         // §IV.c: every live agent picks its future cell.
         let salt = step_no * 4 + KERNEL_TOUR;
         let n = self.geom.total_agents();
@@ -243,7 +192,7 @@ impl CpuBackend {
             };
             let front = self.env.props.front[i];
             let front_k = self.env.props.front_k[i] as usize;
-            let k = match self.cfg.model {
+            let k = match model {
                 ModelKind::Lem(p) => lem_select(&row, front, front_k, &p, &mut rng),
                 ModelKind::Aco(p) => aco_select(&row, front, front_k, &p, &mut rng),
             };
@@ -262,7 +211,7 @@ impl CpuBackend {
         }
     }
 
-    fn stage_movement(&mut self, step_no: u64) {
+    fn stage_movement(&mut self, step_no: u64, model: ModelKind) {
         // §IV.d, resolve phase: each live agent with a future recomputes
         // the winner at its *target* cell with that cell's own stream —
         // the draw a per-cell gather makes there — and records itself
@@ -271,7 +220,7 @@ impl CpuBackend {
         let salt = step_no * 4 + KERNEL_MOVE;
         let counter_base = salt << 4;
         let w = self.geom.width;
-        let aco = match self.cfg.model {
+        let aco = match model {
             ModelKind::Aco(p) => Some(p),
             ModelKind::Lem(_) => None,
         };
@@ -356,10 +305,31 @@ impl CpuBackend {
 }
 
 impl StageBackend for CpuBackend {
+    type Args = ();
+
+    fn build(world: &CompiledWorld, env: Environment, cfg: SimConfig, (): ()) -> Self {
+        let n = env.total_agents();
+        let pher = cfg.model.aco_params().map(|p| {
+            PheromoneField::with_groups(env.height(), env.width(), p.tau0, env.n_groups())
+        });
+        Self {
+            geom: world.geometry(),
+            scan: ScanMatrix::new(n),
+            tour: TourLengths::new(n),
+            pher_next: pher.clone(),
+            pher,
+            dist: world.distance(),
+            seed: cfg.env.seed,
+            winners: Vec::new(),
+            env,
+        }
+    }
+
     fn run_stage(
         &mut self,
         stage: Stage,
         step_no: u64,
+        model: ModelKind,
         _rec: &mut pedsim_obs::Recorder,
         _metrics: Option<&mut Metrics>,
     ) {
@@ -367,9 +337,9 @@ impl StageBackend for CpuBackend {
         // stay at the zeros the core pre-registered.
         match stage {
             Stage::Init => self.stage_init(),
-            Stage::InitialCalc => self.stage_initial_calc(),
-            Stage::Tour => self.stage_tour(step_no),
-            Stage::Movement => self.stage_movement(step_no),
+            Stage::InitialCalc => self.stage_initial_calc(model),
+            Stage::Tour => self.stage_tour(step_no, model),
+            Stage::Movement => self.stage_movement(step_no, model),
             Stage::Lifecycle | Stage::Metrics => unreachable!("core-driven stage"),
         }
     }
@@ -391,44 +361,17 @@ impl StageBackend for CpuBackend {
         };
         lifecycle.run_step(&mut world, step, metrics);
     }
-}
-
-impl Engine for CpuEngine {
-    fn step(&mut self) {
-        self.core.step(&mut self.backend);
-    }
-
-    fn steps_done(&self) -> u64 {
-        self.core.steps_done()
-    }
-
-    fn metrics(&self) -> Option<&Metrics> {
-        self.core.metrics()
-    }
-
-    fn step_timings(&self) -> &StepTimings {
-        self.core.timings()
-    }
-
-    fn telemetry(&self) -> &pedsim_obs::Recorder {
-        self.core.recorder()
-    }
-
-    fn model(&self) -> ModelKind {
-        self.backend.cfg.model
-    }
 
     fn iteration_mode(&self) -> IterationMode {
         IterationMode::Sparse
     }
 
     fn mat_snapshot(&self) -> Matrix<u8> {
-        self.backend.env.mat.clone()
+        self.env.mat.clone()
     }
 
     fn positions(&self) -> (Vec<u16>, Vec<u16>) {
-        let env = &self.backend.env;
-        split_positions(&env.props.pos, env.width())
+        split_positions(&self.env.props.pos, self.env.width())
     }
 }
 
@@ -447,6 +390,7 @@ pub fn cpu_engine_small(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Engine;
     use crate::params::{AcoParams, LemParams};
 
     fn run_small(model: ModelKind, steps: u64) -> CpuEngine {
@@ -534,23 +478,6 @@ mod tests {
         let e = run_small(ModelKind::aco(), 40);
         let total: f32 = e.tour_lengths().len.iter().sum();
         assert!(total > 0.0);
-    }
-
-    #[test]
-    fn set_model_rejects_variant_change_with_typed_error() {
-        let mut e = cpu_engine_small(16, 16, 4, ModelKind::lem(), 1);
-        let err = e.set_model(ModelKind::aco()).unwrap_err();
-        assert_eq!(err.running, "LEM");
-        assert_eq!(err.requested, "ACO");
-        assert!(err.to_string().contains("variant"));
-        // Parameter overlays within the running variant stay fine — the
-        // panic-alarm extension's happy path.
-        let overlay = ModelKind::Lem(LemParams {
-            sigma: 4.0,
-            ..LemParams::default()
-        });
-        assert!(e.set_model(overlay).is_ok());
-        assert_eq!(e.model(), overlay);
     }
 
     #[test]

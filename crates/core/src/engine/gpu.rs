@@ -12,9 +12,14 @@
 //! reports [`IterationMode::Dense`].
 //!
 //! Step orchestration (sequencing, counting, per-stage timing, metrics,
-//! lifecycle) lives in the shared [`StepCore`]; this file only maps each
-//! kernel [`Stage`] to its launch ([`StageBackend`]) and accumulates the
-//! launch stats into the [`KernelReport`].
+//! lifecycle) lives in the shared [`StepCore`], and the [`Sim`] shell
+//! supplies [`Engine`]; this file only maps each kernel [`Stage`] to its
+//! launch ([`StageBackend`]) and accumulates the launch stats into the
+//! [`KernelReport`].
+//!
+//! [`Engine`]: super::Engine
+//! [`Engine::iteration_mode`]: super::Engine::iteration_mode
+//! [`StepCore`]: super::StepCore
 
 use std::time::Duration;
 
@@ -25,12 +30,12 @@ use simt::profile::KernelProfile;
 use simt::{Device, Dim2};
 
 use crate::kernels::{DeviceState, InitKernel, InitialCalcKernel, MovementKernel, TourKernel};
-use crate::metrics::{Geometry, Metrics};
+use crate::metrics::Metrics;
 use crate::params::{IterationMode, ModelKind, SimConfig};
 
 use super::lifecycle::{LifecycleWorld, OpenLifecycle};
-use super::pipeline::{Stage, StageBackend, StepCore, StepTimings};
-use super::{split_positions, swap_model, Engine, ModelSwapError};
+use super::pipeline::{Stage, StageBackend};
+use super::{split_positions, Sim};
 use crate::world::CompiledWorld;
 
 /// The open-boundary lifecycle drives the device state directly: the
@@ -104,17 +109,14 @@ impl KernelReport {
     }
 }
 
-/// The data-driven engine on the virtual GPU.
-pub struct GpuEngine {
-    core: StepCore,
-    backend: GpuBackend,
-}
+/// The data-driven engine on the virtual GPU: the [`Sim`] shell over
+/// [`GpuBackend`].
+pub type GpuEngine = Sim<GpuBackend>;
 
 /// The GPU engine's kernel-stage executor: device, device-resident world
 /// state, and the per-kernel launch report.
-struct GpuBackend {
-    cfg: SimConfig,
-    geom: Geometry,
+pub struct GpuBackend {
+    seed: u64,
     device: Device,
     state: DeviceState,
     report: KernelReport,
@@ -131,62 +133,19 @@ struct GpuBackend {
 
 impl GpuEngine {
     /// Build the engine on `device` (runs data preparation and upload of
-    /// the configuration's scenario). A thin compile-then-construct
-    /// wrapper over [`GpuEngine::from_world`].
+    /// the configuration's scenario).
     pub fn new(cfg: SimConfig, device: Device) -> Self {
-        let world = CompiledWorld::compile(&cfg);
-        Self::from_world(&world, cfg, device)
+        Self::build_cold(cfg, device)
     }
 
     /// Build per-replica engine state on `device` from an already
-    /// compiled world: uploads a clone of the placed environment template
-    /// and the shared distance planes. Bit-identical to
-    /// [`GpuEngine::new`] on the same configuration.
+    /// compiled world ([`Sim::build`]).
     pub fn from_world(
         world: &std::sync::Arc<CompiledWorld>,
         cfg: SimConfig,
         device: Device,
     ) -> Self {
-        debug_assert!(
-            world.matches(&cfg),
-            "CompiledWorld was compiled from a different configuration"
-        );
-        let env = world.environment();
-        let dist = world.distance();
-        let geom = world.geometry();
-        let core = StepCore::for_world(&cfg, world, &env);
-        let state = DeviceState::upload(&env, &dist, cfg.model, cfg.checked);
-        let seed = cfg.env.seed;
-        let lc_cells =
-            LaunchConfig::tiled_over(Dim2::new(state.w as u32, state.h as u32), Dim2::square(16))
-                .with_seed(seed);
-        let lc_init = GpuBackend::rows_config(state.n + 1).with_seed(seed);
-        let lc_tour = GpuBackend::rows_config(state.n).with_seed(seed);
-        Self {
-            core,
-            backend: GpuBackend {
-                cfg,
-                geom,
-                device,
-                state,
-                report: KernelReport::default(),
-                lc_cells,
-                lc_init,
-                lc_tour,
-            },
-        }
-    }
-
-    /// The device this engine launches on.
-    pub fn device(&self) -> &Device {
-        &self.backend.device
-    }
-
-    /// Replace the model parameters mid-run (the panic-alarm extension).
-    /// A model-*variant* change is a typed error — a LEM run has no
-    /// pheromone substrate to become an ACO run.
-    pub fn set_model(&mut self, model: ModelKind) -> Result<(), ModelSwapError> {
-        swap_model(&mut self.backend.cfg.model, model)
+        Self::build(world, cfg, device)
     }
 
     /// Cumulative per-kernel timing and profiles.
@@ -194,14 +153,9 @@ impl GpuEngine {
         &self.backend.report
     }
 
-    /// The scenario geometry.
-    pub fn geometry(&self) -> Geometry {
-        self.backend.geom
-    }
-
     /// Download the full environment for inspection/validation.
     pub fn download_environment(&self) -> Environment {
-        self.backend.state.download(self.backend.cfg.env.seed)
+        self.backend.state.download(self.backend.seed)
     }
 
     /// Current pheromone fields, one matrix per group in index order (ACO
@@ -216,11 +170,6 @@ impl GpuEngine {
                 .map(|f| Matrix::from_vec(st.h, st.w, f[cur].as_slice().to_vec()))
                 .collect(),
         )
-    }
-
-    /// Accumulated tour lengths (sentinel at 0).
-    pub fn tour_snapshot(&self) -> Vec<f32> {
-        self.backend.state.tour.as_slice().to_vec()
     }
 }
 
@@ -255,10 +204,30 @@ impl GpuBackend {
 }
 
 impl StageBackend for GpuBackend {
+    type Args = Device;
+
+    fn build(world: &CompiledWorld, env: Environment, cfg: SimConfig, device: Device) -> Self {
+        let state = DeviceState::upload(&env, &world.distance(), cfg.model, cfg.checked);
+        let seed = cfg.env.seed;
+        let lc_cells =
+            LaunchConfig::tiled_over(Dim2::new(state.w as u32, state.h as u32), Dim2::square(16))
+                .with_seed(seed);
+        Self {
+            lc_init: Self::rows_config(state.n + 1).with_seed(seed),
+            lc_tour: Self::rows_config(state.n).with_seed(seed),
+            lc_cells,
+            seed,
+            device,
+            state,
+            report: KernelReport::default(),
+        }
+    }
+
     fn run_stage(
         &mut self,
         stage: Stage,
         step_no: u64,
+        model: ModelKind,
         rec: &mut pedsim_obs::Recorder,
         _metrics: Option<&mut Metrics>,
     ) {
@@ -297,7 +266,7 @@ impl StageBackend for GpuBackend {
                     index_in: st.index[cur].as_slice(),
                     dist: st.dist_ref(),
                     pher_in: pher_slices.as_deref(),
-                    model: self.cfg.model,
+                    model,
                     scan_val: st.scan_val.view(),
                     scan_idx: st.scan_idx.view(),
                     front: st.front.view(),
@@ -329,7 +298,7 @@ impl StageBackend for GpuBackend {
                     pos: st.pos.as_slice(),
                     future_row: st.future_row.view(),
                     future_col: st.future_col.view(),
-                    model: self.cfg.model,
+                    model,
                 };
                 let lcfg = self.lc_tour.with_salt(base + 2);
                 Self::launch_counted(&self.device, &mut self.report, rec, 2, &lcfg, &tour, "tour");
@@ -343,7 +312,7 @@ impl StageBackend for GpuBackend {
                 if let Some(p) = st.pher.as_ref() {
                     p.begin_epoch(nxt);
                 }
-                let aco = match self.cfg.model {
+                let aco = match model {
                     ModelKind::Aco(p) => Some(p),
                     ModelKind::Lem(_) => None,
                 };
@@ -406,51 +375,25 @@ impl StageBackend for GpuBackend {
         // observation), sources feed the next launch.
         lifecycle.run_step(&mut self.state, step, metrics);
     }
-}
-
-impl Engine for GpuEngine {
-    fn step(&mut self) {
-        self.core.step(&mut self.backend);
-    }
-
-    fn steps_done(&self) -> u64 {
-        self.core.steps_done()
-    }
-
-    fn metrics(&self) -> Option<&Metrics> {
-        self.core.metrics()
-    }
-
-    fn step_timings(&self) -> &StepTimings {
-        self.core.timings()
-    }
-
-    fn telemetry(&self) -> &pedsim_obs::Recorder {
-        self.core.recorder()
-    }
-
-    fn model(&self) -> ModelKind {
-        self.backend.cfg.model
-    }
 
     fn iteration_mode(&self) -> IterationMode {
         IterationMode::Dense
     }
 
     fn mat_snapshot(&self) -> Matrix<u8> {
-        let st = &self.backend.state;
+        let st = &self.state;
         Matrix::from_vec(st.h, st.w, st.mat[st.cur].as_slice().to_vec())
     }
 
     fn positions(&self) -> (Vec<u16>, Vec<u16>) {
-        let st = &self.backend.state;
-        split_positions(st.pos.as_slice(), st.w)
+        split_positions(self.state.pos.as_slice(), self.state.w)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Engine;
     use pedsim_grid::EnvConfig;
     use simt::exec::ExecPolicy;
 
@@ -527,15 +470,6 @@ mod tests {
         assert_eq!(e.report().profile[1].divergent_branches, 0);
         assert_eq!(e.report().profile[3].divergent_branches, 0);
         assert!(e.report().profile[1].threads > 0);
-    }
-
-    #[test]
-    fn set_model_rejects_variant_change_with_typed_error() {
-        let mut e = engine(ModelKind::aco(), ExecPolicy::Sequential, 1);
-        let err = e.set_model(ModelKind::lem()).unwrap_err();
-        assert_eq!(err.running, "ACO");
-        assert_eq!(err.requested, "LEM");
-        assert!(e.set_model(ModelKind::aco()).is_ok());
     }
 
     #[test]

@@ -17,6 +17,12 @@
 //! cross-backend golden parity tests, and the integration tests, and then
 //! relaxed into the paper's statistical CPU-vs-GPU comparison for
 //! Figure 6b.
+//!
+//! Each engine is the one [`Sim`] shell over a [`StageBackend`], which
+//! holds only what differs between backends. The shell builds every
+//! backend through one path and implements [`Engine`] once, so
+//! [`Engine::set_model`], the panic alarm's mid-run swap, is checked
+//! alike on every backend, boxed registry engines included.
 
 pub mod cpu;
 pub mod gpu;
@@ -29,7 +35,8 @@ pub mod stop;
 use pedsim_grid::Matrix;
 
 use crate::metrics::Metrics;
-use crate::params::ModelKind;
+use crate::params::{InvalidModel, IterationMode, ModelKind, SimConfig};
+use crate::world::CompiledWorld;
 
 pub use lifecycle::source_stream;
 pub use pipeline::{
@@ -39,43 +46,44 @@ pub use pipeline::{
 pub use registry::{Backend, EngineBackend, UnknownBackend, BACKENDS};
 pub use stop::{InvalidStopCondition, StopCondition, StopReason};
 
-/// Why a mid-run model swap was rejected: the model *variant* changed. A
-/// LEM run has no pheromone substrate to become an ACO run (and an ACO
-/// run's trails mean nothing to LEM), so engines only accept parameter
-/// overlays within the running variant — the panic-alarm extension's
-/// use case.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ModelSwapError {
-    /// The variant the engine is running.
-    pub running: &'static str,
-    /// The variant the caller asked for.
-    pub requested: &'static str,
+/// Why [`Engine::set_model`] rejected a model; the engine keeps running
+/// the model it had.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ModelSwapError {
+    /// The model *variant* changed. A LEM run has no pheromone substrate
+    /// to become an ACO run (and an ACO run's trails mean nothing to
+    /// LEM), so engines only accept parameter overlays within the running
+    /// variant — the panic-alarm extension's use case.
+    Variant {
+        /// The variant the engine is running.
+        running: &'static str,
+        /// The variant the caller asked for.
+        requested: &'static str,
+    },
+    /// The requested parameters fail [`ModelKind::validate`].
+    Invalid(InvalidModel),
 }
 
 impl std::fmt::Display for ModelSwapError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "model variant cannot change mid-run: engine runs {}, swap requested {}",
-            self.running, self.requested
-        )
+        match self {
+            Self::Variant { running, requested } => write!(
+                f,
+                "model variant cannot change mid-run: engine runs {running}, swap requested \
+                 {requested}"
+            ),
+            Self::Invalid(e) => write!(f, "invalid model: {e}"),
+        }
     }
 }
 
-impl std::error::Error for ModelSwapError {}
-
-/// Shared implementation of the engines' `set_model`: accept a parameter
-/// overlay within the running variant, reject a variant change with a
-/// typed error.
-pub(crate) fn swap_model(current: &mut ModelKind, model: ModelKind) -> Result<(), ModelSwapError> {
-    if model.is_aco() != current.is_aco() {
-        return Err(ModelSwapError {
-            running: current.name(),
-            requested: model.name(),
-        });
+impl std::error::Error for ModelSwapError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            Self::Variant { .. } => None,
+            Self::Invalid(e) => Some(e),
+        }
     }
-    *current = model;
-    Ok(())
 }
 
 /// Salted kernel indices within a step: `salt = step * 4 + KERNEL_*`.
@@ -105,12 +113,12 @@ pub trait Engine {
 
     /// Cumulative per-stage wall-clock timings of the unified step
     /// pipeline (see [`pipeline::StepTimings`]) — reported identically by
-    /// both engines.
+    /// every engine.
     fn step_timings(&self) -> &StepTimings;
 
     /// The engine's telemetry recorder: per-stage duration histograms,
     /// kernel-launch counters, physics gauges, and the ring-buffered
-    /// event log, fed by the unified step pipeline. Both engines expose
+    /// event log, fed by the unified step pipeline. Every engine exposes
     /// the **same key vocabulary** — counters a backend has no machinery
     /// for (e.g. kernel launches on the CPU) are pre-registered at zero,
     /// so consumers never branch on the engine kind.
@@ -119,6 +127,12 @@ pub trait Engine {
     /// The movement model in use.
     fn model(&self) -> ModelKind;
 
+    /// Run every later step under `model` (the panic-alarm extension). It
+    /// must be a parameter overlay of the running variant and pass
+    /// [`ModelKind::validate`]; otherwise this is a typed error and the
+    /// engine keeps its model.
+    fn set_model(&mut self, model: ModelKind) -> Result<(), ModelSwapError>;
+
     /// The traversal mode this engine steps with. Each reference backend
     /// has one: `scalar` always reports `Sparse` (agent loops), `simt`
     /// always `Dense` (one thread per cell). Only `pooled` reads
@@ -126,7 +140,7 @@ pub trait Engine {
     /// `Auto` settles to `Dense` or `Sparse` against the world's initial
     /// occupancy, explicit modes pass through. Recorded in bench and run
     /// provenance.
-    fn iteration_mode(&self) -> crate::params::IterationMode;
+    fn iteration_mode(&self) -> IterationMode;
 
     /// Snapshot of the environment matrix (cell labels).
     fn mat_snapshot(&self) -> Matrix<u8>;
@@ -204,7 +218,11 @@ impl<T: Engine + ?Sized> Engine for Box<T> {
         (**self).model()
     }
 
-    fn iteration_mode(&self) -> crate::params::IterationMode {
+    fn set_model(&mut self, model: ModelKind) -> Result<(), ModelSwapError> {
+        (**self).set_model(model)
+    }
+
+    fn iteration_mode(&self) -> IterationMode {
         (**self).iteration_mode()
     }
 
@@ -214,5 +232,95 @@ impl<T: Engine + ?Sized> Engine for Box<T> {
 
     fn positions(&self) -> (Vec<u16>, Vec<u16>) {
         (**self).positions()
+    }
+}
+
+/// An engine: the shared [`StepCore`] and the running model over one
+/// backend's kernel-stage executor. [`cpu::CpuEngine`],
+/// [`pooled::PooledEngine`] and [`gpu::GpuEngine`] are this shell over
+/// their [`StageBackend`]s.
+pub struct Sim<B> {
+    core: StepCore,
+    model: ModelKind,
+    backend: B,
+}
+
+impl<B: StageBackend> Sim<B> {
+    /// Compile `cfg`'s world (the data-preparation stage, §IV.a) and
+    /// build the engine over it with [`Sim::build`].
+    pub fn build_cold(cfg: SimConfig, args: B::Args) -> Self {
+        let world = CompiledWorld::compile(&cfg);
+        Self::build(&world, cfg, args)
+    }
+
+    /// Build per-replica engine state over an already compiled world,
+    /// with the backend's [`StageBackend::Args`]: the backend takes its
+    /// own clone of the placed environment and shares the distance
+    /// planes. Panics if `cfg.model` fails [`ModelKind::validate`].
+    pub fn build(world: &CompiledWorld, cfg: SimConfig, args: B::Args) -> Self {
+        debug_assert!(
+            world.matches(&cfg),
+            "CompiledWorld was compiled from a different configuration"
+        );
+        if let Err(e) = cfg.model.validate() {
+            panic!("invalid model: {e}");
+        }
+        let env = world.environment();
+        Self {
+            core: StepCore::for_world(&cfg, world, &env),
+            model: cfg.model,
+            backend: B::build(world, env, cfg, args),
+        }
+    }
+}
+
+impl<B: StageBackend> Engine for Sim<B> {
+    fn step(&mut self) {
+        self.core.step(&mut self.backend, self.model);
+    }
+
+    fn steps_done(&self) -> u64 {
+        self.core.steps_done()
+    }
+
+    fn metrics(&self) -> Option<&Metrics> {
+        self.core.metrics()
+    }
+
+    fn step_timings(&self) -> &StepTimings {
+        self.core.timings()
+    }
+
+    fn telemetry(&self) -> &pedsim_obs::Recorder {
+        self.core.recorder()
+    }
+
+    fn model(&self) -> ModelKind {
+        self.model
+    }
+
+    fn set_model(&mut self, model: ModelKind) -> Result<(), ModelSwapError> {
+        if model.is_aco() != self.model.is_aco() {
+            return Err(ModelSwapError::Variant {
+                running: self.model.name(),
+                requested: model.name(),
+            });
+        }
+        model.validate().map_err(ModelSwapError::Invalid)?;
+        let old = std::mem::replace(&mut self.model, model);
+        self.backend.model_changed(old, model);
+        Ok(())
+    }
+
+    fn iteration_mode(&self) -> IterationMode {
+        self.backend.iteration_mode()
+    }
+
+    fn mat_snapshot(&self) -> Matrix<u8> {
+        self.backend.mat_snapshot()
+    }
+
+    fn positions(&self) -> (Vec<u16>, Vec<u16>) {
+        self.backend.positions()
     }
 }

@@ -1,12 +1,13 @@
-//! The unified step-pipeline core both engines drive.
+//! The unified step-pipeline core every engine drives.
 //!
 //! Before this module existed, `CpuEngine::step` and `GpuEngine::step`
 //! each hand-rolled the same orchestration: run the four kernels in
 //! order, bump the step counter, observe metrics, run the open-boundary
 //! lifecycle. Only the GPU engine measured its stages. [`StepCore`] owns
-//! that orchestration exactly once — engines shrink to backend-specific
-//! stage executors behind [`StageBackend`] — and times **every** stage of
-//! **both** engines into a [`StepTimings`] report exposed through
+//! that orchestration exactly once — backends are stage executors behind
+//! [`StageBackend`], which the [`Sim`](super::Sim) shell pairs with the
+//! core — and times **every** stage of **every** engine into a
+//! [`StepTimings`] report exposed through
 //! [`super::Engine::step_timings`]. That per-stage record is the paper's
 //! per-kernel speedup instrument generalised to the whole pipeline: the
 //! `step_throughput` bench harness turns it into the repo's perf
@@ -22,9 +23,12 @@
 
 use std::time::{Duration, Instant};
 
+use pedsim_grid::{Environment, Matrix};
 use pedsim_obs::Recorder;
 
 use crate::metrics::{Metrics, GRIDLOCK_WARNING_WINDOW};
+use crate::params::{IterationMode, ModelKind, SimConfig};
+use crate::world::CompiledWorld;
 
 use super::lifecycle::OpenLifecycle;
 
@@ -220,16 +224,33 @@ impl StepTimings {
 
 /// The backend half of an engine: executes the four kernel stages over
 /// its own world representation and adapts that world to the shared
-/// post-step tail. Everything else — sequencing, counting, timing,
-/// metrics, lifecycle — lives in [`StepCore`].
+/// post-step tail and to the engine's accessors. Everything else —
+/// sequencing, counting, timing, metrics, lifecycle, the model-swap
+/// checks — lives in [`StepCore`] and the [`Sim`] shell.
 ///
 /// This trait is the extension point of the backend registry
-/// ([`crate::engine::registry`]): a new execution strategy implements the
-/// four kernel stages here, pairs itself with a [`StepCore`], and
-/// registers an [`crate::engine::registry::EngineBackend`] descriptor —
-/// neither existing engine needs to change.
+/// ([`crate::engine::registry`]): a new execution strategy implements it,
+/// [`Sim`] over it is the engine, with [`Engine`] and its
+/// [`Engine::set_model`] supplied, and an
+/// [`crate::engine::registry::EngineBackend`] descriptor registers it —
+/// no existing engine needs to change.
+///
+/// [`Sim`]: super::Sim
+/// [`Engine`]: super::Engine
+/// [`Engine::set_model`]: super::Engine::set_model
 pub trait StageBackend {
-    /// Execute one kernel stage of step `step_no` (0-based). Only ever
+    /// What building the backend takes beside the world and the
+    /// configuration: nothing for `scalar`, the worker count for
+    /// `pooled`, the device for `simt`.
+    type Args;
+
+    /// Build the backend's per-replica state over `world`. `env` is the
+    /// engine's own clone of the world's placed environment, and
+    /// `cfg.model` has passed [`ModelKind::validate`].
+    fn build(world: &CompiledWorld, env: Environment, cfg: SimConfig, args: Self::Args) -> Self;
+
+    /// Execute one kernel stage of step `step_no` (0-based) under
+    /// `model`. Only ever
     /// called with members of [`Stage::KERNELS`], in that order. `rec`
     /// is the engine's telemetry recorder; backends with launch machinery
     /// (the GPU, the pool) feed their per-kernel launch statistics into
@@ -244,6 +265,7 @@ pub trait StageBackend {
         &mut self,
         stage: Stage,
         step_no: u64,
+        model: ModelKind,
         rec: &mut Recorder,
         metrics: Option<&mut Metrics>,
     );
@@ -262,6 +284,20 @@ pub trait StageBackend {
         step: u64,
         metrics: Option<&mut Metrics>,
     );
+
+    /// Rebuild what the backend derived from the model's parameters
+    /// after a mid-run swap from `old` to `new`, a valid overlay of the
+    /// same variant. Most backends derive nothing and keep this no-op.
+    fn model_changed(&mut self, _old: ModelKind, _new: ModelKind) {}
+
+    /// The traversal the stages take ([`super::Engine::iteration_mode`]).
+    fn iteration_mode(&self) -> IterationMode;
+
+    /// The cell labels ([`super::Engine::mat_snapshot`]).
+    fn mat_snapshot(&self) -> Matrix<u8>;
+
+    /// The agent positions ([`super::Engine::positions`]).
+    fn positions(&self) -> (Vec<u16>, Vec<u16>);
 }
 
 /// The shared engine core: step counting, stage sequencing, per-stage
@@ -282,11 +318,7 @@ impl StepCore {
     /// lifecycle when the world's scenario has one, and construct metrics
     /// when tracking is on — the construction logic every engine shares.
     /// `env` is the engine's own clone of the world's environment.
-    pub fn for_world(
-        cfg: &crate::params::SimConfig,
-        world: &crate::world::CompiledWorld,
-        env: &pedsim_grid::Environment,
-    ) -> Self {
+    pub fn for_world(cfg: &SimConfig, world: &CompiledWorld, env: &Environment) -> Self {
         use pedsim_grid::cell::CELL_WALL;
 
         let geom = world.geometry();
@@ -349,16 +381,18 @@ impl StepCore {
         );
     }
 
-    /// Advance one step: the four kernel stages in §IV order, then the
+    /// Advance one step under `model`: the four kernel stages in §IV
+    /// order, then the
     /// metrics observation, then the lifecycle phases — each timed and
     /// recorded. Telemetry is strictly observe-only: nothing here feeds
     /// back into the simulation, so trajectories are unchanged.
-    pub fn step<B: StageBackend>(&mut self, backend: &mut B) {
+    pub fn step<B: StageBackend>(&mut self, backend: &mut B, model: ModelKind) {
         for stage in Stage::KERNELS {
             let t0 = Instant::now();
             backend.run_stage(
                 stage,
                 self.step_no,
+                model,
                 &mut self.recorder,
                 self.metrics.as_mut(),
             );
@@ -408,7 +442,6 @@ mod tests {
     use crate::engine::cpu::{cpu_engine_small, CpuEngine};
     use crate::engine::gpu::GpuEngine;
     use crate::engine::Engine;
-    use crate::params::{IterationMode, ModelKind, SimConfig};
     use pedsim_scenario::registry;
     use simt::Device;
 
@@ -470,35 +503,20 @@ mod tests {
     }
 
     #[test]
-    fn cpu_timings_are_monotone_and_cover_every_stage() {
-        let mut e = cpu_engine_small(24, 24, 20, ModelKind::lem(), 3);
-        assert_monotone_and_covering(&mut e, "cpu");
-    }
-
-    #[test]
-    fn gpu_timings_are_monotone_and_cover_every_stage() {
+    fn timings_are_monotone_and_cover_every_stage() {
+        use crate::engine::Backend;
         let env = pedsim_grid::EnvConfig::small(24, 24, 20).with_seed(3);
-        let cfg = SimConfig::new(env, ModelKind::lem());
-        let mut e = GpuEngine::new(cfg, Device::sequential());
-        assert_monotone_and_covering(&mut e, "gpu");
-    }
-
-    #[test]
-    fn open_worlds_time_the_lifecycle_stage_on_both_engines() {
         let scenario = registry::open_corridor(24, 24, 20, 2.0).with_seed(5);
-        let cfg = SimConfig::from_scenario(&scenario, ModelKind::lem());
-        let mut cpu = CpuEngine::new(cfg.clone());
-        let mut gpu = GpuEngine::new(cfg, Device::sequential());
-        cpu.run(30);
-        gpu.run(30);
-        for (label, t) in [("cpu", cpu.step_timings()), ("gpu", gpu.step_timings())] {
-            assert!(
-                t.of(Stage::Lifecycle) > Duration::ZERO,
-                "{label}: lifecycle stage untimed on an open world"
-            );
-            for stage in Stage::ALL {
-                assert!(t.total() >= t.of(stage));
-            }
+        for backend in [Backend::scalar(), Backend::simt()] {
+            let cfg = SimConfig::new(env, ModelKind::lem());
+            let mut e = backend.build(cfg).expect("registry backend");
+            assert_monotone_and_covering(&mut e, &backend.name);
+            // An open world times its lifecycle stage too.
+            let cfg = SimConfig::from_scenario(&scenario, ModelKind::lem());
+            let mut e = backend.build(cfg).expect("registry backend");
+            e.run(30);
+            let t = e.step_timings();
+            assert!(t.of(Stage::Lifecycle) > Duration::ZERO, "{backend}");
         }
     }
 

@@ -24,33 +24,33 @@
 //!    row would go unread), draws its move from its own stream, and ORs
 //!    one bit into its target cell's claim byte — bit `k` means "the
 //!    agent standing at `target + NEIGHBOR_OFFSETS[k]` wants in"
-//!    ([`OPPOSITE`] maps a move to its bit). Neither a scan row nor a
+//!    (`OPPOSITE` maps a move to its bit). Neither a scan row nor a
 //!    FUTURE cell is stored, and only empty cells are claimed. Every
 //!    occupancy question is answered from the agent's availability byte
 //!    (bit `k` set when neighbour `k` is empty). The dense sweep computes
 //!    the byte of every cell of a row in one pass over that row and its
-//!    two neighbours ([`row_availability`], vectorised on interior
+//!    two neighbours (`row_availability`, vectorised on interior
 //!    columns); the sparse walk builds it per agent from three 3-byte row
-//!    windows ([`mat_availability`]). Both fall back to [`availability`]'s
+//!    windows (`mat_availability`). Both fall back to [`availability`]'s
 //!    per-neighbour loop on the grid's border.
 //!
 //!    The dense sweep skips a row with no agent and classifies every
-//!    other row in one branch-free pass ([`classify`]): agents whose
+//!    other row in one branch-free pass (`classify`): agents whose
 //!    forward cell is free, agents boxed in, and agents with one
 //!    candidate are decided by the byte alone — the per-agent code's own
 //!    shortcuts — and only the rest, the drawing agents, go through
-//!    [`Decide::agent`]. One pass per move direction
-//!    then ORs every target's bit into the claim rows above, at and below.
+//!    `Decide::agent`. One pass per move direction then ORs every
+//!    target's bit into the claim rows above, at and below.
 //!    An ACO agent with one candidate moves only when that neighbour's
 //!    numerator is positive; the pass settles it unread only at steps
-//!    where every numerator is provably positive ([`settles_one`]).
+//!    where every numerator is provably positive (`settles_one`).
 //!
 //!    Claims are schedule-independent by construction. A claim row that
 //!    several decides reach — a band's first and last rows and the rows
 //!    just outside it — takes a commutative `fetch_or`; the rows `start +
 //!    1 ..= end − 2` of a dense band only its own decide reaches, and
 //!    only its own resolve, which waits for it, reads, so they take plain
-//!    byte ORs ([`Claims`]). The sparse walk `fetch_or`s every claim.
+//!    byte ORs (`Claims`). The sparse walk `fetch_or`s every claim.
 //! 2. **Resolve** (movement) of a row band: the band evaporates its
 //!    pheromone cells (ACO), then every cell of the band with a non-zero
 //!    claim byte decodes it: the set bits, read in ascending order, are
@@ -72,7 +72,7 @@
 //! ## One pool launch per step
 //!
 //! Every step, in both traversal modes, is **one** pool launch with one
-//! item per worker, scheduled by [`Bands`]: worker `w` runs its plan, a
+//! item per worker, scheduled by `Bands`: worker `w` runs its plan, a
 //! list of decide and resolve operations. Each decide publishes "decided
 //! at step `t`" in its own readiness flag (one `AtomicU64` per decide,
 //! release; the value only grows, so it is never reset), and each resolve
@@ -144,10 +144,9 @@ use crate::params::{AcoParams, IterationMode, ModelKind, SimConfig};
 use super::cpu::HostWorld;
 use super::lifecycle::OpenLifecycle;
 use super::pipeline::{
-    Stage, StageBackend, StepCore, StepTimings, KERNEL_BLOCK_KEYS, KERNEL_LAUNCH_KEYS,
-    KERNEL_THREAD_KEYS,
+    Stage, StageBackend, KERNEL_BLOCK_KEYS, KERNEL_LAUNCH_KEYS, KERNEL_THREAD_KEYS,
 };
-use super::{split_positions, swap_model, Engine, ModelSwapError, KERNEL_MOVE, KERNEL_TOUR};
+use super::{split_positions, Sim, KERNEL_MOVE, KERNEL_TOUR};
 use crate::world::CompiledWorld;
 
 /// Row-band oversubscription factor: row bands per worker, where the
@@ -822,19 +821,16 @@ impl Bands {
     }
 }
 
-/// The tile-parallel pooled engine.
-pub struct PooledEngine {
-    core: StepCore,
-    backend: PooledBackend,
-}
+/// The tile-parallel pooled engine: the [`Sim`] shell over
+/// [`PooledBackend`].
+pub type PooledEngine = Sim<PooledBackend>;
 
 /// The pooled engine's kernel-stage executor: the same host-side world
 /// the scalar backend loops over, plus the worker pool, the per-cell
 /// claim bytes, the band partition and one metrics tally per band.
 /// Movement updates the world in place, so there is no second grid, scan
 /// matrix or pheromone buffer.
-struct PooledBackend {
-    cfg: SimConfig,
+pub struct PooledBackend {
     geom: Geometry,
     env: Environment,
     tour: TourLengths,
@@ -1356,73 +1352,19 @@ fn eta_beta_plane(dist: &DistanceData, model: ModelKind) -> Vec<f32> {
 
 impl PooledEngine {
     /// Build the engine with `threads` pool workers (runs the
-    /// data-preparation stage, like the other backends). A thin
-    /// compile-then-construct wrapper over [`PooledEngine::from_world`].
+    /// data-preparation stage, like the other backends).
     pub fn new(cfg: SimConfig, threads: usize) -> Self {
-        let world = CompiledWorld::compile(&cfg);
-        Self::from_world(&world, cfg, threads)
+        Self::build_cold(cfg, threads)
     }
 
     /// Build per-replica engine state with `threads` pool workers from an
-    /// already compiled world. Bit-identical to [`PooledEngine::new`] on
-    /// the same configuration.
+    /// already compiled world ([`Sim::build`]).
     pub fn from_world(
         world: &std::sync::Arc<CompiledWorld>,
         cfg: SimConfig,
         threads: usize,
     ) -> Self {
-        debug_assert!(
-            world.matches(&cfg),
-            "CompiledWorld was compiled from a different configuration"
-        );
-        let env = world.environment();
-        let dist = world.distance();
-        let geom = world.geometry();
-        let core = StepCore::for_world(&cfg, world, &env);
-        let n = env.total_agents();
-        let (h, w) = (env.height(), env.width());
-        let pher = match cfg.model {
-            ModelKind::Aco(p) => Some(PheromoneField::with_groups(h, w, p.tau0, env.n_groups())),
-            ModelKind::Lem(_) => None,
-        };
-        let seed = cfg.env.seed;
-        let mode = cfg.iteration.resolve(env.live_count(), h * w);
-        let eta_beta = eta_beta_plane(&dist, cfg.model);
-        let eta_beta_min = eta_beta_min(&eta_beta, dist.dist_ref(), env.mat.as_slice());
-        let pher_floor = cfg.model.aco_params().map_or(f32::NAN, |p| p.tau0);
-        let pool = WorkerPool::new(threads);
-        let slots = band_ranges(n, pool.workers())
-            .into_iter()
-            .map(|r| r.start + 1..r.end + 1)
-            .collect::<Vec<_>>();
-        let mut backend = PooledBackend {
-            bands: Bands::new(h, pool.workers(), decide_halo(cfg.model), mode),
-            cfg,
-            geom,
-            tour: TourLengths::new(n),
-            pher,
-            dist,
-            eta_beta,
-            eta_beta_min,
-            pher_floor,
-            seed,
-            pool,
-            claims: (0..h * w).map(|_| AtomicU8::new(0)).collect(),
-            schedule_seed: None,
-            mode,
-            slots,
-            bins: Vec::new(),
-            tallies: Vec::new(),
-            tally: StepTally::default(),
-            env,
-        };
-        backend.size_band_state();
-        Self { core, backend }
-    }
-
-    /// Number of pool worker threads.
-    pub fn threads(&self) -> usize {
-        self.backend.pool.workers()
+        Self::build(world, cfg, threads)
     }
 
     /// Run every later step on the calling thread in an explorer
@@ -1442,25 +1384,6 @@ impl PooledEngine {
     /// initial values.
     pub fn environment(&self) -> &Environment {
         &self.backend.env
-    }
-
-    /// Replace the model parameters mid-run (the panic-alarm extension).
-    /// A new ACO β rebuilds the `η^β` plane, and a new LEM scan range the
-    /// band partition.
-    pub fn set_model(&mut self, model: ModelKind) -> Result<(), ModelSwapError> {
-        let beta = |m: ModelKind| m.aco_params().map(|p| p.beta.to_bits());
-        let b = &mut self.backend;
-        let old = b.cfg.model;
-        swap_model(&mut b.cfg.model, model)?;
-        if beta(model) != beta(old) {
-            b.eta_beta = eta_beta_plane(&b.dist, model);
-            b.eta_beta_min = eta_beta_min(&b.eta_beta, b.dist.dist_ref(), b.env.mat.as_slice());
-        }
-        if decide_halo(model) != decide_halo(old) {
-            b.bands = Bands::new(b.geom.height, b.pool.workers(), decide_halo(model), b.mode);
-            b.size_band_state();
-        }
-        Ok(())
     }
 
     /// Borrow the pheromone field (ACO only).
@@ -1491,10 +1414,10 @@ impl PooledBackend {
     /// deciding its row bands (dense) or its slot range (sparse) and
     /// resolving each of its bands once the decides it needs have
     /// published.
-    fn step(&mut self, step_no: u64, metrics: Option<&mut Metrics>) -> Work {
+    fn step(&mut self, step_no: u64, model: ModelKind, metrics: Option<&mut Metrics>) -> Work {
         self.bands.reset();
         let schedule = self.schedule_seed;
-        let resolve = Resolve::new(self, step_no, metrics);
+        let resolve = Resolve::new(self, step_no, model, metrics);
         // SAFETY: `run_worker` and `run_interleaved` start resolve of band
         // `b` only once every decide of `needs[b]` has published this
         // step, and those are all the decides that read a cell it writes.
@@ -1529,7 +1452,7 @@ impl PooledBackend {
             Some(seed) => bands.run_interleaved(seed, step, &op),
         }
         self.merge_tallies();
-        if let Some(p) = self.cfg.model.aco_params() {
+        if let Some(p) = model.aco_params() {
             self.pher_floor = if p.q >= 0.0 { p.tau0 } else { f32::NAN };
         }
         sum.total()
@@ -1584,14 +1507,19 @@ struct Resolve<'a> {
 }
 
 impl<'a> Resolve<'a> {
-    fn new(b: &'a mut PooledBackend, step_no: u64, metrics: Option<&'a mut Metrics>) -> Self {
+    fn new(
+        b: &'a mut PooledBackend,
+        step_no: u64,
+        model: ModelKind,
+        metrics: Option<&'a mut Metrics>,
+    ) -> Self {
         let sparse = b.mode == IterationMode::Sparse;
         Self {
             pool: &b.pool,
             seed: b.seed,
             counter_base: (step_no * 4 + KERNEL_MOVE) << 4,
             width: b.geom.width,
-            aco: b.cfg.model.aco_params(),
+            aco: model.aco_params(),
             bands: &b.bands,
             claims: Claims::new(&b.claims),
             bins: sparse.then(|| Scatter::new(&mut b.bins)),
@@ -1610,8 +1538,8 @@ impl<'a> Resolve<'a> {
             ids: &b.env.props.id,
             dist: b.dist.dist_ref(),
             eta_beta: &b.eta_beta,
-            model: b.cfg.model,
-            settle_one: settles_one(b.cfg.model, b.pher_floor, b.eta_beta_min),
+            model,
+            settle_one: settles_one(model, b.pher_floor, b.eta_beta_min),
             #[cfg(feature = "audit-runtime")]
             step: step_no + 1,
         }
@@ -1816,17 +1744,61 @@ impl<'a> Resolve<'a> {
 }
 
 impl StageBackend for PooledBackend {
+    type Args = usize;
+
+    fn build(world: &CompiledWorld, env: Environment, cfg: SimConfig, threads: usize) -> Self {
+        let dist = world.distance();
+        let n = env.total_agents();
+        let (h, w) = (env.height(), env.width());
+        let pher = cfg
+            .model
+            .aco_params()
+            .map(|p| PheromoneField::with_groups(h, w, p.tau0, env.n_groups()));
+        let mode = cfg.iteration.resolve(env.live_count(), h * w);
+        let eta_beta = eta_beta_plane(&dist, cfg.model);
+        let eta_beta_min = eta_beta_min(&eta_beta, dist.dist_ref(), env.mat.as_slice());
+        let pher_floor = cfg.model.aco_params().map_or(f32::NAN, |p| p.tau0);
+        let pool = WorkerPool::new(threads);
+        let slots = band_ranges(n, pool.workers())
+            .into_iter()
+            .map(|r| r.start + 1..r.end + 1)
+            .collect::<Vec<_>>();
+        let mut backend = Self {
+            bands: Bands::new(h, pool.workers(), decide_halo(cfg.model), mode),
+            geom: world.geometry(),
+            tour: TourLengths::new(n),
+            pher,
+            dist,
+            eta_beta,
+            eta_beta_min,
+            pher_floor,
+            seed: cfg.env.seed,
+            pool,
+            claims: (0..h * w).map(|_| AtomicU8::new(0)).collect(),
+            schedule_seed: None,
+            mode,
+            slots,
+            bins: Vec::new(),
+            tallies: Vec::new(),
+            tally: StepTally::default(),
+            env,
+        };
+        backend.size_band_state();
+        backend
+    }
+
     fn run_stage(
         &mut self,
         stage: Stage,
         step_no: u64,
+        model: ModelKind,
         rec: &mut pedsim_obs::Recorder,
         metrics: Option<&mut Metrics>,
     ) {
         // The whole step is one launch, filed under Movement.
         let (launches, work) = match stage {
             Stage::Init | Stage::InitialCalc | Stage::Tour => (0, Work::default()),
-            Stage::Movement => (1, self.step(step_no, metrics)),
+            Stage::Movement => (1, self.step(step_no, model, metrics)),
             Stage::Lifecycle | Stage::Metrics => unreachable!("core-driven stage"),
         };
         // One launch item, one plan, per worker.
@@ -1864,44 +1836,33 @@ impl StageBackend for PooledBackend {
         };
         lifecycle.run_step(&mut world, step, metrics);
     }
-}
 
-impl Engine for PooledEngine {
-    fn step(&mut self) {
-        self.core.step(&mut self.backend);
-    }
-
-    fn steps_done(&self) -> u64 {
-        self.core.steps_done()
-    }
-
-    fn metrics(&self) -> Option<&Metrics> {
-        self.core.metrics()
-    }
-
-    fn step_timings(&self) -> &StepTimings {
-        self.core.timings()
-    }
-
-    fn telemetry(&self) -> &pedsim_obs::Recorder {
-        self.core.recorder()
-    }
-
-    fn model(&self) -> ModelKind {
-        self.backend.cfg.model
+    /// A new ACO β rebuilds the `η^β` plane, and a new LEM scan range the
+    /// band partition.
+    fn model_changed(&mut self, old: ModelKind, new: ModelKind) {
+        let beta = |m: ModelKind| m.aco_params().map(|p| p.beta.to_bits());
+        if beta(new) != beta(old) {
+            let (dist, mat) = (self.dist.dist_ref(), self.env.mat.as_slice());
+            self.eta_beta = eta_beta_plane(&self.dist, new);
+            self.eta_beta_min = eta_beta_min(&self.eta_beta, dist, mat);
+        }
+        if decide_halo(new) != decide_halo(old) {
+            let workers = self.pool.workers();
+            self.bands = Bands::new(self.geom.height, workers, decide_halo(new), self.mode);
+            self.size_band_state();
+        }
     }
 
     fn iteration_mode(&self) -> IterationMode {
-        self.backend.mode
+        self.mode
     }
 
     fn mat_snapshot(&self) -> Matrix<u8> {
-        self.backend.env.mat.clone()
+        self.env.mat.clone()
     }
 
     fn positions(&self) -> (Vec<u16>, Vec<u16>) {
-        let env = &self.backend.env;
-        split_positions(&env.props.pos, env.width())
+        split_positions(&self.env.props.pos, self.env.width())
     }
 }
 
@@ -1922,6 +1883,7 @@ pub fn pooled_engine_small(
 mod tests {
     use super::*;
     use crate::engine::cpu::cpu_engine_small;
+    use crate::engine::Engine;
     use crate::model::{gather_winner, Arrival};
     use crate::params::LemParams;
 

@@ -317,6 +317,59 @@ mod tests {
         }
     }
 
+    /// Every backend takes a model swap through [`Engine::set_model`]
+    /// alike: a variant change, a τ₀ that is not finite and positive, and
+    /// a ρ outside `[0, 1]` are typed errors that leave the running model
+    /// in place, and an overlay is taken. Building an engine with such a
+    /// τ₀ or ρ panics on every backend.
+    #[test]
+    fn every_backend_checks_model_swaps_and_models_alike() {
+        use crate::engine::ModelSwapError::{Invalid, Variant};
+        use crate::params::{AcoParams, InvalidModel};
+        let aco = |tau0, rho| {
+            let p = AcoParams::default();
+            ModelKind::Aco(AcoParams { tau0, rho, ..p })
+        };
+        let with_model = |model| SimConfig {
+            model,
+            ..small_cfg()
+        };
+        for b in BACKENDS {
+            let mut e = b.build_cold(small_cfg(), 2);
+            let err = e.set_model(ModelKind::aco()).unwrap_err();
+            let expected = Variant {
+                running: "LEM",
+                requested: "ACO",
+            };
+            assert!(
+                err == expected && err.to_string().contains("variant"),
+                "{err}"
+            );
+            let mut e = b.build_cold(with_model(aco(0.2, 0.5)), 2);
+            assert_eq!(e.set_model(ModelKind::aco()), Ok(()), "{}", b.name);
+            for (tau0, rho, why) in [
+                (0.0, 0.02, InvalidModel::Tau0(0.0)),
+                (-0.1, 0.02, InvalidModel::Tau0(-0.1)),
+                (f32::INFINITY, 0.02, InvalidModel::Tau0(f32::INFINITY)),
+                (0.1, -0.01, InvalidModel::Rho(-0.01)),
+                (0.1, 1.5, InvalidModel::Rho(1.5)),
+            ] {
+                let bad = aco(tau0, rho);
+                assert_eq!(e.set_model(bad), Err(Invalid(why)), "{}", b.name);
+                assert_eq!(e.model(), ModelKind::aco(), "{}: model changed", b.name);
+                let built = std::panic::catch_unwind(|| b.build_cold(with_model(bad), 2));
+                let msg = built.err().and_then(|p| p.downcast::<String>().ok());
+                assert!(
+                    msg.is_some_and(|m| m.contains(&why.to_string())),
+                    "{}",
+                    b.name
+                );
+            }
+            e.run(3);
+            assert_eq!(e.steps_done(), 3, "{}", b.name);
+        }
+    }
+
     #[test]
     fn thread_count_floors_at_one() {
         let b = Backend::named("pooled", 0);

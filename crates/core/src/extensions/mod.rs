@@ -1,6 +1,6 @@
 //! The paper's future-work features (§VII), implemented.
 //!
-//! * [`panic`] — "introduce a panic alarm to emulate some sort of crisis
+//! * [`panic`](mod@panic) — "introduce a panic alarm to emulate some sort of crisis
 //!   situation": a parameter-switching overlay that, at a trigger step,
 //!   inflates the LEM draw spread / suppresses pheromone trust.
 //! * [`ranges`] — "separating the scanning ranges and moving ranges of the

@@ -4,12 +4,12 @@
 //! At a trigger step the population's decision parameters change: LEM
 //! agents draw with an inflated σ (more erratic rank choices), ACO agents
 //! lose trust in trails (α scaled down) and overweight goal distance
-//! (β scaled up). Both engines already re-read their model parameters
-//! every step, so the alarm is a pure parameter overlay — determinism and
-//! CPU/GPU agreement are preserved through the switch.
+//! (β scaled up). The alarm swaps the model through
+//! [`Engine::set_model`], which every backend has, boxed registry
+//! engines included, and every backend re-reads its model parameters
+//! every step. So the alarm is a pure parameter overlay: determinism and
+//! agreement across backends are preserved through the switch.
 
-use crate::engine::cpu::CpuEngine;
-use crate::engine::gpu::GpuEngine;
 use crate::engine::Engine;
 use crate::params::ModelKind;
 
@@ -35,26 +35,6 @@ impl Default for PanicParams {
             alpha_factor: 0.0,
             beta_factor: 2.0,
         }
-    }
-}
-
-/// Engines that can swap model parameters mid-run (same model kind only).
-pub trait ModelSwitch {
-    /// Replace the model parameters. Panics if the variant changes (a LEM
-    /// run cannot become an ACO run — the pheromone substrate would be
-    /// missing).
-    fn switch_model(&mut self, model: ModelKind);
-}
-
-impl ModelSwitch for CpuEngine {
-    fn switch_model(&mut self, model: ModelKind) {
-        self.set_model(model).unwrap_or_else(|e| panic!("{e}"));
-    }
-}
-
-impl ModelSwitch for GpuEngine {
-    fn switch_model(&mut self, model: ModelKind) {
-        self.set_model(model).unwrap_or_else(|e| panic!("{e}"));
     }
 }
 
@@ -88,10 +68,12 @@ impl PanicAlarm {
 
     /// Run `engine` for `total_steps`, firing the alarm at
     /// `params.trigger_step` (clamped to the run length).
-    pub fn run<E: Engine + ModelSwitch>(&self, engine: &mut E, total_steps: u64) {
+    pub fn run<E: Engine + ?Sized>(&self, engine: &mut E, total_steps: u64) {
         let trigger = self.params.trigger_step.min(total_steps);
         engine.run(trigger);
-        engine.switch_model(self.panicked_model(engine.model()));
+        engine
+            .set_model(self.panicked_model(engine.model()))
+            .expect("the panicked model keeps the running variant, tau0 and rho");
         engine.run(total_steps - trigger);
     }
 }
@@ -99,9 +81,9 @@ impl PanicAlarm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::cpu::CpuEngine;
     use crate::params::{AcoParams, LemParams, SimConfig};
     use pedsim_grid::EnvConfig;
-    use simt::Device;
 
     fn cfg(model: ModelKind, seed: u64) -> SimConfig {
         SimConfig::new(EnvConfig::small(32, 32, 30).with_seed(seed), model).with_checked(true)
@@ -147,8 +129,14 @@ mod tests {
             .expect("panic keeps the world consistent");
     }
 
+    /// Every backend runs the alarm bit-identically to `scalar`, each as a
+    /// registry-built `Box<dyn Engine>`: `simt`, and `pooled` at one to
+    /// four threads in both traversal modes.
     #[test]
     fn engines_agree_through_the_alarm() {
+        use crate::engine::Backend;
+        use crate::params::IterationMode;
+
         let alarm = PanicAlarm::new(PanicParams {
             trigger_step: 8,
             sigma_factor: 1.0,
@@ -157,17 +145,18 @@ mod tests {
         });
         let c = cfg(ModelKind::aco(), 13);
         let mut cpu = CpuEngine::new(c.clone());
-        let mut gpu = GpuEngine::new(c, Device::parallel());
         alarm.run(&mut cpu, 25);
-        alarm.run(&mut gpu, 25);
-        assert_eq!(cpu.mat_snapshot(), gpu.mat_snapshot());
-        assert_eq!(cpu.positions(), gpu.positions());
-    }
-
-    #[test]
-    #[should_panic(expected = "variant")]
-    fn kind_change_rejected() {
-        let mut e = CpuEngine::new(cfg(ModelKind::lem(), 1));
-        e.switch_model(ModelKind::aco());
+        let mut runs = vec![(Backend::named("simt", 2), c.clone())];
+        for mode in [IterationMode::Dense, IterationMode::Sparse] {
+            let c = c.clone().with_iteration_mode(mode);
+            runs.extend((1..=4).map(|t| (Backend::pooled(t), c.clone())));
+        }
+        for (backend, c) in runs {
+            let mut e = backend.build(c.clone()).expect("registry backend");
+            alarm.run(&mut e, 25);
+            let name = format!("{backend}/{}", c.iteration.name());
+            assert_eq!(cpu.mat_snapshot(), e.mat_snapshot(), "{name}");
+            assert_eq!(cpu.positions(), e.positions(), "{name}");
+        }
     }
 }

@@ -15,14 +15,17 @@
 //!   resolution) both engines share;
 //! * [`kernels`] — the four `simt` kernels (§IV.b–e) and the device buffer
 //!   set, plus the atomic-CAS movement variant kept for ablations;
-//! * [`engine`] — [`engine::cpu::CpuEngine`] (sequential reference) and
+//! * [`engine`] — [`engine::cpu::CpuEngine`] (sequential reference),
+//!   [`engine::pooled::PooledEngine`] (tile-parallel fast path) and
 //!   [`engine::gpu::GpuEngine`] (virtual GPU, sequential or parallel
-//!   policy);
+//!   policy): each the one [`engine::Sim`] shell over its backend's
+//!   kernel stages ([`engine::StageBackend`]), so all three step, report
+//!   and swap models ([`engine::Engine::set_model`]) the same way;
 //! * [`metrics`] — throughput (the paper's §VI result metric), gridlock,
 //!   lane formation;
 //! * [`validate`] — exact cross-engine trajectory comparison;
 //! * [`extensions`] — the paper's future-work features, implemented
-//!   (panic alarm; widened scanning ranges).
+//!   (panic alarm on any engine; widened scanning ranges).
 //!
 //! The `scenario` layer (crate `pedsim-scenario`, re-exported through the
 //! prelude) sits between `pedsim-grid` and the engines: declarative worlds

@@ -5,7 +5,7 @@
 //! cell. Since `D_min/D_i` is strictly decreasing in `D_i`, ranking
 //! candidates by `C_i` descending is identical to ranking by distance
 //! ascending; the paper stores the scan row "in the increasing order of
-//! value [distance]" and we do the same, keeping the paired neighbour
+//! value \[distance\]" and we do the same, keeping the paired neighbour
 //! index.
 //!
 //! Selection draws a normal sample, clamps negatives to rank 0 and

@@ -44,11 +44,11 @@ pub struct AcoParams {
     pub alpha: f32,
     /// Heuristic weight β of eq. (2) (η = 1/distance-to-target).
     pub beta: f32,
-    /// Evaporation rate ρ of eq. (3), in (0, 1].
+    /// Evaporation rate ρ of eq. (3), in [0, 1].
     pub rho: f32,
     /// Deposit numerator Q of eq. (5): an arriving agent deposits `Q/L_k`.
     pub q: f32,
-    /// Initial pheromone and evaporation floor τ₀.
+    /// Initial pheromone and evaporation floor τ₀, finite and positive.
     pub tau0: f32,
     /// Forward-cell priority, as in LEM.
     pub forward_priority: bool,
@@ -116,7 +116,44 @@ impl ModelKind {
             ModelKind::Aco(_) => "ACO",
         }
     }
+
+    /// Check the parameters every backend relies on: ACO's τ₀ must be
+    /// finite and positive (it is the pheromone floor), and ρ must lie
+    /// in `[0, 1]`. Engines check a model when they are built and on
+    /// every `set_model`; `Job::validate` checks it before a batch runs.
+    pub fn validate(&self) -> Result<(), InvalidModel> {
+        let Some(p) = self.aco_params() else {
+            return Ok(());
+        };
+        if !(p.tau0.is_finite() && p.tau0 > 0.0) {
+            return Err(InvalidModel::Tau0(p.tau0));
+        }
+        if !(0.0..=1.0).contains(&p.rho) {
+            return Err(InvalidModel::Rho(p.rho));
+        }
+        Ok(())
+    }
 }
+
+/// Why a model's parameters cannot run ([`ModelKind::validate`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum InvalidModel {
+    /// ACO's τ₀ is not finite and positive.
+    Tau0(f32),
+    /// ACO's ρ lies outside `[0, 1]`.
+    Rho(f32),
+}
+
+impl std::fmt::Display for InvalidModel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Tau0(v) => write!(f, "ACO tau0 must be finite and positive, got {v}"),
+            Self::Rho(v) => write!(f, "ACO rho must lie in [0, 1], got {v}"),
+        }
+    }
+}
+
+impl std::error::Error for InvalidModel {}
 
 /// How the `pooled` backend's kernel stages traverse the world each step.
 ///
@@ -309,6 +346,35 @@ mod tests {
         assert!(a.alpha > 0.0 && a.beta > 0.0);
         assert!((0.0..=1.0).contains(&a.rho));
         assert!(a.tau0 > 0.0);
+    }
+
+    #[test]
+    fn validate_rejects_a_bad_tau0_or_rho() {
+        let aco = |tau0, rho| {
+            ModelKind::Aco(AcoParams {
+                tau0,
+                rho,
+                ..AcoParams::default()
+            })
+        };
+        assert_eq!(ModelKind::lem().validate(), Ok(()));
+        for ok in [aco(0.1, 0.0), aco(1e-44, 1.0)] {
+            assert_eq!(ok.validate(), Ok(()));
+        }
+        for tau0 in [0.0, -0.1, f32::INFINITY] {
+            assert_eq!(aco(tau0, 0.02).validate(), Err(InvalidModel::Tau0(tau0)));
+        }
+        assert!(matches!(
+            aco(f32::NAN, 0.02).validate(),
+            Err(InvalidModel::Tau0(_))
+        ));
+        for rho in [-0.01, 1.01] {
+            assert_eq!(aco(0.1, rho).validate(), Err(InvalidModel::Rho(rho)));
+        }
+        assert!(matches!(
+            aco(0.1, f32::NAN).validate(),
+            Err(InvalidModel::Rho(_))
+        ));
     }
 
     /// An `EnvConfig` that describes no corridor is a typed error from

@@ -29,8 +29,9 @@ pub fn json_f64(v: f64) -> String {
     }
 }
 
-/// Escape a string for embedding in a JSON string literal.
-fn escape_into(out: &mut String, s: &str) {
+/// Append `s` to `out`, escaped for embedding in a JSON string literal
+/// (quotes, backslashes and control characters).
+pub fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),

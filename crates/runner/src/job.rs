@@ -1,7 +1,7 @@
 //! Job descriptions: one independent replica per [`Job`].
 
 use pedsim_core::engine::{Backend, InvalidStopCondition, StopCondition, UnknownBackend};
-use pedsim_core::params::SimConfig;
+use pedsim_core::params::{InvalidModel, SimConfig};
 use pedsim_scenario::ScenarioError;
 use std::sync::Arc;
 
@@ -10,7 +10,7 @@ use std::sync::Arc;
 /// Caught at batch construction — the alternative is a panic deep inside
 /// a `WorkerPool` worker mid-batch, long after the configuration mistake
 /// was made.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum JobError {
     /// The job's stop condition can never be evaluated.
     InvalidStop {
@@ -34,6 +34,15 @@ pub enum JobError {
         /// Why the corridor cannot be built.
         source: ScenarioError,
     },
+    /// The job's model parameters fail
+    /// [`ModelKind::validate`](pedsim_core::params::ModelKind::validate):
+    /// every backend would refuse to build the engine.
+    InvalidModel {
+        /// The offending job's label.
+        label: String,
+        /// Which parameter is out of range.
+        source: InvalidModel,
+    },
 }
 
 impl std::fmt::Display for JobError {
@@ -48,6 +57,9 @@ impl std::fmt::Display for JobError {
             Self::InvalidWorld { label, source } => {
                 write!(f, "job {label:?}: invalid paper corridor: {source}")
             }
+            Self::InvalidModel { label, source } => {
+                write!(f, "job {label:?}: invalid model: {source}")
+            }
         }
     }
 }
@@ -58,6 +70,7 @@ impl std::error::Error for JobError {
             Self::InvalidStop { source, .. } => Some(source),
             Self::UnknownBackend { source, .. } => Some(source),
             Self::InvalidWorld { source, .. } => Some(source),
+            Self::InvalidModel { source, .. } => Some(source),
         }
     }
 }
@@ -127,10 +140,12 @@ impl Job {
     /// condition surfaces as a typed error on the calling thread, never a
     /// worker panic mid-batch. Covers both the condition's parameters and
     /// its fit with this job's engine configuration: a metric-based stop
-    /// on a `track_metrics`-off config can never fire. A hand-built
-    /// configuration without a scenario must describe a valid classic
-    /// corridor ([`registry::try_paper_corridor`]).
+    /// on a `track_metrics`-off config can never fire. The model must
+    /// pass [`ModelKind::validate`], and a hand-built configuration
+    /// without a scenario must describe a valid classic corridor
+    /// ([`registry::try_paper_corridor`]).
     ///
+    /// [`ModelKind::validate`]: pedsim_core::params::ModelKind::validate
     /// [`registry::try_paper_corridor`]: pedsim_scenario::registry::try_paper_corridor
     pub fn validate(&self) -> Result<(), JobError> {
         self.resolve().map(drop)
@@ -150,6 +165,13 @@ impl Job {
         self.backend
             .resolve()
             .map_err(|source| JobError::UnknownBackend {
+                label: self.label.clone(),
+                source,
+            })?;
+        self.cfg
+            .model
+            .validate()
+            .map_err(|source| JobError::InvalidModel {
                 label: self.label.clone(),
                 source,
             })?;
@@ -188,6 +210,46 @@ mod tests {
         assert!(j.validate().is_ok());
         let s = Job::backend("s", cfg, Backend::simt(), StopCondition::Steps(1));
         assert_eq!(s.backend.resolve().map(|d| d.name), Ok("simt"));
+    }
+
+    /// A τ₀ that is not finite and positive, or a ρ outside `[0, 1]`, is a
+    /// typed job error on every backend, before any worker starts.
+    #[test]
+    fn invalid_aco_parameters_are_a_typed_job_error() {
+        use pedsim_core::engine::BACKENDS;
+        use pedsim_core::params::AcoParams;
+        let env = EnvConfig::small(16, 16, 4);
+        for (tau0, rho, why) in [
+            (0.0, 0.02, InvalidModel::Tau0(0.0)),
+            (-1.0, 0.02, InvalidModel::Tau0(-1.0)),
+            (0.1, 1.5, InvalidModel::Rho(1.5)),
+        ] {
+            let model = ModelKind::Aco(AcoParams {
+                tau0,
+                rho,
+                ..AcoParams::default()
+            });
+            for b in BACKENDS {
+                let cfg = SimConfig::new(env, model);
+                let job = Job::backend(
+                    "aco",
+                    cfg,
+                    Backend::named(b.name, 2),
+                    StopCondition::Steps(1),
+                );
+                let err = job.validate().unwrap_err();
+                assert_eq!(
+                    err,
+                    JobError::InvalidModel {
+                        label: "aco".into(),
+                        source: why
+                    },
+                    "{}",
+                    b.name
+                );
+                assert!(err.to_string().contains("invalid model"), "{err}");
+            }
+        }
     }
 
     #[test]

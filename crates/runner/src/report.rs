@@ -4,6 +4,7 @@ use std::fmt::Write as _;
 use std::time::Duration;
 
 use pedsim_core::engine::{Stage, StepTimings, StopReason};
+use pedsim_obs::journal::{escape_into, json_f64};
 
 /// The sliding window (steps) behind [`RunResult::flux`]: long enough to
 /// smooth single-step noise, short enough that smoke-scale runs observe
@@ -425,35 +426,6 @@ impl BatchReport {
     }
 }
 
-/// Escape a string for a JSON literal (quotes, backslashes, controls).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Render a finite `f64` via Rust's shortest-roundtrip `Display` (itself
-/// deterministic); non-finite values become `null`.
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".into()
-    }
-}
-
 fn opt_num<T: std::fmt::Display>(v: Option<T>) -> String {
     v.map_or("null".into(), |n| n.to_string())
 }
@@ -462,7 +434,9 @@ fn push_str_field(buf: &mut String, key: &str, value: &str) {
     if buf.len() > 1 {
         buf.push_str(", ");
     }
-    let _ = write!(buf, "\"{key}\": \"{}\"", json_escape(value));
+    let _ = write!(buf, "\"{key}\": \"");
+    escape_into(buf, value);
+    buf.push('"');
 }
 
 fn push_raw_field(buf: &mut String, key: &str, raw: &str) {

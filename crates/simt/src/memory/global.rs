@@ -4,7 +4,7 @@
 //!
 //! The paper's movement kernel avoids CUDA atomics by arranging that **every
 //! global slot is written by at most one thread per kernel** (§IV.d, the
-//! scatter-to-gather transformation of Scavo [21]). On real hardware that
+//! scatter-to-gather transformation of Scavo \[21\]). On real hardware that
 //! contract is invisible — violating it silently corrupts data. Here it is
 //! a *checkable invariant*: [`ScatterBuffer`] can carry one atomic flag per
 //! slot, and in checked mode a second write to the same slot within one

@@ -16,25 +16,8 @@ use pedsim::core::engine::pooled::pooled_engine_small;
 use pedsim::prelude::*;
 use pedsim::simt::exec::explore::explore;
 
-/// FNV-1a over the trajectory state (same digest as the parity suites).
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-fn trajectory_hash(e: &impl Engine) -> u64 {
-    let mat = e.mat_snapshot();
-    let (row, col) = e.positions();
-    let mut bytes: Vec<u8> = mat.as_slice().to_vec();
-    for v in row.iter().chain(col.iter()) {
-        bytes.extend_from_slice(&v.to_le_bytes());
-    }
-    fnv1a(bytes)
-}
+mod common;
+use common::trajectory_hash;
 
 /// 300 explorer schedules per model and traversal mode, every one
 /// bit-identical to scalar. Every schedule, in both modes, interleaves

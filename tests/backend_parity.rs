@@ -11,54 +11,49 @@ use pedsim::core::engine::Backend;
 use pedsim::prelude::*;
 use pedsim::scenario::registry;
 
-/// FNV-1a over the trajectory state: the environment matrix plus every
-/// agent position (same hash as the multi-group golden suite).
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-fn trajectory_hash(e: &impl Engine) -> u64 {
-    let mat = e.mat_snapshot();
-    let (row, col) = e.positions();
-    let mut bytes: Vec<u8> = mat.as_slice().to_vec();
-    for v in row.iter().chain(col.iter()) {
-        bytes.extend_from_slice(&v.to_le_bytes());
-    }
-    fnv1a(bytes)
-}
+mod common;
+use common::trajectory_hash;
 
 /// Run `cfg` for `steps` on every registry backend and return the scalar
-/// hash after asserting every other run matches it. Each traversal has
-/// two independent implementations held to that hash: the agent loops
-/// of `scalar` and sparse `pooled`, and the per-cell sweeps of `simt` and
-/// dense `pooled`. Sparse stepping is thereby pinned as a pure
-/// traversal-order optimisation of the paper's O(cells) mapping.
-fn assert_backends_agree(name: &str, cfg: SimConfig, steps: u64) -> u64 {
-    let mut scalar = Backend::scalar().build(cfg.clone()).expect("scalar");
-    scalar.run(steps);
-    let golden = trajectory_hash(&scalar);
+/// hash after asserting every other run matches it. With `swap = Some((at,
+/// model))`, every engine swaps to `model` through `Engine::set_model`
+/// after `at` steps. Each traversal has two independent implementations
+/// held to that hash: the agent loops of `scalar` and sparse `pooled`,
+/// and the per-cell sweeps of `simt` and dense `pooled`. Sparse stepping
+/// is thereby pinned as a pure traversal-order optimisation of the
+/// paper's O(cells) mapping.
+fn assert_backends_agree(
+    name: &str,
+    cfg: SimConfig,
+    steps: u64,
+    swap: Option<(u64, ModelKind)>,
+) -> u64 {
+    let run = |backend: Backend, cfg: SimConfig| {
+        let mut e = backend.build(cfg).expect("registry backend");
+        match swap {
+            Some((at, model)) => {
+                e.run(at);
+                e.set_model(model).expect("same model family");
+                e.run(steps - at);
+            }
+            None => e.run(steps),
+        }
+        trajectory_hash(&e)
+    };
+    let golden = run(Backend::scalar(), cfg.clone());
     for mode in [IterationMode::Dense, IterationMode::Sparse] {
         let cfg = cfg.clone().with_iteration_mode(mode);
-        let tag = mode.name();
         for threads in 1..=4 {
-            let mut pooled = Backend::pooled(threads).build(cfg.clone()).expect("pooled");
-            pooled.run(steps);
             assert_eq!(
-                trajectory_hash(&pooled),
+                run(Backend::pooled(threads), cfg.clone()),
                 golden,
-                "{name}: pooled/t{threads}/{tag} diverged from scalar"
+                "{name}: pooled/t{threads}/{} diverged from scalar",
+                mode.name()
             );
         }
     }
-    let mut simt = Backend::simt().build(cfg).expect("simt");
-    simt.run(steps);
     assert_eq!(
-        trajectory_hash(&simt),
+        run(Backend::simt(), cfg),
         golden,
         "{name}: simt diverged from scalar"
     );
@@ -95,7 +90,7 @@ fn legacy_goldens_hold_on_every_backend() {
         ),
     ];
     for (name, cfg, steps, golden) in cases {
-        let agreed = assert_backends_agree(name, cfg, steps);
+        let agreed = assert_backends_agree(name, cfg, steps, None);
         assert_eq!(
             agreed, golden,
             "{name}: backends agree on a wrong trajectory"
@@ -113,7 +108,7 @@ fn all_registry_worlds_agree_across_backends() {
             .with_seed(11);
         for model in [ModelKind::lem(), ModelKind::aco()] {
             let cfg = SimConfig::from_scenario(&scenario, model).with_checked(true);
-            assert_backends_agree(&format!("{name}/{}", model.name()), cfg, 30);
+            assert_backends_agree(&format!("{name}/{}", model.name()), cfg, 30, None);
         }
     }
 }
@@ -128,7 +123,7 @@ fn jammed_corridor_agrees_across_backends() {
     let env = EnvConfig::small(64, 64, 900).with_seed(5);
     for model in [ModelKind::lem(), ModelKind::aco()] {
         let cfg = SimConfig::from_scenario(&registry::paper_corridor(&env), model);
-        assert_backends_agree(&format!("jam/{}", model.name()), cfg.clone(), 40);
+        assert_backends_agree(&format!("jam/{}", model.name()), cfg.clone(), 40, None);
         let mut pooled = Backend::pooled(1)
             .build(cfg.with_iteration_mode(IterationMode::Dense))
             .expect("pooled");
@@ -152,43 +147,10 @@ fn jammed_corridors_of_every_band_height_agree_across_backends() {
         let env = EnvConfig::small(48, height, per_side).with_seed(13);
         for model in [ModelKind::lem(), ModelKind::aco()] {
             let cfg = SimConfig::from_scenario(&registry::paper_corridor(&env), model);
-            assert_backends_agree(&format!("jam h{height}/{}", model.name()), cfg, 40);
+            let name = format!("jam h{height}/{}", model.name());
+            assert_backends_agree(&name, cfg, 40, None);
         }
     }
-}
-
-/// Run `cfg` for `before` steps, swap every engine's model to `model`,
-/// run `after` more, and assert scalar ≡ pooled (both modes, 1–4
-/// threads) ≡ simt.
-fn assert_swap_agrees(name: &str, cfg: SimConfig, before: u64, model: ModelKind, after: u64) {
-    let mut scalar = CpuEngine::new(cfg.clone());
-    scalar.run(before);
-    scalar.set_model(model).expect("same model family");
-    scalar.run(after);
-    let golden = trajectory_hash(&scalar);
-    for mode in [IterationMode::Dense, IterationMode::Sparse] {
-        for threads in 1..=4 {
-            let mut pooled = PooledEngine::new(cfg.clone().with_iteration_mode(mode), threads);
-            pooled.run(before);
-            pooled.set_model(model).expect("same model family");
-            pooled.run(after);
-            assert_eq!(
-                trajectory_hash(&pooled),
-                golden,
-                "{name}: pooled/t{threads}/{} diverged from scalar",
-                mode.name()
-            );
-        }
-    }
-    let mut simt = GpuEngine::new(cfg, pedsim::simt::Device::builder().build());
-    simt.run(before);
-    simt.set_model(model).expect("same model family");
-    simt.run(after);
-    assert_eq!(
-        trajectory_hash(&simt),
-        golden,
-        "{name}: simt diverged from scalar"
-    );
 }
 
 /// An ACO jam whose τ₀ is swapped mid-run. At τ₀ = 1e-44 (subnormal)
@@ -209,7 +171,7 @@ fn aco_tau0_swapped_mid_run_agrees_across_backends() {
         (ModelKind::aco(), tiny, "aco tau0 0.1 -> 1e-44"),
     ] {
         let cfg = SimConfig::from_scenario(&registry::paper_corridor(&env), from);
-        assert_swap_agrees(name, cfg, 15, to, 25);
+        assert_backends_agree(name, cfg, 40, Some((15, to)));
     }
 }
 
@@ -224,7 +186,7 @@ fn aco_with_underflowing_eta_beta_agrees_across_backends() {
         ..AcoParams::default()
     });
     let cfg = SimConfig::from_scenario(&registry::paper_corridor(&env), steep);
-    assert_backends_agree("aco beta 200", cfg, 40);
+    assert_backends_agree("aco beta 200", cfg, 40, None);
 }
 
 mod partition_properties {

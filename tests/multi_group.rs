@@ -10,27 +10,8 @@ use pedsim::grid::cell::Group;
 use pedsim::prelude::*;
 use pedsim::scenario::registry;
 
-/// FNV-1a over the trajectory state: the environment matrix plus every
-/// agent position. Stable across platforms (all inputs are exact
-/// integer/deterministic data).
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-fn trajectory_hash(e: &impl Engine) -> u64 {
-    let mat = e.mat_snapshot();
-    let (row, col) = e.positions();
-    let mut bytes: Vec<u8> = mat.as_slice().to_vec();
-    for v in row.iter().chain(col.iter()) {
-        bytes.extend_from_slice(&v.to_le_bytes());
-    }
-    fnv1a(bytes)
-}
+mod common;
+use common::trajectory_hash;
 
 /// The pre-refactor golden hashes, captured on the two-group codebase
 /// immediately before the N-group generalisation (same seeds, same step
