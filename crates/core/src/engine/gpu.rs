@@ -21,11 +21,9 @@
 //! [`Engine::iteration_mode`]: super::Engine::iteration_mode
 //! [`StepCore`]: super::StepCore
 
-use std::time::Duration;
-
 use pedsim_grid::cell::{Group, CELL_EMPTY};
 use pedsim_grid::{Environment, Matrix};
-use simt::exec::{BlockKernel, LaunchConfig, LaunchStats};
+use simt::exec::{BlockKernel, LaunchConfig};
 use simt::profile::KernelProfile;
 use simt::{Device, Dim2};
 
@@ -79,34 +77,13 @@ impl LifecycleWorld for DeviceState {
     }
 }
 
-/// Per-kernel cumulative timing/profile, indexed init/calc/tour/move.
+/// Per-kernel cumulative profiles, indexed init/calc/tour/move. Launch
+/// counts, blocks and threads are the `kernel.*` telemetry counters, and
+/// stage wall time is [`StepTimings`](super::StepTimings).
 #[derive(Debug, Clone, Default)]
 pub struct KernelReport {
-    /// Cumulative wall time per kernel.
-    pub time: [Duration; 4],
     /// Cumulative profiles per kernel (empty unless the device profiles).
     pub profile: [KernelProfile; 4],
-    /// Launches issued per kernel (one per step per kernel).
-    pub launches: [u64; 4],
-    /// Cumulative blocks launched per kernel.
-    pub blocks: [u64; 4],
-    /// Cumulative threads launched per kernel.
-    pub threads: [u64; 4],
-}
-
-impl KernelReport {
-    /// Fold one launch's stats into kernel slot `k` — the single
-    /// accounting path every stage launch goes through (previously four
-    /// copy-pasted blocks in `GpuEngine::step`).
-    fn record(&mut self, k: usize, stats: &LaunchStats) {
-        self.time[k] += stats.duration;
-        self.launches[k] += 1;
-        self.blocks[k] += stats.blocks as u64;
-        self.threads[k] += stats.threads;
-        if let Some(p) = stats.profile {
-            self.profile[k] = self.profile[k].merged(p);
-        }
-    }
 }
 
 /// The data-driven engine on the virtual GPU: the [`Sim`] shell over
@@ -148,7 +125,7 @@ impl GpuEngine {
         Self::build(world, cfg, device)
     }
 
-    /// Cumulative per-kernel timing and profiles.
+    /// Cumulative per-kernel profiles.
     pub fn report(&self) -> &KernelReport {
         &self.backend.report
     }
@@ -196,7 +173,9 @@ impl GpuBackend {
         let stats = device
             .launch(cfg, kernel)
             .unwrap_or_else(|e| panic!("{what} launch: {e:?}"));
-        report.record(k, &stats);
+        if let Some(p) = stats.profile {
+            report.profile[k] = report.profile[k].merged(p);
+        }
         rec.inc(KERNEL_LAUNCH_KEYS[k], 1);
         rec.inc(KERNEL_BLOCK_KEYS[k], stats.blocks as u64);
         rec.inc(KERNEL_THREAD_KEYS[k], stats.threads);
@@ -415,23 +394,6 @@ mod tests {
     }
 
     #[test]
-    fn sequential_and_parallel_policies_agree() {
-        for model in [ModelKind::lem(), ModelKind::aco()] {
-            let mut seq = engine(model, ExecPolicy::Sequential, 11);
-            let mut par = engine(model, ExecPolicy::Parallel { workers: 4 }, 11);
-            seq.run(25);
-            par.run(25);
-            assert_eq!(
-                seq.mat_snapshot(),
-                par.mat_snapshot(),
-                "{} diverged between policies",
-                model.name()
-            );
-            assert_eq!(seq.positions(), par.positions());
-        }
-    }
-
-    #[test]
     fn agents_cross_eventually() {
         let mut e = engine(ModelKind::lem(), ExecPolicy::Parallel { workers: 4 }, 5);
         e.run(120);
@@ -439,31 +401,36 @@ mod tests {
         assert!(m.throughput() > 0, "no crossings in 120 steps");
     }
 
+    /// An ACO engine on a sequential device that profiles its launches.
+    fn profiled(seed: u64) -> GpuEngine {
+        let env = EnvConfig::small(32, 32, 30).with_seed(seed);
+        let device = Device::builder()
+            .policy(ExecPolicy::Sequential)
+            .profiling(true)
+            .build();
+        GpuEngine::new(
+            SimConfig::new(env, ModelKind::aco()).with_checked(true),
+            device,
+        )
+    }
+
     #[test]
     fn kernel_report_accumulates() {
-        let mut e = engine(ModelKind::aco(), ExecPolicy::Sequential, 1);
-        e.run(5);
-        let r = e.report();
-        assert!(r.time.iter().all(|t| *t > Duration::ZERO));
-        // The unified core times the same four kernel stages; its wall
-        // clock wraps the launch, so it can only read higher.
-        let t = e.step_timings();
-        for (stage, k) in Stage::KERNELS.into_iter().zip(0..4) {
-            assert!(t.of(stage) >= r.time[k], "{} under-timed", stage.name());
+        let mut e = profiled(1);
+        e.step();
+        let first = e.report().profile;
+        e.run(4);
+        // Each launch has fixed geometry, so five steps profile five
+        // times the threads of one.
+        for (k, (p, p1)) in e.report().profile.iter().zip(&first).enumerate() {
+            assert!(p1.threads > 0, "kernel {k} unprofiled");
+            assert_eq!(p.threads, 5 * p1.threads, "kernel {k}");
         }
     }
 
     #[test]
     fn profiling_device_reports_no_divergence_in_calc() {
-        let env = EnvConfig::small(32, 32, 30).with_seed(2);
-        let device = Device::builder()
-            .policy(ExecPolicy::Sequential)
-            .profiling(true)
-            .build();
-        let mut e = GpuEngine::new(
-            SimConfig::new(env, ModelKind::aco()).with_checked(true),
-            device,
-        );
+        let mut e = profiled(2);
         e.run(3);
         // The paper's claim: the predicated formulation records no warp
         // divergence in the scoring and movement kernels.

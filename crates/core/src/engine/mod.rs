@@ -13,10 +13,13 @@
 //!
 //! All consume counter-based randomness keyed by `(seed, entity id, step
 //! salt)`, so for equal configurations their trajectories are
-//! **bit-identical** — asserted by `validate::engines_agree`, the
-//! cross-backend golden parity tests, and the integration tests, and then
-//! relaxed into the paper's statistical CPU-vs-GPU comparison for
-//! Figure 6b.
+//! **bit-identical**. [`crate::validate::engines_agree`] asserts it: it
+//! steps `simt` (sequential and parallel) and `pooled` (one to four
+//! threads, dense and sparse) in lockstep with the `scalar` oracle and
+//! compares cells, positions and throughput at each checkpoint. The
+//! golden parity tests anchor that trajectory to fixed hashes, and
+//! Figure 6b relaxes it into the paper's statistical CPU-vs-GPU
+//! comparison.
 //!
 //! Each engine is the one [`Sim`] shell over a [`StageBackend`], which
 //! holds only what differs between backends. The shell builds every

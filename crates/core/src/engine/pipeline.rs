@@ -538,7 +538,11 @@ mod tests {
         let env = pedsim_grid::EnvConfig::small(24, 24, 20).with_seed(3);
         let mut gpu = GpuEngine::new(SimConfig::new(env, ModelKind::lem()), Device::sequential());
         cpu.run(8);
-        gpu.run(8);
+        gpu.run(1);
+        let per_step = |r: &pedsim_obs::Recorder, keys: &[&str; 4]| keys.map(|k| r.counter(k));
+        let blocks = per_step(gpu.telemetry(), &KERNEL_BLOCK_KEYS);
+        let threads = per_step(gpu.telemetry(), &KERNEL_THREAD_KEYS);
+        gpu.run(7);
         let (tc, tg) = (cpu.telemetry(), gpu.telemetry());
         // Identical counter vocabulary on both engines.
         let keys = |r: &pedsim_obs::Recorder| r.counters().map(|(k, _)| k).collect::<Vec<_>>();
@@ -546,19 +550,14 @@ mod tests {
         assert_eq!(tc.counter(STEPS_KEY), 8);
         assert_eq!(tg.counter(STEPS_KEY), 8);
         for k in 0..4 {
-            // CPU: applicable-but-zero; GPU: one launch per step.
+            // CPU: applicable-but-zero; GPU: one launch per step, each
+            // with the same geometry.
             assert_eq!(tc.counter(KERNEL_LAUNCH_KEYS[k]), 0);
             assert!(tc.has_counter(KERNEL_THREAD_KEYS[k]));
             assert_eq!(tg.counter(KERNEL_LAUNCH_KEYS[k]), 8);
-            assert!(tg.counter(KERNEL_BLOCK_KEYS[k]) >= 8);
-            assert!(tg.counter(KERNEL_THREAD_KEYS[k]) > 0);
-        }
-        // The launch counters agree with the GPU's own kernel report.
-        let report = gpu.report();
-        for k in 0..4 {
-            assert_eq!(tg.counter(KERNEL_LAUNCH_KEYS[k]), report.launches[k]);
-            assert_eq!(tg.counter(KERNEL_BLOCK_KEYS[k]), report.blocks[k]);
-            assert_eq!(tg.counter(KERNEL_THREAD_KEYS[k]), report.threads[k]);
+            assert!(blocks[k] > 0 && threads[k] >= blocks[k]);
+            assert_eq!(tg.counter(KERNEL_BLOCK_KEYS[k]), 8 * blocks[k]);
+            assert_eq!(tg.counter(KERNEL_THREAD_KEYS[k]), 8 * threads[k]);
         }
         // Per-stage histograms cover every stage on both engines, and the
         // deterministic gauges agree because the trajectories agree.

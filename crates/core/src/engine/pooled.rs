@@ -2173,19 +2173,9 @@ mod tests {
     #[test]
     fn pooled_matches_scalar_closed_world() {
         for model in [ModelKind::lem(), ModelKind::aco()] {
-            let mut scalar = cpu_engine_small(32, 32, 60, model, 5);
-            scalar.run(40);
-            for threads in [1, 2, 4] {
-                let mut pooled = pooled_engine_small(32, 32, 60, model, 5, threads);
-                pooled.run(40);
-                assert_eq!(
-                    scalar.mat_snapshot(),
-                    pooled.mat_snapshot(),
-                    "{} diverged at {threads} threads",
-                    model.name()
-                );
-                assert_eq!(scalar.positions(), pooled.positions());
-            }
+            let env = EnvConfig::small(32, 32, 60).with_seed(5);
+            let cfg = SimConfig::new(env, model).with_checked(true);
+            assert_eq!(crate::validate::engines_agree(cfg, 40, 10, None), None);
         }
     }
 

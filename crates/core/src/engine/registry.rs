@@ -16,8 +16,8 @@
 //! | `simt`   | [`gpu::GpuEngine`]          | virtual-GPU kernel pipeline             |
 //!
 //! All three are bit-identical in trajectory for equal configurations
-//! (the cross-backend golden parity tests), so the choice is purely a
-//! performance/instrumentation trade.
+//! ([`crate::validate::engines_agree`] and the cross-backend golden parity
+//! tests), so the choice is purely a performance/instrumentation trade.
 //!
 //! [`cpu::CpuEngine`]: super::cpu::CpuEngine
 //! [`pooled::PooledEngine`]: super::pooled::PooledEngine
@@ -262,39 +262,13 @@ mod tests {
         }
     }
 
-    #[test]
-    fn all_backends_share_one_compiled_world_bit_for_bit() {
-        // One compilation serves every backend; trajectories match a
-        // backend that compiled its own world.
-        let world = CompiledWorld::compile(&small_cfg());
-        let mut reference = Backend::scalar().build(small_cfg()).expect("known");
-        reference.run(12);
-        for b in BACKENDS {
-            let mut e = b.build(&world, small_cfg(), 2);
-            e.run(12);
-            assert_eq!(e.mat_snapshot(), reference.mat_snapshot(), "{}", b.name);
-            assert_eq!(e.positions(), reference.positions(), "{}", b.name);
-        }
-    }
-
+    /// Every selection `engines_agree` holds to `scalar` is built
+    /// through this registry over one shared compiled world, and the
+    /// oracle compiles its own.
     #[test]
     fn selections_agree_bit_for_bit() {
-        let mut snaps = Vec::new();
-        for sel in [
-            Backend::scalar(),
-            Backend::pooled(1),
-            Backend::pooled(4),
-            Backend::simt(),
-            Backend::named("simt", 3),
-        ] {
-            let mut e = sel.build(small_cfg()).expect("known backend");
-            e.run(12);
-            snaps.push((sel.to_string(), e.mat_snapshot(), e.positions()));
-        }
-        for (name, mat, pos) in &snaps[1..] {
-            assert_eq!(mat, &snaps[0].1, "{name} diverged from scalar");
-            assert_eq!(pos, &snaps[0].2, "{name} positions diverged");
-        }
+        let agreed = crate::validate::engines_agree(small_cfg(), 12, 4, None);
+        assert_eq!(agreed, None);
     }
 
     #[test]

@@ -11,4 +11,3 @@ pub mod panic;
 pub mod ranges;
 
 pub use panic::{PanicAlarm, PanicParams};
-pub use ranges::{scan_range_row, ScanRanges};

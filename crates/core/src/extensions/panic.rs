@@ -129,34 +129,24 @@ mod tests {
             .expect("panic keeps the world consistent");
     }
 
-    /// Every backend runs the alarm bit-identically to `scalar`, each as a
-    /// registry-built `Box<dyn Engine>`: `simt`, and `pooled` at one to
-    /// four threads in both traversal modes.
+    /// Every engine runs the alarm bit-identically to `scalar`: the
+    /// oracle and every selection `engines_agree` holds to it, each as a
+    /// registry-built `Box<dyn Engine>`.
     #[test]
     fn engines_agree_through_the_alarm() {
-        use crate::engine::Backend;
-        use crate::params::IterationMode;
-
         let alarm = PanicAlarm::new(PanicParams {
             trigger_step: 8,
             sigma_factor: 1.0,
             alpha_factor: 0.2,
             beta_factor: 2.0,
         });
-        let c = cfg(ModelKind::aco(), 13);
-        let mut cpu = CpuEngine::new(c.clone());
-        alarm.run(&mut cpu, 25);
-        let mut runs = vec![(Backend::named("simt", 2), c.clone())];
-        for mode in [IterationMode::Dense, IterationMode::Sparse] {
-            let c = c.clone().with_iteration_mode(mode);
-            runs.extend((1..=4).map(|t| (Backend::pooled(t), c.clone())));
-        }
-        for (backend, c) in runs {
-            let mut e = backend.build(c.clone()).expect("registry backend");
+        let (mut oracle, held) = crate::validate::held_engines(&cfg(ModelKind::aco(), 13));
+        alarm.run(&mut oracle, 25);
+        for ((backend, mode), mut e) in held {
             alarm.run(&mut e, 25);
-            let name = format!("{backend}/{}", c.iteration.name());
-            assert_eq!(cpu.mat_snapshot(), e.mat_snapshot(), "{name}");
-            assert_eq!(cpu.positions(), e.positions(), "{name}");
+            let name = format!("{backend}/{}", mode.name());
+            assert_eq!(oracle.mat_snapshot(), e.mat_snapshot(), "{name}");
+            assert_eq!(oracle.positions(), e.positions(), "{name}");
         }
     }
 }

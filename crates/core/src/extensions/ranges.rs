@@ -11,25 +11,6 @@
 
 use pedsim_grid::cell::{CELL_EMPTY, NEIGHBOR_OFFSETS};
 
-/// Scanning/moving range pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScanRanges {
-    /// Cells looked ahead per ray (≥ 1).
-    pub scan: u8,
-    /// Cells moved per step (fixed at 1 in this reproduction, as in the
-    /// paper).
-    pub move_range: u8,
-}
-
-impl Default for ScanRanges {
-    fn default() -> Self {
-        Self {
-            scan: 1,
-            move_range: 1,
-        }
-    }
-}
-
 /// Congestion along ray `k` from `(r, c)`: the fraction of occupied cells
 /// at distances `2..=scan` in that direction (0.0 when `scan <= 1`).
 ///
@@ -57,24 +38,6 @@ pub fn penalised_distance(base: f32, congestion: f32) -> f32 {
     base * (1.0 + congestion)
 }
 
-/// Convenience: the penalised distances of all eight rays (used by the
-/// look-ahead LEM scan row).
-pub fn scan_range_row(
-    occ: &impl Fn(i64, i64) -> u8,
-    base: &[f32; 8],
-    r: i64,
-    c: i64,
-    scan: u8,
-) -> [f32; 8] {
-    let mut out = *base;
-    if scan > 1 {
-        for (k, v) in out.iter_mut().enumerate() {
-            *v = penalised_distance(*v, ray_congestion(occ, r, c, k, scan));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,13 +56,6 @@ mod tests {
     }
 
     #[test]
-    fn scan_one_is_identity() {
-        let occ = world(&[]);
-        let base = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0];
-        assert_eq!(scan_range_row(&occ, &base, 25, 25, 1), base);
-    }
-
-    #[test]
     fn open_rays_unpenalised() {
         let occ = world(&[]);
         assert_eq!(ray_congestion(&occ, 25, 25, 0, 5), 0.0);
@@ -114,6 +70,8 @@ mod tests {
         // Distances 2..=4: cells (27,25) blocked, (28,25) blocked, (29,25)
         // free → 2/3.
         assert!((cong - 2.0 / 3.0).abs() < 1e-6);
+        // Scan range 1 is the paper's baseline: the same crowd reads 0.
+        assert_eq!(ray_congestion(&occ, 25, 25, 0, 1), 0.0);
         // A clear lateral ray is unaffected.
         assert_eq!(ray_congestion(&occ, 25, 25, 4, 4), 0.0);
     }

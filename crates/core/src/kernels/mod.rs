@@ -38,15 +38,13 @@ use pedsim_grid::scan::SCAN_INVALID;
 use pedsim_grid::{DistRef, DistanceData, DistanceKind, Environment};
 use simt::memory::{ConstantBuffer, ScatterBuffer, ScatterView};
 
-use crate::params::{AcoParams, ModelKind};
+use crate::params::ModelKind;
 
 /// Ping-pong pheromone buffers (ACO only): one `[current, next]` pair per
 /// directional group, in group-index order.
 pub struct PherBuffers {
     /// Per-group fields, `[current, next]` by the owner's `cur` flag.
     pub fields: Vec<[ScatterBuffer<f32>; 2]>,
-    /// ACO parameters the kernels need.
-    pub params: AcoParams,
 }
 
 impl PherBuffers {
@@ -155,7 +153,6 @@ impl DeviceState {
                         ]
                     })
                     .collect(),
-                params: p,
             }),
             ModelKind::Lem(_) => None,
         };

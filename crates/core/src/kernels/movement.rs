@@ -295,9 +295,10 @@ mod tests {
 
     #[test]
     fn pheromone_deposited_exactly_at_arrivals() {
-        let (env, state) = one_step(ModelKind::aco(), 33, ExecPolicy::Sequential);
+        let aco = AcoParams::default();
+        let (env, state) = one_step(ModelKind::Aco(aco), 33, ExecPolicy::Sequential);
         let p = state.pher.as_ref().expect("ACO");
-        let tau0 = p.params.tau0;
+        let tau0 = aco.tau0;
         let top_out = p.fields[Group::TOP.index()][1].as_slice();
         let pos = state.pos.as_slice();
         let arrivals: std::collections::HashSet<usize> = (1..=state.n)

@@ -1,5 +1,6 @@
-//! Cross-backend golden parity: every backend in the engine registry —
-//! scalar, pooled at any thread count, simt — must produce bit-identical
+//! Cross-backend golden parity: every selection `engines_agree` holds to
+//! the `scalar` oracle — `simt` sequential and parallel, `pooled` at one
+//! to four threads in both traversals — must produce bit-identical
 //! trajectories on every registry world. The pooled backend's claim
 //! protocol is *proven* equivalent to the scalar gather in unit tests
 //! (`engine::pooled`); this suite pins the whole-trajectory consequence,
@@ -13,52 +14,6 @@ use pedsim::scenario::registry;
 
 mod common;
 use common::trajectory_hash;
-
-/// Run `cfg` for `steps` on every registry backend and return the scalar
-/// hash after asserting every other run matches it. With `swap = Some((at,
-/// model))`, every engine swaps to `model` through `Engine::set_model`
-/// after `at` steps. Each traversal has two independent implementations
-/// held to that hash: the agent loops of `scalar` and sparse `pooled`,
-/// and the per-cell sweeps of `simt` and dense `pooled`. Sparse stepping
-/// is thereby pinned as a pure traversal-order optimisation of the
-/// paper's O(cells) mapping.
-fn assert_backends_agree(
-    name: &str,
-    cfg: SimConfig,
-    steps: u64,
-    swap: Option<(u64, ModelKind)>,
-) -> u64 {
-    let run = |backend: Backend, cfg: SimConfig| {
-        let mut e = backend.build(cfg).expect("registry backend");
-        match swap {
-            Some((at, model)) => {
-                e.run(at);
-                e.set_model(model).expect("same model family");
-                e.run(steps - at);
-            }
-            None => e.run(steps),
-        }
-        trajectory_hash(&e)
-    };
-    let golden = run(Backend::scalar(), cfg.clone());
-    for mode in [IterationMode::Dense, IterationMode::Sparse] {
-        let cfg = cfg.clone().with_iteration_mode(mode);
-        for threads in 1..=4 {
-            assert_eq!(
-                run(Backend::pooled(threads), cfg.clone()),
-                golden,
-                "{name}: pooled/t{threads}/{} diverged from scalar",
-                mode.name()
-            );
-        }
-    }
-    assert_eq!(
-        run(Backend::simt(), cfg),
-        golden,
-        "{name}: simt diverged from scalar"
-    );
-    golden
-}
 
 /// The legacy golden hashes (captured on the pre-registry scalar build)
 /// hold for *every* backend: trajectory equality is anchored to fixed
@@ -90,16 +45,15 @@ fn legacy_goldens_hold_on_every_backend() {
         ),
     ];
     for (name, cfg, steps, golden) in cases {
-        let agreed = assert_backends_agree(name, cfg, steps, None);
-        assert_eq!(
-            agreed, golden,
-            "{name}: backends agree on a wrong trajectory"
-        );
+        let mut scalar = CpuEngine::new(cfg.clone());
+        scalar.run(steps);
+        assert_eq!(trajectory_hash(&scalar), golden, "{name}: wrong trajectory");
+        assert_eq!(engines_agree(cfg, steps, steps, None), None, "{name}");
     }
 }
 
 /// Every registry world (open-boundary lifecycles included) runs
-/// bit-identically across the whole backend × thread-count matrix.
+/// bit-identically on every selection `engines_agree` holds to `scalar`.
 #[test]
 fn all_registry_worlds_agree_across_backends() {
     for name in registry::names() {
@@ -108,13 +62,14 @@ fn all_registry_worlds_agree_across_backends() {
             .with_seed(11);
         for model in [ModelKind::lem(), ModelKind::aco()] {
             let cfg = SimConfig::from_scenario(&scenario, model).with_checked(true);
-            assert_backends_agree(&format!("{name}/{}", model.name()), cfg, 30, None);
+            let name = format!("{name}/{}", model.name());
+            assert_eq!(engines_agree(cfg, 30, 10, None), None, "{name}");
         }
     }
 }
 
 /// A jammed classic corridor (side 64, 900 agents per side: 44 %
-/// occupancy) runs bit-identically across the matrix. At this density
+/// occupancy) runs bit-identically on every selection. At this density
 /// many agents are boxed in or have one free neighbour, so pooled's
 /// shortcuts on the availability byte decide them without a draw; the
 /// `pooled.settled` count shows they fire.
@@ -123,7 +78,8 @@ fn jammed_corridor_agrees_across_backends() {
     let env = EnvConfig::small(64, 64, 900).with_seed(5);
     for model in [ModelKind::lem(), ModelKind::aco()] {
         let cfg = SimConfig::from_scenario(&registry::paper_corridor(&env), model);
-        assert_backends_agree(&format!("jam/{}", model.name()), cfg.clone(), 40, None);
+        let name = format!("jam/{}", model.name());
+        assert_eq!(engines_agree(cfg.clone(), 40, 10, None), None, "{name}");
         let mut pooled = Backend::pooled(1)
             .build(cfg.with_iteration_mode(IterationMode::Dense))
             .expect("pooled");
@@ -148,7 +104,7 @@ fn jammed_corridors_of_every_band_height_agree_across_backends() {
         for model in [ModelKind::lem(), ModelKind::aco()] {
             let cfg = SimConfig::from_scenario(&registry::paper_corridor(&env), model);
             let name = format!("jam h{height}/{}", model.name());
-            assert_backends_agree(&name, cfg, 40, None);
+            assert_eq!(engines_agree(cfg, 40, 10, None), None, "{name}");
         }
     }
 }
@@ -171,7 +127,7 @@ fn aco_tau0_swapped_mid_run_agrees_across_backends() {
         (ModelKind::aco(), tiny, "aco tau0 0.1 -> 1e-44"),
     ] {
         let cfg = SimConfig::from_scenario(&registry::paper_corridor(&env), from);
-        assert_backends_agree(name, cfg, 40, Some((15, to)));
+        assert_eq!(engines_agree(cfg, 40, 10, Some((15, to))), None, "{name}");
     }
 }
 
@@ -186,7 +142,7 @@ fn aco_with_underflowing_eta_beta_agrees_across_backends() {
         ..AcoParams::default()
     });
     let cfg = SimConfig::from_scenario(&registry::paper_corridor(&env), steep);
-    assert_backends_agree("aco beta 200", cfg, 40, None);
+    assert_eq!(engines_agree(cfg, 40, 10, None), None);
 }
 
 mod partition_properties {

@@ -1,6 +1,8 @@
-//! Cross-crate integration: the CPU reference, the sequential virtual GPU,
-//! and the parallel virtual GPU must produce bit-identical trajectories
-//! (the strong form of the paper's §VI CPU-vs-GPU consistency check).
+//! Cross-crate integration: every selection `engines_agree` holds to the
+//! `scalar` oracle (the sequential and parallel virtual GPU, pooled at one
+//! to four threads in both traversals) must produce bit-identical
+//! trajectories (the strong form of the paper's §VI CPU-vs-GPU
+//! consistency check).
 
 use pedsim::prelude::*;
 
@@ -11,7 +13,7 @@ fn config(model: ModelKind, seed: u64, per_side: usize) -> SimConfig {
 #[test]
 fn lem_engines_agree_sparse() {
     assert_eq!(
-        engines_agree(config(ModelKind::lem(), 1, 40), 60, 10, 4),
+        engines_agree(config(ModelKind::lem(), 1, 40), 60, 10, None),
         None
     );
 }
@@ -19,7 +21,7 @@ fn lem_engines_agree_sparse() {
 #[test]
 fn lem_engines_agree_dense() {
     assert_eq!(
-        engines_agree(config(ModelKind::lem(), 2, 400), 40, 10, 4),
+        engines_agree(config(ModelKind::lem(), 2, 400), 40, 10, None),
         None
     );
 }
@@ -27,7 +29,7 @@ fn lem_engines_agree_dense() {
 #[test]
 fn aco_engines_agree_sparse() {
     assert_eq!(
-        engines_agree(config(ModelKind::aco(), 3, 40), 60, 10, 4),
+        engines_agree(config(ModelKind::aco(), 3, 40), 60, 10, None),
         None
     );
 }
@@ -35,7 +37,7 @@ fn aco_engines_agree_sparse() {
 #[test]
 fn aco_engines_agree_dense() {
     assert_eq!(
-        engines_agree(config(ModelKind::aco(), 4, 400), 40, 10, 4),
+        engines_agree(config(ModelKind::aco(), 4, 400), 40, 10, None),
         None
     );
 }
@@ -50,7 +52,7 @@ fn agreement_holds_with_nondefault_parameters() {
         tau0: 0.5,
         forward_priority: false,
     });
-    assert_eq!(engines_agree(config(model, 5, 150), 40, 10, 3), None);
+    assert_eq!(engines_agree(config(model, 5, 150), 40, 10, None), None);
 }
 
 #[test]
@@ -59,17 +61,19 @@ fn agreement_holds_with_scan_range_extension() {
         scan_range: 3,
         ..LemParams::default()
     });
-    assert_eq!(engines_agree(config(model, 6, 150), 40, 10, 3), None);
+    assert_eq!(engines_agree(config(model, 6, 150), 40, 10, None), None);
 }
 
+/// `engines_agree` holds `simt` at one and four workers; seven must
+/// match too.
 #[test]
 fn worker_count_does_not_change_results() {
-    // 1, 2, and 7 workers must match the sequential policy.
-    for workers in [1usize, 2, 7] {
-        assert_eq!(
-            engines_agree(config(ModelKind::aco(), 7, 200), 25, 25, workers),
-            None,
-            "diverged with {workers} workers"
-        );
-    }
+    let cfg = config(ModelKind::aco(), 7, 200);
+    assert_eq!(engines_agree(cfg.clone(), 25, 25, None), None);
+    let run = |backend: Backend| {
+        let mut e = backend.build(cfg.clone()).expect("registry backend");
+        e.run(25);
+        (e.mat_snapshot(), e.positions())
+    };
+    assert_eq!(run(Backend::named("simt", 7)), run(Backend::scalar()));
 }

@@ -78,7 +78,7 @@ fn engines_agree_on_four_way_crossing() {
         assert_eq!(scenario.n_groups(), 4);
         let cfg = SimConfig::from_scenario(&scenario, model).with_checked(true);
         assert_eq!(
-            engines_agree(cfg, 40, 10, 4),
+            engines_agree(cfg, 40, 10, None),
             None,
             "{} diverged on four_way_crossing",
             model.name()
@@ -92,7 +92,7 @@ fn engines_agree_on_t_junction_merge() {
         let scenario = registry::t_junction_merge(32, 40).with_seed(19);
         let cfg = SimConfig::from_scenario(&scenario, model).with_checked(true);
         assert_eq!(
-            engines_agree(cfg, 40, 10, 3),
+            engines_agree(cfg, 40, 10, None),
             None,
             "{} diverged on t_junction_merge",
             model.name()
@@ -107,7 +107,7 @@ fn engines_agree_on_asymmetric_corridor() {
     let scenario = registry::asymmetric_corridor(32, 32, 70, 25).with_seed(29);
     assert!(scenario.uses_row_fast_path());
     let cfg = SimConfig::from_scenario(&scenario, ModelKind::aco()).with_checked(true);
-    assert_eq!(engines_agree(cfg, 50, 10, 4), None);
+    assert_eq!(engines_agree(cfg, 50, 10, None), None);
 }
 
 #[test]

@@ -5,7 +5,8 @@
 //! unmodified).
 
 use pedsim::core::engine::cpu::CpuEngine;
-use pedsim::core::validate::engines_agree;
+use pedsim::core::validate::{engines_agree, held_engines};
+use pedsim::grid::cell::Group;
 use pedsim::prelude::*;
 use pedsim::scenario::registry;
 
@@ -18,7 +19,7 @@ fn open_corridor_cfg(seed: u64, model: ModelKind) -> SimConfig {
 fn engines_agree_on_open_corridor() {
     for model in [ModelKind::lem(), ModelKind::aco()] {
         assert_eq!(
-            engines_agree(open_corridor_cfg(17, model), 120, 10, 4),
+            engines_agree(open_corridor_cfg(17, model), 120, 10, None),
             None,
             "{} diverged on open_corridor",
             model.name()
@@ -32,7 +33,7 @@ fn engines_agree_on_open_crossing() {
         let scenario = registry::open_crossing(32, 40, 1.5).with_seed(23);
         let cfg = SimConfig::from_scenario(&scenario, model).with_checked(true);
         assert_eq!(
-            engines_agree(cfg, 120, 10, 3),
+            engines_agree(cfg, 120, 10, None),
             None,
             "{} diverged on open_crossing",
             model.name()
@@ -63,49 +64,6 @@ fn open_corridor_reaches_a_flowing_population() {
     let flux = m.windowed_flux(64).expect("200 steps observed");
     assert!(flux > 0.0, "zero steady flux");
     e.environment().check_consistency().expect("consistent");
-}
-
-/// The pooled backend counts movers and arrivals inside its resolve
-/// bands: on an open corridor whose sinks drain and whose slots are
-/// recycled many times over, its metrics match `scalar`'s every step —
-/// moves, cumulative throughput, live count and the windowed flux — in
-/// the dense pipeline at two and three workers and in sparse mode.
-#[test]
-fn pooled_arrival_tallies_match_scalar_throughput_and_flux_with_recycled_slots() {
-    use pedsim::core::engine::pooled::PooledEngine;
-    for model in [ModelKind::lem(), ModelKind::aco()] {
-        let cfg = open_corridor_cfg(31, model);
-        let mut scalar = CpuEngine::new(cfg.clone());
-        let mut pooled: Vec<PooledEngine> = [
-            (IterationMode::Dense, 2),
-            (IterationMode::Dense, 3),
-            (IterationMode::Sparse, 2),
-        ]
-        .into_iter()
-        .map(|(mode, threads)| PooledEngine::new(cfg.clone().with_iteration_mode(mode), threads))
-        .collect();
-        for step in 0..240 {
-            scalar.step();
-            let s = scalar.metrics().expect("metrics on");
-            for e in &mut pooled {
-                e.step();
-                let p = e.metrics().expect("metrics on");
-                let what = format!("{} {:?} step {step}", model.name(), e.iteration_mode());
-                assert_eq!(p.moved_last_step, s.moved_last_step, "{what}: moves");
-                assert_eq!(p.throughput(), s.throughput(), "{what}: throughput");
-                assert_eq!(p.live_count(), s.live_count(), "{what}: live");
-                assert_eq!(p.windowed_flux(32), s.windowed_flux(32), "{what}: flux");
-            }
-        }
-        let s = scalar.metrics().expect("metrics on");
-        assert!(
-            s.throughput() > 80,
-            "{}: only {} crossings, so the 2 x 40 slots were not recycled",
-            model.name(),
-            s.throughput()
-        );
-        assert!(s.windowed_flux(32).expect("observed") > 0.0);
-    }
 }
 
 #[test]
@@ -185,6 +143,47 @@ fn gpu_download_round_trips_the_lifecycle_state() {
     assert_eq!(env.live_count(), cpu.environment().live_count());
     assert_eq!(env.alive, cpu.environment().alive);
     assert_eq!(env.free, cpu.environment().free);
+}
+
+/// Every selection `engines_agree` holds to `scalar` counts movers and
+/// arrivals as the oracle does: on an open corridor whose sinks drain
+/// and whose slots are recycled many times over, their metrics match
+/// `scalar`'s every step — moves, crossings per group and per agent,
+/// live count and the windowed flux. (`metrics_movers` holds `scalar`'s
+/// own tallies to its slot table.)
+#[test]
+fn pooled_arrival_tallies_match_scalar_throughput_and_flux_with_recycled_slots() {
+    for model in [ModelKind::lem(), ModelKind::aco()] {
+        let (mut scalar, mut held) = held_engines(&open_corridor_cfg(31, model));
+        let slots = scalar.positions().0.len();
+        for step in 0..240 {
+            scalar.step();
+            let s = scalar.metrics().expect("metrics on");
+            for ((backend, mode), e) in &mut held {
+                e.step();
+                let p = e.metrics().expect("metrics on");
+                let what = format!("{} {backend}/{} step {step}", model.name(), mode.name());
+                assert_eq!(p.moved_last_step, s.moved_last_step, "{what}: moves");
+                assert_eq!(p.total_moves, s.total_moves, "{what}: total moves");
+                assert_eq!(p.live_count(), s.live_count(), "{what}: live");
+                for g in Group::first_n(2) {
+                    assert_eq!(p.crossed(g), s.crossed(g), "{what}: crossed {g:?}");
+                }
+                for i in 1..slots {
+                    assert_eq!(p.agent_crossed(i), s.agent_crossed(i), "{what}: agent {i}");
+                }
+                assert_eq!(p.windowed_flux(32), s.windowed_flux(32), "{what}: flux");
+            }
+        }
+        let s = scalar.metrics().expect("metrics on");
+        assert!(
+            s.throughput() > 80,
+            "{}: only {} crossings, so the 2 x 40 slots were not recycled",
+            model.name(),
+            s.throughput()
+        );
+        assert!(s.windowed_flux(32).expect("observed") > 0.0);
+    }
 }
 
 mod recycling_properties {

@@ -73,13 +73,13 @@ fn all_registry_scenarios_run_on_both_engines() {
 
 #[test]
 fn engines_agree_on_obstacle_scenarios() {
-    // The acceptance bar: exact CPU/GPU agreement on a world with interior
-    // obstacles (grid flow-field routing), under the parallel policy.
-    for (model, workers) in [(ModelKind::lem(), 4), (ModelKind::aco(), 3)] {
+    // The acceptance bar: exact agreement of every engine with the scalar
+    // oracle on a world with interior obstacles (grid flow-field routing).
+    for model in [ModelKind::lem(), ModelKind::aco()] {
         let scenario = registry::doorway(32, 32, 80, 3).with_seed(23);
         let cfg = SimConfig::from_scenario(&scenario, model).with_checked(true);
         assert_eq!(
-            engines_agree(cfg, 40, 10, workers),
+            engines_agree(cfg, 40, 10, None),
             None,
             "{} diverged on the doorway scenario",
             model.name()
@@ -88,7 +88,7 @@ fn engines_agree_on_obstacle_scenarios() {
     // And on the orthogonal-streams world (no walls, non-band targets).
     let cfg = SimConfig::from_scenario(&registry::crossing(28, 60).with_seed(5), ModelKind::aco())
         .with_checked(true);
-    assert_eq!(engines_agree(cfg, 30, 10, 4), None, "crossing diverged");
+    assert_eq!(engines_agree(cfg, 30, 10, None), None, "crossing diverged");
 }
 
 /// FNV-1a over the trajectory state: the cell-label matrix, every agent
